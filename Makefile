@@ -13,7 +13,7 @@ LOADGEN_SMOKE_DIR ?= .loadgen-smoke
 CHAOS_SMOKE_DIR ?= .chaos-smoke
 SMOKE_FLAGS = -seed 5 -ases 24 -blocks-per-as 6 -days 56
 
-.PHONY: all build vet fmt-check lint test race bench bench-smoke fuzz-smoke pipeline-smoke serve-smoke live-smoke cluster-smoke rpc-smoke snapshot-smoke history-smoke loadgen-smoke chaos-smoke ci
+.PHONY: all build vet fmt-check lint test bench-harness race bench bench-smoke fuzz-smoke pipeline-smoke serve-smoke live-smoke cluster-smoke rpc-smoke snapshot-smoke history-smoke loadgen-smoke chaos-smoke ci
 
 all: build
 
@@ -43,6 +43,13 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness is a nested module (benchmark/go.mod), which
+# `go test ./...` does not descend into: vet and test it here, so a
+# signature change that breaks it fails CI instead of the next benchmark
+# run (< 5 s, spawns no process).
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The parallel engine makes the race detector non-negotiable.
 race:
@@ -172,4 +179,4 @@ chaos-smoke:
 	$(GO) build -o $(CHAOS_SMOKE_DIR)/ipscope-loadgen ./cmd/ipscope-loadgen
 	sh scripts/chaos_smoke.sh $(CHAOS_SMOKE_DIR)
 
-ci: build vet fmt-check test race bench-smoke fuzz-smoke pipeline-smoke serve-smoke live-smoke cluster-smoke rpc-smoke snapshot-smoke history-smoke loadgen-smoke chaos-smoke
+ci: build vet fmt-check test bench-harness race bench-smoke fuzz-smoke pipeline-smoke serve-smoke live-smoke cluster-smoke rpc-smoke snapshot-smoke history-smoke loadgen-smoke chaos-smoke

@@ -32,10 +32,17 @@
 //	                  a sharded snapshot restores its own partition range
 //	-snapshot-dir DIR live: checkpoint the applier into DIR as epochs
 //	                  publish, and on startup resume from the newest
-//	                  readable checkpoint, tailing the stream from the
-//	                  cut instead of replaying it from the beginning
+//	                  readable checkpoint (served at once), tailing the
+//	                  stream from the cut instead of replaying it from
+//	                  the beginning. Files are written beside ingest
+//	                  (temp file, fsync, rename): epoch E's lands while
+//	                  day E+1 is applied, at most one write behind;
+//	                  stale *.ipsnap.tmp files of a killed writer are
+//	                  removed at startup, and a signal waits for the
+//	                  write in flight
 //	-snapshot-every N live: checkpoint every N published epochs
-//	                  (default 1)
+//	                  (default 1); every selected epoch gets its file —
+//	                  ingest waits for the writer rather than skip one
 //	-snapshot-keep N  live: retain only the newest N checkpoints
 //	                  (default 3)
 //	-follow-poll DUR  live: -follow poll interval (default 200ms; tests
@@ -94,13 +101,13 @@ import (
 	_ "net/http/pprof" // -pprof side listener
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
+	"slices"
 	"syscall"
 	"time"
 
 	"ipscope/internal/cluster"
 	"ipscope/internal/ipv4"
+	"ipscope/internal/node"
 	"ipscope/internal/obs"
 	"ipscope/internal/query"
 	"ipscope/internal/rpc"
@@ -412,7 +419,8 @@ type liveOptions struct {
 // (warming) before the first day arrives.
 //
 // With -snapshot-dir, every Nth published epoch is also checkpointed to
-// disk (atomic rename, bounded retention), and startup resumes from the
+// disk (atomic rename, bounded retention) by a writer goroutine while
+// the next day is applied, and startup resumes from the
 // newest readable checkpoint: the saved index is published immediately
 // and the stream is tailed from the cut — already-applied frames are
 // discarded at the frame level, so restart cost is O(snapshot sections),
@@ -423,9 +431,6 @@ func runLive(cfg serve.Config, listen, rpcListen string, o liveOptions) {
 	}
 	if o.snapEvery < 1 {
 		o.snapEvery = 1
-	}
-	if o.snapKeep < 1 {
-		o.snapKeep = 1
 	}
 	srv := serve.New(nil, cfg)
 	rpcSrv := startRPC(srv, rpcListen)
@@ -457,11 +462,14 @@ func runLive(cfg serve.Config, listen, rpcListen string, o liveOptions) {
 		skip      obs.SkipCounts
 		resumed   bool
 		snapShard *query.ShardRange
+		ckpt      *node.CheckpointWriter // nil without -snapshot-dir
 	)
 	if o.snapshotDir != "" {
 		if err := os.MkdirAll(o.snapshotDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
+		node.RemoveStaleTemps(o.snapshotDir) // a writer killed mid-write left them
+		ckpt = &node.CheckpointWriter{Dir: o.snapshotDir, Keep: o.snapKeep}
 		if loaded, name := loadNewestSnapshot(o.snapshotDir, query.LoadOptions{Workers: o.workers}); loaded != nil {
 			sh := loaded.Info.Shard
 			switch {
@@ -477,16 +485,19 @@ func runLive(cfg serve.Config, listen, rpcListen string, o liveOptions) {
 				snapShard = &query.ShardRange{Index: sh.Index, Count: sh.Count, Lo: lo, Hi: hi}
 				log.Printf("shard %d/%d replica %d: applying block range [%d, %d)", sh.Index, sh.Count, o.replica, lo, hi)
 			}
-			// The loaded index may alias the checkpoint's mapping; it
+			// The loaded index is complete and immutable: publish it
+			// first, so reads are answered at the checkpointed epoch
+			// while ResumeApplier rebuilds the staging state only the
+			// next day needs. It may alias the checkpoint's mapping; it
 			// stays mapped for the life of the process. Pruning may
 			// later unlink the file, which is safe: the mapping keeps
 			// the inode alive.
+			srv.Publish(loaded.Index)
 			ap, sk, err := loaded.ResumeApplier(applierOpts)
 			if err != nil {
 				log.Fatalf("resume from checkpoint %s: %v", name, err)
 			}
 			applier, skip, resumed = ap, sk, true
-			srv.Publish(loaded.Index)
 			log.Printf("resumed from snapshot %s: epoch %d, %d days applied, %d active /24 blocks",
 				name, loaded.Index.Epoch(), ap.Days(), loaded.Index.NumBlocks())
 		}
@@ -504,10 +515,30 @@ func runLive(cfg serve.Config, listen, rpcListen string, o liveOptions) {
 		lastPublished = applier.Days()
 		log.Printf("published epoch %d: %d days applied, %d active /24 blocks",
 			idx.Epoch(), idx.DailyLen(), idx.NumBlocks())
-		if o.snapshotDir != "" && idx.Epoch()%uint64(o.snapEvery) == 0 {
-			saveCheckpoint(o.snapshotDir, o.snapKeep, applier, snapShard, idx.Epoch())
+		if ckpt != nil && idx.Epoch()%uint64(o.snapEvery) == 0 {
+			// Capture now, while the applier still matches the published
+			// epoch; the writer goroutine streams the file out while the
+			// next day is applied. Checkpoint failure is logged, not
+			// fatal: the serving path must not die because the disk is
+			// full.
+			cp, err := applier.Checkpoint(snapShard)
+			if err != nil {
+				log.Printf("checkpoint epoch %d: %v (continuing without)", idx.Epoch(), err)
+			} else {
+				ckpt.Submit(cp)
+			}
 		}
 		return nil
+	}
+	// shutdown is every exit path's tail: wait for the checkpoint in
+	// flight (the newest epoch's file must not be lost to a signal, nor
+	// its temp file left behind), then drain.
+	shutdown := func() {
+		log.Printf("signal received; draining in-flight requests...")
+		if ckpt != nil {
+			ckpt.Close()
+		}
+		drain(srv, rpcSrv)
 	}
 	var sink obs.Sink = obs.SinkFunc(func(e obs.Event) error {
 		if _, ok := e.(obs.MetaEvent); ok && resumed {
@@ -548,8 +579,7 @@ func runLive(cfg serve.Config, listen, rpcListen string, o liveOptions) {
 	}
 	if ctx.Err() != nil {
 		// Interrupted while streaming: drain and exit on this signal.
-		log.Printf("signal received; draining in-flight requests...")
-		drain(srv, rpcSrv)
+		shutdown()
 		return
 	}
 	switch {
@@ -572,24 +602,19 @@ func runLive(cfg serve.Config, listen, rpcListen string, o liveOptions) {
 		log.Printf("stream complete; serving final epoch")
 	}
 	<-ctx.Done()
-	log.Printf("signal received; draining in-flight requests...")
-	drain(srv, rpcSrv)
+	shutdown()
 }
-
-// snapPattern names checkpoint files so that lexical order is epoch
-// order: the zero-padded epoch makes "newest" a plain string sort.
-const snapPattern = "snap-%010d.ipsnap"
 
 // loadNewestSnapshot scans dir for checkpoints, newest first, and
 // returns the first one that loads cleanly (with its path). A corrupt
 // or torn file is logged and skipped — an older intact checkpoint
 // beats refusing to start.
 func loadNewestSnapshot(dir string, opts query.LoadOptions) (*query.Loaded, string) {
-	names, err := filepath.Glob(filepath.Join(dir, "snap-*.ipsnap"))
+	names, err := node.ListCheckpoints(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
+	slices.Reverse(names)
 	for _, name := range names {
 		loaded, err := query.LoadSnapshotFile(name, opts)
 		if err != nil {
@@ -604,35 +629,6 @@ func loadNewestSnapshot(dir string, opts query.LoadOptions) (*query.Loaded, stri
 		return loaded, name
 	}
 	return nil, ""
-}
-
-// saveCheckpoint persists the applier's resumable state after a publish
-// and prunes old checkpoints down to the retention bound. Checkpoint
-// failure is logged, not fatal: the serving path must not die because
-// the disk is full.
-func saveCheckpoint(dir string, keepN int, a *query.Applier, shard *query.ShardRange, epoch uint64) {
-	data, err := a.EncodeCheckpoint(shard)
-	if err != nil {
-		log.Printf("checkpoint epoch %d: %v (continuing without)", epoch, err)
-		return
-	}
-	name := filepath.Join(dir, fmt.Sprintf(snapPattern, epoch))
-	if err := query.WriteSnapshotFile(name, data); err != nil {
-		log.Printf("checkpoint %s: %v (continuing without)", name, err)
-		return
-	}
-	log.Printf("checkpoint %s (%d bytes)", name, len(data))
-	names, err := filepath.Glob(filepath.Join(dir, "snap-*.ipsnap"))
-	if err != nil {
-		return
-	}
-	sort.Strings(names)
-	for len(names) > keepN {
-		if err := os.Remove(names[0]); err != nil {
-			log.Printf("prune %s: %v", names[0], err)
-		}
-		names = names[1:]
-	}
 }
 
 // acceptStream accepts one TCP connection and decodes its observation

@@ -1,6 +1,6 @@
 package ipv4
 
-import "sort"
+import "slices"
 
 // Set is a sparse set of IPv4 addresses stored as one Bitmap256 per
 // populated /24 block. It is not safe for concurrent mutation.
@@ -87,7 +87,7 @@ func (s *Set) Blocks() []Block {
 	for b := range s.m {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -2,7 +2,7 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ipscope/internal/bgp"
 	"ipscope/internal/core"
@@ -377,10 +377,11 @@ func (a *Applier) Snapshot() (*Index, error) {
 // compile materializes one block's immutable record from its
 // accumulator, mirroring Build's compileBlock field for field.
 func (acc *blockAcc) compile(blk ipv4.Block, n, w, fullWords int) blockData {
-	bd := blockData{blk: blk, timelines: make([]uint64, 256*w)}
+	bd := blockData{blk: blk}
 	if w == fullWords {
-		copy(bd.timelines, acc.timelines)
+		bd.timelines = slices.Clone(acc.timelines)
 	} else {
+		bd.timelines = make([]uint64, 256*w)
 		for h := 0; h < 256; h++ {
 			copy(bd.timelines[h*w:(h+1)*w], acc.timelines[h*fullWords:h*fullWords+w])
 		}
@@ -452,17 +453,23 @@ func (a *Applier) assembleSummary(x *Index, n int) {
 
 	// Same fold set as Build's: exactly the blocks whose stats events
 	// carried a UA payload, in ascending order.
+	p.UASamples, p.UAPrecision, p.UARegisters = foldUA(a.uaBlocks(), func(blk ipv4.Block) *obs.UAStat {
+		return a.accs[blk].ua
+	})
+
+	x.partial = p
+	x.summary = p.Finalize()
+}
+
+// uaBlocks returns, ascending, the blocks whose stats events carried a
+// UA payload (stats-only blocks included).
+func (a *Applier) uaBlocks() []ipv4.Block {
 	var blocks []ipv4.Block
 	for blk, acc := range a.accs {
 		if acc.ua != nil {
 			blocks = append(blocks, blk)
 		}
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	p.UASamples, p.UAPrecision, p.UARegisters = foldUA(blocks, func(blk ipv4.Block) *obs.UAStat {
-		return a.accs[blk].ua
-	})
-
-	x.partial = p
-	x.summary = p.Finalize()
+	slices.Sort(blocks)
+	return blocks
 }

@@ -1,0 +1,240 @@
+package query
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"ipscope/internal/obs"
+	"ipscope/internal/sim"
+	"ipscope/internal/synthnet"
+)
+
+// liveEvents records the emission-order event stream of a 70-day daily
+// window: long enough to cross the 64-day timeline word boundary, with
+// weekly snapshots and the ICMP campaign inside the window.
+func liveEvents(t *testing.T) []obs.Event {
+	t.Helper()
+	cfg := sim.TinyConfig()
+	cfg.Days, cfg.DailyStart, cfg.DailyLen = 98, 14, 70
+	var events []obs.Event
+	rec := obs.SinkFunc(func(e obs.Event) error { events = append(events, e); return nil })
+	if _, err := sim.RunTo(synthnet.Generate(synthnet.TinyConfig()), cfg, rec); err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// driveLive feeds events to a the way the serving loop does — publish
+// after every day and once more after the end-of-stream aggregates —
+// calling published after each publish with the index of the next
+// unapplied event. It returns the last published index.
+func driveLive(t *testing.T, a *Applier, events []obs.Event, published func(next int)) *Index {
+	t.Helper()
+	var last *Index
+	publish := func(next int) {
+		x, err := a.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = x
+		if published != nil {
+			published(next)
+		}
+	}
+	for i, e := range events {
+		if err := a.Observe(e); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := e.(obs.DayEvent); ok {
+			publish(i + 1)
+		}
+	}
+	publish(len(events))
+	return last
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCheckpointFileEqualsEncode pins that the streamed file is byte
+// for byte what EncodeCheckpoint returns: at the first epoch, on either
+// side of the timeline word-width change (64 → 65 days), at the last
+// day and at the end-of-stream epoch (traffic, UA sketches, surfaces),
+// with and without a shard range.
+func TestCheckpointFileEqualsEncode(t *testing.T) {
+	events := liveEvents(t)
+	dir := t.TempDir()
+	check := map[uint64]bool{1: true, 64: true, 65: true, 70: true, 71: true}
+	shards := map[string]*ShardRange{
+		"unsharded": nil,
+		"sharded":   {Index: 1, Count: 2, Lo: 0x100, Hi: 1 << 24},
+	}
+	a := NewApplier(Options{})
+	driveLive(t, a, events, func(int) {
+		if !check[a.Epoch()] {
+			return
+		}
+		delete(check, a.Epoch())
+		for name, shard := range shards {
+			want, err := a.EncodeCheckpoint(shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := a.Checkpoint(shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.Epoch() != a.Epoch() {
+				t.Errorf("capture epoch = %d, want %d", cp.Epoch(), a.Epoch())
+			}
+			path := filepath.Join(dir, name+".ipsnap")
+			n, err := cp.WriteFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := readFile(t, path); !bytes.Equal(got, want) || n != int64(len(want)) {
+				t.Errorf("epoch %d %s: streamed file (%d bytes, reported %d) differs from EncodeCheckpoint (%d bytes)",
+					a.Epoch(), name, len(got), n, len(want))
+			}
+		}
+	})
+	if len(check) != 0 {
+		t.Errorf("epochs never published: %v", check)
+	}
+}
+
+// TestWriteTimelinesPortable pins that the conversion path a big-endian
+// host takes emits the same bytes as the little-endian byte view.
+func TestWriteTimelinesPortable(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("the byte view is only valid on a little-endian host")
+	}
+	x := testIndex(t)
+	var view, converted bytes.Buffer
+	writeTimelines(&snapWriter{w: &view}, x, true)
+	writeTimelines(&snapWriter{w: &converted}, x, false)
+	if view.Len() != 8*len(x.keys)*256*x.words {
+		t.Fatalf("timeline section is %d bytes, want %d", view.Len(), 8*len(x.keys)*256*x.words)
+	}
+	if !bytes.Equal(view.Bytes(), converted.Bytes()) {
+		t.Error("converted timelines differ from the byte view")
+	}
+}
+
+// TestCheckpointImmutable pins what lets the checkpoint file be written
+// off the ingest goroutine: a capture taken at epoch E still serializes
+// to E's bytes while — and after — the applier goes on applying days, a
+// week and an ICMP scan (which mutate the weekly union and the
+// capture–recapture window in place), and resuming from the file
+// continues to the same final index. Run under -race, the concurrent
+// write also proves the capture shares no mutable state.
+func TestCheckpointImmutable(t *testing.T) {
+	events := liveEvents(t)
+	dir := t.TempDir()
+
+	has := func(evs []obs.Event) (day, week, scan bool) {
+		for _, e := range evs {
+			switch e.(type) {
+			case obs.DayEvent:
+				day = true
+			case obs.WeekEvent:
+				week = true
+			case obs.ICMPScanEvent:
+				scan = true
+			}
+		}
+		return
+	}
+
+	var (
+		cp      *Checkpoint
+		want    []byte
+		rest    []obs.Event
+		written = make(chan error, 1)
+	)
+	a := NewApplier(Options{})
+	ref := driveLive(t, a, events, func(next int) {
+		if cp != nil || a.weeks == 0 || a.scans == 0 {
+			return
+		}
+		if day, week, scan := has(events[next:]); !day || !week || !scan {
+			return
+		}
+		var err error
+		if want, err = a.EncodeCheckpoint(nil); err != nil {
+			t.Fatal(err)
+		}
+		if cp, err = a.Checkpoint(nil); err != nil {
+			t.Fatal(err)
+		}
+		rest = events[next:]
+		go func() {
+			_, err := cp.WriteFile(filepath.Join(dir, "concurrent.ipsnap"))
+			written <- err
+		}()
+	})
+	if cp == nil {
+		t.Fatal("no epoch with weeks, scans and a day, a week and a scan still to come")
+	}
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, filepath.Join(dir, "concurrent.ipsnap")), want) {
+		t.Error("file written while the applier advanced differs from the capture epoch's EncodeCheckpoint")
+	}
+	late := filepath.Join(dir, "late.ipsnap")
+	if _, err := cp.WriteFile(late); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, late), want) {
+		t.Error("file written after the applier advanced differs from the capture epoch's EncodeCheckpoint")
+	}
+
+	l, err := LoadSnapshotFile(late, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	b, _, err := l.ResumeApplier(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := driveLive(t, b, rest, nil)
+	if resumed.Epoch() != ref.Epoch() {
+		t.Errorf("epochs diverge: resumed %d, uninterrupted %d", resumed.Epoch(), ref.Epoch())
+	}
+	if !bytes.Equal(marshalIndex(t, resumed), marshalIndex(t, ref)) {
+		t.Error("index resumed from the streamed checkpoint differs from the uninterrupted applier's")
+	}
+}
+
+// TestWriteFileAtomicFailure pins that a write failing part-way leaves
+// neither the final name nor the temp file.
+func TestWriteFileAtomicFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.ipsnap")
+	boom := errors.New("disk full")
+	err := writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("partial")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	for _, name := range []string{path, path + ".tmp"} {
+		if _, err := os.Stat(name); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s left behind (stat err = %v)", name, err)
+		}
+	}
+}

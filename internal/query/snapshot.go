@@ -31,12 +31,14 @@
 package query
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
-	"sort"
+	"unsafe"
 
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
@@ -161,95 +163,150 @@ func EncodeSnapshot(x *Index, shard *ShardRange) []byte {
 	return encodeSnapshot(x, shard, nil)
 }
 
-// EncodeCheckpoint serializes the Applier's last published snapshot
-// plus the resume state a restarted node needs to keep tailing the obs
-// stream from that epoch. It must be called while the Applier state
-// still matches the last Snapshot — i.e. before any further event is
-// applied — which is how the serving loop uses it (checkpoint
-// immediately after publish).
-func (a *Applier) EncodeCheckpoint(shard *ShardRange) ([]byte, error) {
-	x := a.prev
-	if x == nil {
-		return nil, fmt.Errorf("query: checkpoint before first snapshot")
+// encodeSnapshot lays the snapshot out and streams it into a buffer of
+// exactly its final size — the same section writer the checkpoint file
+// path aims at a file.
+func encodeSnapshot(x *Index, shard *ShardRange, r *resumeState) []byte {
+	im := layoutSnapshot(x, shard, r)
+	buf := bytes.NewBuffer(make([]byte, 0, im.total))
+	if err := im.writeTo(buf); err != nil {
+		panic(err) // a bytes.Buffer write cannot fail: only a layout bug gets here
 	}
-	if a.days != x.days || a.weeks != x.partial.Weeks {
-		return nil, fmt.Errorf("query: checkpoint state diverged from last snapshot (days %d vs %d)",
-			a.days, x.days)
-	}
-	r := &resumeState{
-		weeks:        a.weeks,
-		scans:        a.scans,
-		surfacesSeen: a.servers != nil || a.routers != nil,
-		yearUnion:    a.wSum.union,
-		ua:           make(map[ipv4.Block]*obs.UAStat),
-	}
-	if a.weeks > 0 {
-		r.week0 = a.staging.Weekly[0]
-		r.weekLast = a.staging.Weekly[a.weeks-1]
-	}
-	if a.scans > 0 {
-		r.cdnFrom, r.cdnTo, r.cdn = a.cdnFrom, a.cdnTo, a.cdn
-	}
-	for blk, acc := range a.accs {
-		if acc.ua != nil {
-			r.uaBlocks = append(r.uaBlocks, blk)
-			r.ua[blk] = acc.ua
-		}
-	}
-	sort.Slice(r.uaBlocks, func(i, j int) bool { return r.uaBlocks[i] < r.uaBlocks[j] })
-	return encodeSnapshot(x, shard, r), nil
+	return buf.Bytes()
 }
 
-func encodeSnapshot(x *Index, shard *ShardRange, r *resumeState) []byte {
-	sections := [][]byte{
+// snapImage is a snapshot laid out but not yet written. Every section
+// except the timelines is encoded up front (their lengths fix the
+// section table); the timeline section — most of the file — has an
+// arithmetic length and is streamed from the index's blocks by writeTo,
+// so it is never assembled in memory.
+type snapImage struct {
+	x     *Index
+	flags uint16
+	secs  []snapSection // file order
+	total int
+}
+
+type snapSection struct {
+	data   []byte // nil for the timelines
+	off, n int
+}
+
+func layoutSnapshot(x *Index, shard *ShardRange, r *resumeState) *snapImage {
+	im := &snapImage{x: x}
+	for _, data := range [][]byte{
 		encodeInfo(x, shard),
 		encodeMetaSection(x.obsMeta),
 		encodeBlocksSection(x.keys),
-		encodeTimelinesSection(x),
+		nil, // timelines: streamed
 		encodeViewsSection(x),
 		encodeTrafficSection(x),
 		encodeTagsSection(x),
 		encodeSetsSection(x),
 		AppendSummaryPartialWire(nil, x.partial),
+	} {
+		im.secs = append(im.secs, snapSection{data: data, n: len(data)})
 	}
-	var flags uint16
+	// Stride per block is 256*words u64s.
+	im.secs[secTimelines-1].n = 8 * len(x.keys) * 256 * x.words
 	if r != nil {
-		flags |= snapFlagResume
-		sections = append(sections, encodeResumeSection(r))
+		im.flags |= snapFlagResume
+		data := encodeResumeSection(r)
+		im.secs = append(im.secs, snapSection{data: data, n: len(data)})
 	}
-
-	tableLen := snapPrefaceLen + snapTableEntry*len(sections)
-	off := align8(tableLen)
-	total := off
-	offsets := make([]int, len(sections))
-	for i, sec := range sections {
-		offsets[i] = total
-		total += len(sec)
-		if i+1 < len(sections) {
+	total := align8(snapPrefaceLen + snapTableEntry*len(im.secs))
+	for i := range im.secs {
+		im.secs[i].off = total
+		total += im.secs[i].n
+		if i+1 < len(im.secs) {
 			total = align8(total)
 		}
 	}
+	im.total = total
+	return im
+}
 
-	out := make([]byte, 0, total)
-	out = append(out, snapMagic...)
-	out = sU16(out, snapVersion)
-	out = sU16(out, flags)
-	out = sU32(out, uint32(len(sections)))
-	out = sU64(out, x.epoch)
-	out = sU64(out, uint64(total))
-	for i, sec := range sections {
-		out = sU32(out, uint32(i+1)) // ids are assigned in file order
-		out = sU32(out, 0)
-		out = sU64(out, uint64(offsets[i]))
-		out = sU64(out, uint64(len(sec)))
+// writeTo emits the preface, the section table and every section at its
+// laid-out offset (zero gap bytes between), exactly im.total bytes.
+func (im *snapImage) writeTo(w io.Writer) error {
+	sw := &snapWriter{w: w}
+	head := make([]byte, 0, snapPrefaceLen+snapTableEntry*len(im.secs))
+	head = append(head, snapMagic...)
+	head = sU16(head, snapVersion)
+	head = sU16(head, im.flags)
+	head = sU32(head, uint32(len(im.secs)))
+	head = sU64(head, im.x.epoch)
+	head = sU64(head, uint64(im.total))
+	for i, sec := range im.secs {
+		head = sU32(head, uint32(i+1)) // ids are assigned in file order
+		head = sU32(head, 0)
+		head = sU64(head, uint64(sec.off))
+		head = sU64(head, uint64(sec.n))
 	}
-	for i, sec := range sections {
-		for len(out) < offsets[i] {
-			out = append(out, 0)
+	sw.write(head)
+	for i, sec := range im.secs {
+		sw.padTo(sec.off)
+		if i == secTimelines-1 {
+			writeTimelines(sw, im.x, hostLittleEndian)
+		} else {
+			sw.write(sec.data)
 		}
-		out = append(out, sec...)
+		// The table above was written from lengths, not from bytes: a
+		// section that came out any other size would make a corrupt file.
+		if end := sec.off + sec.n; sw.err == nil && sw.n != end {
+			sw.err = fmt.Errorf("query: snapshot section %s ends at %d, laid out to end at %d",
+				sectionNames[uint32(i+1)], sw.n, end)
+		}
 	}
-	return out
+	return sw.err
+}
+
+// snapWriter counts what it writes and latches the first error.
+type snapWriter struct {
+	w   io.Writer
+	n   int
+	err error
+}
+
+func (s *snapWriter) write(p []byte) {
+	if s.err != nil {
+		return
+	}
+	n, err := s.w.Write(p)
+	s.n += n
+	s.err = err
+}
+
+// padTo writes the zero gap bytes up to the 8-aligned offset off.
+func (s *snapWriter) padTo(off int) {
+	if s.err != nil {
+		return
+	}
+	var zero [8]byte
+	s.write(zero[:off-s.n])
+}
+
+// writeTimelines streams every block's 256 day-bitsets back to back:
+// the zero-copy section. A block's words are already the section's
+// bytes on a little-endian host (native), so they are written as a byte
+// view; elsewhere each block is converted through one reused buffer.
+func writeTimelines(sw *snapWriter, x *Index, native bool) {
+	var scratch []byte
+	for i := range x.blocks {
+		t := x.blocks[i].timelines
+		if len(t) == 0 {
+			continue
+		}
+		if native {
+			sw.write(unsafe.Slice((*byte)(unsafe.Pointer(&t[0])), 8*len(t)))
+			continue
+		}
+		scratch = scratch[:0]
+		for _, w := range t {
+			scratch = sU64(scratch, w)
+		}
+		sw.write(scratch)
+	}
 }
 
 func encodeInfo(x *Index, shard *ShardRange) []byte {
@@ -297,20 +354,6 @@ func encodeBlocksSection(keys []ipv4.Block) []byte {
 	b := make([]byte, 0, 4*len(keys))
 	for _, blk := range keys {
 		b = sU32(b, uint32(blk))
-	}
-	return b
-}
-
-// encodeTimelinesSection packs every block's 256 day-bitsets back to
-// back: the zero-copy section. Stride per block is 256*words u64s.
-func encodeTimelinesSection(x *Index) []byte {
-	b := make([]byte, 8*len(x.keys)*256*x.words)
-	p := b
-	for i := range x.blocks {
-		for _, w := range x.blocks[i].timelines {
-			binary.LittleEndian.PutUint64(p, w)
-			p = p[8:]
-		}
 	}
 	return b
 }
@@ -438,28 +481,32 @@ func encodeResumeSection(r *resumeState) []byte {
 // temp file, fsync, then rename — a crashed writer never leaves a
 // half-written file under the final name.
 func WriteSnapshotFile(path string, data []byte) error {
+	return writeFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// writeFileAtomic runs write against path+".tmp", fsyncs and renames
+// it onto path; on any failure the temp file is removed.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }
