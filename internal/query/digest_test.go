@@ -1,0 +1,97 @@
+package query
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"ipscope/internal/ipv4"
+	"ipscope/internal/obs"
+	"ipscope/internal/sim"
+	"ipscope/internal/synthnet"
+)
+
+// TestEncodedBytesStable is the byte-stability oracle for the wire
+// codec and the snapshot format: SHA-256 digests of every Append*Wire
+// output, of EncodeSnapshot (unsharded and with a ShardRange) and of
+// EncodeCheckpoint (mid-stream and at end of stream, where the resume
+// section carries the UA sketches) over the TinyConfig seed-5 world. The
+// digests were computed before the codecs moved onto internal/binenc; a
+// refactor that moves one encoded byte fails here.
+func TestEncodedBytesStable(t *testing.T) {
+	wcfg := synthnet.TinyConfig()
+	wcfg.Seed = 5
+	var events []obs.Event
+	rec := obs.SinkFunc(func(e obs.Event) error { events = append(events, e); return nil })
+	if _, err := sim.RunTo(synthnet.Generate(wcfg), sim.TinyConfig(), rec); err != nil {
+		t.Fatal(err)
+	}
+
+	// Apply the stream live, publishing after day 10 (the mid-stream
+	// checkpoint and the delta's "from" epoch) and at the end.
+	a := NewApplier(Options{})
+	var mid *Index
+	var checkpoint []byte
+	for _, e := range events {
+		if err := a.Observe(e); err != nil {
+			t.Fatal(err)
+		}
+		if ev, ok := e.(obs.DayEvent); ok && ev.Index == 9 {
+			var err error
+			if mid, err = a.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if checkpoint, err = a.EncodeCheckpoint(&ShardRange{Index: 0, Count: 2, Lo: 0, Hi: 1 << 23}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	x, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	final, err := a.EncodeCheckpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	blk := x.Blocks()[len(x.Blocks())/2]
+	bv, _ := x.Block(blk)
+	av := x.Addr(blk.Addr(7))
+	sp := x.SummaryPartial()
+	ap := x.ASPartial(x.ASNs()[0])
+	pp, err := x.PrefixPartial(ipv4.MustNewPrefix(blk.Addr(0), 16), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := x.DeltaPartial(mid, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp := MovementPartial{Seed: wcfg.Seed, OldestEpoch: mid.Epoch(), NewestEpoch: x.Epoch(),
+		Entries: []MovementEntryPartial{mid.MovementEntryPartial(nil), x.MovementEntryPartial(mid)}}
+
+	for _, c := range []struct {
+		name string
+		enc  []byte
+		want string
+	}{
+		{"BlockViewWire", AppendBlockViewWire(nil, &bv), "8798e1b9b0da8b9c3fb32afbb20b61c2155899cb0915e786bcfa7af13c7665ea"},
+		{"AddrViewWire", AppendAddrViewWire(nil, &av), "bc63836ca9a03fc183995a7cb6c90f1a845c13b29ae906e058f65bcfa8af1d67"},
+		{"SummaryPartialWire", AppendSummaryPartialWire(nil, &sp), "821c8612818c1c1c37dba2a67db267a82982061e398931112f9a87083a3f9fab"},
+		{"ASPartialWire", AppendASPartialWire(nil, &ap), "17e1d12dd4d71b40838e347f23150040e4cba77566a8f94dced80923e9bbacec"},
+		{"PrefixPartialWire", AppendPrefixPartialWire(nil, &pp), "7f773b1e8cc64454f6bb60d2a410e3f73fbec026755eab39d8c0cb519371c8f8"},
+		{"DeltaPartialWire", AppendDeltaPartialWire(nil, &dp), "e2196179b1790c6019b8ad6b2fdd509c1d0c77c0193bd30d09f510ccc438a24b"},
+		{"MovementPartialWire", AppendMovementPartialWire(nil, &mp), "24cd087e27c1b2afc32548011a4b3ed636d0de540e848e7af612c777d327ffee"},
+		{"EncodeSnapshot", EncodeSnapshot(x, nil), "202dd0df913f0ef065d5a2147378e0ed37a1236c857afb04aa929df422440bac"},
+		{"EncodeSnapshot/sharded", EncodeSnapshot(x, &ShardRange{Index: 1, Count: 2, Lo: 1 << 23, Hi: 1 << 24}), "f68b59b8d13667e594afe91227874e19852b3e218ffb82222ff8607fdc60164a"},
+		{"EncodeCheckpoint/mid-stream", checkpoint, "9efb068c4905a9d50149194c043fbf0f0e32cccdcfeafb839fc66f5dea218bdf"},
+		{"EncodeCheckpoint/end-of-stream", final, "7d4ca5a72bd534f774e940d54f571bd221605d518a430f2cebac60d244885dd0"},
+	} {
+		sum := sha256.Sum256(c.enc)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: %d bytes, sha256 %s, want %s", c.name, len(c.enc), got, c.want)
+		}
+	}
+}
