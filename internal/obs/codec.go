@@ -7,20 +7,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"time"
 
 	"ipscope/internal/bgp"
+	"ipscope/internal/binenc"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/useragent"
 )
 
 // Dataset wire format (all integers big endian), following the framing
 // conventions of internal/cdnlog/wire.go: a fixed magic guards against
-// desynchronized streams, every frame is length-prefixed so unknown
-// event kinds can be skipped, and counts are validated before
-// allocation so corrupted input cannot trigger huge allocations.
+// desynchronized streams and every frame is length-prefixed so unknown
+// event kinds can be skipped. Payload fields are written and checked by
+// internal/binenc (counts validated before allocation, sticky first
+// error, trailing bytes rejected).
 //
 //	stream := magic("ipsobs") version(2) frame* endFrame
 //	frame  := kind(1) length(4) payload[length]
@@ -51,16 +52,13 @@ var magic = []byte("ipsobs")
 // frame: the producer died mid-write or the file was cut short.
 var ErrTruncated = errors.New("obs: truncated dataset stream")
 
-// FormatError reports structurally invalid dataset input: bad magic,
+// be is the dataset stream's byte order; formatName labels its
+// *binenc.Error values — structurally invalid dataset input: bad magic,
 // an unsupported version, or a malformed frame.
-type FormatError struct{ Msg string }
-
-// Error returns the message.
-func (e *FormatError) Error() string { return "obs: " + e.Msg }
-
-func formatErrf(format string, args ...interface{}) error {
-	return &FormatError{Msg: fmt.Sprintf(format, args...)}
-}
+const (
+	be         = binenc.BE
+	formatName = "obs"
+)
 
 // Writer encodes observation events to an output stream. It implements
 // Sink, so it can be attached directly to a live simulation
@@ -99,7 +97,7 @@ func (w *Writer) Observe(e Event) error {
 	if len(payload) > maxFrameLen {
 		// Fail at write time: Decode rejects oversized frames, so
 		// writing one would produce an unrecoverable store.
-		return w.fail(formatErrf("event frame of %d bytes exceeds the %d-byte format limit",
+		return w.fail(binenc.Errorf(formatName, "event frame of %d bytes exceeds the %d-byte format limit",
 			len(payload), maxFrameLen))
 	}
 	var hdr [5]byte
@@ -177,7 +175,7 @@ func WriteFile(path string, d *Data) error {
 // of Decode, and the read path live consumers (a tailing server, a
 // network ingest) attach to. It enforces the stream contract Decode
 // does: meta frame first, unknown frame kinds skipped, ErrTruncated if
-// the stream ends before its end frame, *FormatError for structurally
+// the stream ends before its end frame, *binenc.Error for structurally
 // invalid input. A sink error stops the decode and is returned as is.
 func StreamDecode(r io.Reader, sink Sink) error {
 	return streamDecode(r, SkipCounts{}, sink)
@@ -224,77 +222,52 @@ func streamDecode(r io.Reader, skip SkipCounts, sink Sink) error {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hdr := make([]byte, len(magic)+2)
 	if _, err := io.ReadFull(br, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return ErrTruncated
-		}
-		return err
+		return binenc.EOFAs(err, ErrTruncated)
 	}
 	if string(hdr[:len(magic)]) != string(magic) {
-		return formatErrf("bad stream magic %q", hdr[:len(magic)])
+		return binenc.Errorf(formatName, "bad stream magic %q", hdr[:len(magic)])
 	}
 	if v := binary.BigEndian.Uint16(hdr[len(magic):]); v != Version {
-		return formatErrf("unsupported dataset version %d (want %d)", v, Version)
+		return binenc.Errorf(formatName, "unsupported dataset version %d (want %d)", v, Version)
 	}
 	sawMeta := false
 	var fh [5]byte
 	for {
 		if _, err := io.ReadFull(br, fh[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return ErrTruncated
-			}
-			return err
+			return binenc.EOFAs(err, ErrTruncated)
 		}
 		kind := fh[0]
 		n := binary.BigEndian.Uint32(fh[1:])
 		if n > maxFrameLen {
-			return formatErrf("frame length %d exceeds limit", n)
+			return binenc.Errorf(formatName, "frame length %d exceeds limit", n)
 		}
 		if kind == kindEnd {
 			if n != 0 {
-				return formatErrf("end frame with non-empty payload")
+				return binenc.Errorf(formatName, "end frame with non-empty payload")
 			}
 			if !sawMeta {
-				return formatErrf("dataset stream has no meta frame")
+				return binenc.Errorf(formatName, "dataset stream has no meta frame")
 			}
 			return nil
 		}
-		var payload []byte
 		if limit := skip.skipLimit(kind); limit > 0 && sawMeta && n >= 4 {
 			// Indexed frame with a resume point: peek the big-endian
 			// index and discard the payload wholesale when it is already
 			// covered by the checkpoint.
-			var ib [4]byte
-			if _, err := io.ReadFull(br, ib[:]); err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					return ErrTruncated
-				}
-				return err
+			ib, err := br.Peek(4)
+			if err != nil {
+				return binenc.EOFAs(err, ErrTruncated)
 			}
-			if int(binary.BigEndian.Uint32(ib[:])) < limit {
-				if _, err := br.Discard(int(n) - 4); err != nil {
-					if err == io.EOF || err == io.ErrUnexpectedEOF {
-						return ErrTruncated
-					}
-					return err
+			if binary.BigEndian.Uint32(ib) < uint32(limit) {
+				if _, err := br.Discard(int(n)); err != nil {
+					return binenc.EOFAs(err, ErrTruncated)
 				}
 				continue
 			}
-			payload = make([]byte, n)
-			copy(payload, ib[:])
-			if _, err := io.ReadFull(br, payload[4:]); err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					return ErrTruncated
-				}
-				return err
-			}
-		} else {
-			payload = make([]byte, n)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					return ErrTruncated
-				}
-				return err
-			}
+		}
+		payload, err := binenc.ReadPayload(br, int(n), nil, ErrTruncated)
+		if err != nil {
+			return err
 		}
 		e, err := decodeEvent(kind, payload)
 		if err != nil {
@@ -306,7 +279,7 @@ func streamDecode(r io.Reader, skip SkipCounts, sink Sink) error {
 		if _, ok := e.(MetaEvent); ok {
 			sawMeta = true
 		} else if !sawMeta {
-			return formatErrf("event frame 0x%02x before meta frame", kind)
+			return binenc.Errorf(formatName, "event frame 0x%02x before meta frame", kind)
 		}
 		if err := sink.Observe(e); err != nil {
 			return err
@@ -315,7 +288,7 @@ func streamDecode(r io.Reader, skip SkipCounts, sink Sink) error {
 }
 
 // Decode reads one dataset stream from r. It returns ErrTruncated if
-// the stream ends before its end frame and a *FormatError for
+// the stream ends before its end frame and a *binenc.Error for
 // structurally invalid input; it never panics on corrupt data.
 func Decode(r io.Reader) (*Data, error) {
 	d := &Data{}
@@ -441,15 +414,15 @@ func encodeEvent(b []byte, e Event) (kind byte, payload []byte) {
 	case MetaEvent:
 		return kindMeta, appendMeta(b, ev.Meta)
 	case DayEvent:
-		b = appendU32(b, uint32(ev.Index))
-		b = appendF64(b, ev.TotalHits)
+		b = be.U32(b, uint32(ev.Index))
+		b = be.F64(b, ev.TotalHits)
 		return kindDay, appendSet(b, ev.Active)
 	case WeekEvent:
-		b = appendU32(b, uint32(ev.Index))
-		b = appendF64(b, ev.TopShare)
+		b = be.U32(b, uint32(ev.Index))
+		b = be.F64(b, ev.TopShare)
 		return kindWeek, appendSet(b, ev.Active)
 	case ICMPScanEvent:
-		b = appendU32(b, uint32(ev.Index))
+		b = be.U32(b, uint32(ev.Index))
 		return kindICMP, appendSet(b, ev.Responders)
 	case BlockStatsEvent:
 		return kindBlockStats, appendBlockStats(b, ev)
@@ -464,111 +437,145 @@ func encodeEvent(b []byte, e Event) (kind byte, payload []byte) {
 	panic(fmt.Sprintf("obs: unknown event type %T", e))
 }
 
+// decodeEvent decodes one frame payload; an unknown kind returns a nil
+// event for the caller to skip. Reads past the end latch d's error
+// instead of panicking, and trailing bytes are an error.
 func decodeEvent(kind byte, p []byte) (Event, error) {
-	d := &decoder{p: p}
+	d := binenc.NewDec(be, formatName, p)
+	var e Event
+	var what string
 	switch kind {
 	case kindMeta:
-		m, err := d.meta()
-		if err != nil {
-			return nil, err
-		}
-		return MetaEvent{Meta: m}, nil
+		return decodeMeta(d)
 	case kindDay:
-		idx := d.u32()
-		hits := d.f64()
-		set, err := d.set()
-		if err != nil {
-			return nil, err
-		}
-		return DayEvent{Index: int(idx), TotalHits: hits, Active: set}, d.finish(kind)
+		e, what = DayEvent{Index: int(d.U32()), TotalHits: d.F64(), Active: decodeSet(d)}, "day frame"
 	case kindWeek:
-		idx := d.u32()
-		share := d.f64()
-		set, err := d.set()
-		if err != nil {
-			return nil, err
-		}
-		return WeekEvent{Index: int(idx), TopShare: share, Active: set}, d.finish(kind)
+		e, what = WeekEvent{Index: int(d.U32()), TopShare: d.F64(), Active: decodeSet(d)}, "week frame"
 	case kindICMP:
-		idx := d.u32()
-		set, err := d.set()
-		if err != nil {
-			return nil, err
-		}
-		return ICMPScanEvent{Index: int(idx), Responders: set}, d.finish(kind)
+		e, what = ICMPScanEvent{Index: int(d.U32()), Responders: decodeSet(d)}, "ICMP frame"
 	case kindBlockStats:
-		return d.blockStats()
+		e, what = decodeBlockStats(d), "block-stats frame"
 	case kindSurfaces:
-		servers, err := d.set()
-		if err != nil {
-			return nil, err
-		}
-		routers, err := d.set()
-		if err != nil {
-			return nil, err
-		}
-		return SurfacesEvent{Servers: servers, Routers: routers}, d.finish(kind)
+		e, what = SurfacesEvent{Servers: decodeSet(d), Routers: decodeSet(d)}, "surfaces frame"
 	case kindRouting:
-		return d.routing()
+		e, what = decodeRouting(d), "routing frame"
 	case kindRestructures:
-		return d.restructures()
+		e, what = decodeRestructures(d), "restructures frame"
+	default:
+		return nil, nil
 	}
-	return nil, nil // unknown kind: caller skips
-}
-
-// --- primitive append helpers ---------------------------------------
-
-func appendU8(b []byte, v uint8) []byte   { return append(b, v) }
-func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-func appendF64(b []byte, v float64) []byte {
-	return appendU64(b, math.Float64bits(v))
+	if err := d.Finish(what); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 func appendSet(b []byte, s *ipv4.Set) []byte {
 	if s == nil {
-		return appendU32(b, 0)
+		return be.U32(b, 0)
 	}
 	blocks := s.Blocks()
-	b = appendU32(b, uint32(len(blocks)))
+	b = be.U32(b, uint32(len(blocks)))
 	for _, blk := range blocks {
-		b = appendU32(b, uint32(blk))
+		b = be.U32(b, uint32(blk))
 		bm := s.BlockBitmap(blk)
 		for i := 0; i < 4; i++ {
-			b = appendU64(b, bm[i])
+			b = be.U64(b, bm[i])
 		}
 	}
 	return b
 }
 
+func decodeSet(d *binenc.Dec) *ipv4.Set {
+	n := d.Count(36) // block(4) + bitmap(32)
+	s := ipv4.NewSet()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		blk := ipv4.Block(d.U32())
+		var bm ipv4.Bitmap256
+		for j := 0; j < 4; j++ {
+			bm[j] = d.U64()
+		}
+		s.AddBlockBitmap(blk, &bm)
+	}
+	return s
+}
+
 func appendPrefix(b []byte, p ipv4.Prefix) []byte {
-	b = appendU32(b, uint32(p.Addr()))
-	return appendU8(b, uint8(p.Bits()))
+	b = be.U32(b, uint32(p.Addr()))
+	return be.U8(b, uint8(p.Bits()))
+}
+
+func decodePrefix(d *binenc.Dec) ipv4.Prefix {
+	addr := ipv4.Addr(d.U32())
+	bits := int(d.U8())
+	if d.Err() != nil {
+		return ipv4.Prefix{}
+	}
+	p, err := ipv4.NewPrefix(addr, bits)
+	if err != nil {
+		d.Failf("invalid prefix %v/%d", addr, bits)
+	}
+	return p
 }
 
 func appendMeta(b []byte, m Meta) []byte {
-	b = appendU64(b, m.World.Seed)
-	b = appendU32(b, uint32(m.World.NumASes))
-	b = appendU32(b, uint32(m.World.MeanBlocksPerAS))
+	b = be.U64(b, m.World.Seed)
+	b = be.U32(b, uint32(m.World.NumASes))
+	b = be.U32(b, uint32(m.World.MeanBlocksPerAS))
 	r := m.Run
-	b = appendU32(b, uint32(r.Days))
-	b = appendU32(b, uint32(r.DailyStart))
-	b = appendU32(b, uint32(r.DailyLen))
-	b = appendU32(b, uint32(r.UADays))
-	b = appendU32(b, uint32(len(r.ICMPScanDays)))
+	b = be.U32(b, uint32(r.Days))
+	b = be.U32(b, uint32(r.DailyStart))
+	b = be.U32(b, uint32(r.DailyLen))
+	b = be.U32(b, uint32(r.UADays))
+	b = be.U32(b, uint32(len(r.ICMPScanDays)))
 	for _, d := range r.ICMPScanDays {
-		b = appendU32(b, uint32(d))
+		b = be.U32(b, uint32(d))
 	}
 	for _, f := range []float64{r.PrefixChangeFrac, r.BlockChangeFrac,
 		r.BGPCoupleProb, r.BGPNoisePerDay, r.JoinFrac, r.LeaveFrac, r.TrafficGrowth} {
-		b = appendF64(b, f)
+		b = be.F64(b, f)
 	}
-	return appendU32(b, uint32(int32(r.Workers)))
+	return be.U32(b, uint32(int32(r.Workers)))
+}
+
+func decodeMeta(d *binenc.Dec) (Event, error) {
+	var m Meta
+	m.World.Seed = d.U64()
+	m.World.NumASes = int(d.U32())
+	m.World.MeanBlocksPerAS = int(d.U32())
+	r := &m.Run
+	r.Days = int(d.U32())
+	r.DailyStart = int(d.U32())
+	r.DailyLen = int(d.U32())
+	r.UADays = int(d.U32())
+	n := d.Count(4)
+	for i := 0; i < n; i++ {
+		r.ICMPScanDays = append(r.ICMPScanDays, int(d.U32()))
+	}
+	for _, f := range []*float64{&r.PrefixChangeFrac, &r.BlockChangeFrac,
+		&r.BGPCoupleProb, &r.BGPNoisePerDay, &r.JoinFrac, &r.LeaveFrac, &r.TrafficGrowth} {
+		*f = d.F64()
+	}
+	r.Workers = int(int32(d.U32()))
+	if err := d.Finish("meta frame"); err != nil {
+		return nil, err
+	}
+	if r.Days < 0 || r.DailyLen < 0 || r.DailyLen > 1<<20 || r.Days > 1<<20 {
+		return nil, binenc.Errorf(formatName, "implausible run geometry days=%d dailyLen=%d", r.Days, r.DailyLen)
+	}
+	// The world config drives synthnet.Generate on the analysis side;
+	// bound it so a corrupt meta frame cannot trigger a giant
+	// allocation there. 2^24 /24 blocks is the entire IPv4 space.
+	if m.World.NumASes > 1<<22 || m.World.MeanBlocksPerAS > 1<<16 ||
+		m.World.NumASes*m.World.MeanBlocksPerAS > 1<<24 {
+		return nil, binenc.Errorf(formatName, "implausible world config ases=%d blocksPerAS=%d",
+			m.World.NumASes, m.World.MeanBlocksPerAS)
+	}
+	return MetaEvent{Meta: m}, nil
 }
 
 func appendBlockStats(b []byte, ev BlockStatsEvent) []byte {
-	b = appendU32(b, uint32(ev.Block))
+	b = be.U32(b, uint32(ev.Block))
 	var flags uint8
 	if ev.Traffic != nil {
 		flags |= 1
@@ -576,297 +583,140 @@ func appendBlockStats(b []byte, ev BlockStatsEvent) []byte {
 	if ev.UA != nil && ev.UA.Sketch != nil {
 		flags |= 2
 	}
-	b = appendU8(b, flags)
+	b = be.U8(b, flags)
 	if ev.Traffic != nil {
 		for _, v := range ev.Traffic.DaysActive {
-			b = appendU16(b, v)
+			b = be.U16(b, v)
 		}
 		for _, v := range ev.Traffic.Hits {
-			b = appendF64(b, v)
+			b = be.F64(b, v)
 		}
 	}
 	if ev.UA != nil && ev.UA.Sketch != nil {
-		b = appendU64(b, uint64(ev.UA.Samples))
-		b = appendU8(b, ev.UA.Sketch.Precision())
+		b = be.U64(b, uint64(ev.UA.Samples))
+		b = be.U8(b, ev.UA.Sketch.Precision())
 		b = append(b, ev.UA.Sketch.Registers()...)
 	}
 	return b
 }
 
-func appendRouting(b []byte, log *bgp.ChangeLog) []byte {
-	if log == nil {
-		b = appendU32(b, 0)
-		return appendU32(b, 0)
-	}
-	b = appendU32(b, uint32(log.NumDays()))
-	var routes []bgp.Route
-	if log.Base != nil {
-		routes = log.Base.Routes()
-	}
-	b = appendU32(b, uint32(len(routes)))
-	for _, r := range routes {
-		b = appendPrefix(b, r.Prefix)
-		b = appendU32(b, uint32(r.Origin))
-	}
-	for _, day := range log.DayChanges {
-		b = appendU32(b, uint32(len(day)))
-		for _, c := range day {
-			b = appendU8(b, uint8(c.Kind))
-			b = appendPrefix(b, c.Prefix)
-			b = appendU32(b, uint32(c.OldOrigin))
-			b = appendU32(b, uint32(c.NewOrigin))
-		}
-	}
-	return b
-}
-
-func appendRestructures(b []byte, rs []Restructure) []byte {
-	b = appendU32(b, uint32(len(rs)))
-	for _, r := range rs {
-		b = appendPrefix(b, r.Prefix)
-		b = appendU32(b, uint32(r.Day))
-		b = appendU8(b, uint8(r.Kind))
-		vis := uint8(0)
-		if r.BGPVisible {
-			vis = 1
-		}
-		b = appendU8(b, vis)
-		b = appendU8(b, uint8(r.BGPKind))
-	}
-	return b
-}
-
-// --- decoder ---------------------------------------------------------
-
-// decoder consumes a frame payload. Reads past the end set err instead
-// of panicking; callers check finish().
-type decoder struct {
-	p   []byte
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = &FormatError{Msg: "frame payload too short"}
-	}
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil || len(d.p) < n {
-		d.fail()
-		return nil
-	}
-	out := d.p[:n]
-	d.p = d.p[n:]
-	return out
-}
-
-func (d *decoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// count reads a length field and validates it against the bytes that
-// could possibly remain (elemSize per element), so corrupted counts
-// fail fast instead of allocating gigabytes.
-func (d *decoder) count(elemSize int) int {
-	n := int(d.u32())
-	if d.err == nil && n*elemSize > len(d.p) {
-		d.err = formatErrf("count %d exceeds remaining payload", n)
-	}
-	if d.err != nil {
-		return 0
-	}
-	return n
-}
-
-func (d *decoder) finish(kind byte) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.p) != 0 {
-		return formatErrf("frame 0x%02x has %d trailing bytes", kind, len(d.p))
-	}
-	return nil
-}
-
-func (d *decoder) set() (*ipv4.Set, error) {
-	n := d.count(36) // block(4) + bitmap(32)
-	s := ipv4.NewSet()
-	for i := 0; i < n; i++ {
-		blk := ipv4.Block(d.u32())
-		var bm ipv4.Bitmap256
-		for j := 0; j < 4; j++ {
-			bm[j] = d.u64()
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		s.AddBlockBitmap(blk, &bm)
-	}
-	return s, d.err
-}
-
-func (d *decoder) prefix() ipv4.Prefix {
-	addr := ipv4.Addr(d.u32())
-	bits := int(d.u8())
-	if d.err != nil {
-		return ipv4.Prefix{}
-	}
-	p, err := ipv4.NewPrefix(addr, bits)
-	if err != nil {
-		d.err = formatErrf("invalid prefix %v/%d", addr, bits)
-	}
-	return p
-}
-
-func (d *decoder) meta() (Meta, error) {
-	var m Meta
-	m.World.Seed = d.u64()
-	m.World.NumASes = int(d.u32())
-	m.World.MeanBlocksPerAS = int(d.u32())
-	r := &m.Run
-	r.Days = int(d.u32())
-	r.DailyStart = int(d.u32())
-	r.DailyLen = int(d.u32())
-	r.UADays = int(d.u32())
-	n := d.count(4)
-	for i := 0; i < n; i++ {
-		r.ICMPScanDays = append(r.ICMPScanDays, int(d.u32()))
-	}
-	for _, f := range []*float64{&r.PrefixChangeFrac, &r.BlockChangeFrac,
-		&r.BGPCoupleProb, &r.BGPNoisePerDay, &r.JoinFrac, &r.LeaveFrac, &r.TrafficGrowth} {
-		*f = d.f64()
-	}
-	r.Workers = int(int32(d.u32()))
-	if err := d.finish(kindMeta); err != nil {
-		return Meta{}, err
-	}
-	if r.Days < 0 || r.DailyLen < 0 || r.DailyLen > 1<<20 || r.Days > 1<<20 {
-		return Meta{}, formatErrf("implausible run geometry days=%d dailyLen=%d", r.Days, r.DailyLen)
-	}
-	// The world config drives synthnet.Generate on the analysis side;
-	// bound it so a corrupt meta frame cannot trigger a giant
-	// allocation there. 2^24 /24 blocks is the entire IPv4 space.
-	if m.World.NumASes > 1<<22 || m.World.MeanBlocksPerAS > 1<<16 ||
-		m.World.NumASes*m.World.MeanBlocksPerAS > 1<<24 {
-		return Meta{}, formatErrf("implausible world config ases=%d blocksPerAS=%d",
-			m.World.NumASes, m.World.MeanBlocksPerAS)
-	}
-	return m, nil
-}
-
-func (d *decoder) blockStats() (Event, error) {
-	ev := BlockStatsEvent{Block: ipv4.Block(d.u32())}
-	flags := d.u8()
+func decodeBlockStats(d *binenc.Dec) Event {
+	ev := BlockStatsEvent{Block: ipv4.Block(d.U32())}
+	flags := d.U8()
 	if flags&1 != 0 {
 		bt := &BlockTraffic{}
 		for i := range bt.DaysActive {
-			bt.DaysActive[i] = d.u16()
+			bt.DaysActive[i] = d.U16()
 		}
 		for i := range bt.Hits {
-			bt.Hits[i] = d.f64()
+			bt.Hits[i] = d.F64()
 		}
 		ev.Traffic = bt
 	}
 	if flags&2 != 0 {
-		samples := d.u64()
-		p := d.u8()
+		samples := d.U64()
+		p := d.U8()
 		if p < 4 || p > 16 {
-			if d.err == nil {
-				d.err = formatErrf("invalid HLL precision %d", p)
-			}
-			return nil, d.err
+			d.Failf("invalid HLL precision %d", p)
+			return nil
 		}
-		regs := d.take(1 << p)
-		if d.err != nil {
-			return nil, d.err
+		regs := d.Take(1 << p)
+		if d.Err() != nil {
+			return nil
 		}
 		sketch, err := useragent.HLLFromRegisters(p, regs)
 		if err != nil {
-			return nil, formatErrf("bad HLL registers: %v", err)
+			d.Failf("bad HLL registers: %v", err)
+			return nil
 		}
 		ev.UA = &UAStat{Samples: int(samples), Sketch: sketch}
 	}
-	return ev, d.finish(kindBlockStats)
+	return ev
 }
 
-func (d *decoder) routing() (Event, error) {
-	numDays := d.count(0)
+func appendRouting(b []byte, log *bgp.ChangeLog) []byte {
+	if log == nil {
+		b = be.U32(b, 0)
+		return be.U32(b, 0)
+	}
+	b = be.U32(b, uint32(log.NumDays()))
+	var routes []bgp.Route
+	if log.Base != nil {
+		routes = log.Base.Routes()
+	}
+	b = be.U32(b, uint32(len(routes)))
+	for _, r := range routes {
+		b = appendPrefix(b, r.Prefix)
+		b = be.U32(b, uint32(r.Origin))
+	}
+	for _, day := range log.DayChanges {
+		b = be.U32(b, uint32(len(day)))
+		for _, c := range day {
+			b = be.U8(b, uint8(c.Kind))
+			b = appendPrefix(b, c.Prefix)
+			b = be.U32(b, uint32(c.OldOrigin))
+			b = be.U32(b, uint32(c.NewOrigin))
+		}
+	}
+	return b
+}
+
+func decodeRouting(d *binenc.Dec) Event {
+	numDays := d.Count(0) // a day may be empty: bounded below, not by the payload
 	if numDays > 1<<20 {
-		return nil, formatErrf("implausible routing day count %d", numDays)
+		d.Failf("implausible routing day count %d", numDays)
+		return nil
 	}
 	base := bgp.NewTable()
-	nRoutes := d.count(9)
+	nRoutes := d.Count(9)
 	for i := 0; i < nRoutes; i++ {
-		p := d.prefix()
-		origin := bgp.ASN(d.u32())
-		if d.err != nil {
-			return nil, d.err
+		p := decodePrefix(d)
+		origin := bgp.ASN(d.U32())
+		if d.Err() != nil {
+			return nil
 		}
 		base.Insert(bgp.Route{Prefix: p, Origin: origin})
 	}
 	log := bgp.NewChangeLog(base, numDays)
 	for day := 0; day < numDays; day++ {
-		n := d.count(14)
+		n := d.Count(14)
 		for i := 0; i < n; i++ {
-			kind := bgp.ChangeKind(d.u8())
-			p := d.prefix()
-			oldO := bgp.ASN(d.u32())
-			newO := bgp.ASN(d.u32())
-			if d.err != nil {
-				return nil, d.err
+			kind := bgp.ChangeKind(d.U8())
+			p := decodePrefix(d)
+			oldO := bgp.ASN(d.U32())
+			newO := bgp.ASN(d.U32())
+			if d.Err() != nil {
+				return nil
 			}
 			log.Record(day, bgp.Change{Kind: kind, Prefix: p, OldOrigin: oldO, NewOrigin: newO})
 		}
 	}
-	return RoutingEvent{Log: log}, d.finish(kindRouting)
+	return RoutingEvent{Log: log}
 }
 
-func (d *decoder) restructures() (Event, error) {
-	n := d.count(12)
-	rs := make([]Restructure, 0, n)
-	for i := 0; i < n; i++ {
-		r := Restructure{
-			Prefix: d.prefix(),
-			Day:    int(d.u32()),
-			Kind:   RestructureKind(d.u8()),
-		}
-		r.BGPVisible = d.u8() != 0
-		r.BGPKind = bgp.ChangeKind(d.u8())
-		if d.err != nil {
-			return nil, d.err
-		}
-		rs = append(rs, r)
+func appendRestructures(b []byte, rs []Restructure) []byte {
+	b = be.U32(b, uint32(len(rs)))
+	for _, r := range rs {
+		b = appendPrefix(b, r.Prefix)
+		b = be.U32(b, uint32(r.Day))
+		b = be.U8(b, uint8(r.Kind))
+		b = be.Bool(b, r.BGPVisible)
+		b = be.U8(b, uint8(r.BGPKind))
 	}
-	return RestructuresEvent{Restructures: rs}, d.finish(kindRestructures)
+	return b
+}
+
+func decodeRestructures(d *binenc.Dec) Event {
+	n := d.Count(12)
+	rs := make([]Restructure, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		rs = append(rs, Restructure{
+			Prefix:     decodePrefix(d),
+			Day:        int(d.U32()),
+			Kind:       RestructureKind(d.U8()),
+			BGPVisible: d.Bool(),
+			BGPKind:    bgp.ChangeKind(d.U8()),
+		})
+	}
+	return RestructuresEvent{Restructures: rs}
 }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ipscope/internal/bgp"
+	"ipscope/internal/binenc"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/useragent"
 	"ipscope/internal/xrand"
@@ -241,10 +243,31 @@ func TestCodecTruncated(t *testing.T) {
 		if err == nil {
 			t.Fatalf("truncation at %d/%d silently succeeded", cut, len(full))
 		}
-		var fe *FormatError
+		var fe *binenc.Error
 		if !errors.Is(err, ErrTruncated) && !errors.As(err, &fe) {
 			t.Fatalf("truncation at %d: untyped error %v", cut, err)
 		}
+	}
+}
+
+// TestHostileFrameHeader: the 5-byte frame header is unauthenticated, so
+// a header announcing 200 MiB followed by EOF must report truncation
+// without the decoder having allocated for the announced length (its
+// 1 MiB read buffer plus ReadPayload's first 512 KiB chunk is all).
+func TestHostileFrameHeader(t *testing.T) {
+	stream := append([]byte{}, magic...)
+	stream = be.U16(stream, Version)
+	stream = append(stream, kindDay)
+	stream = be.U32(stream, 200<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := StreamDecode(bytes.NewReader(stream), &Data{})
+	runtime.ReadMemStats(&after)
+	if err != ErrTruncated {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("%d bytes allocated for a 200 MiB frame that never arrived", got)
 	}
 }
 
@@ -262,17 +285,17 @@ func TestCodecCorrupt(t *testing.T) {
 	t.Run("magic", func(t *testing.T) {
 		bad := append([]byte(nil), full...)
 		bad[0] ^= 0xFF
-		var fe *FormatError
+		var fe *binenc.Error
 		if _, err := Decode(bytes.NewReader(bad)); !errors.As(err, &fe) {
-			t.Fatalf("bad magic: got %v, want FormatError", err)
+			t.Fatalf("bad magic: got %v, want *binenc.Error", err)
 		}
 	})
 	t.Run("version", func(t *testing.T) {
 		bad := append([]byte(nil), full...)
 		bad[len(magic)] ^= 0xFF
-		var fe *FormatError
+		var fe *binenc.Error
 		if _, err := Decode(bytes.NewReader(bad)); !errors.As(err, &fe) {
-			t.Fatalf("bad version: got %v, want FormatError", err)
+			t.Fatalf("bad version: got %v, want *binenc.Error", err)
 		}
 	})
 	t.Run("frame-length", func(t *testing.T) {
@@ -282,7 +305,7 @@ func TestCodecCorrupt(t *testing.T) {
 		off := len(magic) + 2 + 1
 		bad[off] = 0xFF
 		_, err := Decode(bytes.NewReader(bad))
-		var fe *FormatError
+		var fe *binenc.Error
 		if !errors.Is(err, ErrTruncated) && !errors.As(err, &fe) {
 			t.Fatalf("corrupt length: got %v, want typed error", err)
 		}
@@ -303,9 +326,9 @@ func TestCodecCorrupt(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var fe *FormatError
+		var fe *binenc.Error
 		if _, err := Decode(&buf); !errors.As(err, &fe) {
-			t.Fatalf("out-of-range index: got %v, want FormatError", err)
+			t.Fatalf("out-of-range index: got %v, want *binenc.Error", err)
 		}
 	})
 	t.Run("sweep", func(t *testing.T) {
@@ -361,8 +384,8 @@ func TestMetaWorldBounds(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var fe *FormatError
+	var fe *binenc.Error
 	if _, err := Decode(&buf); !errors.As(err, &fe) {
-		t.Fatalf("implausible world config: got %v, want FormatError", err)
+		t.Fatalf("implausible world config: got %v, want *binenc.Error", err)
 	}
 }

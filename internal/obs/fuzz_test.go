@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"ipscope/internal/binenc"
 )
 
 // FuzzDecode throws arbitrary bytes at the dataset decoder. The
@@ -11,7 +13,7 @@ import (
 //
 //   - Decode never panics, however corrupt the input (the corruption
 //     sweep in codec_test.go samples this; the fuzzer explores it);
-//   - every failure is a typed error (ErrTruncated, *FormatError) or an
+//   - every failure is a typed error (ErrTruncated, *binenc.Error) or an
 //     I/O error — never a silent partial dataset;
 //   - anything that decodes re-encodes canonically: Write(Decode(x))
 //     succeeds, and its output is a fixed point (decoding and
@@ -47,7 +49,7 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Decode(bytes.NewReader(data))
 		if err != nil {
-			var fe *FormatError
+			var fe *binenc.Error
 			if !errors.Is(err, ErrTruncated) && !errors.As(err, &fe) {
 				t.Fatalf("Decode failed with untyped error %T: %v", err, err)
 			}

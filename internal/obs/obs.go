@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"ipscope/internal/bgp"
+	"ipscope/internal/binenc"
 	"ipscope/internal/core"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/synthnet"
@@ -322,19 +323,19 @@ func (d *Data) Observe(e Event) error {
 		d.RouterSet = ipv4.NewSet()
 	case DayEvent:
 		if ev.Index < 0 || ev.Index >= len(d.Daily) {
-			return formatErrf("day event index %d outside window of %d days", ev.Index, len(d.Daily))
+			return binenc.Errorf(formatName, "day event index %d outside window of %d days", ev.Index, len(d.Daily))
 		}
 		d.Daily[ev.Index] = ev.Active
 		d.DailyTotalHits[ev.Index] = ev.TotalHits
 	case WeekEvent:
 		if ev.Index < 0 || ev.Index >= len(d.Weekly) {
-			return formatErrf("week event index %d outside run of %d weeks", ev.Index, len(d.Weekly))
+			return binenc.Errorf(formatName, "week event index %d outside run of %d weeks", ev.Index, len(d.Weekly))
 		}
 		d.Weekly[ev.Index] = ev.Active
 		d.WeeklyTopShare[ev.Index] = ev.TopShare
 	case ICMPScanEvent:
 		if ev.Index < 0 || ev.Index >= len(d.ICMPScans) {
-			return formatErrf("ICMP scan event index %d outside campaign of %d snapshots", ev.Index, len(d.ICMPScans))
+			return binenc.Errorf(formatName, "ICMP scan event index %d outside campaign of %d snapshots", ev.Index, len(d.ICMPScans))
 		}
 		d.ICMPScans[ev.Index] = ev.Responders
 	case BlockStatsEvent:

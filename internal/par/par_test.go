@@ -148,37 +148,6 @@ func TestShardedRangeOrder(t *testing.T) {
 	}
 }
 
-func TestShardedMap(t *testing.T) {
-	m := NewShardedMap[uint32, uint64](16, func(k uint32) uint64 { return Hash64(uint64(k)) })
-	const keys = 500
-	ForEach(keys*3, 8, func(i int) {
-		m.Update(uint32(i%keys), func(v uint64) uint64 { return v + 1 })
-	})
-	if m.Len() != keys {
-		t.Fatalf("Len = %d, want %d", m.Len(), keys)
-	}
-	if v, ok := m.Get(7); !ok || v != 3 {
-		t.Fatalf("Get(7) = %d,%v", v, ok)
-	}
-	merged := m.Merge()
-	if len(merged) != keys {
-		t.Fatalf("merged %d keys", len(merged))
-	}
-	for k, v := range merged {
-		if v != 3 {
-			t.Fatalf("key %d count %d", k, v)
-		}
-	}
-	// Shard-count edge cases: one shard, and more shards than keys.
-	for _, n := range []int{1, 4096} {
-		m := NewShardedMap[uint32, int](n, func(k uint32) uint64 { return Hash64(uint64(k)) })
-		m.Update(1, func(v int) int { return v + 1 })
-		if v, _ := m.Get(1); v != 1 {
-			t.Fatalf("n=%d: v=%d", n, v)
-		}
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	if Workers(3) != 3 {
 		t.Fatal("Workers(3)")

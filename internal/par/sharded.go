@@ -64,63 +64,3 @@ func Hash64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// ShardedMap is a concurrent map with per-shard locks, for hot
-// accumulation paths where a single mutex would serialize writers.
-type ShardedMap[K comparable, V any] struct {
-	s    *Sharded[map[K]V]
-	hash func(K) uint64
-}
-
-// NewShardedMap creates a sharded map with n shards; hash maps a key to
-// a well-distributed 64-bit value (compose with Hash64 for integer
-// keys).
-func NewShardedMap[K comparable, V any](n int, hash func(K) uint64) *ShardedMap[K, V] {
-	return &ShardedMap[K, V]{
-		s:    NewSharded(n, func() map[K]V { return make(map[K]V) }),
-		hash: hash,
-	}
-}
-
-// Update applies fn to the current value for k (zero value if absent)
-// and stores the result, all under the owning shard's lock.
-func (m *ShardedMap[K, V]) Update(k K, fn func(V) V) {
-	m.s.Do(m.s.ShardFor(m.hash(k)), func(mp *map[K]V) {
-		(*mp)[k] = fn((*mp)[k])
-	})
-}
-
-// Get returns the value for k.
-func (m *ShardedMap[K, V]) Get(k K) (V, bool) {
-	var v V
-	var ok bool
-	m.s.Do(m.s.ShardFor(m.hash(k)), func(mp *map[K]V) {
-		v, ok = (*mp)[k]
-	})
-	return v, ok
-}
-
-// Len returns the total number of keys across shards.
-func (m *ShardedMap[K, V]) Len() int {
-	n := 0
-	m.s.Range(func(_ int, mp *map[K]V) { n += len(*mp) })
-	return n
-}
-
-// Range visits every key/value, shard by shard in ascending shard
-// order. Iteration order within a shard is map order (unspecified).
-func (m *ShardedMap[K, V]) Range(fn func(K, V)) {
-	m.s.Range(func(_ int, mp *map[K]V) {
-		for k, v := range *mp {
-			fn(k, v)
-		}
-	})
-}
-
-// Merge snapshots the map into a plain map without ever holding more
-// than one shard lock at a time.
-func (m *ShardedMap[K, V]) Merge() map[K]V {
-	out := make(map[K]V, m.Len())
-	m.Range(func(k K, v V) { out[k] = v })
-	return out
-}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"unsafe"
 
+	"ipscope/internal/binenc"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 	"ipscope/internal/par"
@@ -17,7 +18,7 @@ import (
 
 // errNoMmap signals that the platform (or this particular file) cannot
 // be mapped; the loader falls back to a plain read.
-var errNoMmap = &SnapshotError{Msg: "mmap unavailable"}
+var errNoMmap = &binenc.Error{Format: snapFormat, Msg: "mmap unavailable"}
 
 // LoadOptions controls snapshot loading.
 type LoadOptions struct {
@@ -123,114 +124,34 @@ func DecodeSnapshot(data []byte) (*Loaded, error) {
 	return decodeSnapshot(data, LoadOptions{})
 }
 
-// sdec is the little-endian sibling of the wire codec's wdec: a
-// cursor that validates every count against the remaining bytes before
-// allocating and latches the first error.
-type sdec struct {
-	p   []byte
-	err error
-}
-
-func (d *sdec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = snapErrf(format, args...)
-	}
-}
-
-func (d *sdec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(d.p) {
-		d.fail("need %d bytes, have %d", n, len(d.p))
-		return nil
-	}
-	b := d.p[:n]
-	d.p = d.p[n:]
-	return b
-}
-
-func (d *sdec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *sdec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *sdec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *sdec) i() int       { return int(int64(d.u64())) }
-func (d *sdec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *sdec) empty() bool  { return len(d.p) == 0 }
-
-// count reads a u64 element count and validates it against the bytes
-// actually remaining, so a corrupt count cannot drive a giant
-// allocation.
-func (d *sdec) count(elemSize int) int {
-	v := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if v > uint64(len(d.p))/uint64(elemSize) {
-		d.fail("count %d exceeds remaining %d bytes (elem %d)", v, len(d.p), elemSize)
-		return 0
-	}
-	return int(v)
-}
-
-// set decodes one canonical address set: ascending blocks, zero
-// padding, no empty bitmaps.
-func (d *sdec) set() *ipv4.Set {
-	n := d.count(40)
+// decodeSnapSet decodes one canonical address set: ascending blocks,
+// zero padding, no empty bitmaps.
+func decodeSnapSet(d *binenc.Dec) *ipv4.Set {
+	n := d.Count64(40)
 	s := ipv4.NewSet()
 	prev := int64(-1)
-	for i := 0; i < n && d.err == nil; i++ {
-		blk := d.u32()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		blk := d.U32()
 		if int64(blk) <= prev {
-			d.fail("set blocks not ascending at %d", blk)
+			d.Failf("set blocks not ascending at %d", blk)
 			return s
 		}
 		prev = int64(blk)
-		if d.u32() != 0 {
-			d.fail("nonzero set padding")
+		if d.U32() != 0 {
+			d.Failf("nonzero set padding")
 			return s
 		}
 		var bm ipv4.Bitmap256
 		for w := 0; w < 4; w++ {
-			bm[w] = d.u64()
+			bm[w] = d.U64()
 		}
-		if d.err == nil && bm.IsEmpty() {
-			d.fail("empty set bitmap for block %v", ipv4.Block(blk))
+		if d.Err() == nil && bm.IsEmpty() {
+			d.Failf("empty set bitmap for block %v", ipv4.Block(blk))
 			return s
 		}
 		s.AddBlockBitmap(ipv4.Block(blk), &bm)
 	}
 	return s
-}
-
-func (d *sdec) finish(name string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if !d.empty() {
-		return snapErrf("%s section has %d trailing bytes", name, len(d.p))
-	}
-	return nil
 }
 
 // snapInfo is the decoded info section.
@@ -244,7 +165,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		return nil, ErrSnapshotTruncated
 	}
 	if string(data[:len(snapMagic)]) != snapMagic {
-		return nil, snapErrf("bad magic")
+		return nil, binenc.Errorf(snapFormat, "bad magic")
 	}
 	if len(data) < snapPrefaceLen {
 		return nil, ErrSnapshotTruncated
@@ -255,10 +176,10 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 	epoch := binary.LittleEndian.Uint64(data[16:])
 	total := binary.LittleEndian.Uint64(data[24:])
 	if version != snapVersion {
-		return nil, snapErrf("unsupported version %d", version)
+		return nil, binenc.Errorf(snapFormat, "unsupported version %d", version)
 	}
 	if flags&^uint16(snapFlagResume) != 0 {
-		return nil, snapErrf("unknown flags %#x", flags)
+		return nil, binenc.Errorf(snapFormat, "unknown flags %#x", flags)
 	}
 	resumable := flags&snapFlagResume != 0
 	want := uint32(numSections - 1)
@@ -266,17 +187,17 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		want = numSections
 	}
 	if count != want {
-		return nil, snapErrf("section count %d, want %d", count, want)
+		return nil, binenc.Errorf(snapFormat, "section count %d, want %d", count, want)
 	}
 	if total > uint64(len(data)) {
 		return nil, ErrSnapshotTruncated
 	}
 	if total < uint64(len(data)) {
-		return nil, snapErrf("%d trailing bytes after declared end", uint64(len(data))-total)
+		return nil, binenc.Errorf(snapFormat, "%d trailing bytes after declared end", uint64(len(data))-total)
 	}
 	tableLen := snapPrefaceLen + snapTableEntry*int(count)
 	if total < uint64(tableLen) {
-		return nil, snapErrf("declared length %d shorter than section table", total)
+		return nil, binenc.Errorf(snapFormat, "declared length %d shorter than section table", total)
 	}
 
 	// Section table: ids sequential, offsets 8-aligned and strictly
@@ -292,20 +213,20 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		off := binary.LittleEndian.Uint64(e[8:])
 		length := binary.LittleEndian.Uint64(e[16:])
 		if id != uint32(i+1) {
-			return nil, snapErrf("section %d has id %d, want %d", i, id, i+1)
+			return nil, binenc.Errorf(snapFormat, "section %d has id %d, want %d", i, id, i+1)
 		}
 		if reserved != 0 {
-			return nil, snapErrf("nonzero reserved field in section table")
+			return nil, binenc.Errorf(snapFormat, "nonzero reserved field in section table")
 		}
 		if off != expected {
-			return nil, snapErrf("section %s at offset %d, want %d", sectionNames[id], off, expected)
+			return nil, binenc.Errorf(snapFormat, "section %s at offset %d, want %d", sectionNames[id], off, expected)
 		}
 		if length > total-off {
-			return nil, snapErrf("section %s overruns file", sectionNames[id])
+			return nil, binenc.Errorf(snapFormat, "section %s overruns file", sectionNames[id])
 		}
 		for _, gap := range data[prevEnd:off] {
 			if gap != 0 {
-				return nil, snapErrf("nonzero gap byte before section %s", sectionNames[id])
+				return nil, binenc.Errorf(snapFormat, "nonzero gap byte before section %s", sectionNames[id])
 			}
 		}
 		sections[i] = data[off : off+length]
@@ -314,7 +235,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		expected = uint64(align8(int(prevEnd)))
 	}
 	if prevEnd != total {
-		return nil, snapErrf("file length %d does not match last section end %d", total, prevEnd)
+		return nil, binenc.Errorf(snapFormat, "file length %d does not match last section end %d", total, prevEnd)
 	}
 
 	info, err := decodeInfo(sections[secInfo-1])
@@ -326,7 +247,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		return nil, err
 	}
 	if meta.Run.DailyLen > 0 && info.days > meta.Run.DailyLen {
-		return nil, snapErrf("days %d exceed daily window %d", info.days, meta.Run.DailyLen)
+		return nil, binenc.Errorf(snapFormat, "days %d exceed daily window %d", info.days, meta.Run.DailyLen)
 	}
 	keys, err := decodeBlocksSection(sections[secBlocks-1], info.nblocks)
 	if err != nil {
@@ -338,7 +259,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 	}
 	views := sections[secViews-1]
 	if len(views) != 48*info.nblocks {
-		return nil, snapErrf("views section length %d, want %d", len(views), 48*info.nblocks)
+		return nil, binenc.Errorf(snapFormat, "views section length %d, want %d", len(views), 48*info.nblocks)
 	}
 	trafAt, err := decodeTrafficSection(sections[secTraffic-1], info.nblocks)
 	if err != nil {
@@ -348,20 +269,19 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 	if err != nil {
 		return nil, err
 	}
-	sd := &sdec{p: sections[secSets-1]}
-	icmp, servers, routers := sd.set(), sd.set(), sd.set()
-	if err := sd.finish("sets"); err != nil {
+	sd := binenc.NewDec(le, snapFormat, sections[secSets-1])
+	icmp, servers, routers := decodeSnapSet(sd), decodeSnapSet(sd), decodeSnapSet(sd)
+	if err := sd.Finish("sets section"); err != nil {
 		return nil, err
 	}
-	partial, rest, err := DecodeSummaryPartialWire(sections[secPartial-1])
-	if err != nil {
-		return nil, snapErrf("partial section: %v", err)
-	}
-	if len(rest) != 0 {
-		return nil, snapErrf("partial section has %d trailing bytes", len(rest))
+	// The partial section embeds the big-endian wire encoding verbatim.
+	pd := binenc.NewDec(be, snapFormat, sections[secPartial-1])
+	partial := ReadSummaryPartialWire(pd)
+	if err := pd.Finish("partial section"); err != nil {
+		return nil, err
 	}
 	if partial.DailyLen != info.days {
-		return nil, snapErrf("partial daily window %d does not match info days %d",
+		return nil, binenc.Errorf(snapFormat, "partial daily window %d does not match info days %d",
 			partial.DailyLen, info.days)
 	}
 	var resume *resumeState
@@ -371,7 +291,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 			return nil, err
 		}
 		if resume.weeks != partial.Weeks {
-			return nil, snapErrf("resume weeks %d does not match partial weeks %d",
+			return nil, binenc.Errorf(snapFormat, "resume weeks %d does not match partial weeks %d",
 				resume.weeks, partial.Weeks)
 		}
 	}
@@ -382,7 +302,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 	// two paths.
 	world := synthnet.Generate(meta.World)
 	if partial.Seed != world.Seed || partial.NumASes != len(world.ASes) {
-		return nil, snapErrf("partial identity does not match regenerated world")
+		return nil, binenc.Errorf(snapFormat, "partial identity does not match regenerated world")
 	}
 	x := &Index{
 		epoch:   epoch,
@@ -449,88 +369,85 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 
 func decodeInfo(sec []byte) (snapInfo, error) {
 	if len(sec) != 48 {
-		return snapInfo{}, snapErrf("info section length %d, want 48", len(sec))
+		return snapInfo{}, binenc.Errorf(snapFormat, "info section length %d, want 48", len(sec))
 	}
-	d := &sdec{p: sec}
+	d := binenc.NewDec(le, snapFormat, sec)
 	var info snapInfo
-	info.days = d.i()
-	info.words = d.i()
-	info.nblocks = d.i()
-	present := d.u32()
-	shardIndex := d.u32()
-	shardCount := d.u32()
-	lo := d.u32()
-	hi := d.u32()
-	pad := d.u32()
-	if err := d.finish("info"); err != nil {
+	info.days = d.Int()
+	info.words = d.Int()
+	info.nblocks = d.Int()
+	present := d.U32()
+	shardIndex := d.U32()
+	shardCount := d.U32()
+	lo := d.U32()
+	hi := d.U32()
+	pad := d.U32()
+	if err := d.Finish("info section"); err != nil {
 		return snapInfo{}, err
 	}
 	if pad != 0 {
-		return snapInfo{}, snapErrf("nonzero info padding")
+		return snapInfo{}, binenc.Errorf(snapFormat, "nonzero info padding")
 	}
 	if info.days < 1 || info.days > 1<<20 {
-		return snapInfo{}, snapErrf("implausible days %d", info.days)
+		return snapInfo{}, binenc.Errorf(snapFormat, "implausible days %d", info.days)
 	}
 	if info.words != (info.days+63)/64 {
-		return snapInfo{}, snapErrf("words %d inconsistent with days %d", info.words, info.days)
+		return snapInfo{}, binenc.Errorf(snapFormat, "words %d inconsistent with days %d", info.words, info.days)
 	}
 	if info.nblocks < 0 || info.nblocks > 1<<24 {
-		return snapInfo{}, snapErrf("implausible block count %d", info.nblocks)
+		return snapInfo{}, binenc.Errorf(snapFormat, "implausible block count %d", info.nblocks)
 	}
 	switch present {
 	case 0:
 		if shardIndex|shardCount|lo|hi != 0 {
-			return snapInfo{}, snapErrf("shard fields set without shard flag")
+			return snapInfo{}, binenc.Errorf(snapFormat, "shard fields set without shard flag")
 		}
 	case 1:
 		if shardCount == 0 || shardCount > 1<<20 || shardIndex >= shardCount {
-			return snapInfo{}, snapErrf("implausible shard %d/%d", shardIndex, shardCount)
+			return snapInfo{}, binenc.Errorf(snapFormat, "implausible shard %d/%d", shardIndex, shardCount)
 		}
 		if lo > hi || hi > 1<<24 {
-			return snapInfo{}, snapErrf("implausible shard range [%d,%d)", lo, hi)
+			return snapInfo{}, binenc.Errorf(snapFormat, "implausible shard range [%d,%d)", lo, hi)
 		}
 		info.shard = &ShardRange{Index: int(shardIndex), Count: int(shardCount), Lo: lo, Hi: hi}
 	default:
-		return snapInfo{}, snapErrf("invalid shard presence %d", present)
+		return snapInfo{}, binenc.Errorf(snapFormat, "invalid shard presence %d", present)
 	}
 	return info, nil
 }
 
 func decodeMetaSection(sec []byte) (obs.Meta, error) {
-	d := &sdec{p: sec}
+	d := binenc.NewDec(le, snapFormat, sec)
 	var m obs.Meta
-	m.World.Seed = d.u64()
-	m.World.NumASes = int(d.u32())
-	m.World.MeanBlocksPerAS = int(d.u32())
+	m.World.Seed = d.U64()
+	m.World.NumASes = int(d.U32())
+	m.World.MeanBlocksPerAS = int(d.U32())
 	r := &m.Run
-	r.Days = int(d.u32())
-	r.DailyStart = int(d.u32())
-	r.DailyLen = int(d.u32())
-	r.UADays = int(d.u32())
-	n := int(d.u32())
-	if d.err == nil && n > len(d.p)/4 {
-		d.fail("scan day count %d exceeds section", n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		r.ICMPScanDays = append(r.ICMPScanDays, int(d.u32()))
+	r.Days = int(d.U32())
+	r.DailyStart = int(d.U32())
+	r.DailyLen = int(d.U32())
+	r.UADays = int(d.U32())
+	n := d.Count(4)
+	for i := 0; i < n; i++ {
+		r.ICMPScanDays = append(r.ICMPScanDays, int(d.U32()))
 	}
 	for _, f := range []*float64{&r.PrefixChangeFrac, &r.BlockChangeFrac,
 		&r.BGPCoupleProb, &r.BGPNoisePerDay, &r.JoinFrac, &r.LeaveFrac, &r.TrafficGrowth} {
-		*f = d.f64()
+		*f = d.F64()
 	}
-	r.Workers = int(int32(d.u32()))
-	if err := d.finish("meta"); err != nil {
+	r.Workers = int(int32(d.U32()))
+	if err := d.Finish("meta section"); err != nil {
 		return obs.Meta{}, err
 	}
 	// The same plausibility bounds the obs codec applies: a corrupt meta
 	// must not drive a giant world generation.
 	if r.Days < 0 || r.DailyLen < 0 || r.DailyLen > 1<<20 || r.Days > 1<<20 {
-		return obs.Meta{}, snapErrf("implausible run geometry days=%d dailyLen=%d", r.Days, r.DailyLen)
+		return obs.Meta{}, binenc.Errorf(snapFormat, "implausible run geometry days=%d dailyLen=%d", r.Days, r.DailyLen)
 	}
 	if m.World.NumASes < 0 || m.World.MeanBlocksPerAS < 0 ||
 		m.World.NumASes > 1<<22 || m.World.MeanBlocksPerAS > 1<<16 ||
 		m.World.NumASes*m.World.MeanBlocksPerAS > 1<<24 {
-		return obs.Meta{}, snapErrf("implausible world config ases=%d blocksPerAS=%d",
+		return obs.Meta{}, binenc.Errorf(snapFormat, "implausible world config ases=%d blocksPerAS=%d",
 			m.World.NumASes, m.World.MeanBlocksPerAS)
 	}
 	return m, nil
@@ -538,14 +455,14 @@ func decodeMetaSection(sec []byte) (obs.Meta, error) {
 
 func decodeBlocksSection(sec []byte, nblocks int) ([]ipv4.Block, error) {
 	if len(sec) != 4*nblocks {
-		return nil, snapErrf("blocks section length %d, want %d", len(sec), 4*nblocks)
+		return nil, binenc.Errorf(snapFormat, "blocks section length %d, want %d", len(sec), 4*nblocks)
 	}
 	keys := make([]ipv4.Block, nblocks)
 	prev := int64(-1)
 	for i := range keys {
 		v := binary.LittleEndian.Uint32(sec[4*i:])
 		if int64(v) <= prev {
-			return nil, snapErrf("blocks not strictly ascending at index %d", i)
+			return nil, binenc.Errorf(snapFormat, "blocks not strictly ascending at index %d", i)
 		}
 		prev = int64(v)
 		keys[i] = ipv4.Block(v)
@@ -559,7 +476,7 @@ func decodeBlocksSection(sec []byte, nblocks int) ([]ipv4.Block, error) {
 func decodeTimelinesSection(sec []byte, info snapInfo) ([]uint64, error) {
 	wantWords := uint64(info.nblocks) * 256 * uint64(info.words)
 	if uint64(len(sec)) != 8*wantWords {
-		return nil, snapErrf("timelines section length %d, want %d", len(sec), 8*wantWords)
+		return nil, binenc.Errorf(snapFormat, "timelines section length %d, want %d", len(sec), 8*wantWords)
 	}
 	if words := castU64s(sec); words != nil {
 		return words, nil
@@ -574,28 +491,28 @@ func decodeTimelinesSection(sec []byte, info snapInfo) ([]uint64, error) {
 const trafficRecLen = 8 + 256*2 + 256*8
 
 func decodeTrafficSection(sec []byte, nblocks int) ([]*blockTraffic, error) {
-	d := &sdec{p: sec}
-	m := d.count(trafficRecLen)
-	if d.err != nil {
-		return nil, d.err
+	d := binenc.NewDec(le, snapFormat, sec)
+	m := d.Count64(trafficRecLen)
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	trafAt := make([]*blockTraffic, nblocks)
 	prev := int64(-1)
 	for i := 0; i < m; i++ {
-		idx := d.u32()
+		idx := d.U32()
 		if int64(idx) <= prev {
-			return nil, snapErrf("traffic records not ascending at %d", idx)
+			return nil, binenc.Errorf(snapFormat, "traffic records not ascending at %d", idx)
 		}
 		prev = int64(idx)
 		if int(idx) >= nblocks {
-			return nil, snapErrf("traffic record for block index %d of %d", idx, nblocks)
+			return nil, binenc.Errorf(snapFormat, "traffic record for block index %d of %d", idx, nblocks)
 		}
-		if d.u32() != 0 {
-			return nil, snapErrf("nonzero traffic padding")
+		if d.U32() != 0 {
+			return nil, binenc.Errorf(snapFormat, "nonzero traffic padding")
 		}
-		rec := d.take(256*2 + 256*8)
-		if d.err != nil {
-			return nil, d.err
+		rec := d.Take(256*2 + 256*8)
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		t := &blockTraffic{}
 		for h := 0; h < 256; h++ {
@@ -607,95 +524,89 @@ func decodeTrafficSection(sec []byte, nblocks int) ([]*blockTraffic, error) {
 		}
 		trafAt[idx] = t
 	}
-	if err := d.finish("traffic"); err != nil {
+	if err := d.Finish("traffic section"); err != nil {
 		return nil, err
 	}
 	return trafAt, nil
 }
 
 func decodeTagsSection(sec []byte) (*rdns.TagIndex, error) {
-	d := &sdec{p: sec}
-	n := d.count(8)
+	d := binenc.NewDec(le, snapFormat, sec)
+	n := d.Count64(8)
 	pairs := make([]rdns.BlockTag, 0, n)
 	prev := int64(-1)
-	for i := 0; i < n && d.err == nil; i++ {
-		blk := d.u32()
-		tag := d.u32()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		blk := d.U32()
+		tag := d.U32()
 		if int64(blk) <= prev {
-			return nil, snapErrf("tag blocks not ascending at %d", blk)
+			return nil, binenc.Errorf(snapFormat, "tag blocks not ascending at %d", blk)
 		}
 		prev = int64(blk)
 		if tag > uint32(rdns.Dynamic) {
-			return nil, snapErrf("invalid rDNS tag %d", tag)
+			return nil, binenc.Errorf(snapFormat, "invalid rDNS tag %d", tag)
 		}
 		pairs = append(pairs, rdns.BlockTag{Block: ipv4.Block(blk), Tag: rdns.Tag(tag)})
 	}
-	if err := d.finish("tags"); err != nil {
+	if err := d.Finish("tags section"); err != nil {
 		return nil, err
 	}
 	return rdns.NewTagIndex(pairs), nil
 }
 
 func decodeResumeSection(sec []byte, meta obs.Meta) (*resumeState, error) {
-	d := &sdec{p: sec}
+	d := binenc.NewDec(le, snapFormat, sec)
 	r := &resumeState{}
-	r.weeks = d.i()
-	r.scans = d.i()
-	switch d.u8() {
-	case 0:
-	case 1:
-		r.surfacesSeen = true
-	default:
-		return nil, snapErrf("invalid surfaces flag")
-	}
-	if d.err == nil {
+	r.weeks = d.Int()
+	r.scans = d.Int()
+	r.surfacesSeen = d.Bool()
+	if d.Err() == nil {
 		if r.weeks < 0 || r.weeks > meta.Run.NumWeeks() {
-			return nil, snapErrf("implausible resume weeks %d", r.weeks)
+			return nil, binenc.Errorf(snapFormat, "implausible resume weeks %d", r.weeks)
 		}
 		if r.scans < 0 || r.scans > len(meta.Run.ICMPScanDays) {
-			return nil, snapErrf("implausible resume scans %d", r.scans)
+			return nil, binenc.Errorf(snapFormat, "implausible resume scans %d", r.scans)
 		}
 	}
-	r.yearUnion = d.set()
+	r.yearUnion = decodeSnapSet(d)
 	if r.weeks > 0 {
-		r.week0 = d.set()
-		r.weekLast = d.set()
+		r.week0 = decodeSnapSet(d)
+		r.weekLast = decodeSnapSet(d)
 	}
 	if r.scans > 0 {
-		r.cdnFrom = d.i()
-		r.cdnTo = d.i()
-		r.cdn = d.set()
+		r.cdnFrom = d.Int()
+		r.cdnTo = d.Int()
+		r.cdn = decodeSnapSet(d)
 	}
-	n := d.count(13) // minimum entry: block u32 + samples u64 + prec u8
+	n := d.Count64(13) // minimum entry: block u32 + samples u64 + prec u8
 	r.ua = make(map[ipv4.Block]*obs.UAStat, n)
 	prev := int64(-1)
-	for i := 0; i < n && d.err == nil; i++ {
-		blk := d.u32()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		blk := d.U32()
 		if int64(blk) <= prev {
-			return nil, snapErrf("resume UA blocks not ascending at %d", blk)
+			return nil, binenc.Errorf(snapFormat, "resume UA blocks not ascending at %d", blk)
 		}
 		prev = int64(blk)
-		samples := d.u64()
+		samples := d.U64()
 		st := &obs.UAStat{Samples: int(samples)}
-		p := d.u8()
+		p := d.U8()
 		if p != 0 {
 			if p < 4 || p > 16 {
-				return nil, snapErrf("invalid HLL precision %d", p)
+				return nil, binenc.Errorf(snapFormat, "invalid HLL precision %d", p)
 			}
-			regs := d.take(1 << p)
-			if d.err != nil {
+			regs := d.Take(1 << p)
+			if d.Err() != nil {
 				break
 			}
 			sk, err := useragent.HLLFromRegisters(p, regs)
 			if err != nil {
-				return nil, snapErrf("bad HLL registers: %v", err)
+				return nil, binenc.Errorf(snapFormat, "bad HLL registers: %v", err)
 			}
 			st.Sketch = sk
 		}
 		r.uaBlocks = append(r.uaBlocks, ipv4.Block(blk))
 		r.ua[ipv4.Block(blk)] = st
 	}
-	if err := d.finish("resume"); err != nil {
+	if err := d.Finish("resume section"); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -716,7 +627,7 @@ func decodeResumeSection(sec []byte, meta obs.Meta) (*resumeState, error) {
 func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 	r := l.resume
 	if r == nil {
-		return nil, obs.SkipCounts{}, snapErrf("not a resumable checkpoint")
+		return nil, obs.SkipCounts{}, binenc.Errorf(snapFormat, "not a resumable checkpoint")
 	}
 	x := l.Index
 	a := NewApplier(opts)
@@ -766,7 +677,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 			}
 		}
 		if acc.union.IsEmpty() {
-			return nil, obs.SkipCounts{}, snapErrf("indexed block %v has an empty timeline", blk)
+			return nil, obs.SkipCounts{}, binenc.Errorf(snapFormat, "indexed block %v has an empty timeline", blk)
 		}
 		for wi, wv := range dayMask {
 			acc.activeDays += bits.OnesCount64(wv)
@@ -775,7 +686,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 				wv &^= 1 << b
 				day := wi*64 + b
 				if day >= x.days {
-					return nil, obs.SkipCounts{}, snapErrf("block %v active on day %d beyond window %d",
+					return nil, obs.SkipCounts{}, binenc.Errorf(snapFormat, "block %v active on day %d beyond window %d",
 						blk, day, x.days)
 				}
 				var bm ipv4.Bitmap256

@@ -32,14 +32,13 @@ package query
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"unsafe"
 
+	"ipscope/internal/binenc"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 )
@@ -82,18 +81,18 @@ var sectionNames = map[uint32]string{
 	secResume:    "resume",
 }
 
-// SnapshotError reports a structurally invalid snapshot file.
-type SnapshotError struct{ Msg string }
-
-func (e *SnapshotError) Error() string { return "query: snapshot: " + e.Msg }
-
-func snapErrf(format string, args ...any) error {
-	return &SnapshotError{Msg: fmt.Sprintf(format, args...)}
-}
+// le is the byte order of the snapshot's sections (the wire codec is
+// big-endian; bulk sections are little-endian so they can be cast in
+// place on the dominant hosts). snapFormat labels the *binenc.Error a
+// structurally invalid snapshot file reports.
+const (
+	le         = binenc.LE
+	snapFormat = "query: snapshot"
+)
 
 // ErrSnapshotTruncated reports a snapshot file shorter than its declared
 // length — the one corruption mode retries can fix (a partially written
-// file), which is why it is distinguishable from SnapshotError.
+// file), which is why it is distinguishable from *binenc.Error.
 var ErrSnapshotTruncated = errors.New("query: snapshot: truncated file")
 
 // ShardRange records the cluster partition a snapshot was built for, so
@@ -140,17 +139,6 @@ type resumeState struct {
 	cdn          *ipv4.Set
 	uaBlocks     []ipv4.Block // ascending; includes stats-only blocks
 	ua           map[ipv4.Block]*obs.UAStat
-}
-
-// Little-endian append helpers (the obs codec is big-endian; snapshot
-// bulk sections are little-endian so they can be cast in place on the
-// dominant hosts).
-func sU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
-func sU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func sU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func sI64(b []byte, v int) []byte    { return sU64(b, uint64(int64(v))) }
-func sF64(b []byte, v float64) []byte {
-	return sU64(b, math.Float64bits(v))
 }
 
 func align8(n int) int { return (n + 7) &^ 7 }
@@ -232,16 +220,16 @@ func (im *snapImage) writeTo(w io.Writer) error {
 	sw := &snapWriter{w: w}
 	head := make([]byte, 0, snapPrefaceLen+snapTableEntry*len(im.secs))
 	head = append(head, snapMagic...)
-	head = sU16(head, snapVersion)
-	head = sU16(head, im.flags)
-	head = sU32(head, uint32(len(im.secs)))
-	head = sU64(head, im.x.epoch)
-	head = sU64(head, uint64(im.total))
+	head = le.U16(head, snapVersion)
+	head = le.U16(head, im.flags)
+	head = le.U32(head, uint32(len(im.secs)))
+	head = le.U64(head, im.x.epoch)
+	head = le.U64(head, uint64(im.total))
 	for i, sec := range im.secs {
-		head = sU32(head, uint32(i+1)) // ids are assigned in file order
-		head = sU32(head, 0)
-		head = sU64(head, uint64(sec.off))
-		head = sU64(head, uint64(sec.n))
+		head = le.U32(head, uint32(i+1)) // ids are assigned in file order
+		head = le.U32(head, 0)
+		head = le.U64(head, uint64(sec.off))
+		head = le.U64(head, uint64(sec.n))
 	}
 	sw.write(head)
 	for i, sec := range im.secs {
@@ -303,7 +291,7 @@ func writeTimelines(sw *snapWriter, x *Index, native bool) {
 		}
 		scratch = scratch[:0]
 		for _, w := range t {
-			scratch = sU64(scratch, w)
+			scratch = le.U64(scratch, w)
 		}
 		sw.write(scratch)
 	}
@@ -311,19 +299,19 @@ func writeTimelines(sw *snapWriter, x *Index, native bool) {
 
 func encodeInfo(x *Index, shard *ShardRange) []byte {
 	b := make([]byte, 0, 48)
-	b = sU64(b, uint64(x.days))
-	b = sU64(b, uint64(x.words))
-	b = sU64(b, uint64(len(x.keys)))
+	b = le.U64(b, uint64(x.days))
+	b = le.U64(b, uint64(x.words))
+	b = le.U64(b, uint64(len(x.keys)))
 	if shard != nil {
-		b = sU32(b, 1)
-		b = sU32(b, uint32(shard.Index))
-		b = sU32(b, uint32(shard.Count))
-		b = sU32(b, shard.Lo)
-		b = sU32(b, shard.Hi)
+		b = le.U32(b, 1)
+		b = le.U32(b, uint32(shard.Index))
+		b = le.U32(b, uint32(shard.Count))
+		b = le.U32(b, shard.Lo)
+		b = le.U32(b, shard.Hi)
 	} else {
 		b = append(b, make([]byte, 20)...)
 	}
-	return sU32(b, 0) // pad to 48
+	return le.U32(b, 0) // pad to 48
 }
 
 // encodeMetaSection mirrors the obs codec's meta frame field for field,
@@ -331,29 +319,29 @@ func encodeInfo(x *Index, shard *ShardRange) []byte {
 // regenerate its world and resume stream application.
 func encodeMetaSection(m obs.Meta) []byte {
 	var b []byte
-	b = sU64(b, m.World.Seed)
-	b = sU32(b, uint32(m.World.NumASes))
-	b = sU32(b, uint32(m.World.MeanBlocksPerAS))
+	b = le.U64(b, m.World.Seed)
+	b = le.U32(b, uint32(m.World.NumASes))
+	b = le.U32(b, uint32(m.World.MeanBlocksPerAS))
 	r := m.Run
-	b = sU32(b, uint32(r.Days))
-	b = sU32(b, uint32(r.DailyStart))
-	b = sU32(b, uint32(r.DailyLen))
-	b = sU32(b, uint32(r.UADays))
-	b = sU32(b, uint32(len(r.ICMPScanDays)))
+	b = le.U32(b, uint32(r.Days))
+	b = le.U32(b, uint32(r.DailyStart))
+	b = le.U32(b, uint32(r.DailyLen))
+	b = le.U32(b, uint32(r.UADays))
+	b = le.U32(b, uint32(len(r.ICMPScanDays)))
 	for _, d := range r.ICMPScanDays {
-		b = sU32(b, uint32(d))
+		b = le.U32(b, uint32(d))
 	}
 	for _, f := range []float64{r.PrefixChangeFrac, r.BlockChangeFrac,
 		r.BGPCoupleProb, r.BGPNoisePerDay, r.JoinFrac, r.LeaveFrac, r.TrafficGrowth} {
-		b = sF64(b, f)
+		b = le.F64(b, f)
 	}
-	return sU32(b, uint32(int32(r.Workers)))
+	return le.U32(b, uint32(int32(r.Workers)))
 }
 
 func encodeBlocksSection(keys []ipv4.Block) []byte {
 	b := make([]byte, 0, 4*len(keys))
 	for _, blk := range keys {
-		b = sU32(b, uint32(blk))
+		b = le.U32(b, uint32(blk))
 	}
 	return b
 }
@@ -366,12 +354,12 @@ func encodeViewsSection(x *Index) []byte {
 	b := make([]byte, 0, 48*len(x.keys))
 	for i := range x.blocks {
 		v := &x.blocks[i].view
-		b = sI64(b, v.FD)
-		b = sF64(b, v.STU)
-		b = sI64(b, v.ActiveDays)
-		b = sF64(b, v.TotalHits)
-		b = sI64(b, v.UASamples)
-		b = sF64(b, v.UAUnique)
+		b = le.Int(b, v.FD)
+		b = le.F64(b, v.STU)
+		b = le.Int(b, v.ActiveDays)
+		b = le.F64(b, v.TotalHits)
+		b = le.Int(b, v.UASamples)
+		b = le.F64(b, v.UAUnique)
 	}
 	return b
 }
@@ -387,19 +375,19 @@ func encodeTrafficSection(x *Index) []byte {
 		}
 	}
 	b := make([]byte, 0, 8+m*(8+256*2+256*8))
-	b = sU64(b, uint64(m))
+	b = le.U64(b, uint64(m))
 	for i := range x.blocks {
 		t := x.blocks[i].traffic
 		if t == nil {
 			continue
 		}
-		b = sU32(b, uint32(i))
-		b = sU32(b, 0)
+		b = le.U32(b, uint32(i))
+		b = le.U32(b, 0)
 		for _, v := range t.daysActive {
-			b = sU16(b, v)
+			b = le.U16(b, v)
 		}
 		for _, v := range t.hits {
-			b = sF64(b, v)
+			b = le.F64(b, v)
 		}
 	}
 	return b
@@ -408,10 +396,10 @@ func encodeTrafficSection(x *Index) []byte {
 func encodeTagsSection(x *Index) []byte {
 	pairs := x.tags.Tags()
 	b := make([]byte, 0, 8+8*len(pairs))
-	b = sU64(b, uint64(len(pairs)))
+	b = le.U64(b, uint64(len(pairs)))
 	for _, p := range pairs {
-		b = sU32(b, uint32(p.Block))
-		b = sU32(b, uint32(p.Tag))
+		b = le.U32(b, uint32(p.Block))
+		b = le.U32(b, uint32(p.Tag))
 	}
 	return b
 }
@@ -428,16 +416,16 @@ func encodeSetsSection(x *Index) []byte {
 // never stores an empty bitmap, so canonicality is a free invariant).
 func appendSnapSet(b []byte, s *ipv4.Set) []byte {
 	if s == nil {
-		return sU64(b, 0)
+		return le.U64(b, 0)
 	}
 	blocks := s.Blocks()
-	b = sU64(b, uint64(len(blocks)))
+	b = le.U64(b, uint64(len(blocks)))
 	for _, blk := range blocks {
 		bm := s.BlockBitmap(blk)
-		b = sU32(b, uint32(blk))
-		b = sU32(b, 0)
+		b = le.U32(b, uint32(blk))
+		b = le.U32(b, 0)
 		for _, w := range bm {
-			b = sU64(b, w)
+			b = le.U64(b, w)
 		}
 	}
 	return b
@@ -445,28 +433,24 @@ func appendSnapSet(b []byte, s *ipv4.Set) []byte {
 
 func encodeResumeSection(r *resumeState) []byte {
 	var b []byte
-	b = sU64(b, uint64(r.weeks))
-	b = sU64(b, uint64(r.scans))
-	if r.surfacesSeen {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+	b = le.U64(b, uint64(r.weeks))
+	b = le.U64(b, uint64(r.scans))
+	b = le.Bool(b, r.surfacesSeen)
 	b = appendSnapSet(b, r.yearUnion)
 	if r.weeks > 0 {
 		b = appendSnapSet(b, r.week0)
 		b = appendSnapSet(b, r.weekLast)
 	}
 	if r.scans > 0 {
-		b = sI64(b, r.cdnFrom)
-		b = sI64(b, r.cdnTo)
+		b = le.Int(b, r.cdnFrom)
+		b = le.Int(b, r.cdnTo)
 		b = appendSnapSet(b, r.cdn)
 	}
-	b = sU64(b, uint64(len(r.uaBlocks)))
+	b = le.U64(b, uint64(len(r.uaBlocks)))
 	for _, blk := range r.uaBlocks {
 		st := r.ua[blk]
-		b = sU32(b, uint32(blk))
-		b = sU64(b, uint64(st.Samples))
+		b = le.U32(b, uint32(blk))
+		b = le.U64(b, uint64(st.Samples))
 		if st.Sketch == nil {
 			b = append(b, 0)
 			continue

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"ipscope/internal/binenc"
 	"ipscope/internal/sim"
 	"ipscope/internal/synthnet"
 )
@@ -14,7 +15,7 @@ import (
 //
 //   - DecodeSnapshot never panics, however corrupt the input;
 //   - every failure is a typed error (ErrSnapshotTruncated,
-//     *SnapshotError) — never a silent partial index;
+//     *binenc.Error) — never a silent partial index;
 //   - anything that decodes is a canonical fixed point: re-encoding it
 //     reproduces the input bytes exactly, which is the property the
 //     inspect tool's -verify check rests on.
@@ -63,7 +64,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := DecodeSnapshot(data)
 		if err != nil {
-			var se *SnapshotError
+			var se *binenc.Error
 			if !errors.Is(err, ErrSnapshotTruncated) && !errors.As(err, &se) {
 				t.Fatalf("DecodeSnapshot failed with untyped error %T: %v", err, err)
 			}

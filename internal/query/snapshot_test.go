@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ipscope/internal/binenc"
 	"ipscope/internal/obs"
 	"ipscope/internal/sim"
 	"ipscope/internal/synthnet"
@@ -127,14 +128,14 @@ func TestSnapshotFixedPoint(t *testing.T) {
 }
 
 // TestSnapshotTypedErrors pins the failure contract: truncation reports
-// ErrSnapshotTruncated, structural corruption reports *SnapshotError,
+// ErrSnapshotTruncated, structural corruption reports *binenc.Error,
 // and neither panics.
 func TestSnapshotTypedErrors(t *testing.T) {
 	data := EncodeSnapshot(testIndex(t), nil)
 
 	for _, n := range []int{0, 4, 12, 31, 40, len(data) / 2, len(data) - 1} {
 		if _, err := DecodeSnapshot(data[:n]); !errors.Is(err, ErrSnapshotTruncated) {
-			var se *SnapshotError
+			var se *binenc.Error
 			if !errors.As(err, &se) {
 				t.Errorf("truncation at %d: err = %v, want typed snapshot error", n, err)
 			}
@@ -146,7 +147,7 @@ func TestSnapshotTypedErrors(t *testing.T) {
 		b := append([]byte(nil), data...)
 		mutate(b)
 		_, err := DecodeSnapshot(b)
-		var se *SnapshotError
+		var se *binenc.Error
 		if err == nil || (!errors.As(err, &se) && !errors.Is(err, ErrSnapshotTruncated)) {
 			t.Errorf("%s: err = %v, want typed snapshot error", name, err)
 		}
@@ -159,9 +160,9 @@ func TestSnapshotTypedErrors(t *testing.T) {
 	corrupt("nonzero reserved", func(b []byte) { b[36] = 1 })
 	corrupt("shifted offset", func(b []byte) { b[40] ^= 0x10 })
 
-	var se *SnapshotError
+	var se *binenc.Error
 	if _, err := DecodeSnapshot(append(append([]byte(nil), data...), 0xAB)); !errors.As(err, &se) {
-		t.Errorf("trailing byte: err = %v, want *SnapshotError", err)
+		t.Errorf("trailing byte: err = %v, want *binenc.Error", err)
 	}
 
 	// Declared length longer than the data: truncated.

@@ -1,11 +1,11 @@
 package query
 
 // Binary wire codec for the query views and mergeable partials — the
-// payloads of the shard↔router RPC protocol (internal/rpc). It follows
-// the obs codec discipline: big-endian, length-validated counts so
-// corrupt input cannot trigger huge allocations, typed errors instead
-// of panics, and a canonical encoding (decode∘encode is the identity on
-// valid bytes, which the RPC fuzz target checks).
+// payloads of the shard↔router RPC protocol (internal/rpc). Field
+// encodings and the checks on untrusted bytes are internal/binenc's
+// (big-endian); this file is only the layouts. Each Read*Wire decodes
+// from the caller's *binenc.Dec, so an RPC frame decodes in one pass
+// and reports one sticky error.
 //
 // Two fidelity rules keep RPC-reconstructed JSON byte-identical to the
 // HTTP path:
@@ -18,388 +18,130 @@ package query
 //     can be -1) and floats as raw IEEE-754 bits, so no value is
 //     rounded or clamped in transit.
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
+import "ipscope/internal/binenc"
+
+// be is the wire byte order; wireFormat labels the codec's
+// *binenc.Error values.
+const (
+	be         = binenc.BE
+	wireFormat = "query"
 )
-
-// WireError reports structurally invalid wire-codec input: a short
-// payload, an implausible count, or a non-canonical byte.
-type WireError struct{ Msg string }
-
-// Error returns the message.
-func (e *WireError) Error() string { return "query: " + e.Msg }
-
-func wireErrf(format string, args ...any) error {
-	return &WireError{Msg: fmt.Sprintf(format, args...)}
-}
-
-// --- append helpers --------------------------------------------------
-
-func wU8(b []byte, v uint8) []byte   { return append(b, v) }
-func wU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func wU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-func wInt(b []byte, v int) []byte    { return wU64(b, uint64(int64(v))) }
-func wF64(b []byte, v float64) []byte {
-	return wU64(b, math.Float64bits(v))
-}
-
-func wBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func wString(b []byte, s string) []byte {
-	b = wU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// wPresence encodes the nil-vs-present distinction for a slice of
-// length n (n < 0 means nil). Present slices are followed by a u32
-// count and their elements.
-func wPresence(b []byte, isNil bool, n int) []byte {
-	if isNil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	return wU32(b, uint32(n))
-}
-
-func wU32Slice(b []byte, s []uint32) []byte {
-	b = wPresence(b, s == nil, len(s))
-	for _, v := range s {
-		b = wU32(b, v)
-	}
-	return b
-}
-
-func wF64Slice(b []byte, s []float64) []byte {
-	b = wPresence(b, s == nil, len(s))
-	for _, v := range s {
-		b = wF64(b, v)
-	}
-	return b
-}
-
-func wIntSlice(b []byte, s []int) []byte {
-	b = wPresence(b, s == nil, len(s))
-	for _, v := range s {
-		b = wInt(b, v)
-	}
-	return b
-}
-
-func wBytes(b []byte, s []byte) []byte {
-	b = wPresence(b, s == nil, len(s))
-	return append(b, s...)
-}
-
-func wStringSlice(b []byte, s []string) []byte {
-	b = wPresence(b, s == nil, len(s))
-	for _, v := range s {
-		b = wString(b, v)
-	}
-	return b
-}
-
-// --- decoder ---------------------------------------------------------
-
-// wdec consumes a wire payload. Reads past the end latch err instead of
-// panicking; non-canonical bytes (a presence byte other than 0/1, a
-// bool other than 0/1) are rejected so every valid encoding is the
-// unique encoding of its value.
-type wdec struct {
-	p   []byte
-	err error
-}
-
-func (d *wdec) fail() {
-	if d.err == nil {
-		d.err = &WireError{Msg: "wire payload too short"}
-	}
-}
-
-func (d *wdec) take(n int) []byte {
-	if d.err != nil || len(d.p) < n {
-		d.fail()
-		return nil
-	}
-	out := d.p[:n]
-	d.p = d.p[n:]
-	return out
-}
-
-func (d *wdec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *wdec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *wdec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *wdec) i() int       { return int(int64(d.u64())) }
-func (d *wdec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *wdec) bool() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if d.err == nil {
-			d.err = wireErrf("non-canonical bool byte")
-		}
-		return false
-	}
-}
-
-func (d *wdec) str() string {
-	n := int(d.u32())
-	if d.err == nil && n > len(d.p) {
-		d.err = wireErrf("string length %d exceeds remaining payload", n)
-	}
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// presence reads a slice header: present reports nil vs non-nil, n the
-// element count (validated against the bytes that could possibly
-// remain, elemSize per element).
-func (d *wdec) presence(elemSize int) (present bool, n int) {
-	switch d.u8() {
-	case 0:
-		return false, 0
-	case 1:
-	default:
-		if d.err == nil {
-			d.err = wireErrf("non-canonical presence byte")
-		}
-		return false, 0
-	}
-	n = int(d.u32())
-	if d.err == nil && n*elemSize > len(d.p) {
-		d.err = wireErrf("count %d exceeds remaining payload", n)
-	}
-	if d.err != nil {
-		return false, 0
-	}
-	return true, n
-}
-
-func (d *wdec) u32Slice() []uint32 {
-	present, n := d.presence(4)
-	if !present {
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = d.u32()
-	}
-	return out
-}
-
-func (d *wdec) f64Slice() []float64 {
-	present, n := d.presence(8)
-	if !present {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-func (d *wdec) intSlice() []int {
-	present, n := d.presence(8)
-	if !present {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.i()
-	}
-	return out
-}
-
-func (d *wdec) bytes() []byte {
-	present, n := d.presence(1)
-	if !present {
-		return nil
-	}
-	return append([]byte{}, d.take(n)...)
-}
-
-func (d *wdec) strSlice() []string {
-	present, n := d.presence(4) // 4 = minimum encoded size of ""
-	if !present {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.str()
-	}
-	return out
-}
 
 // --- BlockView -------------------------------------------------------
 
 // AppendBlockViewWire appends v's canonical wire encoding to b.
 func AppendBlockViewWire(b []byte, v *BlockView) []byte {
-	b = wString(b, v.Block)
-	b = wU32(b, v.AS)
-	b = wString(b, v.Prefix)
-	b = wString(b, v.Country)
-	b = wString(b, v.RIR)
-	b = wString(b, v.RDNS)
-	b = wString(b, v.Pattern)
-	b = wInt(b, v.FD)
-	b = wF64(b, v.STU)
-	b = wInt(b, v.ActiveDays)
-	b = wF64(b, v.TotalHits)
-	b = wInt(b, v.UASamples)
-	b = wF64(b, v.UAUnique)
+	b = be.String(b, v.Block)
+	b = be.U32(b, v.AS)
+	b = be.String(b, v.Prefix)
+	b = be.String(b, v.Country)
+	b = be.String(b, v.RIR)
+	b = be.String(b, v.RDNS)
+	b = be.String(b, v.Pattern)
+	b = be.Int(b, v.FD)
+	b = be.F64(b, v.STU)
+	b = be.Int(b, v.ActiveDays)
+	b = be.F64(b, v.TotalHits)
+	b = be.Int(b, v.UASamples)
+	b = be.F64(b, v.UAUnique)
 	return b
 }
 
-func (d *wdec) blockView() BlockView {
+// ReadBlockViewWire decodes one BlockView from d.
+func ReadBlockViewWire(d *binenc.Dec) BlockView {
 	var v BlockView
-	v.Block = d.str()
-	v.AS = d.u32()
-	v.Prefix = d.str()
-	v.Country = d.str()
-	v.RIR = d.str()
-	v.RDNS = d.str()
-	v.Pattern = d.str()
-	v.FD = d.i()
-	v.STU = d.f64()
-	v.ActiveDays = d.i()
-	v.TotalHits = d.f64()
-	v.UASamples = d.i()
-	v.UAUnique = d.f64()
+	v.Block = d.Str()
+	v.AS = d.U32()
+	v.Prefix = d.Str()
+	v.Country = d.Str()
+	v.RIR = d.Str()
+	v.RDNS = d.Str()
+	v.Pattern = d.Str()
+	v.FD = d.Int()
+	v.STU = d.F64()
+	v.ActiveDays = d.Int()
+	v.TotalHits = d.F64()
+	v.UASamples = d.Int()
+	v.UAUnique = d.F64()
 	return v
-}
-
-// DecodeBlockViewWire decodes one BlockView from p, returning the
-// remaining bytes.
-func DecodeBlockViewWire(p []byte) (BlockView, []byte, error) {
-	d := &wdec{p: p}
-	v := d.blockView()
-	if d.err != nil {
-		return BlockView{}, nil, d.err
-	}
-	return v, d.p, nil
 }
 
 // --- AddrView --------------------------------------------------------
 
 // AppendAddrViewWire appends v's canonical wire encoding to b.
 func AppendAddrViewWire(b []byte, v *AddrView) []byte {
-	b = wString(b, v.Addr)
-	b = wString(b, v.Block)
-	b = wU32(b, v.AS)
-	b = wString(b, v.Prefix)
-	b = wString(b, v.Country)
-	b = wString(b, v.RIR)
-	b = wString(b, v.RDNS)
-	b = wString(b, v.Pattern)
-	b = wBool(b, v.Active)
-	b = wInt(b, v.ActiveDays)
-	b = wInt(b, v.FirstDay)
-	b = wInt(b, v.LastDay)
-	b = wString(b, v.Timeline)
-	b = wF64(b, v.Hits)
-	b = wF64(b, v.MeanDailyHits)
-	b = wBool(b, v.ICMPResponder)
-	b = wBool(b, v.Server)
-	b = wBool(b, v.Router)
+	b = be.String(b, v.Addr)
+	b = be.String(b, v.Block)
+	b = be.U32(b, v.AS)
+	b = be.String(b, v.Prefix)
+	b = be.String(b, v.Country)
+	b = be.String(b, v.RIR)
+	b = be.String(b, v.RDNS)
+	b = be.String(b, v.Pattern)
+	b = be.Bool(b, v.Active)
+	b = be.Int(b, v.ActiveDays)
+	b = be.Int(b, v.FirstDay)
+	b = be.Int(b, v.LastDay)
+	b = be.String(b, v.Timeline)
+	b = be.F64(b, v.Hits)
+	b = be.F64(b, v.MeanDailyHits)
+	b = be.Bool(b, v.ICMPResponder)
+	b = be.Bool(b, v.Server)
+	b = be.Bool(b, v.Router)
 	return b
 }
 
-func (d *wdec) addrView() AddrView {
+// ReadAddrViewWire decodes one AddrView from d.
+func ReadAddrViewWire(d *binenc.Dec) AddrView {
 	var v AddrView
-	v.Addr = d.str()
-	v.Block = d.str()
-	v.AS = d.u32()
-	v.Prefix = d.str()
-	v.Country = d.str()
-	v.RIR = d.str()
-	v.RDNS = d.str()
-	v.Pattern = d.str()
-	v.Active = d.bool()
-	v.ActiveDays = d.i()
-	v.FirstDay = d.i()
-	v.LastDay = d.i()
-	v.Timeline = d.str()
-	v.Hits = d.f64()
-	v.MeanDailyHits = d.f64()
-	v.ICMPResponder = d.bool()
-	v.Server = d.bool()
-	v.Router = d.bool()
+	v.Addr = d.Str()
+	v.Block = d.Str()
+	v.AS = d.U32()
+	v.Prefix = d.Str()
+	v.Country = d.Str()
+	v.RIR = d.Str()
+	v.RDNS = d.Str()
+	v.Pattern = d.Str()
+	v.Active = d.Bool()
+	v.ActiveDays = d.Int()
+	v.FirstDay = d.Int()
+	v.LastDay = d.Int()
+	v.Timeline = d.Str()
+	v.Hits = d.F64()
+	v.MeanDailyHits = d.F64()
+	v.ICMPResponder = d.Bool()
+	v.Server = d.Bool()
+	v.Router = d.Bool()
 	return v
-}
-
-// DecodeAddrViewWire decodes one AddrView from p, returning the
-// remaining bytes.
-func DecodeAddrViewWire(p []byte) (AddrView, []byte, error) {
-	d := &wdec{p: p}
-	v := d.addrView()
-	if d.err != nil {
-		return AddrView{}, nil, d.err
-	}
-	return v, d.p, nil
 }
 
 // --- SummaryPartial --------------------------------------------------
 
 func appendSeriesPartial(b []byte, p *SeriesPartial) []byte {
-	b = wInt(b, p.Snapshots)
-	b = wInt(b, p.UnionIPs)
-	b = wInt(b, p.UnionBlocks)
-	b = wInt(b, p.IPSum)
-	b = wInt(b, p.BlockSum)
-	b = wPresence(b, p.SnapASes == nil, len(p.SnapASes))
+	b = be.Int(b, p.Snapshots)
+	b = be.Int(b, p.UnionIPs)
+	b = be.Int(b, p.UnionBlocks)
+	b = be.Int(b, p.IPSum)
+	b = be.Int(b, p.BlockSum)
+	b = be.Presence(b, p.SnapASes == nil, len(p.SnapASes))
 	for _, s := range p.SnapASes {
-		b = wU32Slice(b, s)
+		b = be.U32s(b, s)
 	}
 	return b
 }
 
-func (d *wdec) seriesPartial() SeriesPartial {
+func readSeriesPartial(d *binenc.Dec) SeriesPartial {
 	var p SeriesPartial
-	p.Snapshots = d.i()
-	p.UnionIPs = d.i()
-	p.UnionBlocks = d.i()
-	p.IPSum = d.i()
-	p.BlockSum = d.i()
-	present, n := d.presence(1) // 1 = minimum encoded size of a nil inner slice
+	p.Snapshots = d.Int()
+	p.UnionIPs = d.Int()
+	p.UnionBlocks = d.Int()
+	p.IPSum = d.Int()
+	p.BlockSum = d.Int()
+	present, n := d.Presence(1) // 1 = minimum encoded size of a nil inner slice
 	if present {
 		p.SnapASes = make([][]uint32, n)
 		for i := range p.SnapASes {
-			p.SnapASes[i] = d.u32Slice()
+			p.SnapASes[i] = d.U32s()
 		}
 	}
 	return p
@@ -407,116 +149,117 @@ func (d *wdec) seriesPartial() SeriesPartial {
 
 // AppendSummaryPartialWire appends p's canonical wire encoding to b.
 func AppendSummaryPartialWire(b []byte, p *SummaryPartial) []byte {
-	b = wU64(b, p.Seed)
-	b = wInt(b, p.NumASes)
-	b = wInt(b, p.WorldBlocks)
-	b = wInt(b, p.Days)
-	b = wInt(b, p.DailyStart)
-	b = wInt(b, p.DailyLen)
-	b = wInt(b, p.Weeks)
-	b = wInt(b, p.ActiveBlocks)
-	b = wInt(b, p.DailyUnion)
-	b = wInt(b, p.YearUnion)
-	b = wInt(b, p.ICMPUnion)
+	b = be.U64(b, p.Seed)
+	b = be.Int(b, p.NumASes)
+	b = be.Int(b, p.WorldBlocks)
+	b = be.Int(b, p.Days)
+	b = be.Int(b, p.DailyStart)
+	b = be.Int(b, p.DailyLen)
+	b = be.Int(b, p.Weeks)
+	b = be.Int(b, p.ActiveBlocks)
+	b = be.Int(b, p.DailyUnion)
+	b = be.Int(b, p.YearUnion)
+	b = be.Int(b, p.ICMPUnion)
 	b = appendSeriesPartial(b, &p.Daily)
 	b = appendSeriesPartial(b, &p.Weekly)
-	b = wInt(b, p.CDNMonth)
-	b = wInt(b, p.CDNBoth)
-	b = wIntSlice(b, p.DayLens)
-	b = wIntSlice(b, p.Ups)
-	b = wIntSlice(b, p.Downs)
-	b = wInt(b, p.WeekBase)
-	b = wInt(b, p.WeekLastAppear)
-	b = wInt(b, p.UASamples)
-	b = wU8(b, p.UAPrecision)
-	b = wBytes(b, p.UARegisters)
+	b = be.Int(b, p.CDNMonth)
+	b = be.Int(b, p.CDNBoth)
+	b = be.Ints(b, p.DayLens)
+	b = be.Ints(b, p.Ups)
+	b = be.Ints(b, p.Downs)
+	b = be.Int(b, p.WeekBase)
+	b = be.Int(b, p.WeekLastAppear)
+	b = be.Int(b, p.UASamples)
+	b = be.U8(b, p.UAPrecision)
+	b = be.Bytes(b, p.UARegisters)
 	return b
 }
 
 // DecodeSummaryPartialWire decodes one SummaryPartial from p, returning
 // the remaining bytes.
 func DecodeSummaryPartialWire(p []byte) (SummaryPartial, []byte, error) {
-	d := &wdec{p: p}
-	var v SummaryPartial
-	v.Seed = d.u64()
-	v.NumASes = d.i()
-	v.WorldBlocks = d.i()
-	v.Days = d.i()
-	v.DailyStart = d.i()
-	v.DailyLen = d.i()
-	v.Weeks = d.i()
-	v.ActiveBlocks = d.i()
-	v.DailyUnion = d.i()
-	v.YearUnion = d.i()
-	v.ICMPUnion = d.i()
-	v.Daily = d.seriesPartial()
-	v.Weekly = d.seriesPartial()
-	v.CDNMonth = d.i()
-	v.CDNBoth = d.i()
-	v.DayLens = d.intSlice()
-	v.Ups = d.intSlice()
-	v.Downs = d.intSlice()
-	v.WeekBase = d.i()
-	v.WeekLastAppear = d.i()
-	v.UASamples = d.i()
-	v.UAPrecision = d.u8()
-	v.UARegisters = d.bytes()
-	if d.err != nil {
-		return SummaryPartial{}, nil, d.err
+	d := binenc.NewDec(be, wireFormat, p)
+	v := ReadSummaryPartialWire(d)
+	if err := d.Err(); err != nil {
+		return SummaryPartial{}, nil, err
 	}
-	return v, d.p, nil
+	return v, d.Rest(), nil
+}
+
+// ReadSummaryPartialWire decodes one SummaryPartial from d.
+func ReadSummaryPartialWire(d *binenc.Dec) SummaryPartial {
+	var v SummaryPartial
+	v.Seed = d.U64()
+	v.NumASes = d.Int()
+	v.WorldBlocks = d.Int()
+	v.Days = d.Int()
+	v.DailyStart = d.Int()
+	v.DailyLen = d.Int()
+	v.Weeks = d.Int()
+	v.ActiveBlocks = d.Int()
+	v.DailyUnion = d.Int()
+	v.YearUnion = d.Int()
+	v.ICMPUnion = d.Int()
+	v.Daily = readSeriesPartial(d)
+	v.Weekly = readSeriesPartial(d)
+	v.CDNMonth = d.Int()
+	v.CDNBoth = d.Int()
+	v.DayLens = d.Ints()
+	v.Ups = d.Ints()
+	v.Downs = d.Ints()
+	v.WeekBase = d.Int()
+	v.WeekLastAppear = d.Int()
+	v.UASamples = d.Int()
+	v.UAPrecision = d.U8()
+	v.UARegisters = d.Bytes()
+	return v
 }
 
 // --- ASPartial -------------------------------------------------------
 
 // AppendASPartialWire appends p's canonical wire encoding to b.
 func AppendASPartialWire(b []byte, p *ASPartial) []byte {
-	b = wBool(b, p.Found)
-	b = wU32(b, p.AS)
-	b = wString(b, p.Kind)
-	b = wString(b, p.Country)
-	b = wString(b, p.RIR)
-	b = wStringSlice(b, p.Prefixes)
-	b = wInt(b, p.RoutedBlocks)
-	b = wInt(b, p.ActiveBlocks)
-	b = wInt(b, p.ActiveAddrs)
-	b = wF64Slice(b, p.Hits)
+	b = be.Bool(b, p.Found)
+	b = be.U32(b, p.AS)
+	b = be.String(b, p.Kind)
+	b = be.String(b, p.Country)
+	b = be.String(b, p.RIR)
+	b = be.Strings(b, p.Prefixes)
+	b = be.Int(b, p.RoutedBlocks)
+	b = be.Int(b, p.ActiveBlocks)
+	b = be.Int(b, p.ActiveAddrs)
+	b = be.F64s(b, p.Hits)
 	return b
 }
 
-// DecodeASPartialWire decodes one ASPartial from p, returning the
-// remaining bytes.
-func DecodeASPartialWire(p []byte) (ASPartial, []byte, error) {
-	d := &wdec{p: p}
+// ReadASPartialWire decodes one ASPartial from d.
+func ReadASPartialWire(d *binenc.Dec) ASPartial {
 	var v ASPartial
-	v.Found = d.bool()
-	v.AS = d.u32()
-	v.Kind = d.str()
-	v.Country = d.str()
-	v.RIR = d.str()
-	v.Prefixes = d.strSlice()
-	v.RoutedBlocks = d.i()
-	v.ActiveBlocks = d.i()
-	v.ActiveAddrs = d.i()
-	v.Hits = d.f64Slice()
-	if d.err != nil {
-		return ASPartial{}, nil, d.err
-	}
-	return v, d.p, nil
+	v.Found = d.Bool()
+	v.AS = d.U32()
+	v.Kind = d.Str()
+	v.Country = d.Str()
+	v.RIR = d.Str()
+	v.Prefixes = d.Strings()
+	v.RoutedBlocks = d.Int()
+	v.ActiveBlocks = d.Int()
+	v.ActiveAddrs = d.Int()
+	v.Hits = d.F64s()
+	return v
 }
 
 // --- PrefixPartial ---------------------------------------------------
 
 // AppendPrefixPartialWire appends p's canonical wire encoding to b.
 func AppendPrefixPartialWire(b []byte, p *PrefixPartial) []byte {
-	b = wString(b, p.Prefix)
-	b = wInt(b, p.Blocks)
-	b = wInt(b, p.ActiveBlocks)
-	b = wInt(b, p.ActiveAddrs)
-	b = wF64Slice(b, p.STU)
-	b = wF64Slice(b, p.Hits)
-	b = wU32Slice(b, p.Origins)
-	b = wPresence(b, p.BlockList == nil, len(p.BlockList))
+	b = be.String(b, p.Prefix)
+	b = be.Int(b, p.Blocks)
+	b = be.Int(b, p.ActiveBlocks)
+	b = be.Int(b, p.ActiveAddrs)
+	b = be.F64s(b, p.STU)
+	b = be.F64s(b, p.Hits)
+	b = be.U32s(b, p.Origins)
+	b = be.Presence(b, p.BlockList == nil, len(p.BlockList))
 	for i := range p.BlockList {
 		b = AppendBlockViewWire(b, &p.BlockList[i])
 	}
@@ -526,199 +269,184 @@ func AppendPrefixPartialWire(b []byte, p *PrefixPartial) []byte {
 // --- DeltaPartial ----------------------------------------------------
 
 func appendBlockChange(b []byte, c *BlockChange) []byte {
-	b = wString(b, c.Block)
-	b = wU32(b, c.AS)
-	b = wInt(b, c.FDDelta)
-	b = wInt(b, c.ActiveDaysDelta)
-	b = wF64(b, c.HitsDelta)
+	b = be.String(b, c.Block)
+	b = be.U32(b, c.AS)
+	b = be.Int(b, c.FDDelta)
+	b = be.Int(b, c.ActiveDaysDelta)
+	b = be.F64(b, c.HitsDelta)
 	return b
 }
 
-func (d *wdec) blockChange() BlockChange {
+func readBlockChange(d *binenc.Dec) BlockChange {
 	var c BlockChange
-	c.Block = d.str()
-	c.AS = d.u32()
-	c.FDDelta = d.i()
-	c.ActiveDaysDelta = d.i()
-	c.HitsDelta = d.f64()
+	c.Block = d.Str()
+	c.AS = d.U32()
+	c.FDDelta = d.Int()
+	c.ActiveDaysDelta = d.Int()
+	c.HitsDelta = d.F64()
 	return c
 }
 
 // 32 = minimum encoded BlockChange: one empty string (4) + the AS u32 +
 // two ints and one float (8 bytes each).
-func wBlockChangeSlice(b []byte, s []BlockChange) []byte {
-	b = wPresence(b, s == nil, len(s))
+func appendBlockChanges(b []byte, s []BlockChange) []byte {
+	b = be.Presence(b, s == nil, len(s))
 	for i := range s {
 		b = appendBlockChange(b, &s[i])
 	}
 	return b
 }
 
-func (d *wdec) blockChangeSlice() []BlockChange {
-	present, n := d.presence(32)
+func readBlockChanges(d *binenc.Dec) []BlockChange {
+	present, n := d.Presence(32)
 	if !present {
 		return nil
 	}
 	out := make([]BlockChange, n)
 	for i := range out {
-		out[i] = d.blockChange()
+		out[i] = readBlockChange(d)
 	}
 	return out
 }
 
 // AppendDeltaPartialWire appends p's canonical wire encoding to b.
 func AppendDeltaPartialWire(b []byte, p *DeltaPartial) []byte {
-	b = wU64(b, p.Seed)
-	b = wU64(b, p.FromEpoch)
-	b = wU64(b, p.ToEpoch)
-	b = wInt(b, p.FromDays)
-	b = wInt(b, p.ToDays)
-	b = wInt(b, p.NewBlocks)
-	b = wInt(b, p.GoneDarkBlocks)
-	b = wInt(b, p.ChangedBlocks)
-	b = wInt(b, p.ActiveBlocksDelta)
-	b = wInt(b, p.ActiveAddrsDelta)
-	b = wInt(b, p.YearUnionDelta)
-	b = wInt(b, p.ICMPUnionDelta)
-	b = wInt(b, p.ChurnUp)
-	b = wInt(b, p.ChurnDown)
-	b = wInt(b, p.WeeksAdded)
-	b = wBlockChangeSlice(b, p.NewSample)
-	b = wBlockChangeSlice(b, p.GoneDarkSample)
-	b = wBlockChangeSlice(b, p.ChangedSample)
+	b = be.U64(b, p.Seed)
+	b = be.U64(b, p.FromEpoch)
+	b = be.U64(b, p.ToEpoch)
+	b = be.Int(b, p.FromDays)
+	b = be.Int(b, p.ToDays)
+	b = be.Int(b, p.NewBlocks)
+	b = be.Int(b, p.GoneDarkBlocks)
+	b = be.Int(b, p.ChangedBlocks)
+	b = be.Int(b, p.ActiveBlocksDelta)
+	b = be.Int(b, p.ActiveAddrsDelta)
+	b = be.Int(b, p.YearUnionDelta)
+	b = be.Int(b, p.ICMPUnionDelta)
+	b = be.Int(b, p.ChurnUp)
+	b = be.Int(b, p.ChurnDown)
+	b = be.Int(b, p.WeeksAdded)
+	b = appendBlockChanges(b, p.NewSample)
+	b = appendBlockChanges(b, p.GoneDarkSample)
+	b = appendBlockChanges(b, p.ChangedSample)
 	// 30 = minimum encoded ASMovementPartial: the AS u32 + three ints +
 	// two nil-slice presence bytes.
-	b = wPresence(b, p.ASMovement == nil, len(p.ASMovement))
+	b = be.Presence(b, p.ASMovement == nil, len(p.ASMovement))
 	for i := range p.ASMovement {
 		m := &p.ASMovement[i]
-		b = wU32(b, m.AS)
-		b = wInt(b, m.FromBlocks)
-		b = wInt(b, m.ToBlocks)
-		b = wInt(b, m.BothBlocks)
-		b = wF64Slice(b, m.FromHits)
-		b = wF64Slice(b, m.ToHits)
+		b = be.U32(b, m.AS)
+		b = be.Int(b, m.FromBlocks)
+		b = be.Int(b, m.ToBlocks)
+		b = be.Int(b, m.BothBlocks)
+		b = be.F64s(b, m.FromHits)
+		b = be.F64s(b, m.ToHits)
 	}
 	return b
 }
 
-// DecodeDeltaPartialWire decodes one DeltaPartial from p, returning the
-// remaining bytes.
-func DecodeDeltaPartialWire(p []byte) (DeltaPartial, []byte, error) {
-	d := &wdec{p: p}
+// ReadDeltaPartialWire decodes one DeltaPartial from d.
+func ReadDeltaPartialWire(d *binenc.Dec) DeltaPartial {
 	var v DeltaPartial
-	v.Seed = d.u64()
-	v.FromEpoch = d.u64()
-	v.ToEpoch = d.u64()
-	v.FromDays = d.i()
-	v.ToDays = d.i()
-	v.NewBlocks = d.i()
-	v.GoneDarkBlocks = d.i()
-	v.ChangedBlocks = d.i()
-	v.ActiveBlocksDelta = d.i()
-	v.ActiveAddrsDelta = d.i()
-	v.YearUnionDelta = d.i()
-	v.ICMPUnionDelta = d.i()
-	v.ChurnUp = d.i()
-	v.ChurnDown = d.i()
-	v.WeeksAdded = d.i()
-	v.NewSample = d.blockChangeSlice()
-	v.GoneDarkSample = d.blockChangeSlice()
-	v.ChangedSample = d.blockChangeSlice()
-	present, n := d.presence(30)
+	v.Seed = d.U64()
+	v.FromEpoch = d.U64()
+	v.ToEpoch = d.U64()
+	v.FromDays = d.Int()
+	v.ToDays = d.Int()
+	v.NewBlocks = d.Int()
+	v.GoneDarkBlocks = d.Int()
+	v.ChangedBlocks = d.Int()
+	v.ActiveBlocksDelta = d.Int()
+	v.ActiveAddrsDelta = d.Int()
+	v.YearUnionDelta = d.Int()
+	v.ICMPUnionDelta = d.Int()
+	v.ChurnUp = d.Int()
+	v.ChurnDown = d.Int()
+	v.WeeksAdded = d.Int()
+	v.NewSample = readBlockChanges(d)
+	v.GoneDarkSample = readBlockChanges(d)
+	v.ChangedSample = readBlockChanges(d)
+	present, n := d.Presence(30)
 	if present {
 		v.ASMovement = make([]ASMovementPartial, n)
 		for i := range v.ASMovement {
 			m := &v.ASMovement[i]
-			m.AS = d.u32()
-			m.FromBlocks = d.i()
-			m.ToBlocks = d.i()
-			m.BothBlocks = d.i()
-			m.FromHits = d.f64Slice()
-			m.ToHits = d.f64Slice()
+			m.AS = d.U32()
+			m.FromBlocks = d.Int()
+			m.ToBlocks = d.Int()
+			m.BothBlocks = d.Int()
+			m.FromHits = d.F64s()
+			m.ToHits = d.F64s()
 		}
 	}
-	if d.err != nil {
-		return DeltaPartial{}, nil, d.err
-	}
-	return v, d.p, nil
+	return v
 }
 
 // --- MovementPartial -------------------------------------------------
 
 // AppendMovementPartialWire appends p's canonical wire encoding to b.
 func AppendMovementPartialWire(b []byte, p *MovementPartial) []byte {
-	b = wU64(b, p.Seed)
-	b = wU64(b, p.OldestEpoch)
-	b = wU64(b, p.NewestEpoch)
+	b = be.U64(b, p.Seed)
+	b = be.U64(b, p.OldestEpoch)
+	b = be.U64(b, p.NewestEpoch)
 	// 57 = minimum encoded MovementEntryPartial: two u64 epochs + five
 	// ints + a nil-slice presence byte.
-	b = wPresence(b, p.Entries == nil, len(p.Entries))
+	b = be.Presence(b, p.Entries == nil, len(p.Entries))
 	for i := range p.Entries {
 		e := &p.Entries[i]
-		b = wU64(b, e.Epoch)
-		b = wInt(b, e.Days)
-		b = wU64(b, e.BaseEpoch)
-		b = wInt(b, e.ActiveBlocks)
-		b = wInt(b, e.ActiveAddrs)
-		b = wInt(b, e.ChurnUp)
-		b = wInt(b, e.ChurnDown)
-		b = wU32Slice(b, e.ASes)
+		b = be.U64(b, e.Epoch)
+		b = be.Int(b, e.Days)
+		b = be.U64(b, e.BaseEpoch)
+		b = be.Int(b, e.ActiveBlocks)
+		b = be.Int(b, e.ActiveAddrs)
+		b = be.Int(b, e.ChurnUp)
+		b = be.Int(b, e.ChurnDown)
+		b = be.U32s(b, e.ASes)
 	}
 	return b
 }
 
-// DecodeMovementPartialWire decodes one MovementPartial from p,
-// returning the remaining bytes.
-func DecodeMovementPartialWire(p []byte) (MovementPartial, []byte, error) {
-	d := &wdec{p: p}
+// ReadMovementPartialWire decodes one MovementPartial from d.
+func ReadMovementPartialWire(d *binenc.Dec) MovementPartial {
 	var v MovementPartial
-	v.Seed = d.u64()
-	v.OldestEpoch = d.u64()
-	v.NewestEpoch = d.u64()
-	present, n := d.presence(57)
+	v.Seed = d.U64()
+	v.OldestEpoch = d.U64()
+	v.NewestEpoch = d.U64()
+	present, n := d.Presence(57)
 	if present {
 		v.Entries = make([]MovementEntryPartial, n)
 		for i := range v.Entries {
 			e := &v.Entries[i]
-			e.Epoch = d.u64()
-			e.Days = d.i()
-			e.BaseEpoch = d.u64()
-			e.ActiveBlocks = d.i()
-			e.ActiveAddrs = d.i()
-			e.ChurnUp = d.i()
-			e.ChurnDown = d.i()
-			e.ASes = d.u32Slice()
+			e.Epoch = d.U64()
+			e.Days = d.Int()
+			e.BaseEpoch = d.U64()
+			e.ActiveBlocks = d.Int()
+			e.ActiveAddrs = d.Int()
+			e.ChurnUp = d.Int()
+			e.ChurnDown = d.Int()
+			e.ASes = d.U32s()
 		}
 	}
-	if d.err != nil {
-		return MovementPartial{}, nil, d.err
-	}
-	return v, d.p, nil
+	return v
 }
 
-// DecodePrefixPartialWire decodes one PrefixPartial from p, returning
-// the remaining bytes.
-func DecodePrefixPartialWire(p []byte) (PrefixPartial, []byte, error) {
-	d := &wdec{p: p}
+// ReadPrefixPartialWire decodes one PrefixPartial from d.
+func ReadPrefixPartialWire(d *binenc.Dec) PrefixPartial {
 	var v PrefixPartial
-	v.Prefix = d.str()
-	v.Blocks = d.i()
-	v.ActiveBlocks = d.i()
-	v.ActiveAddrs = d.i()
-	v.STU = d.f64Slice()
-	v.Hits = d.f64Slice()
-	v.Origins = d.u32Slice()
+	v.Prefix = d.Str()
+	v.Blocks = d.Int()
+	v.ActiveBlocks = d.Int()
+	v.ActiveAddrs = d.Int()
+	v.STU = d.F64s()
+	v.Hits = d.F64s()
+	v.Origins = d.U32s()
 	// 76 = minimum encoded BlockView: 6 empty strings (4 bytes each) +
 	// 3 ints + 3 floats (8 bytes each) + the AS u32.
-	present, n := d.presence(76)
+	present, n := d.Presence(76)
 	if present {
 		v.BlockList = make([]BlockView, n)
 		for i := range v.BlockList {
-			v.BlockList[i] = d.blockView()
+			v.BlockList[i] = ReadBlockViewWire(d)
 		}
 	}
-	if d.err != nil {
-		return PrefixPartial{}, nil, d.err
-	}
-	return v, d.p, nil
+	return v
 }

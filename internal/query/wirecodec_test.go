@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"ipscope/internal/binenc"
 )
 
 // wireFixtures returns value/encode/decode triples covering every wire
@@ -15,13 +17,20 @@ type wireFixture struct {
 	name   string
 	value  any
 	encode func(b []byte) []byte
-	decode func(p []byte) (any, []byte, error)
+	read   func(d *binenc.Dec) any
+}
+
+// decode runs the fixture's reader over p, returning the bytes left.
+func (fx wireFixture) decode(p []byte) (any, []byte, error) {
+	d := binenc.NewDec(be, wireFormat, p)
+	v := fx.read(d)
+	return v, d.Rest(), d.Err()
 }
 
 func wireFixtures() []wireFixture {
 	var fx []wireFixture
-	add := func(name string, value any, encode func([]byte) []byte, decode func([]byte) (any, []byte, error)) {
-		fx = append(fx, wireFixture{name, value, encode, decode})
+	add := func(name string, value any, encode func([]byte) []byte, read func(*binenc.Dec) any) {
+		fx = append(fx, wireFixture{name, value, encode, read})
 	}
 
 	for _, v := range []BlockView{
@@ -33,7 +42,7 @@ func wireFixtures() []wireFixture {
 		v := v
 		add("block/"+v.Block, v,
 			func(b []byte) []byte { return AppendBlockViewWire(b, &v) },
-			func(p []byte) (any, []byte, error) { w, rest, err := DecodeBlockViewWire(p); return w, rest, err })
+			func(d *binenc.Dec) any { return ReadBlockViewWire(d) })
 	}
 
 	for _, v := range []AddrView{
@@ -46,7 +55,7 @@ func wireFixtures() []wireFixture {
 		v := v
 		add("addr/"+v.Addr, v,
 			func(b []byte) []byte { return AppendAddrViewWire(b, &v) },
-			func(p []byte) (any, []byte, error) { w, rest, err := DecodeAddrViewWire(p); return w, rest, err })
+			func(d *binenc.Dec) any { return ReadAddrViewWire(d) })
 	}
 
 	for i, v := range []SummaryPartial{
@@ -63,7 +72,7 @@ func wireFixtures() []wireFixture {
 		v := v
 		add("summary/"+string(rune('a'+i)), v,
 			func(b []byte) []byte { return AppendSummaryPartialWire(b, &v) },
-			func(p []byte) (any, []byte, error) { w, rest, err := DecodeSummaryPartialWire(p); return w, rest, err })
+			func(d *binenc.Dec) any { return ReadSummaryPartialWire(d) })
 	}
 
 	for i, v := range []ASPartial{
@@ -76,7 +85,7 @@ func wireFixtures() []wireFixture {
 		v := v
 		add("as/"+string(rune('a'+i)), v,
 			func(b []byte) []byte { return AppendASPartialWire(b, &v) },
-			func(p []byte) (any, []byte, error) { w, rest, err := DecodeASPartialWire(p); return w, rest, err })
+			func(d *binenc.Dec) any { return ReadASPartialWire(d) })
 	}
 
 	for i, v := range []PrefixPartial{
@@ -89,7 +98,7 @@ func wireFixtures() []wireFixture {
 		v := v
 		add("prefix/"+string(rune('a'+i)), v,
 			func(b []byte) []byte { return AppendPrefixPartialWire(b, &v) },
-			func(p []byte) (any, []byte, error) { w, rest, err := DecodePrefixPartialWire(p); return w, rest, err })
+			func(d *binenc.Dec) any { return ReadPrefixPartialWire(d) })
 	}
 	return fx
 }
@@ -150,8 +159,8 @@ func TestWireCodecTruncated(t *testing.T) {
 		for n := 0; n < len(enc); n++ {
 			if _, _, err := fx.decode(enc[:n]); err == nil {
 				t.Fatalf("%s: decoding %d of %d bytes succeeded", fx.name, n, len(enc))
-			} else if _, ok := err.(*WireError); !ok {
-				t.Fatalf("%s[:%d]: error %T (%v), want *WireError", fx.name, n, err, err)
+			} else if _, ok := err.(*binenc.Error); !ok {
+				t.Fatalf("%s[:%d]: error %T (%v), want *binenc.Error", fx.name, n, err, err)
 			}
 		}
 	}
@@ -160,11 +169,16 @@ func TestWireCodecTruncated(t *testing.T) {
 func TestWireCodecCorrupt(t *testing.T) {
 	v := ASPartial{Found: true, AS: 1, Prefixes: []string{"a"}, Hits: []float64{1}}
 	enc := AppendASPartialWire(nil, &v)
+	decode := func(p []byte) error {
+		d := binenc.NewDec(be, wireFormat, p)
+		ReadASPartialWire(d)
+		return d.Err()
+	}
 
 	t.Run("bad-bool", func(t *testing.T) {
 		bad := append([]byte{}, enc...)
 		bad[0] = 2 // Found byte
-		if _, _, err := DecodeASPartialWire(bad); err == nil {
+		if decode(bad) == nil {
 			t.Fatal("non-canonical bool accepted")
 		}
 	})
@@ -173,7 +187,7 @@ func TestWireCodecCorrupt(t *testing.T) {
 		// The Prefixes presence byte follows Found(1)+AS(4)+3 empty
 		// strings (4 each).
 		bad[1+4+12] = 7
-		if _, _, err := DecodeASPartialWire(bad); err == nil {
+		if decode(bad) == nil {
 			t.Fatal("non-canonical presence byte accepted")
 		}
 	})
@@ -182,7 +196,7 @@ func TestWireCodecCorrupt(t *testing.T) {
 		// allocating.
 		bad := append([]byte{}, enc[:1+4+12+1]...)
 		bad = append(bad, 0xFF, 0xFF, 0xFF, 0xFF)
-		if _, _, err := DecodeASPartialWire(bad); err == nil {
+		if decode(bad) == nil {
 			t.Fatal("implausible count accepted")
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"ipscope/internal/binenc"
 	"ipscope/internal/query"
 	"ipscope/internal/serve/wire"
 )
@@ -266,7 +267,7 @@ func errorRespErr(e ErrorResp) error {
 }
 
 func badResp(m Msg) error {
-	return formatErrf("unexpected response type %T", m)
+	return binenc.Errorf(formatName, "unexpected response type %T", m)
 }
 
 // Info fetches the shard's cluster info.
@@ -382,10 +383,10 @@ func (c *Client) BulkAddr(ctx context.Context, addrs []uint32) ([]query.AddrView
 			return nil, 0, badResp(m)
 		}
 		if r.CurrIndex != curr || r.NextIndex < curr || r.NextIndex > len(addrs) {
-			return nil, 0, formatErrf("bulk page [%d, %d) does not continue offset %d", r.CurrIndex, r.NextIndex, curr)
+			return nil, 0, binenc.Errorf(formatName, "bulk page [%d, %d) does not continue offset %d", r.CurrIndex, r.NextIndex, curr)
 		}
 		if len(r.Views) != r.NextIndex-r.CurrIndex {
-			return nil, 0, formatErrf("bulk page carries %d views for range [%d, %d)", len(r.Views), r.CurrIndex, r.NextIndex)
+			return nil, 0, binenc.Errorf(formatName, "bulk page carries %d views for range [%d, %d)", len(r.Views), r.CurrIndex, r.NextIndex)
 		}
 		views = append(views, r.Views...)
 		epoch = r.Epoch
@@ -394,50 +395,13 @@ func (c *Client) BulkAddr(ctx context.Context, addrs []uint32) ([]query.AddrView
 			break
 		}
 		if r.NextIndex == r.CurrIndex {
-			return nil, 0, formatErrf("bulk paging made no progress at offset %d", curr)
+			return nil, 0, binenc.Errorf(formatName, "bulk paging made no progress at offset %d", curr)
 		}
 	}
 	if len(views) != len(addrs) {
-		return nil, 0, formatErrf("bulk answered %d views for %d addrs", len(views), len(addrs))
+		return nil, 0, binenc.Errorf(formatName, "bulk answered %d views for %d addrs", len(views), len(addrs))
 	}
 	return views, epoch, nil
-}
-
-// BulkBlock fetches entries for every /24 in one logical call, paging
-// like BulkAddr. Entries align one-to-one with blocks; Found=false
-// entries are the typed 404s.
-func (c *Client) BulkBlock(ctx context.Context, blocks []uint32) ([]BlockEntry, uint64, error) {
-	entries := make([]BlockEntry, 0, len(blocks))
-	var epoch uint64
-	for curr := 0; ; {
-		m, err := c.roundTrip(ctx, BulkBlockReq{CurrIndex: curr, Blocks: blocks})
-		if err != nil {
-			return nil, 0, err
-		}
-		r, ok := m.(BulkBlockResp)
-		if !ok {
-			return nil, 0, badResp(m)
-		}
-		if r.CurrIndex != curr || r.NextIndex < curr || r.NextIndex > len(blocks) {
-			return nil, 0, formatErrf("bulk page [%d, %d) does not continue offset %d", r.CurrIndex, r.NextIndex, curr)
-		}
-		if len(r.Entries) != r.NextIndex-r.CurrIndex {
-			return nil, 0, formatErrf("bulk page carries %d entries for range [%d, %d)", len(r.Entries), r.CurrIndex, r.NextIndex)
-		}
-		entries = append(entries, r.Entries...)
-		epoch = r.Epoch
-		curr = r.NextIndex
-		if !r.More {
-			break
-		}
-		if r.NextIndex == r.CurrIndex {
-			return nil, 0, formatErrf("bulk paging made no progress at offset %d", curr)
-		}
-	}
-	if len(entries) != len(blocks) {
-		return nil, 0, formatErrf("bulk answered %d entries for %d blocks", len(entries), len(blocks))
-	}
-	return entries, epoch, nil
 }
 
 // Delta fetches the shard's mergeable delta partial between two

@@ -1,11 +1,11 @@
 // Package rpc is the compact binary RPC protocol for shard↔router
 // traffic — the internal fast path behind the unchanged public /v1/*
-// JSON API. It reuses the obs codec discipline: a fixed magic plus
-// version preface guards against desynchronized or mismatched peers,
-// every message is a length-prefixed frame, counts are validated before
-// allocation, decoding never panics on corrupt input (typed errors
-// only), and encodings are canonical — decode∘encode is the identity,
-// which FuzzRPCDecode enforces.
+// JSON API. A fixed magic plus version preface guards against
+// desynchronized or mismatched peers and every message is a
+// length-prefixed frame; field encodings and the checks on untrusted
+// bytes are internal/binenc's, so decoding never panics on corrupt
+// input (typed errors only) and encodings are canonical — decode∘encode
+// is the identity, which FuzzRPCDecode enforces.
 //
 // Wire format (all integers big endian):
 //
@@ -29,11 +29,10 @@ package rpc
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-	"math"
 	"sync"
 
+	"ipscope/internal/binenc"
 	"ipscope/internal/query"
 	"ipscope/internal/serve/wire"
 )
@@ -50,17 +49,17 @@ var magic = []byte("ipsrpc")
 
 // Request kinds; the matching response kind is kind|respBit.
 const (
-	kindInfo      = 0x01
-	kindHealth    = 0x02
-	kindSummary   = 0x03
-	kindAS        = 0x04
-	kindPrefix    = 0x05
-	kindAddr      = 0x06
-	kindBlock     = 0x07
-	kindBulkAddr  = 0x08
-	kindBulkBlock = 0x09
-	kindDelta     = 0x0A
-	kindMovement  = 0x0B
+	kindInfo     = 0x01
+	kindHealth   = 0x02
+	kindSummary  = 0x03
+	kindAS       = 0x04
+	kindPrefix   = 0x05
+	kindAddr     = 0x06
+	kindBlock    = 0x07
+	kindBulkAddr = 0x08
+	// 0x09 is reserved: it was the BulkBlock request no caller used.
+	kindDelta    = 0x0A
+	kindMovement = 0x0B
 
 	respBit   = 0x80
 	kindError = 0xFF
@@ -69,16 +68,13 @@ const (
 // ErrTruncated is returned when a peer closes mid-frame or mid-preface.
 var ErrTruncated = errors.New("rpc: truncated stream")
 
-// FormatError reports structurally invalid protocol input: bad magic,
-// an unsupported version, a malformed frame, or a corrupt payload.
-type FormatError struct{ Msg string }
-
-// Error returns the message.
-func (e *FormatError) Error() string { return "rpc: " + e.Msg }
-
-func formatErrf(format string, args ...any) error {
-	return &FormatError{Msg: fmt.Sprintf(format, args...)}
-}
+// be is the protocol's byte order; formatName labels its *binenc.Error
+// values — structurally invalid protocol input: bad magic, an
+// unsupported version, a malformed frame, or a corrupt payload.
+const (
+	be         = binenc.BE
+	formatName = "rpc"
+)
 
 // Msg is one typed protocol message (request or response).
 type Msg interface {
@@ -194,28 +190,6 @@ type BulkAddrResp struct {
 	Views     []query.AddrView
 }
 
-// BulkBlockReq asks for many /24s in one round trip, starting at offset
-// CurrIndex into Blocks.
-type BulkBlockReq struct {
-	CurrIndex int
-	Blocks    []uint32
-}
-
-// BlockEntry is one bulk block answer; Found=false is the typed 404.
-type BlockEntry struct {
-	Found bool
-	View  query.BlockView
-}
-
-// BulkBlockResp answers Entries for Blocks[CurrIndex : NextIndex).
-type BulkBlockResp struct {
-	Epoch     uint64
-	CurrIndex int
-	NextIndex int
-	More      bool
-	Entries   []BlockEntry
-}
-
 // DeltaReq asks for the shard's mergeable delta partial between two
 // retained epochs (the /v1/cluster/delta equivalent).
 type DeltaReq struct {
@@ -257,161 +231,6 @@ type ErrorResp struct {
 	Newest      uint64
 }
 
-// --- primitive helpers (append) --------------------------------------
-
-func appendU8(b []byte, v uint8) []byte   { return append(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-func appendInt(b []byte, v int) []byte    { return appendU64(b, uint64(int64(v))) }
-func appendF64(b []byte, v float64) []byte {
-	return appendU64(b, math.Float64bits(v))
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendU32s(b []byte, s []uint32) []byte {
-	b = appendU32(b, uint32(len(s)))
-	for _, v := range s {
-		b = appendU32(b, v)
-	}
-	return b
-}
-
-// --- primitive helpers (decode) --------------------------------------
-
-// dec consumes a frame payload, latching the first error instead of
-// panicking (the obs decoder idiom).
-type dec struct {
-	p   []byte
-	err error
-}
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = &FormatError{Msg: "frame payload too short"}
-	}
-}
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil || len(d.p) < n {
-		d.fail()
-		return nil
-	}
-	out := d.p[:n]
-	d.p = d.p[n:]
-	return out
-}
-
-func (d *dec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *dec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *dec) i() int { return int(int64(d.u64())) }
-
-func (d *dec) bool() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if d.err == nil {
-			d.err = formatErrf("non-canonical bool byte")
-		}
-		return false
-	}
-}
-
-func (d *dec) str() string {
-	n := int(d.u32())
-	if d.err == nil && n > len(d.p) {
-		d.err = formatErrf("string length %d exceeds remaining payload", n)
-	}
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// count reads a length field and validates it against the bytes that
-// could possibly remain (elemSize per element).
-func (d *dec) count(elemSize int) int {
-	n := int(d.u32())
-	if d.err == nil && n*elemSize > len(d.p) {
-		d.err = formatErrf("count %d exceeds remaining payload", n)
-	}
-	if d.err != nil {
-		return 0
-	}
-	return n
-}
-
-func (d *dec) u32s() []uint32 {
-	n := d.count(4)
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = d.u32()
-	}
-	return out
-}
-
-// sub hands the remaining bytes to a query wire decoder and resumes
-// after what it consumed.
-func sub[T any](d *dec, decode func([]byte) (T, []byte, error)) T {
-	var zero T
-	if d.err != nil {
-		return zero
-	}
-	v, rest, err := decode(d.p)
-	if err != nil {
-		d.err = err
-		return zero
-	}
-	d.p = rest
-	return v
-}
-
-func (d *dec) finish(kind byte) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.p) != 0 {
-		return formatErrf("frame 0x%02x has %d trailing bytes", kind, len(d.p))
-	}
-	return nil
-}
-
 // --- per-message encodings -------------------------------------------
 
 // Kind implements Msg.
@@ -421,17 +240,17 @@ func (InfoReq) append(b []byte) []byte { return b }
 // Kind implements Msg.
 func (InfoResp) Kind() byte { return kindInfo | respBit }
 func (m InfoResp) append(b []byte) []byte {
-	b = appendString(b, m.Info.Status)
-	b = appendU64(b, m.Info.Epoch)
-	b = appendInt(b, m.Info.Index)
-	b = appendInt(b, m.Info.Count)
-	b = appendU32(b, m.Info.Lo)
-	b = appendU32(b, m.Info.Hi)
-	b = appendString(b, m.Info.RPCAddr)
-	b = appendInt(b, m.Info.Blocks)
-	b = appendString(b, m.Info.FirstActive)
-	b = appendU64(b, m.Info.OldestEpoch)
-	b = appendU64(b, m.Info.NewestEpoch)
+	b = be.String(b, m.Info.Status)
+	b = be.U64(b, m.Info.Epoch)
+	b = be.Int(b, m.Info.Index)
+	b = be.Int(b, m.Info.Count)
+	b = be.U32(b, m.Info.Lo)
+	b = be.U32(b, m.Info.Hi)
+	b = be.String(b, m.Info.RPCAddr)
+	b = be.Int(b, m.Info.Blocks)
+	b = be.String(b, m.Info.FirstActive)
+	b = be.U64(b, m.Info.OldestEpoch)
+	b = be.U64(b, m.Info.NewestEpoch)
 	return b
 }
 
@@ -442,81 +261,81 @@ func (HealthReq) append(b []byte) []byte { return b }
 // Kind implements Msg.
 func (HealthResp) Kind() byte { return kindHealth | respBit }
 func (m HealthResp) append(b []byte) []byte {
-	b = appendString(b, m.Status)
-	b = appendU64(b, m.Epoch)
-	b = appendU64(b, m.OldestEpoch)
-	b = appendU64(b, m.NewestEpoch)
-	b = appendInt(b, m.Blocks)
-	b = appendInt(b, m.DailyLen)
+	b = be.String(b, m.Status)
+	b = be.U64(b, m.Epoch)
+	b = be.U64(b, m.OldestEpoch)
+	b = be.U64(b, m.NewestEpoch)
+	b = be.Int(b, m.Blocks)
+	b = be.Int(b, m.DailyLen)
 	return b
 }
 
 // Kind implements Msg.
 func (SummaryReq) Kind() byte               { return kindSummary }
-func (m SummaryReq) append(b []byte) []byte { return appendU64(b, m.Epoch) }
+func (m SummaryReq) append(b []byte) []byte { return be.U64(b, m.Epoch) }
 
 // Kind implements Msg.
 func (SummaryResp) Kind() byte { return kindSummary | respBit }
 func (m SummaryResp) append(b []byte) []byte {
-	b = appendU64(b, m.Epoch)
+	b = be.U64(b, m.Epoch)
 	return query.AppendSummaryPartialWire(b, &m.Partial)
 }
 
 // Kind implements Msg.
 func (ASReq) Kind() byte { return kindAS }
 func (m ASReq) append(b []byte) []byte {
-	b = appendU32(b, m.ASN)
-	return appendU64(b, m.Epoch)
+	b = be.U32(b, m.ASN)
+	return be.U64(b, m.Epoch)
 }
 
 // Kind implements Msg.
 func (ASResp) Kind() byte { return kindAS | respBit }
 func (m ASResp) append(b []byte) []byte {
-	b = appendU64(b, m.Epoch)
+	b = be.U64(b, m.Epoch)
 	return query.AppendASPartialWire(b, &m.Partial)
 }
 
 // Kind implements Msg.
 func (PrefixReq) Kind() byte { return kindPrefix }
 func (m PrefixReq) append(b []byte) []byte {
-	b = appendString(b, m.Prefix)
-	b = appendInt(b, m.MaxBlocks)
-	return appendU64(b, m.Epoch)
+	b = be.String(b, m.Prefix)
+	b = be.Int(b, m.MaxBlocks)
+	return be.U64(b, m.Epoch)
 }
 
 // Kind implements Msg.
 func (PrefixResp) Kind() byte { return kindPrefix | respBit }
 func (m PrefixResp) append(b []byte) []byte {
-	b = appendU64(b, m.Epoch)
+	b = be.U64(b, m.Epoch)
 	return query.AppendPrefixPartialWire(b, &m.Partial)
 }
 
 // Kind implements Msg.
 func (AddrReq) Kind() byte { return kindAddr }
 func (m AddrReq) append(b []byte) []byte {
-	b = appendU32(b, m.Addr)
-	return appendU64(b, m.Epoch)
+	b = be.U32(b, m.Addr)
+	return be.U64(b, m.Epoch)
 }
 
 // Kind implements Msg.
 func (AddrResp) Kind() byte { return kindAddr | respBit }
 func (m AddrResp) append(b []byte) []byte {
-	b = appendU64(b, m.Epoch)
+	b = be.U64(b, m.Epoch)
 	return query.AppendAddrViewWire(b, &m.View)
 }
 
 // Kind implements Msg.
 func (BlockReq) Kind() byte { return kindBlock }
 func (m BlockReq) append(b []byte) []byte {
-	b = appendU32(b, m.Block)
-	return appendU64(b, m.Epoch)
+	b = be.U32(b, m.Block)
+	return be.U64(b, m.Epoch)
 }
 
 // Kind implements Msg.
 func (BlockResp) Kind() byte { return kindBlock | respBit }
 func (m BlockResp) append(b []byte) []byte {
-	b = appendU64(b, m.Epoch)
-	b = appendBool(b, m.Found)
+	b = be.U64(b, m.Epoch)
+	b = be.Bool(b, m.Found)
 	if m.Found {
 		b = query.AppendBlockViewWire(b, &m.View)
 	}
@@ -526,18 +345,22 @@ func (m BlockResp) append(b []byte) []byte {
 // Kind implements Msg.
 func (BulkAddrReq) Kind() byte { return kindBulkAddr }
 func (m BulkAddrReq) append(b []byte) []byte {
-	b = appendInt(b, m.CurrIndex)
-	return appendU32s(b, m.Addrs)
+	b = be.Int(b, m.CurrIndex)
+	b = be.U32(b, uint32(len(m.Addrs)))
+	for _, a := range m.Addrs {
+		b = be.U32(b, a)
+	}
+	return b
 }
 
 // Kind implements Msg.
 func (BulkAddrResp) Kind() byte { return kindBulkAddr | respBit }
 func (m BulkAddrResp) append(b []byte) []byte {
-	b = appendU64(b, m.Epoch)
-	b = appendInt(b, m.CurrIndex)
-	b = appendInt(b, m.NextIndex)
-	b = appendBool(b, m.More)
-	b = appendU32(b, uint32(len(m.Views)))
+	b = be.U64(b, m.Epoch)
+	b = be.Int(b, m.CurrIndex)
+	b = be.Int(b, m.NextIndex)
+	b = be.Bool(b, m.More)
+	b = be.U32(b, uint32(len(m.Views)))
 	for i := range m.Views {
 		b = query.AppendAddrViewWire(b, &m.Views[i])
 	}
@@ -545,67 +368,43 @@ func (m BulkAddrResp) append(b []byte) []byte {
 }
 
 // Kind implements Msg.
-func (BulkBlockReq) Kind() byte { return kindBulkBlock }
-func (m BulkBlockReq) append(b []byte) []byte {
-	b = appendInt(b, m.CurrIndex)
-	return appendU32s(b, m.Blocks)
-}
-
-// Kind implements Msg.
-func (BulkBlockResp) Kind() byte { return kindBulkBlock | respBit }
-func (m BulkBlockResp) append(b []byte) []byte {
-	b = appendU64(b, m.Epoch)
-	b = appendInt(b, m.CurrIndex)
-	b = appendInt(b, m.NextIndex)
-	b = appendBool(b, m.More)
-	b = appendU32(b, uint32(len(m.Entries)))
-	for i := range m.Entries {
-		b = appendBool(b, m.Entries[i].Found)
-		if m.Entries[i].Found {
-			b = query.AppendBlockViewWire(b, &m.Entries[i].View)
-		}
-	}
-	return b
-}
-
-// Kind implements Msg.
 func (DeltaReq) Kind() byte { return kindDelta }
 func (m DeltaReq) append(b []byte) []byte {
-	b = appendU64(b, m.From)
-	b = appendU64(b, m.To)
-	return appendInt(b, m.MaxBlocks)
+	b = be.U64(b, m.From)
+	b = be.U64(b, m.To)
+	return be.Int(b, m.MaxBlocks)
 }
 
 // Kind implements Msg.
 func (DeltaResp) Kind() byte { return kindDelta | respBit }
 func (m DeltaResp) append(b []byte) []byte {
-	b = appendU64(b, m.Oldest)
-	b = appendU64(b, m.Newest)
+	b = be.U64(b, m.Oldest)
+	b = be.U64(b, m.Newest)
 	return query.AppendDeltaPartialWire(b, &m.Partial)
 }
 
 // Kind implements Msg.
 func (MovementReq) Kind() byte { return kindMovement }
 func (m MovementReq) append(b []byte) []byte {
-	return appendInt(b, m.Last)
+	return be.Int(b, m.Last)
 }
 
 // Kind implements Msg.
 func (MovementResp) Kind() byte { return kindMovement | respBit }
 func (m MovementResp) append(b []byte) []byte {
-	b = appendU64(b, m.Oldest)
-	b = appendU64(b, m.Newest)
+	b = be.U64(b, m.Oldest)
+	b = be.U64(b, m.Newest)
 	return query.AppendMovementPartialWire(b, &m.Partial)
 }
 
 // Kind implements Msg.
 func (ErrorResp) Kind() byte { return kindError }
 func (m ErrorResp) append(b []byte) []byte {
-	b = appendU32(b, uint32(m.Code))
-	b = appendString(b, m.Msg)
-	b = appendBool(b, m.NotRetained)
-	b = appendU64(b, m.Oldest)
-	return appendU64(b, m.Newest)
+	b = be.U32(b, uint32(m.Code))
+	b = be.String(b, m.Msg)
+	b = be.Bool(b, m.NotRetained)
+	b = be.U64(b, m.Oldest)
+	return be.U64(b, m.Newest)
 }
 
 // EncodePayload returns m's canonical payload bytes (the frame body,
@@ -614,153 +413,136 @@ func (m ErrorResp) append(b []byte) []byte {
 func EncodePayload(m Msg) []byte { return m.append(nil) }
 
 // DecodePayload decodes one message payload of the given kind. It
-// returns *FormatError (or *query.WireError from a nested view codec)
-// for structurally invalid input and never panics; trailing bytes are
-// an error, so every valid encoding is canonical.
+// returns *binenc.Error for structurally invalid input and never
+// panics; trailing bytes are an error, so every valid encoding is
+// canonical.
 func DecodePayload(kind byte, p []byte) (Msg, error) {
-	d := &dec{p: p}
+	d := binenc.NewDec(be, formatName, p)
 	var m Msg
 	switch kind {
 	case kindInfo:
 		m = InfoReq{}
 	case kindInfo | respBit:
 		var r InfoResp
-		r.Info.Status = d.str()
-		r.Info.Epoch = d.u64()
-		r.Info.Index = d.i()
-		r.Info.Count = d.i()
-		r.Info.Lo = d.u32()
-		r.Info.Hi = d.u32()
-		r.Info.RPCAddr = d.str()
-		r.Info.Blocks = d.i()
-		r.Info.FirstActive = d.str()
-		r.Info.OldestEpoch = d.u64()
-		r.Info.NewestEpoch = d.u64()
+		r.Info.Status = d.Str()
+		r.Info.Epoch = d.U64()
+		r.Info.Index = d.Int()
+		r.Info.Count = d.Int()
+		r.Info.Lo = d.U32()
+		r.Info.Hi = d.U32()
+		r.Info.RPCAddr = d.Str()
+		r.Info.Blocks = d.Int()
+		r.Info.FirstActive = d.Str()
+		r.Info.OldestEpoch = d.U64()
+		r.Info.NewestEpoch = d.U64()
 		m = r
 	case kindHealth:
 		m = HealthReq{}
 	case kindHealth | respBit:
 		var r HealthResp
-		r.Status = d.str()
-		r.Epoch = d.u64()
-		r.OldestEpoch = d.u64()
-		r.NewestEpoch = d.u64()
-		r.Blocks = d.i()
-		r.DailyLen = d.i()
+		r.Status = d.Str()
+		r.Epoch = d.U64()
+		r.OldestEpoch = d.U64()
+		r.NewestEpoch = d.U64()
+		r.Blocks = d.Int()
+		r.DailyLen = d.Int()
 		m = r
 	case kindSummary:
-		m = SummaryReq{Epoch: d.u64()}
+		m = SummaryReq{Epoch: d.U64()}
 	case kindSummary | respBit:
 		var r SummaryResp
-		r.Epoch = d.u64()
-		r.Partial = sub(d, query.DecodeSummaryPartialWire)
+		r.Epoch = d.U64()
+		r.Partial = query.ReadSummaryPartialWire(d)
 		m = r
 	case kindAS:
-		m = ASReq{ASN: d.u32(), Epoch: d.u64()}
+		m = ASReq{ASN: d.U32(), Epoch: d.U64()}
 	case kindAS | respBit:
 		var r ASResp
-		r.Epoch = d.u64()
-		r.Partial = sub(d, query.DecodeASPartialWire)
+		r.Epoch = d.U64()
+		r.Partial = query.ReadASPartialWire(d)
 		m = r
 	case kindPrefix:
 		var r PrefixReq
-		r.Prefix = d.str()
-		r.MaxBlocks = d.i()
-		r.Epoch = d.u64()
+		r.Prefix = d.Str()
+		r.MaxBlocks = d.Int()
+		r.Epoch = d.U64()
 		m = r
 	case kindPrefix | respBit:
 		var r PrefixResp
-		r.Epoch = d.u64()
-		r.Partial = sub(d, query.DecodePrefixPartialWire)
+		r.Epoch = d.U64()
+		r.Partial = query.ReadPrefixPartialWire(d)
 		m = r
 	case kindAddr:
-		m = AddrReq{Addr: d.u32(), Epoch: d.u64()}
+		m = AddrReq{Addr: d.U32(), Epoch: d.U64()}
 	case kindAddr | respBit:
 		var r AddrResp
-		r.Epoch = d.u64()
-		r.View = sub(d, query.DecodeAddrViewWire)
+		r.Epoch = d.U64()
+		r.View = query.ReadAddrViewWire(d)
 		m = r
 	case kindBlock:
-		m = BlockReq{Block: d.u32(), Epoch: d.u64()}
+		m = BlockReq{Block: d.U32(), Epoch: d.U64()}
 	case kindBlock | respBit:
 		var r BlockResp
-		r.Epoch = d.u64()
-		r.Found = d.bool()
+		r.Epoch = d.U64()
+		r.Found = d.Bool()
 		if r.Found {
-			r.View = sub(d, query.DecodeBlockViewWire)
+			r.View = query.ReadBlockViewWire(d)
 		}
 		m = r
 	case kindBulkAddr:
 		var r BulkAddrReq
-		r.CurrIndex = d.i()
-		r.Addrs = d.u32s()
+		r.CurrIndex = d.Int()
+		r.Addrs = make([]uint32, d.Count(4))
+		for i := range r.Addrs {
+			r.Addrs[i] = d.U32()
+		}
 		m = r
 	case kindBulkAddr | respBit:
 		var r BulkAddrResp
-		r.Epoch = d.u64()
-		r.CurrIndex = d.i()
-		r.NextIndex = d.i()
-		r.More = d.bool()
+		r.Epoch = d.U64()
+		r.CurrIndex = d.Int()
+		r.NextIndex = d.Int()
+		r.More = d.Bool()
 		// 80 = minimum encoded AddrView: 8 empty strings (4 bytes each),
 		// 3 ints + 2 floats (8 bytes each), 4 bools, the AS u32.
-		n := d.count(80)
+		n := d.Count(80)
 		r.Views = make([]query.AddrView, n)
 		for i := range r.Views {
-			r.Views[i] = sub(d, query.DecodeAddrViewWire)
-		}
-		m = r
-	case kindBulkBlock:
-		var r BulkBlockReq
-		r.CurrIndex = d.i()
-		r.Blocks = d.u32s()
-		m = r
-	case kindBulkBlock | respBit:
-		var r BulkBlockResp
-		r.Epoch = d.u64()
-		r.CurrIndex = d.i()
-		r.NextIndex = d.i()
-		r.More = d.bool()
-		n := d.count(1) // 1 = a not-found entry's lone bool
-		r.Entries = make([]BlockEntry, n)
-		for i := range r.Entries {
-			r.Entries[i].Found = d.bool()
-			if r.Entries[i].Found {
-				r.Entries[i].View = sub(d, query.DecodeBlockViewWire)
-			}
+			r.Views[i] = query.ReadAddrViewWire(d)
 		}
 		m = r
 	case kindDelta:
 		var r DeltaReq
-		r.From = d.u64()
-		r.To = d.u64()
-		r.MaxBlocks = d.i()
+		r.From = d.U64()
+		r.To = d.U64()
+		r.MaxBlocks = d.Int()
 		m = r
 	case kindDelta | respBit:
 		var r DeltaResp
-		r.Oldest = d.u64()
-		r.Newest = d.u64()
-		r.Partial = sub(d, query.DecodeDeltaPartialWire)
+		r.Oldest = d.U64()
+		r.Newest = d.U64()
+		r.Partial = query.ReadDeltaPartialWire(d)
 		m = r
 	case kindMovement:
-		m = MovementReq{Last: d.i()}
+		m = MovementReq{Last: d.Int()}
 	case kindMovement | respBit:
 		var r MovementResp
-		r.Oldest = d.u64()
-		r.Newest = d.u64()
-		r.Partial = sub(d, query.DecodeMovementPartialWire)
+		r.Oldest = d.U64()
+		r.Newest = d.U64()
+		r.Partial = query.ReadMovementPartialWire(d)
 		m = r
 	case kindError:
 		var r ErrorResp
-		r.Code = int(d.u32())
-		r.Msg = d.str()
-		r.NotRetained = d.bool()
-		r.Oldest = d.u64()
-		r.Newest = d.u64()
+		r.Code = int(d.U32())
+		r.Msg = d.Str()
+		r.NotRetained = d.Bool()
+		r.Oldest = d.U64()
+		r.Newest = d.U64()
 		m = r
 	default:
-		return nil, formatErrf("unknown frame kind 0x%02x", kind)
+		return nil, binenc.Errorf(formatName, "unknown frame kind 0x%02x", kind)
 	}
-	if err := d.finish(kind); err != nil {
+	if err := d.Finish("frame"); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -781,16 +563,13 @@ func writePreface(w io.Writer) error {
 func readPreface(r io.Reader) error {
 	var buf [8]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return ErrTruncated
-		}
-		return err
+		return binenc.EOFAs(err, ErrTruncated)
 	}
 	if string(buf[:6]) != string(magic) {
-		return formatErrf("bad stream magic %q", buf[:6])
+		return binenc.Errorf(formatName, "bad stream magic %q", buf[:6])
 	}
 	if v := binary.BigEndian.Uint16(buf[6:]); v != Version {
-		return formatErrf("unsupported protocol version %d (want %d)", v, Version)
+		return binenc.Errorf(formatName, "unsupported protocol version %d (want %d)", v, Version)
 	}
 	return nil
 }
@@ -827,7 +606,7 @@ func writeFrame(w io.Writer, id uint32, m Msg) error {
 	n := len(b) - 9
 	if n > maxFrameLen {
 		recycleFrameBuf(bp, b)
-		return formatErrf("frame of %d bytes exceeds the %d-byte limit", n, maxFrameLen)
+		return binenc.Errorf(formatName, "frame of %d bytes exceeds the %d-byte limit", n, maxFrameLen)
 	}
 	binary.BigEndian.PutUint32(b[1:], id)
 	binary.BigEndian.PutUint32(b[5:], uint32(n))
@@ -849,26 +628,15 @@ func readFrame(r io.Reader) (id uint32, m Msg, err error) {
 	id = binary.BigEndian.Uint32(hdr[1:])
 	n := binary.BigEndian.Uint32(hdr[5:])
 	if n > maxFrameLen {
-		return 0, nil, formatErrf("frame length %d exceeds limit", n)
+		return 0, nil, binenc.Errorf(formatName, "frame length %d exceeds limit", n)
 	}
 	bp := frameBufPool.Get().(*[]byte)
-	var payload []byte
-	if uint32(cap(*bp)) >= n {
-		payload = (*bp)[:n]
-	} else {
-		payload = make([]byte, n)
-		*bp = payload[:0]
-	}
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := binenc.ReadPayload(r, int(n), *bp, ErrTruncated)
+	if err != nil {
 		frameBufPool.Put(bp)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, nil, ErrTruncated
-		}
 		return 0, nil, err
 	}
 	m, err = DecodePayload(kind, payload)
-	if cap(payload) <= maxPooledFrame {
-		frameBufPool.Put(bp)
-	}
+	recycleFrameBuf(bp, payload)
 	return id, m, err
 }

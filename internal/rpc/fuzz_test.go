@@ -5,14 +5,13 @@ import (
 	"errors"
 	"testing"
 
-	"ipscope/internal/query"
+	"ipscope/internal/binenc"
 )
 
 // FuzzRPCDecode fuzzes the payload decoder with arbitrary bytes under
 // every frame kind. The invariants mirror the obs codec fuzz target:
-// decoding never panics, failures are the typed protocol errors
-// (*FormatError, or *query.WireError from a nested view codec), and any
-// accepted payload is canonical — re-encoding the decoded message
+// decoding never panics, failures are the one typed format error
+// (*binenc.Error), and any accepted payload is canonical — re-encoding the decoded message
 // reproduces the input bytes exactly (the fixed point that makes byte
 // equality across transports provable).
 func FuzzRPCDecode(f *testing.F) {
@@ -20,14 +19,15 @@ func FuzzRPCDecode(f *testing.F) {
 		f.Add(m.Kind(), EncodePayload(m))
 	}
 	f.Add(byte(0x42), []byte{})                                       // unknown kind
+	f.Add(byte(0x09), []byte{})                                       // reserved (was BulkBlock)
+	f.Add(byte(0x09|respBit), []byte{0, 0, 0, 0, 0, 0, 0, 1})         // reserved response
 	f.Add(byte(kindBulkAddr|respBit), bytes.Repeat([]byte{0xFF}, 40)) // huge counts
 
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
 		m, err := DecodePayload(kind, payload)
 		if err != nil {
-			var fe *FormatError
-			var we *query.WireError
-			if !errors.As(err, &fe) && !errors.As(err, &we) {
+			var fe *binenc.Error
+			if !errors.As(err, &fe) {
 				t.Fatalf("untyped decode error %T: %v", err, err)
 			}
 			return

@@ -3,14 +3,17 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"ipscope/internal/binenc"
 	"ipscope/internal/obs"
 	"ipscope/internal/query"
 	"ipscope/internal/serve"
@@ -63,9 +66,6 @@ func testMessages() []Msg {
 		BulkAddrReq{Addrs: []uint32{}},
 		BulkAddrResp{Epoch: 1, CurrIndex: 0, NextIndex: 2, More: true,
 			Views: []query.AddrView{{Addr: "0.0.0.1"}, {Addr: "0.0.0.2", Active: true}}},
-		BulkBlockReq{CurrIndex: 1, Blocks: []uint32{9, 10}},
-		BulkBlockResp{Epoch: 1, CurrIndex: 1, NextIndex: 2, More: false,
-			Entries: []BlockEntry{{Found: false}, {Found: true, View: query.BlockView{Block: "0.0.10.0/24"}}}},
 		DeltaReq{From: 3, To: 9, MaxBlocks: 16},
 		DeltaReq{},
 		DeltaResp{Oldest: 3, Newest: 9, Partial: query.DeltaPartial{
@@ -128,8 +128,11 @@ func TestPayloadTruncated(t *testing.T) {
 }
 
 func TestPayloadCorrupt(t *testing.T) {
-	if _, err := DecodePayload(0x42, nil); err == nil {
-		t.Fatal("unknown kind accepted")
+	// 0x09/0x89 are the reserved kinds of the removed BulkBlock RPC.
+	for _, kind := range []byte{0x42, 0x09, 0x09 | respBit} {
+		if _, err := DecodePayload(kind, nil); err == nil {
+			t.Fatalf("unknown kind 0x%02x accepted", kind)
+		}
 	}
 	// A bulk response whose count field claims far more views than the
 	// payload could hold must error before allocating.
@@ -157,11 +160,11 @@ func TestPrefaceAndFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bad magic and wrong version are *FormatError.
+	// Bad magic and wrong version are *binenc.Error.
 	if err := readPreface(bytes.NewReader([]byte("HTTP/1.1"))); err == nil {
 		t.Fatal("bad magic accepted")
-	} else if _, ok := err.(*FormatError); !ok {
-		t.Fatalf("bad magic: error %T, want *FormatError", err)
+	} else if _, ok := err.(*binenc.Error); !ok {
+		t.Fatalf("bad magic: error %T, want *binenc.Error", err)
 	}
 	future := append([]byte{}, buf.Bytes()...)
 	future[7] = 99
@@ -470,10 +473,10 @@ func TestWarmingBackend(t *testing.T) {
 	}
 }
 
-// TestBulkEqualsSingles is the bulk contract: a BulkAddr/BulkBlock
-// answer — forced across several More pages by a tiny server page size
-// — is element-for-element identical to N single lookups, including
-// the not-found entries, and the JSON each view marshals to is
+// TestBulkEqualsSingles is the bulk contract: a BulkAddr answer —
+// forced across several More pages by a tiny server page size — is
+// element-for-element identical to N single lookups, including the
+// addresses in inactive blocks, and the JSON each view marshals to is
 // byte-identical.
 func TestBulkEqualsSingles(t *testing.T) {
 	c := startServer(t, Options{BulkPage: 3})
@@ -486,13 +489,12 @@ func TestBulkEqualsSingles(t *testing.T) {
 	}
 	// 10 targets spanning active and inactive blocks: forces 4 pages at
 	// page size 3 (a non-aligned final page).
-	var addrs, blks []uint32
+	var addrs []uint32
 	for i := 0; i < 10; i++ {
 		b := uint32(blocks[(i*3)%len(blocks)])
 		if i%3 == 2 {
 			b++ // often inactive: the not-found path must page identically
 		}
-		blks = append(blks, b)
 		addrs = append(addrs, b<<8|uint32(i))
 	}
 
@@ -518,31 +520,27 @@ func TestBulkEqualsSingles(t *testing.T) {
 		}
 	}
 
-	entries, epoch, err := c.BulkBlock(ctx, blks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != idx.Epoch() || len(entries) != len(blks) {
-		t.Fatalf("BulkBlock: epoch=%d len=%d", epoch, len(entries))
-	}
-	sawNotFound := false
-	for i, b := range blks {
-		view, found, _, err := c.Block(ctx, b, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if entries[i].Found != found || entries[i].View != view {
-			t.Fatalf("bulk entry %d = %+v, single = (%v, %+v)", i, entries[i], found, view)
-		}
-		sawNotFound = sawNotFound || !found
-	}
-	if !sawNotFound {
-		t.Fatal("probe set never exercised the not-found path")
-	}
-
 	// Empty bulk is a valid degenerate call.
 	if views, _, err := c.BulkAddr(ctx, nil); err != nil || len(views) != 0 {
 		t.Fatalf("empty BulkAddr = (%d views, %v)", len(views), err)
+	}
+}
+
+// TestHostileFrameHeader: the 9-byte frame header is unauthenticated, so
+// a header announcing 200 MiB followed by EOF must report truncation
+// without readFrame having allocated for the announced length.
+func TestHostileFrameHeader(t *testing.T) {
+	hdr := []byte{kindSummary | respBit, 0, 0, 0, 1}
+	hdr = binary.BigEndian.AppendUint32(hdr, 200<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err != ErrTruncated {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("%d bytes allocated for a 200 MiB frame that never arrived", got)
 	}
 }
 
@@ -570,7 +568,7 @@ func TestPipelining(t *testing.T) {
 					return
 				}
 				if !found || view != want {
-					errs <- &FormatError{Msg: "response/request mismatch under pipelining"}
+					errs <- errors.New("response/request mismatch under pipelining")
 					return
 				}
 			}

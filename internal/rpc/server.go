@@ -291,15 +291,6 @@ func (s *Server) handleData(x *query.Index, req Msg) Msg {
 			resp.Views = append(resp.Views, x.Addr(ipv4.Addr(a)))
 		}
 		return resp
-	case BulkBlockReq:
-		lo, hi, more := s.pageBounds(r.CurrIndex, len(r.Blocks))
-		resp := BulkBlockResp{Epoch: x.Epoch(), CurrIndex: lo, NextIndex: hi, More: more}
-		resp.Entries = make([]BlockEntry, 0, hi-lo)
-		for _, blk := range r.Blocks[lo:hi] {
-			v, ok := x.Block(ipv4.Block(blk))
-			resp.Entries = append(resp.Entries, BlockEntry{Found: ok, View: v})
-		}
-		return resp
 	}
 	return ErrorResp{Code: http.StatusBadRequest, Msg: "unexpected request kind"}
 }
