@@ -239,6 +239,22 @@ func (d *Dec) U64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
+// order32 and order64 turn a big-endian load into the decoder's order,
+// for the slice readers' bulk loops.
+func (d *Dec) order32(v uint32) uint32 {
+	if d.le {
+		return bits.ReverseBytes32(v)
+	}
+	return v
+}
+
+func (d *Dec) order64(v uint64) uint64 {
+	if d.le {
+		return bits.ReverseBytes64(v)
+	}
+	return v
+}
+
 // Int reads an int written by Order.Int.
 func (d *Dec) Int() int { return int(int64(d.U64())) }
 
@@ -304,9 +320,13 @@ func (d *Dec) U32s() []uint32 {
 	if !present {
 		return nil
 	}
+	// One Take for the whole slice (Presence has already bounded n by the
+	// bytes that remain): a per-element cursor update would dominate the
+	// decode of a 200 KB summary partial.
 	out := make([]uint32, n)
+	b := d.Take(4 * n)
 	for i := range out {
-		out[i] = d.U32()
+		out[i] = d.order32(binary.BigEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
@@ -318,8 +338,9 @@ func (d *Dec) F64s() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
+	b := d.Take(8 * n)
 	for i := range out {
-		out[i] = d.F64()
+		out[i] = math.Float64frombits(d.order64(binary.BigEndian.Uint64(b[8*i:])))
 	}
 	return out
 }
@@ -331,8 +352,9 @@ func (d *Dec) Ints() []int {
 		return nil
 	}
 	out := make([]int, n)
+	b := d.Take(8 * n)
 	for i := range out {
-		out[i] = d.Int()
+		out[i] = int(int64(d.order64(binary.BigEndian.Uint64(b[8*i:]))))
 	}
 	return out
 }

@@ -489,13 +489,15 @@ func appendSet(b []byte, s *ipv4.Set) []byte {
 func decodeSet(d *binenc.Dec) *ipv4.Set {
 	n := d.Count(36) // block(4) + bitmap(32)
 	s := ipv4.NewSet()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		blk := ipv4.Block(d.U32())
+	for i := 0; i < n; i++ {
+		// One fixed-offset record per block: Count has already bounded
+		// n×36 by the payload, and this loop is the ingest hot path.
+		rec := d.Take(36)
 		var bm ipv4.Bitmap256
-		for j := 0; j < 4; j++ {
-			bm[j] = d.U64()
+		for j := range bm {
+			bm[j] = binary.BigEndian.Uint64(rec[4+8*j:])
 		}
-		s.AddBlockBitmap(blk, &bm)
+		s.AddBlockBitmap(ipv4.Block(binary.BigEndian.Uint32(rec)), &bm)
 	}
 	return s
 }
