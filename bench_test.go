@@ -986,6 +986,7 @@ func BenchmarkCacheContention(b *testing.B) {
 		bkeys[i] = []byte(keys[i])
 	}
 	fill := func() serve.Response { return resp }
+	store := func() (serve.Response, bool) { return resp, true }
 
 	// pick maps a worker-local counter to a key index per regime: hot
 	// cycles the small working set, cold strides the whole key space
@@ -1035,7 +1036,7 @@ func BenchmarkCacheContention(b *testing.B) {
 					for pb.Next() {
 						k := pick(set, i)
 						if _, ok := c.Get(bkeys[k]); !ok {
-							c.Do(keys[k], fill)
+							c.Do(keys[k], store)
 						}
 						i++
 					}

@@ -10,10 +10,16 @@
 // owned range, validates that the ranges tile the whole /24 space
 // exactly once with R processes each, and then routes:
 //
-//   - /v1/addr and /v1/block proxy to a healthy replica of the range
-//     owning the block — retrying the next replica on failure; the
-//     response carries the answering replica's epoch and ETag plus
-//     X-Shard/X-Replica headers;
+//   - live reads (no query string) of /v1/addr, /v1/block, /v1/prefix,
+//     /v1/as and /v1/summary are answered from the router's response
+//     cache when it holds them (X-Cache: hit) — the node's own cache
+//     and read path, keyed by the epoch the router has observed the
+//     consulted ranges serving; bytes are exact, and a cached answer
+//     trails a shard's publish by at most -probe-every;
+//   - /v1/addr and /v1/block otherwise proxy to a healthy replica of
+//     the range owning the block — retrying the next replica on
+//     failure; the response carries the answering replica's epoch and
+//     ETag plus X-Shard/X-Replica headers;
 //   - /v1/summary, /v1/as, /v1/prefix, /v1/delta and /v1/movement fan
 //     out one fetch per covering range with bounded concurrency,
 //     failing over within each range mid-gather, and fold the
@@ -47,8 +53,10 @@
 //	               HTTP individually)
 //	-gather N      fan-out concurrency bound (default 8)
 //	-info-timeout  how long to wait for shards at startup (default 30s)
-//	-probe-every D background health probe cadence (default 1s;
-//	               negative disables background probing)
+//	-probe-every D background health probe cadence (default 1s), also
+//	               the bound on how far a cached answer can trail a
+//	               publish; negative disables background probing and,
+//	               with it, the response cache
 //	-pprof ADDR    expose net/http/pprof on a side listener (off by
 //	               default)
 package main
@@ -79,7 +87,7 @@ func main() {
 	transport := flag.String("transport", cluster.TransportHTTP, `shard transport: "http" or "rpc"`)
 	gather := flag.Int("gather", cluster.DefaultGather, "scatter-gather concurrency bound")
 	infoTimeout := flag.Duration("info-timeout", cluster.DefaultInfoTimeout, "startup partition discovery timeout")
-	probeEvery := flag.Duration("probe-every", cluster.DefaultProbeInterval, "background health probe cadence (negative = off)")
+	probeEvery := flag.Duration("probe-every", cluster.DefaultProbeInterval, "background health probe cadence (negative = off, and no response cache)")
 	pprofAddr := flag.String("pprof", "", "expose net/http/pprof on a side listener (empty = off)")
 	flag.Parse()
 

@@ -73,14 +73,15 @@ type PointRequest struct {
 }
 
 // PointResponse is the complete relayed response: status, body and the
-// headers the router forwards.
+// headers the router forwards. ETag is empty on answers the shard does
+// not epoch-stamp (the warming 503, the not-retained 404); otherwise
+// Epoch is the epoch it names — the one the body is stamped with.
 type PointResponse struct {
-	Status      int
-	Body        []byte
-	ETag        string
-	ContentType string
-	XCache      string
-	RetryAfter  string
+	Status     int
+	Body       []byte
+	ETag       string
+	Epoch      uint64
+	RetryAfter string
 }
 
 // --- shard error classes ---------------------------------------------
@@ -182,13 +183,17 @@ func (c *httpShardClient) Point(ctx context.Context, pr PointRequest) (PointResp
 	if err != nil {
 		return PointResponse{}, &unavailableError{shard: c.idx, err: err}
 	}
+	etag := resp.Header.Get("ETag")
+	epoch, ok := wire.ETagEpoch(etag)
+	if !ok {
+		etag = "" // not an epoch tag: relay the answer as unstamped
+	}
 	return PointResponse{
-		Status:      resp.StatusCode,
-		Body:        body,
-		ETag:        resp.Header.Get("ETag"),
-		ContentType: resp.Header.Get("Content-Type"),
-		XCache:      resp.Header.Get("X-Cache"),
-		RetryAfter:  resp.Header.Get("Retry-After"),
+		Status:     resp.StatusCode,
+		Body:       body,
+		ETag:       etag,
+		Epoch:      epoch,
+		RetryAfter: resp.Header.Get("Retry-After"),
 	}, nil
 }
 
@@ -381,15 +386,10 @@ func (c *rpcShardClient) Point(ctx context.Context, pr PointRequest) (PointRespo
 	}
 	etag := wire.ETagFor(epoch)
 	if wire.ETagMatch(pr.IfNoneMatch, etag) {
-		return PointResponse{Status: http.StatusNotModified, ETag: etag}, nil
+		return PointResponse{Status: http.StatusNotModified, ETag: etag, Epoch: epoch}, nil
 	}
 	status, body := wire.Encode(status, payload, epoch)
-	return PointResponse{
-		Status:      status,
-		Body:        body,
-		ETag:        etag,
-		ContentType: "application/json",
-	}, nil
+	return PointResponse{Status: status, Body: body, ETag: etag, Epoch: epoch}, nil
 }
 
 // pointErr turns a typed shard error into the HTTP response the shard
@@ -399,26 +399,17 @@ func (c *rpcShardClient) Point(ctx context.Context, pr PointRequest) (PointRespo
 // which the not-retained body is reconstructed byte-identically.
 func (c *rpcShardClient) pointErr(err error, asked uint64) (PointResponse, error) {
 	if nr, ok := err.(*wire.NotRetainedError); ok {
-		return PointResponse{
-			Status:      http.StatusNotFound,
-			Body:        wire.NotRetainedBody(asked, nr.Oldest, nr.Newest),
-			ContentType: "application/json",
-		}, nil
+		return PointResponse{Status: http.StatusNotFound, Body: wire.NotRetainedBody(asked, nr.Oldest, nr.Newest)}, nil
 	}
 	se, ok := err.(*rpc.StatusError)
 	if !ok {
 		return PointResponse{}, &unavailableError{shard: c.idx, err: err}
 	}
 	if se.Code == http.StatusServiceUnavailable && se.Msg == wire.WarmingError {
-		return PointResponse{
-			Status:      http.StatusServiceUnavailable,
-			Body:        wire.WarmingBody(),
-			ContentType: "application/json",
-			RetryAfter:  "1",
-		}, nil
+		return PointResponse{Status: http.StatusServiceUnavailable, Body: wire.WarmingBody(), RetryAfter: "1"}, nil
 	}
 	status, body := wire.Encode(se.Code, wire.ErrorBody{Error: se.Msg}, 0)
-	return PointResponse{Status: status, Body: body, ContentType: "application/json"}, nil
+	return PointResponse{Status: status, Body: body}, nil
 }
 
 func (c *rpcShardClient) Summary(ctx context.Context, epoch uint64) (query.SummaryPartial, uint64, error) {

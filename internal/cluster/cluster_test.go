@@ -374,8 +374,13 @@ func TestRouterTransportFallback(t *testing.T) {
 // both transports: with one shard down, lookups owned by the dead
 // shard answer 503, lookups owned by live shards keep answering 200,
 // fan-out aggregates answer 503, and /v1/healthz reports degraded with
-// status 503.
-func TestRouterDegradedMode(t *testing.T) {
+// status 503. The default router caches; TestRouterDegradedModeUncached
+// holds the same contract with the cache off.
+func TestRouterDegradedMode(t *testing.T) { testRouterDegradedMode(t, 0) }
+
+func TestRouterDegradedModeUncached(t *testing.T) { testRouterDegradedMode(t, -1) }
+
+func testRouterDegradedMode(t *testing.T, probe time.Duration) {
 	d, w := clusterTestData(t)
 	plan, err := PlanShards(w, 2)
 	if err != nil {
@@ -406,7 +411,7 @@ func TestRouterDegradedMode(t *testing.T) {
 			shards, urls := buildShards(t, d, plan, 2, false, allRPC)
 			defer shards[0].Close()
 
-			router, err := NewRouter(urls, RouterOptions{Transport: transport})
+			router, err := NewRouter(urls, RouterOptions{Transport: transport, ProbeInterval: probe})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -652,7 +657,18 @@ func routerHealth(t *testing.T, base string) (int, wire.RouterHealth) {
 // by determinism); killed-then-restarted replicas are re-admitted (an
 // operator /v1/healthz actively probes replicas in backoff) and then
 // carry the fleet alone when their siblings die.
-func TestReplicaFailover(t *testing.T) {
+//
+// Background probing off: every health transition is driven by request
+// traffic or /v1/healthz, so the state machine's moves are
+// deterministic — and every request runs the failover path, because a
+// router without a prober does not cache. TestReplicaFailoverCached
+// replays the scenario on a caching router (prober armed, never due):
+// the answers must not change.
+func TestReplicaFailover(t *testing.T) { testReplicaFailover(t, -1) }
+
+func TestReplicaFailoverCached(t *testing.T) { testReplicaFailover(t, time.Hour) }
+
+func testReplicaFailover(t *testing.T, probe time.Duration) {
 	d, w := clusterTestData(t)
 	full, err := query.Build(d, query.Options{})
 	if err != nil {
@@ -704,10 +720,7 @@ func TestReplicaFailover(t *testing.T) {
 					}
 				}
 			}()
-			// Background probing off: every health transition in this
-			// test is driven by request traffic or /v1/healthz, so the
-			// state machine's moves are deterministic.
-			router, err := NewRouter(urls, RouterOptions{Transport: transport, Replicas: 2, ProbeInterval: -1})
+			router, err := NewRouter(urls, RouterOptions{Transport: transport, Replicas: 2, ProbeInterval: probe})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,6 +17,7 @@ import (
 	"ipscope/internal/ipv4"
 	"ipscope/internal/par"
 	"ipscope/internal/query"
+	"ipscope/internal/serve"
 	"ipscope/internal/serve/wire"
 )
 
@@ -59,7 +60,9 @@ type RouterOptions struct {
 	// replicas whose backoff expired to re-admit them). 0 means
 	// DefaultProbeInterval; < 0 disables background probing — health
 	// is then tracked only passively (request failures) and actively
-	// by /v1/healthz.
+	// by /v1/healthz. The prober is also what bounds how long the
+	// router's view of the fleet's epochs can trail a publish, so a
+	// router without one does not cache responses.
 	ProbeInterval time.Duration
 	// FailBackoff is the re-admission backoff after a replica's first
 	// consecutive failure, doubling per further failure up to
@@ -119,6 +122,13 @@ func newShardHTTPClient() *http.Client {
 // answer with the minimum epoch across the ranges consulted — the
 // oldest snapshot the answer can depend on.
 //
+// Live reads (no query string) of /v1/addr, /v1/block, /v1/prefix,
+// /v1/as and /v1/summary go through a response cache — the node's own
+// serve.Cache, on the node's own read path (serve.Cache.Serve) — keyed
+// by the epoch the router has observed the consulted ranges serving;
+// see answer. A hit is served whatever the replicas' health: the bytes
+// are exact. Misses keep the pick/failover/degraded semantics below.
+//
 // Health is a per-replica state machine: request failures mark a
 // replica down passively, a background prober (and every /v1/healthz)
 // probes it, and exponential backoff gates re-admission. The fleet
@@ -138,6 +148,13 @@ type Router struct {
 
 	handler http.Handler
 
+	// cache is nil on a router without a background prober. tag memoizes
+	// the pre-rendered ETag of the epoch last served; evicted is the
+	// minEpoch below which the cache has already been emptied.
+	cache   *serve.Cache
+	tag     atomic.Pointer[serve.EpochTag]
+	evicted atomic.Uint64
+
 	closeOnce sync.Once
 	stopProbe chan struct{}
 
@@ -150,8 +167,9 @@ type Router struct {
 // serving it. next is the round-robin cursor spreading point lookups
 // across healthy replicas.
 type rangeGroup struct {
-	shard  int // partition index, from the replicas' shard info
-	lo, hi uint32
+	shard    int      // partition index, from the replicas' shard info
+	shardHdr []string // pre-built X-Shard header value
+	lo, hi   uint32
 	// replicas in (replica id, base URL) order — index 0 is the
 	// primary copy, so an R=1 fleet reproduces the pre-replication
 	// layout exactly.
@@ -171,10 +189,11 @@ type rangeGroup struct {
 // proved itself) resets it. A warming 503 does neither: the process
 // is up and will publish on its own, but cannot answer data yet.
 type replicaState struct {
-	base   string
-	info   wire.ShardInfo
-	client Client
-	epoch  atomic.Uint64
+	base       string
+	info       wire.ShardInfo
+	replicaHdr []string // pre-built X-Replica header value
+	client     Client
+	epoch      atomic.Uint64
 
 	mu      sync.Mutex
 	down    bool
@@ -183,14 +202,30 @@ type replicaState struct {
 }
 
 // observeEpoch records a served epoch (monotonic: shards never roll
-// back a published snapshot).
-func (rp *replicaState) observeEpoch(e uint64) {
+// back a published snapshot) and reports whether it was news.
+func (rp *replicaState) observeEpoch(e uint64) bool {
 	for {
 		cur := rp.epoch.Load()
-		if e <= cur || rp.epoch.CompareAndSwap(cur, e) {
-			return
+		if e <= cur {
+			return false
+		}
+		if rp.epoch.CompareAndSwap(cur, e) {
+			return true
 		}
 	}
+}
+
+// epoch is the range's place in the router's view of the fleet: the
+// highest epoch any of its replicas has been observed serving. Any
+// replica at that epoch can answer for the range.
+func (g *rangeGroup) epoch() uint64 {
+	best := uint64(0)
+	for _, rp := range g.replicas {
+		if e := rp.epoch.Load(); e > best {
+			best = e
+		}
+	}
+	return best
 }
 
 // Health tiers, ordered by routing preference.
@@ -345,7 +380,13 @@ func NewRouter(urls []string, opts RouterOptions) (*Router, error) {
 			rt.Close()
 			return nil, fmt.Errorf("cluster: shard %s: %w", base, err)
 		}
-		rp := &replicaState{base: base, info: info.ShardInfo}
+		rp := &replicaState{
+			base:       base,
+			info:       info.ShardInfo,
+			replicaHdr: []string{strconv.Itoa(info.Replica)},
+		}
+		// The view starts where discovery found the fleet, not at 0.
+		rp.epoch.Store(info.Epoch)
 		if transport == TransportRPC && info.RPCAddr != "" {
 			rp.client = newRPCShardClient(info.Index, info.RPCAddr)
 		} else {
@@ -354,7 +395,7 @@ func NewRouter(urls []string, opts RouterOptions) (*Router, error) {
 		k := rkey{info.Lo, info.Hi}
 		g := groups[k]
 		if g == nil {
-			g = &rangeGroup{shard: info.Index, lo: info.Lo, hi: info.Hi}
+			g = &rangeGroup{shard: info.Index, shardHdr: []string{strconv.Itoa(info.Index)}, lo: info.Lo, hi: info.Hi}
 			groups[k] = g
 			rt.ranges = append(rt.ranges, g)
 		}
@@ -387,6 +428,10 @@ func NewRouter(urls []string, opts RouterOptions) (*Router, error) {
 	mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
 	rt.handler = mux
 	if probeInterval > 0 {
+		// Without the prober nothing bounds how stale the view can get
+		// (see RouterOptions.ProbeInterval), so only a probing router caches.
+		rt.cache = serve.NewCache(serve.DefaultCacheSize)
+		rt.evicted.Store(rt.minEpoch())
 		go rt.probeLoop()
 	}
 	return rt, nil
@@ -558,7 +603,7 @@ func (rt *Router) probeOnce() {
 					rt.markDown(rp)
 				case status == "ok":
 					rp.markUp()
-					rp.observeEpoch(epoch)
+					rt.observe(rp, epoch)
 				}
 				// Any other status (warming): alive but not servable;
 				// leave the state machine untouched.
@@ -569,37 +614,165 @@ func (rt *Router) probeOnce() {
 	g.Wait() //nolint:errcheck // probe outcomes land in the state machine
 }
 
-// ownerOf returns the range group owning blk.
-func (rt *Router) ownerOf(blk ipv4.Block) *rangeGroup {
-	for _, g := range rt.ranges {
+// ownerOf returns the one-element slice of rt.ranges holding the range
+// group that owns blk.
+func (rt *Router) ownerOf(blk ipv4.Block) []*rangeGroup {
+	for i, g := range rt.ranges {
 		if uint32(blk) >= g.lo && uint32(blk) < g.hi {
-			return g
+			return rt.ranges[i : i+1]
 		}
 	}
 	// Unreachable: validateFleet proved full coverage.
-	return rt.ranges[len(rt.ranges)-1]
+	return rt.ranges[len(rt.ranges)-1:]
 }
 
 // minEpoch returns the lowest last-observed epoch across ranges — the
-// oldest snapshot a merged answer can depend on (0 until every range
-// has been observed serving). A range's epoch is its best replica's:
-// any replica at that epoch can serve it.
+// oldest snapshot a merged answer can depend on (0 while some range has
+// only ever been seen warming).
 func (rt *Router) minEpoch() uint64 {
-	min := uint64(0)
-	for i, g := range rt.ranges {
-		best := uint64(0)
-		for _, rp := range g.replicas {
-			if e := rp.epoch.Load(); e > best {
-				best = e
-			}
-		}
-		if i == 0 || best < min {
-			min = best
+	min := rt.ranges[0].epoch()
+	for _, g := range rt.ranges[1:] {
+		if e := g.epoch(); e < min {
+			min = e
 		}
 	}
 	return min
 }
 
+// observe feeds one shard answer's epoch into the view. When that moves
+// minEpoch, every epoch below it is behind every range for good (views
+// only advance), so no key can name it again: its entries are evicted
+// rather than left to age out at the expense of live ones.
+func (rt *Router) observe(rp *replicaState, epoch uint64) {
+	if !rp.observeEpoch(epoch) || rt.cache == nil {
+		return
+	}
+	min := rt.minEpoch()
+	for {
+		done := rt.evicted.Load()
+		if min <= done {
+			return
+		}
+		if rt.evicted.CompareAndSwap(done, min) {
+			for e := done; e < min; e++ {
+				rt.cache.EvictEpoch(e)
+			}
+			return
+		}
+	}
+}
+
+// view returns the epoch the router has observed every one of rgs
+// serving, and false while they disagree (ranges mid-turnover) or none
+// has published yet.
+func view(rgs []*rangeGroup) (uint64, bool) {
+	epoch := rgs[0].epoch()
+	for _, g := range rgs[1:] {
+		if g.epoch() != epoch {
+			return 0, false
+		}
+	}
+	return epoch, epoch != 0
+}
+
+// tagFor returns epoch's pre-rendered ETag. Requests overwhelmingly name
+// the epoch the previous one did, so remembering one is enough.
+func (rt *Router) tagFor(epoch uint64) serve.EpochTag {
+	if t := rt.tag.Load(); t != nil && t.Epoch == epoch {
+		return *t
+	}
+	t := serve.NewEpochTag(epoch)
+	rt.tag.Store(&t)
+	return t
+}
+
+// reply is one routed answer before it is written: the bytes, which
+// epoch they are stamped with, and the headers that depend on how they
+// were produced.
+type reply struct {
+	serve.Response
+	// tagged says the body carries an epoch stamp and is served with
+	// that epoch's ETag; the warming 503 and the not-retained 404 are
+	// not. epoch is the stamp.
+	tagged bool
+	epoch  uint64
+	// mixed marks a merge whose parts were at different epochs: stamped
+	// with the lowest, but not what any single epoch would answer.
+	mixed      bool
+	retryAfter string
+	replica    *replicaState // who answered a point lookup; nil otherwise
+}
+
+// storable says rep is an answer the cache may hold: the 200, or the
+// epoch-stamped not-found 404, of one epoch.
+func (rep *reply) storable() bool {
+	return rep.tagged && !rep.mixed && (rep.Status == http.StatusOK || rep.Status == http.StatusNotFound)
+}
+
+// encodeReply renders a merged payload as the reply a single node at
+// epoch lo would give; hi is the highest epoch a part was at.
+func encodeReply(status int, payload any, lo, hi uint64) reply {
+	status, body := wire.Encode(status, payload, lo)
+	return reply{Response: serve.Response{Status: status, Body: body}, tagged: true, epoch: lo, mixed: lo != hi}
+}
+
+// errReply is the router's own error answer, stamped like every error
+// body with the oldest epoch the fleet is known to serve.
+func (rt *Router) errReply(status int, msg string) reply {
+	e := rt.minEpoch()
+	return encodeReply(status, wire.ErrorBody{Error: msg}, e, e)
+}
+
+// finish sets the headers rep calls for on w, applies the conditional
+// GET rule to its ETag, and returns what is left to write.
+func (rt *Router) finish(w http.ResponseWriter, r *http.Request, rep reply) serve.Response {
+	h := w.Header()
+	if rep.replica != nil {
+		h["X-Replica"] = rep.replica.replicaHdr
+	}
+	if rep.retryAfter != "" {
+		h.Set("Retry-After", rep.retryAfter)
+	}
+	if !rep.tagged {
+		delete(h, "Etag")
+		return rep.Response
+	}
+	tag := rt.tagFor(rep.epoch)
+	h["Etag"] = tag.Header
+	if rep.Status != http.StatusNotModified && wire.NotModified(r, tag.ETag) {
+		return serve.Response{Status: http.StatusNotModified}
+	}
+	return rep.Response
+}
+
+// answer serves one cacheable-class read that consults rgs, computing
+// it with compute when the cache cannot.
+//
+// The key's epoch is the router's view of rgs: the epoch it has observed
+// all of them serving. While they disagree, when the request carries a
+// query string (?epoch= reads need a retained-window view the router
+// does not keep), or on a router that does not cache, compute's answer
+// is written as it comes. Otherwise the read goes through the node's own
+// read path, and a computed answer is stored only if it is storable, is
+// stamped with the key's epoch, and — now that computing it has fed the
+// view — the view still says that epoch: a lagging replica's answer, a
+// merge across a publish, or a fill that finished after its epoch was
+// evicted is written to its caller and dropped.
+func (rt *Router) answer(w http.ResponseWriter, r *http.Request, rgs []*rangeGroup, compute func() reply) {
+	epoch, ok := view(rgs)
+	if !ok || rt.cache == nil || r.URL.RawQuery != "" {
+		serve.Write(w, rt.finish(w, r, compute()), false)
+		return
+	}
+	rt.cache.Serve(w, r, rt.tagFor(epoch), func() (serve.Response, bool) {
+		rep := compute()
+		now, ok := view(rgs)
+		return rt.finish(w, r, rep), rep.storable() && rep.epoch == epoch && ok && now == epoch
+	})
+}
+
+// respondErr writes an error the router raises before consulting
+// anything — a malformed parameter, a failed history fan-out.
 func (rt *Router) respondErr(w http.ResponseWriter, r *http.Request, status int, msg string) {
 	wire.Respond(w, r, status, wire.ErrorBody{Error: msg}, rt.minEpoch())
 }
@@ -608,6 +781,9 @@ func (rt *Router) respondErr(w http.ResponseWriter, r *http.Request, status int,
 // snapshot). The router validates it before any shard traffic, so both
 // transports reject bad values with the same shared 400 text.
 func (rt *Router) parseEpochParam(w http.ResponseWriter, r *http.Request) (uint64, bool) {
+	if r.URL.RawQuery == "" { // keeps url.Values parsing, and its map, off a live read's path
+		return 0, true
+	}
 	raw := r.URL.Query().Get("epoch")
 	if raw == "" {
 		return 0, true
@@ -688,24 +864,32 @@ func (rt *Router) commonRange(ctx context.Context) (oldest, newest uint64) {
 	return foldCommonRange(oldests, newests)
 }
 
-// respondNotRetained answers a fan-out that hit an unretained epoch
-// with the common-range 404.
-func (rt *Router) respondNotRetained(w http.ResponseWriter, r *http.Request, asked uint64) {
-	oldest, newest := rt.commonRange(r.Context())
-	writeNotRetained(w, asked, oldest, newest)
+// notRetainedReply answers a fan-out that hit an unretained epoch with
+// the common-range 404.
+func (rt *Router) notRetainedReply(ctx context.Context, asked uint64) reply {
+	oldest, newest := rt.commonRange(ctx)
+	return reply{Response: serve.Response{Status: http.StatusNotFound, Body: wire.NotRetainedBody(asked, oldest, newest)}}
 }
 
-// relay answers a point lookup with an owning replica's response —
-// body, epoch field, ETag and cache disposition are the replica's,
-// plus X-Shard/X-Replica headers naming it. Replicas are tried in
-// pick() order: an unreachable one is marked down and the next tried
-// (any replica's bytes are exact — builds are deterministic); a
-// warming one is remembered and its 503 relayed only if no sibling
-// can do better. Only when every replica of the range is unreachable
-// does the lookup 503 on the unavailable path.
-func (rt *Router) relay(w http.ResponseWriter, r *http.Request, rg *rangeGroup, pr PointRequest) {
+// point answers a point lookup with an owning replica's response —
+// body, epoch stamp and ETag are the replica's, and the reply names it
+// for X-Replica. Replicas are tried in pick() order: an unreachable one
+// is marked down and the next tried (any replica's bytes are exact —
+// builds are deterministic); a warming one is remembered and its 503
+// relayed only if no sibling can do better. Only when every replica of
+// the range is unreachable does the lookup 503 on the unavailable path.
+func (rt *Router) point(r *http.Request, rg *rangeGroup, pr PointRequest) reply {
 	pr.URI = r.URL.RequestURI()
 	pr.IfNoneMatch = r.Header.Get("If-None-Match")
+	relayed := func(resp PointResponse, rp *replicaState) reply {
+		return reply{
+			Response:   serve.Response{Status: resp.Status, Body: resp.Body},
+			tagged:     resp.ETag != "",
+			epoch:      resp.Epoch,
+			retryAfter: resp.RetryAfter,
+			replica:    rp,
+		}
+	}
 	var lastErr error
 	var warming *PointResponse
 	var warmingFrom *replicaState
@@ -717,8 +901,7 @@ func (rt *Router) relay(w http.ResponseWriter, r *http.Request, rg *rangeGroup, 
 				rt.markDown(rp)
 				continue
 			}
-			rt.respondErr(w, r, http.StatusServiceUnavailable, err.Error())
-			return
+			return rt.errReply(http.StatusServiceUnavailable, err.Error())
 		}
 		if resp.Status == http.StatusServiceUnavailable {
 			// Warming: the process is alive but has no snapshot yet. A
@@ -730,35 +913,18 @@ func (rt *Router) relay(w http.ResponseWriter, r *http.Request, rg *rangeGroup, 
 			continue
 		}
 		rp.markUp()
-		writePoint(w, resp, rg, rp)
-		return
+		if resp.ETag != "" {
+			rt.observe(rp, resp.Epoch)
+		}
+		return relayed(resp, rp)
 	}
 	if warming != nil {
-		writePoint(w, *warming, rg, warmingFrom)
-		return
+		return relayed(*warming, warmingFrom)
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("shard %d unavailable", rg.shard)
 	}
-	rt.respondErr(w, r, http.StatusServiceUnavailable, lastErr.Error())
-}
-
-// writePoint relays a replica's point response verbatim.
-func writePoint(w http.ResponseWriter, resp PointResponse, rg *rangeGroup, rp *replicaState) {
-	for h, v := range map[string]string{
-		"ETag":         resp.ETag,
-		"Content-Type": resp.ContentType,
-		"X-Cache":      resp.XCache,
-		"Retry-After":  resp.RetryAfter,
-	} {
-		if v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.Header().Set("X-Shard", strconv.Itoa(rg.shard))
-	w.Header().Set("X-Replica", strconv.Itoa(rp.info.Replica))
-	w.WriteHeader(resp.Status)
-	w.Write(resp.Body)
+	return rt.errReply(http.StatusServiceUnavailable, lastErr.Error())
 }
 
 func (rt *Router) handleAddr(w http.ResponseWriter, r *http.Request) {
@@ -771,7 +937,7 @@ func (rt *Router) handleAddr(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rt.relay(w, r, rt.ownerOf(a.Block()), PointRequest{IsAddr: true, Addr: a, Epoch: epoch})
+	rt.answerPoint(w, r, rt.ownerOf(a.Block()), PointRequest{IsAddr: true, Addr: a, Epoch: epoch})
 }
 
 func (rt *Router) handleBlock(w http.ResponseWriter, r *http.Request) {
@@ -784,7 +950,15 @@ func (rt *Router) handleBlock(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rt.relay(w, r, rt.ownerOf(blk), PointRequest{Block: blk, Epoch: epoch})
+	rt.answerPoint(w, r, rt.ownerOf(blk), PointRequest{Block: blk, Epoch: epoch})
+}
+
+// answerPoint answers a point lookup owned by owner[0]. X-Shard comes
+// from the route, so a cache hit — which no replica answered — names
+// the range all the same.
+func (rt *Router) answerPoint(w http.ResponseWriter, r *http.Request, owner []*rangeGroup, pr PointRequest) {
+	w.Header()["X-Shard"] = owner[0].shardHdr
+	rt.answer(w, r, owner, func() reply { return rt.point(r, owner[0], pr) })
 }
 
 // fetchRange performs one range's share of a gather, failing over
@@ -815,7 +989,7 @@ func fetchRange[T any](rt *Router, ctx context.Context, rg *rangeGroup,
 			return zero, 0, err
 		}
 		rp.markUp()
-		rp.observeEpoch(epoch)
+		rt.observe(rp, epoch)
 		return v, epoch, nil
 	}
 	return zero, 0, lastErr
@@ -824,11 +998,12 @@ func fetchRange[T any](rt *Router, ctx context.Context, rg *rangeGroup,
 // gatherPartials fans one fetch per range out with bounded
 // concurrency, failing over inside each range via fetchRange. A range
 // with no answering replica fails the whole gather — a partial
-// aggregate would silently misreport the dataset. The returned epoch
-// is the minimum across ranges.
+// aggregate would silently misreport the dataset. lo and hi are the
+// lowest and highest epoch a range answered at: the merge is stamped
+// lo, and is one epoch's answer only when lo == hi.
 func gatherPartials[T any](rt *Router, ctx context.Context, ranges []*rangeGroup,
-	fetch func(context.Context, Client) (T, uint64, error)) ([]T, uint64, error) {
-	out := make([]T, len(ranges))
+	fetch func(context.Context, Client) (T, uint64, error)) (out []T, lo, hi uint64, err error) {
+	out = make([]T, len(ranges))
 	epochs := make([]uint64, len(ranges))
 	var g par.Group
 	g.SetLimit(rt.gather)
@@ -844,26 +1019,28 @@ func gatherPartials[T any](rt *Router, ctx context.Context, ranges []*rangeGroup
 		})
 	}
 	if err := g.Wait(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	min := epochs[0]
+	lo, hi = epochs[0], epochs[0]
 	for _, e := range epochs[1:] {
-		if e < min {
-			min = e
+		if e < lo {
+			lo = e
+		}
+		if e > hi {
+			hi = e
 		}
 	}
-	return out, min, nil
+	return out, lo, hi, nil
 }
 
 // gatherErr answers a failed aggregate gather: a not-retained epoch
 // becomes the common-range 404, anything else the 503 unavailable path.
-func (rt *Router) gatherErr(w http.ResponseWriter, r *http.Request, err error, asked uint64) {
+func (rt *Router) gatherErr(ctx context.Context, err error, asked uint64) reply {
 	var nr *wire.NotRetainedError
 	if errors.As(err, &nr) {
-		rt.respondNotRetained(w, r, asked)
-		return
+		return rt.notRetainedReply(ctx, asked)
 	}
-	rt.respondErr(w, r, http.StatusServiceUnavailable, err.Error())
+	return rt.errReply(http.StatusServiceUnavailable, err.Error())
 }
 
 func (rt *Router) handleSummary(w http.ResponseWriter, r *http.Request) {
@@ -871,20 +1048,20 @@ func (rt *Router) handleSummary(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	parts, epoch, err := gatherPartials(rt, r.Context(), rt.ranges,
-		func(ctx context.Context, c Client) (query.SummaryPartial, uint64, error) {
-			return c.Summary(ctx, asOf)
-		})
-	if err != nil {
-		rt.gatherErr(w, r, err, asOf)
-		return
-	}
-	merged, err := query.MergeSummaryPartials(parts)
-	if err != nil {
-		rt.respondErr(w, r, http.StatusInternalServerError, err.Error())
-		return
-	}
-	wire.Respond(w, r, http.StatusOK, merged.Finalize(), epoch)
+	rt.answer(w, r, rt.ranges, func() reply {
+		parts, lo, hi, err := gatherPartials(rt, r.Context(), rt.ranges,
+			func(ctx context.Context, c Client) (query.SummaryPartial, uint64, error) {
+				return c.Summary(ctx, asOf)
+			})
+		if err != nil {
+			return rt.gatherErr(r.Context(), err, asOf)
+		}
+		merged, err := query.MergeSummaryPartials(parts)
+		if err != nil {
+			return rt.errReply(http.StatusInternalServerError, err.Error())
+		}
+		return encodeReply(http.StatusOK, merged.Finalize(), lo, hi)
+	})
 }
 
 func (rt *Router) handleAS(w http.ResponseWriter, r *http.Request) {
@@ -897,20 +1074,20 @@ func (rt *Router) handleAS(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	parts, epoch, err := gatherPartials(rt, r.Context(), rt.ranges,
-		func(ctx context.Context, c Client) (query.ASPartial, uint64, error) {
-			return c.AS(ctx, n, asOf)
-		})
-	if err != nil {
-		rt.gatherErr(w, r, err, asOf)
-		return
-	}
-	v, ok := query.MergeASPartials(parts)
-	if !ok {
-		wire.Respond(w, r, http.StatusNotFound, wire.ErrorBody{Error: wire.ErrASNotFound(n)}, epoch)
-		return
-	}
-	wire.Respond(w, r, http.StatusOK, v, epoch)
+	rt.answer(w, r, rt.ranges, func() reply {
+		parts, lo, hi, err := gatherPartials(rt, r.Context(), rt.ranges,
+			func(ctx context.Context, c Client) (query.ASPartial, uint64, error) {
+				return c.AS(ctx, n, asOf)
+			})
+		if err != nil {
+			return rt.gatherErr(r.Context(), err, asOf)
+		}
+		v, ok := query.MergeASPartials(parts)
+		if !ok {
+			return encodeReply(http.StatusNotFound, wire.ErrorBody{Error: wire.ErrASNotFound(n)}, lo, hi)
+		}
+		return encodeReply(http.StatusOK, v, lo, hi)
+	})
 }
 
 func (rt *Router) handlePrefix(w http.ResponseWriter, r *http.Request) {
@@ -923,33 +1100,37 @@ func (rt *Router) handlePrefix(w http.ResponseWriter, r *http.Request) {
 		rt.respondErr(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
+	// Ranges are sorted and tile the space, so the covering ones are
+	// contiguous in rt.ranges.
 	first := uint32(p.FirstBlock())
 	last := first + uint32(p.NumBlocks()) - 1
-	var covering []*rangeGroup
-	for _, rg := range rt.ranges {
-		if rg.hi > first && rg.lo <= last {
-			covering = append(covering, rg)
-		}
+	from, to := 0, len(rt.ranges)
+	for from < to && rt.ranges[from].hi <= first {
+		from++
 	}
+	for to > from && rt.ranges[to-1].lo > last {
+		to--
+	}
+	covering := rt.ranges[from:to]
 	asOf, ok := rt.parseEpochParam(w, r)
 	if !ok {
 		return
 	}
-	cidr := p.String()
-	parts, epoch, err := gatherPartials(rt, r.Context(), covering,
-		func(ctx context.Context, c Client) (query.PrefixPartial, uint64, error) {
-			return c.Prefix(ctx, cidr, asOf)
-		})
-	if err != nil {
-		rt.gatherErr(w, r, err, asOf)
-		return
-	}
-	merged, err := query.MergePrefixPartials(parts, wire.DefaultPrefixBlockList)
-	if err != nil {
-		rt.respondErr(w, r, http.StatusInternalServerError, err.Error())
-		return
-	}
-	wire.Respond(w, r, http.StatusOK, merged, epoch)
+	rt.answer(w, r, covering, func() reply {
+		cidr := p.String()
+		parts, lo, hi, err := gatherPartials(rt, r.Context(), covering,
+			func(ctx context.Context, c Client) (query.PrefixPartial, uint64, error) {
+				return c.Prefix(ctx, cidr, asOf)
+			})
+		if err != nil {
+			return rt.gatherErr(r.Context(), err, asOf)
+		}
+		merged, err := query.MergePrefixPartials(parts, wire.DefaultPrefixBlockList)
+		if err != nil {
+			return rt.errReply(http.StatusInternalServerError, err.Error())
+		}
+		return encodeReply(http.StatusOK, merged, lo, hi)
+	})
 }
 
 // handleDelta scatter-gathers /v1/delta?from=&to= to every range
@@ -1036,7 +1217,7 @@ func (rt *Router) handleMovement(w http.ResponseWriter, r *http.Request) {
 		}
 		last = n
 	}
-	parts, _, err := gatherPartials(rt, r.Context(), rt.ranges,
+	parts, _, _, err := gatherPartials(rt, r.Context(), rt.ranges,
 		func(ctx context.Context, c Client) (query.MovementPartial, uint64, error) {
 			p, _, newest, err := c.Movement(ctx, last)
 			return p, newest, err
@@ -1093,7 +1274,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				st.OldestEpoch, st.NewestEpoch = oldest, newest
 				if status == "ok" {
 					s.rp.markUp()
-					s.rp.observeEpoch(epoch)
+					rt.observe(s.rp, epoch)
 				}
 			}
 			states[i] = st
@@ -1150,6 +1331,9 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	body.Ranges = ranges
 	body.OldestEpoch, body.NewestEpoch = foldCommonRange(oldests, newests)
+	if rt.cache != nil {
+		body.CacheHits, body.CacheMisses, body.CacheSize = rt.cache.Stats()
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body)

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
+
+	"ipscope/internal/serve/wire"
 )
 
 // Response is one cached HTTP response body with its status code.
@@ -69,9 +73,13 @@ type cacheEntry struct {
 	eprev, enext int32
 }
 
+// flight is one in-progress fill. shared is set before done closes:
+// whether waiters may take resp (a stored answer, or the 500 of a
+// panicked fill) or must compute their own.
 type flight struct {
-	done chan struct{}
-	resp Response
+	done   chan struct{}
+	resp   Response
+	shared bool
 }
 
 // shardCount picks the stripe count for a capacity: a power of two near
@@ -250,9 +258,17 @@ func (c *Cache) Put(key string, resp Response) {
 // Exactly one caller computes a missing key at a time; the others block
 // until the computation finishes and share its result. hit reports
 // whether the caller avoided running fill itself.
-func (c *Cache) Do(key string, fill func() Response) (resp Response, hit bool) {
+//
+// fill's second result says whether its response may be stored. A fill
+// that declines (the router's failed gather, a warming 503, an answer
+// stamped with another epoch than the key's) gets its response written
+// to its own caller only: nothing is inserted, and callers that were
+// waiting on the flight each run their own fill, uncoalesced — a
+// response not fit to store is not fit to hand to another request.
+func (c *Cache) Do(key string, fill func() (Response, bool)) (resp Response, hit bool) {
 	if c.disabled {
-		return fill(), false
+		resp, _ = fill()
+		return resp, false
 	}
 	sh := &c.shards[0]
 	if c.mask != 0 {
@@ -267,10 +283,18 @@ func (c *Cache) Do(key string, fill func() Response) (resp Response, hit bool) {
 		return resp, true
 	}
 	if fl, ok := sh.inflight[key]; ok {
-		sh.hits++
 		sh.mu.Unlock()
 		<-fl.done
-		return fl.resp, true
+		sh.mu.Lock()
+		if fl.shared {
+			sh.hits++
+			sh.mu.Unlock()
+			return fl.resp, true
+		}
+		sh.misses++
+		sh.mu.Unlock()
+		resp, _ = fill()
+		return resp, false
 	}
 	fl := &flight{done: make(chan struct{})}
 	sh.inflight[key] = fl
@@ -281,7 +305,7 @@ func (c *Cache) Do(key string, fill func() Response) (resp Response, hit bool) {
 	// later request for this key would block on fl.done forever. The
 	// panic propagates after cleanup; waiters get a 500 and the entry
 	// is not cached, so the next request retries.
-	filled := false
+	filled, store := false, false
 	defer func() {
 		if !filled {
 			fl.resp = Response{
@@ -289,17 +313,91 @@ func (c *Cache) Do(key string, fill func() Response) (resp Response, hit bool) {
 				Body:   []byte(`{"error":"internal error"}` + "\n"),
 			}
 		}
+		fl.shared = store || !filled
 		sh.mu.Lock()
 		delete(sh.inflight, key)
-		if filled {
+		if store {
 			sh.insert(key, fl.resp)
 		}
 		sh.mu.Unlock()
 		close(fl.done)
 	}()
-	fl.resp = fill()
+	fl.resp, store = fill()
 	filled = true
 	return fl.resp, false
+}
+
+// --- the HTTP read path over the cache ---------------------------------
+
+// Pre-built header values the read path assigns directly into the
+// response header map — http.Header.Set allocates a fresh []string per
+// call, which is pure garbage on a cache hit. Handlers only ever read
+// these slices.
+var (
+	hdrJSON = []string{"application/json"}
+	hdrHit  = []string{"hit"}
+	hdrMiss = []string{"miss"}
+)
+
+// EpochTag is an epoch with its ETag rendered once, as a string and as
+// the header value Serve assigns without allocating. Both tiers build
+// one when their epoch changes, not per request.
+type EpochTag struct {
+	Epoch  uint64
+	ETag   string
+	Header []string
+}
+
+// NewEpochTag renders epoch's tag.
+func NewEpochTag(epoch uint64) EpochTag {
+	etag := wire.ETagFor(epoch)
+	return EpochTag{Epoch: epoch, ETag: etag, Header: []string{etag}}
+}
+
+// appendCacheKey builds the canonical "epoch:path" cache key into dst
+// (typically a stack buffer) without strconv+concat garbage.
+func appendCacheKey(dst []byte, epoch uint64, path string) []byte {
+	dst = strconv.AppendUint(dst, epoch, 10)
+	dst = append(dst, ':')
+	return append(dst, path...)
+}
+
+// Serve answers one read of r.URL.Path as of tag's epoch through the
+// cache — the whole epoch-keyed read path, shared by the node and the
+// cluster router so the key format, the 304 rule and the headers exist
+// once: set the epoch ETag; answer 304 when If-None-Match names it;
+// look the stack-built "epoch:path" key up without allocating; on a
+// miss run fill under single-flight (see Do for what a declining fill
+// means) and write its response. fill runs on the calling goroutine
+// before anything is written, so it may still adjust w's headers.
+func (c *Cache) Serve(w http.ResponseWriter, r *http.Request, tag EpochTag, fill func() (Response, bool)) {
+	w.Header()["Etag"] = tag.Header
+	if wire.NotModified(r, tag.ETag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	var kb [96]byte
+	key := appendCacheKey(kb[:0], tag.Epoch, r.URL.Path)
+	resp, hit := c.Get(key)
+	if !hit {
+		// Only a miss materializes the key as a string.
+		resp, hit = c.Do(string(key), fill)
+	}
+	Write(w, resp, hit)
+}
+
+// Write writes a response that went through (or past) the cache with
+// its X-Cache verdict, using the pre-built header values.
+func Write(w http.ResponseWriter, resp Response, hit bool) {
+	h := w.Header()
+	if hit {
+		h["X-Cache"] = hdrHit
+	} else {
+		h["X-Cache"] = hdrMiss
+	}
+	h["Content-Type"] = hdrJSON
+	w.WriteHeader(resp.Status)
+	w.Write(resp.Body)
 }
 
 // --- shard internals (all called under sh.mu) -------------------------

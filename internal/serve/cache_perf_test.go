@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 )
@@ -13,8 +15,8 @@ import (
 // cache size.
 func TestEvictEpochProportional(t *testing.T) {
 	c := NewCache(4096)
-	fill := func(v string) func() Response {
-		return func() Response { return Response{Status: 200, Body: []byte(v)} }
+	fill := func(v string) func() (Response, bool) {
+		return func() (Response, bool) { return Response{Status: 200, Body: []byte(v)}, true }
 	}
 	const bulk, small = 1000, 10
 	for i := 0; i < bulk; i++ {
@@ -54,22 +56,37 @@ func TestEvictEpochProportional(t *testing.T) {
 	}
 }
 
+// nopWriter is a ResponseWriter that keeps nothing, so AllocsPerRun
+// sees only what the read path itself allocates.
+type nopWriter struct{ h http.Header }
+
+func (w *nopWriter) Header() http.Header         { return w.h }
+func (w *nopWriter) WriteHeader(int)             {}
+func (w *nopWriter) Write(p []byte) (int, error) { return len(p), nil }
+
 // TestCacheHitZeroAllocs enforces the headline claim of the read-path
-// overhaul: a cache hit — key construction included — allocates nothing.
+// overhaul on the function both tiers call: a cache hit through Serve —
+// ETag, If-None-Match check, key construction, lookup, headers, write —
+// allocates nothing.
 func TestCacheHitZeroAllocs(t *testing.T) {
 	c := NewCache(64)
+	const path = "/v1/block/198.51.100.0/24"
 	var kb [96]byte
-	key := appendCacheKey(kb[:0], 42, "/v1/block/198.51.100.0/24")
-	c.Put(string(key), Response{Status: 200, Body: []byte(`{"epoch":42}` + "\n")})
+	c.Put(string(appendCacheKey(kb[:0], 42, path)), Response{Status: 200, Body: []byte(`{"epoch":42}` + "\n")})
 
-	allocs := testing.AllocsPerRun(1000, func() {
-		k := appendCacheKey(kb[:0], 42, "/v1/block/198.51.100.0/24")
-		if _, ok := c.Get(k); !ok {
-			t.Fatal("key not cached")
-		}
-	})
+	tag := NewEpochTag(42)
+	r := httptest.NewRequest(http.MethodGet, path, nil)
+	w := &nopWriter{h: http.Header{}}
+	fill := func() (Response, bool) {
+		t.Error("a hit ran fill")
+		return Response{}, false
+	}
+	allocs := testing.AllocsPerRun(1000, func() { c.Serve(w, r, tag, fill) })
 	if allocs != 0 {
 		t.Fatalf("cache hit allocates %.1f objects per run, want 0", allocs)
+	}
+	if got := w.h["X-Cache"]; len(got) != 1 || got[0] != "hit" {
+		t.Fatalf("X-Cache = %v, want hit", got)
 	}
 }
 
@@ -103,8 +120,8 @@ func TestCacheHammer(t *testing.T) {
 					c.Stats()
 				default:
 					want := string(key)
-					resp, _ := c.Do(want, func() Response {
-						return Response{Status: 200, Body: []byte(want)}
+					resp, _ := c.Do(want, func() (Response, bool) {
+						return Response{Status: 200, Body: []byte(want)}, true
 					})
 					if string(resp.Body) != want {
 						t.Errorf("Do(%q) returned body %q", want, resp.Body)

@@ -10,8 +10,8 @@ import (
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	fill := func(v string) func() Response {
-		return func() Response { return Response{Status: 200, Body: []byte(v)} }
+	fill := func(v string) func() (Response, bool) {
+		return func() (Response, bool) { return Response{Status: 200, Body: []byte(v)}, true }
 	}
 	c.Do("a", fill("A"))
 	c.Do("b", fill("B"))
@@ -52,10 +52,10 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, _ := c.Do("key", func() Response {
+			resp, _ := c.Do("key", func() (Response, bool) {
 				calls.Add(1)
 				release.Wait() // hold every waiter on this one computation
-				return Response{Status: 200, Body: []byte("shared")}
+				return Response{Status: 200, Body: []byte("shared")}, true
 			})
 			results[i] = resp
 		}(i)
@@ -72,13 +72,73 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// TestCacheDeclinedFill pins what a fill that declines the insert
+// means: its response reaches its own caller, nothing is stored, and
+// callers that were waiting on the flight each compute their own answer
+// instead of sharing one that was not fit to store.
+func TestCacheDeclinedFill(t *testing.T) {
+	c := NewCache(16)
+	var calls atomic.Int64
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	decline := func() (Response, bool) {
+		n := calls.Add(1)
+		if n == 1 {
+			close(entered)
+			<-release
+		}
+		return Response{Status: 503, Body: []byte(fmt.Sprint(n))}, false
+	}
+
+	const waiters = 4
+	bodies := make(chan string, waiters+1)
+	var wg sync.WaitGroup
+	do := func() {
+		defer wg.Done()
+		resp, hit := c.Do("k", decline)
+		if hit {
+			t.Error("a declined fill was reported as a hit")
+		}
+		bodies <- string(resp.Body)
+	}
+	wg.Add(1)
+	go do()
+	<-entered // the first fill holds the flight
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go do()
+	}
+	close(release)
+	wg.Wait()
+	close(bodies)
+
+	seen := map[string]bool{}
+	for b := range bodies {
+		if seen[b] {
+			t.Fatalf("two callers shared the declined response %q", b)
+		}
+		seen[b] = true
+	}
+	if n := calls.Load(); n != waiters+1 {
+		t.Fatalf("fill ran %d times, want %d (every caller its own)", n, waiters+1)
+	}
+	if hits, misses, size := c.Stats(); hits != 0 || misses != waiters+1 || size != 0 {
+		t.Fatalf("stats = %d hits / %d misses / size %d, want 0 / %d / 0", hits, misses, size, waiters+1)
+	}
+	// The key is not poisoned: a storing fill is inserted as usual.
+	c.Do("k", func() (Response, bool) { return Response{Status: 200, Body: []byte("ok")}, true })
+	if resp, hit := c.Do("k", decline); !hit || string(resp.Body) != "ok" {
+		t.Fatalf("after a storing fill: hit=%v body=%q", hit, resp.Body)
+	}
+}
+
 func TestCacheDisabled(t *testing.T) {
 	c := NewCache(-1)
 	n := 0
 	for i := 0; i < 3; i++ {
-		resp, hit := c.Do("k", func() Response {
+		resp, hit := c.Do("k", func() (Response, bool) {
 			n++
-			return Response{Status: 200, Body: []byte(fmt.Sprint(n))}
+			return Response{Status: 200, Body: []byte(fmt.Sprint(n))}, true
 		})
 		if hit {
 			t.Fatal("disabled cache reported a hit")
@@ -97,13 +157,13 @@ func TestCachePanicReleasesFlight(t *testing.T) {
 				t.Fatal("panic did not propagate")
 			}
 		}()
-		c.Do("k", func() Response { panic("handler bug") })
+		c.Do("k", func() (Response, bool) { panic("handler bug") })
 	}()
 	// The key must not be wedged: the next request recomputes.
 	done := make(chan Response, 1)
 	go func() {
-		resp, _ := c.Do("k", func() Response {
-			return Response{Status: 200, Body: []byte("recovered")}
+		resp, _ := c.Do("k", func() (Response, bool) {
+			return Response{Status: 200, Body: []byte("recovered")}, true
 		})
 		done <- resp
 	}()
@@ -125,8 +185,8 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", i%16)
-			resp, _ := c.Do(key, func() Response {
-				return Response{Status: 200, Body: []byte(key)}
+			resp, _ := c.Do(key, func() (Response, bool) {
+				return Response{Status: 200, Body: []byte(key)}, true
 			})
 			if string(resp.Body) != key {
 				t.Errorf("key %s got %q", key, resp.Body)

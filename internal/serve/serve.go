@@ -110,10 +110,10 @@ type Server struct {
 	handler http.Handler
 
 	// hot holds everything the live-epoch read path would otherwise
-	// compute per request: the epoch's ETag (string and pre-built
-	// header value) and the precomputed /v1/cluster/info body. It is
-	// rebuilt under pubMu on Publish/SetShard/SetRPCAddr — never on the
-	// request path — and nil while warming.
+	// compute per request: the epoch's pre-rendered ETag and the
+	// precomputed /v1/cluster/info body. It is rebuilt under pubMu on
+	// Publish/SetShard/SetRPCAddr — never on the request path — and nil
+	// while warming.
 	hot atomic.Pointer[hotState]
 
 	logger *accessLogger
@@ -131,21 +131,9 @@ type Server struct {
 
 // hotState is the publish-time precomputation for the live epoch.
 type hotState struct {
-	epoch       uint64
-	etag        string
-	etagHdr     []string // pre-built header value, shared across requests
-	clusterInfo []byte   // pre-encoded /v1/cluster/info body
+	tag         EpochTag
+	clusterInfo []byte // pre-encoded /v1/cluster/info body
 }
-
-// Pre-built header values the hot path assigns directly into the
-// response header map — http.Header.Set allocates a fresh []string per
-// call, which is pure garbage on a cache hit. Handlers only ever read
-// these slices.
-var (
-	hdrJSON = []string{"application/json"}
-	hdrHit  = []string{"hit"}
-	hdrMiss = []string{"miss"}
-)
 
 // New creates a Server over idx. A nil idx starts the server in warming
 // mode: every lookup answers 503 until the first Publish.
@@ -254,28 +242,14 @@ func (s *Server) refreshHot(idx *query.Index) {
 		return
 	}
 	epoch := idx.Epoch()
-	etag := wire.ETagFor(epoch)
 	ci, err := json.Marshal(s.ClusterInfo())
 	if err != nil {
 		ci = []byte(`{"error":"encoding failed"}`)
 	}
-	s.hot.Store(&hotState{
-		epoch:       epoch,
-		etag:        etag,
-		etagHdr:     []string{etag},
-		clusterInfo: append(ci, '\n'),
-	})
+	s.hot.Store(&hotState{tag: NewEpochTag(epoch), clusterInfo: append(ci, '\n')})
 	var kb [24]byte
 	status, body := wire.Encode(http.StatusOK, idx.Summary(), epoch)
 	s.cache.Put(string(appendCacheKey(kb[:0], epoch, "/v1/summary")), Response{Status: status, Body: body})
-}
-
-// appendCacheKey builds the canonical "epoch:path" cache key into dst
-// (typically a stack buffer) without strconv+concat garbage.
-func appendCacheKey(dst []byte, epoch uint64, path string) []byte {
-	dst = strconv.AppendUint(dst, epoch, 10)
-	dst = append(dst, ':')
-	return append(dst, path...)
 }
 
 // Index returns the currently published snapshot (nil while warming).
@@ -372,38 +346,17 @@ func (s *Server) cached(fn func(x *query.Index, r *http.Request) (int, any)) htt
 		epoch := x.Epoch()
 		// The live epoch's ETag is precomputed at publish time; only
 		// time-travel requests pay the format call.
-		var etag string
-		var etagHdr []string
-		if hot := s.hot.Load(); hot != nil && hot.epoch == epoch {
-			etag, etagHdr = hot.etag, hot.etagHdr
+		var tag EpochTag
+		if hot := s.hot.Load(); hot != nil && hot.tag.Epoch == epoch {
+			tag = hot.tag
 		} else {
-			etag = wire.ETagFor(epoch)
-			etagHdr = []string{etag}
+			tag = NewEpochTag(epoch)
 		}
-		h := w.Header()
-		h["Etag"] = etagHdr
-		if wire.NotModified(r, etag) {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		// Zero-allocation hit path: the key is assembled into a stack
-		// buffer and looked up without a string conversion. Only a miss
-		// materializes the key and runs the handler.
-		var kb [96]byte
-		key := appendCacheKey(kb[:0], epoch, r.URL.Path)
-		if resp, ok := s.cache.Get(key); ok {
-			h["X-Cache"] = hdrHit
-			h["Content-Type"] = hdrJSON
-			w.WriteHeader(resp.Status)
-			w.Write(resp.Body)
-			return
-		}
-		resp, hit := s.cache.Do(string(key), func() Response {
+		s.cache.Serve(w, r, tag, func() (Response, bool) {
 			status, payload := fn(x, r)
 			status, body := wire.Encode(status, payload, epoch)
-			return Response{Status: status, Body: body}
+			return Response{Status: status, Body: body}, true
 		})
-		writeCached(w, resp, hit)
 	}
 }
 
@@ -420,19 +373,6 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
-}
-
-// writeCached writes a cache-layer response with its X-Cache verdict.
-func writeCached(w http.ResponseWriter, resp Response, hit bool) {
-	h := w.Header()
-	if hit {
-		h["X-Cache"] = hdrHit
-	} else {
-		h["X-Cache"] = hdrMiss
-	}
-	h["Content-Type"] = hdrJSON
-	w.WriteHeader(resp.Status)
-	w.Write(resp.Body)
 }
 
 // deltaSpan parses and resolves a delta request's from/to epochs against
@@ -485,17 +425,17 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := fmt.Sprintf("%d:/v1/delta:%d", fx.Epoch(), tx.Epoch())
-	resp, hit := s.cache.Do(key, func() Response {
+	resp, hit := s.cache.Do(key, func() (Response, bool) {
 		v, err := tx.Delta(fx, query.DefaultDeltaBlockList)
 		if err != nil {
 			status, body := wire.Encode(http.StatusBadRequest,
 				wire.ErrorBody{Error: err.Error()}, tx.Epoch())
-			return Response{Status: status, Body: body}
+			return Response{Status: status, Body: body}, true
 		}
 		status, body := wire.Encode(http.StatusOK, v, tx.Epoch())
-		return Response{Status: status, Body: body}
+		return Response{Status: status, Body: body}, true
 	})
-	writeCached(w, resp, hit)
+	Write(w, resp, hit)
 }
 
 // parseLast extracts the optional ?last=N window (0 = whole ring),
@@ -537,17 +477,17 @@ func (s *Server) handleMovement(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := fmt.Sprintf("%d:/v1/movement:%d:%d", oldest, newest, last)
-	resp, hit := s.cache.Do(key, func() Response {
+	resp, hit := s.cache.Do(key, func() (Response, bool) {
 		v, err := query.MergeMovementPartials([]query.MovementPartial{s.ring.Movement(last)})
 		if err != nil {
 			status, body := wire.Encode(http.StatusInternalServerError,
 				wire.ErrorBody{Error: err.Error()}, newest)
-			return Response{Status: status, Body: body}
+			return Response{Status: status, Body: body}, true
 		}
 		status, body := wire.Encode(http.StatusOK, v, newest)
-		return Response{Status: status, Body: body}
+		return Response{Status: status, Body: body}, true
 	})
-	writeCached(w, resp, hit)
+	Write(w, resp, hit)
 }
 
 // handleClusterDelta serves this shard's mergeable delta partial plus

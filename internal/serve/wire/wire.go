@@ -126,6 +126,22 @@ func ETagFor(epoch uint64) string {
 	return fmt.Sprintf("\"ips-e%d\"", epoch)
 }
 
+// ETagEpoch is ETagFor's inverse: the epoch a served tag names. The
+// router's HTTP shard transport uses it to learn which epoch a relayed
+// point answer is stamped with.
+func ETagEpoch(etag string) (uint64, bool) {
+	raw, ok := strings.CutPrefix(etag, `"ips-e`)
+	if !ok {
+		return 0, false
+	}
+	raw, ok = strings.CutSuffix(raw, `"`)
+	if !ok {
+		return 0, false
+	}
+	epoch, err := strconv.ParseUint(raw, 10, 64)
+	return epoch, err == nil
+}
+
 // ETagMatch reports whether an If-None-Match header value matches etag
 // (or is the "*" wildcard).
 func ETagMatch(inm, etag string) bool {
@@ -338,6 +354,11 @@ type RouterHealth struct {
 	NewestEpoch uint64              `json:"newestEpoch"`
 	Shards      []RouterShardHealth `json:"shardStates"`
 	Ranges      []RouterRangeHealth `json:"rangeStates"`
+	// The router's own response cache, under the node's field names
+	// (all zero on a router that does not cache).
+	CacheHits   uint64 `json:"cacheHits"`
+	CacheMisses uint64 `json:"cacheMisses"`
+	CacheSize   int    `json:"cacheSize"`
 }
 
 // RouterShardHealth is one replica process's health as the router

@@ -9,9 +9,10 @@
 #      field) to a single-node `ipscope-serve -dataset ... -dump-summary`
 #      over the same dataset — the cross-shard merge is exact;
 #   2. point lookups owned by each shard answer 200 through the router;
-#   3. after killing one shard, its blocks answer 503 while the other
-#      shard's blocks keep answering 200, and the router's /v1/healthz
-#      degrades to status 503.
+#   3. after killing one shard, reads of its range the router has not
+#      cached answer 503 (the block it has cached keeps answering 200)
+#      while the other shard's blocks keep answering 200, and the
+#      router's /v1/healthz degrades to status 503.
 #
 # Expects $DIR/ipscope-gen, $DIR/ipscope-serve and $DIR/ipscope-router
 # to be prebuilt (the Makefile's cluster-smoke target does this).
@@ -83,8 +84,13 @@ echo "cluster-smoke: routed lookups for $b0 (shard 0) and $b1 (shard 1) answered
 kill "$shard1_pid"
 wait "$shard1_pid" 2>/dev/null || true
 
+# The router answered $b1 above and cached it: a hit is exact bytes and
+# keeps answering whatever the shard's health. A read of the dead
+# shard's range it has not cached is what degrades.
 code=$(status_of "$base/v1/block/$b1")
-[ "$code" = "503" ] || { echo "cluster-smoke: dead shard's block answered $code, want 503"; exit 1; }
+[ "$code" = "200" ] || { echo "cluster-smoke: dead shard's cached block answered $code, want 200"; exit 1; }
+code=$(status_of "$base/v1/addr/${b1%/24}")
+[ "$code" = "503" ] || { echo "cluster-smoke: dead shard's uncached address answered $code, want 503"; exit 1; }
 code=$(status_of "$base/v1/block/$b0")
 [ "$code" = "200" ] || { echo "cluster-smoke: live shard's block answered $code, want 200"; exit 1; }
 code=$(status_of "$base/v1/healthz")

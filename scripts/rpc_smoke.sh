@@ -13,9 +13,10 @@
 #      `ipscope-serve -dataset ... -dump-summary` over the same
 #      dataset;
 #   3. point lookups owned by each shard answer 200 through the router;
-#   4. killing one shard degrades exactly as over HTTP: its blocks
-#      answer 503, the other shard's blocks keep answering 200, and
-#      /v1/healthz reports degraded with status 503.
+#   4. killing one shard degrades exactly as over HTTP: uncached reads
+#      of its range answer 503 (the cached block keeps answering 200),
+#      the other shard's blocks keep answering 200, and /v1/healthz
+#      reports degraded with status 503.
 #
 # Expects $DIR/ipscope-gen, $DIR/ipscope-serve and $DIR/ipscope-router
 # to be prebuilt (the Makefile's rpc-smoke target does this).
@@ -98,8 +99,13 @@ echo "rpc-smoke: routed lookups for $b0 (shard 0) and $b1 (shard 1) answered 200
 kill "$shard1_pid"
 wait "$shard1_pid" 2>/dev/null || true
 
+# The router answered $b1 above and cached it: a hit is exact bytes and
+# keeps answering whatever the shard's health. A read of the dead
+# shard's range it has not cached is what degrades.
 code=$(status_of "$base/v1/block/$b1")
-[ "$code" = "503" ] || { echo "rpc-smoke: dead shard's block answered $code, want 503"; exit 1; }
+[ "$code" = "200" ] || { echo "rpc-smoke: dead shard's cached block answered $code, want 200"; exit 1; }
+code=$(status_of "$base/v1/addr/${b1%/24}")
+[ "$code" = "503" ] || { echo "rpc-smoke: dead shard's uncached address answered $code, want 503"; exit 1; }
 code=$(status_of "$base/v1/block/$b0")
 [ "$code" = "200" ] || { echo "rpc-smoke: live shard's block answered $code, want 200"; exit 1; }
 code=$(status_of "$base/v1/healthz")
