@@ -2,18 +2,14 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 STATICCHECK_VERSION = 2024.1.1
-SMOKE_DIR ?= .pipeline-smoke
-SERVE_SMOKE_DIR ?= .serve-smoke
-LIVE_SMOKE_DIR ?= .live-smoke
-CLUSTER_SMOKE_DIR ?= .cluster-smoke
-RPC_SMOKE_DIR ?= .rpc-smoke
-SNAPSHOT_SMOKE_DIR ?= .snapshot-smoke
-HISTORY_SMOKE_DIR ?= .history-smoke
-LOADGEN_SMOKE_DIR ?= .loadgen-smoke
-CHAOS_SMOKE_DIR ?= .chaos-smoke
+# One directory for every smoke target: the binaries, built once, and a
+# workspace per smoke under it.
+SMOKE_DIR ?= .smoke
 SMOKE_FLAGS = -seed 5 -ases 24 -blocks-per-as 6 -days 56
+SCRIPTED = history-smoke cluster-smoke snapshot-smoke loadgen-smoke chaos-smoke
+SMOKES = pipeline-smoke serve-smoke $(SCRIPTED) rpc-smoke
 
-.PHONY: all build vet vet-386 fmt-check lint test bench-harness race bench bench-smoke fuzz-smoke pipeline-smoke serve-smoke live-smoke cluster-smoke rpc-smoke snapshot-smoke history-smoke loadgen-smoke chaos-smoke ci
+.PHONY: all build vet vet-386 fmt-check lint test bench-harness race bench bench-smoke fuzz-smoke smoke-bin $(SMOKES) ci
 
 all: build
 
@@ -70,28 +66,54 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' -json . > BENCH_ci.json
 	@grep -c '"Action":"output"' BENCH_ci.json >/dev/null && echo "BENCH_ci.json written"
 
-# End-to-end smoke of the observation pipeline: gen streams a dataset
-# over a pipe into collect, collect persists it canonically, report
-# analyzes the store — and the result must be byte-identical to a
-# direct in-process run on the same seed.
-pipeline-smoke:
-	rm -rf $(SMOKE_DIR) && mkdir -p $(SMOKE_DIR)
-	$(GO) run ./cmd/ipscope-gen $(SMOKE_FLAGS) -dataset - \
-		| $(GO) run ./cmd/ipscope-collect -ingest - -store $(SMOKE_DIR)/world.obs
-	$(GO) run ./cmd/ipscope-report -dataset $(SMOKE_DIR)/world.obs -o $(SMOKE_DIR)/report-dataset.txt
-	$(GO) run ./cmd/ipscope-report $(SMOKE_FLAGS) -o $(SMOKE_DIR)/report-direct.txt
-	cmp $(SMOKE_DIR)/report-direct.txt $(SMOKE_DIR)/report-dataset.txt
+smoke-bin:
+	mkdir -p $(SMOKE_DIR)
+	$(GO) build -o $(SMOKE_DIR)/ ./cmd/...
+
+# The end-to-end smokes over real processes. Each script says what it
+# asserts; in one line:
+#   history   live -obs-listen stream: epoch advances mid-stream, ?epoch=
+#             time travel is byte-exact, /v1/delta across a swap, final
+#             summary = batch -dump-summary, evicted epoch 404s
+#   cluster   2 shards + router: routed summary = single-node summary; a
+#             dead shard degrades only its blocks (rpc-smoke: the same
+#             over -rpc-listen / -transport rpc)
+#   snapshot  save -> verify -> load round trip; kill -9'd live shard
+#             resumes from its -snapshot-dir and the cluster converges
+#   loadgen   the same seeded workload against one node and a cluster:
+#             same hash, zero hard errors, warm caches; SLO table
+#   chaos     R=2 fleet, one replica of each range kill -9'd under load:
+#             zero hard errors, re-admission on restart
+$(SCRIPTED): %-smoke: smoke-bin
+	sh scripts/$*_smoke.sh $(SMOKE_DIR)
+
+rpc-smoke: smoke-bin
+	sh scripts/cluster_smoke.sh $(SMOKE_DIR) rpc
+
+# The observation pipeline: gen streams a dataset over a pipe into
+# collect, collect persists it canonically, report analyzes the store —
+# and the result must be byte-identical to a direct in-process run on
+# the same seed.
+pipeline-smoke: D = $(SMOKE_DIR)/pipeline-smoke
+pipeline-smoke: smoke-bin
+	rm -rf $(D) && mkdir -p $(D)
+	$(SMOKE_DIR)/ipscope-gen $(SMOKE_FLAGS) -dataset - \
+		| $(SMOKE_DIR)/ipscope-collect -ingest - -store $(D)/world.obs
+	$(SMOKE_DIR)/ipscope-report -dataset $(D)/world.obs -o $(D)/report-dataset.txt
+	$(SMOKE_DIR)/ipscope-report $(SMOKE_FLAGS) -o $(D)/report-direct.txt
+	cmp $(D)/report-direct.txt $(D)/report-dataset.txt
 	@echo "pipeline-smoke: reports byte-identical"
 
-# End-to-end smoke of the serving layer: gen builds a small dataset,
-# ipscope-serve compiles it into a query index, and -selfcheck probes
-# every /v1 endpoint over real HTTP, verifying the JSON fields against
-# the index (which the serve test suite proves field-identical to the
-# batch report on the same dataset).
-serve-smoke:
-	rm -rf $(SERVE_SMOKE_DIR) && mkdir -p $(SERVE_SMOKE_DIR)
-	$(GO) run ./cmd/ipscope-gen $(SMOKE_FLAGS) -dataset $(SERVE_SMOKE_DIR)/serve.obs
-	$(GO) run ./cmd/ipscope-serve -dataset $(SERVE_SMOKE_DIR)/serve.obs -selfcheck
+# The serving layer: gen builds a small dataset, ipscope-serve compiles
+# it into a query index, and -selfcheck probes every /v1 endpoint over
+# real HTTP, verifying the JSON fields against the index (which the
+# serve test suite proves field-identical to the batch report on the
+# same dataset).
+serve-smoke: D = $(SMOKE_DIR)/serve-smoke
+serve-smoke: smoke-bin
+	rm -rf $(D) && mkdir -p $(D)
+	$(SMOKE_DIR)/ipscope-gen $(SMOKE_FLAGS) -dataset $(D)/serve.obs
+	$(SMOKE_DIR)/ipscope-serve -dataset $(D)/serve.obs -selfcheck
 	@echo "serve-smoke: all endpoints verified"
 
 # Short fuzzing passes over the binary decoders: proves FuzzDec (the
@@ -105,85 +127,4 @@ fuzz-smoke:
 	$(GO) test ./internal/rpc -run='^$$' -fuzz='^FuzzRPCDecode$$' -fuzztime=10s
 	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=10s
 
-# End-to-end smoke of the live serving pipeline: ipscope-gen -connect
-# streams a paced simulation into ipscope-serve -obs-listen, the
-# /v1/healthz epoch must advance mid-stream, and the final /v1/summary
-# must match a batch -dump-summary over the persisted dataset.
-live-smoke:
-	rm -rf $(LIVE_SMOKE_DIR) && mkdir -p $(LIVE_SMOKE_DIR)
-	$(GO) build -o $(LIVE_SMOKE_DIR)/ipscope-gen ./cmd/ipscope-gen
-	$(GO) build -o $(LIVE_SMOKE_DIR)/ipscope-serve ./cmd/ipscope-serve
-	sh scripts/live_smoke.sh $(LIVE_SMOKE_DIR)
-
-# Historical-epoch smoke: live stream with -retain-epochs, time-travel
-# byte-equality, /v1/delta across a swap, eviction 404 body.
-history-smoke:
-	rm -rf $(HISTORY_SMOKE_DIR) && mkdir -p $(HISTORY_SMOKE_DIR)
-	$(GO) build -o $(HISTORY_SMOKE_DIR)/ipscope-gen ./cmd/ipscope-gen
-	$(GO) build -o $(HISTORY_SMOKE_DIR)/ipscope-serve ./cmd/ipscope-serve
-	sh scripts/history_smoke.sh $(HISTORY_SMOKE_DIR)
-
-# End-to-end smoke of the sharded serving cluster: two block-partitioned
-# shards plus a scatter-gather router; the routed /v1/summary must
-# byte-equal the single-node batch summary, and killing one shard must
-# degrade only its blocks (see scripts/cluster_smoke.sh).
-cluster-smoke:
-	rm -rf $(CLUSTER_SMOKE_DIR) && mkdir -p $(CLUSTER_SMOKE_DIR)
-	$(GO) build -o $(CLUSTER_SMOKE_DIR)/ipscope-gen ./cmd/ipscope-gen
-	$(GO) build -o $(CLUSTER_SMOKE_DIR)/ipscope-serve ./cmd/ipscope-serve
-	$(GO) build -o $(CLUSTER_SMOKE_DIR)/ipscope-router ./cmd/ipscope-router
-	sh scripts/cluster_smoke.sh $(CLUSTER_SMOKE_DIR)
-
-# End-to-end smoke of the binary RPC shard transport: the same cluster
-# topology with shards on -rpc-listen and the router on -transport=rpc;
-# the routed summary must byte-equal the batch summary, and a killed
-# shard must degrade exactly as over HTTP (see scripts/rpc_smoke.sh).
-rpc-smoke:
-	rm -rf $(RPC_SMOKE_DIR) && mkdir -p $(RPC_SMOKE_DIR)
-	$(GO) build -o $(RPC_SMOKE_DIR)/ipscope-gen ./cmd/ipscope-gen
-	$(GO) build -o $(RPC_SMOKE_DIR)/ipscope-serve ./cmd/ipscope-serve
-	$(GO) build -o $(RPC_SMOKE_DIR)/ipscope-router ./cmd/ipscope-router
-	sh scripts/rpc_smoke.sh $(RPC_SMOKE_DIR)
-
-# End-to-end smoke of persistent index snapshots: batch
-# save→verify→load→serve must byte-equal the build that saved it, and a
-# kill -9'd live shard must restart from its -snapshot-dir checkpoint,
-# catch up, and converge the routed cluster summary on the batch one
-# (see scripts/snapshot_smoke.sh).
-snapshot-smoke:
-	rm -rf $(SNAPSHOT_SMOKE_DIR) && mkdir -p $(SNAPSHOT_SMOKE_DIR)
-	$(GO) build -o $(SNAPSHOT_SMOKE_DIR)/ipscope-gen ./cmd/ipscope-gen
-	$(GO) build -o $(SNAPSHOT_SMOKE_DIR)/ipscope-serve ./cmd/ipscope-serve
-	$(GO) build -o $(SNAPSHOT_SMOKE_DIR)/ipscope-router ./cmd/ipscope-router
-	$(GO) build -o $(SNAPSHOT_SMOKE_DIR)/ipscope-snapshot ./cmd/ipscope-snapshot
-	sh scripts/snapshot_smoke.sh $(SNAPSHOT_SMOKE_DIR)
-
-# Deterministic load test of the read path: ipscope-loadgen drives a
-# single serve node and a router+2-shard cluster with the same seeded
-# workload (zipfian mix, burst, thundering herd, epoch storm); both runs
-# must print the same workload hash with zero hard errors, and the
-# latency percentiles land in a warn-only SLO table
-# (see scripts/loadgen_smoke.sh).
-loadgen-smoke:
-	rm -rf $(LOADGEN_SMOKE_DIR) && mkdir -p $(LOADGEN_SMOKE_DIR)
-	$(GO) build -o $(LOADGEN_SMOKE_DIR)/ipscope-gen ./cmd/ipscope-gen
-	$(GO) build -o $(LOADGEN_SMOKE_DIR)/ipscope-serve ./cmd/ipscope-serve
-	$(GO) build -o $(LOADGEN_SMOKE_DIR)/ipscope-router ./cmd/ipscope-router
-	$(GO) build -o $(LOADGEN_SMOKE_DIR)/ipscope-loadgen ./cmd/ipscope-loadgen
-	sh scripts/loadgen_smoke.sh $(LOADGEN_SMOKE_DIR)
-
-# Replica-failover chaos test: an R=2 fleet (2 ranges x 2 replicas)
-# behind ipscope-router -replicas 2; one replica of each range is
-# kill -9'd (one before, one while ipscope-loadgen drives traffic) and
-# the run must finish with zero hard errors and the single-node
-# workload hash; restarted replicas must be re-admitted and healthz
-# return to all-ok (see scripts/chaos_smoke.sh).
-chaos-smoke:
-	rm -rf $(CHAOS_SMOKE_DIR) && mkdir -p $(CHAOS_SMOKE_DIR)
-	$(GO) build -o $(CHAOS_SMOKE_DIR)/ipscope-gen ./cmd/ipscope-gen
-	$(GO) build -o $(CHAOS_SMOKE_DIR)/ipscope-serve ./cmd/ipscope-serve
-	$(GO) build -o $(CHAOS_SMOKE_DIR)/ipscope-router ./cmd/ipscope-router
-	$(GO) build -o $(CHAOS_SMOKE_DIR)/ipscope-loadgen ./cmd/ipscope-loadgen
-	sh scripts/chaos_smoke.sh $(CHAOS_SMOKE_DIR)
-
-ci: build vet vet-386 fmt-check test bench-harness race bench-smoke fuzz-smoke pipeline-smoke serve-smoke live-smoke cluster-smoke rpc-smoke snapshot-smoke history-smoke loadgen-smoke chaos-smoke
+ci: build vet vet-386 fmt-check test bench-harness race bench-smoke fuzz-smoke $(SMOKES)

@@ -101,7 +101,6 @@ import (
 	_ "net/http/pprof" // -pprof side listener
 	"os"
 	"os/signal"
-	"slices"
 	"syscall"
 	"time"
 
@@ -110,7 +109,6 @@ import (
 	"ipscope/internal/node"
 	"ipscope/internal/obs"
 	"ipscope/internal/query"
-	"ipscope/internal/rpc"
 	"ipscope/internal/serve"
 	"ipscope/internal/serve/wire"
 	"ipscope/internal/sim"
@@ -186,60 +184,61 @@ func main() {
 		log.Fatal("-follow-poll only applies to -follow")
 	}
 
-	cfg := serve.Config{CacheSize: *cacheSize, RetainEpochs: *retainEpochs}
+	cfg := node.Config{
+		Serve:     serve.Config{CacheSize: *cacheSize, RetainEpochs: *retainEpochs},
+		Listen:    *listen,
+		RPCListen: *rpcListen,
+		Replica:   *replica,
+	}
 	switch *accessLog {
 	case "":
 	case "-":
-		cfg.AccessLog = os.Stderr
+		cfg.Serve.AccessLog = os.Stderr
 	default:
 		f, err := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		cfg.AccessLog = f
+		cfg.Serve.AccessLog = f
 	}
 
 	if live {
-		runLive(cfg, *listen, *rpcListen, liveOptions{
-			follow:       *follow,
-			obsListen:    *obsListen,
-			publishEvery: *publishEvery,
-			workers:      *workers,
-			shardIndex:   *shardIndex,
-			shardCount:   *shardCount,
-			replica:      *replica,
-			snapshotDir:  *snapDir,
-			snapEvery:    *snapEvery,
-			snapKeep:     *snapKeep,
-			followPoll:   *followPoll,
-		})
+		cfg.Follow, cfg.ObsListen, cfg.FollowPoll = *follow, *obsListen, *followPoll
+		cfg.PublishEvery, cfg.Workers = *publishEvery, *workers
+		cfg.ShardIndex, cfg.ShardCount = *shardIndex, *shardCount
+		cfg.SnapshotDir, cfg.SnapshotEvery, cfg.SnapshotKeep = *snapDir, *snapEvery, *snapKeep
+		n, err := node.Start(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		run(n)
 		return
 	}
 
 	start := time.Now()
 	var idx *query.Index
+	var shard *query.ShardRange
 	if *snapLoad != "" {
 		loaded, err := query.LoadSnapshotFile(*snapLoad, query.LoadOptions{Workers: *workers})
 		if err != nil {
 			log.Fatal(err)
 		}
-		idx = loaded.Index
-		if sh := loaded.Info.Shard; sh != nil {
-			cfg.Shard = &wire.ShardInfo{Index: sh.Index, Count: sh.Count, Lo: sh.Lo, Hi: sh.Hi, Replica: *replica}
-			log.Printf("shard %d/%d replica %d: serving block range [%d, %d)", sh.Index, sh.Count, *replica, sh.Lo, sh.Hi)
+		idx, shard = loaded.Index, loaded.Info.Shard
+		if shard != nil {
+			log.Printf("shard %d/%d replica %d: serving block range [%d, %d)", shard.Index, shard.Count, *replica, shard.Lo, shard.Hi)
 		} else if *replica > 0 {
 			// An unsharded snapshot is the one-range partition; the
 			// replica id still needs a partition identity to live on.
-			cfg.Shard = &wire.ShardInfo{Index: 0, Count: 1, Lo: 0, Hi: 1 << 24, Replica: *replica}
+			shard = &query.ShardRange{Index: 0, Count: 1, Lo: 0, Hi: 1 << 24}
 		}
 		log.Printf("loaded snapshot %s in %v: epoch %d",
 			*snapLoad, time.Since(start).Round(time.Microsecond), idx.Epoch())
 	} else {
-		idx = buildIndex(&cfg, *dataset, *seed, *ases, *blocksPerAS, *days, *workers, *shardIndex, *shardCount, *replica)
+		idx, shard = buildIndex(*dataset, *seed, *ases, *blocksPerAS, *days, *workers, *shardIndex, *shardCount, *replica)
 	}
 	if *snapSave != "" {
-		data := query.EncodeSnapshot(idx, shardRangeOf(cfg.Shard))
+		data := query.EncodeSnapshot(idx, shard)
 		if err := query.WriteSnapshotFile(*snapSave, data); err != nil {
 			log.Fatal(err)
 		}
@@ -254,40 +253,38 @@ func main() {
 	log.Printf("index ready in %v: %d active /24 blocks, %d-day window",
 		time.Since(start).Round(time.Millisecond), idx.NumBlocks(), idx.DailyLen())
 
-	srv := serve.New(idx, cfg)
-	rpcSrv := startRPC(srv, *rpcListen)
-
-	bind := *listen
 	if *selfcheck {
-		bind = "127.0.0.1:0"
+		cfg.Listen = "127.0.0.1:0"
 	}
-	addr, err := srv.Listen(bind)
+	n, err := node.Serve(cfg, idx, shard)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("serving on http://%s", addr)
-
 	if *selfcheck {
-		err := runSelfcheck(idx, "http://"+addr.String(), srv.Shard())
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if serr := srv.Shutdown(sctx); err == nil {
+		err := runSelfcheck(idx, "http://"+n.Addr().String(), n.Server().Shard())
+		if serr := n.Shutdown(); err == nil {
 			err = serr
-		}
-		if rpcSrv != nil {
-			if serr := rpcSrv.Shutdown(sctx); err == nil {
-				err = serr
-			}
 		}
 		if err != nil {
 			log.Fatalf("selfcheck: %v", err)
 		}
-		hits, misses, _ := srv.CacheStats()
+		hits, misses, _ := n.Server().CacheStats()
 		log.Printf("selfcheck passed (cache: %d hits, %d misses)", hits, misses)
 		return
 	}
+	run(n)
+}
 
-	waitAndShutdown(srv, rpcSrv)
+// run gives the node the rest of the process's life. One signal context
+// covers all of it — stream, final publish and drain — so a signal
+// landing at any point (including during the drain itself) is absorbed
+// instead of killing the process mid-flight.
+func run(n *node.Node) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := n.Run(ctx); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // startPprof exposes net/http/pprof on a side listener when addr is
@@ -305,19 +302,10 @@ func startPprof(addr string) {
 	go http.Serve(ln, nil) // pprof registers on http.DefaultServeMux
 }
 
-// shardRangeOf translates the server's advertised partition into the
-// snapshot codec's shard range (nil when unsharded).
-func shardRangeOf(sh *wire.ShardInfo) *query.ShardRange {
-	if sh == nil {
-		return nil
-	}
-	return &query.ShardRange{Index: sh.Index, Count: sh.Count, Lo: sh.Lo, Hi: sh.Hi}
-}
-
 // buildIndex compiles the batch-mode index from a stored dataset or an
-// in-process simulation, restricting to the owned slice in shard mode
-// (and recording the partition range in cfg for /v1/cluster/info).
-func buildIndex(cfg *serve.Config, dataset string, seed uint64, ases, blocksPerAS, days, workers, shardIndex, shardCount, replica int) *query.Index {
+// in-process simulation, restricted in shard mode to the owned slice,
+// whose range it returns.
+func buildIndex(dataset string, seed uint64, ases, blocksPerAS, days, workers, shardIndex, shardCount, replica int) (*query.Index, *query.ShardRange) {
 	var src obs.Source
 	if dataset != "" {
 		log.Printf("loading dataset %s...", dataset)
@@ -331,6 +319,7 @@ func buildIndex(cfg *serve.Config, dataset string, seed uint64, ases, blocksPerA
 		src = &res.Data
 	}
 	buildOpts := query.Options{Workers: workers}
+	var shard *query.ShardRange
 	if shardCount > 0 {
 		// Shard mode: derive the partition plan from the dataset's own
 		// meta and restrict both the dataset and the world-proportional
@@ -340,12 +329,12 @@ func buildIndex(cfg *serve.Config, dataset string, seed uint64, ases, blocksPerA
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan, err := cluster.PlanShards(synthnet.Generate(d.Meta.World), shardCount)
+		plan, err := cluster.PlanForMeta(d.Meta.World, shardCount)
 		if err != nil {
 			log.Fatal(err)
 		}
 		lo, hi := plan.Range(shardIndex)
-		cfg.Shard = &wire.ShardInfo{Index: shardIndex, Count: shardCount, Lo: lo, Hi: hi, Replica: replica}
+		shard = &query.ShardRange{Index: shardIndex, Count: shardCount, Lo: lo, Hi: hi}
 		src = obs.FilterSource(d, plan.Keep(shardIndex))
 		buildOpts.Keep = plan.Keep(shardIndex)
 		log.Printf("shard %d/%d replica %d: serving block range [%d, %d)", shardIndex, shardCount, replica, lo, hi)
@@ -354,313 +343,7 @@ func buildIndex(cfg *serve.Config, dataset string, seed uint64, ases, blocksPerA
 	if err != nil {
 		log.Fatal(err)
 	}
-	return idx
-}
-
-// startRPC binds the binary RPC listener when -rpc-listen is set; the
-// advertised address reaches routers via /v1/cluster/info, so it is
-// published before the HTTP listener comes up.
-func startRPC(srv *serve.Server, addr string) *rpc.Server {
-	if addr == "" {
-		return nil
-	}
-	rs := rpc.NewServer(srv, rpc.Options{})
-	raddr, err := rs.Listen(addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv.SetRPCAddr(raddr.String())
-	log.Printf("rpc on %s", raddr)
-	return rs
-}
-
-// waitAndShutdown blocks until SIGINT/SIGTERM, then drains in-flight
-// requests.
-func waitAndShutdown(srv *serve.Server, rpcSrv *rpc.Server) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	log.Printf("signal received; draining in-flight requests...")
-	drain(srv, rpcSrv)
-}
-
-// drain stops the server (HTTP and, if bound, RPC), letting in-flight
-// requests finish.
-func drain(srv *serve.Server, rpcSrv *rpc.Server) {
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		log.Fatalf("shutdown: %v", err)
-	}
-	if rpcSrv != nil {
-		if err := rpcSrv.Shutdown(sctx); err != nil {
-			log.Fatalf("rpc shutdown: %v", err)
-		}
-	}
-	log.Printf("bye")
-}
-
-// liveOptions bundles the live-mode knobs: stream source, publish
-// cadence, partition slice and snapshot checkpointing.
-type liveOptions struct {
-	follow, obsListen      string
-	publishEvery, workers  int
-	shardIndex, shardCount int
-	replica                int
-	snapshotDir            string
-	snapEvery, snapKeep    int
-	followPoll             time.Duration
-}
-
-// runLive serves a growing observation stream: events flow through the
-// incremental applier, and every publish interval the server atomically
-// swaps in a freshly published epoch — lookups keep being answered from
-// the previous snapshot in the meantime, and the HTTP endpoint is up
-// (warming) before the first day arrives.
-//
-// With -snapshot-dir, every Nth published epoch is also checkpointed to
-// disk (atomic rename, bounded retention) by a writer goroutine while
-// the next day is applied, and startup resumes from the
-// newest readable checkpoint: the saved index is published immediately
-// and the stream is tailed from the cut — already-applied frames are
-// discarded at the frame level, so restart cost is O(snapshot sections),
-// not O(replayed days).
-func runLive(cfg serve.Config, listen, rpcListen string, o liveOptions) {
-	if o.publishEvery < 1 {
-		o.publishEvery = 1
-	}
-	if o.snapEvery < 1 {
-		o.snapEvery = 1
-	}
-	srv := serve.New(nil, cfg)
-	rpcSrv := startRPC(srv, rpcListen)
-	addr, err := srv.Listen(listen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("serving on http://%s (warming: no snapshot yet)", addr)
-
-	// One signal context covers the whole lifetime — stream, final
-	// publish and drain — so a signal landing at any point (including
-	// during the drain itself) is absorbed instead of killing the
-	// process mid-flight.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// In shard mode the slice predicate only exists once the stream's
-	// meta event yields the partition plan (or, on resume, the range
-	// saved in the checkpoint); keep is bound then, before the meta
-	// event reaches the applier (same goroutine).
-	var keep func(b ipv4.Block) bool
-	applierOpts := query.Options{Workers: o.workers}
-	if o.shardCount > 0 {
-		applierOpts.Keep = func(b ipv4.Block) bool { return keep == nil || keep(b) }
-	}
-
-	var (
-		applier   *query.Applier
-		skip      obs.SkipCounts
-		resumed   bool
-		snapShard *query.ShardRange
-		ckpt      *node.CheckpointWriter // nil without -snapshot-dir
-	)
-	if o.snapshotDir != "" {
-		if err := os.MkdirAll(o.snapshotDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		node.RemoveStaleTemps(o.snapshotDir) // a writer killed mid-write left them
-		ckpt = &node.CheckpointWriter{Dir: o.snapshotDir, Keep: o.snapKeep}
-		if loaded, name := loadNewestSnapshot(o.snapshotDir, query.LoadOptions{Workers: o.workers}); loaded != nil {
-			sh := loaded.Info.Shard
-			switch {
-			case o.shardCount == 0 && sh != nil:
-				log.Fatalf("checkpoint %s belongs to shard %d/%d but no -shard-count was given", name, sh.Index, sh.Count)
-			case o.shardCount > 0 && (sh == nil || sh.Index != o.shardIndex || sh.Count != o.shardCount):
-				log.Fatalf("checkpoint %s does not match -shard-index %d -shard-count %d", name, o.shardIndex, o.shardCount)
-			}
-			if sh != nil {
-				lo, hi := sh.Lo, sh.Hi
-				keep = func(b ipv4.Block) bool { return uint32(b) >= lo && uint32(b) < hi }
-				srv.SetShard(wire.ShardInfo{Index: sh.Index, Count: sh.Count, Lo: lo, Hi: hi, Replica: o.replica})
-				snapShard = &query.ShardRange{Index: sh.Index, Count: sh.Count, Lo: lo, Hi: hi}
-				log.Printf("shard %d/%d replica %d: applying block range [%d, %d)", sh.Index, sh.Count, o.replica, lo, hi)
-			}
-			// The loaded index is complete and immutable: publish it
-			// first, so reads are answered at the checkpointed epoch
-			// while ResumeApplier rebuilds the staging state only the
-			// next day needs. It may alias the checkpoint's mapping; it
-			// stays mapped for the life of the process. Pruning may
-			// later unlink the file, which is safe: the mapping keeps
-			// the inode alive.
-			srv.Publish(loaded.Index)
-			ap, sk, err := loaded.ResumeApplier(applierOpts)
-			if err != nil {
-				log.Fatalf("resume from checkpoint %s: %v", name, err)
-			}
-			applier, skip, resumed = ap, sk, true
-			log.Printf("resumed from snapshot %s: epoch %d, %d days applied, %d active /24 blocks",
-				name, loaded.Index.Epoch(), ap.Days(), loaded.Index.NumBlocks())
-		}
-	}
-	if applier == nil {
-		applier = query.NewApplier(applierOpts)
-	}
-	lastPublished := applier.Days()
-	publish := func() error {
-		idx, err := applier.Snapshot()
-		if err != nil {
-			return err
-		}
-		srv.Publish(idx)
-		lastPublished = applier.Days()
-		log.Printf("published epoch %d: %d days applied, %d active /24 blocks",
-			idx.Epoch(), idx.DailyLen(), idx.NumBlocks())
-		if ckpt != nil && idx.Epoch()%uint64(o.snapEvery) == 0 {
-			// Capture now, while the applier still matches the published
-			// epoch; the writer goroutine streams the file out while the
-			// next day is applied. Checkpoint failure is logged, not
-			// fatal: the serving path must not die because the disk is
-			// full.
-			cp, err := applier.Checkpoint(snapShard)
-			if err != nil {
-				log.Printf("checkpoint epoch %d: %v (continuing without)", idx.Epoch(), err)
-			} else {
-				ckpt.Submit(cp)
-			}
-		}
-		return nil
-	}
-	// shutdown is every exit path's tail: wait for the checkpoint in
-	// flight (the newest epoch's file must not be lost to a signal, nor
-	// its temp file left behind), then drain.
-	shutdown := func() {
-		log.Printf("signal received; draining in-flight requests...")
-		if ckpt != nil {
-			ckpt.Close()
-		}
-		drain(srv, rpcSrv)
-	}
-	var sink obs.Sink = obs.SinkFunc(func(e obs.Event) error {
-		if _, ok := e.(obs.MetaEvent); ok && resumed {
-			// The applier already carries the dataset identity from the
-			// checkpoint; the re-delivered meta frame only re-arms the
-			// partition sink below.
-			resumed = false
-			return nil
-		}
-		if err := applier.Observe(e); err != nil {
-			return err
-		}
-		if _, ok := e.(obs.DayEvent); ok && applier.Days()-lastPublished >= o.publishEvery {
-			return publish()
-		}
-		return nil
-	})
-	if o.shardCount > 0 {
-		// Live shard mode: the partition plan is computed from the
-		// stream's meta event; from then on the applier only sees (and
-		// pays for) this shard's slice. The owned range is published to
-		// the server the moment it is known, so /v1/cluster/info can
-		// answer routers before the first epoch.
-		sink = cluster.PartitionSink(sink, o.shardIndex, o.shardCount, func(lo, hi uint32) {
-			keep = func(b ipv4.Block) bool { return uint32(b) >= lo && uint32(b) < hi }
-			srv.SetShard(wire.ShardInfo{Index: o.shardIndex, Count: o.shardCount, Lo: lo, Hi: hi, Replica: o.replica})
-			snapShard = &query.ShardRange{Index: o.shardIndex, Count: o.shardCount, Lo: lo, Hi: hi}
-			log.Printf("shard %d/%d replica %d: applying block range [%d, %d)", o.shardIndex, o.shardCount, o.replica, lo, hi)
-		})
-	}
-
-	var streamErr error
-	if o.follow != "" {
-		log.Printf("following dataset file %s", o.follow)
-		streamErr = obs.FollowWith(ctx, o.follow, obs.FollowOptions{Poll: o.followPoll, Skip: skip}, sink)
-	} else {
-		streamErr = acceptStream(ctx, o.obsListen, skip, sink)
-	}
-	if ctx.Err() != nil {
-		// Interrupted while streaming: drain and exit on this signal.
-		shutdown()
-		return
-	}
-	switch {
-	case streamErr != nil && applier.Epoch() == 0:
-		// The stream died before anything could be served.
-		log.Fatalf("live stream failed before any snapshot was published: %v", streamErr)
-	case streamErr != nil:
-		// A dead producer must not take the read path down with it: keep
-		// serving the last published epoch until the operator decides.
-		log.Printf("live stream failed: %v", streamErr)
-		log.Printf("continuing to serve epoch %d until signalled", applier.Epoch())
-	default:
-		// The stream completed: the end-of-stream aggregates (per-block
-		// traffic/UA, scan surfaces) arrived after the last day, so one
-		// final epoch folds them in; the server keeps serving it until
-		// signalled.
-		if err := publish(); err != nil {
-			log.Fatalf("final publish: %v", err)
-		}
-		log.Printf("stream complete; serving final epoch")
-	}
-	<-ctx.Done()
-	shutdown()
-}
-
-// loadNewestSnapshot scans dir for checkpoints, newest first, and
-// returns the first one that loads cleanly (with its path). A corrupt
-// or torn file is logged and skipped — an older intact checkpoint
-// beats refusing to start.
-func loadNewestSnapshot(dir string, opts query.LoadOptions) (*query.Loaded, string) {
-	names, err := node.ListCheckpoints(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	slices.Reverse(names)
-	for _, name := range names {
-		loaded, err := query.LoadSnapshotFile(name, opts)
-		if err != nil {
-			log.Printf("skipping unreadable checkpoint %s: %v", name, err)
-			continue
-		}
-		if !loaded.Resumable() {
-			log.Printf("skipping non-resumable snapshot %s (batch -snapshot-save output?)", name)
-			loaded.Close()
-			continue
-		}
-		return loaded, name
-	}
-	return nil, ""
-}
-
-// acceptStream accepts one TCP connection and decodes its observation
-// stream into sink. A signal while waiting in Accept closes the
-// listener so the wait ends cleanly.
-func acceptStream(ctx context.Context, obsListen string, skip obs.SkipCounts, sink obs.Sink) error {
-	ln, err := net.Listen("tcp", obsListen)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
-	log.Printf("waiting for an observation stream on %s", ln.Addr())
-	conn, err := ln.Accept()
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-	defer conn.Close()
-	// A signal mid-stream must unblock the decoder's read, not just the
-	// accept loop, or graceful shutdown would wait on the peer.
-	go func() {
-		<-ctx.Done()
-		conn.Close()
-	}()
-	log.Printf("stream connected from %s", conn.RemoteAddr())
-	return obs.StreamDecodeFrom(conn, skip, sink)
+	return idx, shard
 }
 
 // runSelfcheck probes every endpoint over real HTTP and verifies the

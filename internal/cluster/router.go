@@ -34,10 +34,6 @@ const (
 
 // RouterOptions tunes a Router.
 type RouterOptions struct {
-	// HTTPClient performs shard HTTP requests (discovery always, data
-	// traffic on the HTTP transport); nil means a client tuned for
-	// persistent shard connections (see newShardHTTPClient).
-	HTTPClient *http.Client
 	// Transport selects the shard data transport: TransportHTTP
 	// (default) or TransportRPC.
 	Transport string
@@ -64,13 +60,6 @@ type RouterOptions struct {
 	// router's view of the fleet's epochs can trail a publish, so a
 	// router without one does not cache responses.
 	ProbeInterval time.Duration
-	// FailBackoff is the re-admission backoff after a replica's first
-	// consecutive failure, doubling per further failure up to
-	// MaxBackoff; <= 0 means DefaultFailBackoff.
-	FailBackoff time.Duration
-	// MaxBackoff caps the exponential re-admission backoff; <= 0 means
-	// DefaultMaxBackoff.
-	MaxBackoff time.Duration
 }
 
 // DefaultGather bounds scatter-gather concurrency when unset.
@@ -82,19 +71,12 @@ const DefaultInfoTimeout = 30 * time.Second
 // DefaultProbeInterval is the background health probe cadence.
 const DefaultProbeInterval = time.Second
 
-// DefaultFailBackoff is the initial re-admission backoff after a
-// replica failure.
-const DefaultFailBackoff = 250 * time.Millisecond
-
-// DefaultMaxBackoff caps the exponential re-admission backoff.
-const DefaultMaxBackoff = 10 * time.Second
-
-// newShardHTTPClient builds the default client for router→shard HTTP
-// traffic. The zero-value http.Transport keeps only 2 idle connections
-// per host (DefaultMaxIdleConnsPerHost), so a gather=8 fan-out or a
-// point-lookup burst re-dials the same shard on nearly every request;
-// a router talks to a small, fixed fleet and should keep every
-// connection warm.
+// newShardHTTPClient builds the client for router→shard HTTP traffic
+// (discovery always, data on the HTTP transport). The zero-value
+// http.Transport keeps only 2 idle connections per host
+// (DefaultMaxIdleConnsPerHost), so a gather=8 fan-out or a point-lookup
+// burst re-dials the same shard on nearly every request; a router talks
+// to a small, fixed fleet and should keep every connection warm.
 func newShardHTTPClient() *http.Client {
 	return &http.Client{
 		Timeout: 10 * time.Second,
@@ -143,8 +125,8 @@ type Router struct {
 	gather   int
 
 	probeInterval time.Duration
-	failBackoff   time.Duration
-	maxBackoff    time.Duration
+	// now is the clock the health state machine runs on (health.go).
+	now func() time.Time
 
 	handler http.Handler
 
@@ -155,12 +137,13 @@ type Router struct {
 	tag     atomic.Pointer[serve.EpochTag]
 	evicted atomic.Uint64
 
+	// stopProbe ends the background prober; probeDone is closed once it
+	// has exited (nil on a router without one).
 	closeOnce sync.Once
 	stopProbe chan struct{}
+	probeDone chan struct{}
 
-	srvMu   sync.Mutex
-	httpSrv *http.Server
-	serveCh chan error
+	lis serve.Listener
 }
 
 // rangeGroup is one contiguous block range and the replica processes
@@ -179,26 +162,14 @@ type rangeGroup struct {
 
 // replicaState is one replica process: its address, identity,
 // transport client, the highest epoch the router has observed it
-// serving, and the failover health state machine.
-//
-// The state machine has three tiers, computed against the clock:
-// healthy (not marked down), due (down, backoff expired — worth a
-// retry), and backing off (down, too soon). Requests and probes feed
-// it: a transport failure marks the replica down and doubles its
-// backoff; a healthy answer (any deterministic status — the process
-// proved itself) resets it. A warming 503 does neither: the process
-// is up and will publish on its own, but cannot answer data yet.
+// serving, and its failover health (health.go).
 type replicaState struct {
 	base       string
 	info       wire.ShardInfo
 	replicaHdr []string // pre-built X-Replica header value
 	client     Client
 	epoch      atomic.Uint64
-
-	mu      sync.Mutex
-	down    bool
-	fails   int
-	retryAt time.Time
+	health
 }
 
 // observeEpoch records a served epoch (monotonic: shards never roll
@@ -228,89 +199,6 @@ func (g *rangeGroup) epoch() uint64 {
 	return best
 }
 
-// Health tiers, ordered by routing preference.
-const (
-	tierHealthy = iota // not marked down
-	tierDue            // down, backoff expired — candidate for re-admission
-	tierBackoff        // down, still backing off — last resort only
-)
-
-func (rp *replicaState) tier(now time.Time) int {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	switch {
-	case !rp.down:
-		return tierHealthy
-	case !now.Before(rp.retryAt):
-		return tierDue
-	default:
-		return tierBackoff
-	}
-}
-
-// markDown records a transport-level failure: the replica enters (or
-// stays in) the down state with an exponentially growing re-admission
-// backoff.
-func (rp *replicaState) markDown(base, max time.Duration) {
-	now := time.Now()
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	rp.down = true
-	if rp.fails < 32 {
-		rp.fails++
-	}
-	backoff := base << (rp.fails - 1)
-	if backoff <= 0 || backoff > max {
-		backoff = max
-	}
-	rp.retryAt = now.Add(backoff)
-}
-
-// markUp resets the health state after any successful answer.
-func (rp *replicaState) markUp() {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	rp.down = false
-	rp.fails = 0
-	rp.retryAt = time.Time{}
-}
-
-// pick orders the range's replicas for one request: healthy replicas
-// first (rotated round-robin so load spreads), then down replicas
-// whose backoff expired, then — as a last resort — replicas still
-// backing off. The last tier is what preserves R=1 semantics: a
-// range's sole dead replica is still attempted on every request (a
-// fast connection-refused produces the degraded 503, and a restarted
-// process is re-admitted by the very next request), exactly as before
-// replication.
-func (g *rangeGroup) pick(now time.Time) []*replicaState {
-	if len(g.replicas) == 1 {
-		return g.replicas
-	}
-	var up, due, rest []*replicaState
-	for _, rp := range g.replicas {
-		switch rp.tier(now) {
-		case tierHealthy:
-			up = append(up, rp)
-		case tierDue:
-			due = append(due, rp)
-		default:
-			rest = append(rest, rp)
-		}
-	}
-	if len(up) > 1 {
-		rot := int(g.next.Add(1)-1) % len(up)
-		rotated := make([]*replicaState, 0, len(up))
-		rotated = append(rotated, up[rot:]...)
-		rotated = append(rotated, up[:rot]...)
-		up = rotated
-	}
-	order := up
-	order = append(order, due...)
-	order = append(order, rest...)
-	return order
-}
-
 // NewRouter discovers the fleet behind the given shard base URLs
 // (e.g. "http://127.0.0.1:8091") by reading each process's
 // /v1/cluster/info, groups replicas by owned range, validates that
@@ -323,10 +211,7 @@ func NewRouter(urls []string, opts RouterOptions) (*Router, error) {
 	if len(urls) == 0 {
 		return nil, fmt.Errorf("cluster: no shard URLs")
 	}
-	hc := opts.HTTPClient
-	if hc == nil {
-		hc = newShardHTTPClient()
-	}
+	hc := newShardHTTPClient()
 	transport := opts.Transport
 	if transport == "" {
 		transport = TransportHTTP
@@ -354,21 +239,12 @@ func NewRouter(urls []string, opts RouterOptions) (*Router, error) {
 	if probeInterval == 0 {
 		probeInterval = DefaultProbeInterval
 	}
-	failBackoff := opts.FailBackoff
-	if failBackoff <= 0 {
-		failBackoff = DefaultFailBackoff
-	}
-	maxBackoff := opts.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = DefaultMaxBackoff
-	}
 
 	rt := &Router{
 		replicas:      replicas,
 		gather:        gather,
 		probeInterval: probeInterval,
-		failBackoff:   failBackoff,
-		maxBackoff:    maxBackoff,
+		now:           time.Now,
 		stopProbe:     make(chan struct{}),
 	}
 	type rkey struct{ lo, hi uint32 }
@@ -432,6 +308,7 @@ func NewRouter(urls []string, opts RouterOptions) (*Router, error) {
 		// (see RouterOptions.ProbeInterval), so only a probing router caches.
 		rt.cache = serve.NewCache(serve.DefaultCacheSize)
 		rt.evicted.Store(rt.minEpoch())
+		rt.probeDone = make(chan struct{})
 		go rt.probeLoop()
 	}
 	return rt, nil
@@ -512,11 +389,15 @@ func (rt *Router) NumShards() int { return len(rt.ranges) }
 // NumReplicas returns the replication factor R.
 func (rt *Router) NumReplicas() int { return rt.replicas }
 
-// Close stops the background prober and releases every replica
-// client's persistent connections. It does not stop a Listen-ing
-// server — use Shutdown for that.
+// Close stops the background prober, waits for a probe in flight — none
+// may run against closed clients and mark replicas down afterwards — and
+// releases every replica client's persistent connections. It does not
+// stop a Listen-ing server — use Shutdown for that.
 func (rt *Router) Close() {
 	rt.closeOnce.Do(func() { close(rt.stopProbe) })
+	if rt.probeDone != nil {
+		<-rt.probeDone
+	}
 	for _, g := range rt.ranges {
 		for _, rp := range g.replicas {
 			if rp.client != nil {
@@ -528,42 +409,12 @@ func (rt *Router) Close() {
 
 // Listen binds addr and serves in the background until Shutdown.
 func (rt *Router) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	rt.srvMu.Lock()
-	rt.httpSrv = &http.Server{Handler: rt.handler}
-	rt.serveCh = make(chan error, 1)
-	srv, ch := rt.httpSrv, rt.serveCh
-	rt.srvMu.Unlock()
-	go func() {
-		err := srv.Serve(ln)
-		if err == http.ErrServerClosed {
-			err = nil
-		}
-		ch <- err
-	}()
-	return ln.Addr(), nil
+	return rt.lis.Listen(addr, rt.handler)
 }
 
 // Shutdown stops accepting new requests and drains in-flight ones.
 func (rt *Router) Shutdown(ctx context.Context) error {
-	rt.srvMu.Lock()
-	srv, ch := rt.httpSrv, rt.serveCh
-	rt.srvMu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	return <-ch
-}
-
-// markDown applies the router's backoff tuning to a replica failure.
-func (rt *Router) markDown(rp *replicaState) {
-	rp.markDown(rt.failBackoff, rt.maxBackoff)
+	return rt.lis.Shutdown(ctx)
 }
 
 // probeLoop is the background health prober: every ProbeInterval it
@@ -572,6 +423,7 @@ func (rt *Router) markDown(rp *replicaState) {
 // without waiting for traffic). Replicas still backing off are left
 // alone — that is the point of the backoff.
 func (rt *Router) probeLoop() {
+	defer close(rt.probeDone)
 	t := time.NewTicker(rt.probeInterval)
 	defer t.Stop()
 	for {
@@ -585,33 +437,10 @@ func (rt *Router) probeLoop() {
 }
 
 func (rt *Router) probeOnce() {
-	now := time.Now()
+	now := rt.now()
 	ctx, cancel := context.WithTimeout(context.Background(), rt.probeInterval)
 	defer cancel()
-	var g par.Group
-	g.SetLimit(rt.gather)
-	for _, rg := range rt.ranges {
-		for _, rp := range rg.replicas {
-			rp := rp
-			if rp.tier(now) == tierBackoff {
-				continue
-			}
-			g.Go(func() error {
-				status, epoch, _, _, err := rp.client.Health(ctx)
-				switch {
-				case err != nil:
-					rt.markDown(rp)
-				case status == "ok":
-					rp.markUp()
-					rt.observe(rp, epoch)
-				}
-				// Any other status (warming): alive but not servable;
-				// leave the state machine untouched.
-				return nil
-			})
-		}
-	}
-	g.Wait() //nolint:errcheck // probe outcomes land in the state machine
+	rt.probeFleet(ctx, func(rp *replicaState) bool { return rp.tier(now) != tierBackoff })
 }
 
 // ownerOf returns the one-element slice of rt.ranges holding the range
@@ -805,126 +634,93 @@ func writeNotRetained(w http.ResponseWriter, asked, oldest, newest uint64) {
 	w.Write(wire.NotRetainedBody(asked, oldest, newest))
 }
 
-// foldCommonRange folds per-range retained ranges into the
-// cluster-wide common range: max of oldests, min of newests — the
-// epochs every range can still answer. A range retaining nothing
-// (newest 0) collapses the range to empty (0, 0).
-func foldCommonRange(oldests, newests []uint64) (oldest, newest uint64) {
-	for i := range oldests {
-		if oldests[i] > oldest {
-			oldest = oldests[i]
-		}
-		if i == 0 || newests[i] < newest {
-			newest = newests[i]
-		}
-	}
-	if newest == 0 || oldest > newest {
-		return 0, 0
-	}
-	return oldest, newest
-}
-
-// commonRange live-probes the fleet's retained ranges and folds the
-// cluster-wide common range. Within a range the answering replicas'
-// rings are intersected (a routed as-of query may land on any of
-// them); across ranges foldCommonRange applies. Used on the rare
-// aggregate not-retained path, where the failing gather only learned
-// one range's ring.
-func (rt *Router) commonRange(ctx context.Context) (oldest, newest uint64) {
-	oldests := make([]uint64, len(rt.ranges))
-	newests := make([]uint64, len(rt.ranges))
+// probeFleet live-probes the replicas want accepts (nil: all of them,
+// including ones still backing off) with bounded concurrency and returns
+// the answers in rt.ranges / replicas order.
+func (rt *Router) probeFleet(ctx context.Context, want func(*replicaState) bool) [][]wire.RouterShardHealth {
+	fleet := make([][]wire.RouterShardHealth, len(rt.ranges))
 	var g par.Group
 	g.SetLimit(rt.gather)
 	for i, rg := range rt.ranges {
-		i, rg := i, rg
-		g.Go(func() error {
-			var ro, rn uint64
-			seen := false
-			for _, rp := range rg.replicas {
-				_, _, o, n, err := rp.client.Health(ctx)
-				if err != nil {
-					continue
-				}
-				if !seen {
-					ro, rn, seen = o, n, true
-					continue
-				}
-				if o > ro {
-					ro = o
-				}
-				if n < rn {
-					rn = n
-				}
+		fleet[i] = make([]wire.RouterShardHealth, len(rg.replicas))
+		for j, rp := range rg.replicas {
+			if want != nil && !want(rp) {
+				continue
 			}
-			oldests[i], newests[i] = ro, rn
-			return nil
-		})
+			i, j, rg, rp := i, j, rg, rp
+			g.Go(func() error {
+				fleet[i][j] = rt.probe(ctx, rg, rp)
+				return nil
+			})
+		}
 	}
-	g.Wait() //nolint:errcheck // unreachable replicas keep their zero range
-	return foldCommonRange(oldests, newests)
+	g.Wait() //nolint:errcheck // probe outcomes land in fleet and the state machine
+	return fleet
+}
+
+// commonRing folds a probed fleet's retained rings into the
+// cluster-wide common range: within a range the serving replicas' rings
+// are intersected, then the ranges'. A range nobody serves contributes
+// the empty ring.
+func commonRing(fleet [][]wire.RouterShardHealth) ring {
+	var common ring
+	for _, answers := range fleet {
+		var r ring
+		for _, st := range answers {
+			if st.Status == "ok" {
+				r.add(st.OldestEpoch, st.NewestEpoch)
+			}
+		}
+		common.add(r.oldest, r.newest)
+	}
+	return common
 }
 
 // notRetainedReply answers a fan-out that hit an unretained epoch with
-// the common-range 404.
+// the common-range 404. The failing gather only learned one range's
+// ring, so the fleet is probed for the rest — a rare path.
 func (rt *Router) notRetainedReply(ctx context.Context, asked uint64) reply {
-	oldest, newest := rt.commonRange(ctx)
+	oldest, newest := commonRing(rt.probeFleet(ctx, nil)).bounds()
 	return reply{Response: serve.Response{Status: http.StatusNotFound, Body: wire.NotRetainedBody(asked, oldest, newest)}}
 }
 
 // point answers a point lookup with an owning replica's response —
 // body, epoch stamp and ETag are the replica's, and the reply names it
-// for X-Replica. Replicas are tried in pick() order: an unreachable one
-// is marked down and the next tried (any replica's bytes are exact —
-// builds are deterministic); a warming one is remembered and its 503
-// relayed only if no sibling can do better. Only when every replica of
-// the range is unreachable does the lookup 503 on the unavailable path.
+// for X-Replica. Failover is fetchRange's: an unreachable replica is
+// marked down and the next tried (any replica's bytes are exact — builds
+// are deterministic); a warming one is passed over and its 503 relayed
+// only if no sibling can do better. Only when every replica of the range
+// is unreachable does the lookup 503 on the unavailable path.
 func (rt *Router) point(r *http.Request, rg *rangeGroup, pr PointRequest) reply {
 	pr.URI = r.URL.RequestURI()
 	pr.IfNoneMatch = r.Header.Get("If-None-Match")
-	relayed := func(resp PointResponse, rp *replicaState) reply {
+	resp, _, from, err := fetchRange(rt, r.Context(), rg,
+		func(ctx context.Context, c Client) (PointResponse, uint64, error) {
+			resp, err := c.Point(ctx, pr)
+			if err == nil && resp.Status == http.StatusServiceUnavailable {
+				// Alive but no snapshot yet: the class the partial
+				// fetches report a warming shard with.
+				err = &statusError{shard: rg.shard, code: resp.Status, detail: wire.WarmingError, warming: true}
+			}
+			return resp, resp.Epoch, err
+		})
+	switch {
+	case err == nil:
 		return reply{
 			Response:   serve.Response{Status: resp.Status, Body: resp.Body},
 			tagged:     resp.ETag != "",
 			epoch:      resp.Epoch,
 			retryAfter: resp.RetryAfter,
-			replica:    rp,
+			replica:    from,
+		}
+	case from != nil:
+		return reply{
+			Response:   serve.Response{Status: http.StatusServiceUnavailable, Body: wire.WarmingBody()},
+			retryAfter: "1",
+			replica:    from,
 		}
 	}
-	var lastErr error
-	var warming *PointResponse
-	var warmingFrom *replicaState
-	for _, rp := range rg.pick(time.Now()) {
-		resp, err := rp.client.Point(r.Context(), pr)
-		if err != nil {
-			lastErr = err
-			if isUnavailable(err) {
-				rt.markDown(rp)
-				continue
-			}
-			return rt.errReply(http.StatusServiceUnavailable, err.Error())
-		}
-		if resp.Status == http.StatusServiceUnavailable {
-			// Warming: the process is alive but has no snapshot yet. A
-			// sibling replica may have one — keep looking, and keep the
-			// response in case none does.
-			if warming == nil {
-				warming, warmingFrom = &resp, rp
-			}
-			continue
-		}
-		rp.markUp()
-		if resp.ETag != "" {
-			rt.observe(rp, resp.Epoch)
-		}
-		return relayed(resp, rp)
-	}
-	if warming != nil {
-		return relayed(*warming, warmingFrom)
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("shard %d unavailable", rg.shard)
-	}
-	return rt.errReply(http.StatusServiceUnavailable, lastErr.Error())
+	return rt.errReply(http.StatusServiceUnavailable, err.Error())
 }
 
 func (rt *Router) handleAddr(w http.ResponseWriter, r *http.Request) {
@@ -961,38 +757,42 @@ func (rt *Router) answerPoint(w http.ResponseWriter, r *http.Request, owner []*r
 	rt.answer(w, r, owner, func() reply { return rt.point(r, owner[0], pr) })
 }
 
-// fetchRange performs one range's share of a gather, failing over
-// across the range's replicas in pick() order. Transport failures
-// mark the replica down and move on; warming 503s move on without a
-// health mark; any deterministic answer — success, a parse 400, the
-// typed not-retained 404 — is returned immediately, because every
-// replica of the range would answer it identically. Only when no
-// replica produced a deterministic answer does the last failover
-// error surface.
+// fetchRange performs one range's share of a request — a gather's
+// fetch or a point lookup — failing over across the range's replicas in
+// pick() order. Transport failures mark the replica down and move on;
+// warming 503s move on without a health mark; any deterministic answer
+// — success, a parse 400, the typed not-retained 404 — is returned
+// immediately, because every replica of the range would answer it
+// identically. from is the replica that answered. Only when no replica
+// produced a deterministic answer does the last failover error surface,
+// and from is then the first replica found warming, if any.
 func fetchRange[T any](rt *Router, ctx context.Context, rg *rangeGroup,
-	fetch func(context.Context, Client) (T, uint64, error)) (T, uint64, error) {
+	fetch func(context.Context, Client) (T, uint64, error)) (T, uint64, *replicaState, error) {
 	var zero T
 	var lastErr error
-	for _, rp := range rg.pick(time.Now()) {
+	var warming *replicaState
+	for _, rp := range rg.pick(rt.now()) {
 		v, epoch, err := fetch(ctx, rp.client)
 		if err != nil {
+			lastErr = err
 			if isUnavailable(err) {
-				rt.markDown(rp)
-				lastErr = err
+				rp.markDown(rt.now())
 				continue
 			}
 			if isWarming(err) {
-				lastErr = err
+				if warming == nil {
+					warming = rp
+				}
 				continue
 			}
 			rp.markUp()
-			return zero, 0, err
+			return zero, 0, rp, err
 		}
 		rp.markUp()
 		rt.observe(rp, epoch)
-		return v, epoch, nil
+		return v, epoch, rp, nil
 	}
-	return zero, 0, lastErr
+	return zero, 0, warming, lastErr
 }
 
 // gatherPartials fans one fetch per range out with bounded
@@ -1010,7 +810,7 @@ func gatherPartials[T any](rt *Router, ctx context.Context, ranges []*rangeGroup
 	for i, rg := range ranges {
 		i, rg := i, rg
 		g.Go(func() error {
-			v, epoch, err := fetchRange(rt, ctx, rg, fetch)
+			v, epoch, _, err := fetchRange(rt, ctx, rg, fetch)
 			if err != nil {
 				return err
 			}
@@ -1149,46 +949,36 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 		rt.respondErr(w, r, http.StatusBadRequest, wire.ErrDeltaParams(fromRaw, toRaw))
 		return
 	}
+	// A range that no longer retains an epoch still answers — with its
+	// ring and no partial — so the gather learns every range's ring.
 	type deltaShare struct {
 		p              query.DeltaPartial
 		oldest, newest uint64
+		missing        bool
 	}
-	parts := make([]query.DeltaPartial, len(rt.ranges))
-	oldests := make([]uint64, len(rt.ranges))
-	newests := make([]uint64, len(rt.ranges))
-	missing := false
-	var mu sync.Mutex
-	var g par.Group
-	g.SetLimit(rt.gather)
-	for i, rg := range rt.ranges {
-		i, rg := i, rg
-		g.Go(func() error {
-			v, _, err := fetchRange(rt, r.Context(), rg,
-				func(ctx context.Context, c Client) (deltaShare, uint64, error) {
-					p, oldest, newest, err := c.Delta(ctx, from, to)
-					return deltaShare{p: p, oldest: oldest, newest: newest}, 0, err
-				})
-			if err != nil {
-				var nr *wire.NotRetainedError
-				if !errors.As(err, &nr) {
-					return err
-				}
-				oldests[i], newests[i] = nr.Oldest, nr.Newest
-				mu.Lock()
-				missing = true
-				mu.Unlock()
-				return nil
+	shares, _, _, err := gatherPartials(rt, r.Context(), rt.ranges,
+		func(ctx context.Context, c Client) (deltaShare, uint64, error) {
+			p, oldest, newest, err := c.Delta(ctx, from, to)
+			var nr *wire.NotRetainedError
+			if errors.As(err, &nr) {
+				return deltaShare{oldest: nr.Oldest, newest: nr.Newest, missing: true}, 0, nil
 			}
-			parts[i], oldests[i], newests[i] = v.p, v.oldest, v.newest
-			return nil
+			return deltaShare{p: p, oldest: oldest, newest: newest}, 0, err
 		})
-	}
-	if err := g.Wait(); err != nil {
+	if err != nil {
 		rt.respondErr(w, r, http.StatusServiceUnavailable, err.Error())
 		return
 	}
+	parts := make([]query.DeltaPartial, len(shares))
+	var common ring
+	missing := false
+	for i, sh := range shares {
+		parts[i] = sh.p
+		common.add(sh.oldest, sh.newest)
+		missing = missing || sh.missing
+	}
 	if missing {
-		oldest, newest := foldCommonRange(oldests, newests)
+		oldest, newest := common.bounds()
 		asked := from
 		if newest > 0 && from >= oldest && from <= newest {
 			asked = to
@@ -1243,77 +1033,19 @@ func (rt *Router) handleMovement(w http.ResponseWriter, r *http.Request) {
 // the set of blocks nobody can answer. The cluster epoch is the
 // minimum over ranges of each range's best healthy replica.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	type slot struct {
-		rg *rangeGroup
-		rp *replicaState
-	}
-	var flat []slot
-	for _, rg := range rt.ranges {
-		for _, rp := range rg.replicas {
-			flat = append(flat, slot{rg: rg, rp: rp})
-		}
-	}
-	states := make([]wire.RouterShardHealth, len(flat))
-	var g par.Group
-	g.SetLimit(rt.gather)
-	for i, s := range flat {
-		i, s := i, s
-		g.Go(func() error {
-			st := wire.RouterShardHealth{
-				Shard:     s.rg.shard,
-				Replica:   s.rp.info.Replica,
-				URL:       s.rp.base,
-				Transport: s.rp.client.Transport(),
-			}
-			status, epoch, oldest, newest, err := s.rp.client.Health(r.Context())
-			if err != nil {
-				st.Status, st.Error = "unreachable", err.Error()
-				rt.markDown(s.rp)
-			} else {
-				st.Status, st.Epoch = status, epoch
-				st.OldestEpoch, st.NewestEpoch = oldest, newest
-				if status == "ok" {
-					s.rp.markUp()
-					rt.observe(s.rp, epoch)
-				}
-			}
-			states[i] = st
-			return nil
-		})
-	}
-	g.Wait() //nolint:errcheck // probe outcomes land in states
-
-	body := wire.RouterHealth{Status: "ok", Shards: states}
+	fleet := rt.probeFleet(r.Context(), nil)
+	body := wire.RouterHealth{Status: "ok"}
 	status := http.StatusOK
-	oldests := make([]uint64, len(rt.ranges))
-	newests := make([]uint64, len(rt.ranges))
-	ranges := make([]wire.RouterRangeHealth, len(rt.ranges))
-	flatIdx := 0
 	for gi, rg := range rt.ranges {
 		rh := wire.RouterRangeHealth{Shard: rg.shard, Lo: rg.lo, Hi: rg.hi, Replicas: len(rg.replicas)}
 		var rangeEpoch uint64
-		seen := false
-		for range rg.replicas {
-			st := states[flatIdx]
-			flatIdx++
-			if st.Status != "ok" {
-				continue
-			}
-			rh.Healthy++
-			if st.Epoch > rangeEpoch {
-				rangeEpoch = st.Epoch
-			}
-			if !seen {
-				oldests[gi], newests[gi], seen = st.OldestEpoch, st.NewestEpoch, true
-				continue
-			}
-			if st.OldestEpoch > oldests[gi] {
-				oldests[gi] = st.OldestEpoch
-			}
-			if st.NewestEpoch < newests[gi] {
-				newests[gi] = st.NewestEpoch
+		for _, st := range fleet[gi] {
+			if st.Status == "ok" {
+				rh.Healthy++
+				rangeEpoch = max(rangeEpoch, st.Epoch)
 			}
 		}
+		body.Shards = append(body.Shards, fleet[gi]...)
 		switch {
 		case rh.Healthy == len(rg.replicas):
 			rh.Status = "ok"
@@ -1324,13 +1056,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			body.Status = "degraded"
 			status = http.StatusServiceUnavailable
 		}
-		ranges[gi] = rh
+		body.Ranges = append(body.Ranges, rh)
 		if gi == 0 || rangeEpoch < body.Epoch {
 			body.Epoch = rangeEpoch
 		}
 	}
-	body.Ranges = ranges
-	body.OldestEpoch, body.NewestEpoch = foldCommonRange(oldests, newests)
+	body.OldestEpoch, body.NewestEpoch = commonRing(fleet).bounds()
 	if rt.cache != nil {
 		body.CacheHits, body.CacheMisses, body.CacheSize = rt.cache.Stats()
 	}

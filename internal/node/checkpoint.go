@@ -1,7 +1,3 @@
-// Package node holds the parts of a live serving node's lifecycle that
-// tests drive in-process. It starts with the checkpoint stage of the
-// live write path; the rest of cmd/ipscope-serve's live loop is meant to
-// follow.
 package node
 
 import (

@@ -1,0 +1,440 @@
+// Package node is one serving process's lifecycle as a type tests drive
+// in-process: bind the listeners, load the newest checkpoint and resume
+// from it, ingest an observation stream (decode → apply → publish →
+// checkpoint), and shut down in order. cmd/ipscope-serve is flags,
+// validation and a signal context around it.
+package node
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"log"
+	"net"
+	"os"
+	"slices"
+	"time"
+
+	"ipscope/internal/cluster"
+	"ipscope/internal/ipv4"
+	"ipscope/internal/obs"
+	"ipscope/internal/query"
+	"ipscope/internal/rpc"
+	"ipscope/internal/serve"
+	"ipscope/internal/serve/wire"
+)
+
+// Config is what a node is started with: cmd/ipscope-serve's flags, under
+// their names (that command documents each).
+type Config struct {
+	Serve             serve.Config // its Shard field is the node's to set
+	Listen, RPCListen string       // "127.0.0.1:0" picks a port; RPC is optional
+	Replica           int
+
+	// Live nodes (Start) only; the stream is exactly one of Follow and
+	// ObsListen.
+	Follow, ObsListen           string
+	FollowPoll                  time.Duration
+	PublishEvery, Workers       int // PublishEvery < 1 means 1
+	ShardIndex, ShardCount      int // ShardCount 0 = unsharded
+	SnapshotDir                 string
+	SnapshotEvery, SnapshotKeep int // SnapshotEvery < 1 means 1
+}
+
+// drainTimeout bounds how long Shutdown waits for in-flight requests.
+const drainTimeout = 10 * time.Second
+
+// DatasetMismatchError is what ingest fails with when a node resumed from
+// a checkpoint is fed a stream of another dataset (a stale snapshot
+// directory, or the wrong stream): splicing its tail onto the
+// checkpointed state would serve an index that describes neither.
+// Nothing is applied or published past the checkpointed epoch.
+type DatasetMismatchError struct {
+	Checkpoint         string // the file resumed from
+	Checkpointed, Feed obs.Meta
+}
+
+func (e *DatasetMismatchError) Error() string {
+	id := func(m obs.Meta) string {
+		return fmt.Sprintf("seed %d, %d ASes x %d blocks, %d days", m.World.Seed, m.World.NumASes, m.World.MeanBlocksPerAS, m.Run.Days)
+	}
+	return fmt.Sprintf("the stream (%s) is not the dataset checkpoint %s was cut from (%s): clear the snapshot directory or feed the checkpointed dataset's stream",
+		id(e.Feed), e.Checkpoint, id(e.Checkpointed))
+}
+
+// Node is one serving process: a batch node (Serve) holds a frozen index,
+// a live node (Start) also the write path. The live state belongs to the
+// one goroutine that calls Ingest or Run.
+type Node struct {
+	cfg    Config
+	srv    *serve.Server
+	rpcSrv *rpc.Server // nil without RPCListen
+	addr   net.Addr
+	obsLn  net.Listener // nil without ObsListen
+
+	applier       *query.Applier // nil on a batch node
+	sink          obs.Sink       // applies events, shard-filtered in shard mode
+	skip          obs.SkipCounts // frames the resumed checkpoint already covers
+	lastPublished int            // applier days at the last publish
+	ckpt          *CheckpointWriter
+
+	shard *query.ShardRange // see bindShard; nil while unsharded or unplanned
+	// The checkpoint this node resumed from ("" on a fresh node) and its
+	// dataset identity, which the stream's meta frame must match.
+	resumedFrom  string
+	checkpointed obs.Meta
+}
+
+// Serve starts a batch node over a built or loaded index; shard is its
+// partition identity (nil = unsharded).
+func Serve(cfg Config, idx *query.Index, shard *query.ShardRange) (*Node, error) {
+	if shard != nil {
+		si := shardInfo(*shard, cfg.Replica)
+		cfg.Serve.Shard = &si
+	}
+	n := &Node{cfg: cfg}
+	if err := n.listen(idx); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// Start starts a live node: it binds the listeners (serving "warming"),
+// clears stale checkpoint temp files, resumes from the newest resumable
+// checkpoint in SnapshotDir and, with ObsListen, binds the stream
+// listener. Run (or Ingest) then feeds it.
+func Start(cfg Config) (*Node, error) {
+	cfg.PublishEvery = max(cfg.PublishEvery, 1)
+	cfg.SnapshotEvery = max(cfg.SnapshotEvery, 1)
+	n := &Node{cfg: cfg}
+	if err := n.listen(nil); err != nil {
+		return nil, err
+	}
+	if err := n.startLive(); err != nil {
+		n.Shutdown() //nolint:errcheck // the start-up error is the one to report
+		return nil, err
+	}
+	return n, nil
+}
+
+// listen brings up the read path: the RPC listener first — its address
+// reaches routers via /v1/cluster/info, so it is advertised before the
+// HTTP listener answers — then HTTP.
+func (n *Node) listen(idx *query.Index) error {
+	n.srv = serve.New(idx, n.cfg.Serve)
+	if n.cfg.RPCListen != "" {
+		n.rpcSrv = rpc.NewServer(n.srv, rpc.Options{})
+		raddr, err := n.rpcSrv.Listen(n.cfg.RPCListen)
+		if err != nil {
+			return err
+		}
+		n.srv.SetRPCAddr(raddr.String())
+		log.Printf("rpc on %s", raddr)
+	}
+	addr, err := n.srv.Listen(n.cfg.Listen)
+	if err != nil {
+		n.Shutdown() //nolint:errcheck // the listen error is the one to report
+		return err
+	}
+	n.addr = addr
+	if idx == nil {
+		log.Printf("serving on http://%s (warming: no snapshot yet)", addr)
+	} else {
+		log.Printf("serving on http://%s", addr)
+	}
+	return nil
+}
+
+func (n *Node) startLive() error {
+	cfg := n.cfg
+	opts := query.Options{Workers: cfg.Workers}
+	if cfg.ShardCount > 0 {
+		// The slice only exists once the stream's meta event yields the
+		// plan (or the checkpoint its saved range); it is bound before
+		// the applier sees that event, on the same goroutine.
+		opts.Keep = func(b ipv4.Block) bool { return n.shard == nil || n.shard.Contains(b) }
+	}
+	n.sink = obs.SinkFunc(n.apply)
+	if cfg.SnapshotDir != "" {
+		if err := os.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
+			return err
+		}
+		RemoveStaleTemps(cfg.SnapshotDir) // a writer killed mid-write left them
+		n.ckpt = &CheckpointWriter{Dir: cfg.SnapshotDir, Keep: cfg.SnapshotKeep}
+		if err := n.resume(opts); err != nil {
+			return err
+		}
+	}
+	if n.applier == nil {
+		n.applier = query.NewApplier(opts)
+		if cfg.ShardCount > 0 {
+			// The plan is computed from the stream's meta event; from
+			// then on the applier only sees (and pays for) this slice.
+			n.sink = cluster.PartitionSink(n.sink, cfg.ShardIndex, cfg.ShardCount, func(lo, hi uint32) {
+				n.bindShard(query.ShardRange{Index: cfg.ShardIndex, Count: cfg.ShardCount, Lo: lo, Hi: hi})
+			})
+		}
+	}
+	n.lastPublished = n.applier.Days()
+	if cfg.ObsListen != "" {
+		ln, err := net.Listen("tcp", cfg.ObsListen)
+		if err != nil {
+			return err
+		}
+		n.obsLn = ln
+		log.Printf("waiting for an observation stream on %s", ln.Addr())
+	}
+	return nil
+}
+
+// resume loads the newest resumable checkpoint, if any, publishes its
+// index and rebuilds the applier at the cut.
+func (n *Node) resume(opts query.Options) error {
+	loaded, name, err := loadNewest(n.cfg.SnapshotDir, query.LoadOptions{Workers: n.cfg.Workers})
+	if loaded == nil {
+		return err
+	}
+	sh, idx, count := loaded.Info.Shard, n.cfg.ShardIndex, n.cfg.ShardCount
+	switch {
+	case count == 0 && sh != nil:
+		return fmt.Errorf("checkpoint %s belongs to shard %d/%d but no -shard-count was given", name, sh.Index, sh.Count)
+	case count > 0 && (sh == nil || sh.Index != idx || sh.Count != count):
+		return fmt.Errorf("checkpoint %s does not match -shard-index %d -shard-count %d", name, idx, count)
+	}
+	if sh != nil {
+		// The stream's meta frame is checked against the checkpoint's
+		// before anything is applied, so the range it would plan is this
+		// one: no re-planning on resume.
+		n.bindShard(*sh)
+		n.sink = obs.FilterSink(n.sink, sh.Contains)
+	}
+	// The loaded index is complete and immutable: publish it first, so
+	// reads are answered at the checkpointed epoch while ResumeApplier
+	// rebuilds the staging state only the next day needs. It may alias
+	// the checkpoint's mapping, which stays mapped for the life of the
+	// process; pruning may later unlink the file, which is safe — the
+	// mapping keeps the inode alive.
+	n.srv.Publish(loaded.Index)
+	n.applier, n.skip, err = loaded.ResumeApplier(opts)
+	if err != nil {
+		return fmt.Errorf("resume from checkpoint %s: %v", name, err)
+	}
+	n.resumedFrom, n.checkpointed = name, loaded.Meta()
+	log.Printf("resumed from snapshot %s: epoch %d, %d days applied, %d active /24 blocks",
+		name, loaded.Index.Epoch(), n.applier.Days(), loaded.Index.NumBlocks())
+	return nil
+}
+
+// loadNewest scans dir for checkpoints, newest first, and returns the
+// first one that loads cleanly, with its path. A corrupt or torn file is
+// logged and skipped — an older intact checkpoint beats refusing to
+// start.
+func loadNewest(dir string, opts query.LoadOptions) (*query.Loaded, string, error) {
+	names, err := ListCheckpoints(dir)
+	if err != nil {
+		return nil, "", err
+	}
+	slices.Reverse(names)
+	for _, name := range names {
+		loaded, err := query.LoadSnapshotFile(name, opts)
+		if err != nil {
+			log.Printf("skipping unreadable checkpoint %s: %v", name, err)
+			continue
+		}
+		if !loaded.Resumable() {
+			log.Printf("skipping non-resumable snapshot %s (batch -snapshot-save output?)", name)
+			loaded.Close()
+			continue
+		}
+		return loaded, name, nil
+	}
+	return nil, "", nil
+}
+
+// shardInfo is a partition identity as the serving tier advertises it.
+func shardInfo(r query.ShardRange, replica int) wire.ShardInfo {
+	return wire.ShardInfo{Index: r.Index, Count: r.Count, Lo: r.Lo, Hi: r.Hi, Replica: replica}
+}
+
+// bindShard is the one place a live node's partition identity is set —
+// what the applier keeps, what checkpoints embed, and what the server
+// advertises the moment it is known, so /v1/cluster/info can answer
+// routers before the first epoch. resume calls it with the checkpoint's
+// range, the partition sink with the planned one.
+func (n *Node) bindShard(r query.ShardRange) {
+	n.shard = &r
+	n.srv.SetShard(shardInfo(r, n.cfg.Replica))
+	log.Printf("shard %d/%d replica %d: applying block range [%d, %d)", r.Index, r.Count, n.cfg.Replica, r.Lo, r.Hi)
+}
+
+// Addr is the bound HTTP address.
+func (n *Node) Addr() net.Addr { return n.addr }
+
+// Server is the node's read path.
+func (n *Node) Server() *serve.Server { return n.srv }
+
+// Ingest decodes one observation stream from r into the node on the
+// caller's goroutine: each day is applied and, at the publish cadence,
+// published and handed to the checkpoint writer before the next frame is
+// read — when Ingest returns, everything it read is served. On a resumed
+// node, frames the checkpoint covers are skipped undecoded and the meta
+// frame must match the checkpoint's (*DatasetMismatchError). It returns
+// nil once the end frame is read and the final epoch published, and what
+// obs.StreamDecode fails with otherwise (obs.ErrTruncated for a stream
+// that just stops). A node ingests one stream in its life.
+func (n *Node) Ingest(r io.Reader) error {
+	return n.endStream(obs.StreamDecodeFrom(r, n.skip, obs.SinkFunc(n.observe)))
+}
+
+// endStream ends a stream that decoded with err. A complete stream's
+// end-of-stream aggregates (per-block traffic/UA, scan surfaces) arrived
+// after its last day, so one final epoch folds them in.
+func (n *Node) endStream(err error) error {
+	if err != nil {
+		return err
+	}
+	if err := n.publish(); err != nil {
+		return fmt.Errorf("final publish: %v", err)
+	}
+	log.Printf("stream complete; serving final epoch")
+	return nil
+}
+
+// observe is the head of the node's sink chain.
+func (n *Node) observe(e obs.Event) error {
+	if me, ok := e.(obs.MetaEvent); ok && n.resumedFrom != "" {
+		// The applier carries the checkpoint's identity already; the
+		// frame is re-delivered only to be checked against it.
+		if !n.checkpointed.SameDataset(me.Meta) {
+			return &DatasetMismatchError{Checkpoint: n.resumedFrom, Checkpointed: n.checkpointed, Feed: me.Meta}
+		}
+		return nil
+	}
+	return n.sink.Observe(e)
+}
+
+// apply is the tail of the sink chain: the applier, then the publish
+// cadence.
+func (n *Node) apply(e obs.Event) error {
+	if err := n.applier.Observe(e); err != nil {
+		return err
+	}
+	if _, ok := e.(obs.DayEvent); ok && n.applier.Days()-n.lastPublished >= n.cfg.PublishEvery {
+		return n.publish()
+	}
+	return nil
+}
+
+// publish snapshots the applier, swaps the epoch in, and — every
+// SnapshotEvery-th epoch — captures a checkpoint while the applier
+// still matches the published epoch; the writer goroutine streams the
+// file out while the next day is applied. Checkpoint failure is logged,
+// not fatal: the serving path must not die because the disk is full.
+func (n *Node) publish() error {
+	idx, err := n.applier.Snapshot()
+	if err != nil {
+		return err
+	}
+	n.srv.Publish(idx)
+	n.lastPublished = n.applier.Days()
+	log.Printf("published epoch %d: %d days applied, %d active /24 blocks",
+		idx.Epoch(), idx.DailyLen(), idx.NumBlocks())
+	if n.ckpt != nil && idx.Epoch()%uint64(n.cfg.SnapshotEvery) == 0 {
+		cp, err := n.applier.Checkpoint(n.shard)
+		if err != nil {
+			log.Printf("checkpoint epoch %d: %v (continuing without)", idx.Epoch(), err)
+		} else {
+			n.ckpt.Submit(cp)
+		}
+	}
+	return nil
+}
+
+// Run is the node's life after start-up. A live node ingests its
+// configured stream; when that dies after something was published, the
+// node keeps serving it — a dead producer must not take the read path
+// down. Then, live or batch, Run serves until ctx is cancelled and shuts
+// down. It returns an error — having shut down — when the stream failed
+// before anything could be served, was not the checkpointed dataset, or
+// the shutdown itself failed.
+func (n *Node) Run(ctx context.Context) error {
+	if n.applier != nil {
+		if err := n.runStream(ctx); err != nil {
+			n.Shutdown() //nolint:errcheck // the stream error is the one to report
+			return err
+		}
+	}
+	<-ctx.Done()
+	log.Printf("signal received; draining in-flight requests...")
+	if err := n.Shutdown(); err != nil {
+		return err
+	}
+	log.Printf("bye")
+	return nil
+}
+
+func (n *Node) runStream(ctx context.Context) error {
+	var err error
+	if n.cfg.Follow != "" {
+		log.Printf("following dataset file %s", n.cfg.Follow)
+		err = n.endStream(obs.FollowWith(ctx, n.cfg.Follow,
+			obs.FollowOptions{Poll: n.cfg.FollowPoll, Skip: n.skip}, obs.SinkFunc(n.observe)))
+	} else {
+		err = n.acceptStream(ctx)
+	}
+	var mismatch *DatasetMismatchError
+	switch {
+	case err == nil || ctx.Err() != nil:
+		return nil // complete, or interrupted: drain on this signal
+	case errors.As(err, &mismatch):
+		return err
+	case n.applier.Epoch() == 0:
+		return fmt.Errorf("live stream failed before any snapshot was published: %v", err)
+	}
+	log.Printf("live stream failed: %v", err)
+	log.Printf("continuing to serve epoch %d until signalled", n.applier.Epoch())
+	return nil
+}
+
+// acceptStream accepts one TCP connection on the stream listener and
+// ingests it. Cancelling ctx ends the wait in Accept, and mid-stream
+// unblocks the decoder's read — graceful shutdown must not wait on the
+// peer.
+func (n *Node) acceptStream(ctx context.Context) error {
+	defer n.obsLn.Close()
+	stopAccept := context.AfterFunc(ctx, func() { n.obsLn.Close() })
+	conn, err := n.obsLn.Accept()
+	stopAccept()
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
+	log.Printf("stream connected from %s", conn.RemoteAddr())
+	return n.Ingest(conn)
+}
+
+// Shutdown is every exit path's tail, called once: wait for the
+// checkpoint write in flight (the newest epoch's file must not be lost
+// to a signal, nor its temp file left behind), then drain in-flight
+// requests, HTTP and RPC.
+func (n *Node) Shutdown() error {
+	if n.obsLn != nil {
+		n.obsLn.Close()
+	}
+	if n.ckpt != nil {
+		n.ckpt.Close()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := n.srv.Shutdown(ctx); err != nil {
+		return fmt.Errorf("shutdown: %v", err)
+	}
+	if n.rpcSrv != nil {
+		if err := n.rpcSrv.Shutdown(ctx); err != nil {
+			return fmt.Errorf("rpc shutdown: %v", err)
+		}
+	}
+	return nil
+}

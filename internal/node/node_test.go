@@ -1,0 +1,626 @@
+package node
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"log"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"ipscope/internal/cluster"
+	"ipscope/internal/obs"
+	"ipscope/internal/query"
+	"ipscope/internal/sim"
+	"ipscope/internal/synthnet"
+)
+
+// dataset is one tiny world's observations three ways: in memory (what
+// query.Build, the reference, reads), as the byte stream a live
+// simulation emits, and as the offsets just past each of that stream's
+// day frames, so a test can feed a node exactly the first k days.
+type dataset struct {
+	data   *obs.Data
+	stream []byte
+	dayEnd []int // dayEnd[k-1] is just past the k-th day frame
+}
+
+var datasets = map[uint64]*dataset{}
+
+// world returns the dataset of seed (28 daily-window days), generated
+// once per test binary.
+func world(t *testing.T, seed uint64) *dataset {
+	t.Helper()
+	if ds := datasets[seed]; ds != nil {
+		return ds
+	}
+	wc := synthnet.TinyConfig()
+	wc.Seed = seed
+	var buf bytes.Buffer
+	w := obs.NewWriter(&buf)
+	res, err := sim.RunTo(synthnet.Generate(wc), sim.TinyConfig(), w)
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := &dataset{data: &res.Data, stream: buf.Bytes()}
+	// The obs framing: an 8-byte stream header, then kind(1) length(4)
+	// payload frames; 0x02 is a day frame.
+	for off := 8; off < len(ds.stream); {
+		kind, n := ds.stream[off], int(binary.BigEndian.Uint32(ds.stream[off+1:]))
+		off += 5 + n
+		if kind == 0x02 {
+			ds.dayEnd = append(ds.dayEnd, off)
+		}
+	}
+	datasets[seed] = ds
+	return ds
+}
+
+// days returns the stream cut just past its k-th day: a producer that
+// died there.
+func (ds *dataset) days(k int) io.Reader { return bytes.NewReader(ds.stream[:ds.dayEnd[k-1]]) }
+
+// scribbled returns the whole stream with the payload of its first k
+// day frames (all but the 4 index bytes a skip peeks at) overwritten: a
+// consumer that decodes any of them fails.
+func (ds *dataset) scribbled(k int) io.Reader {
+	s := bytes.Clone(ds.stream)
+	for off := 8; off < ds.dayEnd[k-1]; {
+		kind, n := s[off], int(binary.BigEndian.Uint32(s[off+1:]))
+		if kind == 0x02 {
+			for i := off + 5 + 4; i < off+5+n; i++ {
+				s[i] = 0xFF
+			}
+		}
+		off += 5 + n
+	}
+	return bytes.NewReader(s)
+}
+
+// reference builds the index a node must converge on: query.Build over
+// the full dataset, restricted like the node to slice index of count
+// (count 0 = unsharded).
+func (ds *dataset) reference(t *testing.T, index, count int) (*query.Index, *query.ShardRange) {
+	t.Helper()
+	if count == 0 {
+		x, err := query.Build(ds.data, query.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x, nil
+	}
+	plan, err := cluster.PlanForMeta(ds.data.Meta.World, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := query.Build(obs.FilterSource(ds.data, plan.Keep(index)), query.Options{Keep: plan.Keep(index)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := plan.Range(index)
+	return x, &query.ShardRange{Index: index, Count: count, Lo: lo, Hi: hi}
+}
+
+// sameIndex compares complete index images, epoch aside (a live node
+// has published many, Build stamps 1).
+func sameIndex(t *testing.T, got, want *query.Index, shard *query.ShardRange) {
+	t.Helper()
+	if got == nil {
+		t.Fatal("nothing published")
+	}
+	g, w := query.EncodeSnapshot(got.AtEpoch(1), shard), query.EncodeSnapshot(want.AtEpoch(1), shard)
+	if !bytes.Equal(g, w) {
+		t.Fatalf("served index differs from query.Build over the full dataset (%d vs %d bytes)", len(g), len(w))
+	}
+}
+
+// logWatch is where the package's log lines go under test; await turns
+// one into an event a test can block on.
+type logWatch struct {
+	mu    sync.Mutex
+	text  strings.Builder
+	waits map[string]chan struct{}
+}
+
+func watchLog(t *testing.T) *logWatch {
+	l := &logWatch{waits: map[string]chan struct{}{}}
+	log.SetOutput(l)
+	t.Cleanup(func() { log.SetOutput(io.Discard) })
+	return l
+}
+
+func (l *logWatch) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.text.Write(p)
+	for sub, ch := range l.waits {
+		if strings.Contains(l.text.String(), sub) {
+			close(ch)
+			delete(l.waits, sub)
+		}
+	}
+	return len(p), nil
+}
+
+// await returns a channel closed once a log line containing sub has
+// been written.
+func (l *logWatch) await(sub string) <-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ch := make(chan struct{})
+	if strings.Contains(l.text.String(), sub) {
+		close(ch)
+	} else {
+		l.waits[sub] = ch
+	}
+	return ch
+}
+
+func TestMain(m *testing.M) {
+	log.SetOutput(io.Discard)
+	os.Exit(m.Run())
+}
+
+// start starts a live node on loopback with checkpoints in dir.
+func start(t *testing.T, dir string, mod func(*Config)) *Node {
+	t.Helper()
+	cfg := Config{Listen: "127.0.0.1:0", SnapshotDir: dir, SnapshotKeep: 3}
+	if mod != nil {
+		mod(&cfg)
+	}
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func shutdown(t *testing.T, n *Node) {
+	t.Helper()
+	if err := n.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// epoch is the epoch the node serves (0 while warming).
+func epoch(n *Node) uint64 {
+	if x := n.Server().Index(); x != nil {
+		return x.Epoch()
+	}
+	return 0
+}
+
+func snapName(e int) string { return fmt.Sprintf(checkpointPattern, e) }
+
+// TestIngestPublishesThenCheckpoints pins the synchronous write path:
+// when Ingest returns, the last day it read is published — over the real
+// listener — and once Shutdown returns, that epoch's checkpoint is
+// durable, retention holds and no temp file is left.
+func TestIngestPublishesThenCheckpoints(t *testing.T) {
+	ds, dir := world(t, 1), t.TempDir()
+	n := start(t, dir, func(c *Config) { c.RPCListen = "127.0.0.1:0" })
+	const k = 9
+	if err := n.Ingest(ds.days(k)); !errors.Is(err, obs.ErrTruncated) {
+		t.Fatalf("Ingest of a stream cut after day %d: %v, want obs.ErrTruncated", k, err)
+	}
+	if got := epoch(n); got != k {
+		t.Fatalf("epoch %d published when Ingest returned, want %d", got, k)
+	}
+	resp, err := http.Get("http://" + n.Addr().String() + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf(`"epoch":%d`, k); !strings.Contains(string(body), want) {
+		t.Fatalf("healthz on the bound address: %s, want %s", body, want)
+	}
+	if n.Server().RPCAddr() == "" {
+		t.Fatal("RPC listener bound but not advertised")
+	}
+	http.DefaultClient.CloseIdleConnections()
+	shutdown(t, n)
+
+	want := []string{snapName(k - 2), snapName(k - 1), snapName(k)}
+	if got := dirNames(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("after shutdown the directory holds %v, want %v", got, want)
+	}
+	l, err := query.LoadSnapshotFile(filepath.Join(dir, snapName(k)), query.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if !l.Resumable() || l.Index.Epoch() != k {
+		t.Fatalf("newest checkpoint: resumable %v, epoch %d; want true, %d", l.Resumable(), l.Index.Epoch(), k)
+	}
+}
+
+// TestResumeAfterKill is kill -9 and restart, in process: a node is
+// abandoned mid-stream — no shutdown, a writer's temp file left behind —
+// and a second node on the same directory removes the temp, serves the
+// checkpointed epoch as soon as it has started, ingests the full stream
+// (the days the checkpoint covers skipped undecoded) and ends on exactly
+// the index query.Build gives over the full dataset. For a shard, the
+// range comes back from the checkpoint and is the one a fresh node
+// plans.
+func TestResumeAfterKill(t *testing.T) {
+	ds := world(t, 1)
+	const k = 11
+	if err := obs.StreamDecode(ds.scribbled(k), obs.SinkFunc(func(obs.Event) error { return nil })); err == nil {
+		t.Fatal("the scribbled stream decodes: it cannot show that covered days are skipped")
+	}
+	for _, tc := range []struct {
+		name         string
+		index, count int
+	}{{"single", 0, 0}, {"shard0of2", 0, 2}, {"shard1of2", 1, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sharded := func(c *Config) { c.ShardIndex, c.ShardCount = tc.index, tc.count }
+			want, shard := ds.reference(t, tc.index, tc.count)
+
+			first := start(t, dir, sharded)
+			t.Cleanup(func() { first.Shutdown() }) // only so the test leaks nothing
+			landed := make(chan uint64, k)         // one send per checkpoint: the writer never waits on the test
+			first.ckpt.write = func(cp *query.Checkpoint, path string) (int64, error) {
+				n, err := cp.WriteFile(path)
+				landed <- cp.Epoch()
+				return n, err
+			}
+			if err := first.Ingest(ds.days(k)); !errors.Is(err, obs.ErrTruncated) {
+				t.Fatal(err)
+			}
+			for e := range landed {
+				if e == k {
+					break // the last day's checkpoint is on disk: "kill" now
+				}
+			}
+			planned := first.Server().Shard()
+			tmp := filepath.Join(dir, snapName(k+1)+".tmp")
+			if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			second := start(t, dir, sharded)
+			if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+				t.Errorf("stale temp file survived the restart: %v", err)
+			}
+			if got := epoch(second); got != k {
+				t.Fatalf("restarted node serves epoch %d, want the checkpointed %d", got, k)
+			}
+			if got := second.Server().Shard(); got != planned {
+				t.Fatalf("range restored from the checkpoint %+v, a fresh node planned %+v", got, planned)
+			}
+			if shard != nil && (planned.Lo != shard.Lo || planned.Hi != shard.Hi) {
+				t.Fatalf("node planned [%d, %d), the plan says [%d, %d)", planned.Lo, planned.Hi, shard.Lo, shard.Hi)
+			}
+			if err := second.Ingest(ds.scribbled(k)); err != nil {
+				t.Fatalf("ingest of the full stream after resume: %v", err)
+			}
+			shutdown(t, second)
+			sameIndex(t, second.Server().Index(), want, shard)
+		})
+	}
+}
+
+// TestResumeFallsBackPastCorruptCheckpoint pins that a torn or
+// bit-flipped newest checkpoint costs one epoch, not the restart.
+func TestResumeFallsBackPastCorruptCheckpoint(t *testing.T) {
+	ds, dir := world(t, 1), t.TempDir()
+	const k = 6
+	first := start(t, dir, nil)
+	if err := first.Ingest(ds.days(k)); !errors.Is(err, obs.ErrTruncated) {
+		t.Fatal(err)
+	}
+	shutdown(t, first)
+	newest := filepath.Join(dir, snapName(k))
+	raw, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newest, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second := start(t, dir, nil)
+	if got := epoch(second); got != k-1 {
+		t.Fatalf("resumed at epoch %d, want %d (the next older checkpoint)", got, k-1)
+	}
+	if err := second.Ingest(bytes.NewReader(ds.stream)); err != nil {
+		t.Fatal(err)
+	}
+	shutdown(t, second)
+	want, _ := ds.reference(t, 0, 0)
+	sameIndex(t, second.Server().Index(), want, nil)
+}
+
+// TestResumeRejectsAnotherDataset is the splice a restart on a stale
+// snapshot directory used to serve: a node resumed from dataset A's
+// checkpoint and fed dataset B (same geometry, another seed) must fail
+// with the typed error before anything is applied — nothing published
+// or checkpointed past A's epoch, and in shard mode no range re-planned
+// from B's world.
+func TestResumeRejectsAnotherDataset(t *testing.T) {
+	a, b := world(t, 1), world(t, 2)
+	const k = 10
+	for _, count := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", count), func(t *testing.T) {
+			dir := t.TempDir()
+			sharded := func(c *Config) { c.ShardIndex, c.ShardCount = 0, count }
+			first := start(t, dir, sharded)
+			if err := first.Ingest(a.days(k)); !errors.Is(err, obs.ErrTruncated) {
+				t.Fatal(err)
+			}
+			shutdown(t, first)
+			files := dirNames(t, dir)
+
+			second := start(t, dir, sharded)
+			planned := second.Server().Shard()
+			err := second.Ingest(bytes.NewReader(b.stream))
+			var mismatch *DatasetMismatchError
+			if !errors.As(err, &mismatch) {
+				t.Fatalf("ingest of another dataset's stream: %v, want *DatasetMismatchError", err)
+			}
+			if mismatch.Checkpointed.World.Seed != 1 || mismatch.Feed.World.Seed != 2 {
+				t.Errorf("error names seeds %d and %d, want 1 and 2", mismatch.Checkpointed.World.Seed, mismatch.Feed.World.Seed)
+			}
+			shutdown(t, second)
+			if got := epoch(second); got != k {
+				t.Errorf("epoch %d served after the rejected stream, want the checkpointed %d", got, k)
+			}
+			if got := second.Server().Shard(); got != planned {
+				t.Errorf("range re-planned from the rejected stream: %+v, was %+v", got, planned)
+			}
+			if got := dirNames(t, dir); !slices.Equal(got, files) {
+				t.Errorf("checkpoints after the rejected stream %v, before %v", got, files)
+			}
+
+			// The same stream with only the producer's worker count
+			// changed is the same dataset.
+			third := start(t, dir, sharded)
+			defer third.Shutdown()
+			me := obs.MetaEvent{Meta: a.data.Meta}
+			me.Meta.Run.Workers = 7
+			if err := third.observe(me); err != nil {
+				t.Errorf("meta differing only in Run.Workers rejected: %v", err)
+			}
+		})
+	}
+}
+
+// TestCadences pins -publish-every and -snapshot-every: an epoch every
+// N applied days plus the final one, and a checkpoint for every M-th
+// epoch.
+func TestCadences(t *testing.T) {
+	ds, dir := world(t, 1), t.TempDir()
+	n := start(t, dir, func(c *Config) { c.PublishEvery, c.SnapshotEvery, c.SnapshotKeep = 7, 2, 10 })
+	if err := n.Ingest(ds.days(20)); !errors.Is(err, obs.ErrTruncated) {
+		t.Fatal(err)
+	}
+	if x := n.Server().Index(); x.Epoch() != 2 || x.DailyLen() != 14 {
+		t.Fatalf("20 days at publish-every 7: epoch %d over %d days, want 2 over 14", x.Epoch(), x.DailyLen())
+	}
+	shutdown(t, n)
+
+	n = start(t, dir, func(c *Config) { c.PublishEvery, c.SnapshotEvery, c.SnapshotKeep = 7, 2, 10 })
+	if err := n.Ingest(bytes.NewReader(ds.stream)); err != nil {
+		t.Fatal(err)
+	}
+	shutdown(t, n)
+	// Resumed at epoch 2 (14 days): days 21 and 28 publish 3 and 4, the
+	// end of the stream 5.
+	if x := n.Server().Index(); x.Epoch() != 5 || x.DailyLen() != 28 {
+		t.Fatalf("full stream at publish-every 7: epoch %d over %d days, want 5 over 28", x.Epoch(), x.DailyLen())
+	}
+	if got, want := dirNames(t, dir), []string{snapName(2), snapName(4)}; !slices.Equal(got, want) {
+		t.Fatalf("snapshot-every 2 wrote %v, want %v", got, want)
+	}
+}
+
+// waitGoroutines spins until the process is back to want goroutines —
+// ones that were told to stop and are on their way out — and fails if
+// it never gets there.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, want %d:\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestShutdownWaitsForWriteInFlight is SIGTERM mid-flood: the stream is
+// cancelled while a checkpoint write is in flight (held open by the
+// write hook) and ingest is racing ahead of it. Run must not return
+// until that file — and any submitted after it — has landed: the newest
+// file is the last epoch submitted, no temp file remains, and no
+// goroutine outlives the node.
+func TestShutdownWaitsForWriteInFlight(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ds, dir := world(t, 1), t.TempDir()
+	n := start(t, dir, func(c *Config) { c.ObsListen = "127.0.0.1:0" })
+
+	var lg eventLog
+	inFlight := make(chan struct{})
+	release := make(chan struct{})
+	var last uint64
+	n.ckpt.write = func(cp *query.Checkpoint, path string) (int64, error) {
+		last = cp.Epoch() // writer goroutine only; read after Run returns
+		if cp.Epoch() == 2 {
+			close(inFlight)
+			<-release
+		}
+		size, err := cp.WriteFile(path)
+		lg.add("write %d landed", cp.Epoch())
+		return size, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan error, 1)
+	go func() {
+		err := n.Run(ctx)
+		lg.add("run returned")
+		ran <- err
+	}()
+	conn, err := net.Dial("tcp", n.obsLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		conn.Write(ds.stream) // fails part-way once the node hangs up
+	}()
+
+	<-inFlight // epoch 2's write is blocked; ingest is applying day 3
+	cancel()
+	select {
+	case err := <-ran:
+		t.Fatalf("Run returned (%v) with a checkpoint write in flight", err)
+	default:
+	}
+	close(release)
+	if err := <-ran; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	conn.Close()
+	<-fed
+
+	if i := lg.index(fmt.Sprintf("write %d landed", last)); i < 0 || i > lg.index("run returned") {
+		t.Fatalf("Run returned before the last submitted checkpoint (epoch %d) landed: %v", last, lg.events)
+	}
+	names := dirNames(t, dir)
+	if len(names) == 0 || names[len(names)-1] != snapName(int(last)) {
+		t.Fatalf("directory holds %v, want the last submitted epoch %d newest", names, last)
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, ".tmp") {
+			t.Fatalf("temp file left behind: %v", names)
+		}
+	}
+	waitGoroutines(t, before)
+}
+
+// TestStreamDies pins what Run does when the producer goes away: after
+// something was published the node keeps serving it until cancelled;
+// before, there is nothing to serve and Run fails.
+func TestStreamDies(t *testing.T) {
+	ds := world(t, 1)
+	feed := func(t *testing.T, n *Node, stream []byte) {
+		t.Helper()
+		conn, err := net.Dial("tcp", n.obsLn.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+	}
+
+	t.Run("after an epoch", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		lw := watchLog(t)
+		n := start(t, "", func(c *Config) { c.ObsListen = "127.0.0.1:0" })
+		ctx, cancel := context.WithCancel(context.Background())
+		ran := make(chan error, 1)
+		go func() { ran <- n.Run(ctx) }()
+		feed(t, n, ds.stream[:ds.dayEnd[4]])
+		<-lw.await("continuing to serve epoch 5 until signalled")
+		select {
+		case err := <-ran:
+			t.Fatalf("Run returned (%v) though epoch 5 can be served", err)
+		default:
+		}
+		if got := epoch(n); got != 5 {
+			t.Fatalf("serving epoch %d, want 5", got)
+		}
+		cancel()
+		if err := <-ran; err != nil {
+			t.Fatalf("Run after cancel: %v", err)
+		}
+		waitGoroutines(t, before)
+	})
+
+	t.Run("before any epoch", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		n := start(t, "", func(c *Config) { c.ObsListen = "127.0.0.1:0" })
+		ran := make(chan error, 1)
+		go func() { ran <- n.Run(context.Background()) }()
+		feed(t, n, ds.stream[:ds.dayEnd[0]-1]) // day 1's frame is cut short
+		err := <-ran
+		if err == nil || !strings.Contains(err.Error(), "before any snapshot was published") {
+			t.Fatalf("Run = %v, want the nothing-to-serve error", err)
+		}
+		waitGoroutines(t, before)
+	})
+}
+
+// TestRunCompleteStream drives the whole live path the way the binary
+// does — accept one connection, ingest it to its end frame — and pins
+// the final epoch against query.Build, and that the goroutines watching
+// the context are gone with the stream.
+func TestRunCompleteStream(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ds := world(t, 1)
+	lw := watchLog(t)
+	n := start(t, "", func(c *Config) { c.ObsListen = "127.0.0.1:0" })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := make(chan error, 1)
+	go func() { ran <- n.Run(ctx) }()
+	conn, err := net.Dial("tcp", n.obsLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(ds.stream); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	<-lw.await("stream complete; serving final epoch")
+	// Serving, stream over: all that is left are the node's listeners
+	// (HTTP accept loop) and Run itself.
+	waitGoroutines(t, before+2)
+	want, _ := ds.reference(t, 0, 0)
+	sameIndex(t, n.Server().Index(), want, nil)
+	cancel()
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestServeBatch pins the batch node: a prebuilt index behind the same
+// listeners and the same shutdown, its partition identity advertised.
+func TestServeBatch(t *testing.T) {
+	ds := world(t, 1)
+	x, shard := ds.reference(t, 1, 2)
+	n, err := Serve(Config{Listen: "127.0.0.1:0", Replica: 3}, x, shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	si := n.Server().Shard()
+	if si.Index != 1 || si.Count != 2 || si.Lo != shard.Lo || si.Hi != shard.Hi || si.Replica != 3 {
+		t.Fatalf("advertised %+v, want shard 1/2 %+v replica 3", si, *shard)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := n.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+}

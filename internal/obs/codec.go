@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -178,7 +179,7 @@ func WriteFile(path string, d *Data) error {
 // the stream ends before its end frame, *binenc.Error for structurally
 // invalid input. A sink error stops the decode and is returned as is.
 func StreamDecode(r io.Reader, sink Sink) error {
-	return streamDecode(r, SkipCounts{}, sink)
+	return StreamDecodeFrom(r, SkipCounts{}, sink)
 }
 
 // SkipCounts tells a stream decoder how many leading indexed events per
@@ -197,13 +198,6 @@ type SkipCounts struct {
 	Scans int
 }
 
-// StreamDecodeFrom is StreamDecode with a resume point: frames already
-// covered by skip are discarded without decoding. It is the network
-// ingest path for a consumer restarting from a snapshot checkpoint.
-func StreamDecodeFrom(r io.Reader, skip SkipCounts, sink Sink) error {
-	return streamDecode(r, skip, sink)
-}
-
 // skipLimit returns how many leading frames of this kind skip covers
 // (0 = deliver everything).
 func (s SkipCounts) skipLimit(kind byte) int {
@@ -218,7 +212,10 @@ func (s SkipCounts) skipLimit(kind byte) int {
 	return 0
 }
 
-func streamDecode(r io.Reader, skip SkipCounts, sink Sink) error {
+// StreamDecodeFrom is StreamDecode with a resume point: frames already
+// covered by skip are discarded without decoding. It is the network
+// ingest path for a consumer restarting from a snapshot checkpoint.
+func StreamDecodeFrom(r io.Reader, skip SkipCounts, sink Sink) error {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hdr := make([]byte, len(magic)+2)
 	if _, err := io.ReadFull(br, hdr); err != nil {
@@ -314,17 +311,6 @@ type FileSource string
 // Observations decodes the file.
 func (p FileSource) Observations() (*Data, error) { return DecodeFile(string(p)) }
 
-// Follow tails the dataset file, streaming events into sink — the
-// tailing mode of FileSource. See the package-level Follow.
-func (p FileSource) Follow(ctx context.Context, poll time.Duration, sink Sink) error {
-	return Follow(ctx, string(p), poll, sink)
-}
-
-// FollowWith tails the dataset file with explicit options.
-func (p FileSource) FollowWith(ctx context.Context, opts FollowOptions, sink Sink) error {
-	return FollowWith(ctx, string(p), opts, sink)
-}
-
 // DefaultFollowPoll is the poll interval Follow uses when given 0.
 const DefaultFollowPoll = 200 * time.Millisecond
 
@@ -378,7 +364,7 @@ func FollowWith(ctx context.Context, path string, opts FollowOptions, sink Sink)
 		}
 	}
 	defer f.Close()
-	return streamDecode(&tailReader{ctx: ctx, f: f, poll: poll}, opts.Skip, sink)
+	return StreamDecodeFrom(&tailReader{ctx: ctx, f: f, poll: poll}, opts.Skip, sink)
 }
 
 // tailReader turns end-of-file into "wait for more bytes": Read blocks
@@ -412,7 +398,7 @@ func (t *tailReader) Read(p []byte) (int, error) {
 func encodeEvent(b []byte, e Event) (kind byte, payload []byte) {
 	switch ev := e.(type) {
 	case MetaEvent:
-		return kindMeta, appendMeta(b, ev.Meta)
+		return kindMeta, AppendMeta(be, b, ev.Meta)
 	case DayEvent:
 		b = be.U32(b, uint32(ev.Index))
 		b = be.F64(b, ev.TotalHits)
@@ -446,7 +432,7 @@ func decodeEvent(kind byte, p []byte) (Event, error) {
 	var what string
 	switch kind {
 	case kindMeta:
-		return decodeMeta(d)
+		e, what = MetaEvent{Meta: ReadMeta(d)}, "meta frame"
 	case kindDay:
 		e, what = DayEvent{Index: int(d.U32()), TotalHits: d.F64(), Active: decodeSet(d)}, "day frame"
 	case kindWeek:
@@ -520,27 +506,36 @@ func decodePrefix(d *binenc.Dec) ipv4.Prefix {
 	return p
 }
 
-func appendMeta(b []byte, m Meta) []byte {
-	b = be.U64(b, m.World.Seed)
-	b = be.U32(b, uint32(m.World.NumASes))
-	b = be.U32(b, uint32(m.World.MeanBlocksPerAS))
+// AppendMeta appends m's twenty fields in byte order o. The dataset
+// stream's meta frame (big-endian) and the index snapshot's meta section
+// (little-endian) are this one layout.
+func AppendMeta(o binenc.Order, b []byte, m Meta) []byte {
+	b = o.U64(b, m.World.Seed)
+	b = o.U32(b, uint32(m.World.NumASes))
+	b = o.U32(b, uint32(m.World.MeanBlocksPerAS))
 	r := m.Run
-	b = be.U32(b, uint32(r.Days))
-	b = be.U32(b, uint32(r.DailyStart))
-	b = be.U32(b, uint32(r.DailyLen))
-	b = be.U32(b, uint32(r.UADays))
-	b = be.U32(b, uint32(len(r.ICMPScanDays)))
+	b = o.U32(b, uint32(r.Days))
+	b = o.U32(b, uint32(r.DailyStart))
+	b = o.U32(b, uint32(r.DailyLen))
+	b = o.U32(b, uint32(r.UADays))
+	b = o.U32(b, uint32(len(r.ICMPScanDays)))
 	for _, d := range r.ICMPScanDays {
-		b = be.U32(b, uint32(d))
+		b = o.U32(b, uint32(d))
 	}
 	for _, f := range []float64{r.PrefixChangeFrac, r.BlockChangeFrac,
 		r.BGPCoupleProb, r.BGPNoisePerDay, r.JoinFrac, r.LeaveFrac, r.TrafficGrowth} {
-		b = be.F64(b, f)
+		b = o.F64(b, f)
 	}
-	return be.U32(b, uint32(int32(r.Workers)))
+	return o.U32(b, uint32(int32(r.Workers)))
 }
 
-func decodeMeta(d *binenc.Dec) (Event, error) {
+// ReadMeta reads what AppendMeta wrote, in d's byte order, and latches
+// d's error on an implausible geometry or world. The world config drives
+// synthnet.Generate on the analysis side; the bounds keep a corrupt meta
+// from triggering a giant allocation there (2^24 /24 blocks is the
+// entire IPv4 space). The negative checks matter where int is 32 bits
+// and int(d.U32()) can wrap.
+func ReadMeta(d *binenc.Dec) Meta {
 	var m Meta
 	m.World.Seed = d.U64()
 	m.World.NumASes = int(d.U32())
@@ -559,21 +554,24 @@ func decodeMeta(d *binenc.Dec) (Event, error) {
 		*f = d.F64()
 	}
 	r.Workers = int(int32(d.U32()))
-	if err := d.Finish("meta frame"); err != nil {
-		return nil, err
-	}
 	if r.Days < 0 || r.DailyLen < 0 || r.DailyLen > 1<<20 || r.Days > 1<<20 {
-		return nil, binenc.Errorf(formatName, "implausible run geometry days=%d dailyLen=%d", r.Days, r.DailyLen)
+		d.Failf("implausible run geometry days=%d dailyLen=%d", r.Days, r.DailyLen)
 	}
-	// The world config drives synthnet.Generate on the analysis side;
-	// bound it so a corrupt meta frame cannot trigger a giant
-	// allocation there. 2^24 /24 blocks is the entire IPv4 space.
-	if m.World.NumASes > 1<<22 || m.World.MeanBlocksPerAS > 1<<16 ||
+	if m.World.NumASes < 0 || m.World.MeanBlocksPerAS < 0 ||
+		m.World.NumASes > 1<<22 || m.World.MeanBlocksPerAS > 1<<16 ||
 		m.World.NumASes*m.World.MeanBlocksPerAS > 1<<24 {
-		return nil, binenc.Errorf(formatName, "implausible world config ases=%d blocksPerAS=%d",
+		d.Failf("implausible world config ases=%d blocksPerAS=%d",
 			m.World.NumASes, m.World.MeanBlocksPerAS)
 	}
-	return MetaEvent{Meta: m}, nil
+	return m
+}
+
+// SameDataset reports whether m and o identify the same dataset: every
+// field that determines the stream's bytes. Run.Workers does not (the
+// engine is bit-identical for any worker count).
+func (m Meta) SameDataset(o Meta) bool {
+	m.Run.Workers, o.Run.Workers = 0, 0
+	return bytes.Equal(AppendMeta(be, nil, m), AppendMeta(be, nil, o))
 }
 
 func appendBlockStats(b []byte, ev BlockStatsEvent) []byte {

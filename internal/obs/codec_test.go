@@ -370,22 +370,25 @@ func TestSourceInterfaces(t *testing.T) {
 
 // TestMetaWorldBounds: a corrupt meta frame with an implausible world
 // config must fail decoding instead of driving world regeneration into
-// a giant allocation downstream.
+// a giant allocation downstream. The negative cases are the ones a
+// 32-bit int(d.U32()) wraps into; with a 64-bit int they decode as
+// huge positives and trip the upper bounds.
 func TestMetaWorldBounds(t *testing.T) {
-	m := Meta{}
-	m.World.NumASes = 1 << 23
-	m.World.MeanBlocksPerAS = 1 << 10
-	m.Run.Days, m.Run.DailyLen = 7, 7
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Observe(MetaEvent{Meta: m}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var fe *binenc.Error
-	if _, err := Decode(&buf); !errors.As(err, &fe) {
-		t.Fatalf("implausible world config: got %v, want *binenc.Error", err)
+	for _, world := range [][2]int{{1 << 23, 1 << 10}, {-1, 6}, {24, -1}, {-4, -4}} {
+		m := Meta{}
+		m.World.NumASes, m.World.MeanBlocksPerAS = world[0], world[1]
+		m.Run.Days, m.Run.DailyLen = 7, 7
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.Observe(MetaEvent{Meta: m}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var fe *binenc.Error
+		if _, err := Decode(&buf); !errors.As(err, &fe) {
+			t.Fatalf("world config ases=%d blocksPerAS=%d: got %v, want *binenc.Error", world[0], world[1], err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -108,11 +109,11 @@ func TestFollowTailsGrowingFile(t *testing.T) {
 	}
 
 	half := make(chan int, 1) // events seen while the file was half-written
-	total := 0
+	var total atomic.Int64    // the sink's goroutine counts, the test reads
 	done := make(chan error, 1)
 	go func() {
 		done <- Follow(context.Background(), path, time.Millisecond, SinkFunc(func(Event) error {
-			total++
+			total.Add(1)
 			return nil
 		}))
 	}()
@@ -126,8 +127,8 @@ func TestFollowTailsGrowingFile(t *testing.T) {
 			t.Fatal("follower never consumed the first half")
 		case <-time.After(10 * time.Millisecond):
 		}
-		if total > 0 {
-			half <- total
+		if n := total.Load(); n > 0 {
+			half <- int(n)
 			break
 		}
 	}
@@ -143,8 +144,8 @@ func TestFollowTailsGrowingFile(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("follow: %v", err)
 	}
-	if got := <-half; got >= total {
-		t.Errorf("no events delivered after the append (%d then %d)", got, total)
+	if got, all := <-half, int(total.Load()); got >= all {
+		t.Errorf("no events delivered after the append (%d then %d)", got, all)
 	}
 
 	// The streamed events reproduce the dataset.

@@ -20,6 +20,11 @@ import (
 // be mapped; the loader falls back to a plain read.
 var errNoMmap = &binenc.Error{Format: snapFormat, Msg: "mmap unavailable"}
 
+// snapErr reports structurally invalid snapshot bytes.
+func snapErr(msg string, args ...any) error {
+	return binenc.Errorf(snapFormat, msg, args...)
+}
+
 // LoadOptions controls snapshot loading.
 type LoadOptions struct {
 	// NoMmap forces the portable read-into-slice path even where mmap is
@@ -56,6 +61,9 @@ func (l *Loaded) Close() error {
 	l.munmap = nil
 	return f()
 }
+
+// Meta returns the identity of the dataset the snapshot was built from.
+func (l *Loaded) Meta() obs.Meta { return l.meta }
 
 // Resumable reports whether this snapshot is an Applier checkpoint
 // (carries resume state) rather than a plain index image.
@@ -165,7 +173,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		return nil, ErrSnapshotTruncated
 	}
 	if string(data[:len(snapMagic)]) != snapMagic {
-		return nil, binenc.Errorf(snapFormat, "bad magic")
+		return nil, snapErr("bad magic")
 	}
 	if len(data) < snapPrefaceLen {
 		return nil, ErrSnapshotTruncated
@@ -176,10 +184,10 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 	epoch := binary.LittleEndian.Uint64(data[16:])
 	total := binary.LittleEndian.Uint64(data[24:])
 	if version != snapVersion {
-		return nil, binenc.Errorf(snapFormat, "unsupported version %d", version)
+		return nil, snapErr("unsupported version %d", version)
 	}
 	if flags&^uint16(snapFlagResume) != 0 {
-		return nil, binenc.Errorf(snapFormat, "unknown flags %#x", flags)
+		return nil, snapErr("unknown flags %#x", flags)
 	}
 	resumable := flags&snapFlagResume != 0
 	want := uint32(numSections - 1)
@@ -187,17 +195,17 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		want = numSections
 	}
 	if count != want {
-		return nil, binenc.Errorf(snapFormat, "section count %d, want %d", count, want)
+		return nil, snapErr("section count %d, want %d", count, want)
 	}
 	if total > uint64(len(data)) {
 		return nil, ErrSnapshotTruncated
 	}
 	if total < uint64(len(data)) {
-		return nil, binenc.Errorf(snapFormat, "%d trailing bytes after declared end", uint64(len(data))-total)
+		return nil, snapErr("%d trailing bytes after declared end", uint64(len(data))-total)
 	}
 	tableLen := snapPrefaceLen + snapTableEntry*int(count)
 	if total < uint64(tableLen) {
-		return nil, binenc.Errorf(snapFormat, "declared length %d shorter than section table", total)
+		return nil, snapErr("declared length %d shorter than section table", total)
 	}
 
 	// Section table: ids sequential, offsets 8-aligned and strictly
@@ -213,20 +221,20 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		off := binary.LittleEndian.Uint64(e[8:])
 		length := binary.LittleEndian.Uint64(e[16:])
 		if id != uint32(i+1) {
-			return nil, binenc.Errorf(snapFormat, "section %d has id %d, want %d", i, id, i+1)
+			return nil, snapErr("section %d has id %d, want %d", i, id, i+1)
 		}
 		if reserved != 0 {
-			return nil, binenc.Errorf(snapFormat, "nonzero reserved field in section table")
+			return nil, snapErr("nonzero reserved field in section table")
 		}
 		if off != expected {
-			return nil, binenc.Errorf(snapFormat, "section %s at offset %d, want %d", sectionNames[id], off, expected)
+			return nil, snapErr("section %s at offset %d, want %d", sectionNames[id], off, expected)
 		}
 		if length > total-off {
-			return nil, binenc.Errorf(snapFormat, "section %s overruns file", sectionNames[id])
+			return nil, snapErr("section %s overruns file", sectionNames[id])
 		}
 		for _, gap := range data[prevEnd:off] {
 			if gap != 0 {
-				return nil, binenc.Errorf(snapFormat, "nonzero gap byte before section %s", sectionNames[id])
+				return nil, snapErr("nonzero gap byte before section %s", sectionNames[id])
 			}
 		}
 		sections[i] = data[off : off+length]
@@ -235,7 +243,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		expected = uint64(align8(int(prevEnd)))
 	}
 	if prevEnd != total {
-		return nil, binenc.Errorf(snapFormat, "file length %d does not match last section end %d", total, prevEnd)
+		return nil, snapErr("file length %d does not match last section end %d", total, prevEnd)
 	}
 
 	info, err := decodeInfo(sections[secInfo-1])
@@ -247,7 +255,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		return nil, err
 	}
 	if meta.Run.DailyLen > 0 && info.days > meta.Run.DailyLen {
-		return nil, binenc.Errorf(snapFormat, "days %d exceed daily window %d", info.days, meta.Run.DailyLen)
+		return nil, snapErr("days %d exceed daily window %d", info.days, meta.Run.DailyLen)
 	}
 	keys, err := decodeBlocksSection(sections[secBlocks-1], info.nblocks)
 	if err != nil {
@@ -259,7 +267,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 	}
 	views := sections[secViews-1]
 	if len(views) != 48*info.nblocks {
-		return nil, binenc.Errorf(snapFormat, "views section length %d, want %d", len(views), 48*info.nblocks)
+		return nil, snapErr("views section length %d, want %d", len(views), 48*info.nblocks)
 	}
 	trafAt, err := decodeTrafficSection(sections[secTraffic-1], info.nblocks)
 	if err != nil {
@@ -281,7 +289,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		return nil, err
 	}
 	if partial.DailyLen != info.days {
-		return nil, binenc.Errorf(snapFormat, "partial daily window %d does not match info days %d",
+		return nil, snapErr("partial daily window %d does not match info days %d",
 			partial.DailyLen, info.days)
 	}
 	var resume *resumeState
@@ -291,7 +299,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 			return nil, err
 		}
 		if resume.weeks != partial.Weeks {
-			return nil, binenc.Errorf(snapFormat, "resume weeks %d does not match partial weeks %d",
+			return nil, snapErr("resume weeks %d does not match partial weeks %d",
 				resume.weeks, partial.Weeks)
 		}
 	}
@@ -302,7 +310,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 	// two paths.
 	world := synthnet.Generate(meta.World)
 	if partial.Seed != world.Seed || partial.NumASes != len(world.ASes) {
-		return nil, binenc.Errorf(snapFormat, "partial identity does not match regenerated world")
+		return nil, snapErr("partial identity does not match regenerated world")
 	}
 	x := &Index{
 		epoch:   epoch,
@@ -369,7 +377,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 
 func decodeInfo(sec []byte) (snapInfo, error) {
 	if len(sec) != 48 {
-		return snapInfo{}, binenc.Errorf(snapFormat, "info section length %d, want 48", len(sec))
+		return snapInfo{}, snapErr("info section length %d, want 48", len(sec))
 	}
 	d := binenc.NewDec(le, snapFormat, sec)
 	var info snapInfo
@@ -386,83 +394,54 @@ func decodeInfo(sec []byte) (snapInfo, error) {
 		return snapInfo{}, err
 	}
 	if pad != 0 {
-		return snapInfo{}, binenc.Errorf(snapFormat, "nonzero info padding")
+		return snapInfo{}, snapErr("nonzero info padding")
 	}
 	if info.days < 1 || info.days > 1<<20 {
-		return snapInfo{}, binenc.Errorf(snapFormat, "implausible days %d", info.days)
+		return snapInfo{}, snapErr("implausible days %d", info.days)
 	}
 	if info.words != (info.days+63)/64 {
-		return snapInfo{}, binenc.Errorf(snapFormat, "words %d inconsistent with days %d", info.words, info.days)
+		return snapInfo{}, snapErr("words %d inconsistent with days %d", info.words, info.days)
 	}
 	if info.nblocks < 0 || info.nblocks > 1<<24 {
-		return snapInfo{}, binenc.Errorf(snapFormat, "implausible block count %d", info.nblocks)
+		return snapInfo{}, snapErr("implausible block count %d", info.nblocks)
 	}
 	switch present {
 	case 0:
 		if shardIndex|shardCount|lo|hi != 0 {
-			return snapInfo{}, binenc.Errorf(snapFormat, "shard fields set without shard flag")
+			return snapInfo{}, snapErr("shard fields set without shard flag")
 		}
 	case 1:
 		if shardCount == 0 || shardCount > 1<<20 || shardIndex >= shardCount {
-			return snapInfo{}, binenc.Errorf(snapFormat, "implausible shard %d/%d", shardIndex, shardCount)
+			return snapInfo{}, snapErr("implausible shard %d/%d", shardIndex, shardCount)
 		}
 		if lo > hi || hi > 1<<24 {
-			return snapInfo{}, binenc.Errorf(snapFormat, "implausible shard range [%d,%d)", lo, hi)
+			return snapInfo{}, snapErr("implausible shard range [%d,%d)", lo, hi)
 		}
 		info.shard = &ShardRange{Index: int(shardIndex), Count: int(shardCount), Lo: lo, Hi: hi}
 	default:
-		return snapInfo{}, binenc.Errorf(snapFormat, "invalid shard presence %d", present)
+		return snapInfo{}, snapErr("invalid shard presence %d", present)
 	}
 	return info, nil
 }
 
+// decodeMetaSection reads the dataset identity, under the obs codec's
+// own plausibility bounds.
 func decodeMetaSection(sec []byte) (obs.Meta, error) {
 	d := binenc.NewDec(le, snapFormat, sec)
-	var m obs.Meta
-	m.World.Seed = d.U64()
-	m.World.NumASes = int(d.U32())
-	m.World.MeanBlocksPerAS = int(d.U32())
-	r := &m.Run
-	r.Days = int(d.U32())
-	r.DailyStart = int(d.U32())
-	r.DailyLen = int(d.U32())
-	r.UADays = int(d.U32())
-	n := d.Count(4)
-	for i := 0; i < n; i++ {
-		r.ICMPScanDays = append(r.ICMPScanDays, int(d.U32()))
-	}
-	for _, f := range []*float64{&r.PrefixChangeFrac, &r.BlockChangeFrac,
-		&r.BGPCoupleProb, &r.BGPNoisePerDay, &r.JoinFrac, &r.LeaveFrac, &r.TrafficGrowth} {
-		*f = d.F64()
-	}
-	r.Workers = int(int32(d.U32()))
-	if err := d.Finish("meta section"); err != nil {
-		return obs.Meta{}, err
-	}
-	// The same plausibility bounds the obs codec applies: a corrupt meta
-	// must not drive a giant world generation.
-	if r.Days < 0 || r.DailyLen < 0 || r.DailyLen > 1<<20 || r.Days > 1<<20 {
-		return obs.Meta{}, binenc.Errorf(snapFormat, "implausible run geometry days=%d dailyLen=%d", r.Days, r.DailyLen)
-	}
-	if m.World.NumASes < 0 || m.World.MeanBlocksPerAS < 0 ||
-		m.World.NumASes > 1<<22 || m.World.MeanBlocksPerAS > 1<<16 ||
-		m.World.NumASes*m.World.MeanBlocksPerAS > 1<<24 {
-		return obs.Meta{}, binenc.Errorf(snapFormat, "implausible world config ases=%d blocksPerAS=%d",
-			m.World.NumASes, m.World.MeanBlocksPerAS)
-	}
-	return m, nil
+	m := obs.ReadMeta(d)
+	return m, d.Finish("meta section")
 }
 
 func decodeBlocksSection(sec []byte, nblocks int) ([]ipv4.Block, error) {
 	if len(sec) != 4*nblocks {
-		return nil, binenc.Errorf(snapFormat, "blocks section length %d, want %d", len(sec), 4*nblocks)
+		return nil, snapErr("blocks section length %d, want %d", len(sec), 4*nblocks)
 	}
 	keys := make([]ipv4.Block, nblocks)
 	prev := int64(-1)
 	for i := range keys {
 		v := binary.LittleEndian.Uint32(sec[4*i:])
 		if int64(v) <= prev {
-			return nil, binenc.Errorf(snapFormat, "blocks not strictly ascending at index %d", i)
+			return nil, snapErr("blocks not strictly ascending at index %d", i)
 		}
 		prev = int64(v)
 		keys[i] = ipv4.Block(v)
@@ -476,7 +455,7 @@ func decodeBlocksSection(sec []byte, nblocks int) ([]ipv4.Block, error) {
 func decodeTimelinesSection(sec []byte, info snapInfo) ([]uint64, error) {
 	wantWords := uint64(info.nblocks) * 256 * uint64(info.words)
 	if uint64(len(sec)) != 8*wantWords {
-		return nil, binenc.Errorf(snapFormat, "timelines section length %d, want %d", len(sec), 8*wantWords)
+		return nil, snapErr("timelines section length %d, want %d", len(sec), 8*wantWords)
 	}
 	if words := castU64s(sec); words != nil {
 		return words, nil
@@ -501,14 +480,14 @@ func decodeTrafficSection(sec []byte, nblocks int) ([]*blockTraffic, error) {
 	for i := 0; i < m; i++ {
 		idx := d.U32()
 		if int64(idx) <= prev {
-			return nil, binenc.Errorf(snapFormat, "traffic records not ascending at %d", idx)
+			return nil, snapErr("traffic records not ascending at %d", idx)
 		}
 		prev = int64(idx)
 		if int(idx) >= nblocks {
-			return nil, binenc.Errorf(snapFormat, "traffic record for block index %d of %d", idx, nblocks)
+			return nil, snapErr("traffic record for block index %d of %d", idx, nblocks)
 		}
 		if d.U32() != 0 {
-			return nil, binenc.Errorf(snapFormat, "nonzero traffic padding")
+			return nil, snapErr("nonzero traffic padding")
 		}
 		rec := d.Take(256*2 + 256*8)
 		if d.Err() != nil {
@@ -539,11 +518,11 @@ func decodeTagsSection(sec []byte) (*rdns.TagIndex, error) {
 		blk := d.U32()
 		tag := d.U32()
 		if int64(blk) <= prev {
-			return nil, binenc.Errorf(snapFormat, "tag blocks not ascending at %d", blk)
+			return nil, snapErr("tag blocks not ascending at %d", blk)
 		}
 		prev = int64(blk)
 		if tag > uint32(rdns.Dynamic) {
-			return nil, binenc.Errorf(snapFormat, "invalid rDNS tag %d", tag)
+			return nil, snapErr("invalid rDNS tag %d", tag)
 		}
 		pairs = append(pairs, rdns.BlockTag{Block: ipv4.Block(blk), Tag: rdns.Tag(tag)})
 	}
@@ -561,10 +540,10 @@ func decodeResumeSection(sec []byte, meta obs.Meta) (*resumeState, error) {
 	r.surfacesSeen = d.Bool()
 	if d.Err() == nil {
 		if r.weeks < 0 || r.weeks > meta.Run.NumWeeks() {
-			return nil, binenc.Errorf(snapFormat, "implausible resume weeks %d", r.weeks)
+			return nil, snapErr("implausible resume weeks %d", r.weeks)
 		}
 		if r.scans < 0 || r.scans > len(meta.Run.ICMPScanDays) {
-			return nil, binenc.Errorf(snapFormat, "implausible resume scans %d", r.scans)
+			return nil, snapErr("implausible resume scans %d", r.scans)
 		}
 	}
 	r.yearUnion = decodeSnapSet(d)
@@ -583,7 +562,7 @@ func decodeResumeSection(sec []byte, meta obs.Meta) (*resumeState, error) {
 	for i := 0; i < n && d.Err() == nil; i++ {
 		blk := d.U32()
 		if int64(blk) <= prev {
-			return nil, binenc.Errorf(snapFormat, "resume UA blocks not ascending at %d", blk)
+			return nil, snapErr("resume UA blocks not ascending at %d", blk)
 		}
 		prev = int64(blk)
 		samples := d.U64()
@@ -591,7 +570,7 @@ func decodeResumeSection(sec []byte, meta obs.Meta) (*resumeState, error) {
 		p := d.U8()
 		if p != 0 {
 			if p < 4 || p > 16 {
-				return nil, binenc.Errorf(snapFormat, "invalid HLL precision %d", p)
+				return nil, snapErr("invalid HLL precision %d", p)
 			}
 			regs := d.Take(1 << p)
 			if d.Err() != nil {
@@ -599,7 +578,7 @@ func decodeResumeSection(sec []byte, meta obs.Meta) (*resumeState, error) {
 			}
 			sk, err := useragent.HLLFromRegisters(p, regs)
 			if err != nil {
-				return nil, binenc.Errorf(snapFormat, "bad HLL registers: %v", err)
+				return nil, snapErr("bad HLL registers: %v", err)
 			}
 			st.Sketch = sk
 		}
@@ -627,7 +606,7 @@ func decodeResumeSection(sec []byte, meta obs.Meta) (*resumeState, error) {
 func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 	r := l.resume
 	if r == nil {
-		return nil, obs.SkipCounts{}, binenc.Errorf(snapFormat, "not a resumable checkpoint")
+		return nil, obs.SkipCounts{}, snapErr("not a resumable checkpoint")
 	}
 	x := l.Index
 	a := NewApplier(opts)
@@ -677,7 +656,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 			}
 		}
 		if acc.union.IsEmpty() {
-			return nil, obs.SkipCounts{}, binenc.Errorf(snapFormat, "indexed block %v has an empty timeline", blk)
+			return nil, obs.SkipCounts{}, snapErr("indexed block %v has an empty timeline", blk)
 		}
 		for wi, wv := range dayMask {
 			acc.activeDays += bits.OnesCount64(wv)
@@ -686,7 +665,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 				wv &^= 1 << b
 				day := wi*64 + b
 				if day >= x.days {
-					return nil, obs.SkipCounts{}, binenc.Errorf(snapFormat, "block %v active on day %d beyond window %d",
+					return nil, obs.SkipCounts{}, snapErr("block %v active on day %d beyond window %d",
 						blk, day, x.days)
 				}
 				var bm ipv4.Bitmap256

@@ -104,6 +104,11 @@ type ShardRange struct {
 	Hi    uint32 `json:"blockHi"`
 }
 
+// Contains reports whether blk falls inside the range.
+func (r ShardRange) Contains(blk ipv4.Block) bool {
+	return uint32(blk) >= r.Lo && uint32(blk) < r.Hi
+}
+
 // SectionInfo describes one section table entry, for the inspect tool.
 type SectionInfo struct {
 	ID     uint32 `json:"id"`
@@ -184,7 +189,7 @@ func layoutSnapshot(x *Index, shard *ShardRange, r *resumeState) *snapImage {
 	im := &snapImage{x: x}
 	for _, data := range [][]byte{
 		encodeInfo(x, shard),
-		encodeMetaSection(x.obsMeta),
+		obs.AppendMeta(le, nil, x.obsMeta),
 		encodeBlocksSection(x.keys),
 		nil, // timelines: streamed
 		encodeViewsSection(x),
@@ -312,30 +317,6 @@ func encodeInfo(x *Index, shard *ShardRange) []byte {
 		b = append(b, make([]byte, 20)...)
 	}
 	return le.U32(b, 0) // pad to 48
-}
-
-// encodeMetaSection mirrors the obs codec's meta frame field for field,
-// in little-endian: the dataset identity a loaded index needs to
-// regenerate its world and resume stream application.
-func encodeMetaSection(m obs.Meta) []byte {
-	var b []byte
-	b = le.U64(b, m.World.Seed)
-	b = le.U32(b, uint32(m.World.NumASes))
-	b = le.U32(b, uint32(m.World.MeanBlocksPerAS))
-	r := m.Run
-	b = le.U32(b, uint32(r.Days))
-	b = le.U32(b, uint32(r.DailyStart))
-	b = le.U32(b, uint32(r.DailyLen))
-	b = le.U32(b, uint32(r.UADays))
-	b = le.U32(b, uint32(len(r.ICMPScanDays)))
-	for _, d := range r.ICMPScanDays {
-		b = le.U32(b, uint32(d))
-	}
-	for _, f := range []float64{r.PrefixChangeFrac, r.BlockChangeFrac,
-		r.BGPCoupleProb, r.BGPNoisePerDay, r.JoinFrac, r.LeaveFrac, r.TrafficGrowth} {
-		b = le.F64(b, f)
-	}
-	return le.U32(b, uint32(int32(r.Workers)))
 }
 
 func encodeBlocksSection(keys []ipv4.Block) []byte {

@@ -30,16 +30,15 @@ func (e *StatusError) Error() string { return fmt.Sprintf("rpc: status %d: %s", 
 // churn.
 const DefaultPoolSize = 4
 
-// DefaultDialTimeout bounds one connection attempt.
-const DefaultDialTimeout = 5 * time.Second
+// dialTimeout bounds one connection attempt.
+const dialTimeout = 5 * time.Second
 
 // Client is a pipelining RPC client for one shard. It is safe for
 // concurrent use: calls are multiplexed over a small pool of persistent
 // connections, matched to responses by frame id. A broken connection
 // fails its in-flight calls and is re-dialed lazily on the next call.
 type Client struct {
-	addr        string
-	dialTimeout time.Duration
+	addr string
 
 	mu     sync.Mutex
 	conns  []*clientConn
@@ -51,9 +50,6 @@ type Client struct {
 type ClientOptions struct {
 	// PoolSize bounds persistent connections; 0 means DefaultPoolSize.
 	PoolSize int
-	// DialTimeout bounds one connection attempt; 0 means
-	// DefaultDialTimeout.
-	DialTimeout time.Duration
 }
 
 // NewClient returns a Client for the shard at addr (host:port). No
@@ -63,11 +59,7 @@ func NewClient(addr string, opts ClientOptions) *Client {
 	if size <= 0 {
 		size = DefaultPoolSize
 	}
-	dt := opts.DialTimeout
-	if dt <= 0 {
-		dt = DefaultDialTimeout
-	}
-	return &Client{addr: addr, dialTimeout: dt, conns: make([]*clientConn, size)}
+	return &Client{addr: addr, conns: make([]*clientConn, size)}
 }
 
 // Close closes every pooled connection; in-flight calls fail.
@@ -117,7 +109,7 @@ func (c *Client) pooled() (*clientConn, error) {
 
 	// Dial outside the pool lock — a dead shard must not serialize every
 	// caller behind one connect timeout.
-	nc, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

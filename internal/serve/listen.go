@@ -1,0 +1,54 @@
+package serve
+
+import (
+	"context"
+	"net"
+	"net/http"
+	"sync"
+)
+
+// Listener runs one handler's http.Server on a background goroutine —
+// the Listen/Shutdown pair the node's Server and the cluster router
+// share. The zero value is ready; Shutdown before Listen is a no-op.
+type Listener struct {
+	mu  sync.Mutex
+	srv *http.Server
+	ch  chan error
+}
+
+// Listen binds addr ("127.0.0.1:0" for an ephemeral port) and serves h
+// in the background until Shutdown.
+func (l *Listener) Listen(addr string, h http.Handler) (net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	l.srv = &http.Server{Handler: h}
+	l.ch = make(chan error, 1)
+	srv, ch := l.srv, l.ch
+	l.mu.Unlock()
+	go func() {
+		err := srv.Serve(ln)
+		if err == http.ErrServerClosed {
+			err = nil
+		}
+		ch <- err
+	}()
+	return ln.Addr(), nil
+}
+
+// Shutdown stops accepting new requests and waits for in-flight ones to
+// drain (bounded by ctx). It returns the first serve error, if any.
+func (l *Listener) Shutdown(ctx context.Context) error {
+	l.mu.Lock()
+	srv, ch := l.srv, l.ch
+	l.mu.Unlock()
+	if srv == nil {
+		return nil
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		return err
+	}
+	return <-ch
+}

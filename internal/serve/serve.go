@@ -124,9 +124,7 @@ type Server struct {
 	// a newer epoch's hot state.
 	pubMu sync.Mutex
 
-	srvMu   sync.Mutex
-	httpSrv *http.Server
-	serveCh chan error
+	lis Listener
 }
 
 // hotState is the publish-time precomputation for the live epoch.
@@ -271,38 +269,14 @@ func (s *Server) CacheStats() (hits, misses uint64, size int) {
 // Listen binds addr ("127.0.0.1:0" for an ephemeral port) and serves in
 // the background until Shutdown.
 func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.srvMu.Lock()
-	s.httpSrv = &http.Server{Handler: s.handler}
-	s.serveCh = make(chan error, 1)
-	srv, ch := s.httpSrv, s.serveCh
-	s.srvMu.Unlock()
-	go func() {
-		err := srv.Serve(ln)
-		if err == http.ErrServerClosed {
-			err = nil
-		}
-		ch <- err
-	}()
-	return ln.Addr(), nil
+	return s.lis.Listen(addr, s.handler)
 }
 
 // Shutdown stops accepting new requests and waits for in-flight ones to
-// drain (bounded by ctx). It returns the first serve error, if any.
+// drain (bounded by ctx), then flushes the access log. It returns the
+// first serve error, if any.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.srvMu.Lock()
-	srv, ch := s.httpSrv, s.serveCh
-	s.srvMu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	err := <-ch
+	err := s.lis.Shutdown(ctx)
 	s.FlushAccessLog()
 	return err
 }

@@ -17,40 +17,30 @@
 #   4. restarting the killed replicas at their original addresses
 #      returns healthz to all-"ok" — the operator probe actively
 #      re-admits replicas out of backoff.
-#
-# Expects $DIR/ipscope-gen, $DIR/ipscope-serve, $DIR/ipscope-router and
-# $DIR/ipscope-loadgen to be prebuilt (the Makefile's chaos-smoke
-# target does this).
-set -eu
+name=chaos-smoke
+. "$(dirname "$0")/lib.sh"
 
-dir=${1:?usage: chaos_smoke.sh DIR}
 r0a_addr=127.0.0.1:19491   # range 0, replica 0
 r1a_addr=127.0.0.1:19492   # range 1, replica 0
 r0b_addr=127.0.0.1:19493   # range 0, replica 1
 r1b_addr=127.0.0.1:19494   # range 1, replica 1
 router_addr=127.0.0.1:19495
 single_addr=127.0.0.1:19496
-world_flags="-seed 5 -ases 24 -blocks-per-as 6"
+base="http://$router_addr"
 lg_flags="$world_flags -requests 6000 -concurrency 8"
 
-fetch() { curl -fsS --max-time 5 "$1"; }
-hash_of() { sed -n 's/.*"workloadHash":"\([^"]*\)".*/\1/p' "$1"; }
-field_of() { sed -n "s/.*\"$2\":\([0-9.]*\).*/\1/p" "$1" | head -1; }
-
-"$dir/ipscope-gen" $world_flags -days 56 -dataset "$dir/chaos.obs"
+"$bin/ipscope-gen" $gen_flags -dataset "$dir/chaos.obs"
 
 # --- single-node baseline --------------------------------------------
-"$dir/ipscope-serve" -dataset "$dir/chaos.obs" -listen "$single_addr" \
-    2>"$dir/single.log" &
+"$bin/ipscope-serve" -dataset "$dir/chaos.obs" -listen "$single_addr" 2>"$dir/single.log" &
 single_pid=$!
-trap 'kill -9 "${single_pid:-}" "${r0a_pid:-}" "${r1a_pid:-}" "${r0b_pid:-}" "${r1b_pid:-}" "${router_pid:-}" 2>/dev/null || true' EXIT INT TERM
+trap 'kill -9 ${single_pid:-} ${r0a_pid:-} ${r1a_pid:-} ${r0b_pid:-} ${r1b_pid:-} ${router_pid:-} 2>/dev/null || true' EXIT INT TERM
 
-if ! "$dir/ipscope-loadgen" -target "http://$single_addr" $lg_flags \
-    -json >"$dir/single.json" 2>"$dir/single-lg.log"; then
-    echo "chaos-smoke: single-node baseline run failed"
+"$bin/ipscope-loadgen" -target "http://$single_addr" $lg_flags \
+    -json >"$dir/single.json" 2>"$dir/single-lg.log" || {
     cat "$dir/single-lg.log" "$dir/single.log" 2>/dev/null || true
-    exit 1
-fi
+    fail "single-node baseline run failed"
+}
 kill "$single_pid"
 wait "$single_pid" 2>/dev/null || true
 single_pid=
@@ -59,7 +49,7 @@ single_pid=
 start_replica() { # addr shard replica logname -> pid on stdout
     # stdout must not be the command-substitution pipe, or $(...) would
     # wait for the server to exit.
-    "$dir/ipscope-serve" -dataset "$dir/chaos.obs" \
+    "$bin/ipscope-serve" -dataset "$dir/chaos.obs" \
         -shard-index "$2" -shard-count 2 -replica "$3" \
         -listen "$1" >/dev/null 2>"$dir/$4.log" &
     echo $!
@@ -68,32 +58,20 @@ r0a_pid=$(start_replica "$r0a_addr" 0 0 r0a)
 r1a_pid=$(start_replica "$r1a_addr" 1 0 r1a)
 r0b_pid=$(start_replica "$r0b_addr" 0 1 r0b)
 r1b_pid=$(start_replica "$r1b_addr" 1 1 r1b)
-
 for replica in "$r0a_addr" "$r1a_addr" "$r0b_addr" "$r1b_addr"; do
-    i=0
-    until fetch "http://$replica/v1/healthz" >/dev/null 2>&1; do
-        i=$((i+1))
-        [ "$i" -le 100 ] || { echo "chaos-smoke: replica $replica never came up"; cat "$dir"/r[01][ab].log; exit 1; }
-        sleep 0.2
-    done
+    wait_http "$replica" "replica $replica" "$dir"/r[01][ab].log
 done
 
-"$dir/ipscope-router" \
+"$bin/ipscope-router" \
     -shards "http://$r0a_addr,http://$r1a_addr,http://$r0b_addr,http://$r1b_addr" \
     -replicas 2 -listen "$router_addr" 2>"$dir/router.log" &
 router_pid=$!
-base="http://$router_addr"
-i=0
-until fetch "$base/v1/healthz" >/dev/null 2>&1; do
-    i=$((i+1))
-    [ "$i" -le 100 ] || { echo "chaos-smoke: router never came up"; cat "$dir/router.log"; exit 1; }
-    sleep 0.2
-done
+wait_http "$router_addr" "router" "$dir/router.log"
 
 # 1. The replicated fleet's healthz reports per-range rollups.
 fetch "$base/v1/healthz" | grep -q '"rangeStates"' \
-    || { echo "chaos-smoke: healthz lacks rangeStates"; fetch "$base/v1/healthz"; exit 1; }
-echo "chaos-smoke: 2x2 fleet up; healthz reports rangeStates"
+    || { fetch "$base/v1/healthz"; fail "healthz lacks rangeStates"; }
+echo "$name: 2x2 fleet up; healthz reports rangeStates"
 
 # 2. Chaos: kill -9 one replica of range 0 up front, then one replica
 # of range 1 while loadgen is mid-run. Different replica positions, so
@@ -102,7 +80,7 @@ kill -9 "$r0a_pid"
 wait "$r0a_pid" 2>/dev/null || true
 r0a_pid=
 
-"$dir/ipscope-loadgen" -target "$base" $lg_flags \
+"$bin/ipscope-loadgen" -target "$base" $lg_flags \
     -json >"$dir/chaos.json" 2>"$dir/chaos-lg.log" &
 lg_pid=$!
 sleep 0.3
@@ -110,42 +88,33 @@ kill -9 "$r1b_pid"
 wait "$r1b_pid" 2>/dev/null || true
 r1b_pid=
 
-if ! wait "$lg_pid"; then
-    echo "chaos-smoke: loadgen failed against the degraded fleet"
+wait "$lg_pid" || {
     cat "$dir/chaos-lg.log" "$dir/router.log" 2>/dev/null || true
-    exit 1
-fi
+    fail "loadgen failed against the degraded fleet"
+}
 
 errs=$(field_of "$dir/chaos.json" errors)
-[ "$errs" = "0" ] || { echo "chaos-smoke: $errs hard errors with replicas dying mid-run, want 0"; cat "$dir/chaos-lg.log"; exit 1; }
+[ "$errs" = "0" ] || { cat "$dir/chaos-lg.log"; fail "$errs hard errors with replicas dying mid-run, want 0"; }
 h1=$(hash_of "$dir/single.json"); h2=$(hash_of "$dir/chaos.json")
-[ -n "$h1" ] && [ "$h1" = "$h2" ] \
-    || { echo "chaos-smoke: workload hash differs ($h1 vs $h2)"; exit 1; }
-echo "chaos-smoke: zero hard errors and workload hash $h1 with one replica of each range kill -9'd"
+[ -n "$h1" ] && [ "$h1" = "$h2" ] || fail "workload hash differs ($h1 vs $h2)"
+echo "$name: zero hard errors and workload hash $h1 with one replica of each range kill -9'd"
 
 # 3. Survivors keep the fleet healthy: 200 "ok", both ranges partial.
-body=$(fetch "$base/v1/healthz") \
-    || { echo "chaos-smoke: healthz not 200 with one replica of each range dead"; exit 1; }
-echo "$body" | grep -q '"status":"ok"' \
-    || { echo "chaos-smoke: healthz status not ok with survivors: $body"; exit 1; }
+body=$(fetch "$base/v1/healthz") || fail "healthz not 200 with one replica of each range dead"
+echo "$body" | grep -q '"status":"ok"' || fail "healthz status not ok with survivors: $body"
 partials=$(echo "$body" | grep -o '"status":"partial"' | wc -l)
-[ "$partials" -eq 2 ] || { echo "chaos-smoke: $partials partial ranges, want 2: $body"; exit 1; }
-echo "chaos-smoke: healthz stays ok (not degraded); both ranges report partial"
+[ "$partials" -eq 2 ] || fail "$partials partial ranges, want 2: $body"
+echo "$name: healthz stays ok (not degraded); both ranges report partial"
 
 # 4. Restart the killed replicas at their original addresses; the
 # operator healthz probe re-admits them and every range returns to ok.
 r0a_pid=$(start_replica "$r0a_addr" 0 0 r0a-revived)
 r1b_pid=$(start_replica "$r1b_addr" 1 1 r1b-revived)
-i=0
-while :; do
-    body=$(curl -s --max-time 5 "$base/v1/healthz" || true)
-    if echo "$body" | grep -q '"status":"ok"' \
+all_ok() {
+    body=$(curl -s --max-time 5 "$base/v1/healthz") \
+        && echo "$body" | grep -q '"status":"ok"' \
         && ! echo "$body" | grep -q '"status":"partial"' \
-        && ! echo "$body" | grep -q '"status":"unreachable"'; then
-        break
-    fi
-    i=$((i+1))
-    [ "$i" -le 150 ] || { echo "chaos-smoke: revived replicas never re-admitted: $body"; exit 1; }
-    sleep 0.2
-done
-echo "chaos-smoke: restarted replicas re-admitted; healthz back to all-ok"
+        && ! echo "$body" | grep -q '"status":"unreachable"'
+}
+poll 150 0.2 "revived replicas never re-admitted" all_ok || { curl -s --max-time 5 "$base/v1/healthz"; exit 1; }
+echo "$name: restarted replicas re-admitted; healthz back to all-ok"

@@ -1,124 +1,100 @@
 #!/bin/sh
-# history_smoke.sh DIR — end-to-end smoke of the historical-epoch layer.
+# history_smoke.sh DIR — end-to-end smoke of the live serving pipeline
+# and its historical-epoch layer.
 #
 # Starts ipscope-serve in -obs-listen live mode with -retain-epochs,
-# streams a paced simulation into it with ipscope-gen -connect, and
-# asserts:
+# streams a paced simulation into it with ipscope-gen -connect
+# (persisting the same stream to a dataset file), and asserts:
 #
-#   1. while the stream publishes new epochs, an as-of query
-#      (?epoch=N) answers byte-identically to the response captured
-#      when epoch N was current — time travel is exact;
+#   1. the /v1/healthz epoch advances while the stream is in flight (the
+#      server re-publishes snapshots without restarting), and an as-of
+#      query (?epoch=N) then answers byte-identically to the response
+#      captured when epoch N was current — time travel is exact;
 #   2. /v1/delta between two retained epochs answers 200 with a
 #      non-empty diff across a publish swap;
-#   3. once the ring has evicted an epoch, asking for it 404s with the
+#   3. at end of stream, /v1/summary is byte-identical (modulo the epoch
+#      field) to a batch `ipscope-serve -dataset ... -dump-summary` over
+#      the persisted dataset — the incremental and monolithic index
+#      builds agree;
+#   4. once the ring has evicted an epoch, asking for it 404s with the
 #      documented not-retained body naming the retained range, and
 #      /v1/healthz agrees with that range.
-#
-# Expects $DIR/ipscope-gen and $DIR/ipscope-serve to be prebuilt (the
-# Makefile's history-smoke target does this).
-set -eu
+name=history-smoke
+. "$(dirname "$0")/lib.sh"
 
-dir=${1:?usage: history_smoke.sh DIR}
-obs_addr=127.0.0.1:19471
-http_addr=127.0.0.1:19472
+obs_addr=127.0.0.1:19461
+http_addr=127.0.0.1:19462
 base="http://$http_addr"
-gen_flags="-seed 5 -ases 24 -blocks-per-as 6 -days 56"
 retain=3
 
-fetch() { curl -fsS --max-time 5 "$1"; }
-epoch_of() { fetch "$base/v1/healthz" | sed -n 's/.*"epoch":\([0-9]*\).*/\1/p'; }
-oldest_of() { fetch "$base/v1/healthz" | sed -n 's/.*"oldestEpoch":\([0-9]*\).*/\1/p'; }
-
-"$dir/ipscope-serve" -obs-listen "$obs_addr" -listen "$http_addr" -publish-every 7 \
+"$bin/ipscope-serve" -obs-listen "$obs_addr" -listen "$http_addr" -publish-every 7 \
     -retain-epochs "$retain" 2>"$dir/serve.log" &
 serve_pid=$!
 trap 'kill "$serve_pid" 2>/dev/null || true' EXIT INT TERM
+# The HTTP endpoint is up (serving "warming") before the first epoch.
+wait_http "$http_addr" "server" "$dir/serve.log"
 
-i=0
-until fetch "$base/v1/healthz" >/dev/null 2>&1; do
-    i=$((i+1))
-    [ "$i" -le 50 ] || { echo "history-smoke: server never came up"; cat "$dir/serve.log"; exit 1; }
-    sleep 0.2
-done
-
-"$dir/ipscope-gen" $gen_flags -connect "$obs_addr" -day-delay 15ms \
+"$bin/ipscope-gen" $gen_flags -connect "$obs_addr" -dataset "$dir/live.obs" -day-delay 15ms \
     2>"$dir/gen.log" &
 gen_pid=$!
 
 # Wait for the first epoch, then capture /v1/summary while it is the
-# live answer.
-i=0
-while :; do
-    e=$(epoch_of || true)
-    [ -n "$e" ] && [ "$e" -ge 1 ] && break
-    i=$((i+1))
-    [ "$i" -le 200 ] || { echo "history-smoke: first epoch never published"; exit 1; }
-    sleep 0.1
-done
-captured_epoch=$e
+# live answer. The capture may have raced a publish; its epoch field
+# names the epoch it actually answered for.
+poll 200 0.1 "first epoch never published" epoch_reached "$http_addr" 1
 fetch "$base/v1/summary" >"$dir/summary-live.json"
-# The live capture may have raced a publish; its epoch field names the
-# epoch it actually answered for.
 captured_epoch=$(sed -n 's/.*"epoch":\([0-9]*\).*/\1/p' "$dir/summary-live.json")
 
-# Wait for at least one more publish, then time-travel back: the as-of
+# 1. The epoch must advance mid-stream; then time-travel back: the as-of
 # body must byte-equal the live capture.
-i=0
-while :; do
-    e=$(epoch_of || true)
-    if [ -n "$e" ] && [ "$e" -gt "$captured_epoch" ]; then
-        break
-    fi
-    i=$((i+1))
-    [ "$i" -le 200 ] || { echo "history-smoke: epoch never advanced past $captured_epoch"; exit 1; }
-    sleep 0.1
-done
+poll 200 0.1 "epoch never advanced past $captured_epoch" epoch_reached "$http_addr" $((captured_epoch+1))
+echo "$name: epoch advanced $captured_epoch -> $(epoch_of "$http_addr") mid-stream"
 fetch "$base/v1/summary?epoch=$captured_epoch" >"$dir/summary-asof.json"
-if ! cmp -s "$dir/summary-live.json" "$dir/summary-asof.json"; then
-    echo "history-smoke: as-of summary at epoch $captured_epoch differs from the live capture"
+cmp -s "$dir/summary-live.json" "$dir/summary-asof.json" || {
     diff "$dir/summary-live.json" "$dir/summary-asof.json" || true
-    exit 1
-fi
-echo "history-smoke: ?epoch=$captured_epoch byte-equals the response captured live"
+    fail "as-of summary at epoch $captured_epoch differs from the live capture"
+}
+echo "$name: ?epoch=$captured_epoch byte-equals the response captured live"
 
-# Delta across the swap: from the captured epoch to the current one.
-to=$(epoch_of)
+# 2. Delta across the swap: from the captured epoch to the current one.
+to=$(epoch_of "$http_addr")
 fetch "$base/v1/delta?from=$captured_epoch&to=$to" >"$dir/delta.json"
-grep -q '"fromEpoch":'"$captured_epoch" "$dir/delta.json" || {
-    echo "history-smoke: delta body lacks fromEpoch $captured_epoch"; cat "$dir/delta.json"; exit 1; }
-grep -q '"changedBlocks":' "$dir/delta.json" || {
-    echo "history-smoke: delta body has no changedBlocks"; cat "$dir/delta.json"; exit 1; }
-echo "history-smoke: /v1/delta?from=$captured_epoch&to=$to answered a structured diff"
+grep -q '"fromEpoch":'"$captured_epoch" "$dir/delta.json" \
+    || { cat "$dir/delta.json"; fail "delta body lacks fromEpoch $captured_epoch"; }
+grep -q '"changedBlocks":' "$dir/delta.json" \
+    || { cat "$dir/delta.json"; fail "delta body has no changedBlocks"; }
+echo "$name: /v1/delta?from=$captured_epoch&to=$to answered a structured diff"
 
 # Movement series covers the retained window.
 fetch "$base/v1/movement" >"$dir/movement.json"
-grep -q '"series":' "$dir/movement.json" || {
-    echo "history-smoke: movement body has no series"; cat "$dir/movement.json"; exit 1; }
+grep -q '"series":' "$dir/movement.json" \
+    || { cat "$dir/movement.json"; fail "movement body has no series"; }
 
 wait "$gen_pid"
 
-# Let the trailing publishes land, then check eviction: with N epochs
-# retained and more than N published, epoch 1 must be gone.
-i=0
-while :; do
-    oldest=$(oldest_of || true)
-    if [ -n "$oldest" ] && [ "$oldest" -gt 1 ]; then
-        break
-    fi
-    i=$((i+1))
-    [ "$i" -le 50 ] || { echo "history-smoke: epoch 1 never left the ring (oldest '${oldest:-none}')"; exit 1; }
-    sleep 0.2
-done
-newest=$(epoch_of)
+# 3. After end of stream the final epoch folds in the trailing
+# aggregates; its summary must match the batch index over the persisted
+# dataset.
+"$bin/ipscope-serve" -dataset "$dir/live.obs" -dump-summary >"$dir/batch-summary.json" 2>/dev/null
+poll 50 0.2 "live summary never converged on the batch summary" \
+    summary_is "$base" "$dir/batch-summary.json" "$dir/live-summary.json" || {
+    diff "$dir/live-summary.json" "$dir/batch-summary.json" || true
+    exit 1
+}
+newest=$(epoch_of "$http_addr")
+echo "$name: final epoch $newest; live /v1/summary matches batch dump-summary"
+
+# 4. Eviction: with N epochs retained and more than N published, epoch 1
+# must be gone.
+oldest=$(fetch "$base/v1/healthz" | sed -n 's/.*"oldestEpoch":\([0-9]*\).*/\1/p')
+[ -n "$oldest" ] && [ "$oldest" -gt 1 ] || fail "epoch 1 never left the ring (oldest '${oldest:-none}')"
 status=$(curl -s --max-time 5 -o "$dir/evicted.json" -w '%{http_code}' "$base/v1/summary?epoch=1")
-[ "$status" = "404" ] || {
-    echo "history-smoke: evicted epoch answered status $status, want 404"; cat "$dir/evicted.json"; exit 1; }
+[ "$status" = "404" ] || { cat "$dir/evicted.json"; fail "evicted epoch answered status $status, want 404"; }
 want="{\"error\":\"epoch 1 not retained (retained epochs $oldest..$newest)\",\"oldestEpoch\":$oldest,\"newestEpoch\":$newest}"
 got=$(cat "$dir/evicted.json")
 [ "$got" = "$want" ] || {
-    echo "history-smoke: evicted-epoch body mismatch"
     echo " got:  $got"
     echo " want: $want"
-    exit 1
+    fail "evicted-epoch body mismatch"
 }
-echo "history-smoke: evicted epoch 1 404s with the documented body; retained $oldest..$newest"
+echo "$name: evicted epoch 1 404s with the documented body; retained $oldest..$newest"

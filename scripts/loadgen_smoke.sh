@@ -14,88 +14,60 @@
 #      zipfian mix concentrates on a hot set by design).
 #
 # Latency percentiles are written as a markdown SLO table to
-# $DIR/loadgen.md (appended to the CI job summary, warn-only — shared
-# runners are too noisy to gate on wall-clock).
-#
-# Expects $DIR/ipscope-gen, $DIR/ipscope-serve, $DIR/ipscope-router and
-# $DIR/ipscope-loadgen to be prebuilt (the Makefile's loadgen-smoke
-# target does this).
-set -eu
+# $DIR/loadgen-smoke/loadgen.md (appended to the CI job summary,
+# warn-only — shared runners are too noisy to gate on wall-clock).
+name=loadgen-smoke
+. "$(dirname "$0")/lib.sh"
 
-dir=${1:?usage: loadgen_smoke.sh DIR}
 serve_addr=127.0.0.1:19481
 shard0_addr=127.0.0.1:19482
 shard1_addr=127.0.0.1:19483
 router_addr=127.0.0.1:19484
-world_flags="-seed 5 -ases 24 -blocks-per-as 6"
 lg_flags="$world_flags -requests 4000 -concurrency 8 -slo-p99 250ms"
 
-fetch() { curl -fsS --max-time 5 "$1"; }
+"$bin/ipscope-gen" $gen_flags -dataset "$dir/loadgen.obs"
 
-"$dir/ipscope-gen" $world_flags -days 56 -dataset "$dir/loadgen.obs"
+# run_loadgen RUN TARGET LOG...: one seeded run against TARGET, its
+# report in RUN.json and RUN.md.
+run_loadgen() {
+    _run=$1 _target=$2
+    shift 2
+    "$bin/ipscope-loadgen" -target "http://$_target" $lg_flags \
+        -json -md "$dir/$_run.md" >"$dir/$_run.json" 2>"$dir/$_run.log" || {
+        cat "$dir/$_run.log" "$@" 2>/dev/null || true
+        fail "$_run run failed"
+    }
+}
 
 # --- single node ------------------------------------------------------
-"$dir/ipscope-serve" -dataset "$dir/loadgen.obs" -listen "$serve_addr" \
-    2>"$dir/serve.log" &
+"$bin/ipscope-serve" -dataset "$dir/loadgen.obs" -listen "$serve_addr" 2>"$dir/serve.log" &
 serve_pid=$!
 trap 'kill "$serve_pid" "${shard0_pid:-}" "${shard1_pid:-}" "${router_pid:-}" 2>/dev/null || true' EXIT INT TERM
-
-if ! "$dir/ipscope-loadgen" -target "http://$serve_addr" $lg_flags \
-    -json -md "$dir/single.md" >"$dir/single.json" 2>"$dir/single.log"; then
-    echo "loadgen-smoke: single-node run failed"
-    cat "$dir/single.log" "$dir/serve.log" 2>/dev/null || true
-    exit 1
-fi
-
+run_loadgen single "$serve_addr" "$dir/serve.log"
 kill "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 
 # --- router + 2 shards ------------------------------------------------
-"$dir/ipscope-serve" -dataset "$dir/loadgen.obs" -shard-index 0 -shard-count 2 \
-    -listen "$shard0_addr" 2>"$dir/shard0.log" &
-shard0_pid=$!
-"$dir/ipscope-serve" -dataset "$dir/loadgen.obs" -shard-index 1 -shard-count 2 \
-    -listen "$shard1_addr" 2>"$dir/shard1.log" &
-shard1_pid=$!
-for shard in "$shard0_addr" "$shard1_addr"; do
-    i=0
-    until fetch "http://$shard/v1/healthz" >/dev/null 2>&1; do
-        i=$((i+1))
-        [ "$i" -le 100 ] || { echo "loadgen-smoke: shard $shard never came up"; cat "$dir"/shard*.log; exit 1; }
-        sleep 0.2
-    done
-done
-"$dir/ipscope-router" -shards "http://$shard0_addr,http://$shard1_addr" \
-    -listen "$router_addr" 2>"$dir/router.log" &
-router_pid=$!
-
-if ! "$dir/ipscope-loadgen" -target "http://$router_addr" $lg_flags \
-    -json -md "$dir/cluster.md" >"$dir/cluster.json" 2>"$dir/cluster.log"; then
-    echo "loadgen-smoke: cluster run failed"
-    cat "$dir/cluster.log" "$dir/router.log" 2>/dev/null || true
-    exit 1
-fi
+start_fleet "$dir/loadgen.obs" "$shard0_addr" "$shard1_addr" "$router_addr"
+run_loadgen cluster "$router_addr" "$dir/router.log"
 
 # --- assertions -------------------------------------------------------
-hash_of() { sed -n 's/.*"workloadHash":"\([^"]*\)".*/\1/p' "$1"; }
-field_of() { sed -n "s/.*\"$2\":\([0-9.]*\).*/\1/p" "$1" | head -1; }
-
 h1=$(hash_of "$dir/single.json"); h2=$(hash_of "$dir/cluster.json")
 [ -n "$h1" ] && [ "$h1" = "$h2" ] \
-    || { echo "loadgen-smoke: workload hash differs across runs ($h1 vs $h2) — generator not deterministic"; exit 1; }
-echo "loadgen-smoke: workload deterministic (hash $h1) across single-node and cluster runs"
+    || fail "workload hash differs across runs ($h1 vs $h2) — generator not deterministic"
+echo "$name: workload deterministic (hash $h1) across single-node and cluster runs"
 
 for run in single cluster; do
     errs=$(field_of "$dir/$run.json" errors)
-    [ "$errs" = "0" ] || { echo "loadgen-smoke: $run run reported $errs hard errors"; cat "$dir/$run.log"; exit 1; }
+    [ "$errs" = "0" ] || { cat "$dir/$run.log"; fail "$run run reported $errs hard errors"; }
 done
-echo "loadgen-smoke: zero hard errors in both topologies"
+echo "$name: zero hard errors in both topologies"
 
 for run in single cluster; do
     hit=$(field_of "$dir/$run.json" hitRate)
     case "$hit" in
-        0.[56789]*|1|1.*) echo "loadgen-smoke: $run run cache hit rate $hit" ;;
-        *) echo "loadgen-smoke: $run run hit rate $hit, want > 0.5"; exit 1 ;;
+        0.[56789]*|1|1.*) echo "$name: $run run cache hit rate $hit" ;;
+        *) fail "$run run hit rate $hit, want > 0.5" ;;
     esac
 done
 
@@ -105,4 +77,4 @@ done
     cat "$dir/single.md"
     cat "$dir/cluster.md"
 } >"$dir/loadgen.md"
-echo "loadgen-smoke: SLO table written to $dir/loadgen.md"
+echo "$name: SLO table written to $dir/loadgen.md"

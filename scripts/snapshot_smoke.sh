@@ -18,58 +18,42 @@
 # after end of stream the routed cluster summary must byte-equal
 # (modulo the epoch field) a batch -dump-summary over the same dataset.
 # Retention must hold: at most -snapshot-keep checkpoints per shard.
-#
-# Expects $DIR/ipscope-gen, $DIR/ipscope-serve, $DIR/ipscope-router and
-# $DIR/ipscope-snapshot to be prebuilt (the Makefile's snapshot-smoke
-# target does this).
-set -eu
+name=snapshot-smoke
+. "$(dirname "$0")/lib.sh"
 
-dir=${1:?usage: snapshot_smoke.sh DIR}
 shard0_addr=127.0.0.1:19481
 shard1_addr=127.0.0.1:19482
 router_addr=127.0.0.1:19483
 base="http://$router_addr"
-gen_flags="-seed 5 -ases 24 -blocks-per-as 6 -days 56"
-
-fetch() { curl -fsS --max-time 5 "$1"; }
-epoch_of() { fetch "http://$1/v1/healthz" | sed -n 's/.*"epoch":\([0-9]*\).*/\1/p'; }
-wait_http() { # addr name logfile
-    i=0
-    until fetch "http://$1/v1/healthz" >/dev/null 2>&1; do
-        i=$((i+1))
-        [ "$i" -le 100 ] || { echo "snapshot-smoke: $2 never came up"; cat "$3"; exit 1; }
-        sleep 0.2
-    done
-}
 
 # --- Phase 1: batch save → verify → load → serve ---------------------
 
-"$dir/ipscope-gen" $gen_flags -dataset "$dir/snap.obs"
-"$dir/ipscope-serve" -dataset "$dir/snap.obs" -snapshot-save "$dir/snap.ipsnap" \
+"$bin/ipscope-gen" $gen_flags -dataset "$dir/snap.obs"
+"$bin/ipscope-serve" -dataset "$dir/snap.obs" -snapshot-save "$dir/snap.ipsnap" \
     -dump-summary >"$dir/build-summary.json" 2>/dev/null
 
-"$dir/ipscope-snapshot" -verify "$dir/snap.ipsnap"
+"$bin/ipscope-snapshot" -verify "$dir/snap.ipsnap"
 
-"$dir/ipscope-snapshot" -summary "$dir/snap.ipsnap" >"$dir/tool-summary.json"
+"$bin/ipscope-snapshot" -summary "$dir/snap.ipsnap" >"$dir/tool-summary.json"
 cmp "$dir/tool-summary.json" "$dir/build-summary.json" \
-    || { echo "snapshot-smoke: ipscope-snapshot -summary differs from the building process"; exit 1; }
+    || fail "ipscope-snapshot -summary differs from the building process"
 
-"$dir/ipscope-serve" -snapshot-load "$dir/snap.ipsnap" \
+"$bin/ipscope-serve" -snapshot-load "$dir/snap.ipsnap" \
     -dump-summary >"$dir/load-summary.json" 2>/dev/null
 cmp "$dir/load-summary.json" "$dir/build-summary.json" \
-    || { echo "snapshot-smoke: -snapshot-load summary differs from the build that saved it"; exit 1; }
+    || fail "-snapshot-load summary differs from the build that saved it"
 
-"$dir/ipscope-serve" -snapshot-load "$dir/snap.ipsnap" -selfcheck 2>"$dir/selfcheck.log" \
-    || { echo "snapshot-smoke: selfcheck over the loaded snapshot failed"; cat "$dir/selfcheck.log"; exit 1; }
-echo "snapshot-smoke: batch save/load round-trip byte-equal; selfcheck over loaded snapshot passed"
+"$bin/ipscope-serve" -snapshot-load "$dir/snap.ipsnap" -selfcheck 2>"$dir/selfcheck.log" \
+    || { cat "$dir/selfcheck.log"; fail "selfcheck over the loaded snapshot failed"; }
+echo "$name: batch save/load round-trip byte-equal; selfcheck over loaded snapshot passed"
 
 # --- Phase 2: live shards, kill -9, restart from -snapshot-dir -------
 
-"$dir/ipscope-gen" $gen_flags -dataset "$dir/live.obs" -day-delay 60ms 2>"$dir/gen.log" &
+"$bin/ipscope-gen" $gen_flags -dataset "$dir/live.obs" -day-delay 60ms 2>"$dir/gen.log" &
 gen_pid=$!
 
 start_shard() { # index addr
-    "$dir/ipscope-serve" -follow "$dir/live.obs" -follow-poll 20ms \
+    "$bin/ipscope-serve" -follow "$dir/live.obs" -follow-poll 20ms \
         -shard-index "$1" -shard-count 2 -snapshot-dir "$dir/snapdir$1" \
         -listen "$2" 2>>"$dir/shard$1.log" &
 }
@@ -80,7 +64,7 @@ trap 'kill "$shard0_pid" "$shard1_pid" "${router_pid:-}" "$gen_pid" 2>/dev/null 
 wait_http "$shard0_addr" "shard 0" "$dir/shard0.log"
 wait_http "$shard1_addr" "shard 1" "$dir/shard1.log"
 
-"$dir/ipscope-router" -shards "http://$shard0_addr,http://$shard1_addr" \
+"$bin/ipscope-router" -shards "http://$shard0_addr,http://$shard1_addr" \
     -listen "$router_addr" 2>"$dir/router.log" &
 router_pid=$!
 wait_http "$router_addr" "router" "$dir/router.log"
@@ -88,52 +72,36 @@ wait_http "$router_addr" "router" "$dir/router.log"
 # Let shard 1 publish (and checkpoint) a few epochs, then kill it hard
 # mid-stream — no graceful shutdown, the checkpoint on disk is all the
 # restart gets.
-i=0
-while :; do
-    e=$(epoch_of "$shard1_addr" || true)
-    if [ -n "$e" ] && [ "$e" -ge 3 ]; then break; fi
-    i=$((i+1))
-    [ "$i" -le 200 ] || { echo "snapshot-smoke: shard 1 never reached epoch 3"; cat "$dir/shard1.log"; exit 1; }
-    sleep 0.1
-done
+poll 200 0.1 "shard 1 never reached epoch 3" epoch_reached "$shard1_addr" 3 \
+    || { cat "$dir/shard1.log"; exit 1; }
 kill -9 "$shard1_pid" 2>/dev/null
 wait "$shard1_pid" 2>/dev/null || true
-echo "snapshot-smoke: shard 1 killed at epoch $e mid-stream"
+echo "$name: shard 1 killed mid-stream"
 
 start_shard 1 "$shard1_addr"; shard1_pid=$!
 wait_http "$shard1_addr" "restarted shard 1" "$dir/shard1.log"
 grep -q "resumed from snapshot" "$dir/shard1.log" \
-    || { echo "snapshot-smoke: restarted shard 1 did not resume from its checkpoint"; cat "$dir/shard1.log"; exit 1; }
-echo "snapshot-smoke: shard 1 resumed: $(grep 'resumed from snapshot' "$dir/shard1.log" | tail -1)"
+    || { cat "$dir/shard1.log"; fail "restarted shard 1 did not resume from its checkpoint"; }
+echo "$name: shard 1 resumed: $(grep 'resumed from snapshot' "$dir/shard1.log" | tail -1)"
 
 wait "$gen_pid"
 
 # After end of stream the restarted cluster must converge on the batch
 # summary over the same dataset — the restart lost nothing.
-"$dir/ipscope-serve" -dataset "$dir/live.obs" -dump-summary >"$dir/batch-summary.json" 2>/dev/null
-i=0
-while :; do
-    fetch "$base/v1/summary" | sed 's/"epoch":[0-9]*,//' >"$dir/routed-summary.json" || true
-    if cmp -s "$dir/routed-summary.json" "$dir/batch-summary.json"; then
-        break
-    fi
-    i=$((i+1))
-    [ "$i" -le 50 ] || {
-        echo "snapshot-smoke: routed summary never converged on the batch summary after restart"
-        diff "$dir/routed-summary.json" "$dir/batch-summary.json" || true
-        exit 1
-    }
-    sleep 0.2
-done
-echo "snapshot-smoke: routed /v1/summary byte-equals batch dump-summary after kill -9 restart"
+"$bin/ipscope-serve" -dataset "$dir/live.obs" -dump-summary >"$dir/batch-summary.json" 2>/dev/null
+poll 50 0.2 "routed summary never converged on the batch summary after restart" \
+    summary_is "$base" "$dir/batch-summary.json" "$dir/routed-summary.json" || {
+    diff "$dir/routed-summary.json" "$dir/batch-summary.json" || true
+    exit 1
+}
+echo "$name: routed /v1/summary byte-equals batch dump-summary after kill -9 restart"
 
 # Retention: each shard's checkpoint directory is bounded by the default
 # -snapshot-keep (3), and the newest checkpoint is itself verifiable.
 for s in 0 1; do
     n=$(ls "$dir/snapdir$s"/snap-*.ipsnap | wc -l)
-    [ "$n" -ge 1 ] && [ "$n" -le 3 ] \
-        || { echo "snapshot-smoke: shard $s retains $n checkpoints, want 1..3"; exit 1; }
+    [ "$n" -ge 1 ] && [ "$n" -le 3 ] || fail "shard $s retains $n checkpoints, want 1..3"
 done
 newest=$(ls "$dir/snapdir0"/snap-*.ipsnap | sort | tail -1)
-"$dir/ipscope-snapshot" -verify "$newest"
-echo "snapshot-smoke: checkpoint retention bounded; newest checkpoint verifies"
+"$bin/ipscope-snapshot" -verify "$newest"
+echo "$name: checkpoint retention bounded; newest checkpoint verifies"
