@@ -271,6 +271,82 @@ func TestHostileFrameHeader(t *testing.T) {
 	}
 }
 
+// TestHostileSetFrames: a set is a count and that many 36-byte
+// (block, bitmap) records, decoded in bulk. A repeated block unions, an
+// all-zero bitmap leaves no block behind, and neither a count the
+// payload cannot back nor a decoder that has already failed may reach
+// the record loop.
+func TestHostileSetFrames(t *testing.T) {
+	rec := func(b []byte, blk uint32, words ...uint64) []byte {
+		b = be.U32(b, blk)
+		for i := 0; i < 4; i++ {
+			var w uint64
+			if i < len(words) {
+				w = words[i]
+			}
+			b = be.U64(b, w)
+		}
+		return b
+	}
+	icmp := func(count uint32, recs []byte) []byte {
+		p := be.U32(nil, 0) // scan index
+		p = be.U32(p, count)
+		return append(p, recs...)
+	}
+	var fe *binenc.Error
+
+	t.Run("repeated-block-unions", func(t *testing.T) {
+		recs := rec(nil, 7, 0b0011)
+		recs = rec(recs, 9, 1)
+		recs = rec(recs, 7, 0b0110, 0, 0, 1<<63)
+		e, err := decodeEvent(kindICMP, icmp(3, recs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := e.(ICMPScanEvent).Responders
+		if s.NumBlocks() != 2 || s.Len() != 5 || s.BlockCount(7) != 4 ||
+			!s.Contains(ipv4.Block(7).Addr(255)) || !s.Contains(ipv4.Block(9).Addr(0)) {
+			t.Fatalf("blocks=%d len=%d block7=%d, want 2, 5, 4", s.NumBlocks(), s.Len(), s.BlockCount(7))
+		}
+	})
+	t.Run("empty-bitmap-skipped", func(t *testing.T) {
+		recs := rec(nil, 7)
+		recs = rec(recs, 9, 0, 2)
+		e, err := decodeEvent(kindICMP, icmp(2, recs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := e.(ICMPScanEvent).Responders
+		if s.NumBlocks() != 1 || s.Len() != 1 || s.BlockBitmap(7) != nil {
+			t.Fatalf("blocks=%d len=%d, want only block 9", s.NumBlocks(), s.Len())
+		}
+	})
+	t.Run("count-exceeds-payload", func(t *testing.T) {
+		recs := rec(rec(nil, 7, 1), 9, 1)
+		for _, count := range []uint32{3, 1 << 31, 1<<32 - 1} {
+			if _, err := decodeEvent(kindICMP, icmp(count, recs)); !errors.As(err, &fe) {
+				t.Fatalf("count %d over 2 records: got %v, want *binenc.Error", count, err)
+			}
+		}
+	})
+	t.Run("failed-decoder", func(t *testing.T) {
+		// A surfaces frame is two sets back to back: the second is read
+		// from a decoder the first has already failed.
+		p := be.U32(nil, 5)
+		p = rec(p, 7, 1)
+		p = be.U32(p, 1)
+		p = rec(p, 9, 1)
+		if _, err := decodeEvent(kindSurfaces, p); !errors.As(err, &fe) {
+			t.Fatalf("got %v, want *binenc.Error", err)
+		}
+		d := binenc.NewDec(be, formatName, be.U32(nil, 1))
+		d.Failf("failed upstream")
+		if s := decodeSet(d); s.Len() != 0 {
+			t.Fatalf("a failed decoder yielded %d addresses", s.Len())
+		}
+	})
+}
+
 // TestCodecCorrupt: flipped bytes must produce typed errors (or, for
 // payload-internal flips that stay structurally valid, decode to
 // different data) — and must never panic.

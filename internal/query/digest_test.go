@@ -2,6 +2,7 @@ package query
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
@@ -93,5 +94,30 @@ func TestEncodedBytesStable(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != c.want {
 			t.Errorf("%s: %d bytes, sha256 %s, want %s", c.name, len(c.enc), got, c.want)
 		}
+	}
+}
+
+// TestClassifyWorldDigest pins the rDNS tag of every block of the
+// benchmark's world (ipscope-gen's defaults at seed 3: 300 ASes, 12
+// blocks/AS) as a SHA-256 over the (block, tag) pairs in block order,
+// plus the per-tag counts. The digest was computed with the Sprintf
+// tagger that preceded the rdns name kernel: one flipped tag fails
+// here, by name, instead of somewhere inside a snapshot digest.
+func TestClassifyWorldDigest(t *testing.T) {
+	world := synthnet.Generate(synthnet.Config{Seed: 3, NumASes: 300, MeanBlocksPerAS: 12})
+	pairs := classifyWorld(world, 0, nil).Tags()
+	var counts [3]int
+	enc := make([]byte, 0, 5*len(pairs))
+	for _, p := range pairs {
+		counts[p.Tag]++
+		enc = binary.BigEndian.AppendUint32(enc, uint32(p.Block))
+		enc = append(enc, byte(p.Tag))
+	}
+	sum := sha256.Sum256(enc)
+	const want = "70746a5c045b3b180f5a534a26c2d622440929091ea38d3ca5cbf26af66f3d28"
+	wantCounts := [3]int{2092, 512, 908}
+	if got := hex.EncodeToString(sum[:]); got != want || counts != wantCounts {
+		t.Errorf("%d blocks, untagged/static/dynamic %v, sha256 %s; want %v, %s",
+			len(pairs), counts, got, wantCounts, want)
 	}
 }
