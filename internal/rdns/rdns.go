@@ -3,12 +3,18 @@
 // uses in Section 5.3: blocks whose consistent PTR names contain
 // "static" are tagged static, and names containing "dynamic" or "pool"
 // are tagged dynamic — a well-known methodology [24, 30, 35].
+//
+// The tag is read off the names, never inferred from a zone's style, and
+// every process start tags a whole world (~900 k names), so names are
+// not strings on that path: one builder appends a host's name into a
+// caller-owned buffer and the keyword matcher runs over those bytes.
+// Zone.Lookup is the same builder behind a string conversion.
 package rdns
 
 import (
-	"fmt"
+	"bytes"
 	"sort"
-	"strings"
+	"strconv"
 
 	"ipscope/internal/ipv4"
 	"ipscope/internal/xrand"
@@ -65,45 +71,137 @@ func NewZone(blk ipv4.Block, style NamingStyle, domain string, noise float64, se
 	return &Zone{Block: blk, Style: style, Domain: domain, Noise: noise, seed: seed}
 }
 
+// nameBuf holds the longest name a default-domain zone produces
+// ("dynamic-255-255-255-255.pool.example.net", 40 bytes) with room for
+// any real domain; a longer Domain only makes append spill to the heap.
+const nameBuf = 128
+
+// hostState is the running state of xrand.Derive(z.seed, "<block>/<h>")
+// after the "<block>/" every host of the zone shares; hostRand finishes
+// it for one host.
+func (z *Zone) hostState() uint64 {
+	var b [11]byte // ten digits of a uint32 and the slash
+	return xrand.Absorb(z.seed, append(strconv.AppendUint(b[:0], uint64(z.Block), 10), '/'))
+}
+
+func hostRand(state uint64, h byte) uint64 {
+	var b [3]byte
+	return xrand.Splitmix64(xrand.Absorb(state, strconv.AppendUint(b[:0], uint64(h), 10)))
+}
+
+// appendName appends host h's PTR name to buf — nothing when the record
+// does not exist (every name that does is non-empty). It is the one
+// definition of a zone's names: Lookup returns it as a string and
+// ClassifyZone matches it in place. state is z.hostState().
+func (z *Zone) appendName(buf []byte, state uint64, h byte) []byte {
+	if z.Style == StyleNone {
+		return buf
+	}
+	// Deterministic per-host noise.
+	r := hostRand(state, h)
+	prefix, pool := "host-", false
+	switch {
+	case float64(r%1000)/1000 < z.Noise:
+		if r%3 == 0 {
+			return buf // missing record
+		}
+	case z.Style == StyleStatic:
+		prefix = "static-"
+	case z.Style == StyleDynamic:
+		if r%2 == 0 {
+			prefix, pool = "dynamic-", true
+		} else {
+			prefix = "pool-"
+		}
+	}
+	buf = append(buf, prefix...)
+	a := z.Block.Addr(h)
+	for shift := 24; shift >= 0; shift -= 8 {
+		buf = strconv.AppendUint(buf, uint64(byte(a>>shift)), 10)
+		if shift > 0 {
+			buf = append(buf, '-')
+		}
+	}
+	buf = append(buf, '.')
+	if pool {
+		buf = append(buf, "pool."...)
+	}
+	return append(buf, z.Domain...)
+}
+
 // Lookup returns the PTR name for host h in the zone, or "" if the
 // record does not exist.
 func (z *Zone) Lookup(h byte) string {
-	if z.Style == StyleNone {
-		return ""
-	}
-	// Deterministic per-host noise.
-	r := xrand.Derive(z.seed, fmt.Sprintf("%d/%d", z.Block, h))
-	noisy := float64(r%1000)/1000 < z.Noise
-	a := z.Block.Addr(h)
-	dashed := strings.ReplaceAll(a.String(), ".", "-")
-	if noisy {
-		if r%3 == 0 {
-			return "" // missing record
-		}
-		return fmt.Sprintf("host-%s.%s", dashed, z.Domain)
-	}
-	switch z.Style {
-	case StyleStatic:
-		return fmt.Sprintf("static-%s.%s", dashed, z.Domain)
-	case StyleDynamic:
-		if r%2 == 0 {
-			return fmt.Sprintf("dynamic-%s.pool.%s", dashed, z.Domain)
-		}
-		return fmt.Sprintf("pool-%s.%s", dashed, z.Domain)
-	default:
-		return fmt.Sprintf("host-%s.%s", dashed, z.Domain)
-	}
+	var buf [nameBuf]byte
+	return string(z.appendName(buf[:0], z.hostState(), h))
 }
 
-// ClassifyName tags a single PTR name by keyword.
+// ClassifyName tags a single PTR name by keyword. DNS names compare
+// case-insensitively in ASCII only (RFC 4343), and so does the match.
 func ClassifyName(name string) Tag {
-	n := strings.ToLower(name)
+	var buf [nameBuf]byte
+	return classifyFolding(append(buf[:0], name...))
+}
+
+// classifyFolding is the keyword matcher; it lower-cases name in place.
+func classifyFolding(name []byte) Tag {
+	for i, c := range name {
+		if 'A' <= c && c <= 'Z' {
+			name[i] = c + ('a' - 'A')
+		}
+	}
 	switch {
-	case strings.Contains(n, "static"):
+	case bytes.Contains(name, kwStatic):
 		return Static
-	case strings.Contains(n, "dynamic"), strings.Contains(n, "pool"),
-		strings.Contains(n, "dhcp"), strings.Contains(n, "dyn."),
-		strings.HasPrefix(n, "dyn-"):
+	case bytes.Contains(name, kwDynamic), bytes.Contains(name, kwPool),
+		bytes.Contains(name, kwDHCP), bytes.Contains(name, kwDynDot),
+		bytes.HasPrefix(name, kwDynDash):
+		return Dynamic
+	}
+	return Untagged
+}
+
+var (
+	kwStatic  = []byte("static")
+	kwDynamic = []byte("dynamic")
+	kwPool    = []byte("pool")
+	kwDHCP    = []byte("dhcp")
+	kwDynDot  = []byte("dyn.")
+	kwDynDash = []byte("dyn-")
+)
+
+// tally counts one block's resolvable names by tag.
+type tally struct {
+	byTag      [3]int
+	resolvable int
+}
+
+// add matches one name (lower-casing it in place); an empty name is a
+// missing record and counts for nothing.
+func (t *tally) add(name []byte) {
+	if len(name) == 0 {
+		return
+	}
+	t.resolvable++
+	t.byTag[classifyFolding(name)]++
+}
+
+// tag applies the consistency threshold: a keyword tag wins when at
+// least minConsistent of the resolvable names carry it and it outnumbers
+// the other.
+func (t *tally) tag(minConsistent float64) Tag {
+	if t.resolvable == 0 {
+		return Untagged
+	}
+	need := int(minConsistent * float64(t.resolvable))
+	if need < 1 {
+		need = 1
+	}
+	static, dynamic := t.byTag[Static], t.byTag[Dynamic]
+	switch {
+	case static >= need && static > dynamic:
+		return Static
+	case dynamic >= need && dynamic > static:
 		return Dynamic
 	}
 	return Untagged
@@ -114,35 +212,25 @@ func ClassifyName(name string) Tag {
 // (the paper requires "consistent names"). lookup returns the PTR name
 // for a host or "".
 func ClassifyBlock(lookup func(h byte) string, minConsistent float64) Tag {
-	counts := [3]int{}
-	resolvable := 0
+	var t tally
+	var buf [nameBuf]byte
 	for h := 0; h < 256; h++ {
-		name := lookup(byte(h))
-		if name == "" {
-			continue
-		}
-		resolvable++
-		counts[ClassifyName(name)]++
+		t.add(append(buf[:0], lookup(byte(h))...))
 	}
-	if resolvable == 0 {
-		return Untagged
-	}
-	need := int(minConsistent * float64(resolvable))
-	if need < 1 {
-		need = 1
-	}
-	switch {
-	case counts[Static] >= need && counts[Static] > counts[Dynamic]:
-		return Static
-	case counts[Dynamic] >= need && counts[Dynamic] > counts[Static]:
-		return Dynamic
-	}
-	return Untagged
+	return t.tag(minConsistent)
 }
 
-// ClassifyZone applies ClassifyBlock to a Zone.
+// ClassifyZone is ClassifyBlock over z's names, each built and matched
+// in one stack buffer: the tag is still read off the 256 names (noise
+// and missing records are what the threshold is for), at no allocation.
 func ClassifyZone(z *Zone, minConsistent float64) Tag {
-	return ClassifyBlock(z.Lookup, minConsistent)
+	var t tally
+	var buf [nameBuf]byte
+	state := z.hostState()
+	for h := 0; h < 256; h++ {
+		t.add(z.appendName(buf[:0], state, byte(h)))
+	}
+	return t.tag(minConsistent)
 }
 
 // BlockTag pairs a /24 block with its classified tag, the unit a
@@ -153,10 +241,11 @@ type BlockTag struct {
 }
 
 // TagIndex is an immutable block→tag lookup table. Classifying a block
-// costs 256 PTR synth-and-match operations, far too slow for a
-// per-request path; a TagIndex is classified once (typically across a
-// worker pool) and then answers lookups with one binary search over a
-// block-sorted array.
+// builds and matches 256 PTR names — tens of microseconds and no
+// allocation, cheap enough to tag every world block at start-up but not
+// to repeat per request; a TagIndex is classified once (typically
+// across a worker pool) and then answers lookups with one binary search
+// over a block-sorted array.
 type TagIndex struct {
 	blocks []ipv4.Block
 	tags   []Tag

@@ -33,6 +33,17 @@ func Derive(seed uint64, label string) uint64 {
 	return Splitmix64(h)
 }
 
+// Absorb folds label into a running Derive state without finalizing it:
+// Derive(seed, a+b) == Splitmix64(Absorb(Absorb(seed, a), b)). A caller
+// deriving many seeds whose labels share a prefix absorbs the prefix
+// once.
+func Absorb(h uint64, label []byte) uint64 {
+	for _, c := range label {
+		h = Splitmix64(h ^ uint64(c))
+	}
+	return h
+}
+
 // New returns a deterministic *rand.Rand for the given seed and label.
 func New(seed uint64, label string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(Derive(seed, label))))

@@ -20,6 +20,20 @@ func TestDeriveDeterministic(t *testing.T) {
 	}
 }
 
+// TestAbsorbSplitsDerive: Derive over a concatenated label is Absorb over
+// its pieces plus one finalizing round, wherever the label is cut.
+func TestAbsorbSplitsDerive(t *testing.T) {
+	const label = "16777215/255"
+	for _, seed := range []uint64{0, 42, 1 << 63} {
+		for cut := 0; cut <= len(label); cut++ {
+			got := Splitmix64(Absorb(Absorb(seed, []byte(label[:cut])), []byte(label[cut:])))
+			if want := Derive(seed, label); got != want {
+				t.Fatalf("seed %d cut %d: %#x, Derive gives %#x", seed, cut, got, want)
+			}
+		}
+	}
+}
+
 func TestNewReproducible(t *testing.T) {
 	r1 := New(7, "x")
 	r2 := New(7, "x")
