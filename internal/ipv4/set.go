@@ -38,9 +38,36 @@ func (s *Set) AddBlockBitmap(blk Block, bm *Bitmap256) {
 		s.n += bm.Count()
 		return
 	}
+	s.unionInto(dst, bm)
+}
+
+func (s *Set) unionInto(dst, bm *Bitmap256) {
 	s.n -= dst.Count()
 	dst.UnionWith(bm)
 	s.n += dst.Count()
+}
+
+// NewSetOwning builds a set from parallel (block, bitmap) records and
+// takes ownership of bitmaps: the set's blocks point into that one
+// array, and its map is sized once for len(blocks) — against one heap
+// copy per block and several map growths when the same records go
+// through AddBlockBitmap. The semantics are AddBlockBitmap's: a repeated
+// block unions into its first record, an all-zero bitmap adds nothing.
+func NewSetOwning(blocks []Block, bitmaps []Bitmap256) *Set {
+	s := &Set{m: make(map[Block]*Bitmap256, len(blocks))}
+	for i, blk := range blocks {
+		bm := &bitmaps[i]
+		if bm.IsEmpty() {
+			continue
+		}
+		if dst := s.m[blk]; dst != nil {
+			s.unionInto(dst, bm)
+			continue
+		}
+		s.m[blk] = bm
+		s.n += bm.Count()
+	}
+	return s
 }
 
 // Remove deletes a from the set.

@@ -164,6 +164,45 @@ func TestSetAddBlockBitmap(t *testing.T) {
 	}
 }
 
+// TestNewSetOwningMatchesAddBlockBitmap: adopting a record array gives
+// the set AddBlockBitmap builds from the same records — repeated blocks
+// unioned, empty bitmaps absent, cardinality exact — and the set stays
+// independently mutable afterwards.
+func TestNewSetOwningMatchesAddBlockBitmap(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	blocks := make([]Block, 200)
+	bitmaps := make([]Bitmap256, len(blocks))
+	want := NewSet()
+	for i := range blocks {
+		blocks[i] = Block(r.Intn(60)) // few distinct blocks: many repeats
+		if r.Intn(5) > 0 {            // one record in five stays empty
+			for k := r.Intn(40); k >= 0; k-- {
+				bitmaps[i].Set(byte(r.Intn(256)))
+			}
+		}
+		want.AddBlockBitmap(blocks[i], &bitmaps[i])
+	}
+	got := NewSetOwning(blocks, bitmaps)
+	if !got.Equal(want) || got.Len() != want.Len() || got.NumBlocks() != want.NumBlocks() {
+		t.Fatalf("owning set: %d addrs in %d blocks, AddBlockBitmap: %d in %d",
+			got.Len(), got.NumBlocks(), want.Len(), want.NumBlocks())
+	}
+	got.ForEachBlock(func(b Block, bm *Bitmap256) {
+		if bm.IsEmpty() {
+			t.Fatalf("block %v holds an empty bitmap", b)
+		}
+	})
+	a := Block(1000).Addr(9)
+	got.Add(a)
+	got.Remove(a)
+	if !got.Equal(want) {
+		t.Fatal("add+remove changed the owning set")
+	}
+	if s := NewSetOwning(nil, nil); s.Len() != 0 || s.NumBlocks() != 0 {
+		t.Fatal("no records should give the empty set")
+	}
+}
+
 func TestSetEqualProperty(t *testing.T) {
 	f := func(hosts []uint8) bool {
 		s := NewSet()

@@ -473,19 +473,25 @@ func appendSet(b []byte, s *ipv4.Set) []byte {
 }
 
 func decodeSet(d *binenc.Dec) *ipv4.Set {
-	n := d.Count(36) // block(4) + bitmap(32)
-	s := ipv4.NewSet()
-	for i := 0; i < n; i++ {
-		// One fixed-offset record per block: Count has already bounded
-		// n×36 by the payload, and this loop is the ingest hot path.
-		rec := d.Take(36)
-		var bm ipv4.Bitmap256
-		for j := range bm {
-			bm[j] = binary.BigEndian.Uint64(rec[4+8*j:])
-		}
-		s.AddBlockBitmap(ipv4.Block(binary.BigEndian.Uint32(rec)), &bm)
+	const recSize = 36 // block(4) + bitmap(32)
+	n := d.Count(recSize)
+	// One Take for every record: Count has bounded n×36 by the payload,
+	// and this loop is the ingest hot path. A decoder that failed (here
+	// or upstream) supplies no records, so none may be indexed.
+	recs := d.Take(recSize * n)
+	if d.Err() != nil {
+		return ipv4.NewSet()
 	}
-	return s
+	blocks := make([]ipv4.Block, n)
+	bitmaps := make([]ipv4.Bitmap256, n)
+	for i := range blocks {
+		rec := recs[recSize*i : recSize*(i+1)]
+		blocks[i] = ipv4.Block(binary.BigEndian.Uint32(rec))
+		for j := range bitmaps[i] {
+			bitmaps[i][j] = binary.BigEndian.Uint64(rec[4+8*j:])
+		}
+	}
+	return ipv4.NewSetOwning(blocks, bitmaps)
 }
 
 func appendPrefix(b []byte, p ipv4.Prefix) []byte {
