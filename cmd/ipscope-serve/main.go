@@ -219,6 +219,7 @@ func main() {
 	start := time.Now()
 	var idx *query.Index
 	var shard *query.ShardRange
+	var stages string // the start-up budget, as the "index ready" line reports it
 	if *snapLoad != "" {
 		loaded, err := query.LoadSnapshotFile(*snapLoad, query.LoadOptions{Workers: *workers})
 		if err != nil {
@@ -232,10 +233,11 @@ func main() {
 			// replica id still needs a partition identity to live on.
 			shard = &query.ShardRange{Index: 0, Count: 1, Lo: 0, Hi: 1 << 24}
 		}
-		log.Printf("loaded snapshot %s in %v: epoch %d",
-			*snapLoad, time.Since(start).Round(time.Microsecond), idx.Epoch())
+		took := time.Since(start).Round(time.Microsecond)
+		log.Printf("loaded snapshot %s in %v: epoch %d", *snapLoad, took, idx.Epoch())
+		stages = fmt.Sprintf("load %v", took)
 	} else {
-		idx, shard = buildIndex(*dataset, *seed, *ases, *blocksPerAS, *days, *workers, *shardIndex, *shardCount, *replica)
+		idx, shard, stages = buildIndex(*dataset, *seed, *ases, *blocksPerAS, *days, *workers, *shardIndex, *shardCount, *replica)
 	}
 	if *snapSave != "" {
 		data := query.EncodeSnapshot(idx, shard)
@@ -250,8 +252,8 @@ func main() {
 		}
 		return
 	}
-	log.Printf("index ready in %v: %d active /24 blocks, %d-day window",
-		time.Since(start).Round(time.Millisecond), idx.NumBlocks(), idx.DailyLen())
+	log.Printf("index ready in %v (%s): %d active /24 blocks, %d-day window",
+		time.Since(start).Round(time.Millisecond), stages, idx.NumBlocks(), idx.DailyLen())
 
 	if *selfcheck {
 		cfg.Listen = "127.0.0.1:0"
@@ -304,20 +306,29 @@ func startPprof(addr string) {
 
 // buildIndex compiles the batch-mode index from a stored dataset or an
 // in-process simulation, restricted in shard mode to the owned slice,
-// whose range it returns.
-func buildIndex(dataset string, seed uint64, ases, blocksPerAS, days, workers, shardIndex, shardCount, replica int) (*query.Index, *query.ShardRange) {
-	var src obs.Source
+// whose range it returns. The observations are materialized exactly once
+// here, sharded or not, so the two stages it reports — "decode …, build
+// …" ("simulate" without -dataset) — are the same two on every path.
+func buildIndex(dataset string, seed uint64, ases, blocksPerAS, days, workers, shardIndex, shardCount, replica int) (*query.Index, *query.ShardRange, string) {
+	start := time.Now()
+	var d *obs.Data
+	stage := "decode"
 	if dataset != "" {
 		log.Printf("loading dataset %s...", dataset)
-		src = obs.FileSource(dataset)
+		var err error
+		if d, err = obs.FileSource(dataset).Observations(); err != nil {
+			log.Fatal(err)
+		}
 	} else {
 		log.Printf("no -dataset: generating world (%d ASes) and simulating %d days...", ases, days)
 		w := synthnet.Generate(synthnet.Config{Seed: seed, NumASes: ases, MeanBlocksPerAS: blocksPerAS})
 		scfg := sim.DefaultConfig()
 		scfg.Days = days
 		res := sim.Run(w, scfg)
-		src = &res.Data
+		d, stage = &res.Data, "simulate"
 	}
+	decoded := time.Now()
+	var src obs.Source = d
 	buildOpts := query.Options{Workers: workers}
 	var shard *query.ShardRange
 	if shardCount > 0 {
@@ -325,10 +336,6 @@ func buildIndex(dataset string, seed uint64, ases, blocksPerAS, days, workers, s
 		// meta and restrict both the dataset and the world-proportional
 		// build work to this shard's slice, so the index (and its
 		// memory) only covers the owned block range.
-		d, err := src.Observations()
-		if err != nil {
-			log.Fatal(err)
-		}
 		plan, err := cluster.PlanForMeta(d.Meta.World, shardCount)
 		if err != nil {
 			log.Fatal(err)
@@ -343,7 +350,9 @@ func buildIndex(dataset string, seed uint64, ases, blocksPerAS, days, workers, s
 	if err != nil {
 		log.Fatal(err)
 	}
-	return idx, shard
+	stages := fmt.Sprintf("%s %v, build %v", stage,
+		decoded.Sub(start).Round(time.Millisecond), time.Since(decoded).Round(time.Millisecond))
+	return idx, shard, stages
 }
 
 // runSelfcheck probes every endpoint over real HTTP and verifies the
