@@ -30,6 +30,7 @@ import (
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 	"ipscope/internal/query"
+	"ipscope/internal/rdns"
 	"ipscope/internal/rpc"
 	"ipscope/internal/scan"
 	"ipscope/internal/serve"
@@ -794,6 +795,27 @@ func BenchmarkIndexBuild(b *testing.B) {
 			b.ReportMetric(float64(blocks), "blocks")
 		})
 	}
+}
+
+// BenchmarkClassifyWorld measures the rDNS share of that build: tagging
+// every world block from its 256 synthesized PTR names, as query.Build
+// and a live node's meta frame both do (on one worker here; the build
+// fans the blocks out).
+func BenchmarkClassifyWorld(b *testing.B) {
+	world := benchContext(b).World
+	b.ReportAllocs()
+	b.ResetTimer()
+	var tagged int
+	for i := 0; i < b.N; i++ {
+		tagged = 0
+		for _, blk := range world.Blocks {
+			if rdns.ClassifyZone(world.RDNSZone(blk), 0.6) != rdns.Untagged {
+				tagged++
+			}
+		}
+	}
+	b.ReportMetric(float64(len(world.Blocks)), "blocks")
+	b.ReportMetric(float64(tagged), "tagged")
 }
 
 // BenchmarkColdStart pins the persistent-snapshot payoff: restoring the

@@ -26,20 +26,16 @@ func Splitmix64(x uint64) uint64 {
 // Derive deterministically derives a child seed from a parent seed and a
 // label, so each named subsystem obtains an independent stream.
 func Derive(seed uint64, label string) uint64 {
-	h := seed
-	for i := 0; i < len(label); i++ {
-		h = Splitmix64(h ^ uint64(label[i]))
-	}
-	return Splitmix64(h)
+	return Splitmix64(Absorb(seed, label))
 }
 
 // Absorb folds label into a running Derive state without finalizing it:
 // Derive(seed, a+b) == Splitmix64(Absorb(Absorb(seed, a), b)). A caller
 // deriving many seeds whose labels share a prefix absorbs the prefix
 // once.
-func Absorb(h uint64, label []byte) uint64 {
-	for _, c := range label {
-		h = Splitmix64(h ^ uint64(c))
+func Absorb[S string | []byte](h uint64, label S) uint64 {
+	for i := 0; i < len(label); i++ {
+		h = Splitmix64(h ^ uint64(label[i]))
 	}
 	return h
 }

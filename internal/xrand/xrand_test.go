@@ -26,7 +26,7 @@ func TestAbsorbSplitsDerive(t *testing.T) {
 	const label = "16777215/255"
 	for _, seed := range []uint64{0, 42, 1 << 63} {
 		for cut := 0; cut <= len(label); cut++ {
-			got := Splitmix64(Absorb(Absorb(seed, []byte(label[:cut])), []byte(label[cut:])))
+			got := Splitmix64(Absorb(Absorb(seed, label[:cut]), []byte(label[cut:])))
 			if want := Derive(seed, label); got != want {
 				t.Fatalf("seed %d cut %d: %#x, Derive gives %#x", seed, cut, got, want)
 			}
