@@ -865,6 +865,45 @@ func BenchmarkColdStart(b *testing.B) {
 	})
 }
 
+// BenchmarkResumeApplier measures what a restarted live node still owes
+// after its newest checkpoint is loaded and published, before it can
+// ingest again: restoring the Applier from a full-window checkpoint
+// (decoded outside the timer; the resumed appliers are never fed, so
+// one Loaded serves every iteration). The cost follows the number of
+// blocks, not blocks x days (query.TestResumeApplierProportional).
+func BenchmarkResumeApplier(b *testing.B) {
+	ctx := benchContext(b)
+	a := query.NewApplier(query.Options{})
+	if err := ctx.Obs.WriteTo(a); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := a.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	cp, err := a.EncodeCheckpoint(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := query.DecodeSnapshot(cp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var days int
+	for i := 0; i < b.N; i++ {
+		resumed, _, err := loaded.ResumeApplier(query.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		days = resumed.Days()
+	}
+	if days != len(ctx.Obs.Daily) {
+		b.Fatalf("resumed at day %d, want %d", days, len(ctx.Obs.Daily))
+	}
+	b.ReportMetric(float64(loaded.Index.NumBlocks()), "blocks")
+}
+
 // BenchmarkServeLookup measures the HTTP serving path under parallel
 // clients — real sockets, the LRU+single-flight cache in front of the
 // index — for both a cache-friendly (hot) and a cache-hostile (cold,

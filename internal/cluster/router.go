@@ -613,13 +613,9 @@ func (rt *Router) parseEpochParam(w http.ResponseWriter, r *http.Request) (uint6
 	if r.URL.RawQuery == "" { // keeps url.Values parsing, and its map, off a live read's path
 		return 0, true
 	}
-	raw := r.URL.Query().Get("epoch")
-	if raw == "" {
-		return 0, true
-	}
-	e, err := strconv.ParseUint(raw, 10, 64)
+	e, err := wire.ParseEpoch(r.URL.Query().Get("epoch"))
 	if err != nil {
-		rt.respondErr(w, r, http.StatusBadRequest, wire.ErrInvalidEpoch(raw))
+		rt.respondErr(w, r, http.StatusBadRequest, err.Error())
 		return 0, false
 	}
 	return e, true
@@ -942,11 +938,9 @@ func (rt *Router) handlePrefix(w http.ResponseWriter, r *http.Request) {
 // before to, the same check order a single shard applies.
 func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	fromRaw, toRaw := q.Get("from"), q.Get("to")
-	from, errFrom := strconv.ParseUint(fromRaw, 10, 64)
-	to, errTo := strconv.ParseUint(toRaw, 10, 64)
-	if errFrom != nil || errTo != nil || from >= to {
-		rt.respondErr(w, r, http.StatusBadRequest, wire.ErrDeltaParams(fromRaw, toRaw))
+	from, to, err := wire.ParseDeltaSpan(q.Get("from"), q.Get("to"))
+	if err != nil {
+		rt.respondErr(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	// A range that no longer retains an epoch still answers — with its
@@ -998,14 +992,10 @@ func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 // the epochs present on every range, so the routed series covers the
 // cluster-wide common range.
 func (rt *Router) handleMovement(w http.ResponseWriter, r *http.Request) {
-	last := 0
-	if raw := r.URL.Query().Get("last"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			rt.respondErr(w, r, http.StatusBadRequest, wire.ErrInvalidLast(raw))
-			return
-		}
-		last = n
+	last, err := wire.ParseLast(r.URL.Query().Get("last"))
+	if err != nil {
+		rt.respondErr(w, r, http.StatusBadRequest, err.Error())
+		return
 	}
 	parts, _, _, err := gatherPartials(rt, r.Context(), rt.ranges,
 		func(ctx context.Context, c Client) (query.MovementPartial, uint64, error) {

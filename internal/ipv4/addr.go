@@ -77,9 +77,6 @@ func (a Addr) Host() byte { return byte(a) }
 // Block identifies a /24 CIDR block by its upper 24 bits.
 type Block uint32
 
-// BlockOf returns the /24 block containing a.
-func BlockOf(a Addr) Block { return a.Block() }
-
 // Addr returns the address at host index h within the block.
 func (b Block) Addr(h byte) Addr { return Addr(uint32(b)<<8 | uint32(h)) }
 

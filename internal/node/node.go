@@ -211,7 +211,7 @@ func (n *Node) resume(opts query.Options) error {
 	}
 	// The loaded index is complete and immutable: publish it first, so
 	// reads are answered at the checkpointed epoch while ResumeApplier
-	// rebuilds the staging state only the next day needs. It may alias
+	// restores the accumulators from its timelines. It may alias
 	// the checkpoint's mapping, which stays mapped for the life of the
 	// process; pruning may later unlink the file, which is safe — the
 	// mapping keeps the inode alive.

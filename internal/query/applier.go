@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"ipscope/internal/bgp"
-	"ipscope/internal/core"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 	"ipscope/internal/par"
@@ -33,8 +32,13 @@ import (
 //
 // Stream contract: events must arrive in emission order — MetaEvent
 // first, then day/week/ICMP events with strictly sequential indices
-// (the order sim.RunTo and the codec's canonical replay both produce).
-// An Applier is not safe for concurrent use; published snapshots are.
+// inside the run's geometry (the order sim.RunTo and the codec's
+// canonical replay both produce). An Applier is not safe for concurrent
+// use; published snapshots are.
+//
+// An applied day lives in the per-block timelines and nowhere else.
+// What the Applier holds beside them is what the timelines cannot give
+// back, or give back only by a scan of every block per event.
 type Applier struct {
 	opts Options
 
@@ -42,20 +46,38 @@ type Applier struct {
 	meta      obs.Meta
 	world     *synthnet.World
 	tags      *rdns.TagIndex
-	fullWords int       // timeline words for the full daily window
-	staging   *obs.Data // geometry-complete event accumulator
+	fullWords int // timeline words for the full daily window
 
 	days, weeks, scans int
 
-	accs  map[ipv4.Block]*blockAcc
-	dirty []ipv4.Block // accs touched since the last publish
+	accs map[ipv4.Block]*blockAcc
+	// keys is accs' blocks with at least one active day, ascending — the
+	// published key array. Snapshots share it, so a day that brings new
+	// blocks replaces it instead of growing it in place. addrs is the
+	// size of the daily union (the sum of the blocks' union counts).
+	keys  []ipv4.Block
+	addrs int
 
-	dailyUnion *ipv4.Set // grows per day; also dSum's union
-	icmpUnion  *ipv4.Set // immutable: replaced (not mutated) per scan
-	servers    *ipv4.Set // end-of-stream surfaces (immutable payloads)
-	routers    *ipv4.Set
+	// lastDay is the newest applied day's payload, which the next day's
+	// churn transition diffs against; dayLens the per-day cardinalities.
+	// Either would otherwise cost a pass over every timeline per event.
+	lastDay *ipv4.Set
+	dayLens []int
 
-	dSum, wSum seriesAccum
+	// Weekly snapshots are not in the daily window's timelines at all:
+	// the first and the newest payload (the long-term churn pair) and the
+	// running union are kept; the ones between are never read again.
+	week0, weekLast *ipv4.Set
+	yearUnion       *ipv4.Set
+
+	icmpUnion *ipv4.Set // immutable: replaced (not mutated) per scan
+	servers   *ipv4.Set // end-of-stream surfaces (immutable payloads)
+	routers   *ipv4.Set
+
+	// Table 1's two rows, advanced per snapshot: the per-snapshot AS sets
+	// depend on which blocks were active together on a day, which the
+	// timelines hold but only a full scan recovers.
+	dSum, wSum SeriesPartial
 
 	// Capture–recapture month window: nil until the first scan arrives
 	// (CampaignMonthUnion falls back to the whole daily window), then a
@@ -69,7 +91,7 @@ type Applier struct {
 	ups, downs []int
 
 	epoch uint64
-	prev  *Index // last published snapshot, for clean-block reuse
+	prev  *Index // last published snapshot: what a checkpoint serializes
 }
 
 // blockAcc is one /24's mutable accumulator: everything compileBlock
@@ -87,40 +109,25 @@ type blockAcc struct {
 	// Sink contract): the view needs samples and the unique estimate,
 	// and the summary partial needs the sketch itself for the
 	// cross-shard HLL union.
-	ua    *obs.UAStat
-	e     enrichment
-	dirty bool
+	ua *obs.UAStat
+	e  enrichment
+	// bd is the record last compiled for a snapshot, at bdWords timeline
+	// words per host; a publish reuses it unless the block is dirty or
+	// the window has crossed a 64-day word boundary since.
+	bd      blockData
+	bdWords int
+	dirty   bool
 }
 
-// seriesAccum advances one SeriesPartial incrementally: all counters
-// are integers folded in snapshot order (plus the per-snapshot AS
-// sets), so the per-epoch partial equals the one Build computes over
-// the applied snapshots.
-type seriesAccum struct {
-	union    *ipv4.Set
-	snapASes [][]uint32
-	ipSum    int
-	blkSum   int
-	snaps    int
-}
-
-func (sa *seriesAccum) observe(s *ipv4.Set, asOf func(ipv4.Block) bgp.ASN) {
-	sa.snaps++
-	sa.ipSum += s.Len()
-	sa.blkSum += s.NumBlocks()
-	sa.snapASes = append(sa.snapASes, snapshotASes(s, asOf))
-	sa.union.UnionWith(s)
-}
-
-func (sa *seriesAccum) partial() SeriesPartial {
-	return SeriesPartial{
-		Snapshots:   sa.snaps,
-		UnionIPs:    sa.union.Len(),
-		UnionBlocks: sa.union.NumBlocks(),
-		IPSum:       sa.ipSum,
-		BlockSum:    sa.blkSum,
-		SnapASes:    append([][]uint32(nil), sa.snapASes...),
-	}
+// observe folds snapshot s into the series in arrival order — the same
+// integers seriesPartialOf computes over the applied snapshots. The
+// caller owns the cross-snapshot union and passes its new size.
+func (p *SeriesPartial) observe(s *ipv4.Set, asOf func(ipv4.Block) bgp.ASN, unionIPs, unionBlocks int) {
+	p.Snapshots++
+	p.IPSum += s.Len()
+	p.BlockSum += s.NumBlocks()
+	p.SnapASes = append(p.SnapASes, snapshotASes(s, asOf))
+	p.UnionIPs, p.UnionBlocks = unionIPs, unionBlocks
 }
 
 // NewApplier returns an empty Applier. opts.Workers bounds the publish
@@ -152,19 +159,21 @@ func (a *Applier) Observe(e obs.Event) error {
 		if ev.Index != a.weeks {
 			return fmt.Errorf("query: week event %d out of order (want %d)", ev.Index, a.weeks)
 		}
-		if err := a.staging.Observe(ev); err != nil {
-			return err
+		if n := a.meta.Run.NumWeeks(); ev.Index >= n {
+			return fmt.Errorf("query: week event %d outside run of %d weeks", ev.Index, n)
 		}
+		if a.weeks == 0 {
+			a.week0 = ev.Active
+		}
+		a.weekLast = ev.Active
 		a.weeks++
-		a.wSum.observe(ev.Active, a.world.ASOf)
+		a.yearUnion.UnionWith(ev.Active)
+		a.wSum.observe(ev.Active, a.world.ASOf, a.yearUnion.Len(), a.yearUnion.NumBlocks())
 	case obs.ICMPScanEvent:
 		return a.applyScan(ev)
 	case obs.BlockStatsEvent:
-		if err := a.staging.Observe(ev); err != nil {
-			return err
-		}
 		acc := a.acc(ev.Block)
-		a.touch(ev.Block, acc)
+		acc.dirty = true
 		if ev.Traffic != nil {
 			t := &blockTraffic{}
 			total := 0.0
@@ -180,16 +189,10 @@ func (a *Applier) Observe(e obs.Event) error {
 			acc.ua = ev.UA
 		}
 	case obs.SurfacesEvent:
-		if err := a.staging.Observe(ev); err != nil {
-			return err
-		}
 		a.servers, a.routers = ev.Servers, ev.Routers
-	default:
-		// Ground truth (routing, restructures) and any future event
-		// kinds: staged for completeness, no index impact (the index
-		// joins against the world's base routing table).
-		return a.staging.Observe(e)
 	}
+	// Ground truth (routing, restructures) has no index impact: the index
+	// joins against the world's base routing table.
 	return nil
 }
 
@@ -198,18 +201,12 @@ func (a *Applier) applyMeta(ev obs.MetaEvent) error {
 		return fmt.Errorf("query: applier received a second meta event")
 	}
 	a.meta = ev.Meta
-	a.staging = &obs.Data{}
-	if err := a.staging.Observe(ev); err != nil {
-		return err
-	}
 	a.world = synthnet.Generate(ev.Meta.World)
 	a.tags = classifyWorld(a.world, a.opts.Workers, a.opts.Keep)
 	a.fullWords = (ev.Meta.Run.DailyLen + 63) / 64
 	a.accs = make(map[ipv4.Block]*blockAcc)
-	a.dailyUnion = ipv4.NewSet()
+	a.yearUnion = ipv4.NewSet()
 	a.icmpUnion = ipv4.NewSet()
-	a.dSum = seriesAccum{union: a.dailyUnion}
-	a.wSum = seriesAccum{union: ipv4.NewSet()}
 	return nil
 }
 
@@ -217,23 +214,26 @@ func (a *Applier) applyDay(ev obs.DayEvent) error {
 	if ev.Index != a.days {
 		return fmt.Errorf("query: day event %d out of order (want %d)", ev.Index, a.days)
 	}
-	if err := a.staging.Observe(ev); err != nil {
-		return err
+	if n := a.meta.Run.DailyLen; ev.Index >= n {
+		return fmt.Errorf("query: day event %d outside window of %d days", ev.Index, n)
 	}
 	// Churn transition against the previous day, in arrival order: the
 	// appended integers are the exact inputs ChurnSeries would compute.
-	if ev.Index > 0 {
-		prev := a.staging.Daily[ev.Index-1]
+	if prev := a.lastDay; prev != nil {
 		a.ups = append(a.ups, ev.Active.DiffCount(prev))
 		a.downs = append(a.downs, prev.DiffCount(ev.Active))
 	}
+	a.lastDay = ev.Active
+	a.dayLens = append(a.dayLens, ev.Active.Len())
 	day := ev.Index
 	a.days++
+	var fresh []ipv4.Block // first active day today
 	ev.Active.ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
 		acc := a.acc(blk)
-		a.touch(blk, acc)
+		acc.dirty = true
 		if acc.timelines == nil {
 			acc.timelines = make([]uint64, 256*a.fullWords)
+			fresh = append(fresh, blk)
 		}
 		word, bit := day/64, uint(day%64)
 		bm.ForEach(func(h byte) {
@@ -241,9 +241,15 @@ func (a *Applier) applyDay(ev obs.DayEvent) error {
 		})
 		acc.activeDays++
 		acc.addrDays += bm.Count()
+		a.addrs -= acc.union.Count()
 		acc.union.UnionWith(bm)
+		a.addrs += acc.union.Count()
 	})
-	a.dSum.observe(ev.Active, a.world.ASOf) // also grows dailyUnion
+	if len(fresh) > 0 {
+		a.keys = append(slices.Clip(a.keys), fresh...)
+		slices.Sort(a.keys)
+	}
+	a.dSum.observe(ev.Active, a.world.ASOf, a.addrs, len(a.keys))
 	if a.cdn != nil && day >= a.cdnFrom && day < a.cdnTo {
 		a.cdn.UnionWith(ev.Active)
 	}
@@ -254,8 +260,9 @@ func (a *Applier) applyScan(ev obs.ICMPScanEvent) error {
 	if ev.Index != a.scans {
 		return fmt.Errorf("query: ICMP scan event %d out of order (want %d)", ev.Index, a.scans)
 	}
-	if err := a.staging.Observe(ev); err != nil {
-		return err
+	cfg := a.meta.Run
+	if n := len(cfg.ICMPScanDays); ev.Index >= n {
+		return fmt.Errorf("query: ICMP scan event %d outside campaign of %d snapshots", ev.Index, n)
 	}
 	a.scans++
 	// Published snapshots share the union pointer, so replace instead of
@@ -264,20 +271,39 @@ func (a *Applier) applyScan(ev obs.ICMPScanEvent) error {
 	// The capture–recapture month window is pinned by the first and last
 	// scans seen so far (expanded to at least 28 days, exactly as
 	// obs.Data.CampaignMonthUnion derives it); a new scan can shift it,
-	// so rebuild the window union from staging and advance it per day
-	// from here on.
-	cfg := a.meta.Run
-	days := cfg.ICMPScanDays[:a.scans]
-	first, last := days[0], days[len(days)-1]
-	from := first - cfg.DailyStart
-	to := last - cfg.DailyStart + 1
+	// so rebuild the window union from the timelines and advance it per
+	// day from here on.
+	from := cfg.ICMPScanDays[0] - cfg.DailyStart
+	to := cfg.ICMPScanDays[a.scans-1] - cfg.DailyStart + 1
 	if span := to - from; span < 28 {
 		from -= (28 - span) / 2
 		to = from + 28
 	}
 	a.cdnFrom, a.cdnTo = from, to
-	a.cdn = core.WindowUnion(a.staging.Daily[:a.days], from, to)
+	a.cdn = a.windowUnion(from, to)
 	return nil
+}
+
+// windowUnion returns the addresses active on an applied day in
+// [from, to), read off the timelines under a day-range mask.
+func (a *Applier) windowUnion(from, to int) *ipv4.Set {
+	mask := make([]uint64, a.fullWords)
+	for d := max(from, 0); d < min(to, a.days); d++ {
+		mask[d/64] |= 1 << uint(d%64)
+	}
+	bitmaps := make([]ipv4.Bitmap256, len(a.keys))
+	for i, blk := range a.keys {
+		tl := a.accs[blk].timelines
+		for h := 0; h < 256; h++ {
+			for wi, m := range mask {
+				if tl[h*a.fullWords+wi]&m != 0 {
+					bitmaps[i].Set(byte(h))
+					break
+				}
+			}
+		}
+	}
+	return ipv4.NewSetOwning(a.keys, bitmaps)
 }
 
 // acc returns (creating on first touch) the accumulator for blk.
@@ -288,14 +314,6 @@ func (a *Applier) acc(blk ipv4.Block) *blockAcc {
 		a.accs[blk] = acc
 	}
 	return acc
-}
-
-// touch marks acc dirty for the next publish.
-func (a *Applier) touch(blk ipv4.Block, acc *blockAcc) {
-	if !acc.dirty {
-		acc.dirty = true
-		a.dirty = append(a.dirty, blk)
-	}
 }
 
 // Snapshot publishes the current state as an immutable epoch-stamped
@@ -323,38 +341,23 @@ func (a *Applier) Snapshot() (*Index, error) {
 		icmp:    a.icmpUnion,
 		servers: orEmpty(a.servers),
 		routers: orEmpty(a.routers),
+		keys:    a.keys,
 	}
-	x.keys = a.dailyUnion.Blocks()
 
-	// Clean blocks reuse the previous snapshot's compiled record (the
-	// packed timelines are immutable once published) unless the window
-	// crossed a 64-day word boundary, which changes every timeline's
-	// layout. prevAt aligns the old and new sorted key arrays.
-	var prevAt []int
-	if a.prev != nil && a.prev.words == w {
-		prevAt = make([]int, len(x.keys))
-		j := 0
-		for i, blk := range x.keys {
-			for j < len(a.prev.keys) && a.prev.keys[j] < blk {
-				j++
-			}
-			if j < len(a.prev.keys) && a.prev.keys[j] == blk {
-				prevAt[i] = j
-			} else {
-				prevAt[i] = -1
-			}
-		}
-	}
+	// A clean block reuses its last compiled record (the packed timelines
+	// are immutable once published) unless the window crossed a 64-day
+	// word boundary, which changes every timeline's layout. Each worker
+	// writes only the accumulators of its own keys.
 	x.blocks = par.Map(len(x.keys), a.opts.Workers, func(i int) blockData {
 		blk := x.keys[i]
 		acc := a.accs[blk]
-		if prevAt != nil && prevAt[i] >= 0 && !acc.dirty {
-			bd := a.prev.blocks[prevAt[i]]
-			// Only the STU denominator depends on the window length.
-			bd.view.STU = float64(acc.addrDays) / float64(n*256)
-			return bd
+		if acc.dirty || acc.bdWords != w {
+			acc.bd, acc.bdWords, acc.dirty = acc.compile(blk, w, a.fullWords), w, false
 		}
-		return acc.compile(blk, n, w, a.fullWords)
+		bd := acc.bd
+		// The one field that depends on the window length alone.
+		bd.view.STU = float64(acc.addrDays) / float64(n*256)
+		return bd
 	})
 
 	// Per-epoch recomputation: the AS fold (sequential in block order,
@@ -365,18 +368,15 @@ func (a *Applier) Snapshot() (*Index, error) {
 	g.Go(func() error { a.assembleSummary(x, n); return nil })
 	g.Wait() //nolint:errcheck // neither task fails
 
-	for _, blk := range a.dirty {
-		a.accs[blk].dirty = false
-	}
-	a.dirty = a.dirty[:0]
 	a.prev = x
 	a.epoch = x.epoch
 	return x, nil
 }
 
 // compile materializes one block's immutable record from its
-// accumulator, mirroring Build's compileBlock field for field.
-func (acc *blockAcc) compile(blk ipv4.Block, n, w, fullWords int) blockData {
+// accumulator, mirroring Build's compileBlock field for field (Snapshot
+// sets STU, whose denominator moves every day).
+func (acc *blockAcc) compile(blk ipv4.Block, w, fullWords int) blockData {
 	bd := blockData{blk: blk}
 	if w == fullWords {
 		bd.timelines = slices.Clone(acc.timelines)
@@ -389,7 +389,6 @@ func (acc *blockAcc) compile(blk ipv4.Block, n, w, fullWords int) blockData {
 	v := &bd.view
 	v.Block = blk.String()
 	v.FD = acc.union.Count()
-	v.STU = float64(acc.addrDays) / float64(n*256)
 	v.ActiveDays = acc.activeDays
 	if acc.traffic != nil {
 		bd.traffic = acc.traffic
@@ -424,31 +423,27 @@ func (a *Applier) assembleSummary(x *Index, n int) {
 		DailyLen:     n,
 		Weeks:        a.weeks,
 		ActiveBlocks: len(x.keys),
-		DailyUnion:   a.dailyUnion.Len(),
-		YearUnion:    a.wSum.union.Len(),
+		DailyUnion:   a.addrs,
+		YearUnion:    a.yearUnion.Len(),
 		ICMPUnion:    a.icmpUnion.Len(),
-		Daily:        a.dSum.partial(),
-		Weekly:       a.wSum.partial(),
+		Daily:        a.dSum.clone(),
+		Weekly:       a.wSum.clone(),
+		DayLens:      slices.Clone(a.dayLens),
+		Ups:          slices.Clone(a.ups),
+		Downs:        slices.Clone(a.downs),
 	}
 
-	cdn := a.cdn
-	if a.scans == 0 {
-		cdn = a.dailyUnion // no campaign yet: the whole-window fallback
+	// No campaign yet: the whole-window fallback, and no responder to
+	// recapture.
+	p.CDNMonth = a.addrs
+	if a.scans > 0 {
+		p.CDNMonth = a.cdn.Len()
+		p.CDNBoth = a.cdn.IntersectCount(a.icmpUnion)
 	}
-	p.CDNMonth = cdn.Len()
-	p.CDNBoth = cdn.IntersectCount(a.icmpUnion)
-
-	p.DayLens = make([]int, n)
-	for i, s := range a.staging.Daily[:n] {
-		p.DayLens[i] = s.Len()
-	}
-	p.Ups = append([]int(nil), a.ups...)
-	p.Downs = append([]int(nil), a.downs...)
 
 	if a.weeks > 0 {
-		base := a.staging.Weekly[0]
-		p.WeekBase = base.Len()
-		p.WeekLastAppear = a.staging.Weekly[a.weeks-1].DiffCount(base)
+		p.WeekBase = a.week0.Len()
+		p.WeekLastAppear = a.weekLast.DiffCount(a.week0)
 	}
 
 	// Same fold set as Build's: exactly the blocks whose stats events

@@ -40,13 +40,11 @@ func (a *Applier) resumeState() (*resumeState, error) {
 		weeks:        a.weeks,
 		scans:        a.scans,
 		surfacesSeen: a.servers != nil || a.routers != nil,
-		yearUnion:    a.wSum.union,
+		yearUnion:    a.yearUnion,
+		week0:        a.week0,
+		weekLast:     a.weekLast,
 		uaBlocks:     a.uaBlocks(),
 		ua:           make(map[ipv4.Block]*obs.UAStat),
-	}
-	if a.weeks > 0 {
-		r.week0 = a.staging.Weekly[0]
-		r.weekLast = a.staging.Weekly[a.weeks-1]
 	}
 	if a.scans > 0 {
 		r.cdnFrom, r.cdnTo, r.cdn = a.cdnFrom, a.cdnTo, a.cdn

@@ -238,3 +238,47 @@ func TestWriteFileAtomicFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeApplierProportional pins the cost model of a resume: the
+// accumulators are restored from the packed timelines in one pass, so
+// the allocations follow the number of blocks — an accumulator, its
+// timelines and its enrichment strings each — not blocks × days. A
+// regression to materializing the daily sets again (one bitmap per
+// block and active day) multiplies the count by the window length.
+func TestResumeApplierProportional(t *testing.T) {
+	d := testData(t)
+	a := NewApplier(Options{})
+	if err := d.WriteTo(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := a.EncodeCheckpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := DecodeSnapshot(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The resumed appliers are never fed, so resuming twice from one
+	// Loaded shares nothing that is written.
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := l.ResumeApplier(Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const perBlock = 8
+	if blocks := l.Index.NumBlocks(); allocs > float64(perBlock*blocks) {
+		t.Errorf("ResumeApplier made %.0f allocations for %d blocks over %d days, want at most %d per block",
+			allocs, blocks, l.Index.days, perBlock)
+	}
+
+	// A window the run's geometry cannot hold is a checkpoint error, not
+	// a write past the timelines.
+	l.meta.Run.DailyLen = l.Index.days - 1
+	if _, _, err := l.ResumeApplier(Options{}); err == nil {
+		t.Error("checkpoint with more days than its run's daily window resumed")
+	}
+}

@@ -164,8 +164,8 @@ func TestApplierEpochs(t *testing.T) {
 }
 
 // TestApplierStreamContract exercises the ordering errors: no events
-// before meta, no duplicate meta, sequential day indices, and no
-// snapshot before the first day.
+// before meta, no duplicate meta, sequential day indices, no snapshot
+// before the first day, and no day, week or scan past the run.
 func TestApplierStreamContract(t *testing.T) {
 	d := testData(t)
 	meta := obs.MetaEvent{Meta: d.Meta}
@@ -199,5 +199,25 @@ func TestApplierStreamContract(t *testing.T) {
 	}
 	if _, err := a.Snapshot(); err != nil {
 		t.Errorf("snapshot after first day: %v", err)
+	}
+
+	// Frames in sequence but past the run's geometry: an error, not a
+	// write past the timelines or a slice of ICMPScanDays out of range.
+	a = NewApplier(Options{})
+	if err := d.WriteTo(a); err != nil {
+		t.Fatal(err)
+	}
+	run := d.Meta.Run
+	for name, e := range map[string]obs.Event{
+		"day":  obs.DayEvent{Index: run.DailyLen, Active: d.Daily[0]},
+		"week": obs.WeekEvent{Index: run.NumWeeks(), Active: d.Weekly[0]},
+		"scan": obs.ICMPScanEvent{Index: len(run.ICMPScanDays), Responders: d.ICMPScans[0]},
+	} {
+		if err := a.Observe(e); err == nil {
+			t.Errorf("%s frame one past the run accepted", name)
+		}
+	}
+	if a.days != run.DailyLen || a.weeks != run.NumWeeks() || a.scans != len(run.ICMPScanDays) {
+		t.Errorf("rejected frames moved the applier: days %d, weeks %d, scans %d", a.days, a.weeks, a.scans)
 	}
 }

@@ -600,117 +600,92 @@ func decodeResumeSection(sec []byte, meta obs.Meta) (*resumeState, error) {
 //
 // Call at most once per Loaded: the Applier takes over (clones of) the
 // resume state. The accepted lossiness is documented in DESIGN.md:
-// staging totals the Applier never reads are zeroed, and traffic-only
-// stats for never-active blocks are dropped — exactly as Build drops
-// them.
+// traffic-only stats for never-active blocks are dropped — exactly as
+// Build drops them.
 func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 	r := l.resume
 	if r == nil {
 		return nil, obs.SkipCounts{}, snapErr("not a resumable checkpoint")
 	}
 	x := l.Index
+	p := x.partial
 	a := NewApplier(opts)
 	a.meta = l.meta
 	a.world = x.world
 	a.tags = x.tags
 	a.fullWords = (l.meta.Run.DailyLen + 63) / 64
-	a.staging = &obs.Data{}
-	if err := a.staging.Observe(obs.MetaEvent{Meta: l.meta}); err != nil {
-		return nil, obs.SkipCounts{}, err
+	if x.days > l.meta.Run.DailyLen {
+		return nil, obs.SkipCounts{}, snapErr("days %d exceed daily window %d", x.days, l.meta.Run.DailyLen)
+	}
+	if len(p.DayLens) != x.days || len(p.Ups) != x.days-1 || len(p.Downs) != x.days-1 {
+		return nil, obs.SkipCounts{}, snapErr("churn series (%d days, %d ups, %d downs) do not match a window of %d days",
+			len(p.DayLens), len(p.Ups), len(p.Downs), x.days)
 	}
 	a.days, a.weeks, a.scans = x.days, r.weeks, r.scans
 	a.accs = make(map[ipv4.Block]*blockAcc, len(x.keys))
-	a.dailyUnion = ipv4.NewSet()
+	a.keys = x.keys
 
-	// Rebuild the per-block accumulators and the daily staging sets from
-	// the packed timelines: bit d of host h's timeline says h was active
-	// on day d, which is exactly the information applyDay folded in.
+	// Restore each accumulator from its packed timelines in one pass: bit
+	// d of host h's timeline says h was active on day d, which is exactly
+	// the information applyDay folded in. beyond masks the bits of a
+	// timeline's last word that lie past the window (none when the shift
+	// is the whole word).
+	beyond := ^uint64(0) << uint(x.days-(x.words-1)*64)
 	dayMask := make([]uint64, x.words)
 	for i, blk := range x.keys {
 		bd := &x.blocks[i]
 		acc := &blockAcc{
-			traffic: bd.traffic,
-			e:       join(x.routing, x.world, x.tags, blk),
+			timelines: make([]uint64, 256*a.fullWords),
+			traffic:   bd.traffic,
+			totalHits: bd.view.TotalHits, // read only beside traffic
+			e:         join(x.routing, x.world, x.tags, blk),
+			bd:        *bd,
+			bdWords:   x.words,
 		}
-		if bd.traffic != nil {
-			acc.totalHits = bd.view.TotalHits
-		}
-		acc.timelines = make([]uint64, 256*a.fullWords)
-		for w := range dayMask {
-			dayMask[w] = 0
-		}
+		clear(dayMask)
 		for h := 0; h < 256; h++ {
 			src := bd.timelines[h*x.words : (h+1)*x.words]
-			dst := acc.timelines[h*a.fullWords:]
-			any := false
+			copy(acc.timelines[h*a.fullWords:], src)
+			var any uint64
 			for wi, wv := range src {
-				dst[wi] = wv
-				if wv != 0 {
-					any = true
-					dayMask[wi] |= wv
-					acc.addrDays += bits.OnesCount64(wv)
-				}
+				any |= wv
+				dayMask[wi] |= wv
+				acc.addrDays += bits.OnesCount64(wv)
 			}
-			if any {
+			if any != 0 {
 				acc.union.Set(byte(h))
 			}
 		}
 		if acc.union.IsEmpty() {
 			return nil, obs.SkipCounts{}, snapErr("indexed block %v has an empty timeline", blk)
 		}
-		for wi, wv := range dayMask {
-			acc.activeDays += bits.OnesCount64(wv)
-			for wv != 0 {
-				b := bits.TrailingZeros64(wv)
-				wv &^= 1 << b
-				day := wi*64 + b
-				if day >= x.days {
-					return nil, obs.SkipCounts{}, snapErr("block %v active on day %d beyond window %d",
-						blk, day, x.days)
-				}
-				var bm ipv4.Bitmap256
-				wordIdx, bit := day/64, uint(day%64)
-				for h := 0; h < 256; h++ {
-					if bd.timelines[h*x.words+wordIdx]&(1<<bit) != 0 {
-						bm.Set(byte(h))
-					}
-				}
-				a.staging.Daily[day].AddBlockBitmap(blk, &bm)
-			}
+		if late := dayMask[x.words-1] & beyond; late != 0 {
+			return nil, obs.SkipCounts{}, snapErr("block %v active on day %d beyond window %d",
+				blk, (x.words-1)*64+bits.TrailingZeros64(late), x.days)
 		}
+		for _, wv := range dayMask {
+			acc.activeDays += bits.OnesCount64(wv)
+		}
+		a.addrs += acc.union.Count()
 		a.accs[blk] = acc
-		a.dailyUnion.AddBlockBitmap(blk, &acc.union)
 	}
+	// The one daily set the next event reads: the newest day's, for its
+	// churn transition.
+	a.lastDay = a.windowUnion(a.days-1, a.days)
+	a.dayLens = append([]int(nil), p.DayLens...)
 
 	a.icmpUnion = x.icmp
-	dp, wp := x.partial.Daily, x.partial.Weekly
-	a.dSum = seriesAccum{
-		union:    a.dailyUnion,
-		snapASes: append([][]uint32(nil), dp.SnapASes...),
-		ipSum:    dp.IPSum,
-		blkSum:   dp.BlockSum,
-		snaps:    dp.Snapshots,
-	}
-	a.wSum = seriesAccum{
-		union:    r.yearUnion.Clone(),
-		snapASes: append([][]uint32(nil), wp.SnapASes...),
-		ipSum:    wp.IPSum,
-		blkSum:   wp.BlockSum,
-		snaps:    wp.Snapshots,
-	}
-	if r.weeks > 0 {
-		a.staging.Weekly[0] = r.week0
-		a.staging.Weekly[r.weeks-1] = r.weekLast
-	}
+	a.dSum, a.wSum = p.Daily.clone(), p.Weekly.clone()
+	a.yearUnion = r.yearUnion.Clone()
+	a.week0, a.weekLast = r.week0, r.weekLast
 	if r.scans > 0 {
 		a.cdnFrom, a.cdnTo = r.cdnFrom, r.cdnTo
 		a.cdn = r.cdn.Clone()
 	}
-	a.ups = append([]int(nil), x.partial.Ups...)
-	a.downs = append([]int(nil), x.partial.Downs...)
+	a.ups = append([]int(nil), p.Ups...)
+	a.downs = append([]int(nil), p.Downs...)
 	for _, blk := range r.uaBlocks {
-		acc := a.acc(blk)
-		acc.ua = r.ua[blk]
+		a.acc(blk).ua = r.ua[blk]
 	}
 	if r.surfacesSeen {
 		a.servers, a.routers = x.servers, x.routers

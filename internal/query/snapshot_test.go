@@ -217,7 +217,13 @@ func TestSnapshotResume(t *testing.T) {
 	long := sim.TinyConfig()
 	long.Days, long.DailyStart, long.DailyLen = 98, 14, 70
 	variants := []variant{
+		// Day 13 falls between the fourth and fifth ICMP scan frames: the
+		// next scan rebuilds the capture–recapture window from timelines
+		// the resume restored.
 		{"tiny-mid", sim.TinyConfig(), 13},
+		// Before the first scan frame (day 21 of this window): no window
+		// in the checkpoint, every one built after the resume.
+		{"before-scans", long, 10},
 		// Resuming at day 64 of a 70-day window forces the word-boundary
 		// repack (words 1 → 2) on the first post-resume publish.
 		{"word-boundary", long, 64},

@@ -301,10 +301,6 @@ func (h *maxIdxHeap) pop() {
 // Allocations returns the underlying allocation list.
 func (t *Table) Allocations() []Allocation { return t.allocs }
 
-// NumSegments returns the number of resolved coverage segments (for
-// tests and capacity planning).
-func (t *Table) NumSegments() int { return len(t.segs) }
-
 // Lookup returns the allocation covering a.
 func (t *Table) Lookup(a ipv4.Addr) (Allocation, bool) {
 	return t.LookupBlock(a.Block())

@@ -52,7 +52,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -301,10 +300,10 @@ func (s *Server) cached(fn func(x *query.Index, r *http.Request) (int, any)) htt
 		// fast path entirely.
 		if r.URL.RawQuery != "" {
 			if raw := r.URL.Query().Get("epoch"); raw != "" {
-				e, err := strconv.ParseUint(raw, 10, 64)
+				e, err := wire.ParseEpoch(raw)
 				if err != nil {
 					status, body := wire.Encode(http.StatusBadRequest,
-						wire.ErrorBody{Error: wire.ErrInvalidEpoch(raw)}, x.Epoch())
+						wire.ErrorBody{Error: err.Error()}, x.Epoch())
 					writeJSON(w, status, body)
 					return
 				}
@@ -356,12 +355,10 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 // names the same epoch a single node would.
 func (s *Server) deltaSpan(w http.ResponseWriter, r *http.Request, cur *query.Index) (fx, tx *query.Index, ok bool) {
 	q := r.URL.Query()
-	fromRaw, toRaw := q.Get("from"), q.Get("to")
-	from, errFrom := strconv.ParseUint(fromRaw, 10, 64)
-	to, errTo := strconv.ParseUint(toRaw, 10, 64)
-	if errFrom != nil || errTo != nil || from >= to {
+	from, to, err := wire.ParseDeltaSpan(q.Get("from"), q.Get("to"))
+	if err != nil {
 		status, body := wire.Encode(http.StatusBadRequest,
-			wire.ErrorBody{Error: wire.ErrDeltaParams(fromRaw, toRaw)}, cur.Epoch())
+			wire.ErrorBody{Error: err.Error()}, cur.Epoch())
 		writeJSON(w, status, body)
 		return nil, nil, false
 	}
@@ -415,18 +412,14 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 // parseLast extracts the optional ?last=N window (0 = whole ring),
 // writing the 400 itself on a bad value.
 func (s *Server) parseLast(w http.ResponseWriter, r *http.Request, cur *query.Index) (last int, ok bool) {
-	raw := r.URL.Query().Get("last")
-	if raw == "" {
-		return 0, true
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil || n < 1 {
+	last, err := wire.ParseLast(r.URL.Query().Get("last"))
+	if err != nil {
 		status, body := wire.Encode(http.StatusBadRequest,
-			wire.ErrorBody{Error: wire.ErrInvalidLast(raw)}, cur.Epoch())
+			wire.ErrorBody{Error: err.Error()}, cur.Epoch())
 		writeJSON(w, status, body)
 		return 0, false
 	}
-	return n, true
+	return last, true
 }
 
 // handleMovement answers /v1/movement?last=N: the per-epoch totals

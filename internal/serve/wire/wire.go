@@ -16,6 +16,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -277,6 +278,45 @@ func ParseASN(raw string) (uint32, error) {
 		return 0, fmt.Errorf("invalid ASN %q", raw)
 	}
 	return uint32(n), nil
+}
+
+// ParseEpoch parses a ?epoch= time-travel target; the empty string is
+// 0, the live snapshot. Like ParseLast and ParseDeltaSpan below, the
+// error's text is the 400 body's, so every tier that rejects a value
+// rejects it with the same bytes.
+func ParseEpoch(raw string) (uint64, error) {
+	if raw == "" {
+		return 0, nil
+	}
+	e, err := strconv.ParseUint(raw, 10, 64)
+	if err != nil {
+		return 0, errors.New(ErrInvalidEpoch(raw))
+	}
+	return e, nil
+}
+
+// ParseDeltaSpan parses /v1/delta's ?from=E&to=E: both present, both
+// integers, from < to.
+func ParseDeltaSpan(fromRaw, toRaw string) (from, to uint64, err error) {
+	from, errFrom := strconv.ParseUint(fromRaw, 10, 64)
+	to, errTo := strconv.ParseUint(toRaw, 10, 64)
+	if errFrom != nil || errTo != nil || from >= to {
+		return 0, 0, errors.New(ErrDeltaParams(fromRaw, toRaw))
+	}
+	return from, to, nil
+}
+
+// ParseLast parses /v1/movement's optional ?last=N window; the empty
+// string is 0, the whole ring.
+func ParseLast(raw string) (int, error) {
+	if raw == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(raw)
+	if err != nil || n < 1 {
+		return 0, errors.New(ErrInvalidLast(raw))
+	}
+	return n, nil
 }
 
 // ShardInfo describes the slice of the /24 block space a shard serves:
