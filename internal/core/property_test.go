@@ -136,11 +136,9 @@ func TestRecaptureProperty(t *testing.T) {
 		// Sample sizes between 10% and 90% of the population.
 		n1 := n/10 + int(aRaw)%(n*8/10)
 		n2 := n/10 + int(bRaw)%(n*8/10)
-		// Expected overlap under independence. Truncating it to an
-		// integer inflates LP by up to 1/m, so below m = 7 the 15 % bound
-		// is the truncation's, not the estimator's.
+		// Expected overlap under independence.
 		m := n1 * n2 / n
-		if m < 7 {
+		if m == 0 {
 			return true
 		}
 		e, err := Recapture(n1, n2, m)
@@ -148,9 +146,10 @@ func TestRecaptureProperty(t *testing.T) {
 			return false
 		}
 		// LP recovers a value close to n (integer truncation of m
-		// introduces at most one unit of slack per overlap count).
+		// introduces at most one unit of slack per overlap count: a
+		// relative error below 1/m, which exceeds 15 % for m < 7).
 		lpErr := math.Abs(e.LincolnPetersen-float64(n)) / float64(n)
-		return lpErr < 0.15 && e.Chapman > 0 && e.CI95Hi >= e.CI95Lo
+		return lpErr < max(0.15, 1/float64(m)) && e.Chapman > 0 && e.CI95Hi >= e.CI95Lo
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

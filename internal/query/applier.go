@@ -53,10 +53,8 @@ type Applier struct {
 	accs map[ipv4.Block]*blockAcc
 	// keys is accs' blocks with at least one active day, ascending — the
 	// published key array. Snapshots share it, so a day that brings new
-	// blocks replaces it instead of growing it in place. addrs is the
-	// size of the daily union (the sum of the blocks' union counts).
-	keys  []ipv4.Block
-	addrs int
+	// blocks replaces it instead of growing it in place.
+	keys []ipv4.Block
 
 	// lastDay is the newest applied day's payload, which the next day's
 	// churn transition diffs against; dayLens the per-day cardinalities.
@@ -76,7 +74,9 @@ type Applier struct {
 
 	// Table 1's two rows, advanced per snapshot: the per-snapshot AS sets
 	// depend on which blocks were active together on a day, which the
-	// timelines hold but only a full scan recovers.
+	// timelines hold but only a full scan recovers. dSum's union sizes are
+	// the only copy of the daily union's: UnionIPs advances by each
+	// block's union-count delta, UnionBlocks is len(keys).
 	dSum, wSum SeriesPartial
 
 	// Capture–recapture month window: nil until the first scan arrives
@@ -121,13 +121,12 @@ type blockAcc struct {
 
 // observe folds snapshot s into the series in arrival order — the same
 // integers seriesPartialOf computes over the applied snapshots. The
-// caller owns the cross-snapshot union and passes its new size.
-func (p *SeriesPartial) observe(s *ipv4.Set, asOf func(ipv4.Block) bgp.ASN, unionIPs, unionBlocks int) {
+// caller owns the cross-snapshot union and advances its two sizes.
+func (p *SeriesPartial) observe(s *ipv4.Set, asOf func(ipv4.Block) bgp.ASN) {
 	p.Snapshots++
 	p.IPSum += s.Len()
 	p.BlockSum += s.NumBlocks()
 	p.SnapASes = append(p.SnapASes, snapshotASes(s, asOf))
-	p.UnionIPs, p.UnionBlocks = unionIPs, unionBlocks
 }
 
 // NewApplier returns an empty Applier. opts.Workers bounds the publish
@@ -168,7 +167,8 @@ func (a *Applier) Observe(e obs.Event) error {
 		a.weekLast = ev.Active
 		a.weeks++
 		a.yearUnion.UnionWith(ev.Active)
-		a.wSum.observe(ev.Active, a.world.ASOf, a.yearUnion.Len(), a.yearUnion.NumBlocks())
+		a.wSum.observe(ev.Active, a.world.ASOf)
+		a.wSum.UnionIPs, a.wSum.UnionBlocks = a.yearUnion.Len(), a.yearUnion.NumBlocks()
 	case obs.ICMPScanEvent:
 		return a.applyScan(ev)
 	case obs.BlockStatsEvent:
@@ -241,15 +241,16 @@ func (a *Applier) applyDay(ev obs.DayEvent) error {
 		})
 		acc.activeDays++
 		acc.addrDays += bm.Count()
-		a.addrs -= acc.union.Count()
+		before := acc.union.Count()
 		acc.union.UnionWith(bm)
-		a.addrs += acc.union.Count()
+		a.dSum.UnionIPs += acc.union.Count() - before
 	})
 	if len(fresh) > 0 {
 		a.keys = append(slices.Clip(a.keys), fresh...)
 		slices.Sort(a.keys)
 	}
-	a.dSum.observe(ev.Active, a.world.ASOf, a.addrs, len(a.keys))
+	a.dSum.observe(ev.Active, a.world.ASOf)
+	a.dSum.UnionBlocks = len(a.keys)
 	if a.cdn != nil && day >= a.cdnFrom && day < a.cdnTo {
 		a.cdn.UnionWith(ev.Active)
 	}
@@ -423,7 +424,7 @@ func (a *Applier) assembleSummary(x *Index, n int) {
 		DailyLen:     n,
 		Weeks:        a.weeks,
 		ActiveBlocks: len(x.keys),
-		DailyUnion:   a.addrs,
+		DailyUnion:   a.dSum.UnionIPs,
 		YearUnion:    a.yearUnion.Len(),
 		ICMPUnion:    a.icmpUnion.Len(),
 		Daily:        a.dSum.clone(),
@@ -435,7 +436,7 @@ func (a *Applier) assembleSummary(x *Index, n int) {
 
 	// No campaign yet: the whole-window fallback, and no responder to
 	// recapture.
-	p.CDNMonth = a.addrs
+	p.CDNMonth = a.dSum.UnionIPs
 	if a.scans > 0 {
 		p.CDNMonth = a.cdn.Len()
 		p.CDNBoth = a.cdn.IntersectCount(a.icmpUnion)

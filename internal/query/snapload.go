@@ -666,7 +666,6 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 		for _, wv := range dayMask {
 			acc.activeDays += bits.OnesCount64(wv)
 		}
-		a.addrs += acc.union.Count()
 		a.accs[blk] = acc
 	}
 	// The one daily set the next event reads: the newest day's, for its

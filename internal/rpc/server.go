@@ -259,10 +259,9 @@ func (s *Server) handleData(x *query.Index, req Msg) Msg {
 		return BlockResp{Epoch: x.Epoch(), Found: ok, View: v}
 	case DeltaReq:
 		ring := s.be.History()
-		// The frame's epochs are typed; the span rule and its 400 text are
-		// the query-string parser's.
-		if _, _, err := wire.ParseDeltaSpan(strconv.FormatUint(r.From, 10), strconv.FormatUint(r.To, 10)); err != nil {
-			return ErrorResp{Code: http.StatusBadRequest, Msg: err.Error()}
+		if r.From >= r.To {
+			return ErrorResp{Code: http.StatusBadRequest, Msg: wire.ErrDeltaParams(
+				strconv.FormatUint(r.From, 10), strconv.FormatUint(r.To, 10))}
 		}
 		// Probe from first, then to — the order the HTTP handler and the
 		// router both use, so every transport blames the same epoch.
