@@ -16,7 +16,8 @@ import (
 // codec and the snapshot format: SHA-256 digests of every Append*Wire
 // output, of EncodeSnapshot (unsharded and with a ShardRange) and of
 // EncodeCheckpoint (mid-stream and at end of stream, where the resume
-// section carries the UA sketches) over the TinyConfig seed-5 world. The
+// section carries the UA sketches) over the TinyConfig seed-5 world, and
+// of EncodeSnapshot over Build's indexes of the same world. The codec
 // digests were computed before the codecs moved onto internal/binenc; a
 // refactor that moves one encoded byte fails here.
 func TestEncodedBytesStable(t *testing.T) {
@@ -73,6 +74,29 @@ func TestEncodedBytesStable(t *testing.T) {
 	mp := MovementPartial{Seed: wcfg.Seed, OldestEpoch: mid.Epoch(), NewestEpoch: x.Epoch(),
 		Entries: []MovementEntryPartial{mid.MovementEntryPartial(nil), x.MovementEntryPartial(mid)}}
 
+	// The batch path over the same world. These digests were computed with
+	// the block compiler and summary assembler Build had of its own before
+	// it became a fill of the Applier: they are what that code left behind.
+	build := func(src obs.Source, opts Options) []byte {
+		t.Helper()
+		bx, err := Build(src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return EncodeSnapshot(bx, nil)
+	}
+	d := &obs.Data{}
+	for _, e := range events {
+		if err := d.Observe(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	long := sim.TinyConfig()
+	long.Days, long.DailyStart, long.DailyLen = 98, 14, 70
+	longRes := sim.Run(synthnet.Generate(wcfg), long)
+	// The lower half of the active blocks, as a shard's build sees it.
+	lower := func(b ipv4.Block) bool { return b < blk }
+
 	for _, c := range []struct {
 		name string
 		enc  []byte
@@ -89,6 +113,11 @@ func TestEncodedBytesStable(t *testing.T) {
 		{"EncodeSnapshot/sharded", EncodeSnapshot(x, &ShardRange{Index: 1, Count: 2, Lo: 1 << 23, Hi: 1 << 24}), "f68b59b8d13667e594afe91227874e19852b3e218ffb82222ff8607fdc60164a"},
 		{"EncodeCheckpoint/mid-stream", checkpoint, "9efb068c4905a9d50149194c043fbf0f0e32cccdcfeafb839fc66f5dea218bdf"},
 		{"EncodeCheckpoint/end-of-stream", final, "7d4ca5a72bd534f774e940d54f571bd221605d518a430f2cebac60d244885dd0"},
+		{"Build", build(d, Options{}), "8430634807e28e9c1195a3388e4ded176436d7fcd72f2d3d9e63016dde72968a"},
+		{"Build/TruncateLive(10)", build(d.TruncateLive(10), Options{}), "3a198a22033c38ab44465c8eadfa56b3524d0eccf71cd3270d48851bbbcdd663"},
+		{"Build/word-boundary(64)", build(longRes.Data.TruncateLive(64), Options{}), "83ae04824ee61c8c761bb4840cf23790c88a192dc144852aeb271c7392ff5ce0"},
+		{"Build/word-boundary(65)", build(longRes.Data.TruncateLive(65), Options{}), "f0cab7247355fbcb3fdcd23ce55a3c8609d8d07d5127899966e18aa8ff9f9f12"},
+		{"Build/keep", build(obs.FilterSource(d, lower), Options{Keep: lower}), "41f0e2c44b4d83ebfaea858dc8228622e936edb44a9a8e23d6012185d87703b1"},
 	} {
 		sum := sha256.Sum256(c.enc)
 		if got := hex.EncodeToString(sum[:]); got != c.want {
