@@ -784,6 +784,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 			name = "maxprocs"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			var blocks int
 			for i := 0; i < b.N; i++ {
 				idx, err := query.Build(ctx.Obs, query.Options{Workers: workers})
@@ -853,6 +854,7 @@ func BenchmarkColdStart(b *testing.B) {
 		b.ReportMetric(float64(len(data)), "snapshotBytes")
 	})
 	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
 		var blocks int
 		for i := 0; i < b.N; i++ {
 			bidx, err := query.Build(ctx.Obs, query.Options{})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"ipscope/internal/bgp"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 	"ipscope/internal/par"
@@ -12,14 +11,17 @@ import (
 	"ipscope/internal/synthnet"
 )
 
-// Applier is the incremental counterpart of Build: it consumes a live
-// observation event stream (it implements obs.Sink, so it attaches
-// directly to obs.StreamDecode, obs.Follow or a sim.RunTo tee) and can
-// publish an epoch-stamped immutable *Index at any point. The hard
-// invariant, enforced by TestApplierEquivalence, is that after applying
-// days 1..N the published snapshot is view-identical — byte for byte
-// across every lookup — to Build over the dataset truncated to those N
-// days (obs.Data.TruncateLive), for any worker count on either side.
+// Applier is the one index compiler: it consumes a live observation
+// event stream (it implements obs.Sink, so it attaches directly to
+// obs.StreamDecode, obs.Follow or a sim.RunTo tee) and can publish an
+// epoch-stamped immutable *Index at any point; Build loads one from a
+// whole dataset in a single block-parallel pass (fill) and publishes
+// through the same Snapshot. The hard invariant, enforced by
+// TestApplierEquivalence, is that the two ways in reach the same state:
+// after applying days 1..N the published snapshot is view-identical —
+// byte for byte across every lookup — to Build over the dataset
+// truncated to those N days (obs.Data.TruncateLive), for any worker
+// count on either side.
 //
 // Incrementality is what makes a publish far cheaper than a rebuild
 // (BenchmarkIndexApplyDay): per-block accumulators absorb each day in
@@ -94,8 +96,9 @@ type Applier struct {
 	prev  *Index // last published snapshot: what a checkpoint serializes
 }
 
-// blockAcc is one /24's mutable accumulator: everything compileBlock
-// derives from the dataset, maintained event by event instead.
+// blockAcc is one /24's mutable accumulator: what compile needs of the
+// block's days and stats, advanced by addDay and setStats — event by
+// event on a live node, in one pass per block under Build's fill.
 type blockAcc struct {
 	// timelines is 256 packed day-bitsets at the full window width;
 	// snapshots copy out the leading words their window needs.
@@ -117,16 +120,6 @@ type blockAcc struct {
 	bd      blockData
 	bdWords int
 	dirty   bool
-}
-
-// observe folds snapshot s into the series in arrival order — the same
-// integers seriesPartialOf computes over the applied snapshots. The
-// caller owns the cross-snapshot union and advances its two sizes.
-func (p *SeriesPartial) observe(s *ipv4.Set, asOf func(ipv4.Block) bgp.ASN) {
-	p.Snapshots++
-	p.IPSum += s.Len()
-	p.BlockSum += s.NumBlocks()
-	p.SnapASes = append(p.SnapASes, snapshotASes(s, asOf))
 }
 
 // NewApplier returns an empty Applier. opts.Workers bounds the publish
@@ -172,22 +165,7 @@ func (a *Applier) Observe(e obs.Event) error {
 	case obs.ICMPScanEvent:
 		return a.applyScan(ev)
 	case obs.BlockStatsEvent:
-		acc := a.acc(ev.Block)
-		acc.dirty = true
-		if ev.Traffic != nil {
-			t := &blockTraffic{}
-			total := 0.0
-			for h := 0; h < 256; h++ {
-				t.daysActive[h] = ev.Traffic.DaysActive[h]
-				t.hits[h] = ev.Traffic.Hits[h]
-				total += ev.Traffic.Hits[h]
-			}
-			acc.traffic = t
-			acc.totalHits = total
-		}
-		if ev.UA != nil {
-			acc.ua = ev.UA
-		}
+		a.acc(ev.Block).setStats(ev.Traffic, ev.UA)
 	case obs.SurfacesEvent:
 		a.servers, a.routers = ev.Servers, ev.Routers
 	}
@@ -230,20 +208,10 @@ func (a *Applier) applyDay(ev obs.DayEvent) error {
 	var fresh []ipv4.Block // first active day today
 	ev.Active.ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
 		acc := a.acc(blk)
-		acc.dirty = true
 		if acc.timelines == nil {
-			acc.timelines = make([]uint64, 256*a.fullWords)
 			fresh = append(fresh, blk)
 		}
-		word, bit := day/64, uint(day%64)
-		bm.ForEach(func(h byte) {
-			acc.timelines[int(h)*a.fullWords+word] |= 1 << bit
-		})
-		acc.activeDays++
-		acc.addrDays += bm.Count()
-		before := acc.union.Count()
-		acc.union.UnionWith(bm)
-		a.dSum.UnionIPs += acc.union.Count() - before
+		a.dSum.UnionIPs += acc.addDay(day, bm, a.fullWords)
 	})
 	if len(fresh) > 0 {
 		a.keys = append(slices.Clip(a.keys), fresh...)
@@ -269,11 +237,18 @@ func (a *Applier) applyScan(ev obs.ICMPScanEvent) error {
 	// Published snapshots share the union pointer, so replace instead of
 	// mutating.
 	a.icmpUnion = a.icmpUnion.Union(ev.Responders)
-	// The capture–recapture month window is pinned by the first and last
-	// scans seen so far (expanded to at least 28 days, exactly as
-	// obs.Data.CampaignMonthUnion derives it); a new scan can shift it,
-	// so rebuild the window union from the timelines and advance it per
-	// day from here on.
+	a.setCampaignWindow()
+	return nil
+}
+
+// setCampaignWindow derives the capture–recapture month window from the
+// a.scans (> 0) scans seen so far: pinned by the first and the last of
+// them, expanded to at least 28 days, exactly as
+// obs.Data.CampaignMonthUnion derives it. A new scan can shift it, so
+// the window union is rebuilt from the timelines; applyDay advances it
+// per day from there on.
+func (a *Applier) setCampaignWindow() {
+	cfg := a.meta.Run
 	from := cfg.ICMPScanDays[0] - cfg.DailyStart
 	to := cfg.ICMPScanDays[a.scans-1] - cfg.DailyStart + 1
 	if span := to - from; span < 28 {
@@ -282,7 +257,6 @@ func (a *Applier) applyScan(ev obs.ICMPScanEvent) error {
 	}
 	a.cdnFrom, a.cdnTo = from, to
 	a.cdn = a.windowUnion(from, to)
-	return nil
 }
 
 // windowUnion returns the addresses active on an applied day in
@@ -311,16 +285,60 @@ func (a *Applier) windowUnion(from, to int) *ipv4.Set {
 func (a *Applier) acc(blk ipv4.Block) *blockAcc {
 	acc := a.accs[blk]
 	if acc == nil {
-		acc = &blockAcc{e: join(a.world.BaseRouting, a.world, a.tags, blk)}
+		acc = a.newAcc(blk)
 		a.accs[blk] = acc
 	}
 	return acc
 }
 
+// newAcc returns an empty accumulator for blk, outside the map (safe to
+// call from concurrent workers).
+func (a *Applier) newAcc(blk ipv4.Block) *blockAcc {
+	return &blockAcc{e: join(a.world.BaseRouting, a.world, a.tags, blk)}
+}
+
+// addDay folds the block's activity on one day of the window into the
+// accumulator and returns how many addresses it added to the union.
+func (acc *blockAcc) addDay(day int, bm *ipv4.Bitmap256, fullWords int) int {
+	acc.dirty = true
+	if acc.timelines == nil {
+		acc.timelines = make([]uint64, 256*fullWords)
+	}
+	word, bit := day/64, uint(day%64)
+	bm.ForEach(func(h byte) {
+		acc.timelines[int(h)*fullWords+word] |= 1 << bit
+	})
+	acc.activeDays++
+	acc.addrDays += bm.Count()
+	before := acc.union.Count()
+	acc.union.UnionWith(bm)
+	return acc.union.Count() - before
+}
+
+// setStats records the block's end-of-stream aggregates; a nil payload
+// leaves what the accumulator already holds.
+func (acc *blockAcc) setStats(traffic *obs.BlockTraffic, ua *obs.UAStat) {
+	acc.dirty = true
+	if traffic != nil {
+		t := &blockTraffic{}
+		total := 0.0
+		for h := 0; h < 256; h++ {
+			t.daysActive[h] = traffic.DaysActive[h]
+			t.hits[h] = traffic.Hits[h]
+			total += traffic.Hits[h]
+		}
+		acc.traffic = t
+		acc.totalHits = total
+	}
+	if ua != nil {
+		acc.ua = ua
+	}
+}
+
 // Snapshot publishes the current state as an immutable epoch-stamped
 // Index. It requires at least one applied day (an index over an empty
-// daily window is meaningless, matching Build). Every call bumps the
-// epoch, even if nothing changed since the last publish.
+// daily window is meaningless). Every call bumps the epoch, even if
+// nothing changed since the last publish.
 func (a *Applier) Snapshot() (*Index, error) {
 	if a.world == nil {
 		return nil, fmt.Errorf("query: snapshot before meta event")
@@ -349,11 +367,12 @@ func (a *Applier) Snapshot() (*Index, error) {
 	// are immutable once published) unless the window crossed a 64-day
 	// word boundary, which changes every timeline's layout. Each worker
 	// writes only the accumulators of its own keys.
+	closed := n == a.meta.Run.DailyLen
 	x.blocks = par.Map(len(x.keys), a.opts.Workers, func(i int) blockData {
 		blk := x.keys[i]
 		acc := a.accs[blk]
 		if acc.dirty || acc.bdWords != w {
-			acc.bd, acc.bdWords, acc.dirty = acc.compile(blk, w, a.fullWords), w, false
+			acc.bd, acc.bdWords, acc.dirty = acc.compile(blk, w, a.fullWords, closed), w, false
 		}
 		bd := acc.bd
 		// The one field that depends on the window length alone.
@@ -361,9 +380,9 @@ func (a *Applier) Snapshot() (*Index, error) {
 		return bd
 	})
 
-	// Per-epoch recomputation: the AS fold (sequential in block order,
-	// like Build's) and the dataset-level summary run concurrently —
-	// both scale with the number of blocks, not with the window length.
+	// Per-epoch recomputation: the AS fold (sequential in block order) and
+	// the dataset-level summary run concurrently — both scale with the
+	// number of blocks, not with the window length.
 	var g par.Group
 	g.Go(func() error { x.buildAS(); return nil })
 	g.Go(func() error { a.assembleSummary(x, n); return nil })
@@ -375,13 +394,19 @@ func (a *Applier) Snapshot() (*Index, error) {
 }
 
 // compile materializes one block's immutable record from its
-// accumulator, mirroring Build's compileBlock field for field (Snapshot
-// sets STU, whose denominator moves every day).
-func (acc *blockAcc) compile(blk ipv4.Block, w, fullWords int) blockData {
+// accumulator: the only reader of a block's days, under Build and a live
+// publish alike (Snapshot sets STU, whose denominator moves every day).
+// Once the daily window is closed no day can be applied any more, so the
+// record shares the accumulator's timelines instead of copying them —
+// which is every block of a Build over a whole window.
+func (acc *blockAcc) compile(blk ipv4.Block, w, fullWords int, closed bool) blockData {
 	bd := blockData{blk: blk}
-	if w == fullWords {
+	switch {
+	case closed:
+		bd.timelines = acc.timelines
+	case w == fullWords:
 		bd.timelines = slices.Clone(acc.timelines)
-	} else {
+	default:
 		bd.timelines = make([]uint64, 256*w)
 		for h := 0; h < 256; h++ {
 			copy(bd.timelines[h*w:(h+1)*w], acc.timelines[h*fullWords:h*fullWords+w])
@@ -399,20 +424,18 @@ func (acc *blockAcc) compile(blk ipv4.Block, w, fullWords int) blockData {
 		v.UASamples = acc.ua.Samples
 		v.UAUnique = acc.ua.Unique()
 	}
-	v.AS = acc.e.as
-	v.Prefix = acc.e.prefix
-	v.Country = acc.e.country
-	v.RIR = acc.e.rir
-	v.Pattern = acc.e.pattern
-	v.RDNS = acc.e.rdns
+	acc.e.enrich(v)
 	return bd
 }
 
 // assembleSummary fills x.partial and x.summary from the running
-// accumulators — identical to buildSummary over the equivalent
-// truncated dataset, without revisiting any applied day. Publishing
-// through the same SummaryPartial.Finalize path as Build is what lets
-// cluster shards mix batch-built and applier-built indexes freely.
+// accumulators, without revisiting any applied day. It goes through the
+// mergeable partial (partial.go): the partial holds exact integer
+// counters, AS sets and the union UA sketch, and Finalize derives every
+// float with the expressions cdnlog.Summarize, core.ChurnSeries and
+// core.Recapture use — so the numbers stay field-identical to the batch
+// report's (the serve tests cross-check them) while remaining exactly
+// mergeable across cluster shards.
 func (a *Applier) assembleSummary(x *Index, n int) {
 	run := a.meta.Run
 	p := &SummaryPartial{
@@ -447,8 +470,8 @@ func (a *Applier) assembleSummary(x *Index, n int) {
 		p.WeekLastAppear = a.weekLast.DiffCount(a.week0)
 	}
 
-	// Same fold set as Build's: exactly the blocks whose stats events
-	// carried a UA payload, in ascending order.
+	// The fold set is exactly the blocks whose stats carried a UA payload,
+	// in ascending order.
 	p.UASamples, p.UAPrecision, p.UARegisters = foldUA(a.uaBlocks(), func(blk ipv4.Block) *obs.UAStat {
 		return a.accs[blk].ua
 	})

@@ -13,10 +13,12 @@ import (
 	"ipscope/internal/useragent"
 )
 
-// Build compiles src into an Index. The world is regenerated
-// deterministically from the dataset's embedded configuration, exactly
-// as the batch analysis side does, so a stored dataset file is all a
-// serving node needs.
+// Build compiles src into an Index: a block-parallel fill of a fresh
+// Applier, published through the Snapshot a live node calls, so a batch
+// index and a live one are the output of one block compiler and one
+// summary assembler. The world is regenerated deterministically from
+// the dataset's embedded configuration, exactly as the batch analysis
+// side does, so a stored dataset file is all a serving node needs.
 func Build(src obs.Source, opts Options) (*Index, error) {
 	d, err := src.Observations()
 	if err != nil {
@@ -25,35 +27,92 @@ func Build(src obs.Source, opts Options) (*Index, error) {
 	if len(d.Daily) == 0 {
 		return nil, fmt.Errorf("query: dataset has no daily window")
 	}
-	world := synthnet.Generate(d.Meta.World)
-	w := opts.Workers
-
-	x := &Index{
-		epoch:   1,
-		meta:    metaInfo{seed: world.Seed, numASes: len(world.ASes)},
-		obsMeta: d.Meta,
-		days:    len(d.Daily),
-		words:   (len(d.Daily) + 63) / 64,
-		routing: world.BaseRouting,
-		world:   world,
-		icmp:    d.ICMPUnion(),
-		servers: orEmpty(d.ServerSet),
-		routers: orEmpty(d.RouterSet),
+	if n, win := len(d.Daily), d.Meta.Run.DailyLen; n > win {
+		return nil, fmt.Errorf("query: dataset holds %d daily sets, its meta declares a window of %d", n, win)
 	}
-	x.tags = classifyWorld(world, w, opts.Keep)
+	a := NewApplier(opts)
+	if err := a.applyMeta(obs.MetaEvent{Meta: d.Meta}); err != nil {
+		return nil, err
+	}
+	a.fill(d)
+	return a.Snapshot()
+}
 
-	// Per-/24 records in ascending block order. Each block compiles from
-	// its own slice of the dataset into a preallocated slot, so shard
-	// boundaries cannot reorder anything.
+// fill loads a, fresh from applyMeta, with the state Observe would
+// reach event by event over d.WriteTo — without the 112 day-serial
+// passes that costs: each block gathers its own days out of d.Daily
+// into a preallocated slot, so shard boundaries cannot reorder
+// anything, and the day-level series come from the parallel set
+// kernels. Every fan-out is bounded by the Applier's Options.Workers,
+// not by the worker count the dataset's producer recorded in its meta.
+func (a *Applier) fill(d *obs.Data) {
+	w := a.opts.Workers
+	n := len(d.Daily)
+
 	dailyUnion := ipv4.UnionAll(d.Daily, w)
-	x.keys = dailyUnion.Blocks()
-	x.blocks = par.Map(len(x.keys), w, func(i int) blockData {
-		return x.compileBlock(d, x.keys[i])
+	a.keys = dailyUnion.Blocks()
+	accs := par.Map(len(a.keys), w, func(i int) *blockAcc {
+		blk := a.keys[i]
+		acc := a.newAcc(blk)
+		for day, s := range d.Daily {
+			if bm := s.BlockBitmap(blk); bm != nil {
+				acc.addDay(day, bm, a.fullWords)
+			}
+		}
+		acc.setStats(d.Traffic[blk], d.UA[blk])
+		return acc
 	})
+	for i, blk := range a.keys {
+		a.accs[blk] = accs[i]
+	}
+	// Stats for a block with no active day reach the index only through
+	// the summary's UA fold, so only a UA payload needs an accumulator.
+	for blk, ua := range d.UA {
+		if a.accs[blk] == nil {
+			a.acc(blk).setStats(nil, ua)
+		}
+	}
 
-	x.buildAS()
-	x.buildSummary(d, dailyUnion)
-	return x, nil
+	a.days = n
+	a.lastDay = d.Daily[n-1]
+	a.dayLens = make([]int, n)
+	for i, s := range d.Daily {
+		a.dayLens[i] = s.Len()
+		a.dSum.observe(s, a.world.ASOf)
+	}
+	a.dSum.UnionIPs, a.dSum.UnionBlocks = dailyUnion.Len(), len(a.keys)
+	if n > 1 {
+		a.ups = ipv4.DiffCounts(d.Daily[1:], d.Daily[:n-1], w)
+		a.downs = make([]int, n-1)
+		for i, up := range a.ups {
+			// |prev \ next| = |prev| - |next| + |next \ prev|
+			a.downs[i] = a.dayLens[i] - a.dayLens[i+1] + up
+		}
+	}
+
+	// A stream-prefix dataset round-tripped through Data.Observe holds
+	// the full run's weekly slots with the not-yet-closed weeks nil
+	// (MetaEvent pre-sizes to NumWeeks, which derives from the campaign
+	// length, not the applied prefix). A live Applier only counts weeks it
+	// has observed, so the unclosed tail is not part of the series.
+	weekly := d.Weekly
+	for len(weekly) > 0 && weekly[len(weekly)-1] == nil {
+		weekly = weekly[:len(weekly)-1]
+	}
+	if a.weeks = len(weekly); a.weeks > 0 {
+		a.week0, a.weekLast = weekly[0], weekly[a.weeks-1]
+	}
+	a.yearUnion = ipv4.UnionAll(weekly, w)
+	for _, s := range weekly {
+		a.wSum.observe(s, a.world.ASOf)
+	}
+	a.wSum.UnionIPs, a.wSum.UnionBlocks = a.yearUnion.Len(), a.yearUnion.NumBlocks()
+
+	a.icmpUnion = ipv4.UnionAll(d.ICMPScans, w)
+	if a.scans = len(a.meta.Run.ICMPScanDays); a.scans > 0 {
+		a.setCampaignWindow()
+	}
+	a.servers, a.routers = d.ServerSet, d.RouterSet
 }
 
 func orEmpty(s *ipv4.Set) *ipv4.Set {
@@ -87,61 +146,6 @@ func classifyWorld(world *synthnet.World, workers int, keep func(ipv4.Block) boo
 		}
 	})
 	return rdns.NewTagIndex(pairs)
-}
-
-// compileBlock builds one block's packed record: a pure function of the
-// dataset, independent of every other block.
-func (x *Index) compileBlock(d *obs.Data, blk ipv4.Block) blockData {
-	bd := blockData{
-		blk:       blk,
-		timelines: make([]uint64, 256*x.words),
-	}
-
-	var union ipv4.Bitmap256
-	activeDays := 0
-	addrDays := 0
-	for day, s := range d.Daily {
-		bm := s.BlockBitmap(blk)
-		if bm == nil || bm.IsEmpty() {
-			continue
-		}
-		activeDays++
-		addrDays += bm.Count()
-		union.UnionWith(bm)
-		word, bit := day/64, uint(day%64)
-		bm.ForEach(func(h byte) {
-			bd.timelines[int(h)*x.words+word] |= 1 << bit
-		})
-	}
-
-	v := &bd.view
-	v.Block = blk.String()
-	v.FD = union.Count()
-	v.STU = float64(addrDays) / float64(len(d.Daily)*256)
-	v.ActiveDays = activeDays
-
-	if bt := d.Traffic[blk]; bt != nil {
-		t := &blockTraffic{}
-		for h := 0; h < 256; h++ {
-			t.daysActive[h] = bt.DaysActive[h]
-			t.hits[h] = bt.Hits[h]
-			v.TotalHits += bt.Hits[h]
-		}
-		bd.traffic = t
-	}
-	if ua := d.UA[blk]; ua != nil {
-		v.UASamples = ua.Samples
-		v.UAUnique = ua.Unique()
-	}
-
-	e := x.joinBlock(blk)
-	v.AS = e.as
-	v.Prefix = e.prefix
-	v.Country = e.country
-	v.RIR = e.rir
-	v.Pattern = e.pattern
-	v.RDNS = e.rdns
-	return bd
 }
 
 // buildAS folds the per-block records into per-AS footprints. Blocks
@@ -179,81 +183,6 @@ func (x *Index) buildAS() {
 		x.asNums = append(x.asNums, as)
 	}
 	sort.Slice(x.asNums, func(i, j int) bool { return x.asNums[i] < x.asNums[j] })
-}
-
-// buildSummary computes the dataset-level aggregates via the mergeable
-// partial (partial.go): the partial holds exact integer counters, AS
-// sets and the union UA sketch; Finalize derives every float with the
-// expressions cdnlog.Summarize, core.ChurnSeries and core.Recapture
-// use, so the numbers stay field-identical to the batch report's (the
-// serve tests cross-check them) while remaining exactly mergeable
-// across cluster shards.
-func (x *Index) buildSummary(d *obs.Data, dailyUnion *ipv4.Set) {
-	run := d.Meta.Run
-	// A stream-prefix dataset round-tripped through Data.Observe holds
-	// the full run's weekly slots with the not-yet-closed weeks nil
-	// (MetaEvent pre-sizes to NumWeeks, which derives from the campaign
-	// length, not the applied prefix). Trim the unclosed tail so batch
-	// builds over such a prefix agree with a live Applier, which only
-	// counts weeks it has observed.
-	weekly := d.Weekly
-	for len(weekly) > 0 && weekly[len(weekly)-1] == nil {
-		weekly = weekly[:len(weekly)-1]
-	}
-	yearUnion := ipv4.UnionAll(weekly, run.Workers)
-	p := &SummaryPartial{
-		Seed:         x.meta.seed,
-		NumASes:      x.meta.numASes,
-		WorldBlocks:  x.world.NumBlocks(),
-		Days:         run.Days,
-		DailyStart:   run.DailyStart,
-		DailyLen:     len(d.Daily),
-		Weeks:        len(weekly),
-		ActiveBlocks: len(x.keys),
-		DailyUnion:   dailyUnion.Len(),
-		YearUnion:    yearUnion.Len(),
-		ICMPUnion:    x.icmp.Len(),
-		Daily:        seriesPartialOf(d.Daily, dailyUnion, x.world.ASOf),
-		Weekly:       seriesPartialOf(weekly, yearUnion, x.world.ASOf),
-	}
-
-	// Capture–recapture inputs over the CDN month vs the ICMP union,
-	// with the same month window the batch RecaptureEstimate uses.
-	cdn := d.CampaignMonthUnion()
-	p.CDNMonth = cdn.Len()
-	p.CDNBoth = cdn.IntersectCount(x.icmp)
-
-	// Daily churn raw material (Figure 4's integers).
-	p.DayLens = make([]int, len(d.Daily))
-	for i, s := range d.Daily {
-		p.DayLens[i] = s.Len()
-	}
-	if n := len(d.Daily) - 1; n > 0 {
-		p.Ups = ipv4.DiffCounts(d.Daily[1:], d.Daily[:n], 0)
-		p.Downs = ipv4.DiffCounts(d.Daily[:n], d.Daily[1:], 0)
-	}
-	if len(weekly) > 0 {
-		base := weekly[0]
-		p.WeekBase = base.Len()
-		p.WeekLastAppear = weekly[len(weekly)-1].DiffCount(base)
-	}
-
-	p.UASamples, p.UAPrecision, p.UARegisters = foldUA(uaBlocks(d.UA), func(blk ipv4.Block) *obs.UAStat {
-		return d.UA[blk]
-	})
-
-	x.partial = p
-	x.summary = p.Finalize()
-}
-
-// uaBlocks returns the UA-sampled blocks in ascending order.
-func uaBlocks(ua map[ipv4.Block]*obs.UAStat) []ipv4.Block {
-	out := make([]ipv4.Block, 0, len(ua))
-	for blk := range ua {
-		out = append(out, blk)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // foldUA unions the per-block UA sketches (register-wise max, so any

@@ -43,11 +43,13 @@ func cutStream(events []obs.Event, ref *obs.Data, cut int) int {
 
 // TestApplierEquivalence is the tentpole invariant: applying days 1..N
 // of the live stream and publishing must be view-identical — byte for
-// byte across summary, block, address, AS and prefix views — to a
-// monolithic Build over the dataset truncated to those N days, for
-// several N and worker counts. The applier publishes at every cut along
-// the way, so later cuts also exercise the clean-block reuse path
-// against earlier epochs.
+// byte across summary, block, address, AS and prefix views — to Build
+// over the dataset truncated to those N days, for several N and worker
+// counts. The applier publishes at every cut along the way, so later
+// cuts also exercise the clean-block reuse path against earlier epochs.
+// Both sides publish through one compiler — the day-serial fill against
+// the block-parallel one — so at every cut the snapshot is also held to
+// the oracle that shares none of it (checkAgainstCore).
 func TestApplierEquivalence(t *testing.T) {
 	type variant struct {
 		name string
@@ -103,6 +105,7 @@ func TestApplierEquivalence(t *testing.T) {
 							t.Fatalf("day %d: incremental snapshot differs from Build over truncated dataset (%d vs %d bytes)",
 								cut, len(got), len(want))
 						}
+						checkAgainstCore(t, snap, trunc)
 					}
 
 					// End of stream: the remaining events (trailing
@@ -124,6 +127,7 @@ func TestApplierEquivalence(t *testing.T) {
 					if !bytes.Equal(marshalIndex(t, snap), marshalIndex(t, ref)) {
 						t.Fatal("end-of-stream snapshot differs from Build over the full dataset")
 					}
+					checkAgainstCore(t, snap, d)
 				})
 			}
 		})

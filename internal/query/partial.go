@@ -59,21 +59,13 @@ type SeriesPartial struct {
 	SnapASes [][]uint32 `json:"snapASes"`
 }
 
-// seriesPartialOf computes the partial for a snapshot series whose
-// cross-snapshot union has already been materialized.
-func seriesPartialOf(snaps []*ipv4.Set, union *ipv4.Set, asOf func(ipv4.Block) bgp.ASN) SeriesPartial {
-	p := SeriesPartial{
-		Snapshots:   len(snaps),
-		UnionIPs:    union.Len(),
-		UnionBlocks: union.NumBlocks(),
-		SnapASes:    make([][]uint32, len(snaps)),
-	}
-	for i, s := range snaps {
-		p.IPSum += s.Len()
-		p.BlockSum += s.NumBlocks()
-		p.SnapASes[i] = snapshotASes(s, asOf)
-	}
-	return p
+// observe folds snapshot s into the series in arrival order. The caller
+// owns the cross-snapshot union and advances its two sizes.
+func (p *SeriesPartial) observe(s *ipv4.Set, asOf func(ipv4.Block) bgp.ASN) {
+	p.Snapshots++
+	p.IPSum += s.Len()
+	p.BlockSum += s.NumBlocks()
+	p.SnapASes = append(p.SnapASes, snapshotASes(s, asOf))
 }
 
 // snapshotASes returns the sorted distinct origin ASNs active in s.

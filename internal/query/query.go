@@ -283,6 +283,16 @@ type enrichment struct {
 	rdns    string
 }
 
+// enrich copies the join into a block's view.
+func (e *enrichment) enrich(v *BlockView) {
+	v.AS = e.as
+	v.Prefix = e.prefix
+	v.Country = e.country
+	v.RIR = e.rir
+	v.Pattern = e.pattern
+	v.RDNS = e.rdns
+}
+
 // joinBlock computes the enrichment for any block, active or not.
 func (x *Index) joinBlock(blk ipv4.Block) enrichment {
 	return join(x.routing, x.world, x.tags, blk)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ipscope/internal/bgp"
+	"ipscope/internal/cdnlog"
 	"ipscope/internal/core"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
@@ -38,6 +39,15 @@ func TestBuildBlockViewsMatchCore(t *testing.T) {
 	if idx.NumBlocks() == 0 {
 		t.Fatal("no indexed blocks")
 	}
+	checkAgainstCore(t, idx, d)
+}
+
+// checkAgainstCore holds idx to the oracle that shares no code with the
+// index compiler: the batch definitions in internal/core and
+// internal/cdnlog, evaluated over the dataset d the index was built (or
+// streamed) from.
+func checkAgainstCore(t *testing.T, idx *Index, d *obs.Data) {
+	t.Helper()
 	if got, want := idx.NumBlocks(), len(core.ActiveBlocks(d.Daily)); got != want {
 		t.Fatalf("NumBlocks = %d, want %d", got, want)
 	}
@@ -60,6 +70,25 @@ func TestBuildBlockViewsMatchCore(t *testing.T) {
 		}
 		if v.TotalHits != hits {
 			t.Errorf("%v: TotalHits = %v, want %v", blk, v.TotalHits, hits)
+		}
+	}
+
+	asOf := synthnet.Generate(d.Meta.World).ASOf
+	sum := idx.Summary()
+	if want := cdnlog.Summarize(d.Daily, asOf); sum.Daily != want {
+		t.Errorf("Summary.Daily = %+v, want %+v", sum.Daily, want)
+	}
+	if want := cdnlog.Summarize(d.Weekly, asOf); sum.Weekly != want {
+		t.Errorf("Summary.Weekly = %+v, want %+v", sum.Weekly, want)
+	}
+	p := idx.SummaryPartial()
+	churn := core.ChurnSeries(d.Daily)
+	if len(p.Ups) != len(churn) || len(p.Downs) != len(churn) {
+		t.Fatalf("%d up and %d down counts, want %d transitions", len(p.Ups), len(p.Downs), len(churn))
+	}
+	for i, c := range churn {
+		if p.Ups[i] != c.Up || p.Downs[i] != c.Down {
+			t.Errorf("transition %d: up/down = %d/%d, want %d/%d", i, p.Ups[i], p.Downs[i], c.Up, c.Down)
 		}
 	}
 }
@@ -301,6 +330,19 @@ func TestBuildParallelEquivalence(t *testing.T) {
 	a, b := marshalIndex(t, one), marshalIndex(t, many)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("index differs between 1 and 7 workers (%d vs %d bytes)", len(a), len(b))
+	}
+
+	// The fan-out is the caller's: the shard count the dataset's producer
+	// recorded in its meta bounds nothing here and changes nothing.
+	stamped := *d
+	stamped.Meta.Run.Workers = d.Meta.Run.Workers + 12
+	other, err := Build(&stamped, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := marshalIndex(t, other); !bytes.Equal(a, c) {
+		t.Fatalf("index differs when the dataset records %d producer workers (%d vs %d bytes)",
+			stamped.Meta.Run.Workers, len(a), len(c))
 	}
 }
 

@@ -348,12 +348,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		v.UAUnique = math.Float64frombits(binary.LittleEndian.Uint64(w[40:]))
 		v.Block = blk.String()
 		e := join(world.BaseRouting, world, tags, blk)
-		v.AS = e.as
-		v.Prefix = e.prefix
-		v.Country = e.country
-		v.RIR = e.rir
-		v.Pattern = e.pattern
-		v.RDNS = e.rdns
+		e.enrich(v)
 		return bd
 	})
 	x.buildAS()
