@@ -101,7 +101,8 @@ type Applier struct {
 // event on a live node, in one pass per block under Build's fill.
 type blockAcc struct {
 	// timelines is 256 packed day-bitsets at the full window width;
-	// snapshots copy out the leading words their window needs.
+	// snapshots copy out the leading words their window needs, and share
+	// the array once the window is closed.
 	timelines  []uint64
 	union      ipv4.Bitmap256
 	activeDays int

@@ -39,8 +39,8 @@ func Build(src obs.Source, opts Options) (*Index, error) {
 }
 
 // fill loads a, fresh from applyMeta, with the state Observe would
-// reach event by event over d.WriteTo — without the 112 day-serial
-// passes that costs: each block gathers its own days out of d.Daily
+// reach event by event over d.WriteTo — without one serial pass over
+// every block per day: each block gathers its own days out of d.Daily
 // into a preallocated slot, so shard boundaries cannot reorder
 // anything, and the day-level series come from the parallel set
 // kernels. Every fan-out is bounded by the Applier's Options.Workers,

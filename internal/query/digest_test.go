@@ -25,7 +25,8 @@ func TestEncodedBytesStable(t *testing.T) {
 	wcfg.Seed = 5
 	var events []obs.Event
 	rec := obs.SinkFunc(func(e obs.Event) error { events = append(events, e); return nil })
-	if _, err := sim.RunTo(synthnet.Generate(wcfg), sim.TinyConfig(), rec); err != nil {
+	res, err := sim.RunTo(synthnet.Generate(wcfg), sim.TinyConfig(), rec)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -85,12 +86,7 @@ func TestEncodedBytesStable(t *testing.T) {
 		}
 		return EncodeSnapshot(bx, nil)
 	}
-	d := &obs.Data{}
-	for _, e := range events {
-		if err := d.Observe(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	d := &res.Data
 	long := sim.TinyConfig()
 	long.Days, long.DailyStart, long.DailyLen = 98, 14, 70
 	longRes := sim.Run(synthnet.Generate(wcfg), long)

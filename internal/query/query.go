@@ -96,7 +96,7 @@ type blockData struct {
 }
 
 // blockTraffic mirrors obs.BlockTraffic without importing it into every
-// view; populated by Build from the dataset's aggregates.
+// view; populated from the dataset's per-block aggregates (setStats).
 type blockTraffic struct {
 	daysActive [256]uint16
 	hits       [256]float64

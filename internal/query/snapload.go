@@ -305,9 +305,9 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 	}
 
 	// Assemble the Index: regenerate the world (deterministic from the
-	// meta), then join every block's view strings exactly as Build does —
-	// stored scalars plus recomputed enrichment cannot drift between the
-	// two paths.
+	// meta), then join every block's view strings exactly as the Applier
+	// does — stored scalars plus recomputed enrichment cannot drift between
+	// the two paths.
 	world := synthnet.Generate(meta.World)
 	if partial.Seed != world.Seed || partial.NumASes != len(world.ASes) {
 		return nil, snapErr("partial identity does not match regenerated world")
