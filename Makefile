@@ -7,7 +7,7 @@ STATICCHECK_VERSION = 2024.1.1
 SMOKE_DIR ?= .smoke
 SMOKE_FLAGS = -seed 5 -ases 24 -blocks-per-as 6 -days 56
 SCRIPTED = history-smoke cluster-smoke snapshot-smoke loadgen-smoke chaos-smoke
-SMOKES = pipeline-smoke serve-smoke $(SCRIPTED) rpc-smoke
+SMOKES = pipeline-smoke $(SCRIPTED) rpc-smoke
 
 .PHONY: all build vet vet-386 fmt-check lint test bench-harness race bench bench-smoke fuzz-smoke smoke-bin $(SMOKES) ci
 
@@ -103,18 +103,6 @@ pipeline-smoke: smoke-bin
 	$(SMOKE_DIR)/ipscope-report $(SMOKE_FLAGS) -o $(D)/report-direct.txt
 	cmp $(D)/report-direct.txt $(D)/report-dataset.txt
 	@echo "pipeline-smoke: reports byte-identical"
-
-# The serving layer: gen builds a small dataset, ipscope-serve compiles
-# it into a query index, and -selfcheck probes every /v1 endpoint over
-# real HTTP, verifying the JSON fields against the index (which the
-# serve test suite proves field-identical to the batch report on the
-# same dataset).
-serve-smoke: D = $(SMOKE_DIR)/serve-smoke
-serve-smoke: smoke-bin
-	rm -rf $(D) && mkdir -p $(D)
-	$(SMOKE_DIR)/ipscope-gen $(SMOKE_FLAGS) -dataset $(D)/serve.obs
-	$(SMOKE_DIR)/ipscope-serve -dataset $(D)/serve.obs -selfcheck
-	@echo "serve-smoke: all endpoints verified"
 
 # Short fuzzing passes over the binary decoders: proves FuzzDec (the
 # shared internal/binenc kernel), FuzzDecode (dataset codec),

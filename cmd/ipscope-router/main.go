@@ -51,7 +51,6 @@
 //	               connections to shards started with -rpc-listen;
 //	               shards advertising no RPC endpoint fall back to
 //	               HTTP individually)
-//	-gather N      fan-out concurrency bound (default 8)
 //	-info-timeout  how long to wait for shards at startup (default 30s)
 //	-probe-every D background health probe cadence (default 1s), also
 //	               the bound on how far a cached answer can trail a
@@ -85,7 +84,6 @@ func main() {
 	replicas := flag.Int("replicas", 1, "replication factor: processes per block range")
 	listen := flag.String("listen", "127.0.0.1:8095", "HTTP listen address")
 	transport := flag.String("transport", cluster.TransportHTTP, `shard transport: "http" or "rpc"`)
-	gather := flag.Int("gather", cluster.DefaultGather, "scatter-gather concurrency bound")
 	infoTimeout := flag.Duration("info-timeout", cluster.DefaultInfoTimeout, "startup partition discovery timeout")
 	probeEvery := flag.Duration("probe-every", cluster.DefaultProbeInterval, "background health probe cadence (negative = off, and no response cache)")
 	pprofAddr := flag.String("pprof", "", "expose net/http/pprof on a side listener (empty = off)")
@@ -113,7 +111,6 @@ func main() {
 	log.Printf("discovering partition behind %d process(es)...", len(urls))
 	router, err := cluster.NewRouter(urls, cluster.RouterOptions{
 		Transport:     *transport,
-		Gather:        *gather,
 		InfoTimeout:   *infoTimeout,
 		Replicas:      *replicas,
 		ProbeInterval: *probeEvery,

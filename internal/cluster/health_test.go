@@ -219,7 +219,6 @@ func TestCloseWaitsForProbe(t *testing.T) {
 	}
 	rt := &Router{
 		ranges:        []*rangeGroup{{replicas: []*replicaState{rp}}},
-		gather:        1,
 		probeInterval: time.Millisecond,
 		now:           time.Now,
 		stopProbe:     make(chan struct{}),

@@ -37,9 +37,6 @@ type RouterOptions struct {
 	// Transport selects the shard data transport: TransportHTTP
 	// (default) or TransportRPC.
 	Transport string
-	// Gather bounds the fan-out concurrency of scatter-gather
-	// endpoints; <= 0 means DefaultGather.
-	Gather int
 	// InfoTimeout bounds how long NewRouter waits for every shard to
 	// answer /v1/cluster/info (shards may still be compiling their
 	// slice); <= 0 means DefaultInfoTimeout.
@@ -62,8 +59,9 @@ type RouterOptions struct {
 	ProbeInterval time.Duration
 }
 
-// DefaultGather bounds scatter-gather concurrency when unset.
-const DefaultGather = 8
+// gatherLimit bounds the fan-out concurrency of scatter-gather
+// endpoints.
+const gatherLimit = 8
 
 // DefaultInfoTimeout bounds the startup partition discovery.
 const DefaultInfoTimeout = 30 * time.Second
@@ -122,7 +120,6 @@ func newShardHTTPClient() *http.Client {
 type Router struct {
 	ranges   []*rangeGroup // ascending owned-range order
 	replicas int           // replication factor R
-	gather   int
 
 	probeInterval time.Duration
 	// now is the clock the health state machine runs on (health.go).
@@ -219,10 +216,6 @@ func NewRouter(urls []string, opts RouterOptions) (*Router, error) {
 	if transport != TransportHTTP && transport != TransportRPC {
 		return nil, fmt.Errorf("cluster: unknown transport %q", transport)
 	}
-	gather := opts.Gather
-	if gather <= 0 {
-		gather = DefaultGather
-	}
 	infoTimeout := opts.InfoTimeout
 	if infoTimeout <= 0 {
 		infoTimeout = DefaultInfoTimeout
@@ -242,7 +235,6 @@ func NewRouter(urls []string, opts RouterOptions) (*Router, error) {
 
 	rt := &Router{
 		replicas:      replicas,
-		gather:        gather,
 		probeInterval: probeInterval,
 		now:           time.Now,
 		stopProbe:     make(chan struct{}),
@@ -636,7 +628,7 @@ func writeNotRetained(w http.ResponseWriter, asked, oldest, newest uint64) {
 func (rt *Router) probeFleet(ctx context.Context, want func(*replicaState) bool) [][]wire.RouterShardHealth {
 	fleet := make([][]wire.RouterShardHealth, len(rt.ranges))
 	var g par.Group
-	g.SetLimit(rt.gather)
+	g.SetLimit(gatherLimit)
 	for i, rg := range rt.ranges {
 		fleet[i] = make([]wire.RouterShardHealth, len(rg.replicas))
 		for j, rp := range rg.replicas {
@@ -802,7 +794,7 @@ func gatherPartials[T any](rt *Router, ctx context.Context, ranges []*rangeGroup
 	out = make([]T, len(ranges))
 	epochs := make([]uint64, len(ranges))
 	var g par.Group
-	g.SetLimit(rt.gather)
+	g.SetLimit(gatherLimit)
 	for i, rg := range ranges {
 		i, rg := i, rg
 		g.Go(func() error {

@@ -1,12 +1,14 @@
 // Package node is one serving process's lifecycle as a type tests drive
-// in-process: bind the listeners, load the newest checkpoint and resume
-// from it, ingest an observation stream (decode → apply → publish →
-// checkpoint), and shut down in order. cmd/ipscope-serve is flags,
-// validation and a signal context around it.
+// in-process: build or load a batch index and bind the listeners — or
+// bind them, load the newest checkpoint, resume from it and ingest an
+// observation stream (decode → apply → publish → checkpoint) — and shut
+// down in order. cmd/ipscope-serve is flags, validation and a signal
+// context around it.
 package node
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,21 +28,29 @@ import (
 )
 
 // Config is what a node is started with: cmd/ipscope-serve's flags, under
-// their names (that command documents each).
+// their names (that command documents each, and rejects the combinations
+// that mean nothing).
 type Config struct {
-	Serve             serve.Config // its Shard field is the node's to set
-	Listen, RPCListen string       // "127.0.0.1:0" picks a port; RPC is optional
-	Replica           int
+	Serve                  serve.Config // Shard stays nil: the node binds it (bindShard)
+	Listen, RPCListen      string       // "127.0.0.1:0" picks a port; RPC is optional
+	Replica                int
+	ShardIndex, ShardCount int // ShardCount < 1 = unsharded; a loaded snapshot brings its own
 
-	// Live nodes (Start) only; the stream is exactly one of Follow and
-	// ObsListen.
+	// A batch node's source, one of Dataset and SnapshotLoad: built or
+	// loaded once and served frozen, at the epoch it carries.
+	Dataset, SnapshotLoad string
+	SnapshotSave          string
+
+	// A live node's stream, one of Follow and ObsListen (with neither,
+	// the caller feeds Ingest).
 	Follow, ObsListen           string
 	FollowPoll                  time.Duration
-	PublishEvery, Workers       int // PublishEvery < 1 means 1
-	ShardIndex, ShardCount      int // ShardCount 0 = unsharded
+	PublishEvery                int // < 1 means 1
 	SnapshotDir                 string
 	SnapshotEvery, SnapshotKeep int // SnapshotEvery < 1 means 1
 }
+
+func (c Config) batch() bool { return c.Dataset != "" || c.SnapshotLoad != "" }
 
 // drainTimeout bounds how long Shutdown waits for in-flight requests.
 const drainTimeout = 10 * time.Second
@@ -63,15 +73,16 @@ func (e *DatasetMismatchError) Error() string {
 		id(e.Feed), e.Checkpoint, id(e.Checkpointed))
 }
 
-// Node is one serving process: a batch node (Serve) holds a frozen index,
-// a live node (Start) also the write path. The live state belongs to the
-// one goroutine that calls Ingest or Run.
+// Node is one serving process: a batch node holds a frozen index, a live
+// node also the write path. The live state belongs to the one goroutine
+// that calls Ingest or Run.
 type Node struct {
 	cfg    Config
 	srv    *serve.Server
 	rpcSrv *rpc.Server // nil without RPCListen
 	addr   net.Addr
-	obsLn  net.Listener // nil without ObsListen
+	obsLn  net.Listener  // nil without ObsListen
+	drain  time.Duration // drainTimeout; a test shortens it
 
 	applier       *query.Applier // nil on a batch node
 	sink          obs.Sink       // applies events, shard-filtered in shard mode
@@ -86,43 +97,123 @@ type Node struct {
 	checkpointed obs.Meta
 }
 
-// Serve starts a batch node over a built or loaded index; shard is its
-// partition identity (nil = unsharded).
-func Serve(cfg Config, idx *query.Index, shard *query.ShardRange) (*Node, error) {
-	if shard != nil {
-		si := shardInfo(*shard, cfg.Replica)
-		cfg.Serve.Shard = &si
-	}
-	n := &Node{cfg: cfg}
-	if err := n.listen(idx); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// Start starts a live node: it binds the listeners (serving "warming"),
+// Start is the one way a node comes up. A batch node builds or loads its
+// index and only then binds its listeners, so a connection it accepts is
+// one it can answer. A live node binds them first (serving "warming"),
 // clears stale checkpoint temp files, resumes from the newest resumable
 // checkpoint in SnapshotDir and, with ObsListen, binds the stream
-// listener. Run (or Ingest) then feeds it.
+// listener; Run (or Ingest) then feeds it.
 func Start(cfg Config) (*Node, error) {
-	cfg.PublishEvery = max(cfg.PublishEvery, 1)
-	cfg.SnapshotEvery = max(cfg.SnapshotEvery, 1)
-	n := &Node{cfg: cfg}
-	if err := n.listen(nil); err != nil {
+	n, err := load(cfg)
+	if err != nil {
 		return nil, err
 	}
-	if err := n.startLive(); err != nil {
-		n.Shutdown() //nolint:errcheck // the start-up error is the one to report
+	if err := n.listen(); err != nil {
 		return nil, err
+	}
+	if !cfg.batch() {
+		if err := n.startLive(); err != nil {
+			n.Shutdown() //nolint:errcheck // the start-up error is the one to report
+			return nil, err
+		}
 	}
 	return n, nil
 }
 
-// listen brings up the read path: the RPC listener first — its address
-// reaches routers via /v1/cluster/info, so it is advertised before the
-// HTTP listener answers — then HTTP.
-func (n *Node) listen(idx *query.Index) error {
-	n.srv = serve.New(idx, n.cfg.Serve)
+// DumpSummary writes the summary of the batch index cfg names to w as
+// JSON — what the Start-ed node's /v1/summary carries — honouring
+// SnapshotSave and binding no listener.
+func DumpSummary(cfg Config, w io.Writer) error {
+	if !cfg.batch() {
+		return errors.New("node: a summary dump needs a batch source (Dataset or SnapshotLoad)")
+	}
+	n, err := load(cfg)
+	if err != nil {
+		return err
+	}
+	return json.NewEncoder(w).Encode(n.srv.Index().Summary())
+}
+
+// load is Start up to the listeners: the read path and, on a batch node,
+// its index — built or loaded, published, saved.
+func load(cfg Config) (*Node, error) {
+	cfg.PublishEvery = max(cfg.PublishEvery, 1)
+	cfg.SnapshotEvery = max(cfg.SnapshotEvery, 1)
+	n := &Node{cfg: cfg, srv: serve.New(nil, cfg.Serve), drain: drainTimeout}
+	if !cfg.batch() {
+		return n, nil
+	}
+	start := time.Now()
+	build := n.buildDataset
+	if cfg.SnapshotLoad != "" {
+		build = n.loadSnapshot
+	}
+	idx, stages, err := build()
+	if err != nil {
+		return nil, err
+	}
+	n.srv.Publish(idx)
+	if cfg.SnapshotSave != "" {
+		data := query.EncodeSnapshot(idx, n.shard)
+		if err := query.WriteSnapshotFile(cfg.SnapshotSave, data); err != nil {
+			return nil, err
+		}
+		log.Printf("snapshot saved to %s (%d bytes)", cfg.SnapshotSave, len(data))
+	}
+	log.Printf("index ready in %v (%s): %d active /24 blocks, %d-day window",
+		time.Since(start).Round(time.Millisecond), stages, idx.NumBlocks(), idx.DailyLen())
+	return n, nil
+}
+
+// buildDataset decodes the dataset file and compiles it. A shard's file
+// passes the partition sink a fresh live shard's stream does, so only
+// its slice is ever materialized; the two stages it reports are the
+// start-up budget's "decode …, build …".
+func (n *Node) buildDataset() (*query.Index, string, error) {
+	start := time.Now()
+	log.Printf("loading dataset %s...", n.cfg.Dataset)
+	f, err := os.Open(n.cfg.Dataset)
+	if err != nil {
+		return nil, "", err
+	}
+	defer f.Close()
+	d := &obs.Data{}
+	if err := obs.StreamDecode(f, n.partitioned(d)); err != nil {
+		return nil, "", fmt.Errorf("dataset %s: %w", n.cfg.Dataset, err)
+	}
+	decoded := time.Now()
+	idx, err := query.Build(d, n.options())
+	if err != nil {
+		return nil, "", err
+	}
+	return idx, fmt.Sprintf("decode %v, build %v", decoded.Sub(start).Round(time.Millisecond),
+		time.Since(decoded).Round(time.Millisecond)), nil
+}
+
+// loadSnapshot skips the build: the file carries the index (hot sections
+// mapped in place, for the life of the process) and its partition range.
+func (n *Node) loadSnapshot() (*query.Index, string, error) {
+	start := time.Now()
+	loaded, err := query.LoadSnapshotFile(n.cfg.SnapshotLoad, query.LoadOptions{})
+	if err != nil {
+		return nil, "", err
+	}
+	if sh := loaded.Info.Shard; sh != nil {
+		n.bindShard(*sh)
+	} else if n.cfg.Replica > 0 {
+		// An unsharded snapshot is the one-range partition; the replica
+		// id still needs a partition identity to live on.
+		n.bindShard(query.ShardRange{Index: 0, Count: 1, Lo: 0, Hi: 1 << 24})
+	}
+	took := time.Since(start).Round(time.Microsecond)
+	log.Printf("loaded snapshot %s in %v: epoch %d", n.cfg.SnapshotLoad, took, loaded.Index.Epoch())
+	return loaded.Index, fmt.Sprintf("load %v", took), nil
+}
+
+// listen brings up the listeners: RPC first — its address reaches
+// routers via /v1/cluster/info, so it is advertised before the HTTP
+// listener answers — then HTTP.
+func (n *Node) listen() error {
 	if n.cfg.RPCListen != "" {
 		n.rpcSrv = rpc.NewServer(n.srv, rpc.Options{})
 		raddr, err := n.rpcSrv.Listen(n.cfg.RPCListen)
@@ -138,7 +229,7 @@ func (n *Node) listen(idx *query.Index) error {
 		return err
 	}
 	n.addr = addr
-	if idx == nil {
+	if n.srv.Index() == nil {
 		log.Printf("serving on http://%s (warming: no snapshot yet)", addr)
 	} else {
 		log.Printf("serving on http://%s", addr)
@@ -146,15 +237,33 @@ func (n *Node) listen(idx *query.Index) error {
 	return nil
 }
 
+// options restricts what is built or applied to the node's slice. The
+// slice only exists once the source's meta event yields the plan (or a
+// checkpoint its saved range); it is bound before the applier or the
+// build sees anything else, on the same goroutine.
+func (n *Node) options() query.Options {
+	if n.cfg.ShardCount < 1 {
+		return query.Options{}
+	}
+	return query.Options{Keep: func(b ipv4.Block) bool { return n.shard == nil || n.shard.Contains(b) }}
+}
+
+// partitioned is sink behind a fresh shard's plan hook: the plan is
+// computed from the source's meta event, the range bound, and from then
+// on sink only sees (and pays for) this slice.
+func (n *Node) partitioned(sink obs.Sink) obs.Sink {
+	cfg := n.cfg
+	if cfg.ShardCount < 1 {
+		return sink
+	}
+	return cluster.PartitionSink(sink, cfg.ShardIndex, cfg.ShardCount, func(lo, hi uint32) {
+		n.bindShard(query.ShardRange{Index: cfg.ShardIndex, Count: cfg.ShardCount, Lo: lo, Hi: hi})
+	})
+}
+
 func (n *Node) startLive() error {
 	cfg := n.cfg
-	opts := query.Options{Workers: cfg.Workers}
-	if cfg.ShardCount > 0 {
-		// The slice only exists once the stream's meta event yields the
-		// plan (or the checkpoint its saved range); it is bound before
-		// the applier sees that event, on the same goroutine.
-		opts.Keep = func(b ipv4.Block) bool { return n.shard == nil || n.shard.Contains(b) }
-	}
+	opts := n.options()
 	n.sink = obs.SinkFunc(n.apply)
 	if cfg.SnapshotDir != "" {
 		if err := os.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
@@ -168,13 +277,7 @@ func (n *Node) startLive() error {
 	}
 	if n.applier == nil {
 		n.applier = query.NewApplier(opts)
-		if cfg.ShardCount > 0 {
-			// The plan is computed from the stream's meta event; from
-			// then on the applier only sees (and pays for) this slice.
-			n.sink = cluster.PartitionSink(n.sink, cfg.ShardIndex, cfg.ShardCount, func(lo, hi uint32) {
-				n.bindShard(query.ShardRange{Index: cfg.ShardIndex, Count: cfg.ShardCount, Lo: lo, Hi: hi})
-			})
-		}
+		n.sink = n.partitioned(n.sink)
 	}
 	n.lastPublished = n.applier.Days()
 	if cfg.ObsListen != "" {
@@ -191,13 +294,13 @@ func (n *Node) startLive() error {
 // resume loads the newest resumable checkpoint, if any, publishes its
 // index and rebuilds the applier at the cut.
 func (n *Node) resume(opts query.Options) error {
-	loaded, name, err := loadNewest(n.cfg.SnapshotDir, query.LoadOptions{Workers: n.cfg.Workers})
+	loaded, name, err := loadNewest(n.cfg.SnapshotDir, query.LoadOptions{})
 	if loaded == nil {
 		return err
 	}
 	sh, idx, count := loaded.Info.Shard, n.cfg.ShardIndex, n.cfg.ShardCount
 	switch {
-	case count == 0 && sh != nil:
+	case count < 1 && sh != nil:
 		return fmt.Errorf("checkpoint %s belongs to shard %d/%d but no -shard-count was given", name, sh.Index, sh.Count)
 	case count > 0 && (sh == nil || sh.Index != idx || sh.Count != count):
 		return fmt.Errorf("checkpoint %s does not match -shard-index %d -shard-count %d", name, idx, count)
@@ -252,20 +355,16 @@ func loadNewest(dir string, opts query.LoadOptions) (*query.Loaded, string, erro
 	return nil, "", nil
 }
 
-// shardInfo is a partition identity as the serving tier advertises it.
-func shardInfo(r query.ShardRange, replica int) wire.ShardInfo {
-	return wire.ShardInfo{Index: r.Index, Count: r.Count, Lo: r.Lo, Hi: r.Hi, Replica: replica}
-}
-
-// bindShard is the one place a live node's partition identity is set —
-// what the applier keeps, what checkpoints embed, and what the server
-// advertises the moment it is known, so /v1/cluster/info can answer
-// routers before the first epoch. resume calls it with the checkpoint's
-// range, the partition sink with the planned one.
+// bindShard is the one place a node's partition identity is set — what
+// the applier or the build keeps, what checkpoints and saved snapshots
+// embed, and what the server advertises the moment it is known, so a
+// live shard's /v1/cluster/info can answer routers before the first
+// epoch. resume and loadSnapshot call it with the file's range, the
+// partition sink with the planned one.
 func (n *Node) bindShard(r query.ShardRange) {
 	n.shard = &r
-	n.srv.SetShard(shardInfo(r, n.cfg.Replica))
-	log.Printf("shard %d/%d replica %d: applying block range [%d, %d)", r.Index, r.Count, n.cfg.Replica, r.Lo, r.Hi)
+	n.srv.SetShard(wire.ShardInfo{Index: r.Index, Count: r.Count, Lo: r.Lo, Hi: r.Hi, Replica: n.cfg.Replica})
+	log.Printf("shard %d/%d replica %d: block range [%d, %d)", r.Index, r.Count, n.cfg.Replica, r.Lo, r.Hi)
 }
 
 // Addr is the bound HTTP address.
@@ -418,7 +517,9 @@ func (n *Node) acceptStream(ctx context.Context) error {
 // Shutdown is every exit path's tail, called once: wait for the
 // checkpoint write in flight (the newest epoch's file must not be lost
 // to a signal, nor its temp file left behind), then drain in-flight
-// requests, HTTP and RPC.
+// requests, HTTP and RPC — both, whatever the first returns: an HTTP
+// drain that times out must not leave the RPC listener and its
+// connections open.
 func (n *Node) Shutdown() error {
 	if n.obsLn != nil {
 		n.obsLn.Close()
@@ -426,15 +527,16 @@ func (n *Node) Shutdown() error {
 	if n.ckpt != nil {
 		n.ckpt.Close()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), n.drain)
 	defer cancel()
+	var errs []error
 	if err := n.srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("shutdown: %v", err)
+		errs = append(errs, fmt.Errorf("shutdown: %v", err))
 	}
 	if n.rpcSrv != nil {
 		if err := n.rpcSrv.Shutdown(ctx); err != nil {
-			return fmt.Errorf("rpc shutdown: %v", err)
+			errs = append(errs, fmt.Errorf("rpc shutdown: %v", err))
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,8 +21,10 @@ import (
 	"time"
 
 	"ipscope/internal/cluster"
+	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 	"ipscope/internal/query"
+	"ipscope/internal/serve/wire"
 	"ipscope/internal/sim"
 	"ipscope/internal/synthnet"
 )
@@ -605,22 +608,161 @@ func TestRunCompleteStream(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestServeBatch pins the batch node: a prebuilt index behind the same
-// listeners and the same shutdown, its partition identity advertised.
+// probe is what a client sees of n, asked over its real listener and
+// checked against the index it serves: every lookup endpoint, healthz,
+// and the cluster plane — the advertised range must contain every
+// indexed block and the mergeable summary partial must finalize to the
+// served summary. Targets come from the index, so a shard is only asked
+// about blocks it owns.
+func probe(t *testing.T, n *Node) {
+	t.Helper()
+	defer http.DefaultClient.CloseIdleConnections()
+	idx := n.Server().Index()
+	get := func(path string, out any) http.Header {
+		t.Helper()
+		resp, err := http.Get("http://" + n.Addr().String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v: %s", path, resp.StatusCode, err, body)
+		}
+		if err := json.Unmarshal(body, out); err != nil {
+			t.Fatalf("GET %s: %v: %s", path, err, body)
+		}
+		return resp.Header
+	}
+
+	if idx.NumBlocks() == 0 {
+		t.Fatal("index has no blocks")
+	}
+	blk := idx.Blocks()[idx.NumBlocks()/2]
+	want, _ := idx.Block(blk)
+	var gotBlock query.BlockView
+	if get("/v1/block/"+blk.String(), &gotBlock); gotBlock != want {
+		t.Errorf("/v1/block/%v = %+v, index says %+v", blk, gotBlock, want)
+	}
+	if h := get("/v1/block/"+blk.String(), &gotBlock); h.Get("X-Cache") != "hit" {
+		t.Errorf("second /v1/block/%v: X-Cache %q, want hit", blk, h.Get("X-Cache"))
+	}
+	var gotAddr query.AddrView
+	if get("/v1/addr/"+blk.Addr(0).String(), &gotAddr); gotAddr != idx.Addr(blk.Addr(0)) {
+		t.Errorf("/v1/addr/%v = %+v, index says %+v", blk.Addr(0), gotAddr, idx.Addr(blk.Addr(0)))
+	}
+	var gotPrefix query.PrefixView
+	pfx := ipv4.MustNewPrefix(blk.First(), 20)
+	if get("/v1/prefix/"+pfx.String(), &gotPrefix); gotPrefix.ActiveBlocks == 0 {
+		t.Errorf("/v1/prefix/%v reports no active blocks", pfx)
+	}
+	var gotAS query.ASView
+	if get(fmt.Sprintf("/v1/as/AS%d", want.AS), &gotAS); gotAS.ActiveBlocks == 0 {
+		t.Errorf("/v1/as/AS%d reports no active blocks", want.AS)
+	}
+	var gotSummary query.Summary
+	if get("/v1/summary", &gotSummary); gotSummary != idx.Summary() {
+		t.Errorf("/v1/summary = %+v, index says %+v", gotSummary, idx.Summary())
+	}
+	var health wire.Health
+	if get("/v1/healthz", &health); health.Status != "ok" || health.Epoch != idx.Epoch() {
+		t.Errorf("/v1/healthz = %+v, want ok at epoch %d", health, idx.Epoch())
+	}
+
+	shard := n.Server().Shard()
+	var info wire.ShardInfo
+	if get("/v1/cluster/info", &info); info != shard {
+		t.Errorf("/v1/cluster/info = %+v, server says %+v", info, shard)
+	}
+	for _, b := range idx.Blocks() {
+		if !shard.Contains(b) {
+			t.Fatalf("indexed block %v outside the advertised range [%d, %d)", b, shard.Lo, shard.Hi)
+		}
+	}
+	var partial query.SummaryPartial
+	if get("/v1/cluster/summary", &partial); partial.Finalize() != idx.Summary() {
+		t.Errorf("/v1/cluster/summary finalizes to %+v, index says %+v", partial.Finalize(), idx.Summary())
+	}
+}
+
+// TestServeBatch pins the batch node: Start over a dataset file —
+// unsharded, and one shard of two decoding only its slice — and over the
+// snapshot that shard saved serves, at epoch 1, exactly the index
+// query.Build gives over the reference dataset, with its partition
+// identity advertised, behind the same listeners and the same shutdown
+// as a live node.
 func TestServeBatch(t *testing.T) {
-	ds := world(t, 1)
-	x, shard := ds.reference(t, 1, 2)
-	n, err := Serve(Config{Listen: "127.0.0.1:0", Replica: 3}, x, shard)
+	ds, dir := world(t, 1), t.TempDir()
+	file, saved := filepath.Join(dir, "world.obs"), filepath.Join(dir, "shard1.ipsnap")
+	if err := os.WriteFile(file, ds.stream, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		cfg          Config
+		index, count int // the reference's slice
+	}{
+		{"unsharded", Config{Dataset: file}, 0, 0},
+		{"shard1of2", Config{Dataset: file, ShardIndex: 1, ShardCount: 2, Replica: 3, SnapshotSave: saved}, 1, 2},
+		{"snapshot-loaded", Config{SnapshotLoad: saved, Replica: 3}, 1, 2}, // what shard1of2 saved
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, shard := ds.reference(t, tc.index, tc.count)
+			tc.cfg.Listen, tc.cfg.RPCListen = "127.0.0.1:0", "127.0.0.1:0"
+			n, err := Start(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := epoch(n); got != 1 {
+				t.Errorf("serving epoch %d, want 1", got)
+			}
+			sameIndex(t, n.Server().Index(), want, shard)
+			if shard != nil {
+				wantInfo := wire.ShardInfo{Index: shard.Index, Count: shard.Count, Lo: shard.Lo, Hi: shard.Hi, Replica: 3}
+				if si := n.Server().Shard(); si != wantInfo {
+					t.Errorf("advertised %+v, want %+v", si, wantInfo)
+				}
+			}
+			probe(t, n)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := n.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestShutdownClosesRPCAfterFailedDrain holds an HTTP request in flight
+// (its request line half sent) past the drain bound: Shutdown reports
+// the failed drain, and has still closed the RPC listener and the
+// connection open on it.
+func TestShutdownClosesRPCAfterFailedDrain(t *testing.T) {
+	n := start(t, "", func(c *Config) { c.RPCListen = "127.0.0.1:0" })
+	n.drain = 20 * time.Millisecond
+	held, err := net.Dial("tcp", n.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	si := n.Server().Shard()
-	if si.Index != 1 || si.Count != 2 || si.Lo != shard.Lo || si.Hi != shard.Hi || si.Replica != 3 {
-		t.Fatalf("advertised %+v, want shard 1/2 %+v replica 3", si, *shard)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := n.Run(ctx); err != nil {
+	defer held.Close()
+	if _, err := held.Write([]byte("GET /v1/hea")); err != nil {
 		t.Fatal(err)
+	}
+	rpcConn, err := net.Dial("tcp", n.Server().RPCAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rpcConn.Close()
+
+	if err := n.Shutdown(); err == nil || !strings.Contains(err.Error(), "shutdown: context deadline exceeded") {
+		t.Fatalf("Shutdown with a request in flight past the drain bound: %v, want the drain's deadline error", err)
+	}
+	rpcConn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := rpcConn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("read on the RPC connection after Shutdown: %v, want it closed by the server", err)
+	}
+	if c, err := net.Dial("tcp", n.Server().RPCAddr()); err == nil {
+		c.Close()
+		t.Error("the RPC listener still accepts connections after Shutdown")
 	}
 }

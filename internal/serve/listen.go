@@ -5,6 +5,17 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"time"
+)
+
+// A connection that never finishes its request line, or sits idle
+// between requests, must not hold a goroutine and a descriptor forever.
+// idleTimeout stays above the 90 s a router keeps an idle shard
+// connection for, so it is the client that retires one, never the
+// server under a request already on its way.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // Listener runs one handler's http.Server on a background goroutine —
@@ -14,6 +25,8 @@ type Listener struct {
 	mu  sync.Mutex
 	srv *http.Server
 	ch  chan error
+
+	readHeaderTimeout time.Duration // 0 = the constant; a test shortens it
 }
 
 // Listen binds addr ("127.0.0.1:0" for an ephemeral port) and serves h
@@ -24,7 +37,10 @@ func (l *Listener) Listen(addr string, h http.Handler) (net.Addr, error) {
 		return nil, err
 	}
 	l.mu.Lock()
-	l.srv = &http.Server{Handler: h}
+	l.srv = &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	if l.readHeaderTimeout > 0 {
+		l.srv.ReadHeaderTimeout = l.readHeaderTimeout
+	}
 	l.ch = make(chan error, 1)
 	srv, ch := l.srv, l.ch
 	l.mu.Unlock()

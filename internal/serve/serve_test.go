@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -544,5 +545,31 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 	if _, err := http.Get(url); err == nil {
 		t.Fatal("server still accepting after shutdown")
+	}
+}
+
+// TestListenerClosesSlowHeader is the client that sends half a request
+// line and stops: the server must hang up on it once the header bound
+// passes instead of holding a goroutine and a descriptor for as long as
+// the client cares to stay — on node and router alike, which share the
+// Listener.
+func TestListenerClosesSlowHeader(t *testing.T) {
+	l := &Listener{readHeaderTimeout: 50 * time.Millisecond}
+	addr, err := l.Listen("127.0.0.1:0", http.NotFoundHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Shutdown(context.Background())
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/hea")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("the server kept a connection that never finished its header: %v", err)
 	}
 }

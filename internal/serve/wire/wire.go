@@ -3,7 +3,7 @@
 // epoch splice every JSON body carries, and the epoch-derived ETag
 // validation — shared by the shard server (internal/serve), the cluster
 // router (internal/cluster), the binary RPC transport (internal/rpc)
-// and the selfcheck/smoke probes, so a routed response cannot drift
+// and the tests that probe them, so a routed response cannot drift
 // from a single-node one by reimplementing any of it.
 //
 // The package deliberately holds no server state: everything here is a
