@@ -12,11 +12,15 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,6 +32,7 @@ import (
 	"ipscope/internal/core"
 	"ipscope/internal/history"
 	"ipscope/internal/ipv4"
+	"ipscope/internal/node"
 	"ipscope/internal/obs"
 	"ipscope/internal/query"
 	"ipscope/internal/rdns"
@@ -771,6 +776,50 @@ func BenchmarkIndexApplyDay(b *testing.B) {
 		}
 		b.ReportMetric(float64(blocks), "blocks")
 	})
+}
+
+// checkpointBytes is a log sink that adds up what the checkpoint writer
+// says it wrote: its lines — one per image, one per journal record — end
+// in "(N bytes)".
+type checkpointBytes struct{ n int64 }
+
+var checkpointLine = regexp.MustCompile(`checkpoint \S+.*\((\d+) bytes\)\n$`)
+
+func (c *checkpointBytes) Write(p []byte) (int, error) {
+	if m := checkpointLine.FindSubmatch(p); m != nil {
+		n, _ := strconv.ParseInt(string(m[1]), 10, 64)
+		c.n += n
+	}
+	return len(p), nil
+}
+
+// BenchmarkNodeFlood is the live write path in-process, flooded: a fresh
+// node with a snapshot directory ingests the whole bench dataset as fast
+// as it takes it — decode, apply, publish and checkpoint every day, the
+// checkpoint writer beside ingest — and shuts down, which waits for the
+// last write. ms/day is the flood rate's inverse; ckptB/day is what the
+// write path persisted per day.
+func BenchmarkNodeFlood(b *testing.B) {
+	d, encoded := benchDataset(b)
+	var written checkpointBytes
+	log.SetOutput(&written)
+	defer log.SetOutput(os.Stderr)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := node.Start(node.Config{Listen: "127.0.0.1:0", SnapshotDir: b.TempDir(), SnapshotKeep: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := n.Ingest(bytes.NewReader(encoded)); err != nil {
+			b.Fatal(err)
+		}
+		if err := n.Shutdown(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	days := float64(b.N * len(d.Daily))
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/days, "ms/day")
+	b.ReportMetric(float64(written.n)/days, "ckptB/day")
 }
 
 // BenchmarkIndexBuild measures compiling an observation dataset into

@@ -34,21 +34,27 @@
 //	                  batch: after the build, persist the index as an
 //	                  on-disk snapshot (atomic rename; the shard range is
 //	                  embedded when -shard-count is in effect)
-//	-snapshot-dir DIR live: checkpoint the applier into DIR as epochs
-//	                  publish, and on startup resume from the newest
-//	                  readable checkpoint (served at once), tailing the
-//	                  stream from the cut instead of replaying it from
-//	                  the beginning. Files are written beside ingest
-//	                  (temp file, fsync, rename): epoch E's lands while
+//	-snapshot-dir DIR live: make published epochs durable in DIR, and on
+//	                  startup resume from what it holds (the newest
+//	                  readable base image plus its journal, served at
+//	                  the last durable epoch), tailing the stream from
+//	                  the cut instead of replaying it from the
+//	                  beginning. A base image snap-<B>.ipsnap is the
+//	                  whole applier (temp file, fsync, rename); beside
+//	                  it snap-<B>.ipjournal takes one fsynced record per
+//	                  later epoch — the events that epoch applied —
+//	                  until it holds 1/16 of the image's bytes, and the
+//	                  next epoch (and always the stream's last) is a new
+//	                  image. Written beside ingest: epoch E lands while
 //	                  day E+1 is applied, at most one write behind;
-//	                  stale *.ipsnap.tmp files of a killed writer are
+//	                  stale snap-*.tmp files of a killed writer are
 //	                  removed at startup, and a signal waits for the
-//	                  write in flight
-//	-snapshot-every N live: checkpoint every N published epochs
-//	                  (default 1); every selected epoch gets its file —
-//	                  ingest waits for the writer rather than skip one
-//	-snapshot-keep N  live: retain only the newest N checkpoints
-//	                  (default 3)
+//	                  write in flight. ipscope-snapshot DIR lists it
+//	-snapshot-every N live: make every Nth published epoch durable
+//	                  (default 1); every selected epoch is — ingest
+//	                  waits for the writer rather than skip one
+//	-snapshot-keep N  live: retain only the newest N base images, each
+//	                  with its journal (default 3)
 //	-follow-poll DUR  live: -follow poll interval (default 200ms; tests
 //	                  and smoke scripts lower it)
 //	-listen ADDR      bind address (default 127.0.0.1:8090; :0 picks an
@@ -125,9 +131,9 @@ func parse(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&c.ObsListen, "obs-listen", "", "live: accept one TCP observation stream on this address")
 	fs.IntVar(&c.PublishEvery, "publish-every", 1, "live: publish a new epoch every N applied days")
 	fs.StringVar(&c.SnapshotSave, "snapshot-save", "", "batch: persist the index as a snapshot file")
-	fs.StringVar(&c.SnapshotDir, "snapshot-dir", "", "live: checkpoint directory (resume from newest on startup)")
-	fs.IntVar(&c.SnapshotEvery, "snapshot-every", 1, "live: checkpoint every N published epochs")
-	fs.IntVar(&c.SnapshotKeep, "snapshot-keep", 3, "live: retain only the newest N checkpoints")
+	fs.StringVar(&c.SnapshotDir, "snapshot-dir", "", "live: checkpoint directory: base images and their journals (resume from the newest on startup)")
+	fs.IntVar(&c.SnapshotEvery, "snapshot-every", 1, "live: make every Nth published epoch durable")
+	fs.IntVar(&c.SnapshotKeep, "snapshot-keep", 3, "live: retain only the newest N base images, each with its journal")
 	fs.DurationVar(&c.FollowPoll, "follow-poll", 0, "live: -follow poll interval (0 = default 200ms)")
 	fs.StringVar(&c.Listen, "listen", "127.0.0.1:8090", "HTTP listen address")
 	fs.StringVar(&c.RPCListen, "rpc-listen", "", "also serve the binary RPC protocol on this address")

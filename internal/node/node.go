@@ -89,6 +89,7 @@ type Node struct {
 	skip          obs.SkipCounts // frames the resumed checkpoint already covers
 	lastPublished int            // applier days at the last publish
 	ckpt          *CheckpointWriter
+	pending       []obs.Event // applied since the last checkpointed epoch: its journal record
 
 	shard *query.ShardRange // see bindShard; nil while unsharded or unplanned
 	// The checkpoint this node resumed from ("" on a fresh node) and its
@@ -269,7 +270,7 @@ func (n *Node) startLive() error {
 		if err := os.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
 			return err
 		}
-		RemoveStaleTemps(cfg.SnapshotDir) // a writer killed mid-write left them
+		RemoveStale(cfg.SnapshotDir) // a writer killed mid-write left them
 		n.ckpt = &CheckpointWriter{Dir: cfg.SnapshotDir, Keep: cfg.SnapshotKeep}
 		if err := n.resume(opts); err != nil {
 			return err
@@ -291,10 +292,13 @@ func (n *Node) startLive() error {
 	return nil
 }
 
-// resume loads the newest resumable checkpoint, if any, publishes its
-// index and rebuilds the applier at the cut.
+// resume brings the node to the newest epoch the snapshot directory
+// holds, if any: it loads the newest resumable base image, rebuilds the
+// applier at its cut, replays the base's journal into it and publishes
+// once, at the last intact record's epoch; the writer goes on appending
+// to that journal.
 func (n *Node) resume(opts query.Options) error {
-	loaded, name, err := loadNewest(n.cfg.SnapshotDir, query.LoadOptions{})
+	loaded, name, journal, err := loadNewest(n.cfg.SnapshotDir, query.LoadOptions{})
 	if loaded == nil {
 		return err
 	}
@@ -312,31 +316,67 @@ func (n *Node) resume(opts query.Options) error {
 		n.bindShard(*sh)
 		n.sink = obs.FilterSink(n.sink, sh.Contains)
 	}
-	// The loaded index is complete and immutable: publish it first, so
-	// reads are answered at the checkpointed epoch while ResumeApplier
-	// restores the accumulators from its timelines. It may alias
-	// the checkpoint's mapping, which stays mapped for the life of the
-	// process; pruning may later unlink the file, which is safe — the
-	// mapping keeps the inode alive.
-	n.srv.Publish(loaded.Index)
+	// The loaded index is complete and immutable: with nothing to replay
+	// it is published first, so reads are answered at the checkpointed
+	// epoch while ResumeApplier restores the accumulators from its
+	// timelines. It may alias the checkpoint's mapping, which stays mapped
+	// for the life of the process; pruning may later unlink the file, which
+	// is safe — the mapping keeps the inode alive.
+	published, replaying := loaded.Index, len(journal.Records) > 0
+	if !replaying {
+		n.srv.Publish(published)
+	}
 	n.applier, n.skip, err = loaded.ResumeApplier(opts)
 	if err != nil {
 		return fmt.Errorf("resume from checkpoint %s: %v", name, err)
 	}
+	if replaying {
+		if published, err = n.replay(journal); err != nil {
+			return fmt.Errorf("resume from checkpoint %s: %v", name, err)
+		}
+		n.srv.Publish(published)
+		n.skip = n.applier.Applied()
+	}
+	repairJournal(journal)
+	n.ckpt.base, n.ckpt.baseBytes, n.ckpt.journalBytes = journal.BaseEpoch, journal.BaseBytes, journal.Intact
 	n.resumedFrom, n.checkpointed = name, loaded.Meta()
 	log.Printf("resumed from snapshot %s: epoch %d, %d days applied, %d active /24 blocks",
-		name, loaded.Index.Epoch(), n.applier.Days(), loaded.Index.NumBlocks())
+		name, published.Epoch(), n.applier.Days(), published.NumBlocks())
 	return nil
 }
 
-// loadNewest scans dir for checkpoints, newest first, and returns the
-// first one that loads cleanly, with its path. A corrupt or torn file is
-// logged and skipped — an older intact checkpoint beats refusing to
-// start.
-func loadNewest(dir string, opts query.LoadOptions) (*query.Loaded, string, error) {
+// replay applies the journal's records to the applier resumed from its
+// base and snapshots once, at the last record's epoch. A record is
+// decoded whole before any of it is applied.
+func (n *Node) replay(j *Journal) (*query.Index, error) {
+	for _, rec := range j.Records {
+		events, err := rec.Events()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", j.Path, err)
+		}
+		for _, e := range events {
+			if err := n.applier.Observe(e); err != nil {
+				return nil, fmt.Errorf("%s: record for epoch %d: %v", j.Path, rec.Epoch, err)
+			}
+		}
+	}
+	n.applier.SetEpoch(j.Epoch() - 1)
+	idx, err := n.applier.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("replayed %d journal records from %s", len(j.Records), j.Path)
+	return idx, nil
+}
+
+// loadNewest scans dir for base images, newest first, and returns the
+// first one that loads cleanly, with its path and its journal as far as
+// it is intact. A corrupt or torn image is logged and skipped — an older
+// intact checkpoint beats refusing to start.
+func loadNewest(dir string, opts query.LoadOptions) (*query.Loaded, string, *Journal, error) {
 	names, err := ListCheckpoints(dir)
 	if err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
 	slices.Reverse(names)
 	for _, name := range names {
@@ -350,9 +390,40 @@ func loadNewest(dir string, opts query.LoadOptions) (*query.Loaded, string, erro
 			loaded.Close()
 			continue
 		}
-		return loaded, name, nil
+		return loaded, name, JournalOf(name, loaded.Index.Epoch()), nil
 	}
-	return nil, "", nil
+	return nil, "", nil, nil
+}
+
+// repairJournal leaves on disk only what resume used of j, for the
+// writer to append to: a torn or checksum-failing tail is cut off, a file
+// that is no journal of this base is removed.
+func repairJournal(j *Journal) {
+	var err error
+	switch {
+	case j.Err != nil:
+		log.Printf("ignoring journal %s: %v", j.Path, j.Err)
+		err = os.Remove(j.Path)
+	case j.Tail != nil:
+		log.Printf("journal %s: dropping %d bytes after epoch %d: %v", j.Path, j.Size-j.Intact, j.Epoch(), j.Tail)
+		err = os.Truncate(j.Path, j.Intact)
+	}
+	if err != nil && !os.IsNotExist(err) {
+		log.Printf("journal %s: %v (the next checkpoint is a whole image)", j.Path, err)
+		j.BaseBytes = 0 // nothing may be appended after bytes that are no record
+	}
+}
+
+// ResumePoint reports what a restart on dir would resume from — the
+// newest loadable base image — and the epoch its journal brings it to.
+// base is "" when dir holds nothing to resume from.
+func ResumePoint(dir string) (base string, epoch uint64, err error) {
+	loaded, base, journal, err := loadNewest(dir, query.LoadOptions{})
+	if loaded == nil {
+		return "", 0, err
+	}
+	defer loaded.Close()
+	return base, journal.Epoch(), nil
 }
 
 // bindShard is the one place a node's partition identity is set — what
@@ -393,7 +464,7 @@ func (n *Node) endStream(err error) error {
 	if err != nil {
 		return err
 	}
-	if err := n.publish(); err != nil {
+	if err := n.publish(true); err != nil {
 		return fmt.Errorf("final publish: %v", err)
 	}
 	log.Printf("stream complete; serving final epoch")
@@ -419,18 +490,24 @@ func (n *Node) apply(e obs.Event) error {
 	if err := n.applier.Observe(e); err != nil {
 		return err
 	}
+	if n.ckpt != nil {
+		n.pending = append(n.pending, e)
+	}
 	if _, ok := e.(obs.DayEvent); ok && n.applier.Days()-n.lastPublished >= n.cfg.PublishEvery {
-		return n.publish()
+		return n.publish(false)
 	}
 	return nil
 }
 
 // publish snapshots the applier, swaps the epoch in, and — every
-// SnapshotEvery-th epoch — captures a checkpoint while the applier
-// still matches the published epoch; the writer goroutine streams the
-// file out while the next day is applied. Checkpoint failure is logged,
-// not fatal: the serving path must not die because the disk is full.
-func (n *Node) publish() error {
+// SnapshotEvery-th epoch — hands the writer goroutine what makes the
+// epoch durable: the events applied since the last such epoch, or, when
+// the writer is due a whole image (always at the final epoch: nothing
+// more will arrive), a capture taken while the applier still matches the
+// published epoch. The writer writes while the next day is applied.
+// Checkpoint failure is logged, not fatal: the serving path must not die
+// because the disk is full.
+func (n *Node) publish(final bool) error {
 	idx, err := n.applier.Snapshot()
 	if err != nil {
 		return err
@@ -440,12 +517,10 @@ func (n *Node) publish() error {
 	log.Printf("published epoch %d: %d days applied, %d active /24 blocks",
 		idx.Epoch(), idx.DailyLen(), idx.NumBlocks())
 	if n.ckpt != nil && idx.Epoch()%uint64(n.cfg.SnapshotEvery) == 0 {
-		cp, err := n.applier.Checkpoint(n.shard)
-		if err != nil {
-			log.Printf("checkpoint epoch %d: %v (continuing without)", idx.Epoch(), err)
-		} else {
-			n.ckpt.Submit(cp)
-		}
+		n.ckpt.Submit(idx.Epoch(), n.pending, final, func() (*query.Checkpoint, error) {
+			return n.applier.Checkpoint(n.shard)
+		})
+		n.pending = nil
 	}
 	return nil
 }

@@ -207,12 +207,50 @@ func epoch(n *Node) uint64 {
 	return 0
 }
 
-func snapName(e int) string { return fmt.Sprintf(checkpointPattern, e) }
+func snapName(e int) string    { return fmt.Sprintf(checkpointPattern, e) }
+func journalName(e int) string { return journalPath(snapName(e)) }
+
+// durable makes n's writer report each epoch it has made durable — as an
+// image or as a journal record — on the returned channel, which holds a
+// whole stream's worth: the writer never waits on the test.
+func durable(n *Node) <-chan uint64 {
+	landed := make(chan uint64, 64)
+	n.ckpt.write = func(cp *query.Checkpoint, path string) (int64, error) {
+		size, err := cp.WriteFile(path)
+		landed <- cp.Epoch()
+		return size, err
+	}
+	n.ckpt.appendSync = func(f *os.File, rec []byte) error {
+		err := writeSync(f, rec)
+		landed <- recordEpoch(rec)
+		return err
+	}
+	return landed
+}
+
+// resumesAt asserts the epoch a restart on dir would come up at.
+func resumesAt(t *testing.T, dir string, want uint64) {
+	t.Helper()
+	if base, e, err := ResumePoint(dir); err != nil || e != want {
+		t.Fatalf("the directory resumes at epoch %d from %q (%v), want epoch %d", e, base, err, want)
+	}
+}
+
+// noTemps asserts no writer's temp file is left in dir.
+func noTemps(t *testing.T, dir string) {
+	t.Helper()
+	for _, name := range dirNames(t, dir) {
+		if strings.HasSuffix(name, ".tmp") {
+			t.Fatalf("temp file left behind: %v", dirNames(t, dir))
+		}
+	}
+}
 
 // TestIngestPublishesThenCheckpoints pins the synchronous write path:
 // when Ingest returns, the last day it read is published — over the real
-// listener — and once Shutdown returns, that epoch's checkpoint is
-// durable, retention holds and no temp file is left.
+// listener — and once Shutdown returns, every checkpointed epoch is
+// durable — as a base image or as a record in the journal of the one
+// before it — and no temp file is left.
 func TestIngestPublishesThenCheckpoints(t *testing.T) {
 	ds, dir := world(t, 1), t.TempDir()
 	n := start(t, dir, func(c *Config) { c.RPCListen = "127.0.0.1:0" })
@@ -238,57 +276,67 @@ func TestIngestPublishesThenCheckpoints(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 	shutdown(t, n)
 
-	want := []string{snapName(k - 2), snapName(k - 1), snapName(k)}
-	if got := dirNames(t, dir); !slices.Equal(got, want) {
-		t.Fatalf("after shutdown the directory holds %v, want %v", got, want)
+	resumesAt(t, dir, k)
+	noTemps(t, dir)
+	bases, _ := ListCheckpoints(dir)
+	if len(bases) == 0 || len(bases) > 3 {
+		t.Fatalf("base images %v, want 1 to the 3 kept", bases)
 	}
-	l, err := query.LoadSnapshotFile(filepath.Join(dir, snapName(k)), query.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
+	durableEpochs := 0 // nothing was pruned yet: each of epochs 1..k is an image or a record
+	for i, base := range bases {
+		l, err := query.LoadSnapshotFile(base, query.LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := JournalOf(base, l.Index.Epoch())
+		if !l.Resumable() || j.Err != nil || j.Tail != nil {
+			t.Fatalf("%s: resumable %v, journal %v, %v", base, l.Resumable(), j.Err, j.Tail)
+		}
+		if i+1 < len(bases) && filepath.Join(dir, snapName(int(j.Epoch())+1)) != bases[i+1] {
+			t.Fatalf("%s and its journal end at epoch %d, the next base image is %s", base, j.Epoch(), bases[i+1])
+		}
+		durableEpochs += 1 + len(j.Records)
+		l.Close()
 	}
-	defer l.Close()
-	if !l.Resumable() || l.Index.Epoch() != k {
-		t.Fatalf("newest checkpoint: resumable %v, epoch %d; want true, %d", l.Resumable(), l.Index.Epoch(), k)
+	if durableEpochs != k {
+		t.Fatalf("%d epochs durable as base images and journal records, want each of 1..%d", durableEpochs, k)
 	}
 }
 
 // TestResumeAfterKill is kill -9 and restart, in process: a node is
 // abandoned mid-stream — no shutdown, a writer's temp file left behind —
 // and a second node on the same directory removes the temp, serves the
-// checkpointed epoch as soon as it has started, ingests the full stream
-// (the days the checkpoint covers skipped undecoded) and ends on exactly
-// the index query.Build gives over the full dataset. For a shard, the
-// range comes back from the checkpoint and is the one a fresh node
-// plans.
+// last durable epoch (the newest base image plus its journal) as soon as
+// it has started, ingests the full stream (the days already applied
+// skipped undecoded) and ends on exactly the index query.Build gives over
+// the full dataset. For a shard, the range comes back from the checkpoint
+// and is the one a fresh node plans. The kill lands between two bases —
+// older base images and their whole journals are in the directory, the
+// newest one's journal is what is replayed — or in the first one's journal.
 func TestResumeAfterKill(t *testing.T) {
 	ds := world(t, 1)
-	const k = 11
-	if err := obs.StreamDecode(ds.scribbled(k), obs.SinkFunc(func(obs.Event) error { return nil })); err == nil {
+	if err := obs.StreamDecode(ds.scribbled(11), obs.SinkFunc(func(obs.Event) error { return nil })); err == nil {
 		t.Fatal("the scribbled stream decodes: it cannot show that covered days are skipped")
 	}
 	for _, tc := range []struct {
 		name         string
 		index, count int
-	}{{"single", 0, 0}, {"shard0of2", 0, 2}, {"shard1of2", 1, 2}} {
+		k, bases     int // killed once day k is durable, with at least this many base images written
+	}{{"single", 0, 0, 11, 2}, {"shard0of2", 0, 2, 11, 2}, {"shard1of2", 1, 2, 11, 2}, {"first-journal", 0, 0, 3, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
+			dir, k := t.TempDir(), tc.k
 			sharded := func(c *Config) { c.ShardIndex, c.ShardCount = tc.index, tc.count }
 			want, shard := ds.reference(t, tc.index, tc.count)
 
 			first := start(t, dir, sharded)
 			t.Cleanup(func() { first.Shutdown() }) // only so the test leaks nothing
-			landed := make(chan uint64, k)         // one send per checkpoint: the writer never waits on the test
-			first.ckpt.write = func(cp *query.Checkpoint, path string) (int64, error) {
-				n, err := cp.WriteFile(path)
-				landed <- cp.Epoch()
-				return n, err
-			}
+			landed := durable(first)
 			if err := first.Ingest(ds.days(k)); !errors.Is(err, obs.ErrTruncated) {
 				t.Fatal(err)
 			}
 			for e := range landed {
-				if e == k {
-					break // the last day's checkpoint is on disk: "kill" now
+				if e == uint64(k) {
+					break // the last day is durable: "kill" now
 				}
 			}
 			planned := first.Server().Shard()
@@ -296,13 +344,17 @@ func TestResumeAfterKill(t *testing.T) {
 			if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
 				t.Fatal(err)
 			}
+			bases, _ := ListCheckpoints(dir)
+			if len(bases) < tc.bases || bases[len(bases)-1] == filepath.Join(dir, snapName(k)) {
+				t.Fatalf("killed with base images %v, want at least %d and the newest older than epoch %d: the resume must replay a journal", bases, tc.bases, k)
+			}
 
 			second := start(t, dir, sharded)
 			if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 				t.Errorf("stale temp file survived the restart: %v", err)
 			}
-			if got := epoch(second); got != k {
-				t.Fatalf("restarted node serves epoch %d, want the checkpointed %d", got, k)
+			if got := epoch(second); got != uint64(k) {
+				t.Fatalf("restarted node serves epoch %d, want the durable %d", got, k)
 			}
 			if got := second.Server().Shard(); got != planned {
 				t.Fatalf("range restored from the checkpoint %+v, a fresh node planned %+v", got, planned)
@@ -320,16 +372,23 @@ func TestResumeAfterKill(t *testing.T) {
 }
 
 // TestResumeFallsBackPastCorruptCheckpoint pins that a torn or
-// bit-flipped newest checkpoint costs one epoch, not the restart.
+// bit-flipped newest base image costs the epochs journaled to it, not the
+// restart: the node comes up from the next older base and its journal.
 func TestResumeFallsBackPastCorruptCheckpoint(t *testing.T) {
 	ds, dir := world(t, 1), t.TempDir()
-	const k = 6
+	const k = 17
 	first := start(t, dir, nil)
 	if err := first.Ingest(ds.days(k)); !errors.Is(err, obs.ErrTruncated) {
 		t.Fatal(err)
 	}
 	shutdown(t, first)
-	newest := filepath.Join(dir, snapName(k))
+	bases, _ := ListCheckpoints(dir)
+	if len(bases) < 2 {
+		t.Fatalf("base images %v after %d days, want an older one to fall back to", bases, k)
+	}
+	newest := bases[len(bases)-1]
+	var rebased uint64 // the newest base's epoch: the older one's journal ends just before it
+	fmt.Sscanf(filepath.Base(newest), checkpointPattern, &rebased)
 	raw, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
@@ -339,8 +398,8 @@ func TestResumeFallsBackPastCorruptCheckpoint(t *testing.T) {
 	}
 
 	second := start(t, dir, nil)
-	if got := epoch(second); got != k-1 {
-		t.Fatalf("resumed at epoch %d, want %d (the next older checkpoint)", got, k-1)
+	if got := epoch(second); got != rebased-1 {
+		t.Fatalf("resumed at epoch %d, want %d (the older base and its whole journal)", got, rebased-1)
 	}
 	if err := second.Ingest(bytes.NewReader(ds.stream)); err != nil {
 		t.Fatal(err)
@@ -405,11 +464,13 @@ func TestResumeRejectsAnotherDataset(t *testing.T) {
 }
 
 // TestCadences pins -publish-every and -snapshot-every: an epoch every
-// N applied days plus the final one, and a checkpoint for every M-th
-// epoch.
+// N applied days plus the final one, and every M-th epoch made durable —
+// the first as a base image, the next as a record in its journal that
+// holds both epochs' days.
 func TestCadences(t *testing.T) {
 	ds, dir := world(t, 1), t.TempDir()
-	n := start(t, dir, func(c *Config) { c.PublishEvery, c.SnapshotEvery, c.SnapshotKeep = 7, 2, 10 })
+	cadence := func(c *Config) { c.PublishEvery, c.SnapshotEvery, c.SnapshotKeep = 7, 2, 10 }
+	n := start(t, dir, cadence)
 	if err := n.Ingest(ds.days(20)); !errors.Is(err, obs.ErrTruncated) {
 		t.Fatal(err)
 	}
@@ -418,7 +479,7 @@ func TestCadences(t *testing.T) {
 	}
 	shutdown(t, n)
 
-	n = start(t, dir, func(c *Config) { c.PublishEvery, c.SnapshotEvery, c.SnapshotKeep = 7, 2, 10 })
+	n = start(t, dir, cadence)
 	if err := n.Ingest(bytes.NewReader(ds.stream)); err != nil {
 		t.Fatal(err)
 	}
@@ -428,8 +489,15 @@ func TestCadences(t *testing.T) {
 	if x := n.Server().Index(); x.Epoch() != 5 || x.DailyLen() != 28 {
 		t.Fatalf("full stream at publish-every 7: epoch %d over %d days, want 5 over 28", x.Epoch(), x.DailyLen())
 	}
-	if got, want := dirNames(t, dir), []string{snapName(2), snapName(4)}; !slices.Equal(got, want) {
-		t.Fatalf("snapshot-every 2 wrote %v, want %v", got, want)
+	if got, want := dirNames(t, dir), []string{journalName(2), snapName(2)}; !slices.Equal(got, want) {
+		t.Fatalf("snapshot-every 2 left %v, want %v", got, want)
+	}
+	resumesAt(t, dir, 4)
+
+	n = start(t, dir, cadence)
+	defer n.Shutdown()
+	if x := n.Server().Index(); x.Epoch() != 4 || x.DailyLen() != 28 {
+		t.Fatalf("restart: epoch %d over %d days, want the durable 4 over 28", x.Epoch(), x.DailyLen())
 	}
 }
 
@@ -449,11 +517,11 @@ func waitGoroutines(t *testing.T, want int) {
 }
 
 // TestShutdownWaitsForWriteInFlight is SIGTERM mid-flood: the stream is
-// cancelled while a checkpoint write is in flight (held open by the
-// write hook) and ingest is racing ahead of it. Run must not return
-// until that file — and any submitted after it — has landed: the newest
-// file is the last epoch submitted, no temp file remains, and no
-// goroutine outlives the node.
+// cancelled while a checkpoint write is in flight (a journal append, held
+// open by the hook) and ingest is racing ahead of it. Run must not return
+// until that write — and any submitted after it — has landed: the
+// directory resumes at the last epoch submitted, no temp file remains,
+// and no goroutine outlives the node.
 func TestShutdownWaitsForWriteInFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ds, dir := world(t, 1), t.TempDir()
@@ -462,16 +530,22 @@ func TestShutdownWaitsForWriteInFlight(t *testing.T) {
 	var lg eventLog
 	inFlight := make(chan struct{})
 	release := make(chan struct{})
-	var last uint64
+	var last uint64 // writer goroutine only; read after Run returns
 	n.ckpt.write = func(cp *query.Checkpoint, path string) (int64, error) {
-		last = cp.Epoch() // writer goroutine only; read after Run returns
-		if cp.Epoch() == 2 {
+		last = cp.Epoch()
+		size, err := cp.WriteFile(path)
+		lg.add("write %d landed", last)
+		return size, err
+	}
+	n.ckpt.appendSync = func(f *os.File, rec []byte) error {
+		last = recordEpoch(rec)
+		if last == 2 {
 			close(inFlight)
 			<-release
 		}
-		size, err := cp.WriteFile(path)
-		lg.add("write %d landed", cp.Epoch())
-		return size, err
+		err := writeSync(f, rec)
+		lg.add("write %d landed", last)
+		return err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := make(chan error, 1)
@@ -507,15 +581,8 @@ func TestShutdownWaitsForWriteInFlight(t *testing.T) {
 	if i := lg.index(fmt.Sprintf("write %d landed", last)); i < 0 || i > lg.index("run returned") {
 		t.Fatalf("Run returned before the last submitted checkpoint (epoch %d) landed: %v", last, lg.events)
 	}
-	names := dirNames(t, dir)
-	if len(names) == 0 || names[len(names)-1] != snapName(int(last)) {
-		t.Fatalf("directory holds %v, want the last submitted epoch %d newest", names, last)
-	}
-	for _, name := range names {
-		if strings.HasSuffix(name, ".tmp") {
-			t.Fatalf("temp file left behind: %v", names)
-		}
-	}
+	resumesAt(t, dir, last)
+	noTemps(t, dir)
 	waitGoroutines(t, before)
 }
 

@@ -93,24 +93,59 @@ func (w *Writer) Observe(e Event) error {
 		}
 		w.buf = make([]byte, 0, 1<<16)
 	}
-	kind, payload := encodeEvent(w.buf[:0], e)
-	w.buf = payload[:0]
-	if len(payload) > maxFrameLen {
-		// Fail at write time: Decode rejects oversized frames, so
-		// writing one would produce an unrecoverable store.
-		return w.fail(binenc.Errorf(formatName, "event frame of %d bytes exceeds the %d-byte format limit",
-			len(payload), maxFrameLen))
-	}
-	var hdr [5]byte
-	hdr[0] = kind
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+	frame, err := AppendFrame(w.buf[:0], e)
+	if err != nil {
 		return w.fail(err)
 	}
-	if _, err := w.bw.Write(payload); err != nil {
+	w.buf = frame[:0]
+	if _, err := w.bw.Write(frame); err != nil {
 		return w.fail(err)
 	}
 	return nil
+}
+
+// AppendFrame appends e to b as one stream frame — kind, length,
+// payload: the bytes a Writer emits for it — so a consumer that must
+// persist events it has applied (a checkpoint journal) stores them in the
+// dataset's own encoding. It fails, appending nothing, on an event too
+// large for the format: Decode rejects oversized frames, so writing one
+// would produce an unrecoverable store.
+func AppendFrame(b []byte, e Event) ([]byte, error) {
+	start := len(b)
+	kind, b := encodeEvent(append(b, 0, 0, 0, 0, 0), e)
+	n := len(b) - start - 5
+	if n > maxFrameLen {
+		return b[:start], binenc.Errorf(formatName, "event frame of %d bytes exceeds the %d-byte format limit", n, maxFrameLen)
+	}
+	b[start] = kind
+	binary.BigEndian.PutUint32(b[start+1:], uint32(n))
+	return b, nil
+}
+
+// DecodeFrames decodes p, back-to-back frames as AppendFrame wrote them,
+// and returns their events in order. Every length is checked against the
+// bytes that remain before anything is decoded; frames of an unknown kind
+// are skipped, as on a stream. The events alias nothing in p.
+func DecodeFrames(p []byte) ([]Event, error) {
+	var events []Event
+	for len(p) > 0 {
+		if len(p) < 5 {
+			return nil, binenc.Errorf(formatName, "%d trailing bytes are no frame header", len(p))
+		}
+		kind, n := p[0], binary.BigEndian.Uint32(p[1:])
+		if uint64(n) > uint64(len(p)-5) {
+			return nil, binenc.Errorf(formatName, "frame 0x%02x announces %d bytes, %d remain", kind, n, len(p)-5)
+		}
+		e, err := decodeEvent(kind, p[5:5+n])
+		if err != nil {
+			return nil, err
+		}
+		if e != nil {
+			events = append(events, e)
+		}
+		p = p[5+n:]
+	}
+	return events, nil
 }
 
 // Flush writes buffered frames to the underlying writer without ending

@@ -226,6 +226,58 @@ func TestCodecStreaming(t *testing.T) {
 	requireEqualData(t, d, got)
 }
 
+// TestFrames pins the frame seam a checkpoint journal stores events
+// through: AppendFrame's bytes are the stream's own (header and end frame
+// aside, a Writer's output is its frames back to back), DecodeFrames
+// gives the events back, and a buffer that is cut anywhere inside a frame
+// or announces more than it holds fails typed.
+func TestFrames(t *testing.T) {
+	d := sampleData(t, 4)
+	var stream bytes.Buffer
+	if err := Write(&stream, d); err != nil {
+		t.Fatal(err)
+	}
+	var frames []byte
+	var starts []int
+	err := d.WriteTo(SinkFunc(func(e Event) error {
+		starts = append(starts, len(frames))
+		var err error
+		frames, err = AppendFrame(frames, e)
+		return err
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := stream.Bytes()[len(magic)+2 : stream.Len()-5]
+	if !bytes.Equal(frames, body) {
+		t.Fatalf("AppendFrame wrote %d bytes, the stream carries %d for the same events", len(frames), len(body))
+	}
+	events, err := DecodeFrames(frames)
+	if err != nil || len(events) != len(starts) {
+		t.Fatalf("DecodeFrames: %d events, %v; want %d", len(events), err, len(starts))
+	}
+	got := &Data{}
+	for _, e := range events {
+		if err := got.Observe(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireEqualData(t, d, got)
+
+	var typed *binenc.Error
+	for _, start := range starts {
+		for _, cut := range []int{start + 1, start + 4, start + 5} {
+			if _, err := DecodeFrames(frames[:cut]); cut < len(frames) && !errors.As(err, &typed) {
+				t.Fatalf("frames cut at byte %d (frame at %d): %v, want a *binenc.Error", cut, start, err)
+			}
+		}
+	}
+	hostile := append(bytes.Clone(frames[:starts[1]]), kindDay, 0xFF, 0xFF, 0xFF, 0xFF)
+	if _, err := DecodeFrames(hostile); !errors.As(err, &typed) {
+		t.Fatalf("a frame announcing 4 GiB: %v, want a *binenc.Error", err)
+	}
+}
+
 // TestCodecTruncated: every proper prefix of a valid stream must fail
 // with a typed error — never a panic, never silent success.
 func TestCodecTruncated(t *testing.T) {

@@ -48,7 +48,8 @@ type Applier struct {
 	meta      obs.Meta
 	world     *synthnet.World
 	tags      *rdns.TagIndex
-	fullWords int // timeline words for the full daily window
+	asBase    []ASView // see asTable: every snapshot's AS fold starts from it
+	fullWords int      // timeline words for the full daily window
 
 	days, weeks, scans int
 
@@ -100,6 +101,7 @@ type Applier struct {
 // block's days and stats, advanced by addDay and setStats — event by
 // event on a live node, in one pass per block under Build's fill.
 type blockAcc struct {
+	name string // the block's rendered form, once: every compiled view carries it
 	// timelines is 256 packed day-bitsets at the full window width;
 	// snapshots copy out the leading words their window needs, and share
 	// the array once the window is closed.
@@ -135,6 +137,18 @@ func (a *Applier) Days() int { return a.days }
 // Epoch returns the epoch of the most recently published snapshot
 // (0 before the first Snapshot).
 func (a *Applier) Epoch() uint64 { return a.epoch }
+
+// SetEpoch moves the epoch counter to e without publishing: the next
+// Snapshot is stamped e+1. It is for a resume that replays the events of
+// several published epochs and publishes once, at the number the process
+// it replaces had reached.
+func (a *Applier) SetEpoch(e uint64) { a.epoch = e }
+
+// Applied returns how many indexed events of each kind have been
+// applied: the leading frames a decoder of the same stream may skip.
+func (a *Applier) Applied() obs.SkipCounts {
+	return obs.SkipCounts{Days: a.days, Weeks: a.weeks, Scans: a.scans}
+}
 
 // Observe applies one event. It returns an error for a stream that
 // violates the Applier's ordering contract (see the type comment); the
@@ -182,6 +196,7 @@ func (a *Applier) applyMeta(ev obs.MetaEvent) error {
 	a.meta = ev.Meta
 	a.world = synthnet.Generate(ev.Meta.World)
 	a.tags = classifyWorld(a.world, a.opts.Workers, a.opts.Keep)
+	a.asBase = asTable(a.world)
 	a.fullWords = (ev.Meta.Run.DailyLen + 63) / 64
 	a.accs = make(map[ipv4.Block]*blockAcc)
 	a.yearUnion = ipv4.NewSet()
@@ -295,7 +310,7 @@ func (a *Applier) acc(blk ipv4.Block) *blockAcc {
 // newAcc returns an empty accumulator for blk, outside the map (safe to
 // call from concurrent workers).
 func (a *Applier) newAcc(blk ipv4.Block) *blockAcc {
-	return &blockAcc{e: join(a.world.BaseRouting, a.world, a.tags, blk)}
+	return &blockAcc{name: blk.String(), e: join(a.world.BaseRouting, a.world, a.tags, blk)}
 }
 
 // addDay folds the block's activity on one day of the window into the
@@ -358,6 +373,7 @@ func (a *Applier) Snapshot() (*Index, error) {
 		routing: a.world.BaseRouting,
 		world:   a.world,
 		tags:    a.tags,
+		asBase:  a.asBase,
 		icmp:    a.icmpUnion,
 		servers: orEmpty(a.servers),
 		routers: orEmpty(a.routers),
@@ -414,7 +430,7 @@ func (acc *blockAcc) compile(blk ipv4.Block, w, fullWords int, closed bool) bloc
 		}
 	}
 	v := &bd.view
-	v.Block = blk.String()
+	v.Block = acc.name
 	v.FD = acc.union.Count()
 	v.ActiveDays = acc.activeDays
 	if acc.traffic != nil {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ipscope/internal/bgp"
@@ -148,13 +149,15 @@ func classifyWorld(world *synthnet.World, workers int, keep func(ipv4.Block) boo
 	return rdns.NewTagIndex(pairs)
 }
 
-// buildAS folds the per-block records into per-AS footprints. Blocks
-// are walked in ascending order, so each AS's float accumulation order
-// is fixed regardless of build workers.
-func (x *Index) buildAS() {
-	x.byAS = make(map[bgp.ASN]*ASView, len(x.world.ASes))
-	for _, as := range x.world.ASes {
-		v := &ASView{
+// asTable renders what an AS's view takes from the world alone —
+// identity and routed prefixes, no activity — once per world. Every
+// snapshot of that world starts its AS fold from a copy, and the
+// rendered prefix strings are shared by all of them, read-only.
+func asTable(world *synthnet.World) []ASView {
+	table := make([]ASView, len(world.ASes))
+	for i, as := range world.ASes {
+		v := &table[i]
+		*v = ASView{
 			AS:      uint32(as.Num),
 			Kind:    as.Kind.String(),
 			Country: string(as.Country),
@@ -164,7 +167,18 @@ func (x *Index) buildAS() {
 			v.Prefixes = append(v.Prefixes, p.String())
 			v.RoutedBlocks += p.NumBlocks()
 		}
-		x.byAS[as.Num] = v
+	}
+	return table
+}
+
+// buildAS folds the per-block records into per-AS footprints. Blocks
+// are walked in ascending order, so each AS's float accumulation order
+// is fixed regardless of build workers.
+func (x *Index) buildAS() {
+	views := slices.Clone(x.asBase)
+	x.byAS = make(map[bgp.ASN]*ASView, len(views))
+	for i := range views {
+		x.byAS[bgp.ASN(views[i].AS)] = &views[i]
 	}
 	for i := range x.blocks {
 		bd := &x.blocks[i]

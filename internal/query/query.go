@@ -70,6 +70,7 @@ type Index struct {
 	routing *bgp.Table
 	world   *synthnet.World
 	tags    *rdns.TagIndex
+	asBase  []ASView // asTable(world), shared by every snapshot of the world
 	summary Summary
 	partial *SummaryPartial
 	icmp    *ipv4.Set

@@ -351,6 +351,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		e.enrich(v)
 		return bd
 	})
+	x.asBase = asTable(world)
 	x.buildAS()
 
 	l := &Loaded{
@@ -608,6 +609,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 	a.meta = l.meta
 	a.world = x.world
 	a.tags = x.tags
+	a.asBase = x.asBase
 	a.fullWords = (l.meta.Run.DailyLen + 63) / 64
 	if x.days > l.meta.Run.DailyLen {
 		return nil, obs.SkipCounts{}, snapErr("days %d exceed daily window %d", x.days, l.meta.Run.DailyLen)
@@ -630,6 +632,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 	for i, blk := range x.keys {
 		bd := &x.blocks[i]
 		acc := &blockAcc{
+			name:      bd.view.Block,
 			timelines: make([]uint64, 256*a.fullWords),
 			traffic:   bd.traffic,
 			totalHits: bd.view.TotalHits, // read only beside traffic
@@ -687,6 +690,5 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 	a.epoch = x.epoch
 	a.prev = x
 
-	skip := obs.SkipCounts{Days: x.days, Weeks: r.weeks, Scans: r.scans}
-	return a, skip, nil
+	return a, a.Applied(), nil
 }

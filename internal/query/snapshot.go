@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"unsafe"
 
 	"ipscope/internal/binenc"
@@ -442,9 +443,10 @@ func encodeResumeSection(r *resumeState) []byte {
 	return b
 }
 
-// WriteSnapshotFile writes data to path atomically: a same-directory
-// temp file, fsync, then rename — a crashed writer never leaves a
-// half-written file under the final name.
+// WriteSnapshotFile writes data to path atomically and durably: a
+// same-directory temp file, fsync, rename, then an fsync of the
+// directory — a crashed writer never leaves a half-written file under
+// the final name, and a file that exists survives power loss.
 func WriteSnapshotFile(path string, data []byte) error {
 	return writeFileAtomic(path, func(w io.Writer) error {
 		_, err := w.Write(data)
@@ -453,7 +455,8 @@ func WriteSnapshotFile(path string, data []byte) error {
 }
 
 // writeFileAtomic runs write against path+".tmp", fsyncs and renames
-// it onto path; on any failure the temp file is removed.
+// it onto path, and fsyncs the directory so that the rename itself is
+// durable; on any failure before the rename the temp file is removed.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -472,6 +475,21 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory: what makes an entry created or renamed in
+// it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -13,12 +13,16 @@
 # against its index in-process: internal/node's TestServeBatch.)
 #
 # Phase 2 (live restart): two block-partitioned shards follow a paced
-# dataset file, checkpointing every epoch into -snapshot-dir. Shard 1 is
-# kill -9'd mid-stream and restarted from its checkpoint directory; it
-# must log "resumed from snapshot" (no full replay), catch back up, and
-# after end of stream the routed cluster summary must byte-equal
-# (modulo the epoch field) a batch -dump-summary over the same dataset.
-# Retention must hold: at most -snapshot-keep checkpoints per shard.
+# dataset file, checkpointing every epoch into -snapshot-dir (a base
+# image now and then, a journal record otherwise). Shard 1 is kill -9'd
+# mid-stream, while its last durable epoch is a journal record, and
+# restarted from its checkpoint directory; it must log "resumed from
+# snapshot" at exactly the epoch ipscope-snapshot DIR says the directory
+# holds (no full replay, nothing durable lost), catch back up, and after
+# end of stream the routed cluster summary must byte-equal (modulo the
+# epoch field) a batch -dump-summary over the same dataset. Retention
+# must hold: at most -snapshot-keep base images per shard, and the whole
+# directory verifies.
 name=snapshot-smoke
 . "$(dirname "$0")/lib.sh"
 
@@ -69,18 +73,31 @@ router_pid=$!
 wait_http "$router_addr" "router" "$dir/router.log"
 
 # Let shard 1 publish (and checkpoint) a few epochs, then kill it hard
-# mid-stream — no graceful shutdown, the checkpoint on disk is all the
-# restart gets.
-poll 200 0.1 "shard 1 never reached epoch 3" epoch_reached "$shard1_addr" 3 \
+# mid-stream — no graceful shutdown, the directory on disk is all the
+# restart gets. It is frozen first, so that the kill provably lands after
+# a journaled epoch: the directory's last line names the epoch a restart
+# resumes at and the base image it starts from.
+resume_line() { "$bin/ipscope-snapshot" "$dir/snapdir1" | tail -1; }
+journaled() { # the durable epoch is past its base image's: a journal record
+    kill -STOP "$shard1_pid"
+    _line=$(resume_line)
+    _epoch=$(echo "$_line" | sed -n 's/.*resumes at epoch \([0-9]*\) .*/\1/p')
+    _base=$(echo "$_line" | sed -n 's/.*snap-0*\([0-9]*\)\.ipsnap.*/\1/p')
+    [ -n "$_epoch" ] && [ "$_epoch" -ge 3 ] && [ "$_epoch" -gt "$_base" ] && return 0
+    kill -CONT "$shard1_pid"
+    return 1
+}
+poll 200 0.1 "shard 1 never had a journaled epoch >= 3 durable" journaled \
     || { cat "$dir/shard1.log"; exit 1; }
 kill -9 "$shard1_pid" 2>/dev/null
 wait "$shard1_pid" 2>/dev/null || true
-echo "$name: shard 1 killed mid-stream"
+durable=$(resume_line | sed -n 's/.*resumes at epoch \([0-9]*\) .*/\1/p')
+echo "$name: shard 1 killed mid-stream; its directory holds epoch $durable: $(resume_line)"
 
 start_shard 1 "$shard1_addr"; shard1_pid=$!
 wait_http "$shard1_addr" "restarted shard 1" "$dir/shard1.log"
-grep -q "resumed from snapshot" "$dir/shard1.log" \
-    || { cat "$dir/shard1.log"; fail "restarted shard 1 did not resume from its checkpoint"; }
+grep -q "resumed from snapshot .*: epoch $durable," "$dir/shard1.log" \
+    || { cat "$dir/shard1.log"; fail "restarted shard 1 did not resume at the durable epoch $durable"; }
 echo "$name: shard 1 resumed: $(grep 'resumed from snapshot' "$dir/shard1.log" | tail -1)"
 
 wait "$gen_pid"
@@ -96,11 +113,12 @@ poll 50 0.2 "routed summary never converged on the batch summary after restart" 
 echo "$name: routed /v1/summary byte-equals batch dump-summary after kill -9 restart"
 
 # Retention: each shard's checkpoint directory is bounded by the default
-# -snapshot-keep (3), and the newest checkpoint is itself verifiable.
+# -snapshot-keep (3) base images, and every image and journal in it
+# verifies.
 for s in 0 1; do
     n=$(ls "$dir/snapdir$s"/snap-*.ipsnap | wc -l)
-    [ "$n" -ge 1 ] && [ "$n" -le 3 ] || fail "shard $s retains $n checkpoints, want 1..3"
+    [ "$n" -ge 1 ] && [ "$n" -le 3 ] || fail "shard $s retains $n base images, want 1..3"
+    "$bin/ipscope-snapshot" -verify "$dir/snapdir$s" >"$dir/verify$s.txt" \
+        || { cat "$dir/verify$s.txt"; fail "shard $s's checkpoint directory does not verify"; }
 done
-newest=$(ls "$dir/snapdir0"/snap-*.ipsnap | sort | tail -1)
-"$bin/ipscope-snapshot" -verify "$newest"
-echo "$name: checkpoint retention bounded; newest checkpoint verifies"
+echo "$name: checkpoint retention bounded; both directories verify: $(tail -2 "$dir/verify1.txt" | head -1)"
