@@ -38,7 +38,6 @@ func RunAll(w io.Writer, ctx *Context, seed uint64) {
 	g.SetLimit(par.Workers(0))
 	sections := make([]Renderer, len(experiments))
 	for i, fn := range experiments {
-		i, fn := i, fn
 		g.Go(func() error {
 			sections[i] = fn()
 			return nil

@@ -271,7 +271,6 @@ func NewRouter(urls []string, opts RouterOptions) (*Router, error) {
 	}
 	sort.Slice(rt.ranges, func(i, j int) bool { return rt.ranges[i].lo < rt.ranges[j].lo })
 	for _, g := range rt.ranges {
-		g := g
 		sort.Slice(g.replicas, func(i, j int) bool {
 			a, b := g.replicas[i], g.replicas[j]
 			if a.info.Replica != b.info.Replica {
@@ -635,7 +634,6 @@ func (rt *Router) probeFleet(ctx context.Context, want func(*replicaState) bool)
 			if want != nil && !want(rp) {
 				continue
 			}
-			i, j, rg, rp := i, j, rg, rp
 			g.Go(func() error {
 				fleet[i][j] = rt.probe(ctx, rg, rp)
 				return nil
@@ -796,7 +794,6 @@ func gatherPartials[T any](rt *Router, ctx context.Context, ranges []*rangeGroup
 	var g par.Group
 	g.SetLimit(gatherLimit)
 	for i, rg := range ranges {
-		i, rg := i, rg
 		g.Go(func() error {
 			v, epoch, _, err := fetchRange(rt, ctx, rg, fetch)
 			if err != nil {

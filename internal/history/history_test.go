@@ -1,6 +1,7 @@
 package history_test
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
@@ -27,10 +28,7 @@ func tinyIndex(t testing.TB) *query.Index {
 func TestRingEvictionOrder(t *testing.T) {
 	base := tinyIndex(t)
 	r := history.New(3)
-	if r.Capacity() != 3 {
-		t.Fatalf("capacity = %d", r.Capacity())
-	}
-	if _, _, ok := r.Range(); ok || r.Len() != 0 || r.Latest() != nil {
+	if _, _, ok := r.Range(); ok || r.Window().Len() != 0 || r.Window().Latest() != nil {
 		t.Fatal("empty ring reports retained state")
 	}
 
@@ -43,15 +41,15 @@ func TestRingEvictionOrder(t *testing.T) {
 	if want := []uint64{1, 2}; len(evicted) != 2 || evicted[0] != want[0] || evicted[1] != want[1] {
 		t.Fatalf("evicted = %v, want %v", evicted, []uint64{1, 2})
 	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
+	if r.Window().Len() != 3 {
+		t.Fatalf("len = %d, want 3", r.Window().Len())
 	}
 	oldest, newest, ok := r.Range()
 	if !ok || oldest != 3 || newest != 5 {
 		t.Fatalf("range = %d..%d ok=%v, want 3..5", oldest, newest, ok)
 	}
-	if r.Latest().Epoch() != 5 {
-		t.Fatalf("latest epoch = %d", r.Latest().Epoch())
+	if r.Window().Latest().Epoch() != 5 {
+		t.Fatalf("latest epoch = %d", r.Window().Latest().Epoch())
 	}
 
 	// Gets: every retained epoch hits, the just-evicted boundary epoch,
@@ -74,8 +72,8 @@ func TestRingEvictionOrder(t *testing.T) {
 	if len(evicted) != 3 || evicted[0] != 3 || evicted[1] != 4 || evicted[2] != 5 {
 		t.Fatalf("reset evicted %v, want [3 4 5]", evicted)
 	}
-	if oldest, newest, _ := r.Range(); oldest != 2 || newest != 2 || r.Len() != 1 {
-		t.Fatalf("post-reset range = %d..%d len=%d", oldest, newest, r.Len())
+	if oldest, newest, _ := r.Range(); oldest != 2 || newest != 2 || r.Window().Len() != 1 {
+		t.Fatalf("post-reset range = %d..%d len=%d", oldest, newest, r.Window().Len())
 	}
 }
 
@@ -126,6 +124,149 @@ func TestRingDeltaAndMovement(t *testing.T) {
 	// last beyond retention is the whole ring.
 	if mall := r.Movement(99); len(mall.Entries) != 4 {
 		t.Fatalf("Movement(99) has %d entries", len(mall.Entries))
+	}
+}
+
+// TestWindow is the table of what one window answers: every row asks a
+// single immutable value, so the answers it pins are the ones a request
+// racing a publish gets.
+func TestWindow(t *testing.T) {
+	base := tinyIndex(t)
+	window := func(capacity int, epochs ...uint64) history.Window {
+		var w history.Window
+		for _, e := range epochs {
+			w, _ = w.Add(base.AtEpoch(e), capacity)
+		}
+		return w
+	}
+	type notRetained = history.NotRetainedError
+	for _, tc := range []struct {
+		name           string
+		win            history.Window
+		oldest, newest uint64                 // Range; 0, 0 = empty
+		at             map[uint64]uint64      // At(epoch) answers the snapshot of this epoch
+		refuse         map[uint64]notRetained // At(epoch) fails with this
+		span           [2]uint64              // Span(from, to) ...
+		blame          *notRetained           // ... fails with this (nil: answers)
+	}{
+		{
+			name:   "empty",
+			refuse: map[uint64]notRetained{0: {Asked: 0}, 7: {Asked: 7}},
+			span:   [2]uint64{1, 2}, blame: &notRetained{Asked: 1},
+		},
+		{
+			name: "one epoch", win: window(3, 5), oldest: 5, newest: 5,
+			at:     map[uint64]uint64{0: 5, 5: 5},
+			refuse: map[uint64]notRetained{4: {4, 5, 5}, 6: {6, 5, 5}},
+			span:   [2]uint64{5, 6}, blame: &notRetained{6, 5, 5},
+		},
+		{
+			name: "full", win: window(3, 1, 2, 3, 4, 5), oldest: 3, newest: 5,
+			at:     map[uint64]uint64{0: 5, 3: 3, 4: 4, 5: 5},
+			refuse: map[uint64]notRetained{2: {2, 3, 5}, 99: {99, 3, 5}},
+			span:   [2]uint64{3, 5},
+		},
+		{
+			// Neither end is retained: from is probed, and blamed, first —
+			// the order the router re-applies to the cluster-wide range.
+			name: "blame from before to", win: window(3, 1, 2, 3, 4, 5), oldest: 3, newest: 5,
+			span: [2]uint64{2, 9}, blame: &notRetained{2, 3, 5},
+		},
+		{
+			name: "blame to", win: window(3, 1, 2, 3, 4, 5), oldest: 3, newest: 5,
+			span: [2]uint64{4, 9}, blame: &notRetained{9, 3, 5},
+		},
+		{
+			name: "reset on a lower epoch", win: window(3, 7, 8, 9, 2), oldest: 2, newest: 2,
+			at:     map[uint64]uint64{0: 2, 2: 2},
+			refuse: map[uint64]notRetained{8: {8, 2, 2}, 9: {9, 2, 2}},
+			span:   [2]uint64{2, 9}, blame: &notRetained{9, 2, 2},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := tc.win
+			oldest, newest, ok := w.Range()
+			if oldest != tc.oldest || newest != tc.newest || ok != (tc.newest != 0) {
+				t.Errorf("Range = %d..%d ok=%v, want %d..%d", oldest, newest, ok, tc.oldest, tc.newest)
+			}
+			if x := w.Latest(); (x == nil) != (tc.newest == 0) || x != nil && x.Epoch() != tc.newest {
+				t.Errorf("Latest = %v, want epoch %d", x, tc.newest)
+			}
+			for asked, want := range tc.at {
+				if x, err := w.At(asked); err != nil || x.Epoch() != want {
+					t.Errorf("At(%d) = (%v, %v), want epoch %d", asked, x, err, want)
+				}
+			}
+			for asked, want := range tc.refuse {
+				var nr *notRetained
+				if _, err := w.At(asked); !errors.As(err, &nr) || *nr != want {
+					t.Errorf("At(%d) = %v, want %+v", asked, err, want)
+				}
+			}
+			fx, tx, err := w.Span(tc.span[0], tc.span[1])
+			var nr *notRetained
+			switch {
+			case tc.blame == nil:
+				if err != nil || fx.Epoch() != tc.span[0] || tx.Epoch() != tc.span[1] {
+					t.Errorf("Span%v = (%v, %v, %v)", tc.span, fx, tx, err)
+				}
+			case !errors.As(err, &nr) || *nr != *tc.blame:
+				t.Errorf("Span%v = %v, want %+v", tc.span, err, *tc.blame)
+			}
+			if _, err := w.Delta(tc.span[0], tc.span[1], 0); (err != nil) != (tc.blame != nil) {
+				t.Errorf("Delta%v: %v", tc.span, err)
+			}
+			if m := w.Movement(0); len(m.Entries) != w.Len() || m.OldestEpoch != tc.oldest || m.NewestEpoch != tc.newest {
+				t.Errorf("Movement(0) = %d..%d with %d entries", m.OldestEpoch, m.NewestEpoch, len(m.Entries))
+			}
+		})
+	}
+
+	// Add never touches the window it extends: one a reader holds still
+	// answers what it did.
+	held := window(2, 1, 2)
+	next, evicted := held.Add(base.AtEpoch(3), 2)
+	if len(evicted) != 1 || evicted[0] != 1 {
+		t.Errorf("evicted = %v, want [1]", evicted)
+	}
+	if x, err := held.Get(1); err != nil || x.Epoch() != 1 || held.Len() != 2 {
+		t.Errorf("the extended window changed: Get(1) = (%v, %v), len %d", x, err, held.Len())
+	}
+	if _, err := next.Get(1); err == nil || next.Latest().Epoch() != 3 {
+		t.Errorf("the new window retains epoch 1 or lacks epoch 3")
+	}
+}
+
+// TestRingWindowUnderAdd: a window taken from a ring while another
+// goroutine adds to it is whole — every epoch of its range answers.
+// Run under -race.
+func TestRingWindowUnderAdd(t *testing.T) {
+	base := tinyIndex(t)
+	r := history.New(2)
+	r.Add(base.AtEpoch(1))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for e := uint64(2); e < 2000; e++ {
+			r.Add(base.AtEpoch(e))
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		w := r.Window()
+		oldest, newest, _ := w.Range()
+		for e := oldest; e <= newest; e++ {
+			if x, err := w.Get(e); err != nil || x.Epoch() != e {
+				t.Fatalf("window %d..%d: Get(%d) = (%v, %v)", oldest, newest, e, x, err)
+			}
+		}
+	}
+	if _, newest, _ := r.Range(); newest != 1999 {
+		t.Fatalf("newest = %d after the last Add, want 1999", newest)
 	}
 }
 

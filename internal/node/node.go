@@ -549,13 +549,14 @@ func (n *Node) Run(ctx context.Context) error {
 }
 
 func (n *Node) runStream(ctx context.Context) error {
-	var err error
-	if n.cfg.Follow != "" {
-		log.Printf("following dataset file %s", n.cfg.Follow)
-		err = n.endStream(obs.FollowWith(ctx, n.cfg.Follow,
-			obs.FollowOptions{Poll: n.cfg.FollowPoll, Skip: n.skip}, obs.SinkFunc(n.observe)))
-	} else {
-		err = n.acceptStream(ctx)
+	r, err := n.openStream(ctx)
+	if err == nil {
+		// Cancelling ctx mid-stream unblocks the decoder's read:
+		// graceful shutdown must not wait on the peer.
+		stop := context.AfterFunc(ctx, func() { r.Close() })
+		err = n.Ingest(r)
+		stop()
+		r.Close()
 	}
 	var mismatch *DatasetMismatchError
 	switch {
@@ -571,22 +572,22 @@ func (n *Node) runStream(ctx context.Context) error {
 	return nil
 }
 
-// acceptStream accepts one TCP connection on the stream listener and
-// ingests it. Cancelling ctx ends the wait in Accept, and mid-stream
-// unblocks the decoder's read — graceful shutdown must not wait on the
-// peer.
-func (n *Node) acceptStream(ctx context.Context) error {
-	defer n.obsLn.Close()
-	stopAccept := context.AfterFunc(ctx, func() { n.obsLn.Close() })
-	conn, err := n.obsLn.Accept()
-	stopAccept()
-	if err != nil {
-		return err
+// openStream opens the node's configured stream: the tail of the Follow
+// file, or the one TCP connection the stream listener accepts.
+// Cancelling ctx ends the wait for either.
+func (n *Node) openStream(ctx context.Context) (io.ReadCloser, error) {
+	if n.cfg.Follow != "" {
+		log.Printf("following dataset file %s", n.cfg.Follow)
+		return obs.Tail(ctx, n.cfg.Follow, n.cfg.FollowPoll)
 	}
-	defer conn.Close()
-	defer context.AfterFunc(ctx, func() { conn.Close() })()
+	defer n.obsLn.Close()
+	defer context.AfterFunc(ctx, func() { n.obsLn.Close() })()
+	conn, err := n.obsLn.Accept()
+	if err != nil {
+		return nil, err
+	}
 	log.Printf("stream connected from %s", conn.RemoteAddr())
-	return n.Ingest(conn)
+	return conn, nil
 }
 
 // Shutdown is every exit path's tail, called once: wait for the

@@ -346,70 +346,44 @@ type FileSource string
 // Observations decodes the file.
 func (p FileSource) Observations() (*Data, error) { return DecodeFile(string(p)) }
 
-// DefaultFollowPoll is the poll interval Follow uses when given 0.
-const DefaultFollowPoll = 200 * time.Millisecond
+// DefaultTailPoll is the poll interval Tail uses when given 0.
+const DefaultTailPoll = 200 * time.Millisecond
 
-// FollowOptions parameterizes FollowWith.
-type FollowOptions struct {
-	// Poll is the interval at which the tail re-checks the file for
-	// appended bytes (and for the file to appear); 0 means
-	// DefaultFollowPoll. Tests tail with a millisecond poll so a
-	// ping-pong append/observe round trip never sleeps a full default
-	// interval.
-	Poll time.Duration
-	// Skip discards already-applied indexed frames at the frame level —
-	// the resume path for a consumer restarting from a checkpoint.
-	Skip SkipCounts
-}
-
-// Follow streams the dataset at path into sink as the file grows: a
-// producer (ipscope-gen -dataset FILE) appends frames while a consumer
-// tails them live. Instead of treating end-of-file as truncation the
-// way Decode does, Follow polls for appended bytes every poll interval
-// (0 means DefaultFollowPoll) and keeps decoding; it also waits for the
-// file to appear, so the consumer can start first. Follow returns nil
-// once the stream's end frame is read, ctx.Err() if the context is
-// cancelled while waiting, and otherwise whatever StreamDecode fails
-// with.
-func Follow(ctx context.Context, path string, poll time.Duration, sink Sink) error {
-	return FollowWith(ctx, path, FollowOptions{Poll: poll}, sink)
-}
-
-// FollowWith is Follow with explicit options: a configurable poll
-// interval and a frame-level resume point.
-func FollowWith(ctx context.Context, path string, opts FollowOptions, sink Sink) error {
-	poll := opts.Poll
+// Tail opens the dataset at path as a stream that is still being
+// written: a producer (ipscope-gen -dataset FILE) appends frames while a
+// consumer decodes them live. It waits for the file to appear, so the
+// consumer can start first, and the reader it returns turns end-of-file
+// into "wait for more bytes": Read polls every poll interval (0 means
+// DefaultTailPoll) until the file grows and never returns io.EOF —
+// StreamDecode over it ends at the stream's end frame. Cancelling ctx
+// ends either wait with ctx.Err().
+func Tail(ctx context.Context, path string, poll time.Duration) (io.ReadCloser, error) {
 	if poll <= 0 {
-		poll = DefaultFollowPoll
+		poll = DefaultTailPoll
 	}
-	var f *os.File
 	for {
-		var err error
-		f, err = os.Open(path)
+		f, err := os.Open(path)
 		if err == nil {
-			break
+			return &tailReader{ctx: ctx, f: f, poll: poll}, nil
 		}
 		if !os.IsNotExist(err) {
-			return err
+			return nil, err
 		}
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		case <-time.After(poll):
 		}
 	}
-	defer f.Close()
-	return StreamDecodeFrom(&tailReader{ctx: ctx, f: f, poll: poll}, opts.Skip, sink)
 }
 
-// tailReader turns end-of-file into "wait for more bytes": Read blocks
-// (polling) until the file grows, the context is cancelled, or a real
-// read error occurs. It never returns io.EOF.
 type tailReader struct {
 	ctx  context.Context
 	f    *os.File
 	poll time.Duration
 }
+
+func (t *tailReader) Close() error { return t.f.Close() }
 
 func (t *tailReader) Read(p []byte) (int, error) {
 	for {

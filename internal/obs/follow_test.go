@@ -10,6 +10,17 @@ import (
 	"ipscope/internal/ipv4"
 )
 
+// follow decodes the growing dataset at path into sink the way a live
+// node does: Tail, then StreamDecodeFrom over it.
+func follow(ctx context.Context, path string, poll time.Duration, skip SkipCounts, sink Sink) error {
+	r, err := Tail(ctx, path, poll)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	return StreamDecodeFrom(r, skip, sink)
+}
+
 func followMeta() Meta {
 	var m Meta
 	m.World.Seed = 3
@@ -55,7 +66,7 @@ func TestFollowWithPoll(t *testing.T) {
 	events := make(chan Event, 4)
 	done := make(chan error, 1)
 	go func() {
-		done <- FollowWith(ctx, path, FollowOptions{Poll: 2 * time.Millisecond},
+		done <- follow(ctx, path, 2*time.Millisecond, SkipCounts{},
 			SinkFunc(func(e Event) error {
 				events <- e
 				return nil
@@ -142,8 +153,7 @@ func TestFollowWithSkip(t *testing.T) {
 	}
 
 	var got []Event
-	err = FollowWith(context.Background(), path,
-		FollowOptions{Poll: time.Millisecond, Skip: SkipCounts{Days: 3, Weeks: 1, Scans: 1}},
+	err = follow(context.Background(), path, time.Millisecond, SkipCounts{Days: 3, Weeks: 1, Scans: 1},
 		SinkFunc(func(e Event) error { got = append(got, e); return nil }))
 	if err != nil {
 		t.Fatal(err)

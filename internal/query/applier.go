@@ -13,7 +13,7 @@ import (
 
 // Applier is the one index compiler: it consumes a live observation
 // event stream (it implements obs.Sink, so it attaches directly to
-// obs.StreamDecode, obs.Follow or a sim.RunTo tee) and can publish an
+// obs.StreamDecode or a sim.RunTo tee) and can publish an
 // epoch-stamped immutable *Index at any point; Build loads one from a
 // whole dataset in a single block-parallel pass (fill) and publishes
 // through the same Snapshot. The hard invariant, enforced by

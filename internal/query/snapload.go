@@ -591,8 +591,8 @@ func decodeResumeSection(sec []byte, meta obs.Meta) (*resumeState, error) {
 // produced this snapshot: same published epoch, same accumulated state,
 // ready to keep applying the tail of the obs stream. The returned
 // SkipCounts tell the stream layer which already-applied indexed events
-// to discard at the frame level (obs.FollowWith / obs.StreamDecodeFrom)
-// — the ordering contract is satisfied without replaying them.
+// to discard at the frame level (obs.StreamDecodeFrom) — the ordering
+// contract is satisfied without replaying them.
 //
 // Call at most once per Loaded: the Applier takes over (clones of) the
 // resume state. The accepted lossiness is documented in DESIGN.md:

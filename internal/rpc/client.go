@@ -258,34 +258,21 @@ func errorRespErr(e ErrorResp) error {
 	return &StatusError{Code: e.Code, Msg: e.Msg}
 }
 
-func badResp(m Msg) error {
-	return binenc.Errorf(formatName, "unexpected response type %T", m)
-}
-
-// Info fetches the shard's cluster info.
-func (c *Client) Info(ctx context.Context) (wire.ClusterInfo, error) {
-	m, err := c.roundTrip(ctx, InfoReq{})
-	if err != nil {
-		return wire.ClusterInfo{}, err
+// call sends req and returns its response as a T — the zero T beside
+// the error when the call failed, or when the peer answered with a frame
+// of another type.
+func call[T Msg](ctx context.Context, c *Client, req Msg) (T, error) {
+	m, err := c.roundTrip(ctx, req)
+	r, ok := m.(T)
+	if err == nil && !ok {
+		err = binenc.Errorf(formatName, "unexpected response type %T", m)
 	}
-	r, ok := m.(InfoResp)
-	if !ok {
-		return wire.ClusterInfo{}, badResp(m)
-	}
-	return r.Info, nil
+	return r, err
 }
 
 // Health fetches the shard's liveness.
 func (c *Client) Health(ctx context.Context) (HealthResp, error) {
-	m, err := c.roundTrip(ctx, HealthReq{})
-	if err != nil {
-		return HealthResp{}, err
-	}
-	r, ok := m.(HealthResp)
-	if !ok {
-		return HealthResp{}, badResp(m)
-	}
-	return r, nil
+	return call[HealthResp](ctx, c, HealthReq{})
 }
 
 // Summary fetches the shard's mergeable summary partial and the epoch
@@ -293,67 +280,32 @@ func (c *Client) Health(ctx context.Context) (HealthResp, error) {
 // (likewise on every point method below); an unretained epoch returns
 // *wire.NotRetainedError.
 func (c *Client) Summary(ctx context.Context, epoch uint64) (query.SummaryPartial, uint64, error) {
-	m, err := c.roundTrip(ctx, SummaryReq{Epoch: epoch})
-	if err != nil {
-		return query.SummaryPartial{}, 0, err
-	}
-	r, ok := m.(SummaryResp)
-	if !ok {
-		return query.SummaryPartial{}, 0, badResp(m)
-	}
-	return r.Partial, r.Epoch, nil
+	r, err := call[SummaryResp](ctx, c, SummaryReq{Epoch: epoch})
+	return r.Partial, r.Epoch, err
 }
 
 // AS fetches the shard's mergeable share of one AS footprint.
 func (c *Client) AS(ctx context.Context, asn uint32, epoch uint64) (query.ASPartial, uint64, error) {
-	m, err := c.roundTrip(ctx, ASReq{ASN: asn, Epoch: epoch})
-	if err != nil {
-		return query.ASPartial{}, 0, err
-	}
-	r, ok := m.(ASResp)
-	if !ok {
-		return query.ASPartial{}, 0, badResp(m)
-	}
-	return r.Partial, r.Epoch, nil
+	r, err := call[ASResp](ctx, c, ASReq{ASN: asn, Epoch: epoch})
+	return r.Partial, r.Epoch, err
 }
 
 // Prefix fetches the shard's mergeable share of a CIDR aggregate.
 func (c *Client) Prefix(ctx context.Context, prefix string, maxBlocks int, epoch uint64) (query.PrefixPartial, uint64, error) {
-	m, err := c.roundTrip(ctx, PrefixReq{Prefix: prefix, MaxBlocks: maxBlocks, Epoch: epoch})
-	if err != nil {
-		return query.PrefixPartial{}, 0, err
-	}
-	r, ok := m.(PrefixResp)
-	if !ok {
-		return query.PrefixPartial{}, 0, badResp(m)
-	}
-	return r.Partial, r.Epoch, nil
+	r, err := call[PrefixResp](ctx, c, PrefixReq{Prefix: prefix, MaxBlocks: maxBlocks, Epoch: epoch})
+	return r.Partial, r.Epoch, err
 }
 
 // Addr fetches one address's view.
 func (c *Client) Addr(ctx context.Context, addr uint32, epoch uint64) (query.AddrView, uint64, error) {
-	m, err := c.roundTrip(ctx, AddrReq{Addr: addr, Epoch: epoch})
-	if err != nil {
-		return query.AddrView{}, 0, err
-	}
-	r, ok := m.(AddrResp)
-	if !ok {
-		return query.AddrView{}, 0, badResp(m)
-	}
-	return r.View, r.Epoch, nil
+	r, err := call[AddrResp](ctx, c, AddrReq{Addr: addr, Epoch: epoch})
+	return r.View, r.Epoch, err
 }
 
 // Block fetches one /24's view; found=false is the typed 404.
 func (c *Client) Block(ctx context.Context, block uint32, epoch uint64) (query.BlockView, bool, uint64, error) {
-	m, err := c.roundTrip(ctx, BlockReq{Block: block, Epoch: epoch})
-	if err != nil {
-		return query.BlockView{}, false, 0, err
-	}
-	r, ok := m.(BlockResp)
-	if !ok {
-		return query.BlockView{}, false, 0, badResp(m)
-	}
-	return r.View, r.Found, r.Epoch, nil
+	r, err := call[BlockResp](ctx, c, BlockReq{Block: block, Epoch: epoch})
+	return r.View, r.Found, r.Epoch, err
 }
 
 // BulkAddr fetches views for every address in one logical call, paging
@@ -366,13 +318,9 @@ func (c *Client) BulkAddr(ctx context.Context, addrs []uint32) ([]query.AddrView
 	views := make([]query.AddrView, 0, len(addrs))
 	var epoch uint64
 	for curr := 0; ; {
-		m, err := c.roundTrip(ctx, BulkAddrReq{CurrIndex: curr, Addrs: addrs})
+		r, err := call[BulkAddrResp](ctx, c, BulkAddrReq{CurrIndex: curr, Addrs: addrs})
 		if err != nil {
 			return nil, 0, err
-		}
-		r, ok := m.(BulkAddrResp)
-		if !ok {
-			return nil, 0, badResp(m)
 		}
 		if r.CurrIndex != curr || r.NextIndex < curr || r.NextIndex > len(addrs) {
 			return nil, 0, binenc.Errorf(formatName, "bulk page [%d, %d) does not continue offset %d", r.CurrIndex, r.NextIndex, curr)
@@ -400,27 +348,13 @@ func (c *Client) BulkAddr(ctx context.Context, addrs []uint32) ([]query.AddrView
 // retained epochs plus the shard's ring range; an unretained epoch
 // returns *wire.NotRetainedError.
 func (c *Client) Delta(ctx context.Context, from, to uint64, maxBlocks int) (query.DeltaPartial, uint64, uint64, error) {
-	m, err := c.roundTrip(ctx, DeltaReq{From: from, To: to, MaxBlocks: maxBlocks})
-	if err != nil {
-		return query.DeltaPartial{}, 0, 0, err
-	}
-	r, ok := m.(DeltaResp)
-	if !ok {
-		return query.DeltaPartial{}, 0, 0, badResp(m)
-	}
-	return r.Partial, r.Oldest, r.Newest, nil
+	r, err := call[DeltaResp](ctx, c, DeltaReq{From: from, To: to, MaxBlocks: maxBlocks})
+	return r.Partial, r.Oldest, r.Newest, err
 }
 
 // Movement fetches the shard's mergeable movement partial over the last
 // N retained epochs (0 = whole ring) plus the shard's ring range.
 func (c *Client) Movement(ctx context.Context, last int) (query.MovementPartial, uint64, uint64, error) {
-	m, err := c.roundTrip(ctx, MovementReq{Last: last})
-	if err != nil {
-		return query.MovementPartial{}, 0, 0, err
-	}
-	r, ok := m.(MovementResp)
-	if !ok {
-		return query.MovementPartial{}, 0, 0, badResp(m)
-	}
-	return r.Partial, r.Oldest, r.Newest, nil
+	r, err := call[MovementResp](ctx, c, MovementReq{Last: last})
+	return r.Partial, r.Oldest, r.Newest, err
 }

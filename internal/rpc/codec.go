@@ -34,7 +34,6 @@ import (
 
 	"ipscope/internal/binenc"
 	"ipscope/internal/query"
-	"ipscope/internal/serve/wire"
 )
 
 // Version is the current protocol version, exchanged in the preface.
@@ -49,7 +48,8 @@ var magic = []byte("ipsrpc")
 
 // Request kinds; the matching response kind is kind|respBit.
 const (
-	kindInfo     = 0x01
+	// 0x01 is reserved: it was the Info request no caller sent (routers
+	// discover shards over HTTP /v1/cluster/info).
 	kindHealth   = 0x02
 	kindSummary  = 0x03
 	kindAS       = 0x04
@@ -84,12 +84,6 @@ type Msg interface {
 }
 
 // --- message types ---------------------------------------------------
-
-// InfoReq asks for the shard's cluster info (partition coordinates).
-type InfoReq struct{}
-
-// InfoResp carries the same fields as GET /v1/cluster/info.
-type InfoResp struct{ Info wire.ClusterInfo }
 
 // HealthReq asks for the shard's liveness.
 type HealthReq struct{}
@@ -232,27 +226,6 @@ type ErrorResp struct {
 }
 
 // --- per-message encodings -------------------------------------------
-
-// Kind implements Msg.
-func (InfoReq) Kind() byte             { return kindInfo }
-func (InfoReq) append(b []byte) []byte { return b }
-
-// Kind implements Msg.
-func (InfoResp) Kind() byte { return kindInfo | respBit }
-func (m InfoResp) append(b []byte) []byte {
-	b = be.String(b, m.Info.Status)
-	b = be.U64(b, m.Info.Epoch)
-	b = be.Int(b, m.Info.Index)
-	b = be.Int(b, m.Info.Count)
-	b = be.U32(b, m.Info.Lo)
-	b = be.U32(b, m.Info.Hi)
-	b = be.String(b, m.Info.RPCAddr)
-	b = be.Int(b, m.Info.Blocks)
-	b = be.String(b, m.Info.FirstActive)
-	b = be.U64(b, m.Info.OldestEpoch)
-	b = be.U64(b, m.Info.NewestEpoch)
-	return b
-}
 
 // Kind implements Msg.
 func (HealthReq) Kind() byte             { return kindHealth }
@@ -420,22 +393,6 @@ func DecodePayload(kind byte, p []byte) (Msg, error) {
 	d := binenc.NewDec(be, formatName, p)
 	var m Msg
 	switch kind {
-	case kindInfo:
-		m = InfoReq{}
-	case kindInfo | respBit:
-		var r InfoResp
-		r.Info.Status = d.Str()
-		r.Info.Epoch = d.U64()
-		r.Info.Index = d.Int()
-		r.Info.Count = d.Int()
-		r.Info.Lo = d.U32()
-		r.Info.Hi = d.U32()
-		r.Info.RPCAddr = d.Str()
-		r.Info.Blocks = d.Int()
-		r.Info.FirstActive = d.Str()
-		r.Info.OldestEpoch = d.U64()
-		r.Info.NewestEpoch = d.U64()
-		m = r
 	case kindHealth:
 		m = HealthReq{}
 	case kindHealth | respBit:

@@ -14,9 +14,6 @@ import (
 // internal/binenc. A refactor that moves one encoded byte fails here.
 func TestEncodedBytesStable(t *testing.T) {
 	want := map[string]string{
-		"rpc.InfoReq#0":      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-		"rpc.InfoResp#0":     "70b26f9be747cea25ee7211cd73110a26f0baf33cf67e424d9499f7bc6b00867",
-		"rpc.InfoResp#1":     "1751ac12e70e15b4f76c16775cd329ae55973b612521dab2de828a5cdb6c8ab3",
 		"rpc.HealthReq#0":    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 		"rpc.HealthResp#0":   "0e910a171a4b41102aedef22b7a540408b62a326a6d208c925a0ffe6e51d9cdc",
 		"rpc.HealthResp#1":   "349bedaac051be1e20b9781d8dfc903d00093e0eff3bf08fe7f95d5c17a98cea",

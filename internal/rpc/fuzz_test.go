@@ -19,6 +19,9 @@ func FuzzRPCDecode(f *testing.F) {
 		f.Add(m.Kind(), EncodePayload(m))
 	}
 	f.Add(byte(0x42), []byte{})                                       // unknown kind
+	f.Add(byte(0x01), []byte{})                                       // reserved (was Info)
+	f.Add(byte(0x01|respBit), []byte{0, 0, 0, 2, 'o', 'k'})           // reserved response
+	f.Add(byte(0x01|respBit), []byte{})                               // reserved response, empty
 	f.Add(byte(0x09), []byte{})                                       // reserved (was BulkBlock)
 	f.Add(byte(0x09|respBit), []byte{0, 0, 0, 0, 0, 0, 0, 1})         // reserved response
 	f.Add(byte(kindBulkAddr|respBit), bytes.Repeat([]byte{0xFF}, 40)) // huge counts

@@ -29,13 +29,6 @@ import (
 // strings, nil vs empty slices, negative ints, extreme floats.
 func testMessages() []Msg {
 	return []Msg{
-		InfoReq{},
-		InfoResp{Info: wire.ClusterInfo{Status: "ok", Epoch: 9,
-			ShardInfo: wire.ShardInfo{Index: 1, Count: 4, Lo: 1 << 22, Hi: 1 << 23},
-			RPCAddr:   "127.0.0.1:9999",
-			Blocks:    321, FirstActive: "10.0.0.0/24",
-			OldestEpoch: 6, NewestEpoch: 9}},
-		InfoResp{},
 		HealthReq{},
 		HealthResp{Status: "warming", Epoch: 0, Blocks: 0, DailyLen: 0},
 		HealthResp{Status: "ok", Epoch: 3, OldestEpoch: 1, NewestEpoch: 3, Blocks: 12, DailyLen: 84},
@@ -128,8 +121,9 @@ func TestPayloadTruncated(t *testing.T) {
 }
 
 func TestPayloadCorrupt(t *testing.T) {
-	// 0x09/0x89 are the reserved kinds of the removed BulkBlock RPC.
-	for _, kind := range []byte{0x42, 0x09, 0x09 | respBit} {
+	// 0x01/0x81 and 0x09/0x89 are the reserved kinds of the removed Info
+	// and BulkBlock RPCs.
+	for _, kind := range []byte{0x42, 0x01, 0x01 | respBit, 0x09, 0x09 | respBit} {
 		if _, err := DecodePayload(kind, nil); err == nil {
 			t.Fatalf("unknown kind 0x%02x accepted", kind)
 		}
@@ -286,18 +280,11 @@ func TestClientServerPoint(t *testing.T) {
 		t.Fatalf("Addr(%v) mismatch", addr)
 	}
 
-	info, err := c.Info(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Status != "ok" || info.Epoch != epoch || info.Blocks != idx.NumBlocks() {
-		t.Fatalf("Info = %+v", info)
-	}
 	h, err := c.Health(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Epoch != epoch {
+	if h.Status != "ok" || h.Epoch != epoch || h.Blocks != idx.NumBlocks() {
 		t.Fatalf("Health = %+v", h)
 	}
 }
@@ -402,9 +389,9 @@ func TestHistoryRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, ok, err := be.History().Delta(s2.Epoch(), s3.Epoch(), query.DefaultDeltaBlockList)
-	if !ok || err != nil {
-		t.Fatalf("ring delta: ok=%v err=%v", ok, err)
+	want, err := be.Window().Delta(s2.Epoch(), s3.Epoch(), query.DefaultDeltaBlockList)
+	if err != nil {
+		t.Fatalf("window delta: %v", err)
 	}
 	if !reflect.DeepEqual(part, want) {
 		t.Fatalf("delta partial = %+v, want %+v", part, want)
@@ -429,7 +416,7 @@ func TestHistoryRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mp, be.History().Movement(0)) {
+	if !reflect.DeepEqual(mp, be.Window().Movement(0)) {
 		t.Fatalf("movement partial = %+v, want ring's", mp)
 	}
 	if oldest != s2.Epoch() || newest != s3.Epoch() {
@@ -463,13 +450,13 @@ func TestWarmingBackend(t *testing.T) {
 	} else if se, ok := err.(*StatusError); !ok || se.Code != 503 || se.Msg != wire.WarmingError {
 		t.Fatalf("warming error = %v", err)
 	}
-	// Info still answers while warming.
-	info, err := c.Info(ctx)
+	// Health still answers while warming.
+	h, err := c.Health(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Status != "warming" {
-		t.Fatalf("warming Info.Status = %q", info.Status)
+	if h.Status != "warming" {
+		t.Fatalf("warming Health.Status = %q", h.Status)
 	}
 }
 

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"strconv"
@@ -21,20 +22,15 @@ const DefaultBulkPage = 256
 
 // Backend is the shard state the RPC server answers from —
 // serve.Server implements it, so the HTTP and RPC listeners of one
-// shard serve the same atomically-published snapshots.
+// shard serve the same atomically-published state.
 type Backend interface {
-	// Index returns the current snapshot (nil while warming).
-	Index() *query.Index
-	// Shard returns the partition coordinates.
-	Shard() wire.ShardInfo
-	// ClusterInfo returns the /v1/cluster/info equivalent.
-	ClusterInfo() wire.ClusterInfo
+	// Window returns the published retained snapshots, the live one
+	// last (empty while warming). A request takes it once and answers
+	// from nothing else, exactly as an HTTP request does, so the two
+	// transports cannot disagree about what is retained.
+	Window() history.Window
 	// Health returns the /v1/healthz equivalent.
 	Health() wire.Health
-	// History returns the retained-snapshot ring — the same ring the
-	// HTTP listener answers ?epoch=/delta/movement from, so the two
-	// transports cannot disagree about what is retained.
-	History() *history.Ring
 }
 
 // Options tunes a Server.
@@ -167,132 +163,110 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handle answers one request. Data requests against a warming shard
-// (no published snapshot) answer the typed form of the HTTP 503.
+// handle answers one request from the window it loads on entry. Data
+// requests against a warming shard (no published snapshot) answer the
+// typed form of the HTTP 503; an epoch outside the window answers the
+// typed 404 carrying that window's range; any other error of answer is
+// a 400 with its text.
 func (s *Server) handle(req Msg) Msg {
-	switch r := req.(type) {
-	case InfoReq:
-		return InfoResp{Info: s.be.ClusterInfo()}
-	case HealthReq:
+	if _, ok := req.(HealthReq); ok {
 		h := s.be.Health()
 		return HealthResp{
 			Status: h.Status, Epoch: h.Epoch,
 			OldestEpoch: h.OldestEpoch, NewestEpoch: h.NewestEpoch,
 			Blocks: h.Blocks, DailyLen: h.DailyLen,
 		}
-	default:
-		x := s.be.Index()
-		if x == nil {
-			return ErrorResp{Code: http.StatusServiceUnavailable, Msg: wire.WarmingError}
+	}
+	win := s.be.Window()
+	if win.Len() == 0 {
+		return ErrorResp{Code: http.StatusServiceUnavailable, Msg: wire.WarmingError}
+	}
+	resp, err := s.answer(win, req)
+	var nr *history.NotRetainedError
+	switch {
+	case err == nil:
+		return resp
+	case errors.As(err, &nr):
+		return ErrorResp{
+			Code:        http.StatusNotFound,
+			Msg:         wire.ErrEpochNotRetained(nr.Asked, nr.Oldest, nr.Newest),
+			NotRetained: true,
+			Oldest:      nr.Oldest,
+			Newest:      nr.Newest,
 		}
-		return s.handleData(x, r)
 	}
+	return ErrorResp{Code: http.StatusBadRequest, Msg: err.Error()}
 }
 
-// notRetained builds the typed form of the not-retained 404 from the
-// ring's current range.
-func (s *Server) notRetained(asked uint64) Msg {
-	oldest, newest, _ := s.be.History().Range()
-	return ErrorResp{
-		Code:        http.StatusNotFound,
-		Msg:         wire.ErrEpochNotRetained(asked, oldest, newest),
-		NotRetained: true,
-		Oldest:      oldest,
-		Newest:      newest,
-	}
-}
-
-// resolve swaps x for the retained snapshot a non-zero request epoch
-// names (epoch 0 = the live snapshot); the second return is the typed
-// 404 on an unretained epoch.
-func (s *Server) resolve(x *query.Index, epoch uint64) (*query.Index, Msg) {
-	if epoch == 0 {
-		return x, nil
-	}
-	hx, ok := s.be.History().Get(epoch)
-	if !ok {
-		return nil, s.notRetained(epoch)
-	}
-	return hx, nil
-}
-
-func (s *Server) handleData(x *query.Index, req Msg) Msg {
+// answer computes one data request's response over win (not empty). A
+// point request's non-zero Epoch names a retained snapshot, zero the
+// live one.
+func (s *Server) answer(win history.Window, req Msg) (Msg, error) {
 	switch r := req.(type) {
 	case SummaryReq:
-		x, errMsg := s.resolve(x, r.Epoch)
-		if errMsg != nil {
-			return errMsg
+		x, err := win.At(r.Epoch)
+		if err != nil {
+			return nil, err
 		}
-		return SummaryResp{Epoch: x.Epoch(), Partial: x.SummaryPartial()}
+		return SummaryResp{Epoch: x.Epoch(), Partial: x.SummaryPartial()}, nil
 	case ASReq:
-		x, errMsg := s.resolve(x, r.Epoch)
-		if errMsg != nil {
-			return errMsg
+		x, err := win.At(r.Epoch)
+		if err != nil {
+			return nil, err
 		}
-		return ASResp{Epoch: x.Epoch(), Partial: x.ASPartial(bgp.ASN(r.ASN))}
+		return ASResp{Epoch: x.Epoch(), Partial: x.ASPartial(bgp.ASN(r.ASN))}, nil
 	case PrefixReq:
-		x, errMsg := s.resolve(x, r.Epoch)
-		if errMsg != nil {
-			return errMsg
+		x, err := win.At(r.Epoch)
+		if err != nil {
+			return nil, err
 		}
 		p, err := ipv4.ParsePrefix(r.Prefix)
 		if err != nil {
-			return ErrorResp{Code: http.StatusBadRequest, Msg: err.Error()}
+			return nil, err
 		}
 		partial, err := x.PrefixPartial(p, r.MaxBlocks)
 		if err != nil {
-			return ErrorResp{Code: http.StatusBadRequest, Msg: err.Error()}
+			return nil, err
 		}
-		return PrefixResp{Epoch: x.Epoch(), Partial: partial}
+		return PrefixResp{Epoch: x.Epoch(), Partial: partial}, nil
 	case AddrReq:
-		x, errMsg := s.resolve(x, r.Epoch)
-		if errMsg != nil {
-			return errMsg
+		x, err := win.At(r.Epoch)
+		if err != nil {
+			return nil, err
 		}
-		return AddrResp{Epoch: x.Epoch(), View: x.Addr(ipv4.Addr(r.Addr))}
+		return AddrResp{Epoch: x.Epoch(), View: x.Addr(ipv4.Addr(r.Addr))}, nil
 	case BlockReq:
-		x, errMsg := s.resolve(x, r.Epoch)
-		if errMsg != nil {
-			return errMsg
+		x, err := win.At(r.Epoch)
+		if err != nil {
+			return nil, err
 		}
 		v, ok := x.Block(ipv4.Block(r.Block))
-		return BlockResp{Epoch: x.Epoch(), Found: ok, View: v}
+		return BlockResp{Epoch: x.Epoch(), Found: ok, View: v}, nil
 	case DeltaReq:
-		ring := s.be.History()
 		if r.From >= r.To {
-			return ErrorResp{Code: http.StatusBadRequest, Msg: wire.ErrDeltaParams(
-				strconv.FormatUint(r.From, 10), strconv.FormatUint(r.To, 10))}
+			return nil, errors.New(wire.ErrDeltaParams(
+				strconv.FormatUint(r.From, 10), strconv.FormatUint(r.To, 10)))
 		}
-		// Probe from first, then to — the order the HTTP handler and the
-		// router both use, so every transport blames the same epoch.
-		for _, e := range [2]uint64{r.From, r.To} {
-			if _, ok := ring.Get(e); !ok {
-				return s.notRetained(e)
-			}
-		}
-		partial, ok, err := ring.Delta(r.From, r.To, r.MaxBlocks)
-		if !ok {
-			return s.notRetained(r.From)
-		}
+		partial, err := win.Delta(r.From, r.To, r.MaxBlocks)
 		if err != nil {
-			return ErrorResp{Code: http.StatusBadRequest, Msg: err.Error()}
+			return nil, err
 		}
-		oldest, newest, _ := ring.Range()
-		return DeltaResp{Oldest: oldest, Newest: newest, Partial: partial}
+		oldest, newest, _ := win.Range()
+		return DeltaResp{Oldest: oldest, Newest: newest, Partial: partial}, nil
 	case MovementReq:
-		ring := s.be.History()
-		oldest, newest, _ := ring.Range()
-		return MovementResp{Oldest: oldest, Newest: newest, Partial: ring.Movement(r.Last)}
+		oldest, newest, _ := win.Range()
+		return MovementResp{Oldest: oldest, Newest: newest, Partial: win.Movement(r.Last)}, nil
 	case BulkAddrReq:
+		x := win.Latest()
 		lo, hi, more := s.pageBounds(r.CurrIndex, len(r.Addrs))
 		resp := BulkAddrResp{Epoch: x.Epoch(), CurrIndex: lo, NextIndex: hi, More: more}
 		resp.Views = make([]query.AddrView, 0, hi-lo)
 		for _, a := range r.Addrs[lo:hi] {
 			resp.Views = append(resp.Views, x.Addr(ipv4.Addr(a)))
 		}
-		return resp
+		return resp, nil
 	}
-	return ErrorResp{Code: http.StatusBadRequest, Msg: "unexpected request kind"}
+	return nil, errors.New("unexpected request kind")
 }
 
 // pageBounds clamps a bulk request's CurrIndex to [0, n] and answers at

@@ -6,10 +6,12 @@
 // access-logged as structured JSON lines, and shutdown is graceful
 // (in-flight requests drain before Close returns).
 //
-// The server is epoch-aware: it holds an atomic pointer to the current
-// index snapshot, and Publish swaps in a new one without dropping
-// in-flight requests — a request uses whichever snapshot it loaded for
-// its whole lifetime. Cache keys carry the snapshot epoch, every cached
+// The server is epoch-aware: everything a request reads — the retained
+// snapshots, the partition coordinates, what is rendered once per epoch
+// — is one immutable value behind one atomic pointer. Publish swaps in a
+// new one without dropping in-flight requests, and a request loads it
+// exactly once: whatever it answers describes that one state, however
+// many publishes land while it runs. Cache keys carry the snapshot epoch, every cached
 // response body carries an "epoch" field, and every /v1/* lookup
 // endpoint serves an epoch-derived ETag with If-None-Match → 304
 // handling (healthz is exempt: its body mutates per request, so it
@@ -17,13 +19,13 @@
 // snapshot yet (live mode warming up) answers 503 with Retry-After
 // until the first Publish.
 //
-// Beyond the live snapshot, the server retains a bounded ring of
+// Beyond the live snapshot, the server retains a bounded window of
 // recent epochs (internal/history, Config.RetainEpochs): every lookup
 // endpoint accepts ?epoch=N to answer as of a retained epoch (an
 // unretained epoch 404s with the retained range in the body),
 // /v1/delta?from=&to= reports what changed between two retained
 // epochs, and /v1/movement?last=N serves the per-epoch totals series.
-// When an epoch falls out of the ring, its cache entries are evicted
+// When an epoch falls out of the window, its cache entries are evicted
 // eagerly — nothing can ever ask for them again.
 //
 // The /v1/* body and error contract itself — typed payloads, epoch
@@ -48,6 +50,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -101,35 +104,34 @@ type Config struct {
 
 // Server serves query.Index snapshots over HTTP.
 type Server struct {
-	idx     atomic.Pointer[query.Index]
-	shard   atomic.Pointer[wire.ShardInfo]
-	rpcAddr atomic.Pointer[string]
+	// pub is the published state, never nil. A request loads it once, on
+	// entry, and reads nothing else of the server that a publish changes.
+	pub     atomic.Pointer[published]
+	retain  int
 	cache   *Cache
-	ring    *history.Ring
 	handler http.Handler
-
-	// hot holds everything the live-epoch read path would otherwise
-	// compute per request: the epoch's pre-rendered ETag and the
-	// precomputed /v1/cluster/info body. It is rebuilt under pubMu on
-	// Publish/SetShard/SetRPCAddr — never on the request path — and nil
-	// while warming.
-	hot atomic.Pointer[hotState]
 
 	logger *accessLogger
 
-	// pubMu serializes Publish: the ring append and the eviction of the
-	// epochs it displaced must not interleave between publishers. It
-	// also guards hot recomputation so a slow SetShard cannot overwrite
-	// a newer epoch's hot state.
+	// pubMu serializes the writers of pub (Publish, SetShard,
+	// SetRPCAddr): each builds the next state from the current one, and
+	// the eviction of the epochs a publish displaced must not interleave
+	// with another publish.
 	pubMu sync.Mutex
 
 	lis Listener
 }
 
-// hotState is the publish-time precomputation for the live epoch.
-type hotState struct {
-	tag         EpochTag
-	clusterInfo []byte // pre-encoded /v1/cluster/info body
+// published is one state of the server: the retained snapshots and the
+// node's cluster identity, with what the read path would otherwise
+// compute per request rendered once from them. Immutable once stored.
+type published struct {
+	win     history.Window  // retained epochs, the live one last; empty while warming
+	shard   *wire.ShardInfo // nil on an unsharded server
+	rpcAddr string
+
+	tag  EpochTag // the live epoch's ETag (zero while warming)
+	info []byte   // the /v1/cluster/info body
 }
 
 // New creates a Server over idx. A nil idx starts the server in warming
@@ -140,19 +142,15 @@ func New(idx *query.Index, cfg Config) *Server {
 		size = DefaultCacheSize
 	}
 	s := &Server{
-		cache: NewCache(size),
-		ring:  history.New(cfg.RetainEpochs),
+		cache:  NewCache(size),
+		retain: cfg.RetainEpochs,
 	}
 	if cfg.AccessLog != nil {
 		s.logger = newAccessLogger(cfg.AccessLog, cfg.AccessLogQueue)
 	}
-	if cfg.Shard != nil {
-		s.shard.Store(cfg.Shard)
-	}
+	s.store(published{shard: cfg.Shard})
 	if idx != nil {
-		s.idx.Store(idx)
-		s.ring.Add(idx)
-		s.refreshHot(idx)
+		s.Publish(idx)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/addr/{ip}", s.cached(s.handleAddr))
@@ -174,21 +172,38 @@ func New(idx *query.Index, cfg Config) *Server {
 	return s
 }
 
+// store renders next's derived fields and publishes it (the caller
+// holds pubMu, or is New before the server is shared).
+func (s *Server) store(next published) {
+	if x := next.win.Latest(); x != nil {
+		next.tag = NewEpochTag(x.Epoch())
+	}
+	ci, err := json.Marshal(next.clusterInfo())
+	if err != nil {
+		ci = []byte(`{"error":"encoding failed"}`)
+	}
+	next.info = append(ci, '\n')
+	s.pub.Store(&next)
+}
+
 // SetShard publishes the server's partition coordinates after startup —
 // the live-shard path, where the owned range is only known once the
 // stream's meta event arrives and the partition plan can be computed.
 func (s *Server) SetShard(si wire.ShardInfo) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
-	s.shard.Store(&si)
-	s.refreshHot(s.idx.Load())
+	next := *s.pub.Load()
+	next.shard = &si
+	s.store(next)
 }
 
 // Shard returns the published partition coordinates, defaulting to the
 // one-shard cluster covering the whole block space.
-func (s *Server) Shard() wire.ShardInfo {
-	if si := s.shard.Load(); si != nil {
-		return *si
+func (s *Server) Shard() wire.ShardInfo { return s.pub.Load().shardInfo() }
+
+func (p *published) shardInfo() wire.ShardInfo {
+	if p.shard != nil {
+		return *p.shard
 	}
 	return wire.ShardInfo{Index: 0, Count: 1, Lo: 0, Hi: 1 << 24}
 }
@@ -199,63 +214,47 @@ func (s *Server) Shard() wire.ShardInfo {
 func (s *Server) SetRPCAddr(addr string) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
-	s.rpcAddr.Store(&addr)
-	s.refreshHot(s.idx.Load())
+	next := *s.pub.Load()
+	next.rpcAddr = addr
+	s.store(next)
 }
 
 // RPCAddr returns the advertised RPC endpoint ("" when RPC is not
 // enabled on this shard).
-func (s *Server) RPCAddr() string {
-	if a := s.rpcAddr.Load(); a != nil {
-		return *a
-	}
-	return ""
-}
+func (s *Server) RPCAddr() string { return s.pub.Load().rpcAddr }
 
-// Publish atomically swaps in a new index snapshot and retains it in
-// the history ring. In-flight requests keep the snapshot they loaded;
-// new requests (and their cache keys) use the new epoch immediately.
-// Epochs the ring evicts take their cache entries with them — nothing
-// can address an unretained epoch, so its responses are dead weight.
+// Publish atomically swaps in a new index snapshot, retained in the
+// history window. In-flight requests keep the state they loaded; new
+// requests (and their cache keys) use the new epoch immediately. Epochs
+// the window drops take their cache entries with them — nothing can
+// address an unretained epoch, so its responses are dead weight. The
+// epoch's /v1/summary body is rendered here and seeded straight into the
+// response cache, so even the first summary request after a swap is a
+// zero-allocation cache hit — and an ?epoch= time-travel request later
+// reuses the very same entry.
 func (s *Server) Publish(idx *query.Index) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
-	s.idx.Store(idx)
-	for _, epoch := range s.ring.Add(idx) {
+	next := *s.pub.Load()
+	var evicted []uint64
+	next.win, evicted = next.win.Add(idx, s.retain)
+	s.store(next)
+	for _, epoch := range evicted {
 		s.cache.EvictEpoch(epoch)
 	}
-	s.refreshHot(idx)
-}
-
-// refreshHot rebuilds the publish-time precomputation (caller holds
-// pubMu, or is New before the server is shared). The epoch's /v1/summary
-// body is rendered once here and seeded straight into the response
-// cache, so even the first summary request after a swap is a
-// zero-allocation cache hit — and an ?epoch= time-travel request later
-// reuses the very same entry.
-func (s *Server) refreshHot(idx *query.Index) {
-	if idx == nil {
-		s.hot.Store(nil)
-		return
-	}
-	epoch := idx.Epoch()
-	ci, err := json.Marshal(s.ClusterInfo())
-	if err != nil {
-		ci = []byte(`{"error":"encoding failed"}`)
-	}
-	s.hot.Store(&hotState{tag: NewEpochTag(epoch), clusterInfo: append(ci, '\n')})
 	var kb [24]byte
-	status, body := wire.Encode(http.StatusOK, idx.Summary(), epoch)
-	s.cache.Put(string(appendCacheKey(kb[:0], epoch, "/v1/summary")), Response{Status: status, Body: body})
+	status, body := wire.Encode(http.StatusOK, idx.Summary(), idx.Epoch())
+	s.cache.Put(string(appendCacheKey(kb[:0], idx.Epoch(), "/v1/summary")), Response{Status: status, Body: body})
 }
 
 // Index returns the currently published snapshot (nil while warming).
-func (s *Server) Index() *query.Index { return s.idx.Load() }
+func (s *Server) Index() *query.Index { return s.pub.Load().win.Latest() }
 
-// History returns the retained-snapshot ring, shared with the binary
-// RPC server so both transports answer time-travel, delta and movement
-// queries from identical inputs.
-func (s *Server) History() *history.Ring { return s.ring }
+// Window returns the published retained snapshots (empty while
+// warming). The binary RPC server answers from it, one load per request
+// like the handlers here, so both transports answer time-travel, delta
+// and movement queries from identical inputs.
+func (s *Server) Window() history.Window { return s.pub.Load().win }
 
 // Handler returns the HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.handler }
@@ -280,51 +279,83 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// live loads the published state for one request, answering the
+// canonical 503 itself while no snapshot is published yet.
+func (s *Server) live(w http.ResponseWriter) *published {
+	p := s.pub.Load()
+	if p.win.Len() == 0 {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write(wire.WarmingBody())
+		return nil
+	}
+	return p
+}
+
+// refuse answers a request p could not resolve: the 404 naming the
+// window an epoch is not retained in (no epoch splice), else a 400
+// stamped with the live epoch.
+func (p *published) refuse(w http.ResponseWriter, err error) {
+	var status int
+	var body []byte
+	var nr *history.NotRetainedError
+	if errors.As(err, &nr) {
+		status, body = http.StatusNotFound, wire.NotRetainedBody(nr.Asked, nr.Oldest, nr.Newest)
+	} else {
+		status, body = wire.Encode(http.StatusBadRequest, wire.ErrorBody{Error: err.Error()}, p.tag.Epoch)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// asOf returns the snapshot r reads and its ETag: the live one, or the
+// retained one ?epoch=N names — whose epoch-keyed cache entries are the
+// very ones cached back when that epoch was current, so a time-travel
+// response is byte-identical to the live response it once was. The live
+// epoch's ETag was rendered at publish time; only a time-travel request
+// pays the format call, and the RawQuery guard keeps url.Values parsing
+// (and its allocations) off the no-query fast path entirely.
+func (p *published) asOf(r *http.Request) (*query.Index, EpochTag, error) {
+	if r.URL.RawQuery == "" {
+		return p.win.Latest(), p.tag, nil
+	}
+	raw := r.URL.Query().Get("epoch")
+	if raw == "" {
+		return p.win.Latest(), p.tag, nil
+	}
+	e, err := wire.ParseEpoch(raw)
+	if err != nil {
+		return nil, EpochTag{}, err
+	}
+	x, err := p.win.Get(e)
+	if err != nil {
+		return nil, EpochTag{}, err
+	}
+	if e == p.tag.Epoch {
+		return x, p.tag, nil
+	}
+	return x, NewEpochTag(e), nil
+}
+
 // cached wraps a pure lookup in the LRU + single-flight cache, keyed by
 // (snapshot epoch, canonical request path): a Publish strands every
 // old-epoch entry without touching in-flight fills. The handler runs
-// against the snapshot loaded at entry, answers 503 while no snapshot
-// is published yet, and honours If-None-Match with the epoch ETag.
+// against the state loaded at entry and honours If-None-Match with the
+// epoch ETag.
 func (s *Server) cached(fn func(x *query.Index, r *http.Request) (int, any)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		x := s.idx.Load()
-		if x == nil {
-			writeWarming(w)
+		p := s.live(w)
+		if p == nil {
 			return
 		}
-		// ?epoch=N answers as of a retained snapshot. The epoch-keyed
-		// cache below then reuses the very entry cached back when that
-		// epoch was current — a time-travel response is byte-identical
-		// to the live response it once was. The RawQuery guard keeps
-		// url.Values parsing (and its allocations) off the no-query
-		// fast path entirely.
-		if r.URL.RawQuery != "" {
-			if raw := r.URL.Query().Get("epoch"); raw != "" {
-				e, err := wire.ParseEpoch(raw)
-				if err != nil {
-					status, body := wire.Encode(http.StatusBadRequest,
-						wire.ErrorBody{Error: err.Error()}, x.Epoch())
-					writeJSON(w, status, body)
-					return
-				}
-				hx, found := s.ring.Get(e)
-				if !found {
-					oldest, newest, _ := s.ring.Range()
-					writeJSON(w, http.StatusNotFound, wire.NotRetainedBody(e, oldest, newest))
-					return
-				}
-				x = hx
-			}
+		x, tag, err := p.asOf(r)
+		if err != nil {
+			p.refuse(w, err)
+			return
 		}
-		epoch := x.Epoch()
-		// The live epoch's ETag is precomputed at publish time; only
-		// time-travel requests pay the format call.
-		var tag EpochTag
-		if hot := s.hot.Load(); hot != nil && hot.tag.Epoch == epoch {
-			tag = hot.tag
-		} else {
-			tag = NewEpochTag(epoch)
-		}
+		epoch := tag.Epoch
 		s.cache.Serve(w, r, tag, func() (Response, bool) {
 			status, payload := fn(x, r)
 			status, body := wire.Encode(status, payload, epoch)
@@ -333,59 +364,32 @@ func (s *Server) cached(fn func(x *query.Index, r *http.Request) (int, any)) htt
 	}
 }
 
-// writeWarming answers the canonical 503 warming response.
-func writeWarming(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Retry-After", "1")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	w.Write(wire.WarmingBody())
-}
-
-// writeJSON writes pre-encoded body bytes with the JSON content type.
-func writeJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-// deltaSpan parses and resolves a delta request's from/to epochs against
-// the history ring, writing the 400/404 response itself on failure. The
-// retained check probes from first, then to — the router re-applies the
-// same order against the cluster-wide common range, so a routed 404
-// names the same epoch a single node would.
-func (s *Server) deltaSpan(w http.ResponseWriter, r *http.Request, cur *query.Index) (fx, tx *query.Index, ok bool) {
+// deltaSpan resolves a delta request's ?from=&to= against p's window,
+// answering the 400 or 404 itself.
+func (p *published) deltaSpan(w http.ResponseWriter, r *http.Request) (fx, tx *query.Index, ok bool) {
 	q := r.URL.Query()
 	from, to, err := wire.ParseDeltaSpan(q.Get("from"), q.Get("to"))
+	if err == nil {
+		fx, tx, err = p.win.Span(from, to)
+	}
 	if err != nil {
-		status, body := wire.Encode(http.StatusBadRequest,
-			wire.ErrorBody{Error: err.Error()}, cur.Epoch())
-		writeJSON(w, status, body)
+		p.refuse(w, err)
 		return nil, nil, false
 	}
-	oldest, newest, _ := s.ring.Range()
-	for _, e := range [2]uint64{from, to} {
-		if _, found := s.ring.Get(e); !found {
-			writeJSON(w, http.StatusNotFound, wire.NotRetainedBody(e, oldest, newest))
-			return nil, nil, false
-		}
-	}
-	fx, _ = s.ring.Get(from)
-	tx, _ = s.ring.Get(to)
 	return fx, tx, true
 }
 
 // handleDelta answers /v1/delta?from=E&to=E: what changed between two
 // retained epochs. The body is immutable while both epochs stay
 // retained, so it caches under the from epoch (from < to means from
-// falls out of the ring first and takes the entry with it) and the ETag
-// tracks the to epoch.
+// falls out of the window first and takes the entry with it) and the
+// ETag tracks the to epoch.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	x := s.idx.Load()
-	if x == nil {
-		writeWarming(w)
+	p := s.live(w)
+	if p == nil {
 		return
 	}
-	fx, tx, ok := s.deltaSpan(w, r, x)
+	fx, tx, ok := p.deltaSpan(w, r)
 	if !ok {
 		return
 	}
@@ -409,43 +413,41 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	Write(w, resp, hit)
 }
 
-// parseLast extracts the optional ?last=N window (0 = whole ring),
-// writing the 400 itself on a bad value.
-func (s *Server) parseLast(w http.ResponseWriter, r *http.Request, cur *query.Index) (last int, ok bool) {
+// last parses a movement request's optional ?last=N (0 = the whole
+// window), answering the 400 itself.
+func (p *published) last(w http.ResponseWriter, r *http.Request) (last int, ok bool) {
 	last, err := wire.ParseLast(r.URL.Query().Get("last"))
 	if err != nil {
-		status, body := wire.Encode(http.StatusBadRequest,
-			wire.ErrorBody{Error: err.Error()}, cur.Epoch())
-		writeJSON(w, status, body)
+		p.refuse(w, err)
 		return 0, false
 	}
 	return last, true
 }
 
 // handleMovement answers /v1/movement?last=N: the per-epoch totals
-// series over the retained ring. The body is a pure function of (ring
-// contents, last), so it caches under the ring's oldest epoch — any
-// eviction that could change the series also drops the entry.
+// series over the retained window. The body is a pure function of
+// (window, last), so it caches under the window's oldest epoch — any
+// eviction that could change the series also drops the entry — and its
+// epoch stamp, its newestEpoch and its ETag are all the live epoch of
+// the one state the request loaded.
 func (s *Server) handleMovement(w http.ResponseWriter, r *http.Request) {
-	x := s.idx.Load()
-	if x == nil {
-		writeWarming(w)
+	p := s.live(w)
+	if p == nil {
 		return
 	}
-	last, ok := s.parseLast(w, r, x)
+	last, ok := p.last(w, r)
 	if !ok {
 		return
 	}
-	oldest, newest, _ := s.ring.Range()
-	etag := wire.ETagFor(newest)
-	w.Header().Set("ETag", etag)
-	if wire.NotModified(r, etag) {
+	w.Header().Set("ETag", p.tag.ETag)
+	if wire.NotModified(r, p.tag.ETag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	oldest, newest, _ := p.win.Range()
 	key := fmt.Sprintf("%d:/v1/movement:%d:%d", oldest, newest, last)
 	resp, hit := s.cache.Do(key, func() (Response, bool) {
-		v, err := query.MergeMovementPartials([]query.MovementPartial{s.ring.Movement(last)})
+		v, err := query.MergeMovementPartials([]query.MovementPartial{p.win.Movement(last)})
 		if err != nil {
 			status, body := wire.Encode(http.StatusInternalServerError,
 				wire.ErrorBody{Error: err.Error()}, newest)
@@ -458,45 +460,43 @@ func (s *Server) handleMovement(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleClusterDelta serves this shard's mergeable delta partial plus
-// its retained ring range, which the router folds into the cluster-wide
-// common range. Uncached: the ring range in the body moves with every
+// its retained range, which the router folds into the cluster-wide
+// common range. Uncached: the range in the body moves with every
 // publish even while the span itself stays retained.
 func (s *Server) handleClusterDelta(w http.ResponseWriter, r *http.Request) {
-	x := s.idx.Load()
-	if x == nil {
-		writeWarming(w)
+	p := s.live(w)
+	if p == nil {
 		return
 	}
-	fx, tx, ok := s.deltaSpan(w, r, x)
+	fx, tx, ok := p.deltaSpan(w, r)
 	if !ok {
 		return
 	}
-	p, err := tx.DeltaPartial(fx, query.DefaultDeltaBlockList)
+	dp, err := tx.DeltaPartial(fx, query.DefaultDeltaBlockList)
 	if err != nil {
 		wire.Respond(w, r, http.StatusBadRequest, wire.ErrorBody{Error: err.Error()}, tx.Epoch())
 		return
 	}
-	oldest, newest, _ := s.ring.Range()
+	oldest, newest, _ := p.win.Range()
 	wire.Respond(w, r, http.StatusOK,
-		query.DeltaShardResponse{DeltaPartial: p, RingOldest: oldest, RingNewest: newest}, tx.Epoch())
+		query.DeltaShardResponse{DeltaPartial: dp, RingOldest: oldest, RingNewest: newest}, tx.Epoch())
 }
 
 // handleClusterMovement serves this shard's mergeable movement partial
-// plus its retained ring range. Uncached for the same reason as
+// plus its retained range. Uncached for the same reason as
 // handleClusterDelta.
 func (s *Server) handleClusterMovement(w http.ResponseWriter, r *http.Request) {
-	x := s.idx.Load()
-	if x == nil {
-		writeWarming(w)
+	p := s.live(w)
+	if p == nil {
 		return
 	}
-	last, ok := s.parseLast(w, r, x)
+	last, ok := p.last(w, r)
 	if !ok {
 		return
 	}
-	oldest, newest, _ := s.ring.Range()
+	oldest, newest, _ := p.win.Range()
 	wire.Respond(w, r, http.StatusOK,
-		query.MovementShardResponse{MovementPartial: s.ring.Movement(last), RingOldest: oldest, RingNewest: newest}, newest)
+		query.MovementShardResponse{MovementPartial: p.win.Movement(last), RingOldest: oldest, RingNewest: newest}, newest)
 }
 
 func (s *Server) handleAddr(x *query.Index, r *http.Request) (int, any) {
@@ -579,12 +579,12 @@ func (s *Server) handleClusterPrefix(x *query.Index, r *http.Request) (int, any)
 	return http.StatusOK, v
 }
 
-// ClusterInfo assembles the /v1/cluster/info body from the server's
-// current state. Exposed so the binary RPC server answers Info requests
-// with exactly the fields the HTTP endpoint serves.
-func (s *Server) ClusterInfo() wire.ClusterInfo {
-	body := wire.ClusterInfo{Status: "warming", ShardInfo: s.Shard(), RPCAddr: s.RPCAddr()}
-	if x := s.idx.Load(); x != nil {
+// ClusterInfo returns the /v1/cluster/info body of the current state.
+func (s *Server) ClusterInfo() wire.ClusterInfo { return s.pub.Load().clusterInfo() }
+
+func (p *published) clusterInfo() wire.ClusterInfo {
+	body := wire.ClusterInfo{Status: "warming", ShardInfo: p.shardInfo(), RPCAddr: p.rpcAddr}
+	if x := p.win.Latest(); x != nil {
 		body.Status = "ok"
 		body.Epoch = x.Epoch()
 		body.Blocks = x.NumBlocks()
@@ -592,49 +592,41 @@ func (s *Server) ClusterInfo() wire.ClusterInfo {
 			body.FirstActive = blocks[0].String()
 		}
 	}
-	if oldest, newest, ok := s.ring.Range(); ok {
-		body.OldestEpoch, body.NewestEpoch = oldest, newest
-	}
+	body.OldestEpoch, body.NewestEpoch, _ = p.win.Range()
 	return body
 }
 
 // handleClusterInfo answers even while warming (epoch 0), so a router
-// can learn the partition before the first publish. Once published, the
-// body is precomputed at publish/SetShard/SetRPCAddr time and written
-// as-is — byte-identical to the per-request marshal it replaces.
+// can learn the partition before the first publish. The body is rendered
+// whenever the state changes, never per request.
 func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
-	if hot := s.hot.Load(); hot != nil {
-		w.Header()["Content-Type"] = hdrJSON
-		w.Write(hot.clusterInfo)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.ClusterInfo())
+	w.Header()["Content-Type"] = hdrJSON
+	w.Write(s.pub.Load().info)
 }
 
-// Health assembles the /v1/healthz body from the server's current
-// state, shared with the binary RPC server's Health frames.
+// Health assembles the /v1/healthz body — epoch, retained range and
+// partition from one published state, beside the cache counters — shared
+// with the binary RPC server's Health frames.
 func (s *Server) Health() wire.Health {
+	p := s.pub.Load()
 	hits, misses, size := s.cache.Stats()
 	body := wire.Health{
 		Status:      "warming",
 		CacheHits:   hits,
 		CacheMisses: misses,
 		CacheSize:   size,
-		Partition:   s.shard.Load(),
+		Partition:   p.shard,
 	}
 	if s.logger != nil {
 		body.AccessLogDrops = s.logger.Drops()
 	}
-	if x := s.idx.Load(); x != nil {
+	if x := p.win.Latest(); x != nil {
 		body.Status = "ok"
 		body.Epoch = x.Epoch()
 		body.Blocks = x.NumBlocks()
 		body.DailyLen = x.DailyLen()
 	}
-	if oldest, newest, ok := s.ring.Range(); ok {
-		body.OldestEpoch, body.NewestEpoch = oldest, newest
-	}
+	body.OldestEpoch, body.NewestEpoch, _ = p.win.Range()
 	return body
 }
 

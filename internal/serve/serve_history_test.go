@@ -217,7 +217,7 @@ func TestMovementEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("movement: status %d", rec.Code)
 	}
-	v, err := query.MergeMovementPartials([]query.MovementPartial{srv.History().Movement(0)})
+	v, err := query.MergeMovementPartials([]query.MovementPartial{srv.Window().Movement(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
