@@ -734,6 +734,7 @@ func BenchmarkIndexApplyDay(b *testing.B) {
 	warm := events[:warmEnd]
 
 	b.Run("apply-day+publish", func(b *testing.B) {
+		b.ReportAllocs()
 		var a *query.Applier
 		next := len(held) // force a warmup on the first iteration
 		var blocks int

@@ -306,20 +306,25 @@ func ingestHeap(t *testing.T, events []obs.Event, capacity int) (retained uint64
 	after := measure()
 	runtime.KeepAlive(a)
 	runtime.KeepAlive(r)
+	// The stream was live at before; a caller done with it would let the
+	// collection at after free it, hiding a megabyte of retention.
+	runtime.KeepAlive(events)
 	if after <= before {
 		return 0, publishes
 	}
 	return after - before, publishes
 }
 
-// TestRingMemoryBounded is the boundedness proof the tentpole demands:
+// TestRingMemoryBounded is the boundedness proof for retention:
 // streaming the whole dataset through an applier that publishes every
-// day — far more than 3x the retention window — into a capacity-K ring
-// must cost a small multiple of the same ingest retaining only the live
-// epoch, because eviction releases displaced snapshots and clean-block
-// sharing keeps the retained ones from being full copies. An unbounded
-// ring (or one that leaked evicted snapshots) would retain every epoch
-// and blow far past the bound.
+// day — more than 3x the retention window — into a ring of the live
+// node's benchmark retention (8) must cost little more than the same
+// ingest retaining only the live epoch. Eviction releases displaced
+// snapshots, and a snapshot shares its blocks' timelines and day tails
+// with the applier (query's sharing rule), so a retained epoch costs its
+// block records, AS fold and summary, not a copy of the window. An
+// unbounded ring (or one that leaked evicted snapshots) would retain
+// every epoch and blow past the bound.
 func TestRingMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory measurement under -short")
@@ -331,20 +336,21 @@ func TestRingMemoryBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const capacity = 4
+	const capacity = 8
 	baseline, publishes := ingestHeap(t, events, 1)
 	if publishes < 3*capacity {
 		t.Fatalf("only %d publishes — stream too short to exercise %dx the retention window", publishes, 3)
 	}
 	retained, _ := ingestHeap(t, events, capacity)
 
-	// Headroom 3x: retaining 4 epochs with structural sharing must cost
-	// well under 4x one epoch; retaining all ~28 would cost far over.
+	// Measured 1.30x (2.16 MB against 1.66 MB: ≈ 72 KB an epoch); the
+	// bound gives 0.3x of headroom. Retaining all 28 epochs costs 2.2x,
+	// and a ring(8) whose epochs each hold a copy of their timelines 3.6x.
 	if baseline == 0 {
 		t.Skip("heap delta unmeasurable (GC noise)")
 	}
-	if retained > 3*baseline {
-		t.Fatalf("ring(%d) retained %d bytes after %d publishes; ring(1) retained %d — more than 3x, retention is not bounded",
+	if retained*10 > 16*baseline {
+		t.Fatalf("ring(%d) retained %d bytes after %d publishes; ring(1) retained %d — more than 1.6x, retention is not bounded",
 			capacity, retained, publishes, baseline)
 	}
 	t.Logf("ring(1): %d bytes, ring(%d): %d bytes over %d publishes", baseline, capacity, retained, publishes)

@@ -26,11 +26,12 @@ import (
 // Incrementality is what makes a publish far cheaper than a rebuild
 // (BenchmarkIndexApplyDay): per-block accumulators absorb each day in
 // O(active addresses), dataset-level unions and churn/summary counters
-// advance per event, and Snapshot only materializes blocks whose
-// accumulators changed since the previous epoch — every clean block's
-// packed timeline is shared with the prior snapshot. Summary, recapture
-// and churn assembly are recomputed per epoch (fanned out across
-// internal/par), never on the serving request path.
+// advance per event, and Snapshot copies no timeline — every snapshot
+// shares the accumulators' arrays and reads only the words no later day
+// can touch (the sharing rule, timeline.go) — and recompiles only the
+// records of blocks whose accumulators changed since the previous epoch.
+// Summary, recapture and churn assembly are recomputed per epoch (fanned
+// out across internal/par), never on the serving request path.
 //
 // Stream contract: events must arrive in emission order — MetaEvent
 // first, then day/week/ICMP events with strictly sequential indices
@@ -50,6 +51,10 @@ type Applier struct {
 	tags      *rdns.TagIndex
 	asBase    []ASView // see asTable: every snapshot's AS fold starts from it
 	fullWords int      // timeline words for the full daily window
+	// window is the number of days the applier can hold: the run's daily
+	// window, or the days fill loaded, since Build applies none after it.
+	// Once days reaches it, every timeline word is sealed.
+	window int
 
 	days, weeks, scans int
 
@@ -68,7 +73,10 @@ type Applier struct {
 	// Weekly snapshots are not in the daily window's timelines at all:
 	// the first and the newest payload (the long-term churn pair) and the
 	// running union are kept; the ones between are never read again.
+	// weekLastAppear is |weekLast \ week0|, counted when a week arrives
+	// rather than at every publish.
 	week0, weekLast *ipv4.Set
+	weekLastAppear  int
 	yearUnion       *ipv4.Set
 
 	icmpUnion *ipv4.Set // immutable: replaced (not mutated) per scan
@@ -102,10 +110,11 @@ type Applier struct {
 // event on a live node, in one pass per block under Build's fill.
 type blockAcc struct {
 	name string // the block's rendered form, once: every compiled view carries it
-	// timelines is 256 packed day-bitsets at the full window width;
-	// snapshots copy out the leading words their window needs, and share
-	// the array once the window is closed.
+	// timelines is 256 packed day-bitsets at the full window width, and
+	// tail the days of the word a publish may find open. Every snapshot
+	// shares both (the sharing rule, timeline.go).
 	timelines  []uint64
+	tail       dayTail
 	union      ipv4.Bitmap256
 	activeDays int
 	addrDays   int
@@ -117,12 +126,10 @@ type blockAcc struct {
 	// cross-shard HLL union.
 	ua *obs.UAStat
 	e  enrichment
-	// bd is the record last compiled for a snapshot, at bdWords timeline
-	// words per host; a publish reuses it unless the block is dirty or
-	// the window has crossed a 64-day word boundary since.
-	bd      blockData
-	bdWords int
-	dirty   bool
+	// view is the block's view as last compiled for a snapshot; a publish
+	// reuses it unless the block is dirty.
+	view  BlockView
+	dirty bool
 }
 
 // NewApplier returns an empty Applier. opts.Workers bounds the publish
@@ -173,6 +180,7 @@ func (a *Applier) Observe(e obs.Event) error {
 			a.week0 = ev.Active
 		}
 		a.weekLast = ev.Active
+		a.weekLastAppear = ev.Active.DiffCount(a.week0)
 		a.weeks++
 		a.yearUnion.UnionWith(ev.Active)
 		a.wSum.observe(ev.Active, a.world.ASOf)
@@ -198,6 +206,7 @@ func (a *Applier) applyMeta(ev obs.MetaEvent) error {
 	a.tags = classifyWorld(a.world, a.opts.Workers, a.opts.Keep)
 	a.asBase = asTable(a.world)
 	a.fullWords = (ev.Meta.Run.DailyLen + 63) / 64
+	a.window = ev.Meta.Run.DailyLen
 	a.accs = make(map[ipv4.Block]*blockAcc)
 	a.yearUnion = ipv4.NewSet()
 	a.icmpUnion = ipv4.NewSet()
@@ -208,8 +217,8 @@ func (a *Applier) applyDay(ev obs.DayEvent) error {
 	if ev.Index != a.days {
 		return fmt.Errorf("query: day event %d out of order (want %d)", ev.Index, a.days)
 	}
-	if n := a.meta.Run.DailyLen; ev.Index >= n {
-		return fmt.Errorf("query: day event %d outside window of %d days", ev.Index, n)
+	if ev.Index >= a.window {
+		return fmt.Errorf("query: day event %d outside window of %d days", ev.Index, a.window)
 	}
 	// Churn transition against the previous day, in arrival order: the
 	// appended integers are the exact inputs ChurnSeries would compute.
@@ -228,6 +237,7 @@ func (a *Applier) applyDay(ev obs.DayEvent) error {
 			fresh = append(fresh, blk)
 		}
 		a.dSum.UnionIPs += acc.addDay(day, bm, a.fullWords)
+		acc.tail.push(day, bm, a.window)
 	})
 	if len(fresh) > 0 {
 		a.keys = append(slices.Clip(a.keys), fresh...)
@@ -363,13 +373,20 @@ func (a *Applier) Snapshot() (*Index, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("query: snapshot with no applied days")
 	}
-	w := (n + 63) / 64
+	// The open word is the one the next day writes, if it is also one
+	// this snapshot reads.
+	open := -1
+	if n%64 != 0 && n < a.window {
+		open = n / 64
+	}
 	x := &Index{
 		epoch:   a.epoch + 1,
 		meta:    metaInfo{seed: a.world.Seed, numASes: len(a.world.ASes)},
 		obsMeta: a.meta,
 		days:    n,
-		words:   w,
+		words:   (n + 63) / 64,
+		stride:  a.fullWords,
+		open:    open,
 		routing: a.world.BaseRouting,
 		world:   a.world,
 		tags:    a.tags,
@@ -380,18 +397,19 @@ func (a *Applier) Snapshot() (*Index, error) {
 		keys:    a.keys,
 	}
 
-	// A clean block reuses its last compiled record (the packed timelines
-	// are immutable once published) unless the window crossed a 64-day
-	// word boundary, which changes every timeline's layout. Each worker
-	// writes only the accumulators of its own keys.
-	closed := n == a.meta.Run.DailyLen
+	// Every record shares its block's timelines and, when the tail holds
+	// the open word, the tail's days as they stand. A clean block reuses
+	// its last compiled view. Each worker writes only the accumulators of
+	// its own keys.
 	x.blocks = par.Map(len(x.keys), a.opts.Workers, func(i int) blockData {
-		blk := x.keys[i]
-		acc := a.accs[blk]
-		if acc.dirty || acc.bdWords != w {
-			acc.bd, acc.bdWords, acc.dirty = acc.compile(blk, w, a.fullWords, closed), w, false
+		acc := a.accs[x.keys[i]]
+		if acc.dirty {
+			acc.view, acc.dirty = acc.compile(), false
 		}
-		bd := acc.bd
+		bd := blockData{view: acc.view, blk: x.keys[i], timelines: acc.timelines, traffic: acc.traffic}
+		if acc.tail.word == open {
+			bd.tail = acc.tail.days
+		}
 		// The one field that depends on the window length alone.
 		bd.view.STU = float64(acc.addrDays) / float64(n*256)
 		return bd
@@ -410,39 +428,20 @@ func (a *Applier) Snapshot() (*Index, error) {
 	return x, nil
 }
 
-// compile materializes one block's immutable record from its
-// accumulator: the only reader of a block's days, under Build and a live
-// publish alike (Snapshot sets STU, whose denominator moves every day).
-// Once the daily window is closed no day can be applied any more, so the
-// record shares the accumulator's timelines instead of copying them —
-// which is every block of a Build over a whole window.
-func (acc *blockAcc) compile(blk ipv4.Block, w, fullWords int, closed bool) blockData {
-	bd := blockData{blk: blk}
-	switch {
-	case closed:
-		bd.timelines = acc.timelines
-	case w == fullWords:
-		bd.timelines = slices.Clone(acc.timelines)
-	default:
-		bd.timelines = make([]uint64, 256*w)
-		for h := 0; h < 256; h++ {
-			copy(bd.timelines[h*w:(h+1)*w], acc.timelines[h*fullWords:h*fullWords+w])
-		}
-	}
-	v := &bd.view
-	v.Block = acc.name
-	v.FD = acc.union.Count()
-	v.ActiveDays = acc.activeDays
+// compile renders one block's view from its accumulator, under Build and
+// a live publish alike (Snapshot sets STU, whose denominator moves every
+// day).
+func (acc *blockAcc) compile() BlockView {
+	v := BlockView{Block: acc.name, FD: acc.union.Count(), ActiveDays: acc.activeDays}
 	if acc.traffic != nil {
-		bd.traffic = acc.traffic
 		v.TotalHits = acc.totalHits
 	}
 	if acc.ua != nil {
 		v.UASamples = acc.ua.Samples
 		v.UAUnique = acc.ua.Unique()
 	}
-	acc.e.enrich(v)
-	return bd
+	acc.e.enrich(&v)
+	return v
 }
 
 // assembleSummary fills x.partial and x.summary from the running
@@ -483,8 +482,7 @@ func (a *Applier) assembleSummary(x *Index, n int) {
 	}
 
 	if a.weeks > 0 {
-		p.WeekBase = a.week0.Len()
-		p.WeekLastAppear = a.weekLast.DiffCount(a.week0)
+		p.WeekBase, p.WeekLastAppear = a.week0.Len(), a.weekLastAppear
 	}
 
 	// The fold set is exactly the blocks whose stats carried a UA payload,

@@ -74,7 +74,9 @@ func (a *Applier) fill(d *obs.Data) {
 		}
 	}
 
-	a.days = n
+	// Build applies no day after the fill, so its window closes here:
+	// every word is sealed and no block needs a day tail.
+	a.days, a.window = n, n
 	a.lastDay = d.Daily[n-1]
 	a.dayLens = make([]int, n)
 	for i, s := range d.Daily {
@@ -102,6 +104,7 @@ func (a *Applier) fill(d *obs.Data) {
 	}
 	if a.weeks = len(weekly); a.weeks > 0 {
 		a.week0, a.weekLast = weekly[0], weekly[a.weeks-1]
+		a.weekLastAppear = a.weekLast.DiffCount(a.week0)
 	}
 	a.yearUnion = ipv4.UnionAll(weekly, w)
 	for _, s := range weekly {

@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,15 +18,22 @@ import (
 // window: long enough to cross the 64-day timeline word boundary, with
 // weekly snapshots and the ICMP campaign inside the window.
 func liveEvents(t *testing.T) []obs.Event {
+	events, _ := liveRun(t)
+	return events
+}
+
+// liveRun is liveEvents plus the run's dataset, for Build references.
+func liveRun(t *testing.T) ([]obs.Event, *obs.Data) {
 	t.Helper()
 	cfg := sim.TinyConfig()
 	cfg.Days, cfg.DailyStart, cfg.DailyLen = 98, 14, 70
 	var events []obs.Event
 	rec := obs.SinkFunc(func(e obs.Event) error { events = append(events, e); return nil })
-	if _, err := sim.RunTo(synthnet.Generate(synthnet.TinyConfig()), cfg, rec); err != nil {
+	res, err := sim.RunTo(synthnet.Generate(synthnet.TinyConfig()), cfg, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return events
+	return events, &res.Data
 }
 
 // driveLive feeds events to a the way the serving loop does — publish
@@ -114,20 +122,36 @@ func TestCheckpointFileEqualsEncode(t *testing.T) {
 }
 
 // TestWriteTimelinesPortable pins that the conversion path a big-endian
-// host takes emits the same bytes as the little-endian byte view.
+// host takes emits the same bytes as the little-endian one, for a
+// closed index (a byte view) and for a live one two days past the seal
+// of word 0 (repacked, its open word transposed from the tails).
 func TestWriteTimelinesPortable(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("the byte view is only valid on a little-endian host")
 	}
-	x := testIndex(t)
-	var view, converted bytes.Buffer
-	writeTimelines(&snapWriter{w: &view}, x, true)
-	writeTimelines(&snapWriter{w: &converted}, x, false)
-	if view.Len() != 8*len(x.keys)*256*x.words {
-		t.Fatalf("timeline section is %d bytes, want %d", view.Len(), 8*len(x.keys)*256*x.words)
+	a := NewApplier(Options{})
+	for _, e := range liveEvents(t) {
+		if err := a.Observe(e); err != nil {
+			t.Fatal(err)
+		}
+		if a.Days() == 66 {
+			break
+		}
 	}
-	if !bytes.Equal(view.Bytes(), converted.Bytes()) {
-		t.Error("converted timelines differ from the byte view")
+	live, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, x := range map[string]*Index{"closed": testIndex(t), "live": live} {
+		var view, converted bytes.Buffer
+		writeTimelines(&snapWriter{w: &view}, x, true)
+		writeTimelines(&snapWriter{w: &converted}, x, false)
+		if view.Len() != 8*len(x.keys)*256*x.words {
+			t.Fatalf("%s: timeline section is %d bytes, want %d", name, view.Len(), 8*len(x.keys)*256*x.words)
+		}
+		if !bytes.Equal(view.Bytes(), converted.Bytes()) {
+			t.Errorf("%s: converted timelines differ from the native ones", name)
+		}
 	}
 }
 
@@ -137,7 +161,10 @@ func TestWriteTimelinesPortable(t *testing.T) {
 // week and an ICMP scan (which mutate the weekly union and the
 // capture–recapture window in place), and resuming from the file
 // continues to the same final index. Run under -race, the concurrent
-// write also proves the capture shares no mutable state.
+// write also proves the capture shares no mutable state. The same holds
+// for captures at epochs 63, 64 and 65, on both sides of the seal of
+// timeline word 0: a resume at 63 rebuilds a 63-day tail, one at 64
+// none, one at 65 the one-day tail of word 1.
 func TestCheckpointImmutable(t *testing.T) {
 	events := liveEvents(t)
 	dir := t.TempDir()
@@ -156,65 +183,83 @@ func TestCheckpointImmutable(t *testing.T) {
 		return
 	}
 
-	var (
+	type capture struct {
+		name    string
 		cp      *Checkpoint
 		want    []byte
 		rest    []obs.Event
-		written = make(chan error, 1)
-	)
+		written chan error
+	}
 	a := NewApplier(Options{})
-	ref := driveLive(t, a, events, func(next int) {
-		if cp != nil || a.weeks == 0 || a.scans == 0 {
-			return
-		}
-		if day, week, scan := has(events[next:]); !day || !week || !scan {
-			return
-		}
+	var caps []*capture
+	take := func(name string, next int) {
+		c := &capture{name: name, rest: events[next:], written: make(chan error, 1)}
 		var err error
-		if want, err = a.EncodeCheckpoint(nil); err != nil {
+		if c.want, err = a.EncodeCheckpoint(nil); err != nil {
 			t.Fatal(err)
 		}
-		if cp, err = a.Checkpoint(nil); err != nil {
+		if c.cp, err = a.Checkpoint(nil); err != nil {
 			t.Fatal(err)
 		}
-		rest = events[next:]
+		caps = append(caps, c)
 		go func() {
-			_, err := cp.WriteFile(filepath.Join(dir, "concurrent.ipsnap"))
-			written <- err
+			_, err := c.cp.WriteFile(filepath.Join(dir, c.name+"-concurrent.ipsnap"))
+			c.written <- err
 		}()
+	}
+	mixed := false
+	ref := driveLive(t, a, events, func(next int) {
+		if e := a.Epoch(); e == 63 || e == 64 || e == 65 {
+			take(fmt.Sprintf("epoch-%d", e), next)
+		}
+		if mixed || a.weeks == 0 || a.scans == 0 {
+			return
+		}
+		if day, week, scan := has(events[next:]); day && week && scan {
+			mixed = true
+			take("mixed", next)
+		}
 	})
-	if cp == nil {
+	if !mixed {
 		t.Fatal("no epoch with weeks, scans and a day, a week and a scan still to come")
 	}
-	if err := <-written; err != nil {
-		t.Fatal(err)
+	if len(caps) != 4 {
+		t.Fatalf("%d captures, want 4", len(caps))
 	}
-	if !bytes.Equal(readFile(t, filepath.Join(dir, "concurrent.ipsnap")), want) {
-		t.Error("file written while the applier advanced differs from the capture epoch's EncodeCheckpoint")
-	}
-	late := filepath.Join(dir, "late.ipsnap")
-	if _, err := cp.WriteFile(late); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(readFile(t, late), want) {
-		t.Error("file written after the applier advanced differs from the capture epoch's EncodeCheckpoint")
-	}
+	for _, c := range caps {
+		if err := <-c.written; err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readFile(t, filepath.Join(dir, c.name+"-concurrent.ipsnap")), c.want) {
+			t.Errorf("%s: file written while the applier advanced differs from the capture epoch's EncodeCheckpoint", c.name)
+		}
+		late := filepath.Join(dir, c.name+"-late.ipsnap")
+		if _, err := c.cp.WriteFile(late); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readFile(t, late), c.want) {
+			t.Errorf("%s: file written after the applier advanced differs from the capture epoch's EncodeCheckpoint", c.name)
+		}
 
-	l, err := LoadSnapshotFile(late, LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	b, _, err := l.ResumeApplier(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := driveLive(t, b, rest, nil)
-	if resumed.Epoch() != ref.Epoch() {
-		t.Errorf("epochs diverge: resumed %d, uninterrupted %d", resumed.Epoch(), ref.Epoch())
-	}
-	if !bytes.Equal(marshalIndex(t, resumed), marshalIndex(t, ref)) {
-		t.Error("index resumed from the streamed checkpoint differs from the uninterrupted applier's")
+		l, err := LoadSnapshotFile(late, LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := l.ResumeApplier(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed := driveLive(t, b, c.rest, nil)
+		if resumed.Epoch() != ref.Epoch() {
+			t.Errorf("%s: epochs diverge: resumed %d, uninterrupted %d", c.name, resumed.Epoch(), ref.Epoch())
+		}
+		if !bytes.Equal(marshalIndex(t, resumed), marshalIndex(t, ref)) {
+			t.Errorf("%s: index resumed from the streamed checkpoint differs from the uninterrupted applier's", c.name)
+		}
+		if !bytes.Equal(EncodeSnapshot(resumed, nil), EncodeSnapshot(ref, nil)) {
+			t.Errorf("%s: resumed index encodes differently from the uninterrupted applier's", c.name)
+		}
+		l.Close()
 	}
 }
 

@@ -122,11 +122,17 @@ func (p *SeriesPartial) finalize() cdnlog.DatasetSummary {
 	return out
 }
 
+// clone copies the outer per-snapshot slice only. An AS set is never
+// written once made — observe appends a new one, merge replaces them —
+// so clones share the sets. An empty set clones to nil, as it always
+// has: the wire encoding tells nil from empty.
 func (p *SeriesPartial) clone() SeriesPartial {
 	out := *p
 	out.SnapASes = make([][]uint32, len(p.SnapASes))
 	for i, s := range p.SnapASes {
-		out.SnapASes[i] = append([]uint32(nil), s...)
+		if len(s) > 0 {
+			out.SnapASes[i] = s
+		}
 	}
 	return out
 }

@@ -76,6 +76,13 @@ type Index struct {
 	icmp    *ipv4.Set
 	servers *ipv4.Set
 	routers *ipv4.Set
+
+	// stride is the words a host's timeline takes in a block's array: the
+	// full window width when an Applier published the index, words when
+	// it was loaded. open is the timeline word read from the blocks' day
+	// tails, because the applier may still write it in the arrays, or -1
+	// when every word is sealed (the sharing rule, timeline.go).
+	stride, open int
 }
 
 type metaInfo struct {
@@ -88,10 +95,13 @@ type metaInfo struct {
 type blockData struct {
 	view BlockView
 	blk  ipv4.Block
-	// timelines holds 256 packed day-bitsets, words uint64 each:
-	// bit d of timelines[h*words+d/64] is set iff host h was active on
-	// day d of the daily window.
+	// timelines holds 256 packed day-bitsets, stride uint64 each: bit d
+	// of timelines[h*stride+d/64] is set iff host h was active on day d
+	// of the daily window. Read them through Index.timeline: only the
+	// index's sealed words are the snapshot's, and tail holds the days of
+	// its open word.
 	timelines []uint64
+	tail      tailDays
 	// hits/daysActive are shared with the dataset (never mutated).
 	traffic *blockTraffic
 }
@@ -348,7 +358,8 @@ func (x *Index) Addr(a ipv4.Addr) AddrView {
 	}
 	bd := &x.blocks[i]
 	h := int(a.Host())
-	tl := bd.timelines[h*x.words : (h+1)*x.words]
+	var buf [8]uint64
+	tl := x.timeline(buf[:0], bd, h, nil)
 	days := 0
 	for _, w := range tl {
 		days += bits.OnesCount64(w)

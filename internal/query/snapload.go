@@ -318,6 +318,8 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		obsMeta: meta,
 		days:    info.days,
 		words:   info.words,
+		stride:  info.words,
+		open:    -1,
 		keys:    keys,
 		routing: world.BaseRouting,
 		world:   world,
@@ -611,6 +613,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 	a.tags = x.tags
 	a.asBase = x.asBase
 	a.fullWords = (l.meta.Run.DailyLen + 63) / 64
+	a.window = l.meta.Run.DailyLen
 	if x.days > l.meta.Run.DailyLen {
 		return nil, obs.SkipCounts{}, snapErr("days %d exceed daily window %d", x.days, l.meta.Run.DailyLen)
 	}
@@ -626,8 +629,10 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 	// d of host h's timeline says h was active on day d, which is exactly
 	// the information applyDay folded in. beyond masks the bits of a
 	// timeline's last word that lie past the window (none when the shift
-	// is the whole word).
+	// is the whole word). A mid-word checkpoint's open word goes on taking
+	// days, so each block gets back the tail a live applier holds.
 	beyond := ^uint64(0) << uint(x.days-(x.words-1)*64)
+	midWord := x.days%64 != 0 && x.days < a.window
 	dayMask := make([]uint64, x.words)
 	for i, blk := range x.keys {
 		bd := &x.blocks[i]
@@ -637,8 +642,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 			traffic:   bd.traffic,
 			totalHits: bd.view.TotalHits, // read only beside traffic
 			e:         join(x.routing, x.world, x.tags, blk),
-			bd:        *bd,
-			bdWords:   x.words,
+			view:      bd.view,
 		}
 		clear(dayMask)
 		for h := 0; h < 256; h++ {
@@ -664,6 +668,9 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 		for _, wv := range dayMask {
 			acc.activeDays += bits.OnesCount64(wv)
 		}
+		if midWord {
+			acc.tail = tailFrom(acc.timelines, a.fullWords, x.words-1, x.days, a.window)
+		}
 		a.accs[blk] = acc
 	}
 	// The one daily set the next event reads: the newest day's, for its
@@ -674,7 +681,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 	a.icmpUnion = x.icmp
 	a.dSum, a.wSum = p.Daily.clone(), p.Weekly.clone()
 	a.yearUnion = r.yearUnion.Clone()
-	a.week0, a.weekLast = r.week0, r.weekLast
+	a.week0, a.weekLast, a.weekLastAppear = r.week0, r.weekLast, p.WeekLastAppear
 	if r.scans > 0 {
 		a.cdnFrom, a.cdnTo = r.cdnFrom, r.cdnTo
 		a.cdn = r.cdn.Clone()

@@ -280,14 +280,32 @@ func (s *snapWriter) padTo(off int) {
 	s.write(zero[:off-s.n])
 }
 
-// writeTimelines streams every block's 256 day-bitsets back to back:
-// the zero-copy section. A block's words are already the section's
-// bytes on a little-endian host (native), so they are written as a byte
-// view; elsewhere each block is converted through one reused buffer.
+// writeTimelines streams every block's 256 day-bitsets back to back,
+// x.words words each. When the index's array is exactly that (a closed
+// window or a loaded index), a block's words are already the section's
+// bytes on a little-endian host (native) and are written as a byte view.
+// Otherwise — an index an applier shares its array with — each block is
+// first repacked through one reused buffer, with its open word
+// transposed out of the day tail. Off little-endian hosts the words are
+// converted through a second one.
 func writeTimelines(sw *snapWriter, x *Index, native bool) {
+	var packed []uint64
 	var scratch []byte
 	for i := range x.blocks {
-		t := x.blocks[i].timelines
+		bd := &x.blocks[i]
+		t := bd.timelines
+		if x.stride != x.words || x.open >= 0 {
+			var open *[256]uint64
+			if x.open >= 0 {
+				words := bd.tail.words()
+				open = &words
+			}
+			packed = packed[:0]
+			for h := 0; h < 256; h++ {
+				packed = x.timeline(packed, bd, h, open)
+			}
+			t = packed
+		}
 		if len(t) == 0 {
 			continue
 		}
