@@ -5,9 +5,10 @@ STATICCHECK_VERSION = 2024.1.1
 # One directory for every smoke target: the binaries, built once, and a
 # workspace per smoke under it.
 SMOKE_DIR ?= .smoke
-SMOKE_FLAGS = -seed 5 -ases 24 -blocks-per-as 6 -days 56
-SCRIPTED = history-smoke cluster-smoke snapshot-smoke loadgen-smoke chaos-smoke
-SMOKES = pipeline-smoke $(SCRIPTED) rpc-smoke
+# The smoke world: ipscope-loadgen takes SMOKE_WORLD, the rest SMOKE_FLAGS.
+SMOKE_WORLD = -seed 5 -ases 24 -blocks-per-as 6
+SMOKE_FLAGS = $(SMOKE_WORLD) -days 56
+SMOKES = pipeline-smoke fleet-smoke
 
 .PHONY: all build vet vet-386 fmt-check lint test bench-harness race bench bench-smoke fuzz-smoke smoke-bin $(SMOKES) ci
 
@@ -70,25 +71,11 @@ smoke-bin:
 	mkdir -p $(SMOKE_DIR)
 	$(GO) build -o $(SMOKE_DIR)/ ./cmd/...
 
-# The end-to-end smokes over real processes. Each script says what it
-# asserts; in one line:
-#   history   live -obs-listen stream: epoch advances mid-stream, ?epoch=
-#             time travel is byte-exact, /v1/delta across a swap, final
-#             summary = batch -dump-summary, evicted epoch 404s
-#   cluster   2 shards + router: routed summary = single-node summary; a
-#             dead shard degrades only its blocks (rpc-smoke: the same
-#             over -rpc-listen / -transport rpc)
-#   snapshot  save -> verify -> load round trip; kill -9'd live shard
-#             resumes from its -snapshot-dir and the cluster converges
-#   loadgen   the same seeded workload against one node and a cluster:
-#             same hash, zero hard errors, warm caches; SLO table
-#   chaos     R=2 fleet, one replica of each range kill -9'd under load:
-#             zero hard errors, re-admission on restart
-$(SCRIPTED): %-smoke: smoke-bin
-	sh scripts/$*_smoke.sh $(SMOKE_DIR)
-
-rpc-smoke: smoke-bin
-	sh scripts/cluster_smoke.sh $(SMOKE_DIR) rpc
+# The serving fleet over real processes: 2 ranges x 2 live replicas +
+# router, kill -9 and resume, loadgen (SLO table), re-admission. It
+# checks what only a process shows; the Go tests hold the answers.
+fleet-smoke: smoke-bin
+	sh scripts/fleet_smoke.sh $(SMOKE_DIR) "$(SMOKE_WORLD)" "$(SMOKE_FLAGS)"
 
 # The observation pipeline: gen streams a dataset over a pipe into
 # collect, collect persists it canonically, report analyzes the store —

@@ -873,8 +873,8 @@ func BenchmarkClassifyWorld(b *testing.B) {
 // serving index from an on-disk snapshot ("load", the mmap path — cost
 // O(sections), not O(addresses)) against compiling it from the dataset
 // ("build", what a snapshot-less restart pays). The two sub-benchmarks
-// share one world so their ratio is the cold-start speedup; the
-// snapshot-smoke acceptance floor is 10x.
+// share one world so their ratio is the cold-start speedup, which is
+// reported here and not gated anywhere.
 func BenchmarkColdStart(b *testing.B) {
 	ctx := benchContext(b)
 	idx, err := query.Build(ctx.Obs, query.Options{})

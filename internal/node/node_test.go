@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -752,12 +753,34 @@ func probe(t *testing.T, n *Node) {
 	}
 }
 
+// epochSplice is the epoch field every served body carries: two
+// processes at different epochs, or a node and its summary dump, agree on
+// the rest of the bytes.
+var epochSplice = regexp.MustCompile(`"epoch":\d+,?`)
+
+// getSpliced GETs url and returns the status and the body with its epoch
+// field removed.
+func getSpliced(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	return resp.StatusCode, epochSplice.ReplaceAllString(string(body), "")
+}
+
 // TestServeBatch pins the batch node: Start over a dataset file —
 // unsharded, and one shard of two decoding only its slice — and over the
 // snapshot that shard saved serves, at epoch 1, exactly the index
 // query.Build gives over the reference dataset, with its partition
 // identity advertised, behind the same listeners and the same shutdown
-// as a live node.
+// as a live node. Its /v1/summary is, epoch aside, byte for byte what
+// DumpSummary (ipscope-serve -dump-summary) prints for the same Config.
 func TestServeBatch(t *testing.T) {
 	ds, dir := world(t, 1), t.TempDir()
 	file, saved := filepath.Join(dir, "world.obs"), filepath.Join(dir, "shard1.ipsnap")
@@ -791,6 +814,13 @@ func TestServeBatch(t *testing.T) {
 				}
 			}
 			probe(t, n)
+			var dump bytes.Buffer
+			if err := DumpSummary(tc.cfg, &dump); err != nil {
+				t.Fatal(err)
+			}
+			if _, got := getSpliced(t, "http://"+n.Addr().String()+"/v1/summary"); got != dump.String() {
+				t.Errorf("/v1/summary, epoch aside:\n%s\nthe summary dump:\n%s", got, dump.String())
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			if err := n.Run(ctx); err != nil {
