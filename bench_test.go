@@ -888,6 +888,7 @@ func BenchmarkColdStart(b *testing.B) {
 	}
 
 	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
 		var blocks int
 		for i := 0; i < b.N; i++ {
 			loaded, err := query.LoadSnapshotFile(path, query.LoadOptions{})
@@ -1167,6 +1168,7 @@ func BenchmarkCacheContention(b *testing.B) {
 func BenchmarkShardBuild(b *testing.B) {
 	ctx := benchContext(b)
 	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
 		var blocks int
 		for i := 0; i < b.N; i++ {
 			idx, err := query.Build(ctx.Obs, query.Options{})
@@ -1182,6 +1184,7 @@ func BenchmarkShardBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
 		var blocks int
 		for i := 0; i < b.N; i++ {
 			idx, err := query.Build(cluster.PartitionSource(ctx.Obs, 0, 4),

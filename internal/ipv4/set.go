@@ -147,17 +147,20 @@ func (s *Set) Clone() *Set {
 // FilterBlocks returns a new set holding only the members whose /24
 // block satisfies keep — the block-partitioning primitive behind
 // cluster sharding (a partition of the block space yields disjoint
-// filtered sets whose cardinalities sum to the original's).
+// filtered sets whose cardinalities sum to the original's). The kept
+// bitmaps are copied into one array the new set owns.
 func (s *Set) FilterBlocks(keep func(Block) bool) *Set {
-	out := &Set{m: make(map[Block]*Bitmap256)}
-	for b, bm := range s.m {
+	blocks := make([]Block, 0, len(s.m))
+	for b := range s.m {
 		if keep(b) {
-			cp := *bm
-			out.m[b] = &cp
-			out.n += bm.Count()
+			blocks = append(blocks, b)
 		}
 	}
-	return out
+	bitmaps := make([]Bitmap256, len(blocks))
+	for i, b := range blocks {
+		bitmaps[i] = *s.m[b]
+	}
+	return NewSetOwning(blocks, bitmaps)
 }
 
 // UnionWith adds every member of o to s.

@@ -106,8 +106,9 @@ type Applier struct {
 }
 
 // blockAcc is one /24's mutable accumulator: what compile needs of the
-// block's days and stats, advanced by addDay and setStats — event by
-// event on a live node, in one pass per block under Build's fill.
+// block's days and stats, advanced by addDay and setStats event by event
+// on a live node, and loaded by fillDays and setStats in one pass per
+// block under Build's fill.
 type blockAcc struct {
 	name string // the block's rendered form, once: every compiled view carries it
 	// timelines is 256 packed day-bitsets at the full window width, and
@@ -183,7 +184,7 @@ func (a *Applier) Observe(e obs.Event) error {
 		a.weekLastAppear = ev.Active.DiffCount(a.week0)
 		a.weeks++
 		a.yearUnion.UnionWith(ev.Active)
-		a.wSum.observe(ev.Active, a.world.ASOf)
+		a.wSum.observe(ev.Active, snapshotASes(ev.Active, a.world.ASOf))
 		a.wSum.UnionIPs, a.wSum.UnionBlocks = a.yearUnion.Len(), a.yearUnion.NumBlocks()
 	case obs.ICMPScanEvent:
 		return a.applyScan(ev)
@@ -243,7 +244,7 @@ func (a *Applier) applyDay(ev obs.DayEvent) error {
 		a.keys = append(slices.Clip(a.keys), fresh...)
 		slices.Sort(a.keys)
 	}
-	a.dSum.observe(ev.Active, a.world.ASOf)
+	a.dSum.observe(ev.Active, snapshotASes(ev.Active, a.world.ASOf))
 	a.dSum.UnionBlocks = len(a.keys)
 	if a.cdn != nil && day >= a.cdnFrom && day < a.cdnTo {
 		a.cdn.UnionWith(ev.Active)
@@ -324,7 +325,8 @@ func (a *Applier) newAcc(blk ipv4.Block) *blockAcc {
 }
 
 // addDay folds the block's activity on one day of the window into the
-// accumulator and returns how many addresses it added to the union.
+// accumulator and returns how many addresses it added to the union: the
+// live path's writer, a bit per active host (fillDays is Build's).
 func (acc *blockAcc) addDay(day int, bm *ipv4.Bitmap256, fullWords int) int {
 	acc.dirty = true
 	if acc.timelines == nil {

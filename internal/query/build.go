@@ -40,26 +40,36 @@ func Build(src obs.Source, opts Options) (*Index, error) {
 }
 
 // fill loads a, fresh from applyMeta, with the state Observe would
-// reach event by event over d.WriteTo — without one serial pass over
-// every block per day: each block gathers its own days out of d.Daily
-// into a preallocated slot, so shard boundaries cannot reorder
-// anything, and the day-level series come from the parallel set
-// kernels. Every fan-out is bounded by the Applier's Options.Workers,
-// not by the worker count the dataset's producer recorded in its meta.
+// reach event by event over d.WriteTo, without one serial pass over
+// every block per day. One walk of each day's set files every active
+// block's bitmap into a (block × day) column array, each cell written by
+// one worker; then each block turns its column into its accumulator a
+// timeline word at a time (fillDays), in its own preallocated slot, so
+// shard boundaries cannot reorder anything. The day-level series come
+// from the parallel set kernels. Every fan-out is bounded by the
+// Applier's Options.Workers, not by the worker count the dataset's
+// producer recorded in its meta.
 func (a *Applier) fill(d *obs.Data) {
 	w := a.opts.Workers
 	n := len(d.Daily)
 
 	dailyUnion := ipv4.UnionAll(d.Daily, w)
 	a.keys = dailyUnion.Blocks()
+	slot := make(map[ipv4.Block]int32, len(a.keys))
+	for i, blk := range a.keys {
+		slot[blk] = int32(i)
+	}
+	// cols[i*n+day] is key i's hosts on day, nil on a day it was inactive.
+	cols := make([]*ipv4.Bitmap256, len(a.keys)*n)
+	par.ForEach(n, w, func(day int) {
+		d.Daily[day].ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
+			cols[int(slot[blk])*n+day] = bm
+		})
+	})
 	accs := par.Map(len(a.keys), w, func(i int) *blockAcc {
 		blk := a.keys[i]
 		acc := a.newAcc(blk)
-		for day, s := range d.Daily {
-			if bm := s.BlockBitmap(blk); bm != nil {
-				acc.addDay(day, bm, a.fullWords)
-			}
-		}
+		acc.fillDays(cols[i*n:(i+1)*n], a.fullWords)
 		acc.setStats(d.Traffic[blk], d.UA[blk])
 		return acc
 	})
@@ -81,8 +91,8 @@ func (a *Applier) fill(d *obs.Data) {
 	a.dayLens = make([]int, n)
 	for i, s := range d.Daily {
 		a.dayLens[i] = s.Len()
-		a.dSum.observe(s, a.world.ASOf)
 	}
+	a.dSum.observeAll(d.Daily, a.world.ASOf, w)
 	a.dSum.UnionIPs, a.dSum.UnionBlocks = dailyUnion.Len(), len(a.keys)
 	if n > 1 {
 		a.ups = ipv4.DiffCounts(d.Daily[1:], d.Daily[:n-1], w)
@@ -107,9 +117,7 @@ func (a *Applier) fill(d *obs.Data) {
 		a.weekLastAppear = a.weekLast.DiffCount(a.week0)
 	}
 	a.yearUnion = ipv4.UnionAll(weekly, w)
-	for _, s := range weekly {
-		a.wSum.observe(s, a.world.ASOf)
-	}
+	a.wSum.observeAll(weekly, a.world.ASOf, w)
 	a.wSum.UnionIPs, a.wSum.UnionBlocks = a.yearUnion.Len(), a.yearUnion.NumBlocks()
 
 	a.icmpUnion = ipv4.UnionAll(d.ICMPScans, w)
@@ -117,6 +125,32 @@ func (a *Applier) fill(d *obs.Data) {
 		a.setCampaignWindow()
 	}
 	a.servers, a.routers = d.ServerSet, d.RouterSet
+}
+
+// fillDays loads a fresh accumulator with the first len(days) days of
+// the window, days[d] being the block's hosts on day d (nil: inactive):
+// the state a day-by-day apply reaches, written a timeline word at a
+// time through the day tail's transpose.
+func (acc *blockAcc) fillDays(days []*ipv4.Bitmap256, fullWords int) {
+	acc.dirty = true
+	acc.timelines = make([]uint64, 256*fullWords)
+	var buf [64]ipv4.Bitmap256
+	for k := 0; 64*k < len(days); k++ {
+		t := tailDays(buf[:min(64, len(days)-64*k)])
+		for i, bm := range days[64*k : 64*k+len(t)] {
+			if bm == nil {
+				t[i] = ipv4.Bitmap256{}
+				continue
+			}
+			t[i] = *bm
+			acc.activeDays++
+			acc.addrDays += bm.Count()
+			acc.union.UnionWith(bm)
+		}
+		for h, hw := range t.words() {
+			acc.timelines[h*fullWords+k] = hw
+		}
+	}
 }
 
 func orEmpty(s *ipv4.Set) *ipv4.Set {

@@ -63,8 +63,11 @@ func TestApplierEquivalence(t *testing.T) {
 		// last day of the window.
 		{"tiny", sim.TinyConfig(), []int{1, 2, 13, 27, 28}},
 		// A >64-day window crosses the timeline word boundary between
-		// cuts 64 and 65, forcing the full repack path.
-		{"word-boundary", long, []int{50, 64, 65, 70}},
+		// cuts 64 and 65. Build's window closes at each cut, so the cuts
+		// probe the word edges of its fill: 63 ends its last word one day
+		// short of full, 64 fills it, 65 and 70 add a partial second word
+		// (a cut of 1 is tiny's).
+		{"word-boundary", long, []int{50, 63, 64, 65, 70}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"ipscope/internal/cdnlog"
 	"ipscope/internal/core"
 	"ipscope/internal/ipv4"
+	"ipscope/internal/par"
 	"ipscope/internal/useragent"
 )
 
@@ -59,13 +60,23 @@ type SeriesPartial struct {
 	SnapASes [][]uint32 `json:"snapASes"`
 }
 
-// observe folds snapshot s into the series in arrival order. The caller
-// owns the cross-snapshot union and advances its two sizes.
-func (p *SeriesPartial) observe(s *ipv4.Set, asOf func(ipv4.Block) bgp.ASN) {
+// observe folds snapshot s, whose origin ASes are ases (snapshotASes),
+// into the series in arrival order. The caller owns the cross-snapshot
+// union and advances its two sizes.
+func (p *SeriesPartial) observe(s *ipv4.Set, ases []uint32) {
 	p.Snapshots++
 	p.IPSum += s.Len()
 	p.BlockSum += s.NumBlocks()
-	p.SnapASes = append(p.SnapASes, snapshotASes(s, asOf))
+	p.SnapASes = append(p.SnapASes, ases)
+}
+
+// observeAll observes every one of sets in order, finding their ASes
+// across workers.
+func (p *SeriesPartial) observeAll(sets []*ipv4.Set, asOf func(ipv4.Block) bgp.ASN, workers int) {
+	ases := par.Map(len(sets), workers, func(i int) []uint32 { return snapshotASes(sets[i], asOf) })
+	for i, s := range sets {
+		p.observe(s, ases[i])
+	}
 }
 
 // snapshotASes returns the sorted distinct origin ASNs active in s.

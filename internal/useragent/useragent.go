@@ -201,6 +201,15 @@ func (h *HLL) Merge(o *HLL) error {
 	return nil
 }
 
+// invPow2[v] is a register's term of the harmonic sum, 2^-v (+Inf past
+// v = 63, where the shift is zero; no hashed register gets there).
+var invPow2 = func() (t [256]float64) {
+	for v := range t {
+		t[v] = 1 / float64(uint64(1)<<uint(v))
+	}
+	return t
+}()
+
 // Estimate returns the estimated distinct count, with the standard
 // small-range (linear counting) correction.
 func (h *HLL) Estimate() float64 {
@@ -208,7 +217,7 @@ func (h *HLL) Estimate() float64 {
 	sum := 0.0
 	zeros := 0
 	for _, v := range h.regs {
-		sum += 1 / float64(uint64(1)<<v)
+		sum += invPow2[v]
 		if v == 0 {
 			zeros++
 		}

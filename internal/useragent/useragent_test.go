@@ -159,3 +159,15 @@ func TestHLLEmptyEstimate(t *testing.T) {
 		t.Errorf("empty estimate = %v", est)
 	}
 }
+
+// TestInvPow2Table holds Estimate's register table to the per-register
+// division it replaces, bit for bit, for every register value.
+func TestInvPow2Table(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		v := uint8(i)
+		want := 1 / float64(uint64(1)<<v)
+		if math.Float64bits(invPow2[v]) != math.Float64bits(want) {
+			t.Errorf("invPow2[%d] = %v, want %v", v, invPow2[v], want)
+		}
+	}
+}
