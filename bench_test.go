@@ -622,20 +622,33 @@ func BenchmarkDatasetWrite(b *testing.B) {
 }
 
 // BenchmarkDatasetRead measures codec decode throughput: file bytes to
-// an analysis-ready obs.Data.
+// an analysis-ready obs.Data — the whole dataset, and shard 0 of 2's
+// slice of it decoded through cluster.PartitionSink, as
+// `ipscope-serve -dataset -shard-count 2` decodes its file (plan
+// derivation from the meta frame included).
 func BenchmarkDatasetRead(b *testing.B) {
 	_, encoded := benchDataset(b)
-	b.SetBytes(int64(len(encoded)))
-	b.ResetTimer()
-	var days int
-	for i := 0; i < b.N; i++ {
-		d, err := obs.Decode(bytes.NewReader(encoded))
-		if err != nil {
-			b.Fatal(err)
-		}
-		days = len(d.Daily)
+	for _, c := range []struct {
+		name string
+		sink func(d *obs.Data) obs.Sink
+	}{
+		{"full", func(d *obs.Data) obs.Sink { return d }},
+		{"shard-of-2", func(d *obs.Data) obs.Sink { return cluster.PartitionSink(d, 0, 2, nil) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(encoded)))
+			b.ReportAllocs()
+			var days int
+			for i := 0; i < b.N; i++ {
+				d := &obs.Data{}
+				if err := obs.StreamDecode(bytes.NewReader(encoded), c.sink(d)); err != nil {
+					b.Fatal(err)
+				}
+				days = len(d.Daily)
+			}
+			b.ReportMetric(float64(days), "dailySnapshots")
+		})
 	}
-	b.ReportMetric(float64(days), "dailySnapshots")
 }
 
 // benchPipelineWorld is the small world the report-path benchmarks

@@ -87,8 +87,9 @@ func (p Plan) Owner(blk ipv4.Block) int {
 	return i
 }
 
-// Keep returns the block predicate for shard i, for obs.FilterSink /
-// obs.FilterSource.
+// Keep returns the block predicate for shard i: what obs.FilterSink and
+// obs.FilterSource filter in-memory data by, and what a stream decoder
+// applies while decoding a PartitionSink's stream (obs.Restricter).
 func (p Plan) Keep(i int) func(ipv4.Block) bool {
 	lo, hi := p.Range(i)
 	return func(blk ipv4.Block) bool { return uint32(blk) >= lo && uint32(blk) < hi }
@@ -151,6 +152,10 @@ func (ps *partitionSource) Observations() (*obs.Data, error) {
 // every subsequent event is filtered through obs.FilterSink. onPlan,
 // when non-nil, is called once with the shard's owned range — the hook
 // a live shard server uses to publish its partition coordinates.
+//
+// Once planned, the sink is an obs.Restricter: a stream decoder feeding
+// it applies the plan's predicate as it decodes and delivers straight to
+// sink, so a shard never materializes another shard's records.
 func PartitionSink(sink obs.Sink, index, count int, onPlan func(lo, hi uint32)) obs.Sink {
 	return &partitionSink{sink: sink, index: index, count: count, onPlan: onPlan}
 }
@@ -159,7 +164,8 @@ type partitionSink struct {
 	sink         obs.Sink
 	index, count int
 	onPlan       func(lo, hi uint32)
-	filtered     obs.Sink // nil until the meta event arrives
+	keep         func(ipv4.Block) bool // nil until the meta event arrives
+	filtered     obs.Sink              // sink behind obs.FilterSink(keep)
 }
 
 func (ps *partitionSink) Observe(e obs.Event) error {
@@ -171,7 +177,8 @@ func (ps *partitionSink) Observe(e obs.Event) error {
 		if err != nil {
 			return err
 		}
-		ps.filtered = obs.FilterSink(ps.sink, plan.Keep(ps.index))
+		ps.keep = plan.Keep(ps.index)
+		ps.filtered = obs.FilterSink(ps.sink, ps.keep)
 		if ps.onPlan != nil {
 			lo, hi := plan.Range(ps.index)
 			ps.onPlan(lo, hi)
@@ -183,3 +190,7 @@ func (ps *partitionSink) Observe(e obs.Event) error {
 	}
 	return ps.filtered.Observe(e)
 }
+
+// Restrict is the planned slice's predicate and the sink behind it (nil
+// keep before the meta event).
+func (ps *partitionSink) Restrict() (func(ipv4.Block) bool, obs.Sink) { return ps.keep, ps.sink }

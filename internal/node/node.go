@@ -168,8 +168,10 @@ func load(cfg Config) (*Node, error) {
 
 // buildDataset decodes the dataset file and compiles it. A shard's file
 // passes the partition sink a fresh live shard's stream does, so only
-// its slice is ever materialized; the two stages it reports are the
-// start-up budget's "decode …, build …".
+// its slice is ever materialized: once the meta frame has planned the
+// partition, the decoder copies out only the records of owned blocks
+// and discards other blocks' stats frames undecoded (obs.Restricter). The
+// two stages it reports are the start-up budget's "decode …, build …".
 func (n *Node) buildDataset() (*query.Index, string, error) {
 	start := time.Now()
 	log.Printf("loading dataset %s...", n.cfg.Dataset)
@@ -454,7 +456,7 @@ func (n *Node) Server() *serve.Server { return n.srv }
 // obs.StreamDecode fails with otherwise (obs.ErrTruncated for a stream
 // that just stops). A node ingests one stream in its life.
 func (n *Node) Ingest(r io.Reader) error {
-	return n.endStream(obs.StreamDecodeFrom(r, n.skip, obs.SinkFunc(n.observe)))
+	return n.endStream(obs.StreamDecodeFrom(r, n.skip, head{n}))
 }
 
 // endStream ends a stream that decoded with err. A complete stream's
@@ -469,6 +471,22 @@ func (n *Node) endStream(err error) error {
 	}
 	log.Printf("stream complete; serving final epoch")
 	return nil
+}
+
+// head is the sink Ingest hands the stream decoder: observe, and as an
+// obs.Restricter the shard filter n.sink starts with (a fresh shard's
+// partition sink once planned, a resumed shard's range filter), so the
+// decoder restricts the stream itself. Meta events still reach observe;
+// every other event observe would only have passed on to n.sink.
+type head struct{ n *Node }
+
+func (h head) Observe(e obs.Event) error { return h.n.observe(e) }
+
+func (h head) Restrict() (func(ipv4.Block) bool, obs.Sink) {
+	if r, ok := h.n.sink.(obs.Restricter); ok {
+		return r.Restrict()
+	}
+	return nil, nil
 }
 
 // observe is the head of the node's sink chain.

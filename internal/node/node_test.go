@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"ipscope/internal/binenc"
 	"ipscope/internal/cluster"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
@@ -86,6 +87,24 @@ func (ds *dataset) scribbled(k int) io.Reader {
 	for off := 8; off < ds.dayEnd[k-1]; {
 		kind, n := s[off], int(binary.BigEndian.Uint32(s[off+1:]))
 		if kind == 0x02 {
+			for i := off + 5 + 4; i < off+5+n; i++ {
+				s[i] = 0xFF
+			}
+		}
+		off += 5 + n
+	}
+	return bytes.NewReader(s)
+}
+
+// foreignScribbled returns the whole stream with the payload of every
+// block-stats frame of a block keep rejects (all but the 4 block bytes
+// the decoder peeks at) overwritten: only a decoder that restricts the
+// stream to keep's blocks gets through it.
+func (ds *dataset) foreignScribbled(keep func(ipv4.Block) bool) io.Reader {
+	s := bytes.Clone(ds.stream)
+	for off := 8; off < len(s); {
+		kind, n := s[off], int(binary.BigEndian.Uint32(s[off+1:]))
+		if kind == 0x05 && !keep(ipv4.Block(binary.BigEndian.Uint32(s[off+5:]))) {
 			for i := off + 5 + 4; i < off+5+n; i++ {
 				s[i] = 0xFF
 			}
@@ -368,6 +387,41 @@ func TestResumeAfterKill(t *testing.T) {
 			}
 			shutdown(t, second)
 			sameIndex(t, second.Server().Index(), want, shard)
+		})
+	}
+}
+
+// TestLiveShardDecodesOnlyItsSlice pins that a live shard's decoder
+// restricts the stream to the shard's blocks itself, fresh (behind the
+// partition plan) and resumed (behind the checkpointed range): fed a
+// stream whose other blocks' stats frames are scribbled, both end on the
+// reference index, where an unsharded node rejects the stream.
+func TestLiveShardDecodesOnlyItsSlice(t *testing.T) {
+	ds := world(t, 1)
+	plan, err := cluster.PlanForMeta(ds.data.Meta.World, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fe *binenc.Error
+	if err := obs.StreamDecode(ds.foreignScribbled(plan.Keep(0)), obs.SinkFunc(func(obs.Event) error { return nil })); !errors.As(err, &fe) {
+		t.Fatalf("the scribbled stream decodes unrestricted (%v): it cannot show that foreign frames are skipped", err)
+	}
+	for index := range 2 {
+		t.Run(fmt.Sprintf("shard%dof2", index), func(t *testing.T) {
+			dir := t.TempDir()
+			want, shard := ds.reference(t, index, 2)
+			sharded := func(c *Config) { c.ShardIndex, c.ShardCount = index, 2 }
+			for _, phase := range []string{"fresh", "resumed"} {
+				n := start(t, dir, sharded)
+				if resumed := n.resumedFrom != ""; resumed != (phase == "resumed") {
+					t.Fatalf("%s shard: resumed from a checkpoint: %v", phase, resumed)
+				}
+				if err := n.Ingest(ds.foreignScribbled(plan.Keep(index))); err != nil {
+					t.Fatalf("%s shard: %v", phase, err)
+				}
+				shutdown(t, n)
+				sameIndex(t, n.Server().Index(), want, shard)
+			}
 		})
 	}
 }

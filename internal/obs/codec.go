@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -136,7 +137,7 @@ func DecodeFrames(p []byte) ([]Event, error) {
 		if uint64(n) > uint64(len(p)-5) {
 			return nil, binenc.Errorf(formatName, "frame 0x%02x announces %d bytes, %d remain", kind, n, len(p)-5)
 		}
-		e, err := decodeEvent(kind, p[5:5+n])
+		e, err := decodeEvent(kind, p[5:5+n], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +213,9 @@ func WriteFile(path string, d *Data) error {
 // network ingest) attach to. It enforces the stream contract Decode
 // does: meta frame first, unknown frame kinds skipped, ErrTruncated if
 // the stream ends before its end frame, *binenc.Error for structurally
-// invalid input. A sink error stops the decode and is returned as is.
+// invalid input. A sink error stops the decode and is returned as is. A
+// Restricter sink is restricted as the stream is decoded
+// (StreamDecodeFrom).
 func StreamDecode(r io.Reader, sink Sink) error {
 	return StreamDecodeFrom(r, SkipCounts{}, sink)
 }
@@ -250,6 +253,20 @@ func (s SkipCounts) skipLimit(kind byte) int {
 // StreamDecodeFrom is StreamDecode with a resume point: frames already
 // covered by skip are discarded without decoding. It is the network
 // ingest path for a consumer restarting from a snapshot checkpoint.
+//
+// A sink that is a Restricter has the block filter applied in the
+// decoder: once Restrict yields a predicate (it is asked after every
+// event until it does, and again after every meta event), set-valued
+// frames are decoded with only the kept blocks' records, a block-stats
+// frame of a foreign block is discarded after a 4-byte peek, and every
+// event but meta goes straight to the restricter's downstream — what
+// FilterSink would deliver there, without decoding what it would drop.
+// Meta events always go to sink itself. A discarded frame is not
+// validated, as with skip: a shard accepts a stream whose corruption
+// lies only in another shard's block stats.
+//
+// Every frame is read into one reused payload buffer; no decoded event
+// aliases it.
 func StreamDecodeFrom(r io.Reader, skip SkipCounts, sink Sink) error {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hdr := make([]byte, len(magic)+2)
@@ -263,6 +280,10 @@ func StreamDecodeFrom(r io.Reader, skip SkipCounts, sink Sink) error {
 		return binenc.Errorf(formatName, "unsupported dataset version %d (want %d)", v, Version)
 	}
 	sawMeta := false
+	restricter, _ := sink.(Restricter)
+	var keep func(ipv4.Block) bool // nil: deliver every block
+	to := sink                     // where events other than meta go
+	var payload []byte
 	var fh [5]byte
 	for {
 		if _, err := io.ReadFull(br, fh[:]); err != nil {
@@ -297,11 +318,25 @@ func StreamDecodeFrom(r io.Reader, skip SkipCounts, sink Sink) error {
 				continue
 			}
 		}
-		payload, err := binenc.ReadPayload(br, int(n), nil, ErrTruncated)
-		if err != nil {
+		if kind == kindBlockStats && keep != nil && n >= 4 {
+			// A foreign block's stats: the restricter would drop the
+			// event, so the payload is discarded undecoded.
+			bb, err := br.Peek(4)
+			if err != nil {
+				return binenc.EOFAs(err, ErrTruncated)
+			}
+			if !keep(ipv4.Block(binary.BigEndian.Uint32(bb))) {
+				if _, err := br.Discard(int(n)); err != nil {
+					return binenc.EOFAs(err, ErrTruncated)
+				}
+				continue
+			}
+		}
+		var err error
+		if payload, err = binenc.ReadPayload(br, int(n), payload, ErrTruncated); err != nil {
 			return err
 		}
-		e, err := decodeEvent(kind, payload)
+		e, err := decodeEvent(kind, payload, keep)
 		if err != nil {
 			return err
 		}
@@ -310,11 +345,19 @@ func StreamDecodeFrom(r io.Reader, skip SkipCounts, sink Sink) error {
 		}
 		if _, ok := e.(MetaEvent); ok {
 			sawMeta = true
+			if err := sink.Observe(e); err != nil {
+				return err
+			}
+			keep, to = nil, sink // a meta event may re-plan the restriction
 		} else if !sawMeta {
 			return binenc.Errorf(formatName, "event frame 0x%02x before meta frame", kind)
-		}
-		if err := sink.Observe(e); err != nil {
+		} else if err := to.Observe(e); err != nil {
 			return err
+		}
+		if keep == nil && restricter != nil {
+			if k, down := restricter.Restrict(); k != nil {
+				keep, to = k, down
+			}
 		}
 	}
 }
@@ -434,8 +477,9 @@ func encodeEvent(b []byte, e Event) (kind byte, payload []byte) {
 
 // decodeEvent decodes one frame payload; an unknown kind returns a nil
 // event for the caller to skip. Reads past the end latch d's error
-// instead of panicking, and trailing bytes are an error.
-func decodeEvent(kind byte, p []byte) (Event, error) {
+// instead of panicking, and trailing bytes are an error. A non-nil keep
+// restricts set-valued payloads to the blocks it accepts.
+func decodeEvent(kind byte, p []byte, keep func(ipv4.Block) bool) (Event, error) {
 	d := binenc.NewDec(be, formatName, p)
 	var e Event
 	var what string
@@ -443,15 +487,15 @@ func decodeEvent(kind byte, p []byte) (Event, error) {
 	case kindMeta:
 		e, what = MetaEvent{Meta: ReadMeta(d)}, "meta frame"
 	case kindDay:
-		e, what = DayEvent{Index: int(d.U32()), TotalHits: d.F64(), Active: decodeSet(d)}, "day frame"
+		e, what = DayEvent{Index: int(d.U32()), TotalHits: d.F64(), Active: decodeSet(d, keep)}, "day frame"
 	case kindWeek:
-		e, what = WeekEvent{Index: int(d.U32()), TopShare: d.F64(), Active: decodeSet(d)}, "week frame"
+		e, what = WeekEvent{Index: int(d.U32()), TopShare: d.F64(), Active: decodeSet(d, keep)}, "week frame"
 	case kindICMP:
-		e, what = ICMPScanEvent{Index: int(d.U32()), Responders: decodeSet(d)}, "ICMP frame"
+		e, what = ICMPScanEvent{Index: int(d.U32()), Responders: decodeSet(d, keep)}, "ICMP frame"
 	case kindBlockStats:
 		e, what = decodeBlockStats(d), "block-stats frame"
 	case kindSurfaces:
-		e, what = SurfacesEvent{Servers: decodeSet(d), Routers: decodeSet(d)}, "surfaces frame"
+		e, what = SurfacesEvent{Servers: decodeSet(d, keep), Routers: decodeSet(d, keep)}, "surfaces frame"
 	case kindRouting:
 		e, what = decodeRouting(d), "routing frame"
 	case kindRestructures:
@@ -481,7 +525,11 @@ func appendSet(b []byte, s *ipv4.Set) []byte {
 	return b
 }
 
-func decodeSet(d *binenc.Dec) *ipv4.Set {
+// decodeSet reads a set's records, keeping those of the blocks keep
+// accepts (nil keeps all): they are counted over their block keys first,
+// so the arrays the set owns are allocated at their final size and only
+// kept bitmaps are copied out of the payload.
+func decodeSet(d *binenc.Dec, keep func(ipv4.Block) bool) *ipv4.Set {
 	const recSize = 36 // block(4) + bitmap(32)
 	n := d.Count(recSize)
 	// One Take for every record: Count has bounded n×36 by the payload,
@@ -491,14 +539,28 @@ func decodeSet(d *binenc.Dec) *ipv4.Set {
 	if d.Err() != nil {
 		return ipv4.NewSet()
 	}
-	blocks := make([]ipv4.Block, n)
-	bitmaps := make([]ipv4.Bitmap256, n)
-	for i := range blocks {
-		rec := recs[recSize*i : recSize*(i+1)]
-		blocks[i] = ipv4.Block(binary.BigEndian.Uint32(rec))
-		for j := range bitmaps[i] {
-			bitmaps[i][j] = binary.BigEndian.Uint64(rec[4+8*j:])
+	blockAt := func(i int) ipv4.Block { return ipv4.Block(binary.BigEndian.Uint32(recs[recSize*i:])) }
+	kept := n
+	if keep != nil {
+		kept = 0
+		for i := 0; i < n; i++ {
+			if keep(blockAt(i)) {
+				kept++
+			}
 		}
+	}
+	blocks := make([]ipv4.Block, 0, kept)
+	bitmaps := make([]ipv4.Bitmap256, kept)
+	for i := 0; i < n; i++ {
+		blk := blockAt(i)
+		if keep != nil && !keep(blk) {
+			continue
+		}
+		bm, rec := &bitmaps[len(blocks)], recs[recSize*i+4:recSize*(i+1)]
+		for j := range bm {
+			bm[j] = binary.BigEndian.Uint64(rec[8*j:])
+		}
+		blocks = append(blocks, blk)
 	}
 	return ipv4.NewSetOwning(blocks, bitmaps)
 }
@@ -620,11 +682,15 @@ func decodeBlockStats(d *binenc.Dec) Event {
 	flags := d.U8()
 	if flags&1 != 0 {
 		bt := &BlockTraffic{}
+		days, hits := d.Take(2*len(bt.DaysActive)), d.Take(8*len(bt.Hits))
+		if d.Err() != nil {
+			return nil
+		}
 		for i := range bt.DaysActive {
-			bt.DaysActive[i] = d.U16()
+			bt.DaysActive[i] = binary.BigEndian.Uint16(days[2*i:])
 		}
 		for i := range bt.Hits {
-			bt.Hits[i] = d.F64()
+			bt.Hits[i] = math.Float64frombits(binary.BigEndian.Uint64(hits[8*i:]))
 		}
 		ev.Traffic = bt
 	}

@@ -351,7 +351,7 @@ func TestHostileSetFrames(t *testing.T) {
 		recs := rec(nil, 7, 0b0011)
 		recs = rec(recs, 9, 1)
 		recs = rec(recs, 7, 0b0110, 0, 0, 1<<63)
-		e, err := decodeEvent(kindICMP, icmp(3, recs))
+		e, err := decodeEvent(kindICMP, icmp(3, recs), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func TestHostileSetFrames(t *testing.T) {
 	t.Run("empty-bitmap-skipped", func(t *testing.T) {
 		recs := rec(nil, 7)
 		recs = rec(recs, 9, 0, 2)
-		e, err := decodeEvent(kindICMP, icmp(2, recs))
+		e, err := decodeEvent(kindICMP, icmp(2, recs), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +376,7 @@ func TestHostileSetFrames(t *testing.T) {
 	t.Run("count-exceeds-payload", func(t *testing.T) {
 		recs := rec(rec(nil, 7, 1), 9, 1)
 		for _, count := range []uint32{3, 1 << 31, 1<<32 - 1} {
-			if _, err := decodeEvent(kindICMP, icmp(count, recs)); !errors.As(err, &fe) {
+			if _, err := decodeEvent(kindICMP, icmp(count, recs), nil); !errors.As(err, &fe) {
 				t.Fatalf("count %d over 2 records: got %v, want *binenc.Error", count, err)
 			}
 		}
@@ -388,12 +388,12 @@ func TestHostileSetFrames(t *testing.T) {
 		p = rec(p, 7, 1)
 		p = be.U32(p, 1)
 		p = rec(p, 9, 1)
-		if _, err := decodeEvent(kindSurfaces, p); !errors.As(err, &fe) {
+		if _, err := decodeEvent(kindSurfaces, p, nil); !errors.As(err, &fe) {
 			t.Fatalf("got %v, want *binenc.Error", err)
 		}
 		d := binenc.NewDec(be, formatName, be.U32(nil, 1))
 		d.Failf("failed upstream")
-		if s := decodeSet(d); s.Len() != 0 {
+		if s := decodeSet(d, nil); s.Len() != 0 {
 			t.Fatalf("a failed decoder yielded %d addresses", s.Len())
 		}
 	})

@@ -15,15 +15,34 @@ import "ipscope/internal/ipv4"
 // totals from them.
 //
 // Filtering preserves the Sink contract: payloads handed downstream
-// are fresh copies, never mutations of the originals.
+// are fresh copies, never mutations of the originals. Over events in
+// memory (FilterSource) the filter copies what it keeps. A stream
+// decoder (StreamDecodeFrom) given the returned sink hands it only meta
+// events: it is a Restricter, so the decoder applies keep as it decodes
+// and delivers to sink what this filter would have — this filter is the
+// definition the decoder is tested against.
 func FilterSink(sink Sink, keep func(ipv4.Block) bool) Sink {
 	return &filterSink{sink: sink, keep: keep}
+}
+
+// Restricter is a Sink that passes each event on to another sink
+// restricted to some /24 blocks, as FilterSink does. Restrict returns
+// the block predicate and that downstream sink, or a nil keep while the
+// predicate is not known yet (a partition sink before its meta event).
+// StreamDecodeFrom uses it to restrict a stream as it decodes it, so for
+// every event but meta, observing it must equal observing it through
+// FilterSink(downstream, keep).
+type Restricter interface {
+	Sink
+	Restrict() (keep func(ipv4.Block) bool, downstream Sink)
 }
 
 type filterSink struct {
 	sink Sink
 	keep func(ipv4.Block) bool
 }
+
+func (f *filterSink) Restrict() (func(ipv4.Block) bool, Sink) { return f.keep, f.sink }
 
 func (f *filterSink) Observe(e Event) error {
 	switch ev := e.(type) {

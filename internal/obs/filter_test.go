@@ -1,8 +1,13 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"reflect"
 	"testing"
 
+	"ipscope/internal/binenc"
 	"ipscope/internal/ipv4"
 )
 
@@ -112,4 +117,151 @@ func TestFilterSourcePartitions(t *testing.T) {
 	if d.Daily[0].Contains(ipv4.MustParseAddr("10.0.0.250")) {
 		t.Fatal("filtered set aliases the original")
 	}
+}
+
+// events collects what a decode delivers.
+type events []Event
+
+func (es *events) Observe(e Event) error { *es = append(*es, e); return nil }
+
+// filtered is what FilterSink(sink, keep) delivers of es.
+func (es events) filtered(t testing.TB, keep func(ipv4.Block) bool) events {
+	t.Helper()
+	var out events
+	f := FilterSink(&out, keep)
+	for _, e := range es {
+		if err := f.Observe(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// handCount is a Restricter that counts the events it is handed itself.
+type handCount struct {
+	Restricter
+	handed int
+}
+
+func (h *handCount) Observe(e Event) error {
+	h.handed++
+	return h.Restricter.Observe(e)
+}
+
+// keepEven is a block predicate that splits sampleData's sets and its
+// block-stats frames in half; FuzzDecode restricts every input by it.
+func keepEven(b ipv4.Block) bool { return b%2 == 0 }
+
+// corruptForeignStats returns stream with the flags byte of its first
+// block-stats frame of a block keep rejects cleared, so the frame's
+// traffic and UA bytes become trailing garbage: a decoder that reads the
+// frame fails, one restricted by keep discards it unread.
+func corruptForeignStats(t testing.TB, stream []byte, keep func(ipv4.Block) bool) []byte {
+	t.Helper()
+	s := bytes.Clone(stream)
+	for off := len(magic) + 2; off+5 <= len(s); {
+		kind, n := s[off], int(binary.BigEndian.Uint32(s[off+1:]))
+		if kind == kindBlockStats && !keep(ipv4.Block(binary.BigEndian.Uint32(s[off+5:]))) {
+			s[off+5+4] = 0
+			return s
+		}
+		off += 5 + n
+	}
+	t.Fatal("the stream has no foreign block-stats frame")
+	return nil
+}
+
+// TestRestrictedDecodeMatchesFilterSink holds the decoder's restriction
+// to its definition: decoding sampleData through a Restricter delivers,
+// frame kind by frame kind, exactly what FilterSink delivers of the full
+// decode — a foreign block's stats frame yields no event — and hands the
+// Restricter itself nothing but the meta event.
+func TestRestrictedDecodeMatchesFilterSink(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleData(t, 4)); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	var full events
+	if err := StreamDecode(bytes.NewReader(stream), &full); err != nil {
+		t.Fatal(err)
+	}
+	is := func(e Event, kind byte) bool {
+		k, _ := encodeEvent(nil, e)
+		return k == kind
+	}
+	kinds := []struct {
+		name string
+		kind byte
+	}{
+		{"meta", kindMeta}, {"day", kindDay}, {"week", kindWeek}, {"ICMP", kindICMP},
+		{"block-stats", kindBlockStats}, {"surfaces", kindSurfaces},
+		{"routing", kindRouting}, {"restructures", kindRestructures},
+	}
+	of := func(es events, kind byte) events {
+		var out events
+		for _, e := range es {
+			if is(e, kind) {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	for _, k := range kinds {
+		if len(of(full, k.kind)) == 0 {
+			t.Fatalf("sampleData has no %s frame", k.name)
+		}
+	}
+
+	for _, p := range []struct {
+		name string
+		keep func(ipv4.Block) bool
+	}{
+		{"all", func(ipv4.Block) bool { return true }},
+		{"none", func(ipv4.Block) bool { return false }},
+		{"even", keepEven},
+		{"range", func(b ipv4.Block) bool { return b >= 0x0a0004 && b < 0x0a0080 }},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			want := full.filtered(t, p.keep)
+			var got events
+			head := &handCount{Restricter: FilterSink(&got, p.keep).(Restricter)}
+			if err := StreamDecode(bytes.NewReader(stream), head); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range kinds {
+				if g, w := of(got, k.kind), of(want, k.kind); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s events: the restricted decode delivered %d, FilterSink %d, and they differ", k.name, len(g), len(w))
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("the restricted decode delivers the events in another order")
+			}
+			for _, e := range of(got, kindBlockStats) {
+				if b := e.(BlockStatsEvent).Block; !p.keep(b) {
+					t.Errorf("block %v's stats delivered", b)
+				}
+			}
+			if head.handed != 1 {
+				t.Errorf("the Restricter was handed %d events, want the meta event only", head.handed)
+			}
+		})
+	}
+
+	// The documented price of not decoding a foreign frame: its corruption
+	// goes unseen by the shard, while an unsharded decode rejects it.
+	t.Run("corrupt-foreign-stats", func(t *testing.T) {
+		bad := corruptForeignStats(t, stream, keepEven)
+		var fe *binenc.Error
+		if err := StreamDecode(bytes.NewReader(bad), &events{}); !errors.As(err, &fe) {
+			t.Fatalf("unrestricted decode: %v, want *binenc.Error", err)
+		}
+		var got events
+		if err := StreamDecode(bytes.NewReader(bad), FilterSink(&got, keepEven)); err != nil {
+			t.Fatalf("restricted decode: %v", err)
+		}
+		if !reflect.DeepEqual(got, full.filtered(t, keepEven)) {
+			t.Error("restricted decode of the corrupt stream differs from FilterSink over the intact one")
+		}
+	})
 }

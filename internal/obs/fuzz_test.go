@@ -18,7 +18,14 @@ import (
 //   - anything that decodes re-encodes canonically: Write(Decode(x))
 //     succeeds, and its output is a fixed point (decoding and
 //     re-encoding it reproduces the same bytes), which is the property
-//     the collect tier's deterministic stores rest on.
+//     the collect tier's deterministic stores rest on;
+//   - a decode restricted to keepEven's blocks (a Restricter sink, as a
+//     shard decodes) never panics and fails only with a typed error,
+//     and where the unrestricted decode succeeds it succeeds too and
+//     delivers what FilterSink does of the unrestricted events. It may
+//     succeed where the unrestricted one fails: a foreign block-stats
+//     frame is discarded undecoded, so its corruption goes unseen (the
+//     corruptForeignStats seeds).
 //
 // The seed corpus is the canonical encoding of the codec round-trip
 // corpus (sampleData) plus truncated and bit-flipped variants, so the
@@ -37,6 +44,7 @@ func FuzzDecode(f *testing.F) {
 		flipped := bytes.Clone(b)
 		flipped[len(flipped)/3] ^= 0x40
 		f.Add(flipped)
+		f.Add(corruptForeignStats(f, b, keepEven))
 	}
 	// A minimal empty-but-well-formed stream (header + meta + end).
 	var empty bytes.Buffer
@@ -47,6 +55,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(empty.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRestricted(t, data)
 		d, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			var fe *binenc.Error
@@ -71,4 +80,40 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("canonical encoding is not a fixed point: %d vs %d bytes", once.Len(), twice.Len())
 		}
 	})
+}
+
+// checkRestricted decodes data unrestricted and restricted to keepEven's
+// blocks, and compares the two as FuzzDecode documents. Events are
+// compared by their frame bytes, which, unlike reflect.DeepEqual, hold a
+// NaN equal to itself.
+func checkRestricted(t *testing.T, data []byte) {
+	var full, got events
+	fullErr := StreamDecode(bytes.NewReader(data), &full)
+	err := StreamDecode(bytes.NewReader(data), FilterSink(&got, keepEven))
+	if err != nil {
+		var fe *binenc.Error
+		if !errors.Is(err, ErrTruncated) && !errors.As(err, &fe) {
+			t.Fatalf("restricted decode failed with untyped error %T: %v", err, err)
+		}
+		if fullErr == nil {
+			t.Fatalf("restricted decode failed (%v) where the unrestricted one succeeded", err)
+		}
+		return
+	}
+	if fullErr != nil {
+		return
+	}
+	frames := func(es events) []byte {
+		var b []byte
+		for _, e := range es {
+			var err error
+			if b, err = AppendFrame(b, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	if !bytes.Equal(frames(got), frames(full.filtered(t, keepEven))) {
+		t.Fatal("restricted decode differs from FilterSink over the unrestricted decode")
+	}
 }
