@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -746,37 +747,92 @@ func BenchmarkIndexApplyDay(b *testing.B) {
 	}
 	warm := events[:warmEnd]
 
-	b.Run("apply-day+publish", func(b *testing.B) {
-		b.ReportAllocs()
-		var a *query.Applier
-		next := len(held) // force a warmup on the first iteration
-		var blocks int
-		for i := 0; i < b.N; i++ {
-			if next == len(held) {
-				b.StopTimer()
-				a = query.NewApplier(query.Options{})
-				for _, e := range warm {
-					if err := a.Observe(e); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := a.Snapshot(); err != nil {
-					b.Fatal(err)
-				}
-				next = 0
-				b.StartTimer()
-			}
-			if err := a.Observe(held[next]); err != nil {
+	// A day seals a timeline word when it is the word's last or the
+	// window's: it then writes the word into every block's timelines, a
+	// fan-out the days between do not pay, so it is its own row.
+	window := len(ctx.Obs.Daily)
+	seals := func(e obs.Event) bool {
+		day := e.(obs.DayEvent).Index
+		return day%64 == 63 || day == window-1
+	}
+	warmApplier := func(b *testing.B) *query.Applier {
+		a := query.NewApplier(query.Options{})
+		for _, e := range warm {
+			if err := a.Observe(e); err != nil {
 				b.Fatal(err)
 			}
-			next++
-			idx, err := a.Snapshot()
+		}
+		if _, err := a.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+		return a
+	}
+	applyPublish := func(b *testing.B, a *query.Applier, e obs.Event) *query.Index {
+		if err := a.Observe(e); err != nil {
+			b.Fatal(err)
+		}
+		idx, err := a.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return idx
+	}
+
+	b.Run("apply-day+publish", func(b *testing.B) {
+		// One held day that leaves its word open per iteration; a
+		// sealing day among them is applied untimed.
+		b.Run("mid-word", func(b *testing.B) {
+			b.ReportAllocs()
+			var a *query.Applier
+			next := len(held) // force a warmup on the first iteration
+			var blocks int
+			for i := 0; i < b.N; i++ {
+				for next == len(held) || seals(held[next]) {
+					b.StopTimer()
+					if next == len(held) {
+						a, next = warmApplier(b), 0
+					} else {
+						applyPublish(b, a, held[next])
+						next++
+					}
+					b.StartTimer()
+				}
+				blocks = applyPublish(b, a, held[next]).NumBlocks()
+				next++
+			}
+			b.ReportMetric(float64(blocks), "blocks")
+		})
+
+		// The first held day that seals, applied to an applier resumed
+		// (untimed) from a checkpoint taken the day before.
+		b.Run("seal-day", func(b *testing.B) {
+			b.ReportAllocs()
+			a := warmApplier(b)
+			seal := slices.IndexFunc(held, seals)
+			for _, e := range held[:seal] {
+				applyPublish(b, a, e)
+			}
+			cp, err := a.EncodeCheckpoint(nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			blocks = idx.NumBlocks()
-		}
-		b.ReportMetric(float64(blocks), "blocks")
+			var blocks int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				l, err := query.DecodeSnapshot(cp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r, _, err := l.ResumeApplier(query.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				blocks = applyPublish(b, r, held[seal]).NumBlocks()
+			}
+			b.ReportMetric(float64(blocks), "blocks")
+		})
 	})
 
 	b.Run("full-rebuild", func(b *testing.B) {

@@ -24,12 +24,14 @@ import (
 // count on either side.
 //
 // Incrementality is what makes a publish far cheaper than a rebuild
-// (BenchmarkIndexApplyDay): per-block accumulators absorb each day in
-// O(active addresses), dataset-level unions and churn/summary counters
-// advance per event, and Snapshot copies no timeline — every snapshot
-// shares the accumulators' arrays and reads only the words no later day
-// can touch (the sharing rule, timeline.go) — and recompiles only the
-// records of blocks whose accumulators changed since the previous epoch.
+// (BenchmarkIndexApplyDay). Per-block accumulators absorb each day in
+// O(active blocks): a day-tail append and a few bitmap counts, with each
+// timeline word written once, by the day that seals it. Dataset-level
+// unions and churn/summary counters advance per event. Snapshot copies
+// no timeline — every snapshot shares the accumulators' arrays and reads
+// only the words no later day can touch (the sharing rule, timeline.go)
+// — and recompiles only the records of blocks whose accumulators changed
+// since the previous epoch.
 // Summary, recapture and churn assembly are recomputed per epoch (fanned
 // out across internal/par), never on the serving request path.
 //
@@ -89,6 +91,7 @@ type Applier struct {
 	// the only copy of the daily union's: UnionIPs advances by each
 	// block's union-count delta, UnionBlocks is len(keys).
 	dSum, wSum SeriesPartial
+	asScratch  []uint32 // snapshotASes' reused buffer
 
 	// Capture–recapture month window: nil until the first scan arrives
 	// (CampaignMonthUnion falls back to the whole daily window), then a
@@ -106,14 +109,17 @@ type Applier struct {
 }
 
 // blockAcc is one /24's mutable accumulator: what compile needs of the
-// block's days and stats, advanced by addDay and setStats event by event
-// on a live node, and loaded by fillDays and setStats in one pass per
-// block under Build's fill.
+// block's days and stats. On a live node each day advances its counters
+// (addDay) and appends to its day tail, a sealing day writes the tail's
+// word into its timelines (seal), and setStats records the block's stats
+// event. Under Build's fill, fillDays and setStats load it in one pass
+// per block.
 type blockAcc struct {
 	name string // the block's rendered form, once: every compiled view carries it
-	// timelines is 256 packed day-bitsets at the full window width, and
-	// tail the days of the word a publish may find open. Every snapshot
-	// shares both (the sharing rule, timeline.go).
+	// timelines is 256 packed day-bitsets at the full window width, each
+	// word written when it seals; tail holds the days of the newest word
+	// the block was active in. Every snapshot shares both (the sharing
+	// rule, timeline.go).
 	timelines  []uint64
 	tail       dayTail
 	union      ipv4.Bitmap256
@@ -184,7 +190,7 @@ func (a *Applier) Observe(e obs.Event) error {
 		a.weekLastAppear = ev.Active.DiffCount(a.week0)
 		a.weeks++
 		a.yearUnion.UnionWith(ev.Active)
-		a.wSum.observe(ev.Active, snapshotASes(ev.Active, a.world.ASOf))
+		a.wSum.observe(ev.Active, snapshotASes(ev.Active, a.world.ASOf, &a.asScratch))
 		a.wSum.UnionIPs, a.wSum.UnionBlocks = a.yearUnion.Len(), a.yearUnion.NumBlocks()
 	case obs.ICMPScanEvent:
 		return a.applyScan(ev)
@@ -236,15 +242,25 @@ func (a *Applier) applyDay(ev obs.DayEvent) error {
 		acc := a.acc(blk)
 		if acc.timelines == nil {
 			fresh = append(fresh, blk)
+			// Fault the array's pages in now: their first write would
+			// otherwise be the seal's, which would then pay every new
+			// block's page faults on one day.
+			acc.timelines = make([]uint64, 256*a.fullWords)
+			clear(acc.timelines)
 		}
-		a.dSum.UnionIPs += acc.addDay(day, bm, a.fullWords)
+		a.dSum.UnionIPs += acc.addDay(bm)
 		acc.tail.push(day, bm, a.window)
 	})
 	if len(fresh) > 0 {
 		a.keys = append(slices.Clip(a.keys), fresh...)
 		slices.Sort(a.keys)
 	}
-	a.dSum.observe(ev.Active, snapshotASes(ev.Active, a.world.ASOf))
+	// A day that closes its word seals it, once today's fresh blocks are
+	// among the keys: one of them may have no other day in the word.
+	if a.days%64 == 0 || a.days == a.window {
+		a.seal(day / 64)
+	}
+	a.dSum.observe(ev.Active, snapshotASes(ev.Active, a.world.ASOf, &a.asScratch))
 	a.dSum.UnionBlocks = len(a.keys)
 	if a.cdn != nil && day >= a.cdnFrom && day < a.cdnTo {
 		a.cdn.UnionWith(ev.Active)
@@ -286,16 +302,55 @@ func (a *Applier) setCampaignWindow() {
 	a.cdn = a.windowUnion(from, to)
 }
 
+// seal writes timeline word k of every block active in it, from the
+// block's day tail through the transpose fillDays uses: the one write of
+// the word into the shared array, made before any snapshot reads the
+// word from there (the sharing rule, timeline.go). Each worker writes
+// only the arrays of its own keys.
+func (a *Applier) seal(k int) {
+	par.ForEach(len(a.keys), a.opts.Workers, func(i int) {
+		acc := a.accs[a.keys[i]]
+		if acc.tail.word != k || len(acc.tail.days) == 0 {
+			return
+		}
+		for h, hw := range acc.tail.days.words() {
+			acc.timelines[h*a.fullWords+k] = hw
+		}
+	})
+}
+
+// openWord returns the timeline word the next day writes when a day
+// before it is already applied — the word a snapshot reads from the day
+// tails, not the arrays — or -1 when every applied day's word is sealed.
+func (a *Applier) openWord() int {
+	if a.days%64 != 0 && a.days < a.window {
+		return a.days / 64
+	}
+	return -1
+}
+
 // windowUnion returns the addresses active on an applied day in
-// [from, to), read off the timelines under a day-range mask.
+// [from, to): the sealed words are read off the timelines under a
+// day-range mask, the open word off the day tails.
 func (a *Applier) windowUnion(from, to int) *ipv4.Set {
+	from, to = max(from, 0), min(to, a.days)
+	open, sealed := a.openWord(), to
+	if open >= 0 {
+		sealed = min(to, 64*open)
+	}
 	mask := make([]uint64, a.fullWords)
-	for d := max(from, 0); d < min(to, a.days); d++ {
+	for d := from; d < sealed; d++ {
 		mask[d/64] |= 1 << uint(d%64)
 	}
 	bitmaps := make([]ipv4.Bitmap256, len(a.keys))
 	for i, blk := range a.keys {
-		tl := a.accs[blk].timelines
+		acc := a.accs[blk]
+		if acc.tail.word == open {
+			for d := max(from, 64*open); d < min(to, 64*open+len(acc.tail.days)); d++ {
+				bitmaps[i].UnionWith(&acc.tail.days[d-64*open])
+			}
+		}
+		tl := acc.timelines
 		for h := 0; h < 256; h++ {
 			for wi, m := range mask {
 				if tl[h*a.fullWords+wi]&m != 0 {
@@ -325,17 +380,11 @@ func (a *Applier) newAcc(blk ipv4.Block) *blockAcc {
 }
 
 // addDay folds the block's activity on one day of the window into the
-// accumulator and returns how many addresses it added to the union: the
-// live path's writer, a bit per active host (fillDays is Build's).
-func (acc *blockAcc) addDay(day int, bm *ipv4.Bitmap256, fullWords int) int {
+// accumulator's counters and returns how many addresses it added to the
+// union. The day's hosts themselves go to the block's day tail and reach
+// the timelines when the day's word seals (applyDay, seal).
+func (acc *blockAcc) addDay(bm *ipv4.Bitmap256) int {
 	acc.dirty = true
-	if acc.timelines == nil {
-		acc.timelines = make([]uint64, 256*fullWords)
-	}
-	word, bit := day/64, uint(day%64)
-	bm.ForEach(func(h byte) {
-		acc.timelines[int(h)*fullWords+word] |= 1 << bit
-	})
 	acc.activeDays++
 	acc.addrDays += bm.Count()
 	before := acc.union.Count()
@@ -375,12 +424,7 @@ func (a *Applier) Snapshot() (*Index, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("query: snapshot with no applied days")
 	}
-	// The open word is the one the next day writes, if it is also one
-	// this snapshot reads.
-	open := -1
-	if n%64 != 0 && n < a.window {
-		open = n / 64
-	}
+	open := a.openWord()
 	x := &Index{
 		epoch:   a.epoch + 1,
 		meta:    metaInfo{seed: a.world.Seed, numASes: len(a.world.ASes)},

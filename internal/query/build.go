@@ -129,8 +129,9 @@ func (a *Applier) fill(d *obs.Data) {
 
 // fillDays loads a fresh accumulator with the first len(days) days of
 // the window, days[d] being the block's hosts on day d (nil: inactive):
-// the state a day-by-day apply reaches, written a timeline word at a
-// time through the day tail's transpose.
+// the state a day-by-day apply reaches once each word has sealed, written
+// the way a seal writes it, a timeline word at a time through the day
+// tail's transpose.
 func (acc *blockAcc) fillDays(days []*ipv4.Bitmap256, fullWords int) {
 	acc.dirty = true
 	acc.timelines = make([]uint64, 256*fullWords)

@@ -3,8 +3,10 @@ package query
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
+	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 	"ipscope/internal/sim"
 	"ipscope/internal/synthnet"
@@ -55,19 +57,31 @@ func TestApplierEquivalence(t *testing.T) {
 		name string
 		cfg  sim.Config
 		cuts []int
+		// late lists days on which the variant makes one block active
+		// for the first time, by dropping it from every earlier day.
+		late []int
+		// resume lists the cuts after which a third run swaps its
+		// applier for one resumed from the cut's checkpoint.
+		resume []int
 	}
 	long := sim.TinyConfig()
 	long.Days, long.DailyStart, long.DailyLen = 98, 14, 70
 	variants := []variant{
 		// Cuts probe the first day, early window, mid-window and the
 		// last day of the window.
-		{"tiny", sim.TinyConfig(), []int{1, 2, 13, 27, 28}},
+		{"tiny", sim.TinyConfig(), []int{1, 2, 13, 27, 28}, nil, nil},
 		// A >64-day window crosses the timeline word boundary between
 		// cuts 64 and 65. Build's window closes at each cut, so the cuts
 		// probe the word edges of its fill: 63 ends its last word one day
 		// short of full, 64 fills it, 65 and 70 add a partial second word
 		// (a cut of 1 is tiny's).
-		{"word-boundary", long, []int{50, 63, 64, 65, 70}},
+		{"word-boundary", long, []int{50, 63, 64, 65, 70}, nil, nil},
+		// A block whose first active day seals a word — 63 seals word 0,
+		// 69 the window and with it word 1 — has no other day in the
+		// word: the seal must see it among the keys. Both sealing cuts
+		// are also resumed from, so a checkpoint of the sealed word must
+		// carry it.
+		{"fresh-at-seal", long, []int{63, 64, 69, 70}, []int{63, 69}, []int{64, 70}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -81,9 +95,23 @@ func TestApplierEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := &res.Data
+			lateStart(t, events, d, v.late)
 
-			for _, workers := range []int{1, 5} {
-				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			type run struct {
+				workers int
+				resume  bool
+			}
+			runs := []run{{1, false}, {5, false}}
+			if len(v.resume) > 0 {
+				runs = append(runs, run{3, true})
+			}
+			for _, r := range runs {
+				name := fmt.Sprintf("workers=%d", r.workers)
+				if r.resume {
+					name += "/resumed"
+				}
+				t.Run(name, func(t *testing.T) {
+					workers := r.workers
 					a := NewApplier(Options{Workers: workers})
 					fed := 0
 					for _, cut := range v.cuts {
@@ -109,6 +137,9 @@ func TestApplierEquivalence(t *testing.T) {
 								cut, len(got), len(want))
 						}
 						checkAgainstCore(t, snap, trunc)
+						if r.resume && slices.Contains(v.resume, cut) {
+							a = resumed(t, a, workers)
+						}
 					}
 
 					// End of stream: the remaining events (trailing
@@ -135,6 +166,62 @@ func TestApplierEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lateStart makes, for each day in days, one block first active on that
+// day: a block active on it, dropped from every earlier day of the
+// recorded stream and of d alike, so the applier and Build see the same
+// days. The blocks are distinct.
+func lateStart(t *testing.T, events []obs.Event, d *obs.Data, days []int) {
+	t.Helper()
+	if len(days) == 0 {
+		return
+	}
+	first := map[ipv4.Block]int{}
+	for _, day := range days {
+		var pick ipv4.Block
+		found := false
+		for _, blk := range d.Daily[day].Blocks() {
+			if _, taken := first[blk]; !taken {
+				pick, found = blk, true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("no block left to start on day %d", day)
+		}
+		first[pick] = day
+	}
+	for i, e := range events {
+		ev, ok := e.(obs.DayEvent)
+		if !ok {
+			continue
+		}
+		ev.Active = ev.Active.FilterBlocks(func(blk ipv4.Block) bool {
+			day, late := first[blk]
+			return !late || ev.Index >= day
+		})
+		events[i], d.Daily[ev.Index] = ev, ev.Active
+	}
+}
+
+// resumed returns an applier resumed from a's checkpoint, the way a
+// restarted node resumes: encoded, decoded and rebuilt.
+func resumed(t *testing.T, a *Applier, workers int) *Applier {
+	t.Helper()
+	enc, err := a.EncodeCheckpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := DecodeSnapshot(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := l.ResumeApplier(Options{Workers: workers})
+	if err != nil {
+		t.Fatalf("resume at day %d: %v", a.Days(), err)
+	}
+	return b
 }
 
 // TestApplierEpochs pins the epoch contract: Build stamps 1, every

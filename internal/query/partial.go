@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ipscope/internal/bgp"
@@ -73,26 +74,34 @@ func (p *SeriesPartial) observe(s *ipv4.Set, ases []uint32) {
 // observeAll observes every one of sets in order, finding their ASes
 // across workers.
 func (p *SeriesPartial) observeAll(sets []*ipv4.Set, asOf func(ipv4.Block) bgp.ASN, workers int) {
-	ases := par.Map(len(sets), workers, func(i int) []uint32 { return snapshotASes(sets[i], asOf) })
+	ases := make([][]uint32, len(sets))
+	par.ForEachShard(len(sets), workers, func(_, lo, hi int) {
+		var scratch []uint32
+		for i := lo; i < hi; i++ {
+			ases[i] = snapshotASes(sets[i], asOf, &scratch)
+		}
+	})
 	for i, s := range sets {
 		p.observe(s, ases[i])
 	}
 }
 
-// snapshotASes returns the sorted distinct origin ASNs active in s.
-func snapshotASes(s *ipv4.Set, asOf func(ipv4.Block) bgp.ASN) []uint32 {
-	seen := make(map[uint32]bool)
+// snapshotASes returns the sorted distinct origin ASNs active in s,
+// gathered in the caller's reusable *scratch and copied out at their
+// exact size. Blocks arrive ascending, so an AS's adjacent blocks add it
+// once; a sort and a compaction drop the repeats that are left. The
+// result is never nil: the wire encoding tells nil from empty.
+func snapshotASes(s *ipv4.Set, asOf func(ipv4.Block) bgp.ASN, scratch *[]uint32) []uint32 {
+	buf := (*scratch)[:0]
 	s.ForEachBlock(func(blk ipv4.Block, _ *ipv4.Bitmap256) {
-		if as := asOf(blk); as != 0 {
-			seen[uint32(as)] = true
+		if as := uint32(asOf(blk)); as != 0 && (len(buf) == 0 || buf[len(buf)-1] != as) {
+			buf = append(buf, as)
 		}
 	})
-	out := make([]uint32, 0, len(seen))
-	for as := range seen {
-		out = append(out, as)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(buf)
+	buf = slices.Compact(buf)
+	*scratch = buf
+	return append([]uint32{}, buf...)
 }
 
 func (p *SeriesPartial) merge(o *SeriesPartial) error {
@@ -116,13 +125,13 @@ func (p *SeriesPartial) finalize() cdnlog.DatasetSummary {
 	if p.Snapshots == 0 {
 		return out
 	}
-	asUnion := make(map[uint32]bool)
+	// The AS union, merged set by set through two buffers in turn.
+	var asUnion, next []uint32
 	asSum := 0
 	for _, snap := range p.SnapASes {
 		asSum += len(snap)
-		for _, as := range snap {
-			asUnion[as] = true
-		}
+		next = appendUnionSortedU32(next[:0], asUnion, snap)
+		asUnion, next = next, asUnion
 	}
 	out.TotalIPs = p.UnionIPs
 	out.AvgIPs = p.IPSum / p.Snapshots
@@ -510,22 +519,26 @@ func unionSortedU32(a, b []uint32) []uint32 {
 	if len(a) == 0 {
 		return append([]uint32(nil), b...)
 	}
-	out := make([]uint32, 0, len(a)+len(b))
+	return appendUnionSortedU32(make([]uint32, 0, len(a)+len(b)), a, b)
+}
+
+// appendUnionSortedU32 appends the union of two sorted, duplicate-free
+// slices to dst.
+func appendUnionSortedU32(dst, a, b []uint32) []uint32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] < b[j]:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 		case a[i] > b[j]:
-			out = append(out, b[j])
+			dst = append(dst, b[j])
 			j++
 		default:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i, j = i+1, j+1
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }

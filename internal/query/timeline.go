@@ -5,18 +5,27 @@ import "ipscope/internal/ipv4"
 // The sharing rule between an Applier and the snapshots it publishes.
 //
 // A block's timelines are one host-major array at the full window width
-// (fullWords words per host). The ingest goroutine alone writes it, with
-// plain ORs, and every snapshot shares it: a publish copies no timeline.
-// Day d only ever sets bit d%64 of word d/64, so word k is sealed — no
-// later day writes it — once day 64k+63, or the window's last day, is
-// applied. A snapshot of n days reads its sealed words from the shared
-// array. The one word it needs that a later day may still write, the
-// open word n/64 (when n is not a multiple of 64 and the window is still
-// open), it reads from the block's day tail instead: that word's days as
-// host bitmaps, appended one per applied day. The applier only ever
-// appends past a published tail's length and starts a new array for
-// each word, so nothing a reader loads is written after it was
-// published.
+// (fullWords words per host), and every snapshot shares it: a publish
+// copies no timeline. Day d only ever sets bit d%64 of word d/64, so
+// word k is sealed — no later day touches it — once day 64k+63, or the
+// window's last day, is applied. Until then the word's days live only in
+// the block's day tail, one host bitmap per applied day, appended. The
+// ingest goroutine alone writes the array, and writes each word once:
+// the day that seals word k writes it whole from the tail
+// (Applier.seal), after that day's fresh blocks have joined the keys and
+// before any snapshot can read the word from the array.
+//
+// A snapshot of n days reads its sealed words from the array and the one
+// word still open, n/64 (when n is not a multiple of 64 and the window
+// is still open), from the tail. The applier only ever appends past a
+// published tail's length and starts a new tail for each word, so
+// nothing a reader loads is written after it was published.
+//
+// Build's fill writes every word at once, its window closing with the
+// fill, so it keeps no tail. A resumed applier (ResumeApplier) copies a
+// mid-word checkpoint's open word into the array and rebuilds the tail
+// from it: the array's copy is read by no snapshot, since the tail holds
+// the same days, and the seal overwrites it with the tail's words.
 
 // tailDays is one timeline word's days as host bitmaps: element i holds
 // the hosts active on the word's day i. Days after the block's last

@@ -136,6 +136,55 @@ func TestSnapshotAllocsProportional(t *testing.T) {
 	}
 }
 
+// TestApplyDayAllocs is the exact gate on what applying one day
+// allocates, on four workers, pinned (go1.24, linux/amd64) with 50 %
+// headroom on the bytes and one object: at day 40, mid-word, 160 bytes
+// in 1 object, the day's AS set; at day 63, which seals word 0, 568
+// bytes in 13 objects, the seal's fan-out added. A goroutine the
+// scheduler has no free descriptor for costs one more, 448 bytes, so the
+// seal day is also allowed one per worker. Neither day has a term per
+// block: the seal transposes each block's tail on the stack. A map per
+// day for the AS set costs 1,328 bytes in 10 objects. A day that brings
+// a fresh block or grows a per-day series allocates more, so the pinned
+// days have neither.
+func TestApplyDayAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts are pinned without -race, whose instrumentation allocates")
+	}
+	const workers, gBytes = 4, 448
+	pinned := map[int]struct{ bytes, objects, goroutines int }{
+		40: {160, 1, 0},
+		63: {568, 13, workers},
+	}
+	a := NewApplier(Options{Workers: workers})
+	for _, e := range liveEvents(t) {
+		var err error
+		b, objects := allocated(func() { err = a.Observe(e) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		day, ok := e.(obs.DayEvent)
+		if !ok {
+			continue
+		}
+		if _, err := a.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		p, ok := pinned[day.Index]
+		if !ok {
+			continue
+		}
+		delete(pinned, day.Index)
+		if b > p.bytes*3/2+p.goroutines*gBytes || objects > p.objects+1+p.goroutines {
+			t.Errorf("day %d: applying it allocated %d bytes in %d objects; pinned at %d bytes in %d objects (+50 %%, +1, +%d goroutines)",
+				day.Index, b, objects, p.bytes, p.objects, p.goroutines)
+		}
+	}
+	if len(pinned) != 0 {
+		t.Errorf("days never applied: %v", pinned)
+	}
+}
+
 // TestBuildAllocs pins what a Build of testData allocates on one worker:
 // 1,611 KB in 4,334 objects when pinned (go1.24, linux/amd64), with 5 %
 // headroom on the bytes and 3 % on the objects. Build's window closes

@@ -141,10 +141,23 @@ func readSeriesPartial(d *binenc.Dec) SeriesPartial {
 	if present {
 		p.SnapASes = make([][]uint32, n)
 		for i := range p.SnapASes {
-			p.SnapASes[i] = d.U32s()
+			p.SnapASes[i] = readASSet(d)
 		}
 	}
 	return p
+}
+
+// readASSet reads a set of ASNs: strictly ascending, as the partials'
+// merges and the summary's AS union assume, or a decode error.
+func readASSet(d *binenc.Dec) []uint32 {
+	s := d.U32s()
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			d.Failf("AS set not strictly ascending: %d after %d", s[i], s[i-1])
+			return nil
+		}
+	}
+	return s
 }
 
 // AppendSummaryPartialWire appends p's canonical wire encoding to b.
@@ -423,7 +436,7 @@ func ReadMovementPartialWire(d *binenc.Dec) MovementPartial {
 			e.ActiveAddrs = d.Int()
 			e.ChurnUp = d.Int()
 			e.ChurnDown = d.Int()
-			e.ASes = d.U32s()
+			e.ASes = readASSet(d)
 		}
 	}
 	return v

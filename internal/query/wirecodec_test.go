@@ -191,6 +191,23 @@ func TestWireCodecCorrupt(t *testing.T) {
 			t.Fatal("non-canonical presence byte accepted")
 		}
 	})
+	// The merges and the summary's AS union assume every AS set strictly
+	// ascending: a set out of order or with a repeat is a decode error.
+	t.Run("as-set-order", func(t *testing.T) {
+		for _, set := range [][]uint32{{3, 2}, {2, 2}, {1, 5, 5, 9}} {
+			sp := SummaryPartial{Daily: SeriesPartial{Snapshots: 2, SnapASes: [][]uint32{{1}, set}}}
+			if _, _, err := DecodeSummaryPartialWire(AppendSummaryPartialWire(nil, &sp)); err == nil {
+				t.Errorf("summary partial with AS set %v decoded", set)
+			} else if _, ok := err.(*binenc.Error); !ok {
+				t.Errorf("AS set %v: error %T (%v), want *binenc.Error", set, err, err)
+			}
+			mp := MovementPartial{Entries: []MovementEntryPartial{{ASes: set}}}
+			d := binenc.NewDec(be, wireFormat, AppendMovementPartialWire(nil, &mp))
+			if ReadMovementPartialWire(d); d.Err() == nil {
+				t.Errorf("movement partial with AS set %v decoded", set)
+			}
+		}
+	})
 	t.Run("huge-count", func(t *testing.T) {
 		// A count far beyond the remaining payload must error before
 		// allocating.

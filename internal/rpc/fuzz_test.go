@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ipscope/internal/binenc"
+	"ipscope/internal/query"
 )
 
 // FuzzRPCDecode fuzzes the payload decoder with arbitrary bytes under
@@ -25,6 +26,16 @@ func FuzzRPCDecode(f *testing.F) {
 	f.Add(byte(0x09), []byte{})                                       // reserved (was BulkBlock)
 	f.Add(byte(0x09|respBit), []byte{0, 0, 0, 0, 0, 0, 0, 1})         // reserved response
 	f.Add(byte(kindBulkAddr|respBit), bytes.Repeat([]byte{0xFF}, 40)) // huge counts
+	// AS sets out of order and with a repeat, which the partial merges
+	// cannot take: a typed decode error.
+	for _, m := range []Msg{
+		SummaryResp{Partial: query.SummaryPartial{
+			Daily: query.SeriesPartial{Snapshots: 1, SnapASes: [][]uint32{{64501, 64500}}}}},
+		MovementResp{Partial: query.MovementPartial{
+			Entries: []query.MovementEntryPartial{{ASes: []uint32{7, 7}}}}},
+	} {
+		f.Add(m.Kind(), EncodePayload(m))
+	}
 
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
 		m, err := DecodePayload(kind, payload)
