@@ -28,7 +28,6 @@ import (
 
 	"ipscope/internal/analysis"
 	"ipscope/internal/bgp"
-	"ipscope/internal/cdnlog"
 	"ipscope/internal/cluster"
 	"ipscope/internal/core"
 	"ipscope/internal/history"
@@ -405,23 +404,6 @@ func BenchmarkSimFullSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregatorSharded measures ingest throughput with all CPUs
-// hammering the block-sharded Aggregator concurrently (the contention
-// profile of many edge servers reporting at once).
-func BenchmarkAggregatorSharded(b *testing.B) {
-	agg := cdnlog.NewAggregator(1)
-	var seq uint64
-	b.RunParallel(func(pb *testing.PB) {
-		base := uint32(atomic.AddUint64(&seq, 1)) << 16
-		i := uint32(0)
-		for pb.Next() {
-			agg.Add(cdnlog.Record{Addr: ipv4.Addr(base + i%(1<<16)), Day: 0, Hits: 1})
-			i++
-		}
-	})
-	b.ReportMetric(float64(agg.UniqueAddrs()), "uniqueAddrs")
-}
-
 // BenchmarkUnionAll measures the batched set union over a window of
 // daily snapshots at one worker vs GOMAXPROCS workers.
 func BenchmarkUnionAll(b *testing.B) {
@@ -557,42 +539,6 @@ func BenchmarkAblationChurnWindow(b *testing.B) {
 			b.ReportMetric(med, "upMedian%")
 		})
 	}
-}
-
-// BenchmarkWirePipeline measures collector ingest throughput
-// (records/op over a live TCP socket).
-func BenchmarkWirePipeline(b *testing.B) {
-	const records = 50000
-	batch := make([]cdnlog.Record, records)
-	for i := range batch {
-		batch[i] = cdnlog.Record{Addr: ipv4.Addr(uint32(i)), Day: 0, Hits: 1}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := cdnlog.NewAggregator(1)
-		col := cdnlog.NewCollector(agg)
-		addr, err := col.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		edge, err := cdnlog.DialEdge(context.Background(), addr.String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range batch {
-			if err := edge.Log(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		edge.Close()
-		if err := col.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if agg.UniqueAddrs() != records {
-			b.Fatalf("lost records: %d", agg.UniqueAddrs())
-		}
-	}
-	b.ReportMetric(records, "records/op")
 }
 
 // --- Observation-pipeline benchmarks ---------------------------------

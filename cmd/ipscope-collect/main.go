@@ -1,7 +1,6 @@
-// Command ipscope-collect is the collection tier of the pipeline.
-//
-// Observation-dataset mode ingests a dataset stream produced by
-// ipscope-gen, validates it, and persists it in canonical encoding:
+// Command ipscope-collect is the collection tier of the pipeline. It
+// ingests a dataset stream produced by ipscope-gen, validates it, and
+// persists it in canonical encoding:
 //
 //	-ingest FILE      read the dataset from FILE ("-" = stdin, so
 //	                  "ipscope-gen -dataset - | ipscope-collect -ingest -"
@@ -10,23 +9,18 @@
 //	                  (the peer runs "ipscope-gen -connect ADDR")
 //	-store FILE       write the ingested dataset to FILE
 //
-// The canonical re-encoding is deterministic: collecting the same
-// stream twice produces byte-identical stores, and ipscope-report
-// -dataset over the store reports identically to an in-process run.
-//
-// Without those flags it demonstrates the live cdnlog pipeline: a TCP
-// collector, a fleet of synthetic edge servers streaming per-address
-// request aggregates over real sockets, and the resulting summary.
-// With -replay FILE it replays a .daily.bin file instead.
+// Exactly one of -ingest and -obs-listen is required. The canonical
+// re-encoding is deterministic: collecting the same stream twice
+// produces byte-identical stores, and ipscope-report -dataset over the
+// store reports identically to an in-process run.
 //
 // Usage:
 //
-//	ipscope-collect [-ingest FILE|-] [-obs-listen ADDR] [-store FILE]
-//	ipscope-collect [-edges N] [-days N] [-ases N] [-listen ADDR] [-replay FILE]
+//	ipscope-collect -ingest FILE|- [-store FILE]
+//	ipscope-collect -obs-listen ADDR [-store FILE]
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -34,15 +28,10 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
-	"ipscope/internal/cdnlog"
-	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
-	"ipscope/internal/sim"
-	"ipscope/internal/synthnet"
 )
 
 func main() {
@@ -52,30 +41,19 @@ func main() {
 	ingest := flag.String("ingest", "", `ingest an observation dataset from FILE ("-" = stdin)`)
 	obsListen := flag.String("obs-listen", "", "accept one observation dataset stream on this TCP address")
 	store := flag.String("store", "", "persist the ingested dataset to FILE")
-
-	edges := flag.Int("edges", 8, "number of concurrent edge servers (cdnlog demo)")
-	days := flag.Int("days", 28, "days of activity to stream (cdnlog demo)")
-	ases := flag.Int("ases", 60, "world size in ASes (cdnlog demo)")
-	listen := flag.String("listen", "127.0.0.1:0", "collector listen address (cdnlog demo)")
-	replay := flag.String("replay", "", "replay a .daily.bin file instead of simulating (cdnlog demo)")
 	flag.Parse()
 
-	if *ingest != "" || *obsListen != "" {
-		ingestDataset(*ingest, *obsListen, *store)
-		return
+	if (*ingest == "") == (*obsListen == "") {
+		log.Print("give exactly one of -ingest, -obs-listen")
+		flag.Usage()
+		os.Exit(2)
 	}
-	if *store != "" {
-		log.Fatal("-store needs a dataset source: combine it with -ingest or -obs-listen")
-	}
-	cdnlogDemo(*edges, *days, *ases, *listen, *replay)
+	ingestDataset(*ingest, *obsListen, *store)
 }
 
 // ingestDataset decodes one dataset stream, persists it canonically
 // and prints its summary.
 func ingestDataset(ingest, obsListen, store string) {
-	if ingest != "" && obsListen != "" {
-		log.Fatal("use either -ingest or -obs-listen, not both")
-	}
 	start := time.Now()
 	var d *obs.Data
 	var err error
@@ -132,104 +110,4 @@ func ingestDataset(ingest, obsListen, store string) {
 	fmt.Printf("traffic blocks:    %d\n", len(d.Traffic))
 	fmt.Printf("UA-sampled blocks: %d\n", len(d.UA))
 	fmt.Printf("restructurings:    %d\n", len(d.Restructures))
-}
-
-// cdnlogDemo is the original live log pipeline: edge fleet over TCP
-// into the sharded aggregator.
-func cdnlogDemo(edges, days, ases int, listen, replay string) {
-	agg := cdnlog.NewAggregator(days)
-	col := cdnlog.NewCollector(agg)
-	col.OnError = func(err error) { log.Printf("collector stream error: %v", err) }
-	// A signal stops the accept loop cleanly; Close below then drains
-	// whatever connections are still in flight.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	addr, err := col.ListenContext(ctx, listen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("collector listening on %s", addr)
-
-	start := time.Now()
-	if replay != "" {
-		replayFile(replay, addr.String())
-	} else {
-		streamWorld(edges, days, ases, addr.String())
-	}
-	if err := col.Close(); err != nil {
-		log.Fatalf("collector: %v", err)
-	}
-
-	log.Printf("ingest done in %v", time.Since(start).Round(time.Millisecond))
-	fmt.Printf("unique addresses: %d\n", agg.UniqueAddrs())
-	fmt.Printf("total hits:       %d\n", agg.TotalHits())
-	for d := 0; d < days && d < 7; d++ {
-		fmt.Printf("day %2d actives:   %d\n", d, agg.Day(d).Len())
-	}
-	union := ipv4.NewSet()
-	for _, s := range agg.DailySets() {
-		union.UnionWith(s)
-	}
-	fmt.Printf("active /24 blocks: %d\n", union.NumBlocks())
-}
-
-// streamWorld simulates a world and partitions its daily activity
-// across the edge fleet, each edge shipping its share over TCP.
-func streamWorld(edges, days, ases int, addr string) {
-	w := synthnet.Generate(synthnet.Config{Seed: 1, NumASes: ases, MeanBlocksPerAS: 8})
-	cfg := sim.DefaultConfig()
-	cfg.Days = days
-	cfg.DailyStart, cfg.DailyLen = 0, days
-	res := sim.Run(w, cfg)
-
-	var wg sync.WaitGroup
-	for e := 0; e < edges; e++ {
-		wg.Add(1)
-		go func(e int) {
-			defer wg.Done()
-			edge, err := cdnlog.DialEdge(context.Background(), addr)
-			if err != nil {
-				log.Printf("edge %d: %v", e, err)
-				return
-			}
-			defer edge.Close()
-			for day, set := range res.Daily {
-				set.ForEach(func(a ipv4.Addr) {
-					// Shard addresses across edges the way a CDN maps
-					// clients: by address hash.
-					if int(uint32(a)>>8)%edges != e {
-						return
-					}
-					if err := edge.Log(cdnlog.Record{Addr: a, Day: uint32(day), Hits: 1}); err != nil {
-						log.Printf("edge %d: %v", e, err)
-						return
-					}
-				})
-			}
-		}(e)
-	}
-	wg.Wait()
-}
-
-func replayFile(path, addr string) {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	edge, err := cdnlog.DialEdge(context.Background(), addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer edge.Close()
-	err = cdnlog.DecodeStream(bufio.NewReaderSize(f, 1<<20), func(rs []cdnlog.Record) {
-		for _, r := range rs {
-			if err := edge.Log(r); err != nil {
-				log.Fatal(err)
-			}
-		}
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -7,67 +7,88 @@
 //   - -connect ADDR streams the dataset to a TCP collector or live
 //     server (ipscope-collect -obs-listen ADDR, ipscope-serve
 //     -obs-listen ADDR); -day-delay paces the stream so a live
-//     consumer's epoch progression is observable in wall-clock time;
-//   - without either flag it exports the legacy open-format files:
-//     PREFIX.nro (NRO delegated-extended allocations), PREFIX.daily.bin
-//     (per-(address, day) records in the cdnlog wire format) and
-//     PREFIX.summary (Table 1 style).
+//     consumer's epoch progression is observable in wall-clock time.
 //
-// For a fixed seed and configuration the emitted dataset is
+// At least one of -dataset and -connect is required; given both, the
+// one stream goes to both. -ases, -blocks-per-as and -days must be at
+// least 1. For a fixed seed and configuration the emitted dataset is
 // byte-identical across runs and worker counts.
 //
 // Usage:
 //
 //	ipscope-gen [-seed N] [-ases N] [-blocks-per-as N] [-days N]
-//	            [-dataset FILE|-] [-connect ADDR] [-prefix out/world]
+//	            [-dataset FILE|-] [-connect ADDR] [-day-delay D]
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"os"
-	"path/filepath"
 	"time"
 
-	"ipscope/internal/cdnlog"
-	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
-	"ipscope/internal/registry"
 	"ipscope/internal/sim"
 	"ipscope/internal/synthnet"
 )
+
+// options is argv, parsed and checked.
+type options struct {
+	world    synthnet.Config
+	days     int
+	dataset  string
+	connect  string
+	dayDelay time.Duration
+}
+
+// parse declares the flags on fs, parses args and refuses a run with
+// nowhere to stream to or a world or run size below 1 (which synthnet
+// and sim would read as "use the library default").
+func parse(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	// World/run defaults deliberately match ipscope-report's, so
+	// "gen -dataset | ... | report -dataset" compares against a direct
+	// "report" run without having to repeat every flag.
+	fs.Uint64Var(&o.world.Seed, "seed", 1, "world seed")
+	fs.IntVar(&o.world.NumASes, "ases", 300, "number of autonomous systems")
+	fs.IntVar(&o.world.MeanBlocksPerAS, "blocks-per-as", 12, "mean /24 blocks per AS")
+	fs.IntVar(&o.days, "days", 364, "simulated days")
+	fs.StringVar(&o.dataset, "dataset", "", `stream the observation dataset to FILE ("-" = stdout)`)
+	fs.StringVar(&o.connect, "connect", "", "stream the observation dataset to a TCP collector at ADDR")
+	fs.DurationVar(&o.dayDelay, "day-delay", 0, "pace the stream: sleep this long after each emitted day (live-pipeline demos)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.dataset == "" && o.connect == "" {
+		return o, errors.New("give -dataset, -connect or both")
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"ases", o.world.NumASes}, {"blocks-per-as", o.world.MeanBlocksPerAS}, {"days", o.days}} {
+		if f.v < 1 {
+			return o, fmt.Errorf("-%s %d: must be at least 1", f.name, f.v)
+		}
+	}
+	return o, nil
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ipscope-gen: ")
 
-	// World/run defaults deliberately match ipscope-report's, so
-	// "gen -dataset | ... | report -dataset" compares against a direct
-	// "report" run without having to repeat every flag.
-	seed := flag.Uint64("seed", 1, "world seed")
-	ases := flag.Int("ases", 300, "number of autonomous systems")
-	blocksPerAS := flag.Int("blocks-per-as", 12, "mean /24 blocks per AS")
-	days := flag.Int("days", 364, "simulated days")
-	dataset := flag.String("dataset", "", `stream the observation dataset to FILE ("-" = stdout)`)
-	connect := flag.String("connect", "", "stream the observation dataset to a TCP collector at ADDR")
-	dayDelay := flag.Duration("day-delay", 0, "pace the stream: sleep this long after each emitted day (live-pipeline demos)")
-	prefix := flag.String("prefix", "ipscope-world", "output file prefix (legacy exports)")
-	flag.Parse()
-
-	wcfg := synthnet.Config{Seed: *seed, NumASes: *ases, MeanBlocksPerAS: *blocksPerAS}
-	w := synthnet.Generate(wcfg)
-	scfg := sim.DefaultConfig()
-	scfg.Days = *days
-
-	if *dataset != "" || *connect != "" {
-		streamDataset(w, scfg, *dataset, *connect, *dayDelay)
-		return
+	o, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
 	}
-	legacyExport(w, scfg, *seed, *prefix)
+	scfg := sim.DefaultConfig()
+	scfg.Days = o.days
+	streamDataset(synthnet.Generate(o.world), scfg, o.dataset, o.connect, o.dayDelay)
 }
 
 // streamDataset runs the simulation with obs.Writer sinks attached, so
@@ -145,76 +166,4 @@ func streamDataset(w *synthnet.World, scfg sim.Config, dataset, connect string, 
 	}
 	log.Printf("streamed dataset: %d daily snapshots, %d weeks, %d traffic blocks",
 		len(res.Daily), len(res.Weekly), len(res.Traffic))
-}
-
-// legacyExport writes the pre-pipeline open-format files.
-func legacyExport(w *synthnet.World, scfg sim.Config, seed uint64, prefix string) {
-	res := sim.Run(w, scfg)
-
-	if dir := filepath.Dir(prefix); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// NRO allocations.
-	nroPath := prefix + ".nro"
-	nf, err := os.Create(nroPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := registry.WriteNRO(nf, w.Registry.Allocations()); err != nil {
-		log.Fatal(err)
-	}
-	nf.Close()
-
-	// Daily activity stream.
-	binPath := prefix + ".daily.bin"
-	bf, err := os.Create(binPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bw := bufio.NewWriterSize(bf, 1<<20)
-	records := 0
-	for day, set := range res.Daily {
-		var batch []cdnlog.Record
-		set.ForEach(func(a ipv4.Addr) {
-			hits := uint32(1)
-			if bt := res.Traffic[a.Block()]; bt != nil {
-				da := bt.DaysActive[a.Host()]
-				if da > 0 {
-					hits = uint32(bt.Hits[a.Host()]/float64(da)) + 1
-				}
-			}
-			batch = append(batch, cdnlog.Record{Addr: a, Day: uint32(day), Hits: hits})
-		})
-		if err := cdnlog.WriteFrame(bw, batch); err != nil {
-			log.Fatal(err)
-		}
-		records += len(batch)
-	}
-	if err := bw.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	bf.Close()
-
-	// Summary.
-	sumPath := prefix + ".summary"
-	sf, err := os.Create(sumPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	daily := cdnlog.Summarize(res.Daily, w.ASOf)
-	weekly := cdnlog.Summarize(res.Weekly, w.ASOf)
-	stats := w.Summarize()
-	fmt.Fprintf(sf, "seed=%d ases=%d blocks=%d capacity=%d\n",
-		seed, stats.ASes, stats.Blocks, stats.TotalCapacity)
-	fmt.Fprintf(sf, "daily:  snapshots=%d totalIPs=%d avgIPs=%d total24s=%d totalASes=%d\n",
-		daily.Snapshots, daily.TotalIPs, daily.AvgIPs, daily.TotalBlocks, daily.TotalASes)
-	fmt.Fprintf(sf, "weekly: snapshots=%d totalIPs=%d avgIPs=%d total24s=%d totalASes=%d\n",
-		weekly.Snapshots, weekly.TotalIPs, weekly.AvgIPs, weekly.TotalBlocks, weekly.TotalASes)
-	sf.Close()
-
-	log.Printf("wrote %s (%d allocations), %s (%d records), %s",
-		nroPath, len(w.Registry.Allocations()), binPath, records, sumPath)
 }

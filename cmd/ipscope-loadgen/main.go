@@ -39,7 +39,8 @@
 //	                   http://127.0.0.1:8090)
 //	-seed/-ases/-blocks-per-as
 //	                   regenerate the server's world (same flags as
-//	                   ipscope-gen/ipscope-serve)
+//	                   ipscope-gen; -ases and -blocks-per-as must be
+//	                   at least 1)
 //	-requests N        total requests across all phases (default 4000)
 //	-concurrency C     parallel client workers (default 2×GOMAXPROCS)
 //	-mix SPEC          endpoint blend, e.g. "addr:45,block:25,
@@ -96,6 +97,17 @@ func main() {
 	mdOut := flag.String("md", "", "also write the report as a markdown table to FILE")
 	sloP99 := flag.Duration("slo-p99", 0, "warn-only SLO bound on per-phase p99 (0 = off)")
 	flag.Parse()
+	// synthnet reads a size below 1 as "use the library default".
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"ases", *ases}, {"blocks-per-as", *blocksPerAS}} {
+		if f.v < 1 {
+			log.Printf("-%s %d: must be at least 1", f.name, f.v)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 
 	base := strings.TrimSuffix(*target, "/")
 	mix, err := parseWeights(*mixSpec, []string{"addr", "block", "prefix", "as", "summary", "movement", "delta"})

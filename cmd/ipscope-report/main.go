@@ -21,6 +21,8 @@
 //
 //	ipscope-report [-seed N] [-ases N] [-blocks-per-as N] [-days N]
 //	               [-dataset FILE] [-vantage-frac F] [-window-days N] [-o FILE]
+//
+// -ases, -blocks-per-as and -days must be at least 1.
 package main
 
 import (
@@ -49,6 +51,17 @@ func main() {
 	windowDays := flag.Int("window-days", 0, "replay scenario: truncate the daily window to its first N days")
 	out := flag.String("o", "", "write report to file instead of stdout")
 	flag.Parse()
+	// synthnet and sim read a size below 1 as "use the library default".
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"ases", *ases}, {"blocks-per-as", *blocksPerAS}, {"days", *days}} {
+		if f.v < 1 {
+			log.Printf("-%s %d: must be at least 1", f.name, f.v)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

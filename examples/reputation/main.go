@@ -56,7 +56,14 @@ func main() {
 	for pol, a := range byPolicy {
 		rows = append(rows, row{pol, median(a.horizons), median(a.persist), len(a.horizons)})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].medianH > rows[j].medianH })
+	// Every "no expiry" (+Inf) horizon ties: break ties on the policy,
+	// not on the map order rows were built in.
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].medianH != rows[j].medianH {
+			return rows[i].medianH > rows[j].medianH
+		}
+		return rows[i].pol < rows[j].pol
+	})
 
 	fmt.Println("behavioural-staleness horizon by assignment practice")
 	fmt.Println("(days until P(verdict still describes the address) < 50%,")

@@ -1,164 +1,12 @@
-// Package cdnlog implements the data-collection side of the study: the
-// per-IP request-log records produced by CDN edge servers, a compact
-// binary wire format, a TCP collector that aggregates records from many
-// edges concurrently (the "distributed data collection framework" of
-// Section 3.2), and dataset summaries (Table 1).
-//
-// Records are aggregated per (address, day): each edge server counts
-// hits locally and ships aggregates, exactly like the production
-// pipeline the paper describes.
+// Package cdnlog computes the paper's dataset summaries (Table 1):
+// totals over a series of activity snapshots and averages per
+// snapshot, at address, /24 and AS granularity.
 package cdnlog
 
 import (
 	"ipscope/internal/bgp"
 	"ipscope/internal/ipv4"
-	"ipscope/internal/par"
 )
-
-// Record is one per-address, per-day aggregate from an edge server.
-type Record struct {
-	Addr ipv4.Addr
-	Day  uint32 // day index within the measurement period
-	Hits uint32
-}
-
-// numAggShards is the Aggregator's lock-striping factor. Records hash
-// to a shard by /24 block, so shard contents are disjoint by block and
-// merged reads never need a global lock.
-const numAggShards = 32
-
-// aggShard is one lock domain of the Aggregator: the daily sets and
-// per-address totals for the /24 blocks that hash here.
-type aggShard struct {
-	days  []*ipv4.Set
-	hits  map[ipv4.Addr]uint64
-	total uint64
-}
-
-// Aggregator merges records from any number of edges into daily
-// active-address sets and per-address totals. It is safe for
-// concurrent use: state is striped across block-hashed shards with
-// per-shard locks, so concurrent edges only contend when they report
-// addresses of the same shard, and snapshot reads merge shard by shard
-// without ever stopping all writers.
-type Aggregator struct {
-	numDays int
-	shards  *par.Sharded[aggShard]
-}
-
-// aggShardKey hashes an address to its shard by /24 block, keeping a
-// block's bitmap in exactly one shard.
-func aggShardKey(a ipv4.Addr) uint64 { return par.Hash64(uint64(a) >> 8) }
-
-// NewAggregator creates an Aggregator covering numDays days.
-func NewAggregator(numDays int) *Aggregator {
-	return &Aggregator{
-		numDays: numDays,
-		shards: par.NewSharded(numAggShards, func() aggShard {
-			sh := aggShard{
-				days: make([]*ipv4.Set, numDays),
-				hits: make(map[ipv4.Addr]uint64),
-			}
-			for i := range sh.days {
-				sh.days[i] = ipv4.NewSet()
-			}
-			return sh
-		}),
-	}
-}
-
-// Add merges one record. Records with out-of-range days or zero hits
-// are dropped (a request must have completed to count, per the paper's
-// definition of "active").
-func (a *Aggregator) Add(r Record) {
-	if int(r.Day) >= a.numDays || r.Hits == 0 {
-		return
-	}
-	a.shards.Do(a.shards.ShardFor(aggShardKey(r.Addr)), func(sh *aggShard) {
-		sh.days[r.Day].Add(r.Addr)
-		sh.hits[r.Addr] += uint64(r.Hits)
-		sh.total += uint64(r.Hits)
-	})
-}
-
-// AddBatch merges many records, acquiring each involved shard's lock
-// once.
-func (a *Aggregator) AddBatch(rs []Record) {
-	var byShard [numAggShards][]Record
-	for _, r := range rs {
-		if int(r.Day) >= a.numDays || r.Hits == 0 {
-			continue
-		}
-		i := a.shards.ShardFor(aggShardKey(r.Addr))
-		byShard[i] = append(byShard[i], r)
-	}
-	for i, batch := range byShard {
-		if len(batch) == 0 {
-			continue
-		}
-		a.shards.Do(i, func(sh *aggShard) {
-			for _, r := range batch {
-				sh.days[r.Day].Add(r.Addr)
-				sh.hits[r.Addr] += uint64(r.Hits)
-				sh.total += uint64(r.Hits)
-			}
-		})
-	}
-}
-
-// NumDays returns the configured day count.
-func (a *Aggregator) NumDays() int { return a.numDays }
-
-// Day returns a merged snapshot of the active set for day d. Shards are
-// visited one at a time in ascending order; writers to other shards are
-// never blocked.
-func (a *Aggregator) Day(d int) *ipv4.Set {
-	out := ipv4.NewSet()
-	if d < 0 || d >= a.numDays {
-		return out
-	}
-	a.shards.Range(func(_ int, sh *aggShard) {
-		out.UnionWith(sh.days[d])
-	})
-	return out
-}
-
-// DailySets returns merged snapshots of all daily sets.
-func (a *Aggregator) DailySets() []*ipv4.Set {
-	out := make([]*ipv4.Set, a.numDays)
-	for i := range out {
-		out[i] = ipv4.NewSet()
-	}
-	a.shards.Range(func(_ int, sh *aggShard) {
-		for i, s := range sh.days {
-			out[i].UnionWith(s)
-		}
-	})
-	return out
-}
-
-// HitsOf returns the accumulated hits for one address.
-func (a *Aggregator) HitsOf(addr ipv4.Addr) uint64 {
-	var v uint64
-	a.shards.Do(a.shards.ShardFor(aggShardKey(addr)), func(sh *aggShard) {
-		v = sh.hits[addr]
-	})
-	return v
-}
-
-// TotalHits returns the total accumulated hits.
-func (a *Aggregator) TotalHits() uint64 {
-	var total uint64
-	a.shards.Range(func(_ int, sh *aggShard) { total += sh.total })
-	return total
-}
-
-// UniqueAddrs returns the number of distinct addresses seen.
-func (a *Aggregator) UniqueAddrs() int {
-	n := 0
-	a.shards.Range(func(_ int, sh *aggShard) { n += len(sh.hits) })
-	return n
-}
 
 // DatasetSummary is one row of Table 1: totals over the whole dataset
 // and averages per snapshot, at address, /24 and AS granularity.

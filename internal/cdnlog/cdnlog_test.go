@@ -1,243 +1,11 @@
 package cdnlog
 
 import (
-	"bytes"
-	"context"
-	"io"
-	"strings"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"ipscope/internal/bgp"
 	"ipscope/internal/ipv4"
 )
-
-func rec(addr string, day, hits uint32) Record {
-	return Record{Addr: ipv4.MustParseAddr(addr), Day: day, Hits: hits}
-}
-
-func TestAggregator(t *testing.T) {
-	a := NewAggregator(3)
-	a.Add(rec("10.0.0.1", 0, 5))
-	a.Add(rec("10.0.0.1", 1, 7))
-	a.Add(rec("10.0.0.2", 0, 1))
-	a.Add(rec("10.0.0.3", 9, 1)) // out of range: dropped
-	a.Add(rec("10.0.0.4", 0, 0)) // zero hits: dropped
-
-	if a.NumDays() != 3 {
-		t.Errorf("NumDays = %d", a.NumDays())
-	}
-	if got := a.Day(0).Len(); got != 2 {
-		t.Errorf("day 0 actives = %d", got)
-	}
-	if got := a.Day(1).Len(); got != 1 {
-		t.Errorf("day 1 actives = %d", got)
-	}
-	if got := a.Day(2).Len(); got != 0 {
-		t.Errorf("day 2 actives = %d", got)
-	}
-	if got := a.Day(-1).Len(); got != 0 {
-		t.Errorf("day -1 = %d", got)
-	}
-	if got := a.HitsOf(ipv4.MustParseAddr("10.0.0.1")); got != 12 {
-		t.Errorf("hits = %d", got)
-	}
-	if a.TotalHits() != 13 {
-		t.Errorf("total = %d", a.TotalHits())
-	}
-	if a.UniqueAddrs() != 2 {
-		t.Errorf("unique = %d", a.UniqueAddrs())
-	}
-	sets := a.DailySets()
-	if len(sets) != 3 || sets[0].Len() != 2 {
-		t.Error("DailySets wrong")
-	}
-	// Snapshots are clones.
-	sets[0].Add(ipv4.MustParseAddr("99.0.0.1"))
-	if a.Day(0).Len() != 2 {
-		t.Error("Day not cloned")
-	}
-}
-
-func TestAggregatorConcurrent(t *testing.T) {
-	a := NewAggregator(1)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				a.Add(Record{Addr: ipv4.Addr(uint32(g*1000 + i)), Day: 0, Hits: 1})
-			}
-		}(g)
-	}
-	wg.Wait()
-	if a.UniqueAddrs() != 8000 {
-		t.Errorf("unique = %d", a.UniqueAddrs())
-	}
-	if a.TotalHits() != 8000 {
-		t.Errorf("total = %d", a.TotalHits())
-	}
-}
-
-func TestWireRoundTrip(t *testing.T) {
-	rs := []Record{
-		rec("10.0.0.1", 0, 5),
-		rec("255.255.255.255", 111, 1<<31),
-		rec("0.0.0.0", 1, 1),
-	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, rs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rs) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range rs {
-		if got[i] != rs[i] {
-			t.Errorf("record %d: %+v != %+v", i, got[i], rs[i])
-		}
-	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
-	}
-}
-
-func TestWireRoundTripProperty(t *testing.T) {
-	f := func(addrs []uint32, days []uint16, hits []uint16) bool {
-		n := len(addrs)
-		if len(days) < n {
-			n = len(days)
-		}
-		if len(hits) < n {
-			n = len(hits)
-		}
-		if n == 0 {
-			return true
-		}
-		rs := make([]Record, n)
-		for i := 0; i < n; i++ {
-			rs[i] = Record{Addr: ipv4.Addr(addrs[i]), Day: uint32(days[i]), Hits: uint32(hits[i])}
-		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, rs); err != nil {
-			return false
-		}
-		var got []Record
-		if err := DecodeStream(&buf, func(b []Record) { got = append(got, b...) }); err != nil {
-			return false
-		}
-		if len(got) != n {
-			return false
-		}
-		for i := range rs {
-			if got[i] != rs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWireSplitsLargeBatches(t *testing.T) {
-	rs := make([]Record, MaxBatch*2+10)
-	for i := range rs {
-		rs[i] = Record{Addr: ipv4.Addr(uint32(i)), Day: 0, Hits: 1}
-	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, rs); err != nil {
-		t.Fatal(err)
-	}
-	frames := 0
-	total := 0
-	if err := DecodeStream(&buf, func(b []Record) { frames++; total += len(b) }); err != nil {
-		t.Fatal(err)
-	}
-	if frames != 3 || total != len(rs) {
-		t.Errorf("frames=%d total=%d", frames, total)
-	}
-}
-
-func TestWireErrors(t *testing.T) {
-	// Bad magic.
-	if _, err := ReadFrame(strings.NewReader("XXxxxxxx")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// Truncated header.
-	if _, err := ReadFrame(strings.NewReader("\xa4")); err == nil {
-		t.Error("truncated header accepted")
-	}
-	// Zero count.
-	if _, err := ReadFrame(bytes.NewReader([]byte{magic0, magic1, 0, 0})); err == nil {
-		t.Error("zero count accepted")
-	}
-	// Truncated body.
-	var buf bytes.Buffer
-	WriteFrame(&buf, []Record{rec("10.0.0.1", 0, 1)})
-	trunc := buf.Bytes()[:buf.Len()-4]
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated body accepted")
-	}
-}
-
-func TestCollectorEndToEnd(t *testing.T) {
-	agg := NewAggregator(7)
-	col := NewCollector(agg)
-	addr, err := col.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const edges = 4
-	const perEdge = 5000
-	var wg sync.WaitGroup
-	for e := 0; e < edges; e++ {
-		wg.Add(1)
-		go func(e int) {
-			defer wg.Done()
-			edge, err := DialEdge(context.Background(), addr.String())
-			if err != nil {
-				t.Errorf("edge %d dial: %v", e, err)
-				return
-			}
-			defer edge.Close()
-			for i := 0; i < perEdge; i++ {
-				r := Record{
-					Addr: ipv4.Addr(uint32(e*perEdge + i)),
-					Day:  uint32(i % 7),
-					Hits: uint32(1 + i%5),
-				}
-				if err := edge.Log(r); err != nil {
-					t.Errorf("edge %d log: %v", e, err)
-					return
-				}
-			}
-		}(e)
-	}
-	wg.Wait()
-	if err := col.Close(); err != nil {
-		t.Fatalf("collector error: %v", err)
-	}
-	if got := agg.UniqueAddrs(); got != edges*perEdge {
-		t.Errorf("unique = %d, want %d", got, edges*perEdge)
-	}
-	// Every day has ~1/7 of the addresses.
-	for d := 0; d < 7; d++ {
-		n := agg.Day(d).Len()
-		want := edges * perEdge / 7
-		if n < want-edges || n > want+edges {
-			t.Errorf("day %d actives = %d, want ~%d", d, n, want)
-		}
-	}
-}
 
 func TestSummarize(t *testing.T) {
 	blkA := ipv4.MustParseAddr("10.0.0.0").Block()

@@ -18,10 +18,9 @@ import (
 	"ipscope/internal/useragent"
 )
 
-// Dataset wire format (all integers big endian), following the framing
-// conventions of internal/cdnlog/wire.go: a fixed magic guards against
-// desynchronized streams and every frame is length-prefixed so unknown
-// event kinds can be skipped. Payload fields are written and checked by
+// Dataset wire format (all integers big endian): a fixed magic guards
+// against desynchronized streams and every frame is length-prefixed so
+// unknown event kinds can be skipped. Payload fields are written and checked by
 // internal/binenc (counts validated before allocation, sticky first
 // error, trailing bytes rejected).
 //

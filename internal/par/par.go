@@ -1,7 +1,7 @@
 // Package par provides the shared parallel-execution primitives the
 // engine, ingestion, metrics and analysis layers are built on: a
-// bounded worker pool over contiguous shards, an errgroup-style Group,
-// and sharded containers with per-shard locks.
+// bounded worker pool over contiguous shards and an errgroup-style
+// Group.
 //
 // Determinism contract: every fan-out helper assigns work to shards as
 // contiguous index ranges (Split) and every merge helper visits shards

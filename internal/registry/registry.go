@@ -1,8 +1,6 @@
 // Package registry models the Regional Internet Registry (RIR) system:
 // which registry and country each IPv4 address is registered to, RIR
-// exhaustion dates, and ITU-style subscriber statistics. It also reads
-// and writes the NRO extended allocation format so that allocation data
-// can be exchanged with real tooling.
+// exhaustion dates, and ITU-style subscriber statistics.
 package registry
 
 import (
@@ -40,24 +38,6 @@ func (r RIR) String() string {
 		return rirNames[r]
 	}
 	return "UNKNOWN"
-}
-
-// ParseRIR maps a registry name (as used in NRO files, lowercase
-// variants included) to a RIR.
-func ParseRIR(s string) (RIR, bool) {
-	switch s {
-	case "ARIN", "arin":
-		return ARIN, true
-	case "RIPE", "ripencc", "RIPENCC", "ripe":
-		return RIPE, true
-	case "APNIC", "apnic":
-		return APNIC, true
-	case "LACNIC", "lacnic":
-		return LACNIC, true
-	case "AFRINIC", "afrinic":
-		return AFRINIC, true
-	}
-	return 0, false
 }
 
 // ExhaustionDate returns the date the registry's free IPv4 pool was
@@ -160,6 +140,28 @@ func CountriesOf(r RIR) []CountryInfo {
 		if c.RIR == r {
 			out = append(out, c)
 		}
+	}
+	return out
+}
+
+// RankedCountries returns country codes ordered by the given rank
+// accessor (ascending rank, i.e. largest subscriber base first),
+// skipping unranked entries.
+func RankedCountries(rank func(CountryInfo) int) []Country {
+	type kv struct {
+		c Country
+		r int
+	}
+	var xs []kv
+	for _, ci := range Countries {
+		if r := rank(ci); r > 0 {
+			xs = append(xs, kv{ci.Code, r})
+		}
+	}
+	sort.Slice(xs, func(i, j int) bool { return xs[i].r < xs[j].r })
+	out := make([]Country, len(xs))
+	for i, x := range xs {
+		out[i] = x.c
 	}
 	return out
 }
@@ -297,9 +299,6 @@ func (h *maxIdxHeap) pop() {
 		(*h)[i], (*h)[big] = (*h)[big], (*h)[i]
 	}
 }
-
-// Allocations returns the underlying allocation list.
-func (t *Table) Allocations() []Allocation { return t.allocs }
 
 // Lookup returns the allocation covering a.
 func (t *Table) Lookup(a ipv4.Addr) (Allocation, bool) {
