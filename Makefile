@@ -20,10 +20,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The binary codecs convert untrusted u32/u64 counts to int: type-check
-# them where int is 32 bits, so the narrow case at least compiles.
+# The binary codecs (and the checkpoint journal's record decoder) convert
+# untrusted u32/u64 counts to int: type-check them where int is 32 bits,
+# so the narrow case at least compiles.
 vet-386:
-	GOARCH=386 $(GO) vet ./internal/binenc ./internal/obs ./internal/rpc ./internal/query
+	GOARCH=386 $(GO) vet ./internal/binenc ./internal/obs ./internal/rpc ./internal/query ./internal/node
 
 # Fails when any file needs gofmt; prints the offenders.
 fmt-check:

@@ -298,21 +298,12 @@ func BenchmarkFigure9Cumulative(b *testing.B) {
 
 func BenchmarkFigure9TopShare(b *testing.B) {
 	ctx := benchContext(b)
-	// Reconstruct per-address totals for the top-share computation.
-	var hits []float64
-	for _, bt := range ctx.Obs.Traffic {
-		for h := 0; h < 256; h++ {
-			if bt.Hits[h] > 0 {
-				hits = append(hits, bt.Hits[h])
-			}
-		}
-	}
 	b.ResetTimer()
-	var share float64
+	var delta float64
 	for i := 0; i < b.N; i++ {
-		share = core.TopShare(hits, 0.10)
+		delta = analysis.Figure9(ctx).TrendDelta
 	}
-	b.ReportMetric(100*share, "top10%share")
+	b.ReportMetric(100*delta, "top10%trendPP")
 }
 
 func BenchmarkFigure10UADiversity(b *testing.B) {

@@ -41,10 +41,11 @@
 // other range keeps answering.
 //
 //	-shards URLS   comma-separated process base URLs, any order
-//	               (ranges are discovered; with -replicas R the URLs
-//	               must form R complete copies of the partition)
-//	-replicas R    replication factor (default 1): how many of the
-//	               -shards processes serve each range
+//	               (required; ranges are discovered; with -replicas R
+//	               the URLs must form R complete copies of the
+//	               partition)
+//	-replicas R    replication factor (default 1, at least 1): how many
+//	               of the -shards processes serve each range
 //	-listen ADDR   bind address (default 127.0.0.1:8095)
 //	-transport T   shard transport: "http" (JSON over the public API,
 //	               the default) or "rpc" (persistent pipelined binary
@@ -58,11 +59,15 @@
 //	               with it, the response cache
 //	-pprof ADDR    expose net/http/pprof on a side listener (off by
 //	               default)
+//
+// A refused flag combination prints the usage and exits 2.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -76,21 +81,54 @@ import (
 	"ipscope/internal/cluster"
 )
 
+// options is argv, parsed and checked.
+type options struct {
+	urls   []string
+	router cluster.RouterOptions
+	listen string
+	pprof  string
+}
+
+// parse declares the flags on fs, parses args and refuses a router with
+// no shards or a replication factor below 1.
+func parse(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	shards := fs.String("shards", "", "comma-separated shard base URLs (required)")
+	fs.IntVar(&o.router.Replicas, "replicas", 1, "replication factor: processes per block range")
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:8095", "HTTP listen address")
+	fs.StringVar(&o.router.Transport, "transport", cluster.TransportHTTP, `shard transport: "http" or "rpc"`)
+	fs.DurationVar(&o.router.InfoTimeout, "info-timeout", cluster.DefaultInfoTimeout, "startup partition discovery timeout")
+	fs.DurationVar(&o.router.ProbeInterval, "probe-every", cluster.DefaultProbeInterval, "background health probe cadence (negative = off, and no response cache)")
+	fs.StringVar(&o.pprof, "pprof", "", "expose net/http/pprof on a side listener (empty = off)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	for _, u := range strings.Split(*shards, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			o.urls = append(o.urls, strings.TrimSuffix(u, "/"))
+		}
+	}
+	switch {
+	case len(o.urls) == 0:
+		return o, errors.New("-shards is empty: pass -shards http://host1:port,http://host2:port,...")
+	case o.router.Replicas < 1:
+		return o, fmt.Errorf("-replicas %d must be >= 1", o.router.Replicas)
+	}
+	return o, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ipscope-router: ")
 
-	shards := flag.String("shards", "", "comma-separated shard base URLs (required)")
-	replicas := flag.Int("replicas", 1, "replication factor: processes per block range")
-	listen := flag.String("listen", "127.0.0.1:8095", "HTTP listen address")
-	transport := flag.String("transport", cluster.TransportHTTP, `shard transport: "http" or "rpc"`)
-	infoTimeout := flag.Duration("info-timeout", cluster.DefaultInfoTimeout, "startup partition discovery timeout")
-	probeEvery := flag.Duration("probe-every", cluster.DefaultProbeInterval, "background health probe cadence (negative = off, and no response cache)")
-	pprofAddr := flag.String("pprof", "", "expose net/http/pprof on a side listener (empty = off)")
-	flag.Parse()
-
-	if *pprofAddr != "" {
-		ln, err := net.Listen("tcp", *pprofAddr)
+	o, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if o.pprof != "" {
+		ln, err := net.Listen("tcp", o.pprof)
 		if err != nil {
 			log.Fatalf("pprof listen: %v", err)
 		}
@@ -98,28 +136,13 @@ func main() {
 		go http.Serve(ln, nil) // pprof registers on http.DefaultServeMux
 	}
 
-	var urls []string
-	for _, u := range strings.Split(*shards, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimSuffix(u, "/"))
-		}
-	}
-	if len(urls) == 0 {
-		log.Fatal("no shards: pass -shards http://host1:port,http://host2:port,...")
-	}
-
-	log.Printf("discovering partition behind %d process(es)...", len(urls))
-	router, err := cluster.NewRouter(urls, cluster.RouterOptions{
-		Transport:     *transport,
-		InfoTimeout:   *infoTimeout,
-		Replicas:      *replicas,
-		ProbeInterval: *probeEvery,
-	})
+	log.Printf("discovering partition behind %d process(es)...", len(o.urls))
+	router, err := cluster.NewRouter(o.urls, o.router)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	addr, err := router.Listen(*listen)
+	addr, err := router.Listen(o.listen)
 	if err != nil {
 		log.Fatal(err)
 	}

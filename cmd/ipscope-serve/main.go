@@ -25,21 +25,20 @@
 //	                  start is milliseconds instead of a full rebuild;
 //	                  a sharded snapshot restores its own partition range
 //	-follow FILE      live: tail FILE as a producer appends to it,
-//	                  publishing snapshots as days arrive
+//	                  publishing a snapshot as each day arrives
 //	-obs-listen ADDR  live: accept one TCP observation stream
 //	                  (the peer runs "ipscope-gen -connect ADDR")
-//	-publish-every N  live: publish a new epoch every N applied days
-//	                  (default 1)
 //	-snapshot-save FILE
 //	                  batch: after the build, persist the index as an
 //	                  on-disk snapshot (atomic rename; the shard range is
 //	                  embedded when -shard-count is in effect)
-//	-snapshot-dir DIR live: make published epochs durable in DIR, and on
-//	                  startup resume from what it holds (the newest
-//	                  readable base image plus its journal, served at
-//	                  the last durable epoch), tailing the stream from
-//	                  the cut instead of replaying it from the
-//	                  beginning. A base image snap-<B>.ipsnap is the
+//	-snapshot-dir DIR live: make every published epoch durable in DIR
+//	                  (ingest waits for the writer rather than skip
+//	                  one), and on startup resume from what it holds
+//	                  (the newest readable base image plus its journal,
+//	                  served at the last durable epoch), tailing the
+//	                  stream from the cut instead of replaying it from
+//	                  the beginning. A base image snap-<B>.ipsnap is the
 //	                  whole applier (temp file, fsync, rename); beside
 //	                  it snap-<B>.ipjournal takes one fsynced record per
 //	                  later epoch — the events that epoch applied —
@@ -50,11 +49,8 @@
 //	                  stale snap-*.tmp files of a killed writer are
 //	                  removed at startup, and a signal waits for the
 //	                  write in flight. ipscope-snapshot DIR lists it
-//	-snapshot-every N live: make every Nth published epoch durable
-//	                  (default 1); every selected epoch is — ingest
-//	                  waits for the writer rather than skip one
 //	-snapshot-keep N  live: retain only the newest N base images, each
-//	                  with its journal (default 3)
+//	                  with its journal (default 3; at least 1)
 //	-follow-poll DUR  live: -follow poll interval (default 200ms; tests
 //	                  and smoke scripts lower it)
 //	-listen ADDR      bind address (default 127.0.0.1:8090; :0 picks an
@@ -68,7 +64,7 @@
 //	                  ?epoch=E time travel on every lookup endpoint,
 //	                  /v1/delta?from=&to= between two retained epochs,
 //	                  /v1/movement?last=N per-epoch series (0 = retain
-//	                  only the live epoch)
+//	                  only the live epoch; negative is refused)
 //	-access-log FILE  structured JSON access log ("-" = stderr)
 //	-shard-count N    cluster: restrict this server to its slice of an
 //	                  N-way block partition (see cmd/ipscope-router)
@@ -129,10 +125,8 @@ func parse(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&c.SnapshotLoad, "snapshot-load", "", "batch: serve a saved snapshot instead of building")
 	fs.StringVar(&c.Follow, "follow", "", "live: tail a growing dataset file")
 	fs.StringVar(&c.ObsListen, "obs-listen", "", "live: accept one TCP observation stream on this address")
-	fs.IntVar(&c.PublishEvery, "publish-every", 1, "live: publish a new epoch every N applied days")
 	fs.StringVar(&c.SnapshotSave, "snapshot-save", "", "batch: persist the index as a snapshot file")
 	fs.StringVar(&c.SnapshotDir, "snapshot-dir", "", "live: checkpoint directory: base images and their journals (resume from the newest on startup)")
-	fs.IntVar(&c.SnapshotEvery, "snapshot-every", 1, "live: make every Nth published epoch durable")
 	fs.IntVar(&c.SnapshotKeep, "snapshot-keep", 3, "live: retain only the newest N base images, each with its journal")
 	fs.DurationVar(&c.FollowPoll, "follow-poll", 0, "live: -follow poll interval (0 = default 200ms)")
 	fs.StringVar(&c.Listen, "listen", "127.0.0.1:8090", "HTTP listen address")
@@ -175,6 +169,10 @@ func parse(fs *flag.FlagSet, args []string) (options, error) {
 		return o, fmt.Errorf("-replica %d must be >= 0", c.Replica)
 	case c.Replica > 0 && c.ShardCount <= 0 && c.SnapshotLoad == "":
 		return o, errors.New("-replica requires a partition identity: -shard-count (use -shard-count 1 for a single-range fleet) or -snapshot-load")
+	case c.SnapshotKeep < 1:
+		return o, fmt.Errorf("-snapshot-keep %d must be >= 1", c.SnapshotKeep)
+	case c.Serve.RetainEpochs < 0:
+		return o, fmt.Errorf("-retain-epochs %d must be >= 0", c.Serve.RetainEpochs)
 	}
 	return o, nil
 }
@@ -185,7 +183,9 @@ func main() {
 
 	o, err := parse(flag.CommandLine, os.Args[1:])
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	startPprof(o.pprof)
 	switch o.accessLog {

@@ -15,7 +15,7 @@ import (
 func TestParse(t *testing.T) {
 	// base is what no flag leaves in the Config: the defaults.
 	base := func(mod func(*node.Config)) node.Config {
-		c := node.Config{Listen: "127.0.0.1:8090", PublishEvery: 1, SnapshotEvery: 1, SnapshotKeep: 3}
+		c := node.Config{Listen: "127.0.0.1:8090", SnapshotKeep: 3}
 		mod(&c)
 		return c
 	}
@@ -36,14 +36,12 @@ func TestParse(t *testing.T) {
 			want: base(func(c *node.Config) { c.Dataset, c.ShardCount, c.Replica = "w.obs", 1, 1 })},
 		{argv: "-snapshot-load w.ipsnap -replica 2 -dump-summary",
 			want: base(func(c *node.Config) { c.SnapshotLoad, c.Replica = "w.ipsnap", 2 })},
-		{argv: "-follow w.obs -follow-poll 20ms -publish-every 5 -shard-index 0 -shard-count 2",
+		{argv: "-follow w.obs -follow-poll 20ms -shard-index 0 -shard-count 2",
 			want: base(func(c *node.Config) {
-				c.Follow, c.FollowPoll, c.PublishEvery, c.ShardCount = "w.obs", 20*time.Millisecond, 5, 2
+				c.Follow, c.FollowPoll, c.ShardCount = "w.obs", 20*time.Millisecond, 2
 			})},
-		{argv: "-obs-listen :9 -snapshot-dir snaps -snapshot-every 2 -snapshot-keep 5",
-			want: base(func(c *node.Config) {
-				c.ObsListen, c.SnapshotDir, c.SnapshotEvery, c.SnapshotKeep = ":9", "snaps", 2, 5
-			})},
+		{argv: "-obs-listen :9 -snapshot-dir snaps -snapshot-keep 1",
+			want: base(func(c *node.Config) { c.ObsListen, c.SnapshotDir, c.SnapshotKeep = ":9", "snaps", 1 })},
 
 		{argv: "", err: "exactly one of"},
 		{argv: "-listen :0 -dump-summary", err: "exactly one of"},
@@ -62,6 +60,9 @@ func TestParse(t *testing.T) {
 		{argv: "-dataset w.obs -shard-index -1 -shard-count 2", err: "-shard-index -1 outside 0..1"},
 		{argv: "-dataset w.obs -shard-count 2 -replica -1", err: "-replica -1 must be >= 0"},
 		{argv: "-dataset w.obs -replica 1", err: "-replica requires a partition identity"},
+		{argv: "-obs-listen :9 -snapshot-dir snaps -snapshot-keep 0", err: "-snapshot-keep 0 must be >= 1"},
+		{argv: "-obs-listen :9 -snapshot-keep -2", err: "-snapshot-keep -2 must be >= 1"},
+		{argv: "-dataset w.obs -retain-epochs -1", err: "-retain-epochs -1 must be >= 0"},
 		{argv: "-dataset w.obs -no-such-flag", err: "flag provided but not defined"},
 	} {
 		fs := flag.NewFlagSet("ipscope-serve", flag.ContinueOnError)

@@ -2,6 +2,37 @@ package bgp
 
 import "ipscope/internal/ipv4"
 
+// ChangeKind classifies a routing change between two snapshots.
+type ChangeKind uint8
+
+// The change kinds considered "BGP change events" in Section 4.2.
+const (
+	Announce     ChangeKind = iota // prefix newly announced
+	Withdraw                       // prefix withdrawn
+	OriginChange                   // same prefix, different origin AS
+)
+
+// String returns the change kind name.
+func (k ChangeKind) String() string {
+	switch k {
+	case Announce:
+		return "announce"
+	case Withdraw:
+		return "withdraw"
+	case OriginChange:
+		return "origin-change"
+	}
+	return "unknown"
+}
+
+// Change is one routing change between two snapshots.
+type Change struct {
+	Kind      ChangeKind
+	Prefix    ipv4.Prefix
+	OldOrigin ASN // zero for Announce
+	NewOrigin ASN // zero for Withdraw
+}
+
 // ChangeLog is a compact representation of a year of routing history:
 // a base table plus the list of changes that took effect at the start
 // of each day. It answers the questions the churn analyses ask —
@@ -59,27 +90,6 @@ func (l *ChangeLog) TouchedBlocks(from, to int) map[ipv4.Block]ChangeKind {
 		})
 	}
 	return out
-}
-
-// TableAt reconstructs the routing table in effect during day d by
-// replaying changes onto a clone of the base table. Intended for tests
-// and spot checks, not for per-day iteration at scale.
-func (l *ChangeLog) TableAt(d int) *Table {
-	t := l.Base.Clone()
-	if d >= len(l.DayChanges) {
-		d = len(l.DayChanges) - 1
-	}
-	for day := 0; day <= d; day++ {
-		for _, c := range l.DayChanges[day] {
-			switch c.Kind {
-			case Announce, OriginChange:
-				t.Insert(Route{Prefix: c.Prefix, Origin: c.NewOrigin})
-			case Withdraw:
-				t.Remove(c.Prefix)
-			}
-		}
-	}
-	return t
 }
 
 // CountsByKind tallies changes in (from, to] by kind.

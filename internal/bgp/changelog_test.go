@@ -73,33 +73,21 @@ func TestChangeLogOriginChangePrecedence(t *testing.T) {
 	}
 }
 
-func TestChangeLogTableAt(t *testing.T) {
-	l := buildLog()
-	t2 := l.TableAt(2)
-	if got := t2.OriginOf(ipv4.MustParseAddr("192.0.2.1")); got != 2 {
-		t.Errorf("day 2 origin = %v", got)
-	}
-	t4 := l.TableAt(4)
-	if got := t4.OriginOf(ipv4.MustParseAddr("192.0.2.1")); got != 5 {
-		t.Errorf("day 4 origin = %v", got)
-	}
-	t9 := l.TableAt(9)
-	if got := t9.OriginOf(ipv4.MustParseAddr("10.0.5.5")); got != 0 {
-		t.Errorf("withdrawn prefix still routed: %v", got)
-	}
-	if got := t9.OriginOf(ipv4.MustParseAddr("203.0.113.9")); got != 7 {
-		t.Errorf("announced prefix missing: %v", got)
-	}
-	// Past-the-end clamps.
-	if got := l.TableAt(500).OriginOf(ipv4.MustParseAddr("203.0.113.9")); got != 7 {
-		t.Errorf("clamped TableAt wrong: %v", got)
-	}
-}
-
 func TestChangeLogCountsByKind(t *testing.T) {
 	l := buildLog()
 	c := l.CountsByKind(0, 9)
 	if c[Announce] != 1 || c[Withdraw] != 1 || c[OriginChange] != 1 {
 		t.Errorf("counts = %v", c)
+	}
+}
+
+func TestChangeKindString(t *testing.T) {
+	for k, want := range map[ChangeKind]string{
+		Announce: "announce", Withdraw: "withdraw",
+		OriginChange: "origin-change", ChangeKind(99): "unknown",
+	} {
+		if k.String() != want {
+			t.Errorf("%d.String() = %q", k, k.String())
+		}
 	}
 }

@@ -1,9 +1,7 @@
 // Package bgp models the parts of global routing the paper's analysis
 // needs: daily routing-table snapshots (as from a RouteViews collector),
-// longest-prefix-match lookup from IP address to origin AS, diffing of
-// snapshots into announce/withdraw/origin-change events, and
-// majority-vote IP-to-AS attribution over a window of days (Section 4.2,
-// footnote 6).
+// longest-prefix-match lookup from IP address to origin AS, and a
+// change log of announce/withdraw/origin-change events (Section 4.2).
 package bgp
 
 import (
@@ -64,22 +62,6 @@ func (t *Table) Insert(r Route) {
 	cur.route = &rc
 }
 
-// Remove deletes the route for p, reporting whether it was present.
-// Trie nodes are not pruned; tables are rebuilt per snapshot in practice.
-func (t *Table) Remove(p ipv4.Prefix) bool {
-	cur := t.root
-	a := uint32(p.Addr())
-	for i := 0; i < p.Bits() && cur != nil; i++ {
-		cur = cur.child[(a>>(31-uint(i)))&1]
-	}
-	if cur == nil || cur.route == nil {
-		return false
-	}
-	cur.route = nil
-	t.n--
-	return true
-}
-
 // Lookup returns the longest-prefix-match route for addr.
 func (t *Table) Lookup(addr ipv4.Addr) (Route, bool) {
 	cur := t.root
@@ -108,19 +90,6 @@ func (t *Table) OriginOf(addr ipv4.Addr) ASN {
 	return 0
 }
 
-// Exact returns the route exactly matching prefix p, if any.
-func (t *Table) Exact(p ipv4.Prefix) (Route, bool) {
-	cur := t.root
-	a := uint32(p.Addr())
-	for i := 0; i < p.Bits() && cur != nil; i++ {
-		cur = cur.child[(a>>(31-uint(i)))&1]
-	}
-	if cur == nil || cur.route == nil {
-		return Route{}, false
-	}
-	return *cur.route, true
-}
-
 // Routes returns all routes sorted by (address, length).
 func (t *Table) Routes() []Route {
 	var out []Route
@@ -142,15 +111,6 @@ func (t *Table) Routes() []Route {
 		}
 		return out[i].Prefix.Bits() < out[j].Prefix.Bits()
 	})
-	return out
-}
-
-// Clone returns a deep copy of the table.
-func (t *Table) Clone() *Table {
-	out := NewTable()
-	for _, r := range t.Routes() {
-		out.Insert(r)
-	}
 	return out
 }
 

@@ -72,9 +72,6 @@ func PlanForMeta(cfg synthnet.Config, n int) (Plan, error) {
 	return PlanShards(synthnet.Generate(cfg), n)
 }
 
-// NumShards returns the number of ranges in the plan.
-func (p Plan) NumShards() int { return len(p.bounds) - 1 }
-
 // Range returns shard i's owned block range [lo, hi) as raw block
 // numbers (hi may be 1<<24).
 func (p Plan) Range(i int) (lo, hi uint32) { return p.bounds[i], p.bounds[i+1] }
@@ -93,20 +90,6 @@ func (p Plan) Owner(blk ipv4.Block) int {
 func (p Plan) Keep(i int) func(ipv4.Block) bool {
 	lo, hi := p.Range(i)
 	return func(blk ipv4.Block) bool { return uint32(blk) >= lo && uint32(blk) < hi }
-}
-
-// Owners returns the replica identities serving range g under a
-// replication factor of replicas: (range, replica) pairs for replica
-// 0..replicas-1. With round-robin offset placement (see Placement) an
-// N-process fleet covers N ranges at R=1 and N/R ranges at higher R;
-// every replica of a range builds a bit-identical index, so the pairs
-// are interchangeable for reads.
-func (p Plan) Owners(g, replicas int) [][2]int {
-	owners := make([][2]int, replicas)
-	for r := range owners {
-		owners[r] = [2]int{g, r}
-	}
-	return owners
 }
 
 // Placement maps fleet process proc of a ranges×R fleet to its

@@ -58,8 +58,8 @@ func TestPlanPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.NumShards() != n {
-			t.Fatalf("NumShards = %d, want %d", plan.NumShards(), n)
+		if got := len(plan.bounds) - 1; got != n {
+			t.Fatalf("plan has %d ranges, want %d", got, n)
 		}
 		// Ranges must tile [0, 1<<24) in order.
 		next := uint32(0)
@@ -456,20 +456,6 @@ func TestPlacement(t *testing.T) {
 		g, r := Placement(c.proc, c.ranges)
 		if g != c.g || r != c.replica {
 			t.Errorf("Placement(%d, %d) = (%d, %d), want (%d, %d)", c.proc, c.ranges, g, r, c.g, c.replica)
-		}
-	}
-	_, w := clusterTestData(t)
-	plan, err := PlanShards(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owners := plan.Owners(1, 3)
-	if len(owners) != 3 {
-		t.Fatalf("Owners(1, 3) returned %d pairs, want 3", len(owners))
-	}
-	for r, o := range owners {
-		if o != [2]int{1, r} {
-			t.Errorf("Owners(1, 3)[%d] = %v, want [1 %d]", r, o, r)
 		}
 	}
 }

@@ -57,17 +57,6 @@ func BuildDemographics(blocks []BlockFeatures) *Demographics {
 	return d
 }
 
-// TrafficBin returns the bin index a raw traffic value maps to under
-// the matrix's normalization.
-func (d *Demographics) TrafficBin(v float64) int {
-	return stats.BinIndex(stats.NormalizeLog(v, d.MaxTraffic), d.Bins)
-}
-
-// HostsBin returns the bin index a raw host-count value maps to.
-func (d *Demographics) HostsBin(v float64) int {
-	return stats.BinIndex(stats.NormalizeLog(v, d.MaxHosts), d.Bins)
-}
-
 // Total returns the number of binned blocks.
 func (d *Demographics) Total() int {
 	n := 0

@@ -7,6 +7,7 @@ import (
 	"ipscope/internal/bgp"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/registry"
+	"ipscope/internal/stats"
 )
 
 func blockWith(blk ipv4.Block, hosts ...byte) *ipv4.Set {
@@ -354,20 +355,6 @@ func TestBinByDaysActive(t *testing.T) {
 	}
 }
 
-func TestTopShare(t *testing.T) {
-	hits := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 91}
-	if got := TopShare(hits, 0.10); math.Abs(got-0.91) > 1e-9 {
-		t.Errorf("TopShare = %v", got)
-	}
-	if TopShare(nil, 0.1) != 0 || TopShare(hits, 0) != 0 {
-		t.Error("degenerate TopShare")
-	}
-	uniform := []float64{5, 5, 5, 5}
-	if got := TopShare(uniform, 0.5); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("uniform TopShare = %v", got)
-	}
-}
-
 func TestClassifyUARegions(t *testing.T) {
 	points := []UAPoint{
 		{Samples: 10, Unique: 8},      // bulk
@@ -394,7 +381,9 @@ func TestBuildDemographics(t *testing.T) {
 	}
 	// The low block must land in STU bin 0; the high one in bin 9 with
 	// maximal traffic and host bins.
-	if d.Counts[Cell{0, d.TrafficBin(10), d.HostsBin(2)}] != 1 {
+	traffic := stats.BinIndex(stats.NormalizeLog(10, d.MaxTraffic), d.Bins)
+	hosts := stats.BinIndex(stats.NormalizeLog(2, d.MaxHosts), d.Bins)
+	if d.Counts[Cell{0, traffic, hosts}] != 1 {
 		t.Errorf("low cell missing: %v", d.Counts)
 	}
 	if d.Counts[Cell{9, 9, 9}] != 1 {

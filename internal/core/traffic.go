@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"ipscope/internal/ipv4"
 	"ipscope/internal/stats"
 )
@@ -117,32 +115,6 @@ func (tb *TrafficBins) EverydayShare() (ipShare, trafficShare float64) {
 	}
 	last := tb.Days - 1
 	return float64(tb.Count[last]) / totIP, tb.HitsTotal[last] / totHits
-}
-
-// TopShare computes the share of total traffic attributable to the top
-// fraction frac of addresses by traffic, from raw per-address totals.
-func TopShare(hits []float64, frac float64) float64 {
-	if len(hits) == 0 || frac <= 0 {
-		return 0
-	}
-	s := append([]float64(nil), hits...)
-	sort.Float64s(s)
-	total := 0.0
-	for _, v := range s {
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	k := int(float64(len(s)) * frac)
-	if k < 1 {
-		k = 1
-	}
-	top := 0.0
-	for _, v := range s[len(s)-k:] {
-		top += v
-	}
-	return top / total
 }
 
 // UAPoint is one /24 block's User-Agent sampling outcome (Figure 10):

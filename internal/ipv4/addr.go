@@ -65,9 +65,6 @@ func (a Addr) appendTo(dst []byte) []byte {
 	return dst
 }
 
-// Octet returns octet i (0 = most significant).
-func (a Addr) Octet(i int) byte { return byte(a >> (24 - 8*uint(i))) }
-
 // Block returns the /24 block containing a.
 func (a Addr) Block() Block { return Block(a >> 8) }
 
@@ -154,16 +151,6 @@ func (p Prefix) Bits() int { return int(p.bits) }
 // Contains reports whether a is within p.
 func (p Prefix) Contains(a Addr) bool { return a&maskFor(int(p.bits)) == p.addr }
 
-// ContainsPrefix reports whether q is fully contained in p.
-func (p Prefix) ContainsPrefix(q Prefix) bool {
-	return q.bits >= p.bits && p.Contains(q.addr)
-}
-
-// Overlaps reports whether p and q share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.ContainsPrefix(q) || q.ContainsPrefix(p)
-}
-
 // First returns the lowest address in p.
 func (p Prefix) First() Addr { return p.addr }
 
@@ -200,19 +187,4 @@ func (p Prefix) String() string {
 	buf = append(buf, '/')
 	buf = strconv.AppendUint(buf, uint64(p.bits), 10)
 	return string(buf)
-}
-
-// CoveringMask returns the length of the longest common prefix of a and b,
-// i.e. the largest mask m such that a/m == b/m.
-func CoveringMask(a, b Addr) int {
-	x := uint32(a ^ b)
-	if x == 0 {
-		return 32
-	}
-	n := 0
-	for x&0x80000000 == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }

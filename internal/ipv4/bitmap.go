@@ -48,24 +48,6 @@ func (b *Bitmap256) AndNotWith(o *Bitmap256) {
 	b[3] &^= o[3]
 }
 
-// Union returns b | o without modifying either.
-func (b Bitmap256) Union(o Bitmap256) Bitmap256 {
-	b.UnionWith(&o)
-	return b
-}
-
-// Intersect returns b & o without modifying either.
-func (b Bitmap256) Intersect(o Bitmap256) Bitmap256 {
-	b.IntersectWith(&o)
-	return b
-}
-
-// AndNot returns b &^ o without modifying either.
-func (b Bitmap256) AndNot(o Bitmap256) Bitmap256 {
-	b.AndNotWith(&o)
-	return b
-}
-
 // IntersectCount returns the number of bits set in both b and o.
 func (b *Bitmap256) IntersectCount(o *Bitmap256) int {
 	return bits.OnesCount64(b[0]&o[0]) + bits.OnesCount64(b[1]&o[1]) +

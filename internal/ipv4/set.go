@@ -70,20 +70,6 @@ func NewSetOwning(blocks []Block, bitmaps []Bitmap256) *Set {
 	return s
 }
 
-// Remove deletes a from the set.
-func (s *Set) Remove(a Addr) {
-	blk := a.Block()
-	bm := s.m[blk]
-	if bm == nil || !bm.Test(a.Host()) {
-		return
-	}
-	bm.Clear(a.Host())
-	s.n--
-	if bm.IsEmpty() {
-		delete(s.m, blk)
-	}
-}
-
 // Contains reports whether a is in the set.
 func (s *Set) Contains(a Addr) bool {
 	bm := s.m[a.Block()]

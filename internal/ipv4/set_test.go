@@ -25,18 +25,6 @@ func TestSetBasics(t *testing.T) {
 	if !s.Contains(a) || !s.Contains(b) || !s.Contains(c) {
 		t.Fatal("missing members")
 	}
-	s.Remove(b)
-	if s.Contains(b) || s.Len() != 2 {
-		t.Fatal("Remove failed")
-	}
-	s.Remove(b) // removing absent member is a no-op
-	if s.Len() != 2 {
-		t.Fatal("double Remove changed Len")
-	}
-	s.Remove(c)
-	if s.NumBlocks() != 1 {
-		t.Fatal("empty block not pruned")
-	}
 }
 
 func TestSetBlocksSorted(t *testing.T) {
@@ -194,9 +182,8 @@ func TestNewSetOwningMatchesAddBlockBitmap(t *testing.T) {
 	})
 	a := Block(1000).Addr(9)
 	got.Add(a)
-	got.Remove(a)
-	if !got.Equal(want) {
-		t.Fatal("add+remove changed the owning set")
+	if !got.Contains(a) || want.Contains(a) {
+		t.Fatal("the owning set is not independently mutable")
 	}
 	if s := NewSetOwning(nil, nil); s.Len() != 0 || s.NumBlocks() != 0 {
 		t.Fatal("no records should give the empty set")

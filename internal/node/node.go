@@ -43,11 +43,10 @@ type Config struct {
 
 	// A live node's stream, one of Follow and ObsListen (with neither,
 	// the caller feeds Ingest).
-	Follow, ObsListen           string
-	FollowPoll                  time.Duration
-	PublishEvery                int // < 1 means 1
-	SnapshotDir                 string
-	SnapshotEvery, SnapshotKeep int // SnapshotEvery < 1 means 1
+	Follow, ObsListen string
+	FollowPoll        time.Duration
+	SnapshotDir       string
+	SnapshotKeep      int
 }
 
 func (c Config) batch() bool { return c.Dataset != "" || c.SnapshotLoad != "" }
@@ -84,12 +83,11 @@ type Node struct {
 	obsLn  net.Listener  // nil without ObsListen
 	drain  time.Duration // drainTimeout; a test shortens it
 
-	applier       *query.Applier // nil on a batch node
-	sink          obs.Sink       // applies events, shard-filtered in shard mode
-	skip          obs.SkipCounts // frames the resumed checkpoint already covers
-	lastPublished int            // applier days at the last publish
-	ckpt          *CheckpointWriter
-	pending       []obs.Event // applied since the last checkpointed epoch: its journal record
+	applier *query.Applier // nil on a batch node
+	sink    obs.Sink       // applies events, shard-filtered in shard mode
+	skip    obs.SkipCounts // frames the resumed checkpoint already covers
+	ckpt    *CheckpointWriter
+	pending []obs.Event // applied since the last checkpointed epoch: its journal record
 
 	shard *query.ShardRange // see bindShard; nil while unsharded or unplanned
 	// The checkpoint this node resumed from ("" on a fresh node) and its
@@ -138,8 +136,6 @@ func DumpSummary(cfg Config, w io.Writer) error {
 // load is Start up to the listeners: the read path and, on a batch node,
 // its index — built or loaded, published, saved.
 func load(cfg Config) (*Node, error) {
-	cfg.PublishEvery = max(cfg.PublishEvery, 1)
-	cfg.SnapshotEvery = max(cfg.SnapshotEvery, 1)
 	n := &Node{cfg: cfg, srv: serve.New(nil, cfg.Serve), drain: drainTimeout}
 	if !cfg.batch() {
 		return n, nil
@@ -282,7 +278,6 @@ func (n *Node) startLive() error {
 		n.applier = query.NewApplier(opts)
 		n.sink = n.partitioned(n.sink)
 	}
-	n.lastPublished = n.applier.Days()
 	if cfg.ObsListen != "" {
 		ln, err := net.Listen("tcp", cfg.ObsListen)
 		if err != nil {
@@ -447,11 +442,11 @@ func (n *Node) Addr() net.Addr { return n.addr }
 func (n *Node) Server() *serve.Server { return n.srv }
 
 // Ingest decodes one observation stream from r into the node on the
-// caller's goroutine: each day is applied and, at the publish cadence,
-// published and handed to the checkpoint writer before the next frame is
-// read — when Ingest returns, everything it read is served. On a resumed
-// node, frames the checkpoint covers are skipped undecoded and the meta
-// frame must match the checkpoint's (*DatasetMismatchError). It returns
+// caller's goroutine: each day is applied, published and handed to the
+// checkpoint writer before the next frame is read — when Ingest returns,
+// everything it read is served. On a resumed node, frames the checkpoint
+// covers are skipped undecoded and the meta frame must match the
+// checkpoint's (*DatasetMismatchError). It returns
 // nil once the end frame is read and the final epoch published, and what
 // obs.StreamDecode fails with otherwise (obs.ErrTruncated for a stream
 // that just stops). A node ingests one stream in its life.
@@ -502,8 +497,8 @@ func (n *Node) observe(e obs.Event) error {
 	return n.sink.Observe(e)
 }
 
-// apply is the tail of the sink chain: the applier, then the publish
-// cadence.
+// apply is the tail of the sink chain: the applier, then a publish after
+// every day.
 func (n *Node) apply(e obs.Event) error {
 	if err := n.applier.Observe(e); err != nil {
 		return err
@@ -511,30 +506,28 @@ func (n *Node) apply(e obs.Event) error {
 	if n.ckpt != nil {
 		n.pending = append(n.pending, e)
 	}
-	if _, ok := e.(obs.DayEvent); ok && n.applier.Days()-n.lastPublished >= n.cfg.PublishEvery {
+	if _, ok := e.(obs.DayEvent); ok {
 		return n.publish(false)
 	}
 	return nil
 }
 
-// publish snapshots the applier, swaps the epoch in, and — every
-// SnapshotEvery-th epoch — hands the writer goroutine what makes the
-// epoch durable: the events applied since the last such epoch, or, when
-// the writer is due a whole image (always at the final epoch: nothing
-// more will arrive), a capture taken while the applier still matches the
-// published epoch. The writer writes while the next day is applied.
-// Checkpoint failure is logged, not fatal: the serving path must not die
-// because the disk is full.
+// publish snapshots the applier, swaps the epoch in, and hands the
+// writer goroutine what makes the epoch durable: the events applied
+// since the previous epoch, or, when the writer is due a whole image
+// (always at the final epoch: nothing more will arrive), a capture taken
+// while the applier still matches the published epoch. The writer writes
+// while the next day is applied. Checkpoint failure is logged, not
+// fatal: the serving path must not die because the disk is full.
 func (n *Node) publish(final bool) error {
 	idx, err := n.applier.Snapshot()
 	if err != nil {
 		return err
 	}
 	n.srv.Publish(idx)
-	n.lastPublished = n.applier.Days()
 	log.Printf("published epoch %d: %d days applied, %d active /24 blocks",
 		idx.Epoch(), idx.DailyLen(), idx.NumBlocks())
-	if n.ckpt != nil && idx.Epoch()%uint64(n.cfg.SnapshotEvery) == 0 {
+	if n.ckpt != nil {
 		n.ckpt.Submit(idx.Epoch(), n.pending, final, func() (*query.Checkpoint, error) {
 			return n.applier.Checkpoint(n.shard)
 		})

@@ -518,44 +518,6 @@ func TestResumeRejectsAnotherDataset(t *testing.T) {
 	}
 }
 
-// TestCadences pins -publish-every and -snapshot-every: an epoch every
-// N applied days plus the final one, and every M-th epoch made durable —
-// the first as a base image, the next as a record in its journal that
-// holds both epochs' days.
-func TestCadences(t *testing.T) {
-	ds, dir := world(t, 1), t.TempDir()
-	cadence := func(c *Config) { c.PublishEvery, c.SnapshotEvery, c.SnapshotKeep = 7, 2, 10 }
-	n := start(t, dir, cadence)
-	if err := n.Ingest(ds.days(20)); !errors.Is(err, obs.ErrTruncated) {
-		t.Fatal(err)
-	}
-	if x := n.Server().Index(); x.Epoch() != 2 || x.DailyLen() != 14 {
-		t.Fatalf("20 days at publish-every 7: epoch %d over %d days, want 2 over 14", x.Epoch(), x.DailyLen())
-	}
-	shutdown(t, n)
-
-	n = start(t, dir, cadence)
-	if err := n.Ingest(bytes.NewReader(ds.stream)); err != nil {
-		t.Fatal(err)
-	}
-	shutdown(t, n)
-	// Resumed at epoch 2 (14 days): days 21 and 28 publish 3 and 4, the
-	// end of the stream 5.
-	if x := n.Server().Index(); x.Epoch() != 5 || x.DailyLen() != 28 {
-		t.Fatalf("full stream at publish-every 7: epoch %d over %d days, want 5 over 28", x.Epoch(), x.DailyLen())
-	}
-	if got, want := dirNames(t, dir), []string{journalName(2), snapName(2)}; !slices.Equal(got, want) {
-		t.Fatalf("snapshot-every 2 left %v, want %v", got, want)
-	}
-	resumesAt(t, dir, 4)
-
-	n = start(t, dir, cadence)
-	defer n.Shutdown()
-	if x := n.Server().Index(); x.Epoch() != 4 || x.DailyLen() != 28 {
-		t.Fatalf("restart: epoch %d over %d days, want the durable 4 over 28", x.Epoch(), x.DailyLen())
-	}
-}
-
 // waitGoroutines spins until the process is back to want goroutines —
 // ones that were told to stop and are on their way out — and fails if
 // it never gets there.
@@ -797,7 +759,7 @@ func probe(t *testing.T, n *Node) {
 		t.Errorf("/v1/cluster/info = %+v, server says %+v", info, shard)
 	}
 	for _, b := range idx.Blocks() {
-		if !shard.Contains(b) {
+		if uint32(b) < shard.Lo || uint32(b) >= shard.Hi {
 			t.Fatalf("indexed block %v outside the advertised range [%d, %d)", b, shard.Lo, shard.Hi)
 		}
 	}

@@ -382,12 +382,6 @@ func DecodeFile(path string) (*Data, error) {
 	return Decode(f)
 }
 
-// FileSource is a Source backed by a dataset file on disk.
-type FileSource string
-
-// Observations decodes the file.
-func (p FileSource) Observations() (*Data, error) { return DecodeFile(string(p)) }
-
 // DefaultTailPoll is the poll interval Tail uses when given 0.
 const DefaultTailPoll = 200 * time.Millisecond
 

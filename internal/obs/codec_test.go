@@ -478,7 +478,8 @@ func TestCodecCorrupt(t *testing.T) {
 	})
 }
 
-// TestSourceInterfaces: both *Data and FileSource satisfy Source.
+// TestSourceInterfaces: *Data is the Source of itself, and the same
+// dataset comes back from a file.
 func TestSourceInterfaces(t *testing.T) {
 	d := sampleData(t, 6)
 	got, err := d.Observations()
@@ -489,7 +490,7 @@ func TestSourceInterfaces(t *testing.T) {
 	if err := WriteFile(path, d); err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := FileSource(path).Observations()
+	fromFile, err := DecodeFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,8 +256,8 @@ func (t *TeeSink) Observe(e Event) error {
 func (t *TeeSink) Err() error { return errors.Join(t.errs...) }
 
 // Source yields a complete observation dataset. Implementations
-// include *Data itself, FileSource (a stored dataset), and *sim.Result
-// (a live run).
+// include *Data itself (a decoded dataset) and *sim.Result (a live
+// run).
 type Source interface {
 	Observations() (*Data, error)
 }

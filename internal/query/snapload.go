@@ -27,9 +27,6 @@ func snapErr(msg string, args ...any) error {
 
 // LoadOptions controls snapshot loading.
 type LoadOptions struct {
-	// NoMmap forces the portable read-into-slice path even where mmap is
-	// available.
-	NoMmap bool
 	// Workers bounds the load fan-out (block view assembly); <= 0 means
 	// GOMAXPROCS. The loaded index is identical for any value.
 	Workers int
@@ -103,21 +100,18 @@ func castU64s(b []byte) []uint64 {
 }
 
 // LoadSnapshotFile loads a snapshot from disk: mmap where the platform
-// supports it (zero-copy for the bulk sections), a plain read
-// otherwise or when opts.NoMmap is set.
+// supports it (zero-copy for the bulk sections), a plain read otherwise.
 func LoadSnapshotFile(path string, opts LoadOptions) (*Loaded, error) {
-	if !opts.NoMmap {
-		if data, unmap, err := mmapFile(path); err == nil {
-			l, derr := decodeSnapshot(data, opts)
-			if derr != nil {
-				unmap() //nolint:errcheck // decode error wins
-				return nil, derr
-			}
-			l.munmap = unmap
-			return l, nil
+	if data, unmap, err := mmapFile(path); err == nil {
+		l, derr := decodeSnapshot(data, opts)
+		if derr != nil {
+			unmap() //nolint:errcheck // decode error wins
+			return nil, derr
 		}
-		// mmap unavailable or failed: fall through to the portable path.
+		l.munmap = unmap
+		return l, nil
 	}
+	// mmap unavailable or failed: the portable path.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -44,16 +44,24 @@ func TestSnapshotRoundTripViews(t *testing.T) {
 	if err := WriteSnapshotFile(path, data); err != nil {
 		t.Fatal(err)
 	}
+	// The nommap case is the decode LoadSnapshotFile falls back to
+	// where the file cannot be mapped.
 	for _, tc := range []struct {
 		name string
-		opts LoadOptions
+		load func() (*Loaded, error)
 	}{
-		{"mmap", LoadOptions{}},
-		{"nommap", LoadOptions{NoMmap: true}},
-		{"workers1", LoadOptions{NoMmap: true, Workers: 1}},
+		{"mmap", func() (*Loaded, error) { return LoadSnapshotFile(path, LoadOptions{}) }},
+		{"workers1", func() (*Loaded, error) { return LoadSnapshotFile(path, LoadOptions{Workers: 1}) }},
+		{"nommap", func() (*Loaded, error) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return nil, err
+			}
+			return DecodeSnapshot(data)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fl, err := LoadSnapshotFile(path, tc.opts)
+			fl, err := tc.load()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,39 +133,6 @@ func CountryByCode(code Country) (CountryInfo, bool) {
 	return CountryInfo{}, false
 }
 
-// CountriesOf returns the table entries registered to r.
-func CountriesOf(r RIR) []CountryInfo {
-	var out []CountryInfo
-	for _, c := range Countries {
-		if c.RIR == r {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// RankedCountries returns country codes ordered by the given rank
-// accessor (ascending rank, i.e. largest subscriber base first),
-// skipping unranked entries.
-func RankedCountries(rank func(CountryInfo) int) []Country {
-	type kv struct {
-		c Country
-		r int
-	}
-	var xs []kv
-	for _, ci := range Countries {
-		if r := rank(ci); r > 0 {
-			xs = append(xs, kv{ci.Code, r})
-		}
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i].r < xs[j].r })
-	out := make([]Country, len(xs))
-	for i, x := range xs {
-		out[i] = x.c
-	}
-	return out
-}
-
 // Allocation records that a prefix is delegated to a country (and hence
 // a registry).
 type Allocation struct {
@@ -298,11 +265,6 @@ func (h *maxIdxHeap) pop() {
 		}
 		(*h)[i], (*h)[big] = (*h)[big], (*h)[i]
 	}
-}
-
-// Lookup returns the allocation covering a.
-func (t *Table) Lookup(a ipv4.Addr) (Allocation, bool) {
-	return t.LookupBlock(a.Block())
 }
 
 // LookupBlock returns the allocation covering blk.

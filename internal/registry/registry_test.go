@@ -77,14 +77,6 @@ func TestCountryTableConsistent(t *testing.T) {
 	}
 }
 
-func TestCountriesOf(t *testing.T) {
-	for _, c := range CountriesOf(AFRINIC) {
-		if c.RIR != AFRINIC {
-			t.Errorf("CountriesOf(AFRINIC) returned %v", c.Code)
-		}
-	}
-}
-
 func TestTableLookup(t *testing.T) {
 	allocs := []Allocation{
 		{Prefix: ipv4.MustParsePrefix("10.0.0.0/16"), Country: "US", RIR: ARIN},
@@ -97,7 +89,7 @@ func TestTableLookup(t *testing.T) {
 	if got := tbl.RIROf(ipv4.MustParseAddr("10.1.200.1").Block()); got != RIPE {
 		t.Errorf("RIROf = %v", got)
 	}
-	if _, ok := tbl.Lookup(ipv4.MustParseAddr("192.0.2.1")); ok {
+	if _, ok := tbl.LookupBlock(ipv4.MustParseAddr("192.0.2.1").Block()); ok {
 		t.Error("lookup outside allocations should fail")
 	}
 	if got := tbl.RIROf(ipv4.MustParseAddr("192.0.2.1").Block()); got != ARIN {
@@ -116,16 +108,5 @@ func TestTableOverlapLaterWins(t *testing.T) {
 	}
 	if got := tbl.CountryOf(ipv4.MustParseAddr("10.0.2.9").Block()); got != "US" {
 		t.Errorf("non-overlapped block: got %v, want US", got)
-	}
-}
-
-func TestRankedCountries(t *testing.T) {
-	bb := RankedCountries(func(c CountryInfo) int { return c.BroadbandRank })
-	if len(bb) == 0 || bb[0] != "CN" {
-		t.Errorf("broadband rank 1 should be CN, got %v", bb)
-	}
-	cell := RankedCountries(func(c CountryInfo) int { return c.CellularRank })
-	if cell[0] != "CN" || cell[1] != "IN" {
-		t.Errorf("cellular ranking wrong: %v", cell[:2])
 	}
 }

@@ -21,7 +21,6 @@ type Permutation struct {
 	n       uint64
 	m       uint64 // power-of-two modulus >= n
 	a, c    uint64
-	first   uint64
 	cur     uint64
 	emitted uint64
 }
@@ -53,8 +52,7 @@ func NewPermutation(n uint64, seed uint64) (*Permutation, error) {
 			p.a = 1
 		}
 	}
-	p.first = seed % m
-	p.cur = p.first
+	p.cur = seed % m
 	return p, nil
 }
 
@@ -70,10 +68,4 @@ func (p *Permutation) Next() (v uint64, ok bool) {
 		}
 	}
 	return 0, false
-}
-
-// Reset restarts the permutation from its first element.
-func (p *Permutation) Reset() {
-	p.cur = p.first
-	p.emitted = 0
 }

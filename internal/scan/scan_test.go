@@ -64,31 +64,6 @@ func TestPermutationProperty(t *testing.T) {
 	}
 }
 
-func TestPermutationReset(t *testing.T) {
-	p, _ := NewPermutation(50, 9)
-	var first []uint64
-	for {
-		v, ok := p.Next()
-		if !ok {
-			break
-		}
-		first = append(first, v)
-	}
-	p.Reset()
-	for i := 0; ; i++ {
-		v, ok := p.Next()
-		if !ok {
-			if i != len(first) {
-				t.Fatal("reset run shorter")
-			}
-			break
-		}
-		if v != first[i] {
-			t.Fatalf("reset diverged at %d", i)
-		}
-	}
-}
-
 func TestPermutationNotIdentity(t *testing.T) {
 	// The scan order should not be sequential (that is the whole point).
 	p, _ := NewPermutation(1000, 12345)

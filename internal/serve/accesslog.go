@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// DefaultAccessLogQueue bounds the async access-log queue when
-// Config.AccessLogQueue is 0.
-const DefaultAccessLogQueue = 1024
+// accessLogQueue bounds the async access-log queue: when it is full the
+// record is dropped and counted (/v1/healthz accessLogDrops) instead of
+// stalling the request.
+const accessLogQueue = 1024
 
 // accessRecord is one structured access-log line.
 type accessRecord struct {
@@ -27,7 +28,8 @@ type accessRecord struct {
 // logEvent is one queued completion. Timestamp formatting and JSON
 // encoding happen on the consumer goroutine, off the request path; a
 // non-nil flush channel marks a synchronization token instead of a
-// record (closed once every earlier record has been written).
+// record (closed once every earlier record has been written), and stop
+// the token that ends the consumer.
 type logEvent struct {
 	start         time.Time
 	dur           time.Duration
@@ -46,16 +48,14 @@ type logEvent struct {
 // queue is full the record is dropped and counted instead of stalling
 // the response — Drops is surfaced in /v1/healthz.
 type accessLogger struct {
-	ch    chan logEvent
-	drops atomic.Uint64
-	once  sync.Once
+	ch      chan logEvent
+	stopped chan struct{} // closed when the consumer has exited
+	drops   atomic.Uint64
+	once    sync.Once
 }
 
-func newAccessLogger(w io.Writer, queue int) *accessLogger {
-	if queue <= 0 {
-		queue = DefaultAccessLogQueue
-	}
-	l := &accessLogger{ch: make(chan logEvent, queue)}
+func newAccessLogger(w io.Writer) *accessLogger {
+	l := &accessLogger{ch: make(chan logEvent, accessLogQueue), stopped: make(chan struct{})}
 	go l.run(w)
 	return l
 }
@@ -71,21 +71,27 @@ func (l *accessLogger) log(ev logEvent) {
 }
 
 // Flush blocks until every record enqueued before the call has been
-// written to the log writer.
+// written to the log writer. After Close it returns at once.
 func (l *accessLogger) Flush() {
 	done := make(chan struct{})
-	l.ch <- logEvent{flush: done}
-	<-done
+	select {
+	case l.ch <- logEvent{flush: done}:
+	case <-l.stopped:
+		return
+	}
+	select {
+	case <-done:
+	case <-l.stopped:
+	}
 }
 
-// Close flushes and stops the consumer goroutine. Records logged after
-// Close fill the dead queue and are then dropped; the server only
-// closes after the HTTP listener has drained.
+// Close writes every record enqueued before it and stops the consumer
+// goroutine. Records logged after Close fill the dead queue and are then
+// dropped; the server only closes after the HTTP listener has drained.
 func (l *accessLogger) Close() {
 	l.once.Do(func() {
-		done := make(chan struct{})
-		l.ch <- logEvent{flush: done, stop: true}
-		<-done
+		l.ch <- logEvent{stop: true}
+		<-l.stopped
 	})
 }
 
@@ -93,14 +99,15 @@ func (l *accessLogger) Close() {
 // across lines (the pooled-encoder discipline — one encoder, zero
 // steady-state allocation churn beyond what encoding/json itself does).
 func (l *accessLogger) run(w io.Writer) {
+	defer close(l.stopped)
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for ev := range l.ch {
+		if ev.stop {
+			return
+		}
 		if ev.flush != nil {
 			close(ev.flush)
-			if ev.stop {
-				return
-			}
 			continue
 		}
 		rec := accessRecord{

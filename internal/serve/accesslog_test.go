@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -79,7 +81,7 @@ func (w *blockingWriter) writes() int {
 // request path.
 func TestAccessLogOverflowDrops(t *testing.T) {
 	w := &blockingWriter{release: make(chan struct{})}
-	l := newAccessLogger(w, 2)
+	l := newAccessLogger(w)
 
 	// Let the consumer park inside Write on the first record so the
 	// queue fills behind it.
@@ -93,7 +95,7 @@ func TestAccessLogOverflowDrops(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < extra; i++ {
+		for i := 0; i < accessLogQueue+extra; i++ {
 			l.log(logEvent{method: "GET", path: fmt.Sprintf("/p%d", i+1), start: time.Now()})
 		}
 	}()
@@ -102,28 +104,65 @@ func TestAccessLogOverflowDrops(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("log() blocked on a full queue")
 	}
-	if d := l.Drops(); d < extra-2 {
-		t.Fatalf("%d drops with queue 2 and %d overflow records, want >= %d", d, extra, extra-2)
+	if d := l.Drops(); d != extra {
+		t.Fatalf("%d drops with queue %d and %d overflow records, want %d", d, accessLogQueue, extra, extra)
 	}
 
 	close(w.release)
 	l.Close()
-	if got := w.writes(); got < 1 || got > 3 {
-		t.Errorf("%d records written, want 1..3 (the non-dropped ones)", got)
+	if got, want := w.writes(), 1+accessLogQueue; got != want {
+		t.Errorf("%d records written, want %d (the non-dropped ones)", got, want)
+	}
+}
+
+// TestShutdownClosesAccessLog pins the logger's lifecycle: Shutdown
+// writes every record logged before it, then stops the consumer
+// goroutine, and a FlushAccessLog after that returns at once.
+func TestShutdownClosesAccessLog(t *testing.T) {
+	_, idx := fixture(t)
+	baseline := runtime.NumGoroutine()
+	var log bytes.Buffer
+	s := New(idx, Config{AccessLog: &log})
+	const requests = 50
+	for i := 0; i < requests; i++ {
+		s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/summary", nil))
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(log.String(), "\n"); got != requests {
+		t.Errorf("%d records written by Shutdown, want %d", got, requests)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, want the %d before New", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	flushed := make(chan struct{})
+	go func() {
+		s.FlushAccessLog()
+		close(flushed)
+	}()
+	select {
+	case <-flushed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("FlushAccessLog blocked after Shutdown")
 	}
 }
 
 // TestAccessLogDropsInHealthz proves the drop counter is operator
-// visible: a server with a wedged log writer and a tiny queue reports
-// accessLogDrops in /v1/healthz instead of stalling requests.
+// visible: a server with a wedged log writer, given more requests than
+// the queue holds, reports accessLogDrops in /v1/healthz instead of
+// stalling requests.
 func TestAccessLogDropsInHealthz(t *testing.T) {
 	_, idx := fixture(t)
 	w := &blockingWriter{release: make(chan struct{})}
 	defer close(w.release)
-	s := New(idx, Config{AccessLog: w, AccessLogQueue: 1})
+	s := New(idx, Config{AccessLog: w})
 	h := s.Handler()
 
-	for i := 0; i < 20; i++ {
+	for i := 0; i < accessLogQueue+20; i++ {
 		req := httptest.NewRequest("GET", "/v1/summary", nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -132,7 +171,7 @@ func TestAccessLogDropsInHealthz(t *testing.T) {
 		}
 	}
 	if s.AccessLogDrops() == 0 {
-		t.Fatal("no drops recorded with a wedged writer and queue 1")
+		t.Fatal("no drops recorded with a wedged writer and an overfilled queue")
 	}
 
 	req := httptest.NewRequest("GET", "/v1/healthz", nil)

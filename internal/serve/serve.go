@@ -81,13 +81,10 @@ type Config struct {
 	RetainEpochs int
 	// AccessLog, when non-nil, receives one JSON line per request,
 	// written asynchronously by a single consumer goroutine behind a
-	// bounded queue (see AccessLogQueue).
+	// bounded queue; a record that finds the queue full is dropped and
+	// counted (/v1/healthz accessLogDrops) instead of stalling the
+	// request.
 	AccessLog io.Writer
-	// AccessLogQueue bounds the async access-log queue; 0 means
-	// DefaultAccessLogQueue. When the queue is full the record is
-	// dropped and counted (/v1/healthz accessLogDrops) instead of
-	// stalling the request.
-	AccessLogQueue int
 	// Shard, when non-nil, marks this server as one shard of a
 	// block-partitioned cluster: /v1/cluster/info reports the owned
 	// range and /v1/healthz carries the partition coordinates. The
@@ -146,7 +143,7 @@ func New(idx *query.Index, cfg Config) *Server {
 		retain: cfg.RetainEpochs,
 	}
 	if cfg.AccessLog != nil {
-		s.logger = newAccessLogger(cfg.AccessLog, cfg.AccessLogQueue)
+		s.logger = newAccessLogger(cfg.AccessLog)
 	}
 	s.store(published{shard: cfg.Shard})
 	if idx != nil {
@@ -271,11 +268,13 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 }
 
 // Shutdown stops accepting new requests and waits for in-flight ones to
-// drain (bounded by ctx), then flushes the access log. It returns the
-// first serve error, if any.
+// drain (bounded by ctx), then writes out and closes the access log. It
+// returns the first serve error, if any.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.lis.Shutdown(ctx)
-	s.FlushAccessLog()
+	if s.logger != nil {
+		s.logger.Close()
+	}
 	return err
 }
 
@@ -687,8 +686,7 @@ func (s *Server) logged(next http.Handler) http.Handler {
 
 // FlushAccessLog blocks until every access-log record enqueued before
 // the call has been written to the configured writer (a no-op without
-// an access log). Shutdown calls it, so a drained server's log is
-// complete on disk.
+// an access log, and after Shutdown, which has written them all).
 func (s *Server) FlushAccessLog() {
 	if s.logger != nil {
 		s.logger.Flush()

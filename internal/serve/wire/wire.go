@@ -337,11 +337,6 @@ type ShardInfo struct {
 	Replica int    `json:"replica,omitempty"`
 }
 
-// Contains reports whether blk falls inside the shard's owned range.
-func (si ShardInfo) Contains(blk ipv4.Block) bool {
-	return uint32(blk) >= si.Lo && uint32(blk) < si.Hi
-}
-
 // ClusterInfo is the /v1/cluster/info body: the shard's partition
 // coordinates plus enough state for a router to route and a smoke test
 // to probe. RPCAddr, when non-empty, advertises the shard's binary RPC

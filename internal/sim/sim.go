@@ -19,7 +19,6 @@
 package sim
 
 import (
-	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 	"ipscope/internal/synthnet"
 )
@@ -122,21 +121,6 @@ type Result struct {
 	obs.Data
 	Config Config
 	World  *synthnet.World
-}
-
-// DailyWindowUnion returns the union of all daily sets.
-func (r *Result) DailyWindowUnion() *ipv4.Set {
-	return ipv4.UnionAll(r.Daily, r.Config.Workers)
-}
-
-// YearUnion returns the union of all weekly sets.
-func (r *Result) YearUnion() *ipv4.Set {
-	return ipv4.UnionAll(r.Weekly, r.Config.Workers)
-}
-
-// ICMPUnion returns the union of all ICMP campaign snapshots.
-func (r *Result) ICMPUnion() *ipv4.Set {
-	return ipv4.UnionAll(r.ICMPScans, r.Config.Workers)
 }
 
 // weekendOf reports whether day d falls on a weekend; day 0 is a

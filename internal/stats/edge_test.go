@@ -23,38 +23,11 @@ func TestMeanEmpty(t *testing.T) {
 	}
 }
 
-func TestCDFEmptyAndDegenerate(t *testing.T) {
-	c := NewCDF(nil)
-	if c.N() != 0 {
-		t.Errorf("N = %d", c.N())
-	}
-	if !math.IsNaN(c.At(1)) {
-		t.Error("empty At should be NaN")
-	}
-	if !math.IsNaN(c.Quantile(0.5)) {
-		t.Error("empty Quantile should be NaN")
-	}
-	if xs, ps := c.Points(5); xs != nil || ps != nil {
-		t.Error("empty Points should be nil")
-	}
-	one := NewCDF([]float64{7})
-	if one.N() != 1 || one.Quantile(0.99) != 7 {
-		t.Error("single-sample CDF broken")
-	}
-	if xs, _ := one.Points(0); xs != nil {
-		t.Error("n<=0 Points should be nil")
-	}
-	if xs, _ := one.Points(10); len(xs) != 1 {
-		t.Error("Points clamps to sample size")
-	}
-}
-
-func TestHistogramEmptyFractions(t *testing.T) {
+func TestHistogramEmptyAndEdge(t *testing.T) {
 	h := NewHistogram(0, 1, 4)
-	fr := h.Fractions()
-	for _, f := range fr {
-		if f != 0 {
-			t.Error("empty histogram fractions must be zero")
+	for _, c := range h.Counts {
+		if c != 0 {
+			t.Error("empty histogram counts must be zero")
 		}
 	}
 	if h.N() != 0 {

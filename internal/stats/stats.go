@@ -94,56 +94,6 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// CDF is an empirical cumulative distribution function.
-type CDF struct {
-	xs []float64 // sorted sample
-}
-
-// NewCDF builds an empirical CDF from a sample.
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{xs: s}
-}
-
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.xs) }
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.xs) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(c.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.xs))
-}
-
-// Quantile returns the q-quantile (0..1).
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.xs) == 0 {
-		return math.NaN()
-	}
-	return percentileSorted(c.xs, q*100)
-}
-
-// Points returns up to n evenly spaced (x, P(X<=x)) points for plotting.
-func (c *CDF) Points(n int) (xs, ps []float64) {
-	if len(c.xs) == 0 || n <= 0 {
-		return nil, nil
-	}
-	if n > len(c.xs) {
-		n = len(c.xs)
-	}
-	xs = make([]float64, n)
-	ps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.xs) - 1) / max(n-1, 1)
-		xs[i] = c.xs[idx]
-		ps[i] = float64(idx+1) / float64(len(c.xs))
-	}
-	return xs, ps
-}
-
 // Histogram is a fixed-width histogram over [Lo, Hi).
 type Histogram struct {
 	Lo, Hi  float64
@@ -185,18 +135,6 @@ func (h *Histogram) N() int { return h.samples }
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fractions returns the in-range bin counts normalized by total samples.
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.samples == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.samples)
-	}
-	return out
 }
 
 // LinearFit holds an ordinary-least-squares line y = Slope*x + Intercept.

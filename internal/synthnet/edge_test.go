@@ -19,22 +19,6 @@ func TestWorldHelpers(t *testing.T) {
 	if _, ok := w.BlockInfo(ipv4.Block(0xFFFFFF)); ok {
 		t.Error("BlockInfo(unknown) should fail")
 	}
-	// ClientBlocks returns exactly the client-policy subset.
-	clients := w.ClientBlocks()
-	want := 0
-	for _, blk := range w.Blocks {
-		if blk.Policy.IsClient() {
-			want++
-		}
-	}
-	if len(clients) != want {
-		t.Errorf("ClientBlocks = %d, want %d", len(clients), want)
-	}
-	for _, blk := range clients {
-		if !blk.Policy.IsClient() {
-			t.Errorf("non-client policy %v in ClientBlocks", blk.Policy)
-		}
-	}
 }
 
 func TestGenerateDefaultsOnZeroConfig(t *testing.T) {

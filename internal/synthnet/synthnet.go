@@ -400,49 +400,7 @@ func (w *World) ASOf(blk ipv4.Block) bgp.ASN {
 // NumBlocks returns the number of allocated /24 blocks.
 func (w *World) NumBlocks() int { return len(w.Blocks) }
 
-// ClientBlocks returns the blocks whose policy produces CDN-visible
-// client activity.
-func (w *World) ClientBlocks() []*Block {
-	var out []*Block
-	for _, b := range w.Blocks {
-		if b.Policy.IsClient() {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // RDNSZone returns the PTR zone for a block.
 func (w *World) RDNSZone(b *Block) *rdns.Zone {
 	return rdns.NewZone(b.Block, b.RDNS, "", 0.1, b.Seed)
-}
-
-// Stats summarizes a world for reporting.
-type Stats struct {
-	ASes, Blocks  int
-	ByKind        map[ASKind]int
-	ByPolicy      map[Policy]int
-	ClientBlocks  int
-	TotalCapacity int // subscribers across all blocks
-}
-
-// Summarize computes world statistics.
-func (w *World) Summarize() Stats {
-	s := Stats{
-		ASes:     len(w.ASes),
-		Blocks:   len(w.Blocks),
-		ByKind:   make(map[ASKind]int),
-		ByPolicy: make(map[Policy]int),
-	}
-	for _, as := range w.ASes {
-		s.ByKind[as.Kind]++
-	}
-	for _, b := range w.Blocks {
-		s.ByPolicy[b.Policy]++
-		s.TotalCapacity += b.Subscribers
-		if b.Policy.IsClient() {
-			s.ClientBlocks++
-		}
-	}
-	return s
 }

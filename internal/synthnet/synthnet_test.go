@@ -116,23 +116,31 @@ func TestPolicyInvariants(t *testing.T) {
 
 func TestPolicyMixMatchesKinds(t *testing.T) {
 	w := Generate(DefaultConfig())
-	s := w.Summarize()
-	if s.ClientBlocks == 0 {
+	byPolicy := make(map[Policy]int)
+	clients, capacity := 0, 0
+	for _, b := range w.Blocks {
+		byPolicy[b.Policy]++
+		capacity += b.Subscribers
+		if b.Policy.IsClient() {
+			clients++
+		}
+	}
+	if clients == 0 {
 		t.Fatal("no client blocks")
 	}
 	// The dominant client policies must all be present at scale.
 	for _, p := range []Policy{StaticSparse, DynamicRoundRobin, DynamicLongLease,
 		DynamicDaily, Gateway, ServerFarm, Unused} {
-		if s.ByPolicy[p] == 0 {
+		if byPolicy[p] == 0 {
 			t.Errorf("no blocks with policy %v", p)
 		}
 	}
 	// Client blocks should dominate but not exhaust the space.
-	frac := float64(s.ClientBlocks) / float64(s.Blocks)
+	frac := float64(clients) / float64(len(w.Blocks))
 	if frac < 0.4 || frac > 0.95 {
 		t.Errorf("client block fraction = %.2f", frac)
 	}
-	if s.TotalCapacity == 0 {
+	if capacity == 0 {
 		t.Error("zero capacity")
 	}
 }

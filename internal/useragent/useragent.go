@@ -28,21 +28,6 @@ const (
 	ClassEnterprise               // managed fleet: moderate diversity
 )
 
-// String returns the class name.
-func (c Class) String() string {
-	switch c {
-	case ClassResidential:
-		return "residential"
-	case ClassBot:
-		return "bot"
-	case ClassGateway:
-		return "gateway"
-	case ClassEnterprise:
-		return "enterprise"
-	}
-	return "unknown"
-}
-
 var (
 	browsers = []string{"Mozilla/5.0 (Windows NT 10.0; Win64; x64)", "Mozilla/5.0 (Macintosh; Intel Mac OS X 10_11)", "Mozilla/5.0 (X11; Linux x86_64)", "Mozilla/5.0 (iPhone; CPU iPhone OS 9_3)", "Mozilla/5.0 (Linux; Android 6.0)"}
 	engines  = []string{"AppleWebKit/537.36 (KHTML, like Gecko) Chrome/%d.0 Safari/537.36", "Gecko/20100101 Firefox/%d.0", "Version/9.0 Mobile/13E238 Safari/601.1"}

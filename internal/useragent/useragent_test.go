@@ -8,19 +8,6 @@ import (
 	"ipscope/internal/xrand"
 )
 
-func TestClassString(t *testing.T) {
-	want := map[Class]string{
-		ClassResidential: "residential", ClassBot: "bot",
-		ClassGateway: "gateway", ClassEnterprise: "enterprise",
-		Class(99): "unknown",
-	}
-	for c, s := range want {
-		if c.String() != s {
-			t.Errorf("%d.String() = %q, want %q", c, c.String(), s)
-		}
-	}
-}
-
 func TestDeviceDeterministic(t *testing.T) {
 	d1 := NewDevice(42)
 	d2 := NewDevice(42)
