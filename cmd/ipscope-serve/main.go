@@ -51,15 +51,12 @@
 //	                  write in flight. ipscope-snapshot DIR lists it
 //	-snapshot-keep N  live: retain only the newest N base images, each
 //	                  with its journal (default 3; at least 1)
-//	-follow-poll DUR  live: -follow poll interval (default 200ms; tests
-//	                  and smoke scripts lower it)
 //	-listen ADDR      bind address (default 127.0.0.1:8090; :0 picks an
 //	                  ephemeral port, printed on startup)
 //	-rpc-listen ADDR  also serve the binary RPC protocol (internal/rpc)
 //	                  on ADDR and advertise it in /v1/cluster/info, so a
 //	                  router running -transport=rpc upgrades its
 //	                  connection to this shard
-//	-cache N          response cache capacity (0 = default, -1 = off)
 //	-retain-epochs N  keep the last N published epochs addressable:
 //	                  ?epoch=E time travel on every lookup endpoint,
 //	                  /v1/delta?from=&to= between two retained epochs,
@@ -128,10 +125,8 @@ func parse(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&c.SnapshotSave, "snapshot-save", "", "batch: persist the index as a snapshot file")
 	fs.StringVar(&c.SnapshotDir, "snapshot-dir", "", "live: checkpoint directory: base images and their journals (resume from the newest on startup)")
 	fs.IntVar(&c.SnapshotKeep, "snapshot-keep", 3, "live: retain only the newest N base images, each with its journal")
-	fs.DurationVar(&c.FollowPoll, "follow-poll", 0, "live: -follow poll interval (0 = default 200ms)")
 	fs.StringVar(&c.Listen, "listen", "127.0.0.1:8090", "HTTP listen address")
 	fs.StringVar(&c.RPCListen, "rpc-listen", "", "also serve the binary RPC protocol on this address")
-	fs.IntVar(&c.Serve.CacheSize, "cache", 0, "response cache capacity (0 = default, negative = disabled)")
 	fs.IntVar(&c.Serve.RetainEpochs, "retain-epochs", 0, "retain the last N epochs for ?epoch=//v1/delta//v1/movement (0 = live epoch only)")
 	fs.StringVar(&o.accessLog, "access-log", "", `structured access log file ("-" = stderr)`)
 	fs.IntVar(&c.ShardIndex, "shard-index", 0, "cluster: this shard's index (with -shard-count)")
@@ -157,8 +152,6 @@ func parse(fs *flag.FlagSet, args []string) (options, error) {
 		return o, errors.New("-dump-summary and -snapshot-save are batch flags (-dataset, -snapshot-load); live modes use -snapshot-dir")
 	case batch && c.SnapshotDir != "":
 		return o, errors.New("-snapshot-dir requires a live mode (-follow or -obs-listen)")
-	case c.FollowPoll != 0 && c.Follow == "":
-		return o, errors.New("-follow-poll only applies to -follow")
 	case c.SnapshotLoad != "" && c.ShardCount > 0:
 		return o, errors.New("-snapshot-load restores the partition range saved in the snapshot; drop -shard-count")
 	case c.ShardCount <= 0 && c.ShardIndex != 0:

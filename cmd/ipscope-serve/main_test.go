@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 
 	"ipscope/internal/node"
 )
@@ -25,10 +24,10 @@ func TestParse(t *testing.T) {
 		err  string // a substring of the error; "" = accepted
 	}{
 		{argv: "-dataset w.obs", want: base(func(c *node.Config) { c.Dataset = "w.obs" })},
-		{argv: "-dataset w.obs -listen :0 -rpc-listen :1 -cache -1 -retain-epochs 8 -snapshot-save w.ipsnap",
+		{argv: "-dataset w.obs -listen :0 -rpc-listen :1 -retain-epochs 8 -snapshot-save w.ipsnap",
 			want: base(func(c *node.Config) {
 				c.Dataset, c.Listen, c.RPCListen, c.SnapshotSave = "w.obs", ":0", ":1", "w.ipsnap"
-				c.Serve.CacheSize, c.Serve.RetainEpochs = -1, 8
+				c.Serve.RetainEpochs = 8
 			})},
 		{argv: "-dataset w.obs -shard-index 1 -shard-count 2 -replica 3",
 			want: base(func(c *node.Config) { c.Dataset, c.ShardIndex, c.ShardCount, c.Replica = "w.obs", 1, 2, 3 })},
@@ -36,10 +35,8 @@ func TestParse(t *testing.T) {
 			want: base(func(c *node.Config) { c.Dataset, c.ShardCount, c.Replica = "w.obs", 1, 1 })},
 		{argv: "-snapshot-load w.ipsnap -replica 2 -dump-summary",
 			want: base(func(c *node.Config) { c.SnapshotLoad, c.Replica = "w.ipsnap", 2 })},
-		{argv: "-follow w.obs -follow-poll 20ms -shard-index 0 -shard-count 2",
-			want: base(func(c *node.Config) {
-				c.Follow, c.FollowPoll, c.ShardCount = "w.obs", 20*time.Millisecond, 2
-			})},
+		{argv: "-follow w.obs -shard-index 0 -shard-count 2",
+			want: base(func(c *node.Config) { c.Follow, c.ShardCount = "w.obs", 2 })},
 		{argv: "-obs-listen :9 -snapshot-dir snaps -snapshot-keep 1",
 			want: base(func(c *node.Config) { c.ObsListen, c.SnapshotDir, c.SnapshotKeep = ":9", "snaps", 1 })},
 
@@ -53,7 +50,6 @@ func TestParse(t *testing.T) {
 		{argv: "-follow w.obs -dump-summary", err: "batch flags"},
 		{argv: "-obs-listen :9 -snapshot-save w.ipsnap", err: "batch flags"},
 		{argv: "-dataset w.obs -snapshot-dir snaps", err: "-snapshot-dir requires a live mode"},
-		{argv: "-obs-listen :9 -follow-poll 20ms", err: "-follow-poll only applies to -follow"},
 		{argv: "-snapshot-load w.ipsnap -shard-count 2", err: "drop -shard-count"},
 		{argv: "-dataset w.obs -shard-index 1", err: "-shard-index 1 requires -shard-count"},
 		{argv: "-dataset w.obs -shard-index 2 -shard-count 2", err: "-shard-index 2 outside 0..1"},
@@ -64,6 +60,8 @@ func TestParse(t *testing.T) {
 		{argv: "-obs-listen :9 -snapshot-keep -2", err: "-snapshot-keep -2 must be >= 1"},
 		{argv: "-dataset w.obs -retain-epochs -1", err: "-retain-epochs -1 must be >= 0"},
 		{argv: "-dataset w.obs -no-such-flag", err: "flag provided but not defined"},
+		{argv: "-dataset w.obs -cache 16", err: "flag provided but not defined: -cache"},
+		{argv: "-follow w.obs -follow-poll 20ms", err: "flag provided but not defined: -follow-poll"},
 	} {
 		fs := flag.NewFlagSet("ipscope-serve", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

@@ -309,6 +309,84 @@ func TestDeltaEquivalence(t *testing.T) {
 	}
 }
 
+// TestMovementASCount holds /v1/movement's asCount to its definition,
+// the number of ASes /v1/as answers with activeBlocks > 0 at that epoch,
+// on a node and routed over 2 applier-built shards on RPC. Some epoch
+// must leave an AS the index knows dark, or the count would not tell
+// active ASes from known ones.
+func TestMovementASCount(t *testing.T) {
+	d, w := clusterTestData(t)
+	a := query.NewApplier(query.Options{})
+	srv := serve.New(nil, serve.Config{RetainEpochs: len(historyCuts)})
+	var want []int // by epoch, oldest first
+	dark := false
+	fed := 0
+	for _, cut := range historyCuts {
+		end := cutStream(events, d.TruncateLive(cut), cut)
+		for _, e := range events[fed:end] {
+			if err := a.Observe(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fed = end
+		x, err := a.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Publish(x)
+		active := 0
+		for _, asn := range x.ASNs() {
+			if v, _ := x.AS(asn); v.ActiveBlocks > 0 {
+				active++
+			}
+		}
+		want = append(want, active)
+		dark = dark || active < len(x.ASNs())
+	}
+	if !dark {
+		t.Fatal("every AS the index knows is active at every epoch")
+	}
+	single := httptest.NewServer(srv.Handler())
+	defer single.Close()
+
+	plan, err := PlanShards(w, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, urls := buildHistoryShards(t, d, events, plan, 2, true, allRPC, func(int) int { return len(historyCuts) })
+	defer func() {
+		for _, s := range shards {
+			s.Close()
+		}
+	}()
+	router, err := NewRouter(urls, RouterOptions{Transport: TransportRPC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	routed := httptest.NewServer(router.Handler())
+	defer routed.Close()
+
+	// get strips every "epoch" field, the series rows' too: the rows are
+	// matched by position.
+	for _, base := range []string{single.URL, routed.URL} {
+		status, body := get(t, base, "/v1/movement")
+		var v query.MovementView
+		if err := json.Unmarshal([]byte(body), &v); status != http.StatusOK || err != nil {
+			t.Fatalf("%s/v1/movement: %d %v: %s", base, status, err, body)
+		}
+		if len(v.Series) != len(historyCuts) {
+			t.Fatalf("%s/v1/movement: %d entries, want %d", base, len(v.Series), len(historyCuts))
+		}
+		for k, e := range v.Series {
+			if e.ASCount != want[k] {
+				t.Errorf("%s/v1/movement: epoch %d asCount %d, want %d ASes with an active block",
+					base, k+1, e.ASCount, want[k])
+			}
+		}
+	}
+}
+
 // TestRouterCommonRangeSkew pins the min-common-range coordination when
 // shards retain different windows: the cluster answers only the span
 // every shard still holds, 404s name that common range, and healthz

@@ -44,7 +44,6 @@ type Config struct {
 	// A live node's stream, one of Follow and ObsListen (with neither,
 	// the caller feeds Ingest).
 	Follow, ObsListen string
-	FollowPoll        time.Duration
 	SnapshotDir       string
 	SnapshotKeep      int
 }
@@ -589,7 +588,7 @@ func (n *Node) runStream(ctx context.Context) error {
 func (n *Node) openStream(ctx context.Context) (io.ReadCloser, error) {
 	if n.cfg.Follow != "" {
 		log.Printf("following dataset file %s", n.cfg.Follow)
-		return obs.Tail(ctx, n.cfg.Follow, n.cfg.FollowPoll)
+		return obs.Tail(ctx, n.cfg.Follow)
 	}
 	defer n.obsLn.Close()
 	defer context.AfterFunc(ctx, func() { n.obsLn.Close() })()

@@ -861,6 +861,10 @@ func TestShutdownClosesRPCAfterFailedDrain(t *testing.T) {
 	if _, err := held.Write([]byte("GET /v1/hea")); err != nil {
 		t.Fatal(err)
 	}
+	// The server accepts connections in the order they arrive, so once a
+	// request on a second connection is answered the held one has been
+	// accepted, and Shutdown has it to wait for.
+	getSpliced(t, "http://"+n.Addr().String()+"/v1/healthz")
 	rpcConn, err := net.Dial("tcp", n.Server().RPCAddr())
 	if err != nil {
 		t.Fatal(err)

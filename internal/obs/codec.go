@@ -382,33 +382,31 @@ func DecodeFile(path string) (*Data, error) {
 	return Decode(f)
 }
 
-// DefaultTailPoll is the poll interval Tail uses when given 0.
-const DefaultTailPoll = 200 * time.Millisecond
+// Tail's reader polls again tailPollMin after a read that returned
+// bytes, and doubles the wait on each empty poll up to tailPollMax.
+const tailPollMin, tailPollMax = 2 * time.Millisecond, 200 * time.Millisecond
 
 // Tail opens the dataset at path as a stream that is still being
 // written: a producer (ipscope-gen -dataset FILE) appends frames while a
 // consumer decodes them live. It waits for the file to appear, so the
 // consumer can start first, and the reader it returns turns end-of-file
-// into "wait for more bytes": Read polls every poll interval (0 means
-// DefaultTailPoll) until the file grows and never returns io.EOF —
+// into "wait for more bytes": Read polls, backing off while the file
+// stays the same size, until it grows and never returns io.EOF —
 // StreamDecode over it ends at the stream's end frame. Cancelling ctx
 // ends either wait with ctx.Err().
-func Tail(ctx context.Context, path string, poll time.Duration) (io.ReadCloser, error) {
-	if poll <= 0 {
-		poll = DefaultTailPoll
-	}
+func Tail(ctx context.Context, path string) (io.ReadCloser, error) {
+	t := &tailReader{ctx: ctx, poll: tailPollMin}
 	for {
 		f, err := os.Open(path)
 		if err == nil {
-			return &tailReader{ctx: ctx, f: f, poll: poll}, nil
+			t.f = f
+			return t, nil
 		}
 		if !os.IsNotExist(err) {
 			return nil, err
 		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(poll):
+		if err := t.wait(); err != nil {
+			return nil, err
 		}
 	}
 }
@@ -416,7 +414,7 @@ func Tail(ctx context.Context, path string, poll time.Duration) (io.ReadCloser, 
 type tailReader struct {
 	ctx  context.Context
 	f    *os.File
-	poll time.Duration
+	poll time.Duration // the next wait
 }
 
 func (t *tailReader) Close() error { return t.f.Close() }
@@ -425,17 +423,28 @@ func (t *tailReader) Read(p []byte) (int, error) {
 	for {
 		n, err := t.f.Read(p)
 		if n > 0 {
+			t.poll = tailPollMin
 			return n, nil
 		}
 		if err != nil && err != io.EOF {
 			return 0, err
 		}
-		select {
-		case <-t.ctx.Done():
-			return 0, t.ctx.Err()
-		case <-time.After(t.poll):
+		if err := t.wait(); err != nil {
+			return 0, err
 		}
 	}
+}
+
+// wait sleeps the current poll interval, then doubles it up to
+// tailPollMax; cancelling ctx ends the sleep with ctx.Err().
+func (t *tailReader) wait() error {
+	select {
+	case <-t.ctx.Done():
+		return t.ctx.Err()
+	case <-time.After(t.poll):
+	}
+	t.poll = min(2*t.poll, tailPollMax)
+	return nil
 }
 
 // --- event payload encoding -----------------------------------------

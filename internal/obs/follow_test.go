@@ -12,8 +12,8 @@ import (
 
 // follow decodes the growing dataset at path into sink the way a live
 // node does: Tail, then StreamDecodeFrom over it.
-func follow(ctx context.Context, path string, poll time.Duration, skip SkipCounts, sink Sink) error {
-	r, err := Tail(ctx, path, poll)
+func follow(ctx context.Context, path string, skip SkipCounts, sink Sink) error {
+	r, err := Tail(ctx, path)
 	if err != nil {
 		return err
 	}
@@ -39,12 +39,13 @@ func smallSet(base uint32, n int) *ipv4.Set {
 	return s
 }
 
-// TestFollowWithPoll is the regression test for the configurable poll
-// interval: 20 strict append→observe ping-pong rounds against a
-// millisecond poll must complete far faster than they possibly could
-// under the hard-coded default (20 rounds × 200ms ≥ 4s). Each round
-// appends one day frame only after the previous one was observed, so
-// every round pays at least one poll interval.
+// TestFollowWithPoll is the regression test for the tail reader's poll
+// interval, which drops to a few milliseconds after every read that
+// returned bytes: 20 strict append→observe ping-pong rounds must
+// complete far faster than they possibly could at its 200ms ceiling
+// (20 rounds × 200ms ≥ 4s). Each round appends one day frame only after
+// the previous one was observed, so every round pays at least one poll
+// interval.
 func TestFollowWithPoll(t *testing.T) {
 	const rounds = 20
 	path := filepath.Join(t.TempDir(), "tail.obs")
@@ -66,7 +67,7 @@ func TestFollowWithPoll(t *testing.T) {
 	events := make(chan Event, 4)
 	done := make(chan error, 1)
 	go func() {
-		done <- follow(ctx, path, 2*time.Millisecond, SkipCounts{},
+		done <- follow(ctx, path, SkipCounts{},
 			SinkFunc(func(e Event) error {
 				events <- e
 				return nil
@@ -109,11 +110,12 @@ func TestFollowWithPoll(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("follow: %v", err)
 	}
-	// The default 200ms poll would need ≥ 4s for the 20 ping-pong
-	// rounds; a 2ms poll finishes orders of magnitude faster. The bound
-	// leaves a wide margin for a loaded CI machine.
+	// A 200ms poll would need ≥ 4s for the 20 ping-pong rounds; one
+	// that drops back to a few milliseconds after each frame finishes
+	// orders of magnitude faster. The bound leaves a wide margin for a
+	// loaded CI machine.
 	if elapsed >= 3*time.Second {
-		t.Fatalf("20 ping-pong rounds took %v; poll option not honored", elapsed)
+		t.Fatalf("20 ping-pong rounds took %v; the poll does not drop after a read", elapsed)
 	}
 }
 
@@ -153,7 +155,7 @@ func TestFollowWithSkip(t *testing.T) {
 	}
 
 	var got []Event
-	err = follow(context.Background(), path, time.Millisecond, SkipCounts{Days: 3, Weeks: 1, Scans: 1},
+	err = follow(context.Background(), path, SkipCounts{Days: 3, Weeks: 1, Scans: 1},
 		SinkFunc(func(e Event) error { got = append(got, e); return nil }))
 	if err != nil {
 		t.Fatal(err)

@@ -112,7 +112,7 @@ func TestFollowTailsGrowingFile(t *testing.T) {
 	var total atomic.Int64    // the sink's goroutine counts, the test reads
 	done := make(chan error, 1)
 	go func() {
-		done <- follow(context.Background(), path, time.Millisecond, SkipCounts{}, SinkFunc(func(Event) error {
+		done <- follow(context.Background(), path, SkipCounts{}, SinkFunc(func(Event) error {
 			total.Add(1)
 			return nil
 		}))
@@ -150,7 +150,7 @@ func TestFollowTailsGrowingFile(t *testing.T) {
 
 	// The streamed events reproduce the dataset.
 	replay := &Data{}
-	if err := follow(context.Background(), path, time.Millisecond, SkipCounts{}, replay); err != nil {
+	if err := follow(context.Background(), path, SkipCounts{}, replay); err != nil {
 		t.Fatal(err)
 	}
 	requireEqualData(t, d, replay)
@@ -161,7 +161,7 @@ func TestFollowCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- follow(ctx, filepath.Join(t.TempDir(), "never.obs"), time.Millisecond, SkipCounts{}, &Data{})
+		done <- follow(ctx, filepath.Join(t.TempDir(), "never.obs"), SkipCounts{}, &Data{})
 	}()
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
@@ -180,7 +180,7 @@ func TestFollowCancel(t *testing.T) {
 	}
 	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if err := follow(ctx, path, time.Millisecond, SkipCounts{}, &Data{}); !errors.Is(err, context.DeadlineExceeded) {
+	if err := follow(ctx, path, SkipCounts{}, &Data{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("follow on incomplete file returned %v, want deadline exceeded", err)
 	}
 }

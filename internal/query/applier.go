@@ -51,8 +51,8 @@ type Applier struct {
 	meta      obs.Meta
 	world     *synthnet.World
 	tags      *rdns.TagIndex
-	asBase    []ASView // see asTable: every snapshot's AS fold starts from it
-	fullWords int      // timeline words for the full daily window
+	asBase    []ASPartial // asTable: every snapshot's AS fold starts from it
+	fullWords int         // timeline words for the full daily window
 	// window is the number of days the applier can hold: the run's daily
 	// window, or the days fill loaded, since Build applies none after it.
 	// Once days reaches it, every timeline word is sealed.
@@ -436,7 +436,6 @@ func (a *Applier) Snapshot() (*Index, error) {
 		routing: a.world.BaseRouting,
 		world:   a.world,
 		tags:    a.tags,
-		asBase:  a.asBase,
 		icmp:    a.icmpUnion,
 		servers: orEmpty(a.servers),
 		routers: orEmpty(a.routers),
@@ -465,7 +464,7 @@ func (a *Applier) Snapshot() (*Index, error) {
 	// the dataset-level summary run concurrently — both scale with the
 	// number of blocks, not with the window length.
 	var g par.Group
-	g.Go(func() error { x.buildAS(); return nil })
+	g.Go(func() error { x.ases = foldAS(a.asBase, x.blocks); return nil })
 	g.Go(func() error { a.assembleSummary(x, n); return nil })
 	g.Wait() //nolint:errcheck // neither task fails
 

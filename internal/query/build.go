@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"ipscope/internal/bgp"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 	"ipscope/internal/par"
@@ -187,54 +186,63 @@ func classifyWorld(world *synthnet.World, workers int, keep func(ipv4.Block) boo
 	return rdns.NewTagIndex(pairs)
 }
 
-// asTable renders what an AS's view takes from the world alone —
-// identity and routed prefixes, no activity — once per world. Every
-// snapshot of that world starts its AS fold from a copy, and the
+// asTable renders the identity partials of the world's ASes — what an
+// AS's footprint takes from the world alone, no activity — once per
+// world, sorted by AS (the world numbers its ASes in ascending order).
+// Every snapshot of that world folds its counts into a copy, and the
 // rendered prefix strings are shared by all of them, read-only.
-func asTable(world *synthnet.World) []ASView {
-	table := make([]ASView, len(world.ASes))
+func asTable(world *synthnet.World) []ASPartial {
+	table := make([]ASPartial, len(world.ASes))
 	for i, as := range world.ASes {
-		v := &table[i]
-		*v = ASView{
+		p := &table[i]
+		*p = ASPartial{
+			Found:   true,
 			AS:      uint32(as.Num),
 			Kind:    as.Kind.String(),
 			Country: string(as.Country),
 			RIR:     as.RIR.String(),
 		}
-		for _, p := range as.Prefixes {
-			v.Prefixes = append(v.Prefixes, p.String())
-			v.RoutedBlocks += p.NumBlocks()
+		for _, pfx := range as.Prefixes {
+			p.Prefixes = append(p.Prefixes, pfx.String())
+			p.RoutedBlocks += pfx.NumBlocks()
 		}
 	}
 	return table
 }
 
-// buildAS folds the per-block records into per-AS footprints. Blocks
-// are walked in ascending order, so each AS's float accumulation order
-// is fixed regardless of build workers.
-func (x *Index) buildAS() {
-	views := slices.Clone(x.asBase)
-	x.byAS = make(map[bgp.ASN]*ASView, len(views))
-	for i := range views {
-		x.byAS[bgp.ASN(views[i].AS)] = &views[i]
-	}
-	for i := range x.blocks {
-		bd := &x.blocks[i]
-		v, ok := x.byAS[bgp.ASN(bd.view.AS)]
+// foldAS folds the blocks, in ascending order, into a copy of the
+// identity partials: activity the table does not route adds the
+// "unrouted" AS 0, named by its first block, and each AS's Hits are its
+// blocks' total hits in block order (the sum MergeASPartials replays),
+// carved from one array — nil for an AS with no active block.
+func foldAS(table []ASPartial, blocks []blockData) []ASPartial {
+	ases := slices.Clone(table)
+	for i := range blocks {
+		v := &blocks[i].view
+		j, ok := searchAS(ases, v.AS)
 		if !ok {
-			// Activity in space the base table does not route (AS 0).
-			v = &ASView{AS: bd.view.AS, Kind: "unrouted", RIR: bd.view.RIR}
-			x.byAS[bgp.ASN(bd.view.AS)] = v
+			ases = slices.Insert(ases, j, ASPartial{Found: true, AS: v.AS, Kind: "unrouted", RIR: v.RIR})
 		}
-		v.ActiveBlocks++
-		v.ActiveAddrs += bd.view.FD
-		v.TotalHits += bd.view.TotalHits
+		ases[j].ActiveBlocks++
+		ases[j].ActiveAddrs += v.FD
 	}
-	x.asNums = make([]bgp.ASN, 0, len(x.byAS))
-	for as := range x.byAS {
-		x.asNums = append(x.asNums, as)
+	hits := make([]float64, len(blocks))
+	for i := range ases {
+		if n := ases[i].ActiveBlocks; n > 0 {
+			ases[i].Hits, hits = hits[:0:n], hits[n:]
+		}
 	}
-	sort.Slice(x.asNums, func(i, j int) bool { return x.asNums[i] < x.asNums[j] })
+	for i := range blocks {
+		j, _ := searchAS(ases, blocks[i].view.AS)
+		ases[j].Hits = append(ases[j].Hits, blocks[i].view.TotalHits)
+	}
+	return ases
+}
+
+// searchAS binary-searches partials sorted by AS for as.
+func searchAS(ases []ASPartial, as uint32) (int, bool) {
+	i := sort.Search(len(ases), func(i int) bool { return ases[i].AS >= as })
+	return i, i < len(ases) && ases[i].AS == as
 }
 
 // foldUA unions the per-block UA sketches (register-wise max, so any

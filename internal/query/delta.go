@@ -385,11 +385,13 @@ func (x *Index) ChurnSince(fromDays int) (up, down int) {
 }
 
 // ActiveASNs returns the sorted AS numbers that own at least one
-// indexed block in this slice.
+// indexed block in this slice (the unrouted AS 0 included).
 func (x *Index) ActiveASNs() []uint32 {
-	out := make([]uint32, len(x.asNums))
-	for i, as := range x.asNums {
-		out[i] = uint32(as)
+	out := make([]uint32, 0, len(x.ases))
+	for i := range x.ases {
+		if x.ases[i].ActiveBlocks > 0 {
+			out = append(out, x.ases[i].AS)
+		}
 	}
 	return out
 }

@@ -104,7 +104,7 @@ func TestEncodedBytesStable(t *testing.T) {
 		{"ASPartialWire", AppendASPartialWire(nil, &ap), "17e1d12dd4d71b40838e347f23150040e4cba77566a8f94dced80923e9bbacec"},
 		{"PrefixPartialWire", AppendPrefixPartialWire(nil, &pp), "7f773b1e8cc64454f6bb60d2a410e3f73fbec026755eab39d8c0cb519371c8f8"},
 		{"DeltaPartialWire", AppendDeltaPartialWire(nil, &dp), "e2196179b1790c6019b8ad6b2fdd509c1d0c77c0193bd30d09f510ccc438a24b"},
-		{"MovementPartialWire", AppendMovementPartialWire(nil, &mp), "24cd087e27c1b2afc32548011a4b3ed636d0de540e848e7af612c777d327ffee"},
+		{"MovementPartialWire", AppendMovementPartialWire(nil, &mp), "2cff827769ef5bff5a3067f90d1fd3ed85fe3880c8c5c444d05661505a07a8e5"},
 		{"EncodeSnapshot", EncodeSnapshot(x, nil), "202dd0df913f0ef065d5a2147378e0ed37a1236c857afb04aa929df422440bac"},
 		{"EncodeSnapshot/sharded", EncodeSnapshot(x, &ShardRange{Index: 1, Count: 2, Lo: 1 << 23, Hi: 1 << 24}), "f68b59b8d13667e594afe91227874e19852b3e218ffb82222ff8607fdc60164a"},
 		{"EncodeCheckpoint/mid-stream", checkpoint, "9efb068c4905a9d50149194c043fbf0f0e32cccdcfeafb839fc66f5dea218bdf"},

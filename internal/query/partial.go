@@ -363,29 +363,15 @@ type ASPartial struct {
 	Hits         []float64 `json:"hits,omitempty"`
 }
 
-// ASPartial returns this index's mergeable share of asn's footprint.
+// ASPartial returns this index's mergeable share of asn's footprint:
+// the partial the publish folded, which shares its slices with the
+// index (callers must not mutate them).
 func (x *Index) ASPartial(asn bgp.ASN) ASPartial {
-	v, ok := x.byAS[asn]
+	i, ok := searchAS(x.ases, uint32(asn))
 	if !ok {
 		return ASPartial{AS: uint32(asn)}
 	}
-	p := ASPartial{
-		Found:        true,
-		AS:           v.AS,
-		Kind:         v.Kind,
-		Country:      v.Country,
-		RIR:          v.RIR,
-		Prefixes:     v.Prefixes,
-		RoutedBlocks: v.RoutedBlocks,
-		ActiveBlocks: v.ActiveBlocks,
-		ActiveAddrs:  v.ActiveAddrs,
-	}
-	for i := range x.blocks {
-		if bd := &x.blocks[i]; bd.view.AS == p.AS {
-			p.Hits = append(p.Hits, bd.view.TotalHits)
-		}
-	}
-	return p
+	return x.ases[i]
 }
 
 // MergeASPartials folds a complete partition's AS partials (in

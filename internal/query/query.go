@@ -65,12 +65,10 @@ type Index struct {
 	words   int      // uint64 words per packed per-address timeline
 	keys    []ipv4.Block
 	blocks  []blockData // parallel to keys, ascending block order
-	asNums  []bgp.ASN   // sorted
-	byAS    map[bgp.ASN]*ASView
 	routing *bgp.Table
 	world   *synthnet.World
 	tags    *rdns.TagIndex
-	asBase  []ASView // asTable(world), shared by every snapshot of the world
+	ases    []ASPartial // foldAS: every AS's footprint on this index, sorted by AS
 	summary Summary
 	partial *SummaryPartial
 	icmp    *ipv4.Set
@@ -408,17 +406,22 @@ func (x *Index) Prefix(p ipv4.Prefix, maxBlocks int) (PrefixView, error) {
 	return MergePrefixPartials([]PrefixPartial{part}, maxBlocks)
 }
 
-// AS returns the footprint view for asn.
+// AS returns the footprint view for asn; ok is false when the index
+// does not know the AS. Like Prefix, it is the one-partial case of the
+// cluster merge.
 func (x *Index) AS(asn bgp.ASN) (ASView, bool) {
-	v, ok := x.byAS[asn]
-	if !ok {
-		return ASView{}, false
-	}
-	return *v, true
+	return MergeASPartials([]ASPartial{x.ASPartial(asn)})
 }
 
-// ASNs returns the sorted origin ASNs with indexed activity.
-func (x *Index) ASNs() []bgp.ASN { return x.asNums }
+// ASNs returns, sorted, every AS the index knows: the world's, plus the
+// unrouted AS 0 when the index has activity outside the routing table.
+func (x *Index) ASNs() []bgp.ASN {
+	out := make([]bgp.ASN, len(x.ases))
+	for i := range x.ases {
+		out[i] = bgp.ASN(x.ases[i].AS)
+	}
+	return out
+}
 
 // firstBit returns the index of the lowest set bit across words.
 func firstBit(words []uint64) int {

@@ -347,8 +347,7 @@ func decodeSnapshot(data []byte, opts LoadOptions) (*Loaded, error) {
 		e.enrich(v)
 		return bd
 	})
-	x.asBase = asTable(world)
-	x.buildAS()
+	x.ases = foldAS(asTable(world), x.blocks)
 
 	l := &Loaded{
 		Index: x,
@@ -605,7 +604,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 	a.meta = l.meta
 	a.world = x.world
 	a.tags = x.tags
-	a.asBase = x.asBase
+	a.asBase = asTable(x.world)
 	a.fullWords = (l.meta.Run.DailyLen + 63) / 64
 	a.window = l.meta.Run.DailyLen
 	if x.days > l.meta.Run.DailyLen {

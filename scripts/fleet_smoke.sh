@@ -32,7 +32,7 @@ logged() { # LOG TEXT: wait for LOG to say "TEXT<address>"; print the address
 }
 run() { _log=$1; shift; "$@" 2>"$dir/$_log.log" & pids="$pids $!"; } # LOG CMD...: in the background; $! is its pid
 replica() { # P LOG [HTTP RPC]: process P (range P%2, replica P/2), on fresh ports or at the ones given
-    run "$2" "$bin/ipscope-serve" -follow "$dir/live.obs" -follow-poll 20ms -snapshot-dir "$dir/snap$1" \
+    run "$2" "$bin/ipscope-serve" -follow "$dir/live.obs" -snapshot-dir "$dir/snap$1" \
         -shard-index $(($1 % 2)) -shard-count 2 -replica $(($1 / 2)) \
         -listen "${3:-127.0.0.1:0}" -rpc-listen "${4:-127.0.0.1:0}"
 }
