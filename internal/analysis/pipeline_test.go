@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"ipscope/internal/obs"
@@ -131,4 +133,50 @@ func TestReplayScenarios(t *testing.T) {
 			t.Fatal("empty report")
 		}
 	})
+}
+
+// TestReportBytesStable pins the sha256 of the whole report on the
+// pipeline world (seed 23, sim.TinyConfig()): live, decoded from the
+// stream, and under both replay scenarios. The other report tests only
+// compare the report with itself, which a change moving both sides
+// passes; this one fails on any moved byte. After an intended change to
+// what the report prints, take the new digests from the failure.
+func TestReportBytesStable(t *testing.T) {
+	wcfg := synthnet.Config{Seed: 23, NumASes: 30, MeanBlocksPerAS: 6}
+	w := synthnet.Generate(wcfg)
+	var stream bytes.Buffer
+	writer := obs.NewWriter(&stream)
+	res, err := sim.RunTo(w, sim.TinyConfig(), writer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := obs.Decode(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		src    obs.Source
+		sha256 string
+	}{
+		{"live", res, "bc8b1f9f811541198a57507dc4f895bc6e50cbc634bfb398fc9264b5c21f60dd"},
+		{"decoded", decoded, "bc8b1f9f811541198a57507dc4f895bc6e50cbc634bfb398fc9264b5c21f60dd"},
+		{"window-14", res.Data.TruncateWindow(14), "e4154737a3f3fb9b4e1d9dece7e93ca79d882373f7052af4fd100c7cd0715f0d"},
+		{"vantage-0.4", res.Data.SubsampleVantage(0.4, 7), "f60d9be2b7732bbb38e341bd71a84c1dcfccdbf781a4f7e0b018c99aa130e231"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, err := NewContextFromSource(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			RunAll(&out, ctx, wcfg.Seed)
+			if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != tc.sha256 {
+				t.Errorf("report sha256 = %s, want %s", got, tc.sha256)
+			}
+		})
+	}
 }
