@@ -1,36 +1,41 @@
 // Package analysis reproduces every table and figure of the paper's
 // evaluation on top of a simulated world: each ExperimentN function
-// computes the figure's underlying data with internal/core and renders
-// a paper-style text artifact. See DESIGN.md for the experiment index
-// and EXPERIMENTS.md for paper-vs-measured comparisons.
+// reads the figure's underlying data from the context's query index or
+// computes it with internal/core, and renders a paper-style text
+// artifact. See DESIGN.md for the experiment index and EXPERIMENTS.md
+// for paper-vs-measured comparisons.
 package analysis
 
 import (
-	"sync"
-
 	"ipscope/internal/bgp"
 	"ipscope/internal/core"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
-	"ipscope/internal/par"
-	"ipscope/internal/rdns"
+	"ipscope/internal/query"
 	"ipscope/internal/scan"
 	"ipscope/internal/sim"
 	"ipscope/internal/synthnet"
 )
 
-// Context bundles an observation dataset with the world it describes
-// and the scanning campaign, ready for the experiment drivers. The
-// dataset may come from a live simulation or from storage — the
-// experiments cannot tell the difference, which is what makes reports
-// from either path byte-identical.
+// Context bundles an observation dataset with the world it describes,
+// the scanning campaign and the query index compiled from the dataset,
+// ready for the experiment drivers. The dataset may come from a live
+// simulation or from storage — the experiments cannot tell the
+// difference, which is what makes reports from either path
+// byte-identical.
+//
+// The index is the one runtime definition of the numbers it serves:
+// Table 1, the capture–recapture inputs, the daily up/down counts and
+// every block's FD, STU, rDNS tag, traffic and UA uniques. The
+// experiments read those from it, exactly as /v1/summary and /v1/block
+// do, and everything else from the dataset.
 type Context struct {
 	World    *synthnet.World
 	Obs      *obs.Data
 	Campaign *scan.Campaign
+	Index    *query.Index
 
-	featuresOnce sync.Once
-	features     []core.BlockFeatures
+	features []core.BlockFeatures
 }
 
 // NewContext generates a world and runs the simulation, the all-in-one
@@ -38,14 +43,16 @@ type Context struct {
 func NewContext(wcfg synthnet.Config, scfg sim.Config) *Context {
 	w := synthnet.Generate(wcfg)
 	res := sim.Run(w, scfg)
-	return newContext(w, &res.Data)
+	return NewContextFromData(w, &res.Data)
 }
 
 // NewContextFromSource builds a Context from any observation source —
 // a stored dataset file, a decoded network stream, or a live
 // *sim.Result. The world is regenerated deterministically from the
 // dataset's embedded world config, so a dataset file is all an
-// analysis node needs.
+// analysis node needs. It fails when the index cannot be built: a
+// dataset with no daily window, or one holding more days than its meta
+// declares.
 func NewContextFromSource(src obs.Source) (*Context, error) {
 	d, err := src.Observations()
 	if err != nil {
@@ -55,18 +62,30 @@ func NewContextFromSource(src obs.Source) (*Context, error) {
 	if d.Routing != nil && d.Routing.Base == nil {
 		d.Routing.Base = w.BaseRouting
 	}
-	return newContext(w, d), nil
+	return newContext(w, d)
 }
 
 // NewContextFromData builds a Context over an already-generated world
 // and its dataset, skipping the world regeneration NewContextFromSource
-// performs; d must have been produced from (a simulation of) w.
+// performs; d must have been produced from (a simulation of) w. A
+// simulation always has a daily window, so the index builds; it panics
+// if it does not.
 func NewContextFromData(w *synthnet.World, d *obs.Data) *Context {
-	return newContext(w, d)
+	ctx, err := newContext(w, d)
+	if err != nil {
+		panic(err)
+	}
+	return ctx
 }
 
-func newContext(w *synthnet.World, d *obs.Data) *Context {
-	return &Context{World: w, Obs: d, Campaign: scan.FromObs(d)}
+func newContext(w *synthnet.World, d *obs.Data) (*Context, error) {
+	idx, err := query.Build(d, query.Options{})
+	if err != nil {
+		return nil, err
+	}
+	ctx := &Context{World: w, Obs: d, Campaign: scan.FromObs(d), Index: idx}
+	ctx.features = ctx.blockFeatures()
+	return ctx, nil
 }
 
 // ASOf maps a block to its origin AS in the world's base routing table.
@@ -102,54 +121,17 @@ func (c *Context) TrafficIter() func(yield func(core.IPTraffic)) {
 	}
 }
 
-// BlockFeatures assembles the three demographics features for every
-// block active in the daily window, one worker-pool task per block.
-// Feature extraction only reads the dataset's aggregates, and output
-// order follows the sorted block list, so the fan-out is deterministic.
-// The result is memoized: several concurrently-running experiment
-// drivers (Figures 11 and 12) need the same extraction, and callers
-// must not mutate the returned slice.
-func (c *Context) BlockFeatures() []core.BlockFeatures {
-	c.featuresOnce.Do(func() { c.features = c.blockFeatures() })
-	return c.features
-}
+// BlockFeatures returns the three demographics features of every block
+// active in the daily window, in ascending block order, read from the
+// index's block views. Callers must not mutate the returned slice.
+func (c *Context) BlockFeatures() []core.BlockFeatures { return c.features }
 
 func (c *Context) blockFeatures() []core.BlockFeatures {
-	blocks := core.ActiveBlocks(c.Obs.Daily)
-	return par.Map(len(blocks), 0, func(i int) core.BlockFeatures {
-		blk := blocks[i]
-		f := core.BlockFeatures{
-			Block: blk,
-			STU:   core.STU(c.Obs.Daily, blk),
-			Hosts: 1,
-		}
-		if bt := c.Obs.Traffic[blk]; bt != nil {
-			for h := 0; h < 256; h++ {
-				f.Traffic += bt.Hits[h]
-			}
-		}
-		if ua := c.Obs.UA[blk]; ua != nil {
-			if u := ua.Unique(); u > 1 {
-				f.Hosts = u
-			}
-		}
-		return f
-	})
-}
-
-// RDNSTags classifies every active block by its PTR naming (static /
-// dynamic / untagged), the Section 5.3 methodology. Zone synthesis and
-// classification are pure per block, so blocks classify concurrently.
-func (c *Context) RDNSTags(blocks []ipv4.Block) map[ipv4.Block]rdns.Tag {
-	tags := par.Map(len(blocks), 0, func(i int) rdns.Tag {
-		if info, ok := c.World.BlockInfo(blocks[i]); ok {
-			return rdns.ClassifyZone(c.World.RDNSZone(info), 0.6)
-		}
-		return rdns.Untagged
-	})
-	out := make(map[ipv4.Block]rdns.Tag, len(blocks))
+	blocks := c.Index.Blocks()
+	out := make([]core.BlockFeatures, len(blocks))
 	for i, blk := range blocks {
-		out[blk] = tags[i]
+		v, _ := c.Index.Block(blk)
+		out[i] = core.BlockFeatures{Block: blk, STU: v.STU, Traffic: v.TotalHits, Hosts: max(v.UAUnique, 1)}
 	}
 	return out
 }

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"ipscope/internal/core"
-	"ipscope/internal/ipv4"
-	"ipscope/internal/rdns"
 )
 
 func TestCDNMonthWithinWindow(t *testing.T) {
@@ -64,29 +62,5 @@ func TestBlockFeaturesRanges(t *testing.T) {
 		if f.Traffic < 0 || f.Hosts < 1 {
 			t.Fatalf("bad feature: %+v", f)
 		}
-	}
-}
-
-func TestRDNSTagsCoverAllBlocks(t *testing.T) {
-	ctx := sharedCtx(t)
-	var blocks []ipv4.Block
-	for _, b := range ctx.World.Blocks[:50] {
-		blocks = append(blocks, b.Block)
-	}
-	tags := ctx.RDNSTags(blocks)
-	if len(tags) != len(blocks) {
-		t.Fatalf("tags for %d of %d blocks", len(tags), len(blocks))
-	}
-	counts := map[rdns.Tag]int{}
-	for _, tag := range tags {
-		counts[tag]++
-	}
-	if counts[rdns.Static]+counts[rdns.Dynamic] == 0 {
-		t.Error("no block taggable at all")
-	}
-	// Unknown blocks are untagged, not invented.
-	out := ctx.RDNSTags([]ipv4.Block{ipv4.Block(0xFFFFFF)})
-	if out[ipv4.Block(0xFFFFFF)] != rdns.Untagged {
-		t.Error("unknown block should be untagged")
 	}
 }

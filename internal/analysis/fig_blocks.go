@@ -7,6 +7,7 @@ import (
 
 	"ipscope/internal/core"
 	"ipscope/internal/ipv4"
+	"ipscope/internal/query"
 	"ipscope/internal/rdns"
 	"ipscope/internal/stats"
 	"ipscope/internal/synthnet"
@@ -59,18 +60,18 @@ func restructuredBlocks(ctx *Context) map[ipv4.Block]bool {
 func pickExample(ctx *Context, pol synthnet.Policy, skip map[ipv4.Block]bool) *PatternExample {
 	type cand struct {
 		blk ipv4.Block
-		stu float64
+		v   query.BlockView
 	}
 	var cands []cand
 	for _, b := range ctx.World.Blocks {
 		if b.Policy != pol || skip[b.Block] {
 			continue
 		}
-		stu := core.STU(ctx.Obs.Daily, b.Block)
-		if stu == 0 {
+		v, ok := ctx.Index.Block(b.Block)
+		if !ok {
 			continue
 		}
-		cands = append(cands, cand{b.Block, stu})
+		cands = append(cands, cand{b.Block, v})
 		if len(cands) >= 64 {
 			break
 		}
@@ -78,13 +79,13 @@ func pickExample(ctx *Context, pol synthnet.Policy, skip map[ipv4.Block]bool) *P
 	if len(cands) == 0 {
 		return nil
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].stu < cands[j].stu })
+	sort.Slice(cands, func(i, j int) bool { return cands[i].v.STU < cands[j].v.STU })
 	c := cands[len(cands)/2]
 	return &PatternExample{
 		Block:  c.blk,
 		Policy: pol,
-		FD:     core.FillingDegree(ctx.Obs.Daily, c.blk),
-		STU:    c.stu,
+		FD:     c.v.FD,
+		STU:    c.v.STU,
 		Days:   core.BlockDailyBitmaps(ctx.Obs.Daily, c.blk),
 	}
 }
@@ -120,8 +121,8 @@ func Figure7(ctx *Context, maxExamples int) *Fig7 {
 			continue
 		}
 		blk := re.Prefix.FirstBlock()
-		stu := core.STU(ctx.Obs.Daily, blk)
-		if stu < 0.01 {
+		v, _ := ctx.Index.Block(blk)
+		if v.STU < 0.01 {
 			continue
 		}
 		info, _ := ctx.World.BlockInfo(blk)
@@ -132,8 +133,8 @@ func Figure7(ctx *Context, maxExamples int) *Fig7 {
 		f.Examples = append(f.Examples, PatternExample{
 			Block:  blk,
 			Policy: pol,
-			FD:     core.FillingDegree(ctx.Obs.Daily, blk),
-			STU:    stu,
+			FD:     v.FD,
+			STU:    v.STU,
 			Days:   core.BlockDailyBitmaps(ctx.Obs.Daily, blk),
 		})
 	}
@@ -183,27 +184,29 @@ func Figure8(ctx *Context) *Fig8 {
 
 	// Figure 8b/8c operate on stable blocks, per Section 5.3.
 	blocks := f.Split.Stable
-	tags := ctx.RDNSTags(blocks)
+	static, dynamic := rdns.Static.String(), rdns.Dynamic.String()
 	f.STUHist = stats.NewHistogram(0, 100, 10)
+	f.Potential.ActiveBlocks = len(blocks)
 	for _, blk := range blocks {
-		fd := float64(core.FillingDegree(daily, blk))
+		v, _ := ctx.Index.Block(blk)
+		f.Potential.Add(v.FD, v.STU)
+		fd := float64(v.FD)
 		f.FDAll = append(f.FDAll, fd)
-		switch tags[blk] {
-		case rdns.Static:
+		switch v.RDNS {
+		case static:
 			f.FDStatic = append(f.FDStatic, fd)
 			if fd < 64 {
 				f.LowFDShareStatic++
 			}
-		case rdns.Dynamic:
+		case dynamic:
 			f.FDDynamic = append(f.FDDynamic, fd)
 			if fd > 250 {
 				f.HighFDShareDynamic++
 			}
 		}
 		if fd > 250 {
-			stu := core.STU(daily, blk)
-			f.STUHist.Add(stu * 100)
-			if stu >= 0.995 {
+			f.STUHist.Add(v.STU * 100)
+			if v.STU >= 0.995 {
 				f.FullSTUBlocks++
 			}
 		}
@@ -214,7 +217,6 @@ func Figure8(ctx *Context) *Fig8 {
 	if n := len(f.FDDynamic); n > 0 {
 		f.HighFDShareDynamic /= float64(n)
 	}
-	f.Potential = core.EstimatePotential(daily, blocks)
 	return f
 }
 

@@ -15,26 +15,20 @@ import (
 // first week (c).
 type Fig4 struct {
 	DailyActive   []float64
-	DailyChurn    []core.ChurnPoint
+	Ups, Downs    []int // up/down events per daily transition
 	MeanUp        float64
 	ByWindow      []core.WindowChurn
 	VersusFirst   []core.AppearDisappear
 	YearChurnFrac float64 // |appear|/|baseline| at the last week
 }
 
-// Figure4 computes the churn overview.
+// Figure4 computes the churn overview: the daily series (a) from the
+// index's counts, the windows (b, c) from the dataset.
 func Figure4(ctx *Context) *Fig4 {
-	f := &Fig4{}
-	for _, s := range ctx.Obs.Daily {
-		f.DailyActive = append(f.DailyActive, float64(s.Len()))
-	}
-	f.DailyChurn = core.ChurnSeries(ctx.Obs.Daily)
-	var upSum float64
-	for _, p := range f.DailyChurn {
-		upSum += float64(p.Up)
-	}
-	if len(f.DailyChurn) > 0 {
-		f.MeanUp = upSum / float64(len(f.DailyChurn))
+	p := ctx.Index.SummaryPartial()
+	f := &Fig4{Ups: p.Ups, Downs: p.Downs, MeanUp: ctx.Index.Summary().Churn.MeanDailyUpEvents}
+	for _, n := range p.DayLens {
+		f.DailyActive = append(f.DailyActive, float64(n))
 	}
 	f.ByWindow = core.ChurnByWindow(ctx.Obs.Daily, []int{1, 2, 4, 7, 14, 28})
 	f.VersusFirst = core.VersusBaseline(ctx.Obs.Weekly)
@@ -47,11 +41,11 @@ func Figure4(ctx *Context) *Fig4 {
 // Render returns Figure 4 as text.
 func (f *Fig4) Render() string {
 	var b strings.Builder
-	ups := make([]float64, len(f.DailyChurn))
-	downs := make([]float64, len(f.DailyChurn))
-	for i, p := range f.DailyChurn {
-		ups[i] = float64(p.Up)
-		downs[i] = float64(p.Down)
+	ups := make([]float64, len(f.Ups))
+	downs := make([]float64, len(f.Downs))
+	for i := range f.Ups {
+		ups[i] = float64(f.Ups[i])
+		downs[i] = float64(f.Downs[i])
 	}
 	b.WriteString(textplot.Chart("Figure 4a: daily active IPv4 addresses and up/down events",
 		[]textplot.Series{
@@ -102,7 +96,8 @@ func Figure5(ctx *Context, minActivePerAS int) *Fig5 {
 	f := &Fig5{Windows: []int{1, 7, 28}}
 	daily := ctx.Obs.Daily
 	for _, w := range f.Windows {
-		per := core.PerASChurn(core.Windows(daily, w), ctx.ASOf, minActivePerAS)
+		wins := core.Windows(daily, w)
+		per := core.PerASChurn(wins, ctx.ASOf, minActivePerAS)
 		meds := make([]float64, 0, len(per))
 		for _, m := range per {
 			meds = append(meds, m)
@@ -110,7 +105,6 @@ func Figure5(ctx *Context, minActivePerAS int) *Fig5 {
 		sort.Float64s(meds)
 		f.ASMedians = append(f.ASMedians, meds)
 
-		wins := core.Windows(daily, w)
 		var agg [5]float64
 		var weight float64
 		for i := 1; i < len(wins); i++ {

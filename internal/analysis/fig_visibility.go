@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"ipscope/internal/cdnlog"
 	"ipscope/internal/core"
 	"ipscope/internal/registry"
 	"ipscope/internal/sim"
@@ -90,15 +89,13 @@ func (f *Fig1) Render() string {
 
 // Tab1 is Table 1: dataset totals and per-snapshot averages.
 type Tab1 struct {
-	Daily, Weekly cdnlog.DatasetSummary
+	Daily, Weekly core.DatasetSummary
 }
 
-// Table1 summarizes the daily and weekly datasets.
+// Table1 reads the daily and weekly dataset summaries off the index.
 func Table1(ctx *Context) *Tab1 {
-	return &Tab1{
-		Daily:  cdnlog.Summarize(ctx.Obs.Daily, ctx.ASOf),
-		Weekly: cdnlog.Summarize(ctx.Obs.Weekly, ctx.ASOf),
-	}
+	s := ctx.Index.Summary()
+	return &Tab1{Daily: s.Daily, Weekly: s.Weekly}
 }
 
 // Render returns Table 1 as text.
@@ -106,7 +103,7 @@ func (t *Tab1) Render() string {
 	var b strings.Builder
 	b.WriteString("Table 1: datasets, totals and averages per snapshot\n")
 	b.WriteString("dataset  | IPs total | IPs avg | /24 total | /24 avg | AS total | AS avg\n")
-	row := func(label string, s cdnlog.DatasetSummary) {
+	row := func(label string, s core.DatasetSummary) {
 		fmt.Fprintf(&b, "%-8s | %9d | %7d | %9d | %7d | %8d | %6d\n",
 			label, s.TotalIPs, s.AvgIPs, s.TotalBlocks, s.AvgBlocks, s.TotalASes, s.AvgASes)
 	}
@@ -236,15 +233,15 @@ type RecaptureResult struct {
 	TrueActive int
 }
 
-// RecaptureEstimate runs capture–recapture on CDN month vs ICMP union.
+// RecaptureEstimate runs capture–recapture on CDN month vs ICMP union,
+// from the set sizes and overlap the index counted.
 func RecaptureEstimate(ctx *Context) *RecaptureResult {
-	cdn := ctx.CDNMonth()
-	icmp := ctx.Campaign.ICMP
-	est, err := core.RecaptureSets(cdn, icmp)
+	p := ctx.Index.SummaryPartial()
+	est, err := core.Recapture(p.CDNMonth, p.ICMPUnion, p.CDNBoth)
 	return &RecaptureResult{
 		Est:        est,
 		Err:        err,
-		TrueActive: cdn.Union(icmp).Len(),
+		TrueActive: p.CDNMonth + p.ICMPUnion - p.CDNBoth,
 	}
 }
 

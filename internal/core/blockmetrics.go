@@ -149,27 +149,30 @@ type PotentialUtilization struct {
 
 // EstimatePotential computes PotentialUtilization over active blocks.
 func EstimatePotential(daily []*ipv4.Set, blocks []ipv4.Block) PotentialUtilization {
-	var out PotentialUtilization
-	out.ActiveBlocks = len(blocks)
+	out := PotentialUtilization{ActiveBlocks: len(blocks)}
 	for _, blk := range blocks {
-		fd := FillingDegree(daily, blk)
-		stu := STU(daily, blk)
-		if fd < 64 {
-			out.LowFDBlocks++
-		}
-		if fd > 250 {
-			out.DynamicHighFD++
-			if stu < 0.6 {
-				out.DynamicLowSTU++
-				// Mean daily occupancy is stu*256; shrinking the pool
-				// to 1.25× that frees the rest of the /24.
-				occupancy := stu * 256
-				free := 256 - int(occupancy*1.25)
-				if free > 0 {
-					out.FreeableAddrs += free
-				}
+		out.Add(FillingDegree(daily, blk), STU(daily, blk))
+	}
+	return out
+}
+
+// Add counts one active block with filling degree fd and
+// spatio-temporal utilization stu; the caller counts ActiveBlocks.
+func (p *PotentialUtilization) Add(fd int, stu float64) {
+	if fd < 64 {
+		p.LowFDBlocks++
+	}
+	if fd > 250 {
+		p.DynamicHighFD++
+		if stu < 0.6 {
+			p.DynamicLowSTU++
+			// Mean daily occupancy is stu*256; shrinking the pool
+			// to 1.25× that frees the rest of the /24.
+			occupancy := stu * 256
+			free := 256 - int(occupancy*1.25)
+			if free > 0 {
+				p.FreeableAddrs += free
 			}
 		}
 	}
-	return out
 }

@@ -1,7 +1,4 @@
-// Package cdnlog computes the paper's dataset summaries (Table 1):
-// totals over a series of activity snapshots and averages per
-// snapshot, at address, /24 and AS granularity.
-package cdnlog
+package core
 
 import (
 	"ipscope/internal/bgp"

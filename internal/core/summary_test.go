@@ -1,4 +1,4 @@
-package cdnlog
+package core
 
 import (
 	"testing"

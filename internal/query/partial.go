@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"ipscope/internal/bgp"
-	"ipscope/internal/cdnlog"
 	"ipscope/internal/core"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/par"
@@ -44,7 +43,7 @@ import (
 //     commutative and associative by construction (see
 //     internal/useragent's merge algebra tests).
 
-// SeriesPartial is the mergeable form of one cdnlog.DatasetSummary
+// SeriesPartial is the mergeable form of one core.DatasetSummary
 // (the daily or weekly row of Table 1), restricted to a shard's slice
 // of the block space. Union and per-snapshot cardinalities are exact
 // integers; per-snapshot AS activity is carried as sorted ASN sets
@@ -57,7 +56,7 @@ type SeriesPartial struct {
 	BlockSum    int `json:"blockSum"`
 	// SnapASes[i] is the sorted set of origin ASNs with activity in
 	// snapshot i within this partial's slice (0 = unrouted, excluded,
-	// matching cdnlog.Summarize).
+	// matching core.Summarize).
 	SnapASes [][]uint32 `json:"snapASes"`
 }
 
@@ -119,9 +118,9 @@ func (p *SeriesPartial) merge(o *SeriesPartial) error {
 }
 
 // finalize derives the DatasetSummary, field for field the computation
-// cdnlog.Summarize performs over the equivalent snapshot series.
-func (p *SeriesPartial) finalize() cdnlog.DatasetSummary {
-	out := cdnlog.DatasetSummary{Snapshots: p.Snapshots}
+// core.Summarize performs over the equivalent snapshot series.
+func (p *SeriesPartial) finalize() core.DatasetSummary {
+	out := core.DatasetSummary{Snapshots: p.Snapshots}
 	if p.Snapshots == 0 {
 		return out
 	}

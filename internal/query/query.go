@@ -29,7 +29,7 @@ import (
 	"strings"
 
 	"ipscope/internal/bgp"
-	"ipscope/internal/cdnlog"
+	"ipscope/internal/core"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 	"ipscope/internal/rdns"
@@ -220,22 +220,22 @@ type UASummary struct {
 // Summary is the /v1/summary response payload: dataset identity and the
 // cross-dataset aggregates.
 type Summary struct {
-	Seed         uint64                `json:"seed"`
-	NumASes      int                   `json:"numASes"`
-	WorldBlocks  int                   `json:"worldBlocks"`
-	Days         int                   `json:"days"`
-	DailyStart   int                   `json:"dailyStart"`
-	DailyLen     int                   `json:"dailyLen"`
-	Weeks        int                   `json:"weeks"`
-	ActiveBlocks int                   `json:"activeBlocks"`
-	DailyUnion   int                   `json:"dailyUnion"`
-	YearUnion    int                   `json:"yearUnion"`
-	ICMPUnion    int                   `json:"icmpUnion"`
-	Daily        cdnlog.DatasetSummary `json:"daily"`
-	Weekly       cdnlog.DatasetSummary `json:"weekly"`
-	Recapture    RecaptureSummary      `json:"recapture"`
-	Churn        ChurnSummary          `json:"churn"`
-	UA           UASummary             `json:"ua"`
+	Seed         uint64              `json:"seed"`
+	NumASes      int                 `json:"numASes"`
+	WorldBlocks  int                 `json:"worldBlocks"`
+	Days         int                 `json:"days"`
+	DailyStart   int                 `json:"dailyStart"`
+	DailyLen     int                 `json:"dailyLen"`
+	Weeks        int                 `json:"weeks"`
+	ActiveBlocks int                 `json:"activeBlocks"`
+	DailyUnion   int                 `json:"dailyUnion"`
+	YearUnion    int                 `json:"yearUnion"`
+	ICMPUnion    int                 `json:"icmpUnion"`
+	Daily        core.DatasetSummary `json:"daily"`
+	Weekly       core.DatasetSummary `json:"weekly"`
+	Recapture    RecaptureSummary    `json:"recapture"`
+	Churn        ChurnSummary        `json:"churn"`
+	UA           UASummary           `json:"ua"`
 }
 
 // NumBlocks returns the number of indexed (active) /24 blocks.

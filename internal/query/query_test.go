@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ipscope/internal/bgp"
-	"ipscope/internal/cdnlog"
 	"ipscope/internal/core"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
@@ -43,9 +42,8 @@ func TestBuildBlockViewsMatchCore(t *testing.T) {
 }
 
 // checkAgainstCore holds idx to the oracle that shares no code with the
-// index compiler: the batch definitions in internal/core and
-// internal/cdnlog, evaluated over the dataset d the index was built (or
-// streamed) from.
+// index compiler: the batch definitions in internal/core, evaluated
+// over the dataset d the index was built (or streamed) from.
 func checkAgainstCore(t *testing.T, idx *Index, d *obs.Data) {
 	t.Helper()
 	if got, want := idx.NumBlocks(), len(core.ActiveBlocks(d.Daily)); got != want {
@@ -75,10 +73,10 @@ func checkAgainstCore(t *testing.T, idx *Index, d *obs.Data) {
 
 	asOf := synthnet.Generate(d.Meta.World).ASOf
 	sum := idx.Summary()
-	if want := cdnlog.Summarize(d.Daily, asOf); sum.Daily != want {
+	if want := core.Summarize(d.Daily, asOf); sum.Daily != want {
 		t.Errorf("Summary.Daily = %+v, want %+v", sum.Daily, want)
 	}
-	if want := cdnlog.Summarize(d.Weekly, asOf); sum.Weekly != want {
+	if want := core.Summarize(d.Weekly, asOf); sum.Weekly != want {
 		t.Errorf("Summary.Weekly = %+v, want %+v", sum.Weekly, want)
 	}
 	p := idx.SummaryPartial()
