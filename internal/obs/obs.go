@@ -78,6 +78,22 @@ func (c RunConfig) NumWeeks() int {
 	return w
 }
 
+// CampaignWindow returns the daily-window days [from, to) of the month
+// the ICMP campaign ran, as far as its first scans scans (> 0) pin it:
+// from the first scan's day to the last one's, expanded symmetrically
+// to at least 28 days (the paper compares a full month of CDN logs
+// against 8 ICMP snapshots, Section 3.2). The window is not clamped: a
+// caller clamps it to the days it holds.
+func (c RunConfig) CampaignWindow(scans int) (from, to int) {
+	from = c.ICMPScanDays[0] - c.DailyStart
+	to = c.ICMPScanDays[scans-1] - c.DailyStart + 1
+	if span := to - from; span < 28 {
+		from -= (28 - span) / 2
+		to = from + 28
+	}
+	return from, to
+}
+
 // Meta identifies a dataset: the world it was generated from and the
 // run configuration that produced it. Because world generation is
 // deterministic, Meta.World is sufficient to regenerate the full
@@ -422,25 +438,17 @@ func (d *Data) ICMPUnion() *ipv4.Set {
 }
 
 // CampaignMonthUnion returns the set of addresses active during the
-// month the ICMP campaign ran: the scan window expanded symmetrically
-// to at least 28 days, clamped to the daily window (the paper compares
-// a full month of CDN logs against 8 ICMP snapshots, Section 3.2).
-// Both the batch report's visibility/recapture experiments and the
-// query index's summary use this one definition, which is what keeps
-// their numbers field-identical.
+// month the ICMP campaign ran (RunConfig.CampaignWindow over every scan
+// day), clamped to the daily window; with no campaign, the whole daily
+// window. The query index's applier derives its capture–recapture month
+// from the same CampaignWindow, which is what keeps the visibility
+// figures and the index's numbers on one window.
 func (d *Data) CampaignMonthUnion() *ipv4.Set {
 	cfg := d.Meta.Run
 	if len(cfg.ICMPScanDays) == 0 {
 		return d.DailyWindowUnion()
 	}
-	first := cfg.ICMPScanDays[0]
-	last := cfg.ICMPScanDays[len(cfg.ICMPScanDays)-1]
-	from := first - cfg.DailyStart
-	to := last - cfg.DailyStart + 1
-	if span := to - from; span < 28 {
-		from -= (28 - span) / 2
-		to = from + 28
-	}
+	from, to := cfg.CampaignWindow(len(cfg.ICMPScanDays))
 	return core.WindowUnion(d.Daily, from, to)
 }
 

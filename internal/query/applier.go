@@ -285,21 +285,12 @@ func (a *Applier) applyScan(ev obs.ICMPScanEvent) error {
 }
 
 // setCampaignWindow derives the capture–recapture month window from the
-// a.scans (> 0) scans seen so far: pinned by the first and the last of
-// them, expanded to at least 28 days, exactly as
-// obs.Data.CampaignMonthUnion derives it. A new scan can shift it, so
-// the window union is rebuilt from the timelines; applyDay advances it
-// per day from there on.
+// a.scans (> 0) scans seen so far (obs.RunConfig.CampaignWindow). A new
+// scan can shift it, so the window union is rebuilt from the timelines;
+// applyDay advances it per day from there on.
 func (a *Applier) setCampaignWindow() {
-	cfg := a.meta.Run
-	from := cfg.ICMPScanDays[0] - cfg.DailyStart
-	to := cfg.ICMPScanDays[a.scans-1] - cfg.DailyStart + 1
-	if span := to - from; span < 28 {
-		from -= (28 - span) / 2
-		to = from + 28
-	}
-	a.cdnFrom, a.cdnTo = from, to
-	a.cdn = a.windowUnion(from, to)
+	a.cdnFrom, a.cdnTo = a.meta.Run.CampaignWindow(a.scans)
+	a.cdn = a.windowUnion(a.cdnFrom, a.cdnTo)
 }
 
 // seal writes timeline word k of every block active in it, from the
@@ -493,7 +484,7 @@ func (acc *blockAcc) compile() BlockView {
 // accumulators, without revisiting any applied day. It goes through the
 // mergeable partial (partial.go): the partial holds exact integer
 // counters, AS sets and the union UA sketch, and Finalize derives every
-// float with the expressions cdnlog.Summarize, core.ChurnSeries and
+// float with the expressions core.Summarize, core.ChurnSeries and
 // core.Recapture use — so the numbers stay field-identical to the batch
 // report's (the serve tests cross-check them) while remaining exactly
 // mergeable across cluster shards.
