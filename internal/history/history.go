@@ -19,26 +19,15 @@ package history
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"ipscope/internal/query"
+	"ipscope/internal/serve/wire"
 )
 
 // DefaultRetain is the retention used when a server does not configure
 // one: only the live epoch, matching the pre-history memory profile.
 const DefaultRetain = 1
-
-// NotRetainedError is what a Window answers for an epoch outside it,
-// with the range it does retain (0..0 when empty): the HTTP 404 body
-// and the RPC error frame are both rendered from its fields.
-type NotRetainedError struct {
-	Asked, Oldest, Newest uint64
-}
-
-func (e *NotRetainedError) Error() string {
-	return fmt.Sprintf("epoch %d not retained (retained epochs %d..%d)", e.Asked, e.Oldest, e.Newest)
-}
 
 // Window is the retained snapshots in ascending epoch order. The epochs
 // are contiguous: publishes arrive with strictly increasing epochs, and
@@ -91,11 +80,11 @@ func (w Window) Range() (oldest, newest uint64, ok bool) {
 }
 
 // Get returns the retained snapshot for exactly epoch, or a
-// *NotRetainedError naming this window's range.
+// *wire.NotRetainedError naming this window's range.
 func (w Window) Get(epoch uint64) (*query.Index, error) {
 	oldest, newest, ok := w.Range()
 	if !ok || epoch < oldest || epoch > newest {
-		return nil, &NotRetainedError{Asked: epoch, Oldest: oldest, Newest: newest}
+		return nil, &wire.NotRetainedError{Asked: epoch, Oldest: oldest, Newest: newest}
 	}
 	return w.snaps[epoch-oldest], nil
 }
@@ -123,7 +112,7 @@ func (w Window) Span(from, to uint64) (fx, tx *query.Index, err error) {
 }
 
 // Delta computes the delta partial between two retained epochs: a
-// *NotRetainedError when either is not retained, otherwise whatever the
+// *wire.NotRetainedError when either is not retained, otherwise whatever the
 // query layer rejects the span with (from newer than to).
 func (w Window) Delta(from, to uint64, maxBlocks int) (query.DeltaPartial, error) {
 	fx, tx, err := w.Span(from, to)
@@ -205,7 +194,7 @@ func (r *Ring) Range() (oldest, newest uint64, ok bool) { return r.Window().Rang
 // and no error.
 func (r *Ring) Delta(from, to uint64, maxBlocks int) (query.DeltaPartial, bool, error) {
 	p, err := r.Window().Delta(from, to, maxBlocks)
-	var nr *NotRetainedError
+	var nr *wire.NotRetainedError
 	if errors.As(err, &nr) {
 		return p, false, nil
 	}

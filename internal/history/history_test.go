@@ -8,6 +8,7 @@ import (
 	"ipscope/internal/history"
 	"ipscope/internal/obs"
 	"ipscope/internal/query"
+	"ipscope/internal/serve/wire"
 	"ipscope/internal/sim"
 	"ipscope/internal/synthnet"
 )
@@ -139,7 +140,7 @@ func TestWindow(t *testing.T) {
 		}
 		return w
 	}
-	type notRetained = history.NotRetainedError
+	type notRetained = wire.NotRetainedError
 	for _, tc := range []struct {
 		name           string
 		win            history.Window
@@ -157,30 +158,30 @@ func TestWindow(t *testing.T) {
 		{
 			name: "one epoch", win: window(3, 5), oldest: 5, newest: 5,
 			at:     map[uint64]uint64{0: 5, 5: 5},
-			refuse: map[uint64]notRetained{4: {4, 5, 5}, 6: {6, 5, 5}},
-			span:   [2]uint64{5, 6}, blame: &notRetained{6, 5, 5},
+			refuse: map[uint64]notRetained{4: {Asked: 4, Oldest: 5, Newest: 5}, 6: {Asked: 6, Oldest: 5, Newest: 5}},
+			span:   [2]uint64{5, 6}, blame: &notRetained{Asked: 6, Oldest: 5, Newest: 5},
 		},
 		{
 			name: "full", win: window(3, 1, 2, 3, 4, 5), oldest: 3, newest: 5,
 			at:     map[uint64]uint64{0: 5, 3: 3, 4: 4, 5: 5},
-			refuse: map[uint64]notRetained{2: {2, 3, 5}, 99: {99, 3, 5}},
+			refuse: map[uint64]notRetained{2: {Asked: 2, Oldest: 3, Newest: 5}, 99: {Asked: 99, Oldest: 3, Newest: 5}},
 			span:   [2]uint64{3, 5},
 		},
 		{
 			// Neither end is retained: from is probed, and blamed, first —
 			// the order the router re-applies to the cluster-wide range.
 			name: "blame from before to", win: window(3, 1, 2, 3, 4, 5), oldest: 3, newest: 5,
-			span: [2]uint64{2, 9}, blame: &notRetained{2, 3, 5},
+			span: [2]uint64{2, 9}, blame: &notRetained{Asked: 2, Oldest: 3, Newest: 5},
 		},
 		{
 			name: "blame to", win: window(3, 1, 2, 3, 4, 5), oldest: 3, newest: 5,
-			span: [2]uint64{4, 9}, blame: &notRetained{9, 3, 5},
+			span: [2]uint64{4, 9}, blame: &notRetained{Asked: 9, Oldest: 3, Newest: 5},
 		},
 		{
 			name: "reset on a lower epoch", win: window(3, 7, 8, 9, 2), oldest: 2, newest: 2,
 			at:     map[uint64]uint64{0: 2, 2: 2},
-			refuse: map[uint64]notRetained{8: {8, 2, 2}, 9: {9, 2, 2}},
-			span:   [2]uint64{2, 9}, blame: &notRetained{9, 2, 2},
+			refuse: map[uint64]notRetained{8: {Asked: 8, Oldest: 2, Newest: 2}, 9: {Asked: 9, Oldest: 2, Newest: 2}},
+			span:   [2]uint64{2, 9}, blame: &notRetained{Asked: 9, Oldest: 2, Newest: 2},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

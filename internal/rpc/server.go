@@ -182,7 +182,7 @@ func (s *Server) handle(req Msg) Msg {
 		return ErrorResp{Code: http.StatusServiceUnavailable, Msg: wire.WarmingError}
 	}
 	resp, err := s.answer(win, req)
-	var nr *history.NotRetainedError
+	var nr *wire.NotRetainedError
 	switch {
 	case err == nil:
 		return resp

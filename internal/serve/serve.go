@@ -298,7 +298,7 @@ func (s *Server) live(w http.ResponseWriter) *published {
 func (p *published) refuse(w http.ResponseWriter, err error) {
 	var status int
 	var body []byte
-	var nr *history.NotRetainedError
+	var nr *wire.NotRetainedError
 	if errors.As(err, &nr) {
 		status, body = http.StatusNotFound, wire.NotRetainedBody(nr.Asked, nr.Oldest, nr.Newest)
 	} else {

@@ -97,20 +97,21 @@ func NotRetainedBody(asked, oldest, newest uint64) []byte {
 	return append(body, '\n')
 }
 
-// NotRetainedError is the typed form of the not-retained 404: a shard
-// was asked for an epoch outside its ring. Both cluster transports
-// surface it — the HTTP client by decoding EpochRangeBody, the RPC
-// client from the error frame's retained-range fields — so the router
-// can fold per-shard ranges into the cluster-wide common range without
-// parsing error text.
+// NotRetainedError is the typed form of the not-retained 404: an epoch
+// outside a retained window, with the range the window does retain
+// (0..0 when empty). A history window answers it, and the HTTP 404 body
+// and the RPC error frame are rendered from its fields. Both cluster
+// transports surface it — the HTTP client by decoding EpochRangeBody,
+// the RPC client from the error frame's retained-range fields — so the
+// router can fold per-shard ranges into the cluster-wide common range
+// without parsing error text. Neither carries the asked epoch back, so
+// Asked is 0 there; routed responses are rebuilt with NotRetainedBody.
 type NotRetainedError struct {
-	Oldest, Newest uint64
+	Asked, Oldest, Newest uint64
 }
 
-// Error renders the range for logs; routed responses are rebuilt with
-// NotRetainedBody instead.
 func (e *NotRetainedError) Error() string {
-	return fmt.Sprintf("epoch not retained (shard retains %d..%d)", e.Oldest, e.Newest)
+	return ErrEpochNotRetained(e.Asked, e.Oldest, e.Newest)
 }
 
 // ErrBlockNotFound renders the 404 body text for a /24 with no activity
