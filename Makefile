@@ -79,18 +79,23 @@ fleet-smoke: smoke-bin
 	sh scripts/fleet_smoke.sh $(SMOKE_DIR) "$(SMOKE_WORLD)" "$(SMOKE_FLAGS)"
 
 # The observation pipeline: gen streams a dataset over a pipe into
-# collect, collect persists it canonically, report analyzes the store —
-# and the result must be byte-identical to a direct in-process run on
-# the same seed.
+# report, which must print byte-identically to a direct in-process run
+# on the same seed; then the replay scenarios (-window-days,
+# -vantage-frac) over the stored dataset against the direct run.
 pipeline-smoke: D = $(SMOKE_DIR)/pipeline-smoke
 pipeline-smoke: smoke-bin
 	rm -rf $(D) && mkdir -p $(D)
 	$(SMOKE_DIR)/ipscope-gen $(SMOKE_FLAGS) -dataset - \
-		| $(SMOKE_DIR)/ipscope-collect -ingest - -store $(D)/world.obs
-	$(SMOKE_DIR)/ipscope-report -dataset $(D)/world.obs -o $(D)/report-dataset.txt
+		| $(SMOKE_DIR)/ipscope-report -dataset - -o $(D)/report-dataset.txt
 	$(SMOKE_DIR)/ipscope-report $(SMOKE_FLAGS) -o $(D)/report-direct.txt
 	cmp $(D)/report-direct.txt $(D)/report-dataset.txt
-	@echo "pipeline-smoke: reports byte-identical"
+	$(SMOKE_DIR)/ipscope-gen $(SMOKE_FLAGS) -dataset $(D)/world.obs
+	for s in "-window-days 28" "-vantage-frac 0.5"; do \
+		$(SMOKE_DIR)/ipscope-report $(SMOKE_FLAGS) $$s -o $(D)/scenario-direct.txt && \
+		$(SMOKE_DIR)/ipscope-report $(SMOKE_FLAGS) $$s -dataset $(D)/world.obs -o $(D)/scenario-dataset.txt && \
+		cmp $(D)/scenario-direct.txt $(D)/scenario-dataset.txt || exit 1; \
+	done
+	@echo "pipeline-smoke: reports byte-identical (default, -window-days 28, -vantage-frac 0.5)"
 
 # Short fuzzing passes over the binary decoders: proves FuzzDec (the
 # shared internal/binenc kernel), FuzzDecode (dataset codec),

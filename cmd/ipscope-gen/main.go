@@ -3,11 +3,10 @@
 //
 //   - -dataset FILE streams the observation dataset to a file as the
 //     simulation progresses ("-" streams to stdout, so the dataset can
-//     be piped straight into ipscope-collect);
-//   - -connect ADDR streams the dataset to a TCP collector or live
-//     server (ipscope-collect -obs-listen ADDR, ipscope-serve
-//     -obs-listen ADDR); -day-delay paces the stream so a live
-//     consumer's epoch progression is observable in wall-clock time.
+//     be piped straight into ipscope-report -dataset -);
+//   - -connect ADDR streams the dataset to a live server over TCP
+//     (ipscope-serve -obs-listen ADDR); -day-delay paces the stream so
+//     the server's epoch progression is observable in wall-clock time.
 //
 // At least one of -dataset and -connect is required; given both, the
 // one stream goes to both. -ases, -blocks-per-as and -days must be at
@@ -57,7 +56,7 @@ func parse(fs *flag.FlagSet, args []string) (options, error) {
 	fs.IntVar(&o.world.MeanBlocksPerAS, "blocks-per-as", 12, "mean /24 blocks per AS")
 	fs.IntVar(&o.days, "days", 364, "simulated days")
 	fs.StringVar(&o.dataset, "dataset", "", `stream the observation dataset to FILE ("-" = stdout)`)
-	fs.StringVar(&o.connect, "connect", "", "stream the observation dataset to a TCP collector at ADDR")
+	fs.StringVar(&o.connect, "connect", "", "stream the observation dataset over TCP to ADDR (ipscope-serve -obs-listen)")
 	fs.DurationVar(&o.dayDelay, "day-delay", 0, "pace the stream: sleep this long after each emitted day (live-pipeline demos)")
 	if err := fs.Parse(args); err != nil {
 		return o, err

@@ -4,7 +4,8 @@
 //
 //   - live: generate a synthetic world and simulate it in-process;
 //   - stored: -dataset FILE analyzes an observation dataset produced by
-//     ipscope-gen / ipscope-collect ("-" reads it from stdin). The world
+//     ipscope-gen ("-" reads it from stdin, so "ipscope-gen -dataset - |
+//     ipscope-report -dataset -" forms a pipe). The world
 //     is regenerated deterministically from the dataset's metadata, so
 //     the report is byte-identical to the in-process run for the same
 //     seed and configuration.

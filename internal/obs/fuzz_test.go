@@ -18,7 +18,7 @@ import (
 //   - anything that decodes re-encodes canonically: Write(Decode(x))
 //     succeeds, and its output is a fixed point (decoding and
 //     re-encoding it reproduces the same bytes), which is the property
-//     the collect tier's deterministic stores rest on;
+//     canonical stores (obs.Write, obs.WriteFile) rest on;
 //   - a decode restricted to keepEven's blocks (a Restricter sink, as a
 //     shard decodes) never panics and fails only with a typed error,
 //     and where the unrestricted decode succeeds it succeeds too and
