@@ -112,8 +112,8 @@ func (w Window) Span(from, to uint64) (fx, tx *query.Index, err error) {
 }
 
 // Delta computes the delta partial between two retained epochs: a
-// *wire.NotRetainedError when either is not retained, otherwise whatever the
-// query layer rejects the span with (from newer than to).
+// *wire.NotRetainedError when either is not retained, otherwise
+// whatever the query layer rejects the span with (from newer than to).
 func (w Window) Delta(from, to uint64, maxBlocks int) (query.DeltaPartial, error) {
 	fx, tx, err := w.Span(from, to)
 	if err != nil {
