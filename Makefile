@@ -97,16 +97,19 @@ pipeline-smoke: smoke-bin
 	done
 	@echo "pipeline-smoke: reports byte-identical (default, -window-days 28, -vantage-frac 0.5)"
 
-# Short fuzzing passes over the binary decoders: proves FuzzDec (the
-# shared internal/binenc kernel), FuzzDecode (dataset codec),
-# FuzzRPCDecode (shard↔router RPC codec), FuzzSnapshotDecode
-# (persistent index snapshots) and FuzzJournalDecode (checkpoint
-# journals) still run and gives the mutator a brief shot at fresh corpus.
+# Short fuzzing passes over the binary decoders and the rDNS tagger:
+# proves FuzzDec (the shared internal/binenc kernel), FuzzDecode
+# (dataset codec), FuzzRPCDecode (shard↔router RPC codec),
+# FuzzSnapshotDecode (persistent index snapshots), FuzzJournalDecode
+# (checkpoint journals) and FuzzClassifyZone (the one-name-per-variant
+# tagger against the every-name reference) still run and gives the
+# mutator a brief shot at fresh corpus.
 fuzz-smoke:
 	$(GO) test ./internal/binenc -run='^$$' -fuzz='^FuzzDec$$' -fuzztime=10s
 	$(GO) test ./internal/obs -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s
 	$(GO) test ./internal/rpc -run='^$$' -fuzz='^FuzzRPCDecode$$' -fuzztime=10s
 	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=10s
 	$(GO) test ./internal/node -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s
+	$(GO) test ./internal/rdns -run='^$$' -fuzz='^FuzzClassifyZone$$' -fuzztime=10s
 
 ci: build vet vet-386 fmt-check test bench-harness race bench-smoke fuzz-smoke $(SMOKES)

@@ -2,9 +2,11 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
+	"ipscope/internal/bgp"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 	"ipscope/internal/par"
@@ -44,10 +46,12 @@ func Build(src obs.Source, opts Options) (*Index, error) {
 // block's bitmap into a (block × day) column array, each cell written by
 // one worker; then each block turns its column into its accumulator a
 // timeline word at a time (fillDays), in its own preallocated slot, so
-// shard boundaries cannot reorder anything. The day-level series come
-// from the parallel set kernels. Every fan-out is bounded by the
-// Applier's Options.Workers, not by the worker count the dataset's
-// producer recorded in its meta.
+// shard boundaries cannot reorder anything. Table 1's daily AS sets are
+// read off the same columns (columnASes), its weekly ones off one walk
+// of each weekly set (setASes); the other day-level series come from
+// the parallel set kernels. Every fan-out is bounded by the Applier's
+// Options.Workers, not by the worker count the dataset's producer
+// recorded in its meta.
 func (a *Applier) fill(d *obs.Data) {
 	w := a.opts.Workers
 	n := len(d.Daily)
@@ -91,7 +95,7 @@ func (a *Applier) fill(d *obs.Data) {
 	for i, s := range d.Daily {
 		a.dayLens[i] = s.Len()
 	}
-	a.dSum.observeAll(d.Daily, a.world.ASOf, w)
+	a.dSum.observeAll(d.Daily, columnASes(a.keys, cols, n, a.world.ASOf))
 	a.dSum.UnionIPs, a.dSum.UnionBlocks = dailyUnion.Len(), len(a.keys)
 	if n > 1 {
 		a.ups = ipv4.DiffCounts(d.Daily[1:], d.Daily[:n-1], w)
@@ -116,7 +120,7 @@ func (a *Applier) fill(d *obs.Data) {
 		a.weekLastAppear = a.weekLast.DiffCount(a.week0)
 	}
 	a.yearUnion = ipv4.UnionAll(weekly, w)
-	a.wSum.observeAll(weekly, a.world.ASOf, w)
+	a.wSum.observeAll(weekly, setASes(weekly, a.yearUnion.Blocks(), a.world.ASOf, w))
 	a.wSum.UnionIPs, a.wSum.UnionBlocks = a.yearUnion.Len(), a.yearUnion.NumBlocks()
 
 	a.icmpUnion = ipv4.UnionAll(d.ICMPScans, w)
@@ -124,6 +128,104 @@ func (a *Applier) fill(d *obs.Data) {
 		a.setCampaignWindow()
 	}
 	a.servers, a.routers = d.ServerSet, d.RouterSet
+}
+
+// asMatrix holds a series' per-snapshot AS sets — what snapshotASes
+// finds in each set — as a (snapshot × AS) bit matrix, so that no set
+// needs a sort: a snapshot's set is read off its row in AS order. Each
+// row is written by one worker.
+type asMatrix struct {
+	ases  []uint32 // the columns' ASes: ascending, distinct, no AS 0
+	words int      // per row
+	bits  []uint64
+}
+
+// newASMatrix sizes a matrix for n snapshots over blocks, every block a
+// snapshot can hold among them. Their unrouted AS 0 gets no column, as
+// snapshotASes counts it nowhere.
+func newASMatrix(blocks []ipv4.Block, n int, asOf func(ipv4.Block) bgp.ASN) *asMatrix {
+	ases := make([]uint32, len(blocks))
+	for i, blk := range blocks {
+		ases[i] = uint32(asOf(blk))
+	}
+	slices.Sort(ases)
+	ases = slices.Compact(ases)
+	if len(ases) > 0 && ases[0] == 0 {
+		ases = ases[1:]
+	}
+	words := (len(ases) + 63) / 64
+	return &asMatrix{ases: ases, words: words, bits: make([]uint64, n*words)}
+}
+
+// col returns as's column; AS 0 has none.
+func (m *asMatrix) col(as bgp.ASN) (int, bool) {
+	return slices.BinarySearch(m.ases, uint32(as))
+}
+
+// set records column j's AS in snapshot k.
+func (m *asMatrix) set(k, j int) { m.bits[k*m.words+j/64] |= 1 << (j % 64) }
+
+// lists returns the n snapshots' sorted AS sets, carved from one array,
+// each capped at its length and none nil.
+func (m *asMatrix) lists(n int) [][]uint32 {
+	total := 0
+	for _, w := range m.bits {
+		total += bits.OnesCount64(w)
+	}
+	flat := make([]uint32, 0, total)
+	out := make([][]uint32, n)
+	for k := range out {
+		start := len(flat)
+		for i, w := range m.bits[k*m.words : (k+1)*m.words] {
+			for ; w != 0; w &= w - 1 {
+				flat = append(flat, m.ases[i*64+bits.TrailingZeros64(w)])
+			}
+		}
+		out[k] = flat[start:len(flat):len(flat)]
+	}
+	return out
+}
+
+// columnASes returns the AS sets of the n snapshots of the (key ×
+// snapshot) column array cols, resolving each key's AS once.
+func columnASes(keys []ipv4.Block, cols []*ipv4.Bitmap256, n int, asOf func(ipv4.Block) bgp.ASN) [][]uint32 {
+	m := newASMatrix(keys, n, asOf)
+	for i, blk := range keys {
+		j, ok := m.col(asOf(blk))
+		if !ok {
+			continue
+		}
+		for k, bm := range cols[i*n : (i+1)*n] {
+			if bm != nil {
+				m.set(k, j)
+			}
+		}
+	}
+	return m.lists(n)
+}
+
+// setASes returns the AS sets of sets, whose blocks are all among
+// blocks, from one walk of each set across workers: a series with no
+// other use for a column array (the weekly sets) needs none. Each
+// block's AS column is resolved once, into a map the walks share.
+func setASes(sets []*ipv4.Set, blocks []ipv4.Block, asOf func(ipv4.Block) bgp.ASN, workers int) [][]uint32 {
+	m := newASMatrix(blocks, len(sets), asOf)
+	colOf := make(map[ipv4.Block]int32, len(blocks))
+	for _, blk := range blocks {
+		j, ok := m.col(asOf(blk))
+		if !ok {
+			j = -1
+		}
+		colOf[blk] = int32(j)
+	}
+	par.ForEach(len(sets), workers, func(k int) {
+		sets[k].ForEachBlock(func(blk ipv4.Block, _ *ipv4.Bitmap256) {
+			if j := colOf[blk]; j >= 0 {
+				m.set(k, int(j))
+			}
+		})
+	})
+	return m.lists(len(sets))
 }
 
 // fillDays loads a fresh accumulator with the first len(days) days of

@@ -8,7 +8,6 @@ import (
 	"ipscope/internal/bgp"
 	"ipscope/internal/core"
 	"ipscope/internal/ipv4"
-	"ipscope/internal/par"
 	"ipscope/internal/useragent"
 )
 
@@ -70,16 +69,9 @@ func (p *SeriesPartial) observe(s *ipv4.Set, ases []uint32) {
 	p.SnapASes = append(p.SnapASes, ases)
 }
 
-// observeAll observes every one of sets in order, finding their ASes
-// across workers.
-func (p *SeriesPartial) observeAll(sets []*ipv4.Set, asOf func(ipv4.Block) bgp.ASN, workers int) {
-	ases := make([][]uint32, len(sets))
-	par.ForEachShard(len(sets), workers, func(_, lo, hi int) {
-		var scratch []uint32
-		for i := lo; i < hi; i++ {
-			ases[i] = snapshotASes(sets[i], asOf, &scratch)
-		}
-	})
+// observeAll observes every one of sets in order, ases[i] being set i's
+// origin ASes.
+func (p *SeriesPartial) observeAll(sets []*ipv4.Set, ases [][]uint32) {
 	for i, s := range sets {
 		p.observe(s, ases[i])
 	}
@@ -87,13 +79,13 @@ func (p *SeriesPartial) observeAll(sets []*ipv4.Set, asOf func(ipv4.Block) bgp.A
 
 // snapshotASes returns the sorted distinct origin ASNs active in s,
 // gathered in the caller's reusable *scratch and copied out at their
-// exact size. Blocks arrive ascending, so an AS's adjacent blocks add it
-// once; a sort and a compaction drop the repeats that are left. The
+// exact size. ForEachBlock visits blocks in map order, so every active
+// block adds its AS; the sort and the compaction drop the repeats. The
 // result is never nil: the wire encoding tells nil from empty.
 func snapshotASes(s *ipv4.Set, asOf func(ipv4.Block) bgp.ASN, scratch *[]uint32) []uint32 {
 	buf := (*scratch)[:0]
 	s.ForEachBlock(func(blk ipv4.Block, _ *ipv4.Bitmap256) {
-		if as := uint32(asOf(blk)); as != 0 && (len(buf) == 0 || buf[len(buf)-1] != as) {
+		if as := uint32(asOf(blk)); as != 0 {
 			buf = append(buf, as)
 		}
 	})

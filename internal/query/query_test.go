@@ -3,6 +3,8 @@ package query
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ipscope/internal/bgp"
@@ -87,6 +89,81 @@ func checkAgainstCore(t *testing.T, idx *Index, d *obs.Data) {
 	for i, c := range churn {
 		if p.Ups[i] != c.Up || p.Downs[i] != c.Down {
 			t.Errorf("transition %d: up/down = %d/%d, want %d/%d", i, p.Ups[i], p.Downs[i], c.Up, c.Down)
+		}
+	}
+}
+
+// TestBuildASSetsMatchSnapshotASes holds the fill's daily and weekly AS
+// series, taken from (key × snapshot) columns, to the per-set kernel a
+// live node runs on every day and week: set for set equal, nil-ness
+// included. The datasets cover the tiny run, cuts on both sides of a
+// timeline word boundary, a shard's restricted build, and days and
+// weeks with active space the world does not route (AS 0, which
+// neither may count).
+func TestBuildASSetsMatchSnapshotASes(t *testing.T) {
+	d := testData(t)
+	long := sim.TinyConfig()
+	long.Days, long.DailyStart, long.DailyLen = 98, 14, 70
+	longData := &sim.Run(synthnet.Generate(synthnet.TinyConfig()), long).Data
+
+	mid := core.ActiveBlocks(d.Daily)[len(core.ActiveBlocks(d.Daily))/2]
+	upper := func(b ipv4.Block) bool { return b >= mid }
+	shard, err := obs.FilterSource(d, upper).Observations()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	world := synthnet.Generate(d.Meta.World)
+	unrouted := ipv4.Block(0)
+	for world.ASOf(unrouted) != 0 {
+		unrouted++
+	}
+	stray := *d
+	stray.Daily, stray.Weekly = slices.Clone(d.Daily), slices.Clone(d.Weekly)
+	for _, sets := range [][]*ipv4.Set{stray.Daily, stray.Weekly} {
+		for i := 0; i < len(sets); i += 3 {
+			sets[i] = sets[i].Clone()
+			sets[i].Add(unrouted.Addr(7))
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		d    *obs.Data
+		opts Options
+	}{
+		{"tiny", d, Options{}},
+		{"TruncateLive(64)", longData.TruncateLive(64), Options{}},
+		{"TruncateLive(65)", longData.TruncateLive(65), Options{}},
+		{"keep", shard, Options{Keep: upper}},
+		{"unrouted", &stray, Options{}},
+	} {
+		a := NewApplier(c.opts)
+		if err := a.applyMeta(obs.MetaEvent{Meta: c.d.Meta}); err != nil {
+			t.Fatal(err)
+		}
+		a.fill(c.d)
+		if a.weeks == 0 {
+			t.Fatalf("%s: no weekly snapshot", c.name)
+		}
+		for _, series := range []struct {
+			name string
+			got  *SeriesPartial
+			sets []*ipv4.Set
+		}{
+			{"day", &a.dSum, c.d.Daily},
+			{"week", &a.wSum, c.d.Weekly[:a.weeks]},
+		} {
+			if got, want := len(series.got.SnapASes), len(series.sets); got != want {
+				t.Fatalf("%s: %d %s AS sets, want %d", c.name, got, series.name, want)
+			}
+			var scratch []uint32
+			for i, s := range series.sets {
+				want := snapshotASes(s, a.world.ASOf, &scratch)
+				if got := series.got.SnapASes[i]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %s %d: AS set %v, want %v", c.name, series.name, i, got, want)
+				}
+			}
 		}
 	}
 }

@@ -84,6 +84,19 @@ func refClassifyZone(z *Zone, minConsistent float64) Tag {
 	return Untagged
 }
 
+// tagDomains stress the argument that lets ClassifyZone match one name
+// per variant — that no keyword can match across a name's digit runs:
+// keywords in mixed case in the domain, "dyn-" that counts only as a
+// name's prefix, "dyn." at the very end, digits and dashes beside the
+// keywords, and a domain longer than nameBuf.
+var tagDomains = []string{
+	"Static.Pool.example",
+	"dyn-x.net",
+	"X.DYN.",
+	"10-0-0-1.dyn-7.static-2-3.net",
+	strings.Repeat("ab-12.", 24) + "dyn.net",
+}
+
 // TestZoneMatchesReference compares every name and every zone tag with
 // the reference, exhaustively over styles × noise × edge blocks × hosts
 // × seeds and over domains that exercise the matcher (upper case, a
@@ -92,7 +105,7 @@ func TestZoneMatchesReference(t *testing.T) {
 	styles := []NamingStyle{StyleNone, StyleStatic, StyleDynamic, StyleGeneric}
 	noises := []float64{0, 0.1, 0.5, 1}
 	blocks := []ipv4.Block{0, 1, 255, 65536, 1 << 23, 1<<24 - 1, blk("203.0.113.0")}
-	domains := []string{"", "isp.net", "CUST.Example.NET", "DHCP.Big-ISP.com", "dyn.carrier.example"}
+	domains := append([]string{"", "isp.net", "CUST.Example.NET", "DHCP.Big-ISP.com", "dyn.carrier.example"}, tagDomains...)
 	seeds := []uint64{0, 7, 1 << 63}
 	for _, style := range styles {
 		for _, noise := range noises {
@@ -146,4 +159,38 @@ func BenchmarkClassifyZone(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkTag = ClassifyZone(z, 0.6)
 	}
+}
+
+// FuzzClassifyZone holds ClassifyZone, which matches one name per
+// variant, to the reference tagger, which matches all 256, over
+// arbitrary blocks, styles, domains, noise levels and seeds. The
+// reference lower-cases Unicode and the matcher ASCII only (RFC 4343),
+// so a domain with a non-ASCII byte is held to ClassifyBlock over
+// Zone.Lookup instead: every name built and matched.
+func FuzzClassifyZone(f *testing.F) {
+	for i, domain := range append([]string{"", "isp.net"}, tagDomains...) {
+		for style := StyleNone; style <= StyleGeneric; style++ {
+			f.Add(uint32(0xcb0071+i), uint8(style), domain, 0.1, uint64(i))
+		}
+	}
+	f.Add(uint32(1<<24-1), uint8(StyleDynamic), "dyn-x.net", 0.5, uint64(1<<63))
+	f.Add(uint32(0), uint8(StyleStatic), "X.DYN.", 1.0, uint64(7))
+	f.Fuzz(func(t *testing.T, block uint32, style uint8, domain string, noise float64, seed uint64) {
+		z := NewZone(ipv4.Block(block%(1<<24)), NamingStyle(style), domain, noise, seed)
+		ascii := true
+		for i := 0; i < len(domain); i++ {
+			ascii = ascii && domain[i] < 0x80
+		}
+		for _, min := range []float64{0.6, 0.95} {
+			got := ClassifyZone(z, min)
+			want := ClassifyBlock(z.Lookup, min)
+			if ascii {
+				want = refClassifyZone(z, min)
+			}
+			if got != want {
+				t.Fatalf("block=%d style=%d domain=%q noise=%v seed=%d min=%v: ClassifyZone = %v, reference %v",
+					z.Block, style, domain, noise, seed, min, got, want)
+			}
+		}
+	})
 }

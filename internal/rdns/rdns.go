@@ -5,10 +5,12 @@
 // are tagged dynamic — a well-known methodology [24, 30, 35].
 //
 // The tag is read off the names, never inferred from a zone's style, and
-// every process start tags a whole world (~900 k names), so names are
-// not strings on that path: one builder appends a host's name into a
-// caller-owned buffer and the keyword matcher runs over those bytes.
-// Zone.Lookup is the same builder behind a string conversion.
+// every process start tags a whole world (~3,500 zones of 256 hosts).
+// A name's tag depends only on its variant (host-, static-, dynamic-…
+// pool., pool-) and the zone's domain, so a zone draws every host's
+// variant but builds and matches a real name once per variant, appended
+// into a caller-owned buffer. Zone.Lookup is the same builder behind a
+// string conversion.
 package rdns
 
 import (
@@ -89,32 +91,58 @@ func hostRand(state uint64, h byte) uint64 {
 	return xrand.Splitmix64(xrand.Absorb(state, strconv.AppendUint(b[:0], uint64(h), 10)))
 }
 
-// appendName appends host h's PTR name to buf — nothing when the record
-// does not exist (every name that does is non-empty). It is the one
-// definition of a zone's names: Lookup returns it as a string and
-// ClassifyZone matches it in place. state is z.hostState().
-func (z *Zone) appendName(buf []byte, state uint64, h byte) []byte {
+// variant is the shape of one host's name: the prefix it carries, with
+// ".pool." before the domain for varDynamic, or no record at all. A
+// name's tag depends only on its variant and the zone's domain: the
+// rest of it is the host's dotted quad as four digit runs joined by
+// '-', and no keyword contains a digit or spans a run's lone '-'
+// ("dyn-" counts only as the name's prefix, which the variant fixes).
+type variant uint8
+
+const (
+	varMissing variant = iota
+	varHost
+	varStatic
+	varDynamic
+	varPool
+	numVariants
+)
+
+var variantPrefix = [numVariants]string{"", "host-", "static-", "dynamic-", "pool-"}
+
+// hostVariant draws host h's deterministic noise and picks its name's
+// variant: the one definition of that choice, which appendName spells
+// out and ClassifyZone counts. state is z.hostState().
+func (z *Zone) hostVariant(state uint64, h byte) variant {
 	if z.Style == StyleNone {
-		return buf
+		return varMissing
 	}
-	// Deterministic per-host noise.
 	r := hostRand(state, h)
-	prefix, pool := "host-", false
 	switch {
 	case float64(r%1000)/1000 < z.Noise:
 		if r%3 == 0 {
-			return buf // missing record
+			return varMissing
 		}
 	case z.Style == StyleStatic:
-		prefix = "static-"
+		return varStatic
 	case z.Style == StyleDynamic:
 		if r%2 == 0 {
-			prefix, pool = "dynamic-", true
-		} else {
-			prefix = "pool-"
+			return varDynamic
 		}
+		return varPool
 	}
-	buf = append(buf, prefix...)
+	return varHost
+}
+
+// appendName appends host h's PTR name of variant v to buf — nothing for
+// a missing record (every name that exists is non-empty). It is the one
+// definition of a zone's names: Lookup returns it as a string and
+// ClassifyZone matches it in place.
+func (z *Zone) appendName(buf []byte, v variant, h byte) []byte {
+	if v == varMissing {
+		return buf
+	}
+	buf = append(buf, variantPrefix[v]...)
 	a := z.Block.Addr(h)
 	for shift := 24; shift >= 0; shift -= 8 {
 		buf = strconv.AppendUint(buf, uint64(byte(a>>shift)), 10)
@@ -123,7 +151,7 @@ func (z *Zone) appendName(buf []byte, state uint64, h byte) []byte {
 		}
 	}
 	buf = append(buf, '.')
-	if pool {
+	if v == varDynamic {
 		buf = append(buf, "pool."...)
 	}
 	return append(buf, z.Domain...)
@@ -133,7 +161,7 @@ func (z *Zone) appendName(buf []byte, state uint64, h byte) []byte {
 // record does not exist.
 func (z *Zone) Lookup(h byte) string {
 	var buf [nameBuf]byte
-	return string(z.appendName(buf[:0], z.hostState(), h))
+	return string(z.appendName(buf[:0], z.hostVariant(z.hostState(), h), h))
 }
 
 // ClassifyName tags a single PTR name by keyword. DNS names compare
@@ -176,14 +204,14 @@ type tally struct {
 	resolvable int
 }
 
-// add matches one name (lower-casing it in place); an empty name is a
-// missing record and counts for nothing.
-func (t *tally) add(name []byte) {
+// add matches one name (lower-casing it in place) and counts it for
+// hosts hosts; an empty name is a missing record and counts for nothing.
+func (t *tally) add(name []byte, hosts int) {
 	if len(name) == 0 {
 		return
 	}
-	t.resolvable++
-	t.byTag[classifyFolding(name)]++
+	t.resolvable += hosts
+	t.byTag[classifyFolding(name)] += hosts
 }
 
 // tag applies the consistency threshold: a keyword tag wins when at
@@ -215,20 +243,33 @@ func ClassifyBlock(lookup func(h byte) string, minConsistent float64) Tag {
 	var t tally
 	var buf [nameBuf]byte
 	for h := 0; h < 256; h++ {
-		t.add(append(buf[:0], lookup(byte(h))...))
+		t.add(append(buf[:0], lookup(byte(h))...), 1)
 	}
 	return t.tag(minConsistent)
 }
 
-// ClassifyZone is ClassifyBlock over z's names, each built and matched
-// in one stack buffer: the tag is still read off the 256 names (noise
-// and missing records are what the threshold is for), at no allocation.
+// ClassifyZone is ClassifyBlock over z's names. Each host's variant is
+// drawn (noise and missing records are what the threshold is for), but
+// since a name's tag follows from its variant, only the first host of
+// each variant has its name built and matched, in one stack buffer: at
+// most four names a zone, at no allocation.
 func ClassifyZone(z *Zone, minConsistent float64) Tag {
-	var t tally
-	var buf [nameBuf]byte
+	var hosts [numVariants]int
+	var first [numVariants]byte
 	state := z.hostState()
 	for h := 0; h < 256; h++ {
-		t.add(z.appendName(buf[:0], state, byte(h)))
+		v := z.hostVariant(state, byte(h))
+		if hosts[v] == 0 {
+			first[v] = byte(h)
+		}
+		hosts[v]++
+	}
+	var t tally
+	var buf [nameBuf]byte
+	for v := varHost; v < numVariants; v++ {
+		if hosts[v] > 0 {
+			t.add(z.appendName(buf[:0], v, first[v]), hosts[v])
+		}
 	}
 	return t.tag(minConsistent)
 }
@@ -241,11 +282,11 @@ type BlockTag struct {
 }
 
 // TagIndex is an immutable block→tag lookup table. Classifying a block
-// builds and matches 256 PTR names — tens of microseconds and no
-// allocation, cheap enough to tag every world block at start-up but not
-// to repeat per request; a TagIndex is classified once (typically
-// across a worker pool) and then answers lookups with one binary search
-// over a block-sorted array.
+// draws 256 hosts' name variants and builds and matches one name per
+// variant — about ten microseconds and no allocation, cheap enough to
+// tag every world block at start-up but not to repeat per request; a
+// TagIndex is classified once (typically across a worker pool) and then
+// answers lookups with one binary search over a block-sorted array.
 type TagIndex struct {
 	blocks []ipv4.Block
 	tags   []Tag
