@@ -147,7 +147,15 @@ func BenchmarkFigure4Windows(b *testing.B) {
 	b.ResetTimer()
 	var med float64
 	for i := 0; i < b.N; i++ {
-		wcs := core.ChurnByWindow(ctx.Obs.Daily, []int{1, 2, 4, 7, 14, 28})
+		// Figure 4b: the 1-day row from the index's counts, the wider
+		// windows from the daily sets.
+		p := ctx.Index.SummaryPartial()
+		daily := make([]core.ChurnPoint, len(p.Ups))
+		for j := range daily {
+			daily[j] = core.NewChurnPoint(p.Ups[j], p.Downs[j], p.DayLens[j], p.DayLens[j+1])
+		}
+		wcs := append([]core.WindowChurn{core.SummarizeChurn(1, daily)},
+			core.ChurnByWindow(ctx.Obs.Daily, []int{2, 4, 7, 14, 28})...)
 		med = wcs[len(wcs)-1].Up.Median
 	}
 	b.ReportMetric(med, "28dUp%")
@@ -164,39 +172,26 @@ func BenchmarkFigure4Yearly(b *testing.B) {
 	b.ReportMetric(float64(appear), "yearAppear")
 }
 
-func BenchmarkFigure5ASChurn(b *testing.B) {
+// BenchmarkFigure5 times Figure 5's one walk over a window series'
+// transitions and the three panels read from it.
+func BenchmarkFigure5(b *testing.B) {
 	ctx := benchContext(b)
-	weekly := core.Windows(ctx.Obs.Daily, 7)
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		per := core.PerASChurn(weekly, ctx.ASOf, 100)
-		n = len(per)
+	for _, w := range []int{1, 7, 28} {
+		wins := core.Windows(ctx.Obs.Daily, w)
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			var ases int
+			var single, up float64
+			for i := 0; i < b.N; i++ {
+				s := core.WalkTransitions(wins, w, ctx.ASOf, ctx.Obs.Routing, ctx.Obs.Meta.Run.DailyStart)
+				ases = len(s.PerASChurn(100))
+				single = s.EventSizes()[4]
+				up = s.CorrelateBGP().UpPct
+			}
+			b.ReportMetric(float64(ases), "ASes")
+			b.ReportMetric(100*single, "/32share%")
+			b.ReportMetric(up, "upBGP%")
+		})
 	}
-	b.ReportMetric(float64(n), "ASes")
-}
-
-func BenchmarkFigure5EventSize(b *testing.B) {
-	ctx := benchContext(b)
-	weekly := core.Windows(ctx.Obs.Daily, 7)
-	b.ResetTimer()
-	var single float64
-	for i := 0; i < b.N; i++ {
-		d := core.EventSizeDistribution(weekly[0], weekly[1], 8)
-		single = d[4]
-	}
-	b.ReportMetric(100*single, "/32share%")
-}
-
-func BenchmarkFigure5BGP(b *testing.B) {
-	ctx := benchContext(b)
-	b.ResetTimer()
-	var up float64
-	for i := 0; i < b.N; i++ {
-		c := core.CorrelateBGP(ctx.Obs.Daily, 28, ctx.Obs.Routing, ctx.Obs.Meta.Run.DailyStart)
-		up = c.UpPct
-	}
-	b.ReportMetric(up, "upBGP%")
 }
 
 func BenchmarkTable2LongTerm(b *testing.B) {

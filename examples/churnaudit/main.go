@@ -29,8 +29,8 @@ func main() {
 	}
 
 	// 2. Which ASes churn the most? (weekly windows)
-	weekly := core.Windows(res.Daily, 7)
-	per := core.PerASChurn(weekly, world.ASOf, 500)
+	weekly := core.WalkTransitions(core.Windows(res.Daily, 7), 7, world.ASOf, res.Routing, cfg.DailyStart)
+	per := weekly.PerASChurn(500)
 	type asChurn struct {
 		as  string
 		pct float64
@@ -50,17 +50,18 @@ func main() {
 
 	// 3. Event sizes: individual addresses or whole ranges?
 	fmt.Println("\n== up-event sizes (week-to-week) ==")
-	dist := core.EventSizeDistribution(weekly[0], weekly[1], 8)
+	dist := weekly.Steps[0].EventSizes()
 	for i, frac := range dist {
 		fmt.Printf("%-6s %5.1f%%\n", core.EventSizeBinLabels[i], 100*frac)
 	}
 
 	// 4. How much of the churn does BGP reveal?
 	fmt.Println("\n== BGP visibility of churn ==")
-	for _, w := range []int{7, 28} {
-		c := core.CorrelateBGP(res.Daily, w, res.Routing, cfg.DailyStart)
+	monthly := core.WalkTransitions(core.Windows(res.Daily, 28), 28, world.ASOf, res.Routing, cfg.DailyStart)
+	for _, s := range []core.TransitionSeries{weekly, monthly} {
+		c := s.CorrelateBGP()
 		fmt.Printf("%3d-day windows: up %.2f%%, down %.2f%%, steady %.2f%% coincide with BGP change\n",
-			w, c.UpPct, c.DownPct, c.SteadyPct)
+			c.WindowDays, c.UpPct, c.DownPct, c.SteadyPct)
 	}
 	fmt.Println("\nconclusion: churn is ubiquitous at every window size and almost")
 	fmt.Println("entirely invisible in the global routing table (paper §4.2).")

@@ -155,8 +155,8 @@ func TestRecaptureExperiment(t *testing.T) {
 	if r.Err != nil {
 		t.Fatalf("recapture failed: %v", r.Err)
 	}
-	if r.Est.Chapman < float64(r.TrueActive)*0.8 {
-		t.Errorf("estimate %.0f far below observed union %d", r.Est.Chapman, r.TrueActive)
+	if r.Est.Chapman < float64(r.ObservedUnion)*0.8 {
+		t.Errorf("estimate %.0f far below observed union %d", r.Est.Chapman, r.ObservedUnion)
 	}
 	if r.Est.InvisibleEstimate() < 0 {
 		t.Error("negative invisible estimate")

@@ -22,15 +22,21 @@ type Fig4 struct {
 	YearChurnFrac float64 // |appear|/|baseline| at the last week
 }
 
-// Figure4 computes the churn overview: the daily series (a) from the
-// index's counts, the windows (b, c) from the dataset.
+// Figure4 computes the churn overview: the daily series (a) and the
+// 1-day row of (b) from the index's counts, the wider windows (b, c)
+// from the dataset.
 func Figure4(ctx *Context) *Fig4 {
 	p := ctx.Index.SummaryPartial()
 	f := &Fig4{Ups: p.Ups, Downs: p.Downs, MeanUp: ctx.Index.Summary().Churn.MeanDailyUpEvents}
 	for _, n := range p.DayLens {
 		f.DailyActive = append(f.DailyActive, float64(n))
 	}
-	f.ByWindow = core.ChurnByWindow(ctx.Obs.Daily, []int{1, 2, 4, 7, 14, 28})
+	daily := make([]core.ChurnPoint, len(p.Ups))
+	for i := range daily {
+		daily[i] = core.NewChurnPoint(p.Ups[i], p.Downs[i], p.DayLens[i], p.DayLens[i+1])
+	}
+	f.ByWindow = append([]core.WindowChurn{core.SummarizeChurn(1, daily)},
+		core.ChurnByWindow(ctx.Obs.Daily, []int{2, 4, 7, 14, 28})...)
 	f.VersusFirst = core.VersusBaseline(ctx.Obs.Weekly)
 	if n := len(f.VersusFirst); n > 0 && ctx.Obs.Weekly[0].Len() > 0 {
 		f.YearChurnFrac = float64(f.VersusFirst[n-1].Appear) / float64(ctx.Obs.Weekly[0].Len())
@@ -91,41 +97,21 @@ type Fig5 struct {
 	BGP []core.BGPCorrelation
 }
 
-// Figure5 computes the churn-property analyses.
+// Figure5 computes the churn-property analyses: one walk over each
+// window series' transitions feeds all three panels.
 func Figure5(ctx *Context, minActivePerAS int) *Fig5 {
 	f := &Fig5{Windows: []int{1, 7, 28}}
-	daily := ctx.Obs.Daily
 	for _, w := range f.Windows {
-		wins := core.Windows(daily, w)
-		per := core.PerASChurn(wins, ctx.ASOf, minActivePerAS)
+		s := core.WalkTransitions(core.Windows(ctx.Obs.Daily, w), w, ctx.ASOf, ctx.Obs.Routing, ctx.Obs.Meta.Run.DailyStart)
+		per := s.PerASChurn(minActivePerAS)
 		meds := make([]float64, 0, len(per))
 		for _, m := range per {
 			meds = append(meds, m)
 		}
 		sort.Float64s(meds)
 		f.ASMedians = append(f.ASMedians, meds)
-
-		var agg [5]float64
-		var weight float64
-		for i := 1; i < len(wins); i++ {
-			up := wins[i].DiffCount(wins[i-1])
-			if up == 0 {
-				continue
-			}
-			d := core.EventSizeDistribution(wins[i-1], wins[i], 8)
-			for j := range agg {
-				agg[j] += d[j] * float64(up)
-			}
-			weight += float64(up)
-		}
-		if weight > 0 {
-			for j := range agg {
-				agg[j] /= weight
-			}
-		}
-		f.EventSizes = append(f.EventSizes, agg)
-
-		f.BGP = append(f.BGP, core.CorrelateBGP(daily, w, ctx.Obs.Routing, ctx.Obs.Meta.Run.DailyStart))
+		f.EventSizes = append(f.EventSizes, s.EventSizes())
+		f.BGP = append(f.BGP, s.CorrelateBGP())
 	}
 	return f
 }

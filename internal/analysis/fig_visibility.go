@@ -227,10 +227,9 @@ func (f *Fig3) Render() string {
 type RecaptureResult struct {
 	Est core.RecaptureEstimate
 	Err error
-	// TrueActive is the simulator's ground-truth active population in
-	// the campaign month (available only because the world is synthetic;
-	// lets us validate the estimator).
-	TrueActive int
+	// ObservedUnion is N1 + N2 − Both: the addresses either channel saw
+	// in the campaign month.
+	ObservedUnion int
 }
 
 // RecaptureEstimate runs capture–recapture on CDN month vs ICMP union,
@@ -239,9 +238,9 @@ func RecaptureEstimate(ctx *Context) *RecaptureResult {
 	p := ctx.Index.SummaryPartial()
 	est, err := core.Recapture(p.CDNMonth, p.ICMPUnion, p.CDNBoth)
 	return &RecaptureResult{
-		Est:        est,
-		Err:        err,
-		TrueActive: p.CDNMonth + p.ICMPUnion - p.CDNBoth,
+		Est:           est,
+		Err:           err,
+		ObservedUnion: p.CDNMonth + p.ICMPUnion - p.CDNBoth,
 	}
 }
 
@@ -258,6 +257,6 @@ func (r *RecaptureResult) Render() string {
 	fmt.Fprintf(&b, "  Lincoln-Petersen: %.0f   Chapman: %.0f ± %.0f (95%% CI %.0f..%.0f)\n",
 		e.LincolnPetersen, e.Chapman, 1.96*e.SE, e.CI95Lo, e.CI95Hi)
 	fmt.Fprintf(&b, "  observed union: %d   estimated invisible: %.0f\n",
-		r.TrueActive, e.InvisibleEstimate())
+		r.ObservedUnion, e.InvisibleEstimate())
 	return b.String()
 }

@@ -11,9 +11,8 @@ import (
 
 // Events returns the up events (addresses in next but not prev) and
 // down events (addresses in prev but not next) between two snapshots,
-// per the definition in Section 4.1. Callers that need the diffs
-// parallelized use ipv4.DiffShards directly; the drivers here fan out
-// across transitions instead.
+// per the definition in Section 4.1. It is the set definition that
+// WalkTransitions counts without building either set.
 func Events(prev, next *ipv4.Set) (up, down *ipv4.Set) {
 	return next.Diff(prev), prev.Diff(next)
 }
@@ -38,17 +37,24 @@ func ChurnSeries(snaps []*ipv4.Set) []ChurnPoint {
 	downs := ipv4.DiffCounts(snaps[:n], snaps[1:], 0)
 	out := make([]ChurnPoint, n)
 	for i := range out {
-		prev, next := snaps[i], snaps[i+1]
-		p := ChurnPoint{Up: ups[i], Down: downs[i]}
-		if next.Len() > 0 {
-			p.UpPct = 100 * float64(ups[i]) / float64(next.Len())
-		}
-		if prev.Len() > 0 {
-			p.DownPct = 100 * float64(downs[i]) / float64(prev.Len())
-		}
-		out[i] = p
+		out[i] = NewChurnPoint(ups[i], downs[i], snaps[i].Len(), snaps[i+1].Len())
 	}
 	return out
+}
+
+// NewChurnPoint is the churn of one transition with up and down events
+// between snapshots of prevLen and nextLen addresses; a percentage over
+// an empty snapshot is 0.
+func NewChurnPoint(up, down, prevLen, nextLen int) ChurnPoint {
+	return ChurnPoint{Up: up, Down: down, UpPct: pct(up, nextLen), DownPct: pct(down, prevLen)}
+}
+
+// pct is 100 × n / of, or 0 when of is 0.
+func pct(n, of int) float64 {
+	if of == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(of)
 }
 
 // WindowChurn summarizes churn percentages for non-overlapping windows
@@ -63,20 +69,19 @@ type WindowChurn struct {
 func ChurnByWindow(daily []*ipv4.Set, sizes []int) []WindowChurn {
 	out := make([]WindowChurn, 0, len(sizes))
 	for _, size := range sizes {
-		wins := Windows(daily, size)
-		series := ChurnSeries(wins)
-		var ups, downs []float64
-		for _, p := range series {
-			ups = append(ups, p.UpPct)
-			downs = append(downs, p.DownPct)
-		}
-		out = append(out, WindowChurn{
-			WindowDays: size,
-			Up:         stats.Summarize(ups),
-			Down:       stats.Summarize(downs),
-		})
+		out = append(out, SummarizeChurn(size, ChurnSeries(Windows(daily, size))))
 	}
 	return out
+}
+
+// SummarizeChurn is the WindowChurn of one window size's churn series.
+func SummarizeChurn(size int, series []ChurnPoint) WindowChurn {
+	var ups, downs []float64
+	for _, p := range series {
+		ups = append(ups, p.UpPct)
+		downs = append(downs, p.DownPct)
+	}
+	return WindowChurn{WindowDays: size, Up: stats.Summarize(ups), Down: stats.Summarize(downs)}
 }
 
 // AppearDisappear compares one snapshot against a fixed baseline
@@ -99,79 +104,6 @@ func VersusBaseline(snaps []*ipv4.Set) []AppearDisappear {
 			Disappear: base.DiffCount(snaps[i]),
 		}
 	})
-}
-
-// PerASChurn computes, for each AS, the median percentage of its
-// addresses with an up event per snapshot transition (Figure 5a).
-// Only ASes with at least minActive active addresses over the whole
-// period are reported.
-func PerASChurn(snaps []*ipv4.Set, asOf func(ipv4.Block) bgp.ASN, minActive int) map[bgp.ASN]float64 {
-	if len(snaps) < 2 {
-		return nil
-	}
-	// Partition each snapshot by AS lazily: per transition, compute
-	// per-AS up counts and per-AS next-window totals. Transitions are
-	// independent, so they fan out; partial results merge in transition
-	// order, which keeps each AS's percentage series ordered.
-	type transition struct {
-		upPerAS, totPerAS map[bgp.ASN]int
-	}
-	parts := par.Map(len(snaps)-1, 0, func(i int) transition {
-		prev, next := snaps[i], snaps[i+1]
-		tr := transition{
-			upPerAS:  make(map[bgp.ASN]int),
-			totPerAS: make(map[bgp.ASN]int),
-		}
-		next.ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
-			as := asOf(blk)
-			n := bm.Count()
-			tr.totPerAS[as] += n
-			if pbm := prev.BlockBitmap(blk); pbm != nil {
-				tr.upPerAS[as] += bm.AndNotCount(pbm)
-			} else {
-				tr.upPerAS[as] += n
-			}
-		})
-		return tr
-	})
-
-	// The minActive filter needs each AS's total activity over the
-	// period: that is just the union of snaps[1:] partitioned by AS,
-	// computed once instead of per transition.
-	totalActive := make(map[bgp.ASN]*ipv4.Set)
-	ipv4.UnionAll(snaps[1:], 0).ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
-		as := asOf(blk)
-		u := totalActive[as]
-		if u == nil {
-			u = ipv4.NewSet()
-			totalActive[as] = u
-		}
-		u.AddBlockBitmap(blk, bm)
-	})
-
-	type acc struct{ pcts []float64 }
-	accs := make(map[bgp.ASN]*acc)
-	for _, tr := range parts {
-		for as, tot := range tr.totPerAS {
-			if tot == 0 {
-				continue
-			}
-			a := accs[as]
-			if a == nil {
-				a = &acc{}
-				accs[as] = a
-			}
-			a.pcts = append(a.pcts, 100*float64(tr.upPerAS[as])/float64(tot))
-		}
-	}
-	out := make(map[bgp.ASN]float64)
-	for as, a := range accs {
-		if u := totalActive[as]; u == nil || u.Len() < minActive {
-			continue
-		}
-		out[as] = stats.Median(a.pcts)
-	}
-	return out
 }
 
 // EventMask returns the paper's event-size tag for one up/down event at
@@ -255,38 +187,150 @@ func EventSizeBin(mask int) int {
 // EventSizeBinLabels are display labels for EventSizeBin indices.
 var EventSizeBinLabels = [5]string{">=/16", "/20", "/24", "/28", "/32"}
 
-// EventSizeDistribution tags every up event between prev and next with
-// its event mask and returns the fraction of events per Figure 5b bin.
-// Blocks are tagged across a worker pool; per-bin integer counts merge
-// associatively, so the distribution is worker-count independent.
-func EventSizeDistribution(prev, next *ipv4.Set, floor int) [5]float64 {
-	up := next.DiffShards(prev, 0)
-	blocks := up.Blocks()
-	perBlock := par.Map(len(blocks), 0, func(i int) [5]int {
-		var counts [5]int
-		bm := up.BlockBitmap(blocks[i])
-		bm.ForEach(func(h byte) {
-			m := EventMask(blocks[i].Addr(h), prev, floor)
-			counts[EventSizeBin(m)]++
+// eventFloor is the EventMask floor of Figure 5b: every mask at or below
+// /16 falls in its ">=/16" bin, so expanding past /8 changes no bin.
+const eventFloor = 8
+
+// ASTally is one AS's share of a transition: its up events and its
+// addresses active in the next window.
+type ASTally struct{ Up, Active int }
+
+// Transition is one window transition prev → next, tallied for the
+// three panels of Figure 5 (Section 4.2).
+type Transition struct {
+	PerAS map[bgp.ASN]ASTally // 5a
+	// SizeBins counts the up events per EventSizeBin of their
+	// EventMask (5b).
+	SizeBins [5]int
+	// Up = |next \ prev|, Down = |prev \ next| and Steady =
+	// |prev ∩ next|; each *Hit counts those of them in /24s that a BGP
+	// change touched during either window (5c).
+	Up, Down, Steady          int
+	UpHit, DownHit, SteadyHit int
+}
+
+// TransitionSeries is Figure 5 for one window size: every transition
+// of the window series.
+type TransitionSeries struct {
+	WindowDays int
+	Steps      []Transition
+	// ASActive is each AS's address count over every next window
+	// together (the union of wins[1:]): 5a's minActive filter.
+	ASActive map[bgp.ASN]int
+}
+
+// WalkTransitions tallies every transition of wins, consecutive windows
+// of size days whose first starts at day startDay of log (nil: no BGP
+// change). Each transition walks next's blocks once for its up events
+// (next &^ prev) and prev's blocks once for its down events
+// (prev &^ next) and steady addresses (prev & next). Transitions fan
+// out across a worker pool and land in transition order, so every
+// panel is worker-count independent.
+func WalkTransitions(wins []*ipv4.Set, size int, asOf func(ipv4.Block) bgp.ASN, log *bgp.ChangeLog, startDay int) TransitionSeries {
+	s := TransitionSeries{WindowDays: size, ASActive: make(map[bgp.ASN]int)}
+	if len(wins) < 2 {
+		return s
+	}
+	s.Steps = par.Map(len(wins)-1, 0, func(i int) Transition {
+		prev, next := wins[i], wins[i+1]
+		// A BGP change during either window goes with the transition.
+		var touched map[ipv4.Block]bgp.ChangeKind
+		if log != nil {
+			touched = log.TouchedBlocks(startDay+i*size-1, startDay+(i+2)*size-1)
+		}
+		t := Transition{PerAS: make(map[bgp.ASN]ASTally)}
+		next.ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
+			up := *bm
+			if pbm := prev.BlockBitmap(blk); pbm != nil {
+				up.AndNotWith(pbm)
+			}
+			n := up.Count()
+			as := asOf(blk)
+			a := t.PerAS[as]
+			a.Up += n
+			a.Active += bm.Count()
+			t.PerAS[as] = a
+			t.Up += n
+			if _, ok := touched[blk]; ok {
+				t.UpHit += n
+			}
+			up.ForEach(func(h byte) {
+				t.SizeBins[EventSizeBin(EventMask(blk.Addr(h), prev, eventFloor))]++
+			})
 		})
-		return counts
+		prev.ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
+			down, steady := bm.Count(), 0
+			if nbm := next.BlockBitmap(blk); nbm != nil {
+				down, steady = bm.AndNotCount(nbm), bm.IntersectCount(nbm)
+			}
+			t.Down += down
+			t.Steady += steady
+			if _, ok := touched[blk]; ok {
+				t.DownHit += down
+				t.SteadyHit += steady
+			}
+		})
+		return t
 	})
-	var counts [5]int
-	total := 0
-	for _, c := range perBlock {
-		for i, n := range c {
-			counts[i] += n
-			total += n
+	ipv4.UnionAll(wins[1:], 0).ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
+		s.ASActive[asOf(blk)] += bm.Count()
+	})
+	return s
+}
+
+// PerASChurn is Figure 5a: for each AS with at least minActive
+// addresses over the period, the median over transitions of the
+// percentage of its next-window addresses with an up event.
+func (s TransitionSeries) PerASChurn(minActive int) map[bgp.ASN]float64 {
+	pcts := make(map[bgp.ASN][]float64)
+	for _, t := range s.Steps {
+		for as, a := range t.PerAS {
+			if a.Active > 0 {
+				pcts[as] = append(pcts[as], pct(a.Up, a.Active))
+			}
 		}
 	}
-	var out [5]float64
-	if total == 0 {
-		return out
-	}
-	for i, c := range counts {
-		out[i] = float64(c) / float64(total)
+	out := make(map[bgp.ASN]float64)
+	for as, p := range pcts {
+		if s.ASActive[as] >= minActive {
+			out[as] = stats.Median(p)
+		}
 	}
 	return out
+}
+
+// EventSizes is the fraction of t's up events per Figure 5b bin (all
+// zero without up events).
+func (t *Transition) EventSizes() [5]float64 {
+	var out [5]float64
+	if t.Up == 0 {
+		return out
+	}
+	for i, c := range t.SizeBins {
+		out[i] = float64(c) / float64(t.Up)
+	}
+	return out
+}
+
+// EventSizes is Figure 5b over the series: each transition's
+// EventSizes weighted by its up events.
+func (s TransitionSeries) EventSizes() [5]float64 {
+	var agg [5]float64
+	var weight float64
+	for i := range s.Steps {
+		t := &s.Steps[i]
+		d := t.EventSizes()
+		for j := range agg {
+			agg[j] += d[j] * float64(t.Up)
+		}
+		weight += float64(t.Up)
+	}
+	if weight > 0 {
+		for j := range agg {
+			agg[j] /= weight
+		}
+	}
+	return agg
 }
 
 // BGPCorrelation is the Figure 5c measurement for one window size:
@@ -298,71 +342,19 @@ type BGPCorrelation struct {
 	UpEvents, DownEvents, Steady int
 }
 
-// CorrelateBGP computes BGPCorrelation over daily snapshots aggregated
-// into windows of the given size. startDay is the absolute day of
-// daily[0] within the change log's timeline.
-func CorrelateBGP(daily []*ipv4.Set, size int, log *bgp.ChangeLog, startDay int) BGPCorrelation {
-	wins := Windows(daily, size)
-	out := BGPCorrelation{WindowDays: size}
-	if len(wins) < 2 {
-		return out
-	}
-	// Each window transition correlates independently; integer partials
-	// merge associatively so the fan-out cannot change the result.
-	type partial struct{ up, upHit, down, downHit, steady, steadyHit int }
-	parts := par.Map(len(wins)-1, 0, func(j int) partial {
-		i := j + 1
-		prev, next := wins[i-1], wins[i]
-		// Changes during either window are considered "going together"
-		// with the transition.
-		d1 := startDay + (i-1)*size
-		d2 := startDay + (i+1)*size
-		touched := log.TouchedBlocks(d1-1, d2-1)
-		up, down := Events(prev, next)
-		var p partial
-		up.ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
-			p.up += bm.Count()
-			if _, ok := touched[blk]; ok {
-				p.upHit += bm.Count()
-			}
-		})
-		down.ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
-			p.down += bm.Count()
-			if _, ok := touched[blk]; ok {
-				p.downHit += bm.Count()
-			}
-		})
-		prev.ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
-			nbm := next.BlockBitmap(blk)
-			if nbm == nil {
-				return
-			}
-			n := bm.IntersectCount(nbm)
-			p.steady += n
-			if _, ok := touched[blk]; ok {
-				p.steadyHit += n
-			}
-		})
-		return p
-	})
+// CorrelateBGP is Figure 5c over the series.
+func (s TransitionSeries) CorrelateBGP() BGPCorrelation {
+	out := BGPCorrelation{WindowDays: s.WindowDays}
 	var upHit, downHit, steadyHit int
-	for _, p := range parts {
-		out.UpEvents += p.up
-		out.DownEvents += p.down
-		out.Steady += p.steady
-		upHit += p.upHit
-		downHit += p.downHit
-		steadyHit += p.steadyHit
+	for _, t := range s.Steps {
+		out.UpEvents += t.Up
+		out.DownEvents += t.Down
+		out.Steady += t.Steady
+		upHit += t.UpHit
+		downHit += t.DownHit
+		steadyHit += t.SteadyHit
 	}
-	if out.UpEvents > 0 {
-		out.UpPct = 100 * float64(upHit) / float64(out.UpEvents)
-	}
-	if out.DownEvents > 0 {
-		out.DownPct = 100 * float64(downHit) / float64(out.DownEvents)
-	}
-	if out.Steady > 0 {
-		out.SteadyPct = 100 * float64(steadyHit) / float64(out.Steady)
-	}
+	out.UpPct, out.DownPct, out.SteadyPct = pct(upHit, out.UpEvents), pct(downHit, out.DownEvents), pct(steadyHit, out.Steady)
 	return out
 }
 
@@ -390,14 +382,11 @@ func CompareLongTerm(early, late *ipv4.Set, log *bgp.ChangeLog, dayFrom, dayTo i
 	disappear := early.Diff(late)
 	out := LongTermChurn{Appear: appear.Len(), Disappear: disappear.Len()}
 
-	touched := map[ipv4.Block]bgp.ChangeKind{}
+	var touched map[ipv4.Block]bgp.ChangeKind
 	if log != nil {
 		touched = log.TouchedBlocks(dayFrom, dayTo)
 	}
 	classify := func(events, otherPeriod *ipv4.Set) (full24 float64, bd BGPBreakdown) {
-		if events.Len() == 0 {
-			return 0, bd
-		}
 		var full, noChg, origin, annWdr int
 		events.ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
 			n := bm.Count()
@@ -416,36 +405,30 @@ func CompareLongTerm(early, late *ipv4.Set, log *bgp.ChangeLog, dayFrom, dayTo i
 				noChg += n
 			}
 		})
-		tot := float64(events.Len())
-		bd = BGPBreakdown{
-			NoChangePct:         100 * float64(noChg) / tot,
-			OriginChangePct:     100 * float64(origin) / tot,
-			AnnounceWithdrawPct: 100 * float64(annWdr) / tot,
-		}
-		return 100 * float64(full) / tot, bd
+		n := events.Len()
+		return pct(full, n), BGPBreakdown{pct(noChg, n), pct(origin, n), pct(annWdr, n)}
 	}
 	out.AppearFull24Pct, out.AppearBGP = classify(appear, early)
 	out.DisappearFull24Pct, out.DisappearBGP = classify(disappear, late)
 	return out
 }
 
-// TopContributors returns the k ASes contributing the most addresses to
-// the given event set (Section 4.3's "top 10 ASes" analysis).
-func TopContributors(events *ipv4.Set, asOf func(ipv4.Block) bgp.ASN, k int) []struct {
+// ASCount is one AS's number of addresses in a set.
+type ASCount struct {
 	AS    bgp.ASN
 	Count int
-} {
+}
+
+// TopContributors returns the k ASes contributing the most addresses to
+// the given event set (Section 4.3's "top 10 ASes" analysis).
+func TopContributors(events *ipv4.Set, asOf func(ipv4.Block) bgp.ASN, k int) []ASCount {
 	counts := make(map[bgp.ASN]int)
 	events.ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
 		counts[asOf(blk)] += bm.Count()
 	})
-	type kv struct {
-		AS    bgp.ASN
-		Count int
-	}
-	xs := make([]kv, 0, len(counts))
+	xs := make([]ASCount, 0, len(counts))
 	for as, n := range counts {
-		xs = append(xs, kv{as, n})
+		xs = append(xs, ASCount{as, n})
 	}
 	sort.Slice(xs, func(i, j int) bool {
 		if xs[i].Count != xs[j].Count {
@@ -453,18 +436,5 @@ func TopContributors(events *ipv4.Set, asOf func(ipv4.Block) bgp.ASN, k int) []s
 		}
 		return xs[i].AS < xs[j].AS
 	})
-	if k > len(xs) {
-		k = len(xs)
-	}
-	out := make([]struct {
-		AS    bgp.ASN
-		Count int
-	}, k)
-	for i := 0; i < k; i++ {
-		out[i] = struct {
-			AS    bgp.ASN
-			Count int
-		}{xs[i].AS, xs[i].Count}
-	}
-	return out
+	return xs[:min(k, len(xs))]
 }

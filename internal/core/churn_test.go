@@ -127,7 +127,8 @@ func TestPerASChurn(t *testing.T) {
 		return s
 	}
 	snaps := []*ipv4.Set{mk(0), mk(50), mk(100), mk(150)}
-	got := PerASChurn(snaps, asOf, 1)
+	s := WalkTransitions(snaps, 1, asOf, nil, 0)
+	got := s.PerASChurn(1)
 	if got[1] != 100 {
 		t.Errorf("AS1 churn = %v, want 100", got[1])
 	}
@@ -135,7 +136,7 @@ func TestPerASChurn(t *testing.T) {
 		t.Errorf("AS2 churn = %v, want 0", got[2])
 	}
 	// minActive filter.
-	got = PerASChurn(snaps, asOf, 10000)
+	got = s.PerASChurn(10000)
 	if len(got) != 0 {
 		t.Errorf("minActive filter ignored: %v", got)
 	}
@@ -192,6 +193,13 @@ func TestEventMaskConditionHolds(t *testing.T) {
 	}
 }
 
+// eventSizes is Figure 5b's distribution of the one transition
+// prev → next.
+func eventSizes(prev, next *ipv4.Set) [5]float64 {
+	s := WalkTransitions([]*ipv4.Set{prev, next}, 1, func(ipv4.Block) bgp.ASN { return 0 }, nil, 0)
+	return s.Steps[0].EventSizes()
+}
+
 func TestEventSizeDistribution(t *testing.T) {
 	// Whole-block event: all addresses of one /24 come up while a
 	// neighbouring /24 stays active → masks spread at /24 or larger.
@@ -203,7 +211,7 @@ func TestEventSizeDistribution(t *testing.T) {
 		prev.Add(stay.Addr(byte(i)))
 		next.Add(stay.Addr(byte(i)))
 	}
-	dist := EventSizeDistribution(prev, next, 8)
+	dist := eventSizes(prev, next)
 	sum := 0.0
 	for _, f := range dist {
 		sum += f
@@ -219,13 +227,13 @@ func TestEventSizeDistribution(t *testing.T) {
 	// Single-address events: one up event next to active addresses.
 	prev2 := setOf("10.0.0.1", "10.0.0.3")
 	next2 := setOf("10.0.0.1", "10.0.0.3", "10.0.0.2")
-	dist2 := EventSizeDistribution(prev2, next2, 8)
+	dist2 := eventSizes(prev2, next2)
 	if dist2[4] != 1 {
 		t.Errorf("single event distribution = %v", dist2)
 	}
 	// Empty case.
 	var zero [5]float64
-	if EventSizeDistribution(next2, next2, 8) != zero {
+	if eventSizes(next2, next2) != zero {
 		t.Error("no events should give zero distribution")
 	}
 }
@@ -259,7 +267,7 @@ func TestCorrelateBGP(t *testing.T) {
 	log.Record(2, bgp.Change{Kind: bgp.OriginChange, Prefix: blkA.Prefix(), OldOrigin: 2, NewOrigin: 3})
 	log.Record(3, bgp.Change{Kind: bgp.OriginChange, Prefix: blkA.Prefix(), OldOrigin: 3, NewOrigin: 4})
 
-	c := CorrelateBGP(daily, 1, log, 0)
+	c := WalkTransitions(Windows(daily, 1), 1, func(ipv4.Block) bgp.ASN { return 0 }, log, 0).CorrelateBGP()
 	if c.UpEvents == 0 || c.DownEvents == 0 || c.Steady == 0 {
 		t.Fatalf("empty correlation: %+v", c)
 	}

@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"ipscope/internal/bgp"
 	"ipscope/internal/ipv4"
 )
 
@@ -197,5 +199,115 @@ func TestEventMaskMonotoneFloor(t *testing.T) {
 			}
 			prev = m
 		}
+	}
+}
+
+// TestWalkTransitionsMatchesSetDefinitions: every tally of the
+// transition walk equals the set definition it stands for — up and
+// down against Events, steady against IntersectCount, the size bins
+// against EventMask over next \ prev, the per-AS tallies and the hit
+// counts against a plain group-by over the diff sets.
+func TestWalkTransitionsMatchesSetDefinitions(t *testing.T) {
+	// randomSnapshot's blocks 0x0a0000..5 map to AS 1 + b%3, except
+	// block 3, which is unrouted (AS 0); block 16 alone is AS 9.
+	blk := func(i int) ipv4.Block { return ipv4.Block(0x0a0000 + uint32(i)) }
+	asOf := func(b ipv4.Block) bgp.ASN {
+		switch b {
+		case blk(3):
+			return 0
+		case blk(16):
+			return 9
+		}
+		return bgp.ASN(1 + b%3)
+	}
+	// A change on blocks 0 and 3 at day 5, on block 5 at day 12: each
+	// transition has blocks inside and outside TouchedBlocks.
+	log := bgp.NewChangeLog(bgp.NewTable(), 40)
+	log.Record(5, bgp.Change{Kind: bgp.Announce, Prefix: blk(0).Prefix()})
+	log.Record(5, bgp.Change{Kind: bgp.Withdraw, Prefix: blk(3).Prefix()})
+	log.Record(12, bgp.Change{Kind: bgp.OriginChange, Prefix: blk(5).Prefix(), OldOrigin: 1, NewOrigin: 2})
+
+	full := ipv4.NewSet()
+	for h := 0; h < 256; h++ {
+		full.Add(blk(1).Addr(byte(h)))
+	}
+	quiet := setOf("10.0.16.7", "10.0.16.8") // AS 9: no up event in "quiet AS"
+	rng := rand.New(rand.NewSource(38))
+	var random []*ipv4.Set
+	for i := 0; i < 6; i++ {
+		random = append(random, randomSnapshot(rng, 300))
+	}
+	cases := []struct {
+		name string
+		wins []*ipv4.Set
+	}{
+		{"random", random},
+		{"empty prev", []*ipv4.Set{ipv4.NewSet(), random[0]}},
+		{"empty next", []*ipv4.Set{random[0], ipv4.NewSet()}},
+		{"identical", []*ipv4.Set{random[1], random[1].Clone(), random[1]}},
+		{"full /24", []*ipv4.Set{quiet, full, quiet.Union(full), random[2]}},
+		{"quiet AS", []*ipv4.Set{quiet.Union(random[3]), quiet.Union(random[4])}},
+	}
+	const size, startDay = 3, 2
+	var hit, missed, unrouted int // coverage of the cases themselves
+	for _, c := range cases {
+		s := WalkTransitions(c.wins, size, asOf, log, startDay)
+		if len(s.Steps) != len(c.wins)-1 || s.WindowDays != size {
+			t.Fatalf("%s: %d steps of %d days", c.name, len(s.Steps), s.WindowDays)
+		}
+		for i, got := range s.Steps {
+			prev, next := c.wins[i], c.wins[i+1]
+			touched := log.TouchedBlocks(startDay+i*size-1, startDay+(i+2)*size-1)
+			up, down := Events(prev, next)
+			steady := prev.Diff(down)
+			want := Transition{
+				PerAS:  map[bgp.ASN]ASTally{},
+				Up:     up.Len(),
+				Down:   down.Len(),
+				Steady: prev.IntersectCount(next),
+			}
+			hits := func(set *ipv4.Set) (n int) {
+				set.ForEachBlock(func(b ipv4.Block, bm *ipv4.Bitmap256) {
+					if _, ok := touched[b]; ok {
+						n += bm.Count()
+					}
+				})
+				return n
+			}
+			want.UpHit, want.DownHit, want.SteadyHit = hits(up), hits(down), hits(steady)
+			next.ForEachBlock(func(b ipv4.Block, bm *ipv4.Bitmap256) {
+				a := want.PerAS[asOf(b)]
+				a.Active += bm.Count()
+				a.Up += up.BlockCount(b)
+				want.PerAS[asOf(b)] = a
+			})
+			next.Diff(prev).ForEach(func(a ipv4.Addr) {
+				want.SizeBins[EventSizeBin(EventMask(a, prev, 8))]++
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s transition %d:\n got %+v\nwant %+v", c.name, i, got, want)
+			}
+			hit += got.UpHit + got.DownHit + got.SteadyHit
+			missed += got.Up + got.Down + got.Steady - got.UpHit - got.DownHit - got.SteadyHit
+			unrouted += got.PerAS[0].Active
+		}
+		wantActive := map[bgp.ASN]int{}
+		ipv4.UnionAll(c.wins[1:], 1).ForEachBlock(func(b ipv4.Block, bm *ipv4.Bitmap256) {
+			wantActive[asOf(b)] += bm.Count()
+		})
+		if !reflect.DeepEqual(s.ASActive, wantActive) {
+			t.Errorf("%s: ASActive %v, want %v", c.name, s.ASActive, wantActive)
+		}
+		if c.name == "quiet AS" {
+			if a := s.Steps[0].PerAS[9]; a != (ASTally{Up: 0, Active: 2}) {
+				t.Errorf("quiet AS tally %+v", a)
+			}
+			if m, ok := s.PerASChurn(1)[9]; !ok || m != 0 {
+				t.Errorf("quiet AS median %v (present %v), want 0", m, ok)
+			}
+		}
+	}
+	if hit == 0 || missed == 0 || unrouted == 0 {
+		t.Errorf("cases miss a region: %d in touched blocks, %d outside, %d unrouted", hit, missed, unrouted)
 	}
 }

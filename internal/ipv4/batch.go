@@ -46,38 +46,3 @@ func DiffCounts(as, bs []*Set, workers int) []int {
 		return as[i].DiffCount(bs[i])
 	})
 }
-
-// DiffShards computes s \ o over s's blocks split into contiguous
-// sorted-block shards, merging shard results in order. Content is
-// identical to Diff for any worker count.
-func (s *Set) DiffShards(o *Set, workers int) *Set {
-	w := par.Workers(workers)
-	if w == 1 || len(s.m) < 64 {
-		return s.Diff(o)
-	}
-	blocks := s.Blocks()
-	partials := make([]*Set, len(par.Split(len(blocks), w)))
-	par.ForEachShard(len(blocks), w, func(shard, lo, hi int) {
-		out := NewSet()
-		for _, b := range blocks[lo:hi] {
-			d := *s.m[b]
-			if obm := o.m[b]; obm != nil {
-				d.AndNotWith(obm)
-			}
-			if !d.IsEmpty() {
-				cp := d
-				out.m[b] = &cp
-				out.n += cp.Count()
-			}
-		}
-		partials[shard] = out
-	})
-	out := partials[0]
-	for _, p := range partials[1:] {
-		for b, bm := range p.m {
-			out.m[b] = bm
-		}
-		out.n += p.n
-	}
-	return out
-}

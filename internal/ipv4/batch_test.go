@@ -56,15 +56,3 @@ func TestDiffCounts(t *testing.T) {
 		}
 	}
 }
-
-func TestDiffShardsMatchesDiff(t *testing.T) {
-	sets := randomSets(3, 2, 20000)
-	a, b := sets[0], sets[1]
-	want := a.Diff(b)
-	for _, w := range []int{1, 2, 8, 1 << 16} {
-		got := a.DiffShards(b, w)
-		if !got.Equal(want) {
-			t.Fatalf("DiffShards(workers=%d) differs: %d vs %d", w, got.Len(), want.Len())
-		}
-	}
-}

@@ -301,18 +301,15 @@ func (p *SummaryPartial) Finalize() Summary {
 		}
 	}
 
-	// The per-transition percentage sequence matches core.ChurnSeries
-	// over the unsharded snapshots: same integers, same expressions,
-	// same (day-order) accumulation.
+	// The per-transition percentage sequence is core.ChurnSeries' over
+	// the unsharded snapshots: same integers, same constructor, same
+	// (day-order) accumulation.
 	var upSum, upPct, downPct float64
 	for i := range p.Ups {
-		upSum += float64(p.Ups[i])
-		if next := p.DayLens[i+1]; next > 0 {
-			upPct += 100 * float64(p.Ups[i]) / float64(next)
-		}
-		if prev := p.DayLens[i]; prev > 0 {
-			downPct += 100 * float64(p.Downs[i]) / float64(prev)
-		}
+		c := core.NewChurnPoint(p.Ups[i], p.Downs[i], p.DayLens[i], p.DayLens[i+1])
+		upSum += float64(c.Up)
+		upPct += c.UpPct
+		downPct += c.DownPct
 	}
 	if n := len(p.Ups); n > 0 {
 		s.Churn.MeanDailyUpEvents = upSum / float64(n)
