@@ -173,11 +173,12 @@ func BenchmarkFigure4Yearly(b *testing.B) {
 }
 
 // BenchmarkFigure5 times Figure 5's one walk over a window series'
-// transitions and the three panels read from it.
+// transitions and the three panels read from it, over the series the
+// report walks (Context.Windows: the daily sets themselves at w=1).
 func BenchmarkFigure5(b *testing.B) {
 	ctx := benchContext(b)
 	for _, w := range []int{1, 7, 28} {
-		wins := core.Windows(ctx.Obs.Daily, w)
+		wins := ctx.Windows(w)
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			var ases int
 			var single, up float64

@@ -7,6 +7,8 @@
 package analysis
 
 import (
+	"sync"
+
 	"ipscope/internal/bgp"
 	"ipscope/internal/core"
 	"ipscope/internal/ipv4"
@@ -36,6 +38,9 @@ type Context struct {
 	Index    *query.Index
 
 	features []core.BlockFeatures
+	// windows holds, built once on first use, the window series that
+	// both Figure 4b and Figure 5 read (Windows).
+	windows map[int]func() []*ipv4.Set
 }
 
 // NewContext generates a world and runs the simulation, the all-in-one
@@ -85,7 +90,25 @@ func newContext(w *synthnet.World, d *obs.Data) (*Context, error) {
 	}
 	ctx := &Context{World: w, Obs: d, Campaign: scan.FromObs(d), Index: idx}
 	ctx.features = ctx.blockFeatures()
+	ctx.windows = make(map[int]func() []*ipv4.Set)
+	for _, w := range []int{7, 28} {
+		ctx.windows[w] = sync.OnceValue(func() []*ipv4.Set { return core.Windows(d.Daily, w) })
+	}
 	return ctx, nil
+}
+
+// Windows returns the dataset's daily sets aggregated into windows of w
+// days (core.Windows). Width 1 is the daily series itself, and the
+// widths two figures share are built once per context; callers must not
+// mutate the sets.
+func (c *Context) Windows(w int) []*ipv4.Set {
+	if w == 1 {
+		return c.Obs.Daily
+	}
+	if shared, ok := c.windows[w]; ok {
+		return shared()
+	}
+	return core.Windows(c.Obs.Daily, w)
 }
 
 // ASOf maps a block to its origin AS in the world's base routing table.

@@ -35,8 +35,10 @@ func Figure4(ctx *Context) *Fig4 {
 	for i := range daily {
 		daily[i] = core.NewChurnPoint(p.Ups[i], p.Downs[i], p.DayLens[i], p.DayLens[i+1])
 	}
-	f.ByWindow = append([]core.WindowChurn{core.SummarizeChurn(1, daily)},
-		core.ChurnByWindow(ctx.Obs.Daily, []int{2, 4, 7, 14, 28})...)
+	f.ByWindow = []core.WindowChurn{core.SummarizeChurn(1, daily)}
+	for _, w := range []int{2, 4, 7, 14, 28} {
+		f.ByWindow = append(f.ByWindow, core.SummarizeChurn(w, core.ChurnSeries(ctx.Windows(w))))
+	}
 	f.VersusFirst = core.VersusBaseline(ctx.Obs.Weekly)
 	if n := len(f.VersusFirst); n > 0 && ctx.Obs.Weekly[0].Len() > 0 {
 		f.YearChurnFrac = float64(f.VersusFirst[n-1].Appear) / float64(ctx.Obs.Weekly[0].Len())
@@ -102,7 +104,7 @@ type Fig5 struct {
 func Figure5(ctx *Context, minActivePerAS int) *Fig5 {
 	f := &Fig5{Windows: []int{1, 7, 28}}
 	for _, w := range f.Windows {
-		s := core.WalkTransitions(core.Windows(ctx.Obs.Daily, w), w, ctx.ASOf, ctx.Obs.Routing, ctx.Obs.Meta.Run.DailyStart)
+		s := core.WalkTransitions(ctx.Windows(w), w, ctx.ASOf, ctx.Obs.Routing, ctx.Obs.Meta.Run.DailyStart)
 		per := s.PerASChurn(minActivePerAS)
 		meds := make([]float64, 0, len(per))
 		for _, m := range per {

@@ -1,6 +1,10 @@
 package ipv4
 
-import "ipscope/internal/par"
+import (
+	"slices"
+
+	"ipscope/internal/par"
+)
 
 // parallelThreshold is the set-count below which batched operations run
 // sequentially: goroutine fan-out costs more than it saves on tiny
@@ -37,6 +41,29 @@ func UnionAll(sets []*Set, workers int) *Set {
 		out.UnionWith(p)
 	}
 	return out
+}
+
+// UnionBlocks returns, ascending, the blocks populated in any of sets
+// (none nil): UnionAll(sets, workers).Blocks() without OR-ing a bitmap.
+func UnionBlocks(sets []*Set, workers int) []Block {
+	shards := par.Split(len(sets), workers)
+	seen := par.Map(len(shards), len(shards), func(i int) map[Block]bool {
+		m := make(map[Block]bool)
+		for _, s := range sets[shards[i].Lo:shards[i].Hi] {
+			for blk := range s.m {
+				m[blk] = true
+			}
+		}
+		return m
+	})
+	var blocks []Block
+	for _, m := range seen {
+		for blk := range m {
+			blocks = append(blocks, blk)
+		}
+	}
+	slices.Sort(blocks)
+	return slices.Compact(blocks)
 }
 
 // DiffCounts computes |as[i] \ bs[i]| for every pair across workers.

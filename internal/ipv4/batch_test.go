@@ -2,6 +2,7 @@ package ipv4
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -43,6 +44,19 @@ func TestUnionAllMatchesSequential(t *testing.T) {
 	}
 	if UnionAll(nil, 4).Len() != 0 {
 		t.Fatal("UnionAll(nil) not empty")
+	}
+}
+
+func TestUnionBlocksMatchesUnionAll(t *testing.T) {
+	sets := randomSets(3, 17, 500)
+	want := UnionAll(sets, 1).Blocks()
+	for _, w := range []int{1, 2, 5, 17, 100} {
+		if got := UnionBlocks(sets, w); !slices.Equal(got, want) {
+			t.Fatalf("UnionBlocks(workers=%d) = %d blocks, want %d", w, len(got), len(want))
+		}
+	}
+	if got := UnionBlocks(nil, 4); len(got) != 0 {
+		t.Fatalf("UnionBlocks(nil) = %v", got)
 	}
 }
 

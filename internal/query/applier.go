@@ -47,11 +47,12 @@ import (
 type Applier struct {
 	opts Options
 
-	// Set by the MetaEvent.
+	// Set once by bind: at the MetaEvent, or by ResumeApplier.
 	meta      obs.Meta
 	world     *synthnet.World
 	tags      *rdns.TagIndex
 	asBase    []ASPartial // asTable: every snapshot's AS fold starts from it
+	asCols    []int32     // Table 1's AS column of each world block (asCol)
 	fullWords int         // timeline words for the full daily window
 	// window is the number of days the applier can hold: the run's daily
 	// window, or the days fill loaded, since Build applies none after it.
@@ -66,8 +67,9 @@ type Applier struct {
 	// blocks replaces it instead of growing it in place.
 	keys []ipv4.Block
 
-	// lastDay is the newest applied day's payload, which the next day's
-	// churn transition diffs against; dayLens the per-day cardinalities.
+	// lastDay is the newest applied day's payload (empty before the
+	// first), which the next day's churn transition diffs against; dayLens
+	// the per-day cardinalities.
 	// Either would otherwise cost a pass over every timeline per event.
 	lastDay *ipv4.Set
 	dayLens []int
@@ -91,7 +93,7 @@ type Applier struct {
 	// the only copy of the daily union's: UnionIPs advances by each
 	// block's union-count delta, UnionBlocks is len(keys).
 	dSum, wSum SeriesPartial
-	asScratch  []uint32 // snapshotASes' reused buffer
+	asRow      *asMatrix // one reused row: the AS set of the day or week being applied
 
 	// Capture–recapture month window: nil until the first scan arrives
 	// (CampaignMonthUnion falls back to the whole daily window), then a
@@ -136,6 +138,7 @@ type blockAcc struct {
 	// view is the block's view as last compiled for a snapshot; a publish
 	// reuses it unless the block is dirty.
 	view  BlockView
+	asCol int32 // the block's column in Table 1's AS sets (Applier.asCol)
 	dirty bool
 }
 
@@ -190,7 +193,8 @@ func (a *Applier) Observe(e obs.Event) error {
 		a.weekLastAppear = ev.Active.DiffCount(a.week0)
 		a.weeks++
 		a.yearUnion.UnionWith(ev.Active)
-		a.wSum.observe(ev.Active, snapshotASes(ev.Active, a.world.ASOf, &a.asScratch))
+		a.setRow(a.asRow, 0, ev.Active)
+		a.wSum.observe(ev.Active, a.asRow.take())
 		a.wSum.UnionIPs, a.wSum.UnionBlocks = a.yearUnion.Len(), a.yearUnion.NumBlocks()
 	case obs.ICMPScanEvent:
 		return a.applyScan(ev)
@@ -208,16 +212,44 @@ func (a *Applier) applyMeta(ev obs.MetaEvent) error {
 	if a.world != nil {
 		return fmt.Errorf("query: applier received a second meta event")
 	}
-	a.meta = ev.Meta
-	a.world = synthnet.Generate(ev.Meta.World)
-	a.tags = classifyWorld(a.world, a.opts.Workers, a.opts.Keep)
-	a.asBase = asTable(a.world)
-	a.fullWords = (ev.Meta.Run.DailyLen + 63) / 64
-	a.window = ev.Meta.Run.DailyLen
+	world := synthnet.Generate(ev.Meta.World)
+	a.bind(ev.Meta, world, classifyWorld(world, a.opts.Workers, a.opts.Keep))
 	a.accs = make(map[ipv4.Block]*blockAcc)
+	a.lastDay = ipv4.NewSet()
 	a.yearUnion = ipv4.NewSet()
 	a.icmpUnion = ipv4.NewSet()
 	return nil
+}
+
+// bind attaches a to the world of meta's run, once: its rDNS tags, the
+// AS table, each world block's AS column, the one-row AS matrix the live
+// events reuse, and the window geometry.
+func (a *Applier) bind(meta obs.Meta, world *synthnet.World, tags *rdns.TagIndex) {
+	a.meta, a.world, a.tags = meta, world, tags
+	a.asBase = asTable(world)
+	a.asCols = make([]int32, len(world.Blocks))
+	for i, b := range world.Blocks {
+		j, _ := searchAS(a.asBase, uint32(b.AS)) // a world block's AS is a world AS
+		a.asCols[i] = int32(j)
+	}
+	a.asRow = a.newASMatrix(1)
+	a.fullWords = (meta.Run.DailyLen + 63) / 64
+	a.window = meta.Run.DailyLen
+}
+
+// asCol returns blk's column in Table 1's AS sets: the index in asBase
+// of the AS world.ASOf names (not the enrichment's routing AS), or -1
+// for space outside the world, whose AS 0 no set counts.
+func (a *Applier) asCol(blk ipv4.Block) int32 {
+	if i, ok := a.world.ByBlock[blk]; ok {
+		return a.asCols[i]
+	}
+	return -1
+}
+
+// setRow records the ASes of s's blocks in row k of m.
+func (a *Applier) setRow(m *asMatrix, k int, s *ipv4.Set) {
+	s.ForEachBlock(func(blk ipv4.Block, _ *ipv4.Bitmap256) { m.set(k, a.asCol(blk)) })
 }
 
 func (a *Applier) applyDay(ev obs.DayEvent) error {
@@ -227,16 +259,11 @@ func (a *Applier) applyDay(ev obs.DayEvent) error {
 	if ev.Index >= a.window {
 		return fmt.Errorf("query: day event %d outside window of %d days", ev.Index, a.window)
 	}
-	// Churn transition against the previous day, in arrival order: the
-	// appended integers are the exact inputs ChurnSeries would compute.
-	if prev := a.lastDay; prev != nil {
-		a.ups = append(a.ups, ev.Active.DiffCount(prev))
-		a.downs = append(a.downs, prev.DiffCount(ev.Active))
-	}
-	a.lastDay = ev.Active
-	a.dayLens = append(a.dayLens, ev.Active.Len())
 	day := ev.Index
 	a.days++
+	// One walk of the day's set: each block's counters and tail, its AS
+	// in the day's row, and its up events against the previous day.
+	up := 0
 	var fresh []ipv4.Block // first active day today
 	ev.Active.ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
 		acc := a.acc(blk)
@@ -250,7 +277,22 @@ func (a *Applier) applyDay(ev obs.DayEvent) error {
 		}
 		a.dSum.UnionIPs += acc.addDay(bm)
 		acc.tail.push(day, bm, a.window)
+		a.asRow.set(0, acc.asCol)
+		if was := a.lastDay.BlockBitmap(blk); was != nil {
+			up += bm.AndNotCount(was)
+		} else {
+			up += bm.Count()
+		}
 	})
+	// Churn transition against the previous day, in arrival order: the
+	// appended integers are the exact inputs ChurnSeries would compute.
+	n := ev.Active.Len()
+	if day > 0 {
+		a.ups = append(a.ups, up)
+		a.downs = append(a.downs, downCount(a.lastDay.Len(), n, up))
+	}
+	a.lastDay = ev.Active
+	a.dayLens = append(a.dayLens, n)
 	if len(fresh) > 0 {
 		a.keys = append(slices.Clip(a.keys), fresh...)
 		slices.Sort(a.keys)
@@ -260,7 +302,7 @@ func (a *Applier) applyDay(ev obs.DayEvent) error {
 	if a.days%64 == 0 || a.days == a.window {
 		a.seal(day / 64)
 	}
-	a.dSum.observe(ev.Active, snapshotASes(ev.Active, a.world.ASOf, &a.asScratch))
+	a.dSum.observe(ev.Active, a.asRow.take())
 	a.dSum.UnionBlocks = len(a.keys)
 	if a.cdn != nil && day >= a.cdnFrom && day < a.cdnTo {
 		a.cdn.UnionWith(ev.Active)
@@ -367,7 +409,7 @@ func (a *Applier) acc(blk ipv4.Block) *blockAcc {
 // newAcc returns an empty accumulator for blk, outside the map (safe to
 // call from concurrent workers).
 func (a *Applier) newAcc(blk ipv4.Block) *blockAcc {
-	return &blockAcc{name: blk.String(), e: join(a.world.BaseRouting, a.world, a.tags, blk)}
+	return &blockAcc{name: blk.String(), e: join(a.world.BaseRouting, a.world, a.tags, blk), asCol: a.asCol(blk)}
 }
 
 // addDay folds the block's activity on one day of the window into the

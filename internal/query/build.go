@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"ipscope/internal/bgp"
 	"ipscope/internal/ipv4"
 	"ipscope/internal/obs"
 	"ipscope/internal/par"
@@ -46,38 +45,43 @@ func Build(src obs.Source, opts Options) (*Index, error) {
 // block's bitmap into a (block × day) column array, each cell written by
 // one worker; then each block turns its column into its accumulator a
 // timeline word at a time (fillDays), in its own preallocated slot, so
-// shard boundaries cannot reorder anything. Table 1's daily AS sets are
-// read off the same columns (columnASes), its weekly ones off one walk
-// of each weekly set (setASes); the other day-level series come from
-// the parallel set kernels. Every fan-out is bounded by the Applier's
-// Options.Workers, not by the worker count the dataset's producer
-// recorded in its meta.
+// shard boundaries cannot reorder anything. No daily union is built: the
+// keys are its blocks (ipv4.UnionBlocks), and its size is the sum of the
+// blocks' unions, as a live day advances it. Table 1's daily AS sets are
+// set in the walk that files the columns, each key's AS column read off
+// its accumulator, its weekly ones in one walk of each weekly set
+// (setRow), both into the AS matrix a live day and week use; the other
+// day-level series come from the parallel set kernels. Every fan-out is
+// bounded by the Applier's Options.Workers, not by the worker count the
+// dataset's producer recorded in its meta.
 func (a *Applier) fill(d *obs.Data) {
 	w := a.opts.Workers
 	n := len(d.Daily)
 
-	dailyUnion := ipv4.UnionAll(d.Daily, w)
-	a.keys = dailyUnion.Blocks()
+	a.keys = ipv4.UnionBlocks(d.Daily, w)
 	slot := make(map[ipv4.Block]int32, len(a.keys))
 	for i, blk := range a.keys {
 		slot[blk] = int32(i)
 	}
+	accs := par.Map(len(a.keys), w, func(i int) *blockAcc { return a.newAcc(a.keys[i]) })
 	// cols[i*n+day] is key i's hosts on day, nil on a day it was inactive.
+	// The same walk sets each day's row of Table 1's AS sets.
 	cols := make([]*ipv4.Bitmap256, len(a.keys)*n)
+	dayASes := a.newASMatrix(n)
 	par.ForEach(n, w, func(day int) {
 		d.Daily[day].ForEachBlock(func(blk ipv4.Block, bm *ipv4.Bitmap256) {
-			cols[int(slot[blk])*n+day] = bm
+			i := slot[blk]
+			cols[int(i)*n+day] = bm
+			dayASes.set(day, accs[i].asCol)
 		})
 	})
-	accs := par.Map(len(a.keys), w, func(i int) *blockAcc {
-		blk := a.keys[i]
-		acc := a.newAcc(blk)
-		acc.fillDays(cols[i*n:(i+1)*n], a.fullWords)
-		acc.setStats(d.Traffic[blk], d.UA[blk])
-		return acc
+	par.ForEach(len(a.keys), w, func(i int) {
+		accs[i].fillDays(cols[i*n:(i+1)*n], a.fullWords)
+		accs[i].setStats(d.Traffic[a.keys[i]], d.UA[a.keys[i]])
 	})
 	for i, blk := range a.keys {
 		a.accs[blk] = accs[i]
+		a.dSum.UnionIPs += accs[i].union.Count()
 	}
 	// Stats for a block with no active day reach the index only through
 	// the summary's UA fold, so only a UA payload needs an accumulator.
@@ -95,14 +99,13 @@ func (a *Applier) fill(d *obs.Data) {
 	for i, s := range d.Daily {
 		a.dayLens[i] = s.Len()
 	}
-	a.dSum.observeAll(d.Daily, columnASes(a.keys, cols, n, a.world.ASOf))
-	a.dSum.UnionIPs, a.dSum.UnionBlocks = dailyUnion.Len(), len(a.keys)
+	a.dSum.observeAll(d.Daily, dayASes.lists())
+	a.dSum.UnionBlocks = len(a.keys)
 	if n > 1 {
 		a.ups = ipv4.DiffCounts(d.Daily[1:], d.Daily[:n-1], w)
 		a.downs = make([]int, n-1)
 		for i, up := range a.ups {
-			// |prev \ next| = |prev| - |next| + |next \ prev|
-			a.downs[i] = a.dayLens[i] - a.dayLens[i+1] + up
+			a.downs[i] = downCount(a.dayLens[i], a.dayLens[i+1], up)
 		}
 	}
 
@@ -120,7 +123,9 @@ func (a *Applier) fill(d *obs.Data) {
 		a.weekLastAppear = a.weekLast.DiffCount(a.week0)
 	}
 	a.yearUnion = ipv4.UnionAll(weekly, w)
-	a.wSum.observeAll(weekly, setASes(weekly, a.yearUnion.Blocks(), a.world.ASOf, w))
+	weekASes := a.newASMatrix(len(weekly))
+	par.ForEach(len(weekly), w, func(k int) { a.setRow(weekASes, k, weekly[k]) })
+	a.wSum.observeAll(weekly, weekASes.lists())
 	a.wSum.UnionIPs, a.wSum.UnionBlocks = a.yearUnion.Len(), a.yearUnion.NumBlocks()
 
 	a.icmpUnion = ipv4.UnionAll(d.ICMPScans, w)
@@ -130,102 +135,66 @@ func (a *Applier) fill(d *obs.Data) {
 	a.servers, a.routers = d.ServerSet, d.RouterSet
 }
 
-// asMatrix holds a series' per-snapshot AS sets — what snapshotASes
-// finds in each set — as a (snapshot × AS) bit matrix, so that no set
+// downCount is a churn transition's down events, |prev \ next|, from
+// its up events and the two days' sizes: |prev| − |next| + |next \ prev|.
+func downCount(prevLen, nextLen, up int) int { return prevLen - nextLen + up }
+
+// asMatrix holds a series' per-snapshot AS sets as a (snapshot × AS) bit
+// matrix over the world's AS columns (Applier.asCol), so that no set
 // needs a sort: a snapshot's set is read off its row in AS order. Each
 // row is written by one worker.
 type asMatrix struct {
-	ases  []uint32 // the columns' ASes: ascending, distinct, no AS 0
-	words int      // per row
+	base  []ASPartial // the columns' ASes: the Applier's asBase
+	rows  int
+	words int // per row
 	bits  []uint64
 }
 
-// newASMatrix sizes a matrix for n snapshots over blocks, every block a
-// snapshot can hold among them. Their unrouted AS 0 gets no column, as
-// snapshotASes counts it nowhere.
-func newASMatrix(blocks []ipv4.Block, n int, asOf func(ipv4.Block) bgp.ASN) *asMatrix {
-	ases := make([]uint32, len(blocks))
-	for i, blk := range blocks {
-		ases[i] = uint32(asOf(blk))
-	}
-	slices.Sort(ases)
-	ases = slices.Compact(ases)
-	if len(ases) > 0 && ases[0] == 0 {
-		ases = ases[1:]
-	}
-	words := (len(ases) + 63) / 64
-	return &asMatrix{ases: ases, words: words, bits: make([]uint64, n*words)}
+// newASMatrix returns an empty matrix of n snapshots over the world's ASes.
+func (a *Applier) newASMatrix(n int) *asMatrix {
+	words := (len(a.asBase) + 63) / 64
+	return &asMatrix{base: a.asBase, rows: n, words: words, bits: make([]uint64, n*words)}
 }
 
-// col returns as's column; AS 0 has none.
-func (m *asMatrix) col(as bgp.ASN) (int, bool) {
-	return slices.BinarySearch(m.ases, uint32(as))
+// set records column j's AS in snapshot k; j < 0 (AS 0) records nothing.
+func (m *asMatrix) set(k int, j int32) {
+	if j >= 0 {
+		m.bits[k*m.words+int(j/64)] |= 1 << (j % 64)
+	}
 }
 
-// set records column j's AS in snapshot k.
-func (m *asMatrix) set(k, j int) { m.bits[k*m.words+j/64] |= 1 << (j % 64) }
-
-// lists returns the n snapshots' sorted AS sets, carved from one array,
-// each capped at its length and none nil.
-func (m *asMatrix) lists(n int) [][]uint32 {
-	total := 0
-	for _, w := range m.bits {
-		total += bits.OnesCount64(w)
+// row returns snapshot k's AS set, ascending, at its exact size and
+// never nil.
+func (m *asMatrix) row(k int) []uint32 {
+	r := m.bits[k*m.words : (k+1)*m.words]
+	n := 0
+	for _, w := range r {
+		n += bits.OnesCount64(w)
 	}
-	flat := make([]uint32, 0, total)
-	out := make([][]uint32, n)
-	for k := range out {
-		start := len(flat)
-		for i, w := range m.bits[k*m.words : (k+1)*m.words] {
-			for ; w != 0; w &= w - 1 {
-				flat = append(flat, m.ases[i*64+bits.TrailingZeros64(w)])
-			}
+	ases := make([]uint32, 0, n)
+	for i, w := range r {
+		for ; w != 0; w &= w - 1 {
+			ases = append(ases, m.base[i*64+bits.TrailingZeros64(w)].AS)
 		}
-		out[k] = flat[start:len(flat):len(flat)]
+	}
+	return ases
+}
+
+// lists returns every snapshot's AS set.
+func (m *asMatrix) lists() [][]uint32 {
+	out := make([][]uint32, m.rows)
+	for k := range out {
+		out[k] = m.row(k)
 	}
 	return out
 }
 
-// columnASes returns the AS sets of the n snapshots of the (key ×
-// snapshot) column array cols, resolving each key's AS once.
-func columnASes(keys []ipv4.Block, cols []*ipv4.Bitmap256, n int, asOf func(ipv4.Block) bgp.ASN) [][]uint32 {
-	m := newASMatrix(keys, n, asOf)
-	for i, blk := range keys {
-		j, ok := m.col(asOf(blk))
-		if !ok {
-			continue
-		}
-		for k, bm := range cols[i*n : (i+1)*n] {
-			if bm != nil {
-				m.set(k, j)
-			}
-		}
-	}
-	return m.lists(n)
-}
-
-// setASes returns the AS sets of sets, whose blocks are all among
-// blocks, from one walk of each set across workers: a series with no
-// other use for a column array (the weekly sets) needs none. Each
-// block's AS column is resolved once, into a map the walks share.
-func setASes(sets []*ipv4.Set, blocks []ipv4.Block, asOf func(ipv4.Block) bgp.ASN, workers int) [][]uint32 {
-	m := newASMatrix(blocks, len(sets), asOf)
-	colOf := make(map[ipv4.Block]int32, len(blocks))
-	for _, blk := range blocks {
-		j, ok := m.col(asOf(blk))
-		if !ok {
-			j = -1
-		}
-		colOf[blk] = int32(j)
-	}
-	par.ForEach(len(sets), workers, func(k int) {
-		sets[k].ForEachBlock(func(blk ipv4.Block, _ *ipv4.Bitmap256) {
-			if j := colOf[blk]; j >= 0 {
-				m.set(k, int(j))
-			}
-		})
-	})
-	return m.lists(len(sets))
+// take returns a one-row matrix's AS set and clears the row for the
+// next snapshot.
+func (m *asMatrix) take() []uint32 {
+	ases := m.row(0)
+	clear(m.bits)
+	return ases
 }
 
 // fillDays loads a fresh accumulator with the first len(days) days of

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"ipscope/internal/bgp"
@@ -59,7 +58,7 @@ type SeriesPartial struct {
 	SnapASes [][]uint32 `json:"snapASes"`
 }
 
-// observe folds snapshot s, whose origin ASes are ases (snapshotASes),
+// observe folds snapshot s, whose origin ASes are ases (an asMatrix row),
 // into the series in arrival order. The caller owns the cross-snapshot
 // union and advances its two sizes.
 func (p *SeriesPartial) observe(s *ipv4.Set, ases []uint32) {
@@ -75,24 +74,6 @@ func (p *SeriesPartial) observeAll(sets []*ipv4.Set, ases [][]uint32) {
 	for i, s := range sets {
 		p.observe(s, ases[i])
 	}
-}
-
-// snapshotASes returns the sorted distinct origin ASNs active in s,
-// gathered in the caller's reusable *scratch and copied out at their
-// exact size. ForEachBlock visits blocks in map order, so every active
-// block adds its AS; the sort and the compaction drop the repeats. The
-// result is never nil: the wire encoding tells nil from empty.
-func snapshotASes(s *ipv4.Set, asOf func(ipv4.Block) bgp.ASN, scratch *[]uint32) []uint32 {
-	buf := (*scratch)[:0]
-	s.ForEachBlock(func(blk ipv4.Block, _ *ipv4.Bitmap256) {
-		if as := uint32(asOf(blk)); as != 0 {
-			buf = append(buf, as)
-		}
-	})
-	slices.Sort(buf)
-	buf = slices.Compact(buf)
-	*scratch = buf
-	return append([]uint32{}, buf...)
 }
 
 func (p *SeriesPartial) merge(o *SeriesPartial) error {

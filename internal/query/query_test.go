@@ -3,7 +3,6 @@ package query
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -93,14 +92,15 @@ func checkAgainstCore(t *testing.T, idx *Index, d *obs.Data) {
 	}
 }
 
-// TestBuildASSetsMatchSnapshotASes holds the fill's daily and weekly AS
-// series, taken from (key × snapshot) columns, to the per-set kernel a
-// live node runs on every day and week: set for set equal, nil-ness
-// included. The datasets cover the tiny run, cuts on both sides of a
-// timeline word boundary, a shard's restricted build, and days and
-// weeks with active space the world does not route (AS 0, which
-// neither may count).
-func TestBuildASSetsMatchSnapshotASes(t *testing.T) {
+// TestASSetsMatchReference holds Table 1's daily and weekly AS series,
+// live (Observe, then the published SummaryPartial) and batch (Build's
+// fill), to their definition: the world AS (ASOf) of each active block,
+// AS 0 dropped, ascending and distinct. The applier's own sets are never
+// nil; a published one is nil when empty, as clone makes it. The
+// datasets cover the tiny run, cuts on both sides of a timeline word
+// boundary, a shard's restricted build, and days and weeks with active
+// space the world does not route (AS 0, which no set may count).
+func TestASSetsMatchReference(t *testing.T) {
 	d := testData(t)
 	long := sim.TinyConfig()
 	long.Days, long.DailyStart, long.DailyLen = 98, 14, 70
@@ -138,34 +138,68 @@ func TestBuildASSetsMatchSnapshotASes(t *testing.T) {
 		{"keep", shard, Options{Keep: upper}},
 		{"unrouted", &stray, Options{}},
 	} {
-		a := NewApplier(c.opts)
-		if err := a.applyMeta(obs.MetaEvent{Meta: c.d.Meta}); err != nil {
+		world := synthnet.Generate(c.d.Meta.World)
+		live := NewApplier(c.opts)
+		if err := c.d.WriteTo(live); err != nil {
 			t.Fatal(err)
 		}
-		a.fill(c.d)
-		if a.weeks == 0 {
-			t.Fatalf("%s: no weekly snapshot", c.name)
+		batch := NewApplier(c.opts)
+		if err := batch.applyMeta(obs.MetaEvent{Meta: c.d.Meta}); err != nil {
+			t.Fatal(err)
 		}
-		for _, series := range []struct {
+		batch.fill(c.d)
+		for _, side := range []struct {
 			name string
-			got  *SeriesPartial
-			sets []*ipv4.Set
-		}{
-			{"day", &a.dSum, c.d.Daily},
-			{"week", &a.wSum, c.d.Weekly[:a.weeks]},
-		} {
-			if got, want := len(series.got.SnapASes), len(series.sets); got != want {
-				t.Fatalf("%s: %d %s AS sets, want %d", c.name, got, series.name, want)
+			a    *Applier
+		}{{"live", live}, {"batch", batch}} {
+			a := side.a
+			if a.weeks == 0 {
+				t.Fatalf("%s %s: no weekly snapshot", c.name, side.name)
 			}
-			var scratch []uint32
-			for i, s := range series.sets {
-				want := snapshotASes(s, a.world.ASOf, &scratch)
-				if got := series.got.SnapASes[i]; !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %s %d: AS set %v, want %v", c.name, series.name, i, got, want)
+			x, err := a.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := x.SummaryPartial()
+			for _, series := range []struct {
+				name            string
+				held, published [][]uint32
+				sets            []*ipv4.Set
+			}{
+				{"day", a.dSum.SnapASes, p.Daily.SnapASes, c.d.Daily},
+				{"week", a.wSum.SnapASes, p.Weekly.SnapASes, c.d.Weekly[:a.weeks]},
+			} {
+				name := c.name + " " + side.name + " " + series.name
+				if len(series.held) != len(series.sets) || len(series.published) != len(series.sets) {
+					t.Fatalf("%s: %d held and %d published AS sets, want %d",
+						name, len(series.held), len(series.published), len(series.sets))
+				}
+				for i, s := range series.sets {
+					want := refASes(s, world)
+					if got := series.held[i]; got == nil || !slices.Equal(got, want) {
+						t.Fatalf("%s %d: held AS set %#v, want %v", name, i, got, want)
+					}
+					if got := series.published[i]; (got == nil) != (len(want) == 0) || !slices.Equal(got, want) {
+						t.Fatalf("%s %d: published AS set %#v, want %v", name, i, got, want)
+					}
 				}
 			}
 		}
 	}
+}
+
+// refASes is Table 1's AS set of s by definition: the world AS of each
+// active block grouped, AS 0 dropped, sorted, never nil.
+func refASes(s *ipv4.Set, world *synthnet.World) []uint32 {
+	byAS := map[bgp.ASN]bool{}
+	s.ForEachBlock(func(blk ipv4.Block, _ *ipv4.Bitmap256) { byAS[world.ASOf(blk)] = true })
+	delete(byAS, 0)
+	out := []uint32{}
+	for as := range byAS {
+		out = append(out, uint32(as))
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestAddrTimeline(t *testing.T) {

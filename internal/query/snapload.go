@@ -601,12 +601,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 	x := l.Index
 	p := x.partial
 	a := NewApplier(opts)
-	a.meta = l.meta
-	a.world = x.world
-	a.tags = x.tags
-	a.asBase = asTable(x.world)
-	a.fullWords = (l.meta.Run.DailyLen + 63) / 64
-	a.window = l.meta.Run.DailyLen
+	a.bind(l.meta, x.world, x.tags)
 	if x.days > l.meta.Run.DailyLen {
 		return nil, obs.SkipCounts{}, snapErr("days %d exceed daily window %d", x.days, l.meta.Run.DailyLen)
 	}
@@ -636,6 +631,7 @@ func (l *Loaded) ResumeApplier(opts Options) (*Applier, obs.SkipCounts, error) {
 			totalHits: bd.view.TotalHits, // read only beside traffic
 			e:         join(x.routing, x.world, x.tags, blk),
 			view:      bd.view,
+			asCol:     a.asCol(blk),
 		}
 		clear(dayMask)
 		for h := 0; h < 256; h++ {
